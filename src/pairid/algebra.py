@@ -285,8 +285,13 @@ class GroupSuite:
         self.p = p
         self.counter = CostCounter() if counted else None
         self._role = None
+        # Everything that makes two backends interchangeable: compatible()
+        # compares it when two suites do not share one backend object.
+        self._identity = tuple(backend.describe().items())
         self.g1 = G1Element(self, backend.from_int(KIND_G1, 1))
-        self.g2 = G2Element(self, backend.pair(self.g1.payload, self.g1.payload))
+        # The generator of G2 is e(g, g); from_int(KIND_G2, 1) returns it
+        # without pairing again.
+        self.g2 = G2Element(self, backend.from_int(KIND_G2, 1))
         if self.g2.payload == backend.identity(KIND_G2):
             raise ValueError("degenerate suite: e(g, g) is the identity")
 
@@ -315,7 +320,7 @@ class GroupSuite:
     # -- arithmetic ---------------------------------------------------------
 
     def compatible(self, other: "GroupSuite") -> bool:
-        return other is self or (other.p == self.p and other.backend.name == self.backend.name)
+        return other is self or other.backend is self.backend or other._identity == self._identity
 
     def _exponent(self, k) -> int:
         if isinstance(k, Scalar):

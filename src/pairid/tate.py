@@ -6,20 +6,30 @@ The distortion map phi(x, y) = (-x, i*y) sends the order-p subgroup into an
 independent subgroup over F_{q^2} = F_q(i) with i^2 = -1, which turns the
 Tate pairing into a symmetric pairing on G1 x G1.
 
-The pairing itself is a plain double-and-add Miller loop over the order p of
-the working subgroup, followed by the final exponentiation to (q^2 - 1)/p.
-Because the second argument goes through the distortion map, its x-coordinate
-is in -x + F_q*i form: vertical-line factors evaluate inside F_q and are
-killed by the final exponentiation (u^(q-1) = 1 for u in F_q*), so the Miller
-loop only tracks the sloped line through each addition step.  With that
-shape the line value has imaginary part -y_Q, which is nonzero for any
-distorted point off the x-axis, so for honest subgroup inputs the loop can
-never hit a zero.  A zero can still arise for adversarial off-subgroup
-inputs; the loop raises DegeneratePairing and the public entry point retries
-on deterministic offsets of the second argument.
+Points are affine (x, y) tuples everywhere outside the inner loops.  The
+Miller loop and point_mul work in Jacobian coordinates (X, Y, Z) standing
+for (X/Z^2, Y/Z^3), so neither inverts in F_q: point_mul converts back to
+affine once at the end, and the Miller loop never does.  Each double or add
+step computes its slope numerator and denominator once and uses them both
+for the next point and for the line through the step, evaluated at the
+distorted second argument (Barreto, Kim, Lynn and Scott, "Efficient
+Algorithms for Pairing-Based Cryptosystems", CRYPTO 2002).
 
-Everything here is desk-scale: q stays below 10^4 so subgroups can be
-validated by exhaustive point counting and discrete logs by brute force.
+Line values are scaled by nonzero F_q factors (powers of Z and the slope
+denominator), and vertical lines are skipped, since their values lie in F_q
+as well.  The final exponentiation removes every such factor: it raises to
+(q^2 - 1)/p = (q - 1) * (q + 1)/p, and u^(q-1) = 1 for u in F_q*.  It
+computes f^(q-1) by Frobenius, f^q = conj(f), as conj(f)/f, and then raises
+the result to h = (q + 1)/p.  So _miller and _line are correct only up to
+an F_q* factor.  The line value has imaginary part (scale) * y_Q, which is
+nonzero for any distorted point off the x-axis, so for honest subgroup
+inputs the loop can never hit a zero.  A zero can still arise for
+adversarial off-subgroup inputs; the loop raises DegeneratePairing and the
+public entry point retries on deterministic offsets of the second argument.
+
+All arithmetic here works at real size (q of 512 bits).  Only
+enumerate_and_validate, which counts points exhaustively, and
+TateBackend.log, which brute-forces discrete logs, stay desk-only.
 """
 
 from __future__ import annotations
@@ -79,14 +89,14 @@ class Fq2:
     def __pow__(self, e: int) -> "Fq2":
         if e < 0:
             return self.inv() ** (-e)
-        out = Fq2(1, 0, self.q)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+        # Left-to-right square-and-multiply; (u + vi)^2 = (u + v)(u - v) + 2uv*i.
+        q, a, b = self.q, self.a, self.b
+        u, v = 1, 0
+        for bit in bin(e)[2:]:
+            u, v = (u + v) * (u - v) % q, 2 * u * v % q
+            if bit == "1":
+                u, v = (u * a - v * b) % q, (u * b + v * a) % q
+        return Fq2(u, v, q)
 
     @property
     def is_zero(self) -> bool:
@@ -115,23 +125,89 @@ def on_curve(pt: Point, q: int) -> bool:
     return (y * y - (x * x * x + x)) % q == 0
 
 
+# Jacobian points are (X, Y, Z) triples standing for (X/Z^2, Y/Z^3); any
+# Z = 0 is the point at infinity.
+_INF = (1, 1, 0)
+
+
+def _line_value(real: int, imag: int, q: int) -> tuple[int, int]:
+    real %= q
+    imag %= q
+    if real == 0 and imag == 0:
+        raise DegeneratePairing("line through Miller-loop accumulator vanished")
+    return real, imag
+
+
+def _double(r: tuple, ev: tuple | None, q: int) -> tuple:
+    """2r in Jacobian coordinates, and the tangent at r evaluated at ev.
+
+    ev = (xq, yq) stands for the distorted point (xq, yq*i); with ev None no
+    line is computed.  The line is None, meaning "lies in F_q, skip", when
+    the tangent is vertical or r is infinity; otherwise it is the (real,
+    imaginary) pair of l(ev) * z3 * z^2, where l(x, y) = y - y_r - lambda*(x - x_r)
+    and the slope is lambda = m / z3.
+    """
+    x, y, z = r
+    if z == 0 or y == 0:
+        return _INF, None
+    yy = y * y % q
+    zz = z * z % q
+    s = 4 * x * yy % q
+    m = (3 * x * x + zz * zz) % q
+    x3 = (m * m - 2 * s) % q
+    y3 = (m * (s - x3) - 8 * yy * yy) % q
+    z3 = 2 * y * z % q
+    if ev is None:
+        return (x3, y3, z3), None
+    xq, yq = ev
+    return (x3, y3, z3), _line_value(-(2 * yy + m * (zz * xq - x)), z3 * zz * yq, q)
+
+
+def _add_mixed(r: tuple, x2: int, y2: int, ev: tuple | None, q: int) -> tuple:
+    """r + (x2, y2) for Jacobian r and affine (x2, y2), and the line through them.
+
+    Same conventions as _double, which handles r = (x2, y2).  The chord has
+    slope lambda = rr / z3 and passes through (x2, y2); its value at ev is
+    scaled by z3.
+    """
+    x1, y1, z1 = r
+    if z1 == 0:
+        return (x2, y2, 1), None
+    zz = z1 * z1 % q
+    h = (x2 * zz - x1) % q
+    rr = (y2 * z1 * zz - y1) % q
+    if h == 0:
+        if rr == 0:
+            return _double(r, ev, q)
+        return _INF, None  # r = -(x2, y2): vertical chord
+    hh = h * h % q
+    hhh = h * hh % q
+    v = x1 * hh % q
+    x3 = (rr * rr - hhh - 2 * v) % q
+    y3 = (rr * (v - x3) - y1 * hhh) % q
+    z3 = z1 * h % q
+    if ev is None:
+        return (x3, y3, z3), None
+    xq, yq = ev
+    return (x3, y3, z3), _line_value(-(z3 * y2 + rr * (xq - x2)), z3 * yq, q)
+
+
+def _affine(r: tuple, q: int) -> Point:
+    x, y, z = r
+    if z == 0:
+        return None
+    zi = pow(z, -1, q)
+    zi2 = zi * zi % q
+    return (x * zi2 % q, y * zi2 * zi % q)
+
+
 def _add(a: Point, b: Point, q: int) -> Point:
     # Raw chord-and-tangent group law; callers validate inputs.
     if a is None:
         return b
     if b is None:
         return a
-    x1, y1 = a
-    x2, y2 = b
-    if x1 == x2 and (y1 + y2) % q == 0:
-        return None
-    if a == b:
-        lam = (3 * x1 * x1 + 1) * pow(2 * y1, -1, q) % q
-    else:
-        lam = (y2 - y1) * pow(x2 - x1, -1, q) % q
-    x3 = (lam * lam - x1 - x2) % q
-    y3 = (lam * (x1 - x3) - y1) % q
-    return (x3, y3)
+    return _affine(_add_mixed((a[0], a[1], 1), b[0], b[1], None, q)[0], q)
 
 
 def point_add(a: Point, b: Point, q: int) -> Point:
@@ -141,22 +217,21 @@ def point_add(a: Point, b: Point, q: int) -> Point:
 
 
 def point_mul(k: int, pt: Point, q: int) -> Point:
+    """k * pt: left-to-right double-and-add with mixed (affine-base) addition."""
     if not on_curve(pt, q):
         raise NotOnCurve("point_mul input is off the curve")
-    if pt is None:
-        return None
     k = int(k)
+    if pt is None or k == 0:
+        return None
+    x, y = pt
     if k < 0:
-        x, y = pt
-        return point_mul(-k, (x, (-y) % q), q)
-    out: Point = None
-    base = pt
-    while k:
-        if k & 1:
-            out = _add(out, base, q)
-        base = _add(base, base, q)
-        k >>= 1
-    return out
+        k, y = -k, (-y) % q
+    r = (x, y, 1)
+    for bit in bin(k)[3:]:
+        r = _double(r, None, q)[0]
+        if bit == "1":
+            r = _add_mixed(r, x, y, None, q)[0]
+    return _affine(r, q)
 
 
 def point_neg(pt: Point, q: int) -> Point:
@@ -244,41 +319,44 @@ def _line(a: Point, b: Point, xq_im: int, yq_im: int, q: int) -> Fq2:
     """Sloped line through a and b, evaluated at the distorted point.
 
     The evaluation point is phi(Q) = (-x_Q, i*y_Q), passed here as the F_q
-    parts (xq_im = -x_Q mod q, yq_im = y_Q mod q) of its coordinates.
-    Vertical lines are skipped (returned as 1): their value lies in F_q and
-    the final exponentiation erases it.
+    parts (xq_im = -x_Q mod q, yq_im = y_Q mod q) of its coordinates.  The
+    value is that of the Miller loop's step, so it is correct up to an F_q*
+    factor.  Vertical lines are skipped (returned as 1): their value lies in
+    F_q and the final exponentiation erases it.
     """
-    if a is None or b is None:
-        return Fq2(1, 0, q)
-    x1, y1 = a
-    x2, y2 = b
-    if x1 == x2 and (y1 + y2) % q == 0:
-        return Fq2(1, 0, q)
-    if a == b:
-        lam = (3 * x1 * x1 + 1) * pow(2 * y1, -1, q) % q
-    else:
-        lam = (y2 - y1) * pow(x2 - x1, -1, q) % q
-    # l(X, Y) = Y - y1 - lam*(X - x1) at X = xq_im (real), Y = yq_im * i.
-    real = (-(y1 + lam * (xq_im - x1))) % q
-    val = Fq2(real, yq_im, q)
-    if val.is_zero:
-        raise DegeneratePairing("line through Miller-loop accumulator vanished")
-    return val
+    line = None
+    if a is not None and b is not None:
+        line = _add_mixed((a[0], a[1], 1), b[0], b[1], (xq_im, yq_im), q)[1]
+    return Fq2(1, 0, q) if line is None else Fq2(line[0], line[1], q)
+
+
+def _times_line(f: tuple, line: tuple | None, q: int) -> tuple:
+    # f * line in F_q(i), both as (real, imaginary) pairs; None is a skipped line.
+    if line is None:
+        return f
+    (fa, fb), (la, lb) = f, line
+    return (fa * la - fb * lb) % q, (fa * lb + fb * la) % q
 
 
 def _miller(pt: Point, other: Point, n: int, q: int) -> Fq2:
-    """Accumulate the Miller function f_{n,pt} evaluated at phi(other)."""
-    xq_im = (-other[0]) % q
-    yq_im = other[1] % q
-    f = Fq2(1, 0, q)
-    r = pt
+    """The Miller function f_{n,pt} at phi(other), up to an F_q* factor."""
+    x, y = pt
+    ev = ((-other[0]) % q, other[1] % q)
+    f = (1, 0)
+    r = (x, y, 1)
     for bit in bin(n)[3:]:
-        f = f * f * _line(r, r, xq_im, yq_im, q)
-        r = _add(r, r, q)
+        r, line = _double(r, ev, q)
+        f = _times_line(((f[0] + f[1]) * (f[0] - f[1]) % q, 2 * f[0] * f[1] % q), line, q)
         if bit == "1":
-            f = f * _line(r, pt, xq_im, yq_im, q)
-            r = _add(r, pt, q)
-    return f
+            r, line = _add_mixed(r, x, y, ev, q)
+            f = _times_line(f, line, q)
+    return Fq2(f[0], f[1], q)
+
+
+def _final_exp(f: Fq2, p: int) -> Fq2:
+    """f^((q^2 - 1)/p) as (f^(q-1))^h, with f^(q-1) = conj(f)/f by Frobenius."""
+    q = f.q
+    return (Fq2(f.a, -f.b, q) * f.inv()) ** ((q + 1) // p)
 
 
 def tate_pairing(a: Point, b: Point, params: CurveParams) -> Fq2:
@@ -290,11 +368,8 @@ def tate_pairing(a: Point, b: Point, params: CurveParams) -> Fq2:
     if a is None or b is None:
         return one
 
-    def reduced(x: Fq2) -> Fq2:
-        return x ** ((q * q - 1) // p)
-
     try:
-        return reduced(_miller(a, b, p, q))
+        return _final_exp(_miller(a, b, p, q), p)
     except DegeneratePairing:
         pass
     # Bilinearity rescue: e(a, b) = e(a, b + s) / e(a, s) for any offset s.
@@ -304,7 +379,7 @@ def tate_pairing(a: Point, b: Point, params: CurveParams) -> Fq2:
         try:
             f1 = one if bs is None else _miller(a, bs, p, q)
             f2 = _miller(a, s, p, q)
-            return reduced(f1 * f2.inv())
+            return _final_exp(f1 * f2.inv(), p)
         except DegeneratePairing:
             continue
     raise DegeneratePairing("all retry offsets exhausted")

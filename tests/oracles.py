@@ -114,6 +114,109 @@ def dlog_table(base_payload, combine, identity, order: int) -> dict:
     return table
 
 
+def naive_double_and_add(k: int, pt, q: int):
+    """k * pt by affine right-to-left double-and-add; k may be negative."""
+    if pt is None:
+        return None
+    if k < 0:
+        k, pt = -k, (pt[0], (-pt[1]) % q)
+    acc, base = None, pt
+    while k:
+        if k & 1:
+            acc = naive_add(acc, base, q)
+        base = naive_add(base, base, q)
+        k >>= 1
+    return acc
+
+
+# -- reference Tate pairing: affine Miller loop, full-exponent reduction ----------
+#
+# F_q^2 = F_q(i) with i^2 = -1 is written as (real, imaginary) pairs.  This is
+# the textbook shape: every line slope costs an inversion in F_q, vertical
+# lines are skipped (their value lies in F_q), and the Miller value is raised
+# to the whole (q^2 - 1)/p.
+
+
+class ReferenceDegenerate(Exception):
+    """A line of the reference Miller loop vanished at the evaluation point."""
+
+
+def _fq2_mul(u, v, q: int):
+    return ((u[0] * v[0] - u[1] * v[1]) % q, (u[0] * v[1] + u[1] * v[0]) % q)
+
+
+def _fq2_pow(u, e: int, q: int):
+    out = (1, 0)
+    while e:
+        if e & 1:
+            out = _fq2_mul(out, u, q)
+        u = _fq2_mul(u, u, q)
+        e >>= 1
+    return out
+
+
+def _fq2_inv(u, q: int):
+    n_inv = inverse_mod(u[0] * u[0] + u[1] * u[1], q)
+    return (u[0] * n_inv % q, -u[1] * n_inv % q)
+
+
+def reference_line(a, b, xq_im: int, yq_im: int, q: int):
+    """Affine line through a and b at the distorted point (xq_im, yq_im * i)."""
+    if a is None or b is None:
+        return (1, 0)
+    x1, y1 = a
+    x2, y2 = b
+    if x1 == x2 and (y1 + y2) % q == 0:
+        return (1, 0)
+    if a == b:
+        lam = (3 * x1 * x1 + 1) * inverse_mod(2 * y1, q) % q
+    else:
+        lam = (y2 - y1) * inverse_mod((x2 - x1) % q, q) % q
+    val = ((-(y1 + lam * (xq_im - x1))) % q, yq_im % q)
+    if val == (0, 0):
+        raise ReferenceDegenerate("line through Miller-loop accumulator vanished")
+    return val
+
+
+def reference_miller(pt, other, n: int, q: int):
+    xq_im = (-other[0]) % q
+    yq_im = other[1] % q
+    f = (1, 0)
+    r = pt
+    for bit in bin(n)[3:]:
+        f = _fq2_mul(_fq2_mul(f, f, q), reference_line(r, r, xq_im, yq_im, q), q)
+        r = naive_add(r, r, q)
+        if bit == "1":
+            f = _fq2_mul(f, reference_line(r, pt, xq_im, yq_im, q), q)
+            r = naive_add(r, pt, q)
+    return f
+
+
+def reference_pairing(a, b, q: int, p: int, gen):
+    """Reduced Tate pairing e(a, phi(b)) as a (real, imaginary) pair.
+
+    A vanishing line is rescued through e(a, b) = e(a, b + s) / e(a, s) with
+    s = k * gen for k = 1..4; ReferenceDegenerate when all four fail too.
+    """
+    if a is None or b is None:
+        return (1, 0)
+    exp = (q * q - 1) // p
+    try:
+        return _fq2_pow(reference_miller(a, b, p, q), exp, q)
+    except ReferenceDegenerate:
+        pass
+    for k in range(1, 5):
+        s = naive_double_and_add(k, gen, q)
+        bs = naive_add(b, s, q)
+        try:
+            f1 = (1, 0) if bs is None else reference_miller(a, bs, p, q)
+            f2 = reference_miller(a, s, p, q)
+            return _fq2_pow(_fq2_mul(f1, _fq2_inv(f2, q), q), exp, q)
+        except ReferenceDegenerate:
+            continue
+    raise ReferenceDegenerate("all retry offsets exhausted")
+
+
 # -- statistics -------------------------------------------------------------------
 
 

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from pairid.algebra import KIND_G1, KIND_G2, MalformedEncoding
@@ -18,7 +20,16 @@ from pairid.tate import (
     tate_suite,
 )
 
-from oracles import curve_points, naive_add, naive_mul, point_order_naive
+from oracles import (
+    ReferenceDegenerate,
+    curve_points,
+    naive_add,
+    naive_double_and_add,
+    naive_mul,
+    point_order_naive,
+    reference_miller,
+    reference_pairing,
+)
 
 # Frozen outcomes of the exhaustive point count (oracles.curve_points).
 CURVE_TABLE = {
@@ -26,6 +37,38 @@ CURVE_TABLE = {
     83: dict(n=84, p=7, h=12, factors={2: 2, 3: 1, 7: 1}),
     523: dict(n=524, p=131, h=4, factors={2: 2, 131: 1}),
 }
+
+# A "type A" set at real size: q = h*p - 1 is a 512-bit prime = 3 (mod 4),
+# p a 160-bit prime, GEN a point of order p on y^2 = x^3 + x over F_q.
+REAL_Q = int(
+    "12754743815247551365903365207536378201741095838320536339596390385544169603786"
+    "678652508398311134647025207903486521270149881763601534714163324164140990938387"
+)
+REAL_P = 1408604150366267513563008725244081754033323226391
+REAL_H = int(
+    "9054881608811845679594536373982893014369005124167353844278982683044586091547"
+    "299475405238810860755912441868"
+)
+REAL_GEN = (
+    int(
+        "1224893490930503794004075466789973377976387194103161177031006933445828165313"
+        "4392274262626062867364572122220681834808723957244612444984282110057601856774166"
+    ),
+    int(
+        "4719368216839730560990156005391368034105920765539885550883455572281314241991"
+        "956851955514171891276748054785903373997938302622881312521909056028975195513150"
+    ),
+)
+
+
+def _random_curve_point(q, rng):
+    """A uniformly drawn affine point of the whole curve, not cofactor-cleared."""
+    while True:
+        x = rng.randrange(q)
+        rhs = (x * x * x + x) % q
+        y = pow(rhs, (q + 1) // 4, q)
+        if (y * y - rhs) % q == 0:
+            return (x, y) if rng.getrandbits(1) else (x, (-y) % q)
 
 
 class TestValidation:
@@ -211,6 +254,67 @@ class TestPairing:
             tate_pairing((1, 1), params.gen, params)
 
 
+class TestPairingAgainstReference:
+    """The Jacobian Miller loop and Frobenius final exponentiation against
+    the affine loop with full-exponent reduction in oracles.py."""
+
+    @pytest.mark.parametrize("q", [59, 83])
+    def test_every_pair_of_curve_points(self, q):
+        # Off-subgroup and 2-torsion points included: where the reference
+        # gives up, the package must raise DegeneratePairing too.
+        params = enumerate_and_validate(q).params
+        pts = curve_points(q)
+        for a in pts:
+            for b in pts:
+                try:
+                    expect = reference_pairing(a, b, q, params.p, params.gen)
+                except ReferenceDegenerate:
+                    with pytest.raises(DegeneratePairing):
+                        tate_pairing(a, b, params)
+                    continue
+                got = tate_pairing(a, b, params)
+                assert (got.a, got.b) == expect, (a, b)
+
+    @pytest.mark.parametrize("q", [59, 83])
+    def test_miller_vanishes_exactly_where_reference_does(self, q):
+        # These are the inputs that take tate_pairing's retry path.
+        params = enumerate_and_validate(q).params
+        pts = [pt for pt in curve_points(q) if pt is not None]
+        vanished = 0
+        for a in pts:
+            for b in pts:
+                try:
+                    reference_miller(a, b, params.p, q)
+                except ReferenceDegenerate:
+                    vanished += 1
+                    with pytest.raises(DegeneratePairing):
+                        _miller(a, b, params.p, q)
+                else:
+                    _miller(a, b, params.p, q)
+        assert vanished > 0
+
+    def test_real_size_random_pairs(self):
+        params = CurveParams(q=REAL_Q, p=REAL_P, h=REAL_H, gen=REAL_GEN)
+        rng = random.Random("real-size pairing")
+        pairs = [
+            (naive_double_and_add(rng.randrange(1, REAL_P), REAL_GEN, REAL_Q),
+             naive_double_and_add(rng.randrange(1, REAL_P), REAL_GEN, REAL_Q))
+            for _ in range(3)
+        ]
+        pairs.append((_random_curve_point(REAL_Q, rng), _random_curve_point(REAL_Q, rng)))
+        for a, b in pairs:
+            got = tate_pairing(a, b, params)
+            assert (got.a, got.b) == reference_pairing(a, b, REAL_Q, REAL_P, REAL_GEN)
+
+    def test_real_size_point_mul(self):
+        rng = random.Random("real-size point_mul")
+        k = rng.randrange(REAL_Q)
+        for base in (REAL_GEN, _random_curve_point(REAL_Q, rng)):
+            for m in (0, 1, REAL_P, REAL_H, k, -k, rng.randrange(REAL_P)):
+                assert point_mul(m, base, REAL_Q) == naive_double_and_add(m, base, REAL_Q), m
+        assert point_mul(REAL_P, REAL_GEN, REAL_Q) is None
+
+
 class TestSuiteOverCurve:
     def test_exponent_space_matches_transparent_shape(self, c59):
         for k in range(5):
@@ -235,6 +339,17 @@ class TestSuiteOverCurve:
         assert rebuilt.g1 == rebuilt.g1_from_int(1)
         assert rebuilt.p == c83.p
         assert c83.g1.payload == rebuilt.g1.payload
+
+    def test_equal_p_on_different_curves_incompatible(self, c83):
+        # q = 83 and q = 139 both give p = 7; their points must never mix.
+        other = tate_suite(139)
+        assert other.p == c83.p
+        with pytest.raises(TypeError):
+            c83.g1 * other.g1
+        with pytest.raises(ValueError):
+            c83.pairing(c83.g1, other.g1)
+        assert c83.g1 != other.g1
+        assert c83.g1_from_int(3) != other.g1_from_int(3)
 
     def test_stored_params_revalidated(self):
         good = enumerate_and_validate(59).params
