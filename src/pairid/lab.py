@@ -38,21 +38,16 @@ from .schemes import (
     Transcript,
     VerifierMachine,
     ZeroChallenge,
-    ZeroExponent,
     default_scheme_params,
+    exchange,
     keygen,
     owfid_verify,
 )
 from .signatures import BudgetExceeded, ExpKeyPair, GameReport, bls_verify, hash_to_group
 from .wire import (
-    TAG_CHALLENGE,
-    TAG_COMMITMENT,
-    TAG_RESPONSE,
     LengthMismatch,
     ShortFrame,
     UnknownTag,
-    decode_payload,
-    encode_payload,
     frame_decode,
     frame_encode,
 )
@@ -90,21 +85,31 @@ class OrderingViolation(Exception):
 
 
 class HonestProverOracle:
-    """Budgeted access to honest prover runs, with the caller as verifier.
+    """Budgeted access to prover runs, with the caller as verifier.
 
     One begin()/finish() pair is one identification session and consumes one
     unit of budget.  query(challenge) is the two-message convenience form.
+    The constructor runs the scheme's honest prover; answering() builds the
+    oracle a reduction hands an attacker instead.
     """
 
     def __init__(self, scheme: SchemeId, kp, params: SchemeParams, limit: int, rng: Random):
-        self.scheme = SchemeId(scheme)
-        self.kp = kp
-        self.params = params
+        self._prover = (scheme, kp, params, rng)
+        self._respond = None
         self.limit = limit
-        self.rng = rng
         self.calls = 0
         self.asked: list = []
-        self._pending: ProverMachine | None = None
+        self._pending = None
+
+    @classmethod
+    def answering(cls, respond) -> "HonestProverOracle":
+        """A two-message oracle whose responses are respond(challenge).
+
+        The callable keeps its own budget, so the oracle sets none.
+        """
+        oracle = cls(scheme=None, kp=None, params=None, limit=float("inf"), rng=None)
+        oracle._respond = respond
+        return oracle
 
     def begin(self) -> tuple:
         if self._pending is not None:
@@ -112,67 +117,43 @@ class HonestProverOracle:
         self.calls += 1
         if self.calls > self.limit:
             raise BudgetExceeded(f"prover oracle budget {self.limit} exceeded")
-        machine = ProverMachine(self.scheme, self.kp, self.params, self.rng)
+        if self._respond is not None:
+            self._pending = self._respond
+            return ()
+        machine = ProverMachine(*self._prover)
         commitment = machine.start()
-        self._pending = machine
+        self._pending = machine.on_challenge
         return commitment if commitment is not None else ()
 
     def finish(self, challenge: tuple) -> tuple:
         if self._pending is None:
             raise OrderingViolation("no session is waiting for a challenge")
-        machine, self._pending = self._pending, None
+        respond, self._pending = self._pending, None
         self.asked.append(challenge)
-        return machine.on_challenge(challenge)
+        return respond(challenge)
 
     def query(self, challenge: tuple) -> tuple:
         self.begin()
         return self.finish(challenge)
 
 
-class HonestVerifierChannel:
+class HonestVerifierChannel(VerifierMachine):
     """One honest verifier session, driven message by message by an attacker."""
 
-    def __init__(
-        self,
-        scheme: SchemeId,
-        pk,
-        params: SchemeParams,
-        rng: Random,
-        forced_challenge: tuple | None = None,
-    ):
-        self.scheme = SchemeId(scheme)
-        self.ops = SCHEMES[self.scheme]
-        self.params = params
-        self.machine = VerifierMachine(self.scheme, pk, params, rng, forced_challenge)
-        self.commitment: tuple = ()
-        self.challenge: tuple | None = None
-        self.response: tuple | None = None
-        self.decision: bool | None = None
+    decision: bool | None = None
 
     def get_challenge(self) -> tuple:
         if self.ops.three_message:
             raise OrderingViolation("this scheme starts with a commitment")
-        self.challenge = self.machine.start()
-        return self.challenge
+        return self.start()
 
     def send_commitment(self, commitment: tuple) -> tuple:
-        self.commitment = tuple(commitment)
-        self.challenge = self.machine.on_commitment(self.commitment)
-        return self.challenge
+        return self.on_commitment(tuple(commitment))
 
     def send_response(self, response: tuple) -> bool:
-        self.response = tuple(response)
-        self.decision = self.machine.on_response(self.response)
+        self.decision = self.on_response(tuple(response))
+        self._decide(self.decision)
         return self.decision
-
-    def transcript(self) -> Transcript:
-        return Transcript(
-            scheme=self.scheme,
-            commitment=self.commitment,
-            challenge=self.challenge if self.challenge is not None else (),
-            response=self.response if self.response is not None else (),
-            decision=bool(self.decision),
-        )
 
 
 class AttackerPair:
@@ -548,43 +529,6 @@ def om_cdh_game(adversary, suite: GroupSuite, q: int = 8, trials: int = 100, see
     )
 
 
-class _CdhBackedProver:
-    """Prover oracle whose responses are helper-oracle answers.
-
-    The honest prover's response to challenge h is h^x, exactly what the
-    helper oracle computes, so the attacker's view is perfect.
-    """
-
-    def __init__(self, ctx: OmCdhContext):
-        self.ctx = ctx
-        self.asked: list = []
-        self._open = False
-
-    @property
-    def calls(self) -> int:
-        return self.ctx.calls
-
-    def begin(self) -> tuple:
-        if self._open:
-            raise OrderingViolation("previous session is still waiting for a challenge")
-        self._open = True
-        return ()
-
-    def finish(self, challenge: tuple) -> tuple:
-        if not self._open:
-            raise OrderingViolation("no session is waiting for a challenge")
-        self._open = False
-        (h,) = challenge
-        if h.is_identity:
-            raise IdentityChallenge("challenge must be a non-identity element")
-        self.asked.append(challenge)
-        return (self.ctx.cdh(h),)
-
-    def query(self, challenge: tuple) -> tuple:
-        self.begin()
-        return self.finish(challenge)
-
-
 def cdhid_reduction(attacker: AttackerPair, ctx: OmCdhContext, rng: Random, params: SchemeParams | None = None) -> G1Element:
     """Play the one-more game using a cdhid impersonation attacker.
 
@@ -595,7 +539,16 @@ def cdhid_reduction(attacker: AttackerPair, ctx: OmCdhContext, rng: Random, para
     suite = ctx.suite
     params = params if params is not None else default_scheme_params(suite)
     pk = ExpKeyPair(suite, None, ctx.v)
-    oracle = _CdhBackedProver(ctx)
+
+    # The honest prover's response to challenge h is h^x, exactly what the
+    # helper oracle computes, so the attacker's view is perfect.
+    def respond(challenge: tuple) -> tuple:
+        (h,) = challenge
+        if h.is_identity:
+            raise IdentityChallenge("challenge must be a non-identity element")
+        return (ctx.cdh(h),)
+
+    oracle = HonestProverOracle.answering(respond)
     state = attacker.verifier_phase(pk, oracle, rng)
     target = ctx.challenge()
     channel = HonestVerifierChannel(
@@ -630,39 +583,6 @@ def cdhid_reduction_game(
     )
 
 
-class _SignBackedProver:
-    """Prover oracle whose responses come from a signing oracle.
-
-    The hash-based prover's response to challenge M is a signature on M, so
-    forwarding to the signer is again a perfect simulation.
-    """
-
-    def __init__(self, sign):
-        self.sign = sign
-        self.asked: list = []
-        self.calls = 0
-        self._open = False
-
-    def begin(self) -> tuple:
-        if self._open:
-            raise OrderingViolation("previous session is still waiting for a challenge")
-        self._open = True
-        return ()
-
-    def finish(self, challenge: tuple) -> tuple:
-        if not self._open:
-            raise OrderingViolation("no session is waiting for a challenge")
-        self._open = False
-        (message,) = challenge
-        self.calls += 1
-        self.asked.append(message)
-        return (self.sign(message),)
-
-    def query(self, challenge: tuple) -> tuple:
-        self.begin()
-        return self.finish(challenge)
-
-
 def blsid_forgery_reduction(
     attacker: AttackerPair,
     pk: ExpKeyPair,
@@ -681,14 +601,16 @@ def blsid_forgery_reduction(
     """
     params = params if params is not None else default_scheme_params(suite)
     rng = rng if rng is not None else Random("blsid-reduction")
-    oracle = _SignBackedProver(sign)
+    # The hash-based prover's response to challenge M is a signature on M,
+    # so forwarding to the signer is again a perfect simulation.
+    oracle = HonestProverOracle.answering(lambda challenge: (sign(challenge[0]),))
     state = attacker.verifier_phase(pk, oracle, rng)
     channel = HonestVerifierChannel(
         SchemeId.BLSID, pk, params, Random(rng.getrandbits(64)), forced_challenge=forced_challenge
     )
     attacker.prover_phase(pk, state, channel, rng)
     fresh = channel.challenge[0]
-    if fresh in oracle.asked:
+    if (fresh,) in oracle.asked:
         raise FreshnessCollision("verifier challenge collided with a signed message")
     if not channel.decision:
         raise AttackFailed("impersonation attempt was rejected")
@@ -808,59 +730,39 @@ def mitm_relay_demo(suite: GroupSuite, scheme: SchemeId = SchemeId.HLS, seed=0, 
     distance check is outside what these games model.
     """
     scheme = SchemeId(scheme)
-    ops = SCHEMES[scheme]
     params = default_scheme_params(suite)
     kp = keygen(scheme, suite, Random(f"{seed}:keygen"))
     frames: list[bytes] = []
 
-    def relay(tag: int, fields: tuple, values: tuple) -> tuple:
-        raw = bytearray(frame_encode(tag, encode_payload(fields, values, suite, params.n)))
+    def relay(tag: int, payload: bytes) -> tuple[int, bytes]:
+        raw = bytearray(frame_encode(tag, payload))
         if flip is not None and flip[0] == len(frames):
             _, byte_i, bit_i = flip
             raw[byte_i] ^= 1 << bit_i
-        raw = bytes(raw)
-        frames.append(raw)
-        got_tag, payload = frame_decode(raw)
-        if got_tag != tag:
-            raise ProtocolViolation(f"expected a {tag:#04x} frame, got {got_tag:#04x}")
-        return decode_payload(fields, payload, suite, params.n)
+        frames.append(bytes(raw))
+        return frame_decode(frames[-1])
 
-    restarts = 0
-    while True:
-        prover = ProverMachine(scheme, kp, params, Random(f"{seed}:prover"))
-        verifier = VerifierMachine(scheme, kp.public(), params, Random(f"{seed}:verifier"))
-        try:
-            if ops.three_message:
-                commitment = prover.start()
-                challenge = verifier.on_commitment(relay(TAG_COMMITMENT, ops.commitment_fields, commitment))
-            else:
-                prover.start()
-                challenge = verifier.start()
-            response = prover.on_challenge(relay(TAG_CHALLENGE, ops.challenge_fields, challenge))
-            decision = verifier.on_response(relay(TAG_RESPONSE, ops.response_fields, response))
-            if flip is None:
-                note = (
-                    "verbatim relay accepted: the verifier saw exactly the honest "
-                    "prover's bytes, so a forwarding wire is undetectable here; "
-                    "note that sessions are strictly sequential in this model, so "
-                    "relays that interleave concurrent sessions are out of scope"
-                )
-            elif decision:
-                note = "bit flip did not change the decoded messages"
-            else:
-                note = "bit flip produced a decodable but rejected exchange"
-            break
-        except ZeroExponent:
-            restarts += 1
-            if restarts > 100:
-                raise
-            continue
-        except (ShortFrame, LengthMismatch, UnknownTag, MalformedEncoding, ZeroChallenge,
-                IdentityChallenge, BadChallengeLength, ProtocolViolation) as exc:
-            decision = False
-            note = f"tampered frame broke the exchange: {exc}"
-            break
-    return MitmReport(scheme=scheme, frames=frames, decision=bool(decision), tampered=flip is not None, note=note)
+    prover = ProverMachine(scheme, kp, params, seed=seed, wire=True)
+    verifier = VerifierMachine(scheme, kp.public(), params, seed=seed, wire=True)
+    try:
+        decision = exchange(prover, verifier, relay).decision
+    except (ShortFrame, LengthMismatch, UnknownTag, MalformedEncoding, ZeroChallenge,
+            IdentityChallenge, BadChallengeLength, ProtocolViolation) as exc:
+        decision = False
+        note = f"tampered frame broke the exchange: {exc}"
+    else:
+        if flip is None:
+            note = (
+                "verbatim relay accepted: the verifier saw exactly the honest "
+                "prover's bytes, so a forwarding wire is undetectable here; "
+                "note that sessions are strictly sequential in this model, so "
+                "relays that interleave concurrent sessions are out of scope"
+            )
+        elif decision:
+            note = "bit flip did not change the decoded messages"
+        else:
+            note = "bit flip produced a decodable but rejected exchange"
+    return MitmReport(scheme=scheme, frames=frames, decision=decision, tampered=flip is not None, note=note)
 
 
 # -- scripted attackers with a dialled-in success rate -----------------------------

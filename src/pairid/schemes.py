@@ -6,7 +6,8 @@ three-message commit/challenge/respond protocols.  Each scheme is described
 by a SchemeOps record holding its keygen, message shapes, and the four core
 callables; ProverMachine and VerifierMachine drive any of them through the
 same state machine, enforcing message order and charging group operations
-to the right role.
+to the right role.  Their base, SessionEngine, is the one sans-I/O engine
+that every session driver runs on.
 
 Scheme summary, with g the suite generator and e the pairing:
 
@@ -56,6 +57,16 @@ from .signatures import (
     bls_sign,
     bls_verify,
     default_hash_spec,
+)
+from .wire import (
+    TAG_CHALLENGE,
+    TAG_COMMITMENT,
+    TAG_DECISION,
+    TAG_ERROR,
+    TAG_NAMES,
+    TAG_RESPONSE,
+    decode_payload,
+    encode_payload,
 )
 
 
@@ -435,29 +446,147 @@ class Transcript:
     restarts: int = 0
 
 
-class ProverMachine:
-    """Prover side of one exchange, with strict message ordering."""
+RESTART = b"restart"
+MAX_RESTARTS = 100
+_FIELDS = {
+    TAG_COMMITMENT: "commitment_fields",
+    TAG_CHALLENGE: "challenge_fields",
+    TAG_RESPONSE: "response_fields",
+}
 
-    def __init__(self, scheme: SchemeId, kp, params: SchemeParams | None = None, rng: Random | None = None):
+
+class SessionEngine:
+    """One role of a whole session as a sans-I/O engine.
+
+    ProverMachine and VerifierMachine define the round (start() and the on_*
+    methods); this base runs sessions over it.  open() and receive(tag,
+    payload) return the (tag, payload) messages to send next.  A prover that
+    cannot answer emits an error message with payload RESTART, then a fresh
+    round on the same random stream; the verifier restarts on receiving it.
+    transcript() is the decided exchange.  In memory, protocol payloads are
+    value tuples and only the sender counts them; on the wire (wire=True)
+    they are encoded bytes and each end counts every message, before handing
+    it out, so that the prover's counter reset on a restart follows every
+    count of the abandoned round.
+    """
+
+    role = ""
+    takes: tuple = ()  # the protocol messages this role answers
+    # Per-round state starts from these class defaults; a restart resets it.
+    state = "init"
+    commitment = challenge = response = ()
+    _secret_state = None
+    restarts = 0
+    _transcript: Transcript | None = None
+
+    def __init__(self, scheme: SchemeId, key, params: SchemeParams | None = None, rng: Random | None = None,
+                 *, seed=None, wire: bool = False):
         self.ops = SCHEMES[SchemeId(scheme)]
-        self.kp = kp
-        self.suite: GroupSuite = kp.suite
+        self.key = key
+        self.suite: GroupSuite = key.suite
         self.params = params if params is not None else default_scheme_params(self.suite)
-        self.rng = rng if rng is not None else Random()
-        self.state = "init"
-        self.commitment: tuple = ()
-        self._secret_state = None
+        if rng is None:
+            rng = Random() if seed is None else Random(f"{seed}:{self.role}")
+        self.rng = rng
+        self.seed = seed
+        self.wire = wire
 
     def _expect(self, state: str):
         if self.state != state:
-            raise ProtocolViolation(f"prover is in state {self.state!r}, not {state!r}")
+            raise ProtocolViolation(f"{self.role} is in state {self.state!r}, not {state!r}")
+
+    def transcript(self) -> Transcript | None:
+        """The decided exchange, or None before the decision."""
+        return self._transcript
+
+    def open(self) -> list:
+        """The messages this role opens a round with."""
+        if self.role == "prover":
+            commitment = self.start()
+            return [] if commitment is None else self._send(TAG_COMMITMENT, commitment)
+        return [] if self.ops.three_message else self._send(TAG_CHALLENGE, self.start())
+
+    def receive(self, tag: int, payload) -> list:
+        """Take one message from the peer; return the messages it calls for."""
+        if tag in self.takes:
+            if self.wire:
+                payload = decode_payload(getattr(self.ops, _FIELDS[tag]), payload, self.suite, self.params.n)
+                if self.suite.counter is not None:
+                    self._count(tag)
+            if tag == TAG_COMMITMENT:
+                return self._send(TAG_CHALLENGE, self.on_commitment(payload))
+            if tag == TAG_CHALLENGE:
+                try:
+                    response = self.on_challenge(payload)
+                except ZeroExponent:
+                    return [(TAG_ERROR, RESTART)] + self._restart()
+                return self._send(TAG_RESPONSE, response)
+            decision = self.on_response(payload)
+            self._decide(decision)
+            return [(TAG_DECISION, b"\x01" if decision else b"\x00")]
+        if tag == TAG_ERROR:
+            if payload == RESTART and self.role == "verifier":
+                return self._restart()
+            raise ProtocolViolation(f"peer error: {payload.decode('ascii', 'replace')}")
+        if tag != TAG_DECISION or self.role != "prover":
+            raise ProtocolViolation(f"a {self.role} takes no {TAG_NAMES[tag]} message")
+        self._expect("done")
+        if payload not in (b"\x00", b"\x01"):
+            raise ProtocolViolation("decision payload must be one byte, 0 or 1")
+        self._decide(payload == b"\x01")
+        return []
+
+    def _restart(self) -> list:
+        self.restarts += 1
+        if self.restarts > MAX_RESTARTS:
+            if self.role == "prover":
+                raise DegenerateSuite("session restart limit hit")
+            raise ProtocolViolation("peer restarted too many times")
+        if self.role == "prover" and self.suite.counter is not None:
+            # Counts describe the completed run only.  The prover resets
+            # them: in a loopback both ends share one counter.
+            self.suite.counter.reset(keep_redraws=True)
+            self.suite.counter.redraws += 1
+        self.state = "init"
+        self.commitment = self.challenge = self.response = ()
+        self._secret_state = None
+        return self.open()
+
+    def _send(self, tag: int, value: tuple) -> list:
+        if self.suite.counter is not None:
+            self._count(tag)
+        if self.wire:
+            return [(tag, encode_payload(getattr(self.ops, _FIELDS[tag]), value, self.suite, self.params.n))]
+        return [(tag, value)]
+
+    def _count(self, tag: int):
+        for kind in getattr(self.ops, _FIELDS[tag]):
+            self.suite.counter.add_sent(kind, self.suite.width(kind, self.params.n))
+
+    def _decide(self, decision: bool):
+        self._transcript = Transcript(
+            scheme=self.ops.scheme,
+            commitment=self.commitment,
+            challenge=self.challenge,
+            response=self.response,
+            decision=decision,
+            rng_seed=self.seed,
+            restarts=self.restarts,
+        )
+
+
+class ProverMachine(SessionEngine):
+    """Prover side of one exchange, with strict message ordering."""
+
+    role = "prover"
+    takes = (TAG_CHALLENGE,)
 
     def start(self) -> tuple | None:
         """Produce the commitment (three-message schemes) or arm the prover."""
         self._expect("init")
         if self.ops.three_message:
             with self.suite.role("prover"):
-                self._secret_state, self.commitment = self.ops.commit(self.kp, self.params, self.rng)
+                self._secret_state, self.commitment = self.ops.commit(self.key, self.params, self.rng)
             self.state = "committed"
             return self.commitment
         self.state = "committed"
@@ -467,37 +596,24 @@ class ProverMachine:
         self._expect("committed")
         if len(challenge) != len(self.ops.challenge_fields):
             raise ProtocolViolation("challenge has the wrong number of fields")
+        self.challenge = challenge
         counter = self.suite.counter
         with self.suite.role("prover"):
-            response = self.ops.respond(self.kp, self._secret_state, challenge, self.params, self.rng, counter)
+            self.response = self.ops.respond(self.key, self._secret_state, challenge, self.params, self.rng, counter)
         self.state = "done"
-        return response
+        return self.response
 
 
-class VerifierMachine:
+class VerifierMachine(SessionEngine):
     """Verifier side of one exchange; can be forced onto a fixed challenge."""
 
-    def __init__(
-        self,
-        scheme: SchemeId,
-        pk,
-        params: SchemeParams | None = None,
-        rng: Random | None = None,
-        forced_challenge: tuple | None = None,
-    ):
-        self.ops = SCHEMES[SchemeId(scheme)]
-        self.pk = pk
-        self.suite: GroupSuite = pk.suite
-        self.params = params if params is not None else default_scheme_params(self.suite)
-        self.rng = rng if rng is not None else Random()
-        self.forced_challenge = forced_challenge
-        self.state = "init"
-        self.commitment: tuple = ()
-        self.challenge: tuple = ()
+    role = "verifier"
+    takes = (TAG_COMMITMENT, TAG_RESPONSE)
 
-    def _expect(self, state: str):
-        if self.state != state:
-            raise ProtocolViolation(f"verifier is in state {self.state!r}, not {state!r}")
+    def __init__(self, scheme: SchemeId, pk, params: SchemeParams | None = None, rng: Random | None = None,
+                 forced_challenge: tuple | None = None, *, seed=None, wire: bool = False):
+        super().__init__(scheme, pk, params, rng, seed=seed, wire=wire)
+        self.forced_challenge = forced_challenge
 
     def _pick_challenge(self) -> tuple:
         if self.forced_challenge is not None:
@@ -530,17 +646,33 @@ class VerifierMachine:
         self._expect("challenged")
         if len(response) != len(self.ops.response_fields):
             raise ProtocolViolation("response has the wrong number of fields")
+        self.response = response
         with self.suite.role("verifier"):
-            decision = self.ops.verify(self.pk, self.commitment, self.challenge, response, self.params)
+            decision = self.ops.verify(self.key, self.commitment, self.challenge, response, self.params)
         self.state = "done"
         return bool(decision)
 
 
-def _count_message(suite: GroupSuite, fields: tuple, n: int):
-    if suite.counter is None:
-        return
-    for kind in fields:
-        suite.counter.add_sent(kind, suite.width(kind, n))
+def exchange(prover: SessionEngine, verifier: SessionEngine, carry=None) -> Transcript:
+    """Connect two engines in memory; returns the verifier's transcript.
+
+    carry, when given, maps each message (tag, payload) in transit to the
+    one delivered.  The exchange ends when the verifier decides, so its
+    decision message is never carried.
+    """
+    # One role opens the exchange; from then on each batch of messages
+    # answers the one before it.
+    messages, to = prover.open(), verifier
+    if not messages:
+        messages, to = verifier.open(), prover
+    while verifier.transcript() is None:
+        replies = []
+        for tag, payload in messages:
+            if carry is not None:
+                tag, payload = carry(tag, payload)
+            replies += to.receive(tag, payload)
+        messages, to = replies, (prover if to is verifier else verifier)
+    return verifier.transcript()
 
 
 def run_session(
@@ -556,45 +688,9 @@ def run_session(
     whole exchange restarts with fresh randomness; operation counts are
     reset so the recorded costs describe the completed run only.
     """
-    scheme = SchemeId(scheme)
-    ops = SCHEMES[scheme]
     params = params if params is not None else default_scheme_params(suite)
-    rng_p = Random(f"{seed}:prover")
-    rng_v = Random(f"{seed}:verifier")
-    restarts = 0
-    while True:
-        prover = ProverMachine(scheme, kp, params, rng_p)
-        verifier = VerifierMachine(scheme, kp.public(), params, rng_v)
-        try:
-            if ops.three_message:
-                commitment = prover.start()
-                _count_message(suite, ops.commitment_fields, params.n)
-                challenge = verifier.on_commitment(commitment)
-            else:
-                prover.start()
-                commitment = ()
-                challenge = verifier.start()
-            _count_message(suite, ops.challenge_fields, params.n)
-            response = prover.on_challenge(challenge)
-            _count_message(suite, ops.response_fields, params.n)
-        except ZeroExponent:
-            restarts += 1
-            if restarts > 100:
-                raise DegenerateSuite("session restart limit hit")
-            if suite.counter is not None:
-                suite.counter.reset(keep_redraws=True)
-                suite.counter.redraws += 1
-            continue
-        decision = verifier.on_response(response)
-        return Transcript(
-            scheme=scheme,
-            commitment=commitment,
-            challenge=challenge,
-            response=response,
-            decision=decision,
-            rng_seed=seed,
-            restarts=restarts,
-        )
+    prover = ProverMachine(scheme, kp, params, seed=seed)
+    return exchange(prover, VerifierMachine(scheme, kp.public(), params, seed=seed))
 
 
 def replay_decision(t: Transcript, pk, params: SchemeParams | None = None) -> bool:

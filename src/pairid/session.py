@@ -1,15 +1,22 @@
 """Identification sessions over a byte transport.
 
-Both peers start with a hello exchange pinning (scheme, backend, p, n, q);
-any disagreement aborts before group elements flow.  The verifier is the
-client: it sends hello, the prover echoes it, then the protocol messages run
-inside commitment/challenge/response frames and the verifier closes with a
-one-byte decision frame.
+One sans-I/O engine (schemes.SessionEngine) restarts, counts and records
+every session; three drivers carry its messages.  schemes.run_session joins
+both roles in memory with value tuples and counts each message once.
+serve_prover and run_verifier run one role over a transport as frames and
+count each message on both ends, so a loopback counts it twice.
+lab.mitm_relay_demo joins both roles in memory through a frame-level relay.
 
-A prover that cannot answer the challenge it was dealt (the inversion-based
-three-message scheme has one unanswerable challenge per commitment) sends an
-error frame with payload b"restart" and both sides silently rerun the whole
-exchange with fresh randomness.
+Over a transport both peers start with a hello exchange pinning (scheme,
+backend, p, n, q); any disagreement aborts before group elements flow.  The
+verifier is the client: it sends hello, the prover echoes it, then the
+protocol messages run inside commitment/challenge/response frames and the
+verifier closes with a one-byte decision frame.  A prover that cannot
+answer the challenge it was dealt (the inversion-based three-message scheme
+has one unanswerable challenge per commitment) sends an error frame with
+payload b"restart" and both sides rerun the whole exchange with fresh
+randomness.  A frame whose length field exceeds the widest frame the
+session can carry is rejected before its body is read.
 """
 
 from __future__ import annotations
@@ -18,65 +25,68 @@ import socket
 import struct
 import threading
 from dataclasses import dataclass
-from random import Random
 
 from .algebra import GroupSuite
-from .schemes import (
-    SCHEMES,
+from .schemes import (  # RESTART is re-exported as part of the wire protocol
+    RESTART,
     ProtocolViolation,
     ProverMachine,
     SchemeId,
     SchemeParams,
+    SessionEngine,
     Transcript,
     VerifierMachine,
-    ZeroExponent,
-    default_scheme_params,
 )
-from .signatures import DegenerateSuite
 from .wire import (
-    TAG_CHALLENGE,
-    TAG_COMMITMENT,
-    TAG_DECISION,
     TAG_ERROR,
     TAG_HELLO,
-    TAG_NAMES,
-    TAG_RESPONSE,
     LengthMismatch,
-    decode_payload,
-    encode_payload,
     frame_decode,
     frame_encode,
+    payload_width,
 )
 
-RESTART = b"restart"
-MAX_RESTARTS = 100
+# Error frames carry short ASCII reasons such as b"hello mismatch".
+MAX_ERROR_BYTES = 64
 
 
 class TransportClosed(Exception):
     """Peer went away mid-frame."""
 
 
-class SocketTransport:
+class _StreamTransport:
+    """read_exact over a per-transport _read(n), which returns at most n bytes."""
+
+    def read_exact(self, nbytes: int) -> bytes:
+        # A bytearray grows in amortized constant time per byte; bytes += is
+        # quadratic in the number of short reads.  A read that returns the
+        # whole frame part at once, the common case, is passed on uncopied.
+        buf = bytearray()
+        while len(buf) < nbytes:
+            chunk = self._read(nbytes - len(buf))
+            if not chunk:
+                raise TransportClosed("peer closed the stream mid-frame")
+            if not buf and len(chunk) == nbytes:
+                return chunk
+            buf += chunk
+        return bytes(buf)
+
+
+class SocketTransport(_StreamTransport):
     def __init__(self, sock: socket.socket):
         self.sock = sock
 
     def write(self, data: bytes):
         self.sock.sendall(data)
 
-    def read_exact(self, nbytes: int) -> bytes:
-        buf = b""
-        while len(buf) < nbytes:
-            chunk = self.sock.recv(nbytes - len(buf))
-            if not chunk:
-                raise TransportClosed("connection closed mid-frame")
-            buf += chunk
-        return buf
+    def _read(self, nbytes: int) -> bytes:
+        return self.sock.recv(nbytes)
 
     def close(self):
         self.sock.close()
 
 
-class StdioTransport:
+class StdioTransport(_StreamTransport):
     """Frames over a pair of binary file objects."""
 
     def __init__(self, infile, outfile):
@@ -87,14 +97,8 @@ class StdioTransport:
         self.outfile.write(data)
         self.outfile.flush()
 
-    def read_exact(self, nbytes: int) -> bytes:
-        buf = b""
-        while len(buf) < nbytes:
-            chunk = self.infile.read(nbytes - len(buf))
-            if not chunk:
-                raise TransportClosed("input ended mid-frame")
-            buf += chunk
-        return buf
+    def _read(self, nbytes: int) -> bytes:
+        return self.infile.read(nbytes)
 
     def close(self):
         pass
@@ -104,11 +108,14 @@ def send_frame(transport, tag: int, payload: bytes):
     transport.write(frame_encode(tag, payload))
 
 
-def recv_frame(transport) -> tuple[int, bytes]:
+def recv_frame(transport, limit: int) -> tuple[int, bytes]:
+    """Read one frame whose length field is at most limit bytes."""
     header = transport.read_exact(4)
     length = int.from_bytes(header, "big")
     if length < 1:
         raise LengthMismatch("length field must cover at least the tag byte")
+    if length > limit:
+        raise LengthMismatch(f"frame advertises {length} bytes; this session's frames carry at most {limit}")
     return frame_decode(header + transport.read_exact(length))
 
 
@@ -135,18 +142,33 @@ class SessionResult:
     restarts: int = 0
 
 
-def _count(suite: GroupSuite, fields: tuple, n: int):
-    if suite.counter is None:
-        return
-    for kind in fields:
-        suite.counter.add_sent(kind, suite.width(kind, n))
-
-
-def _expect(transport, tag: int, got_tag: int, payload: bytes):
-    if got_tag == TAG_ERROR:
+def _run(engine: SessionEngine, transport) -> SessionResult:
+    """Hello exchange, then the engine's messages as frames until it decides."""
+    ops, suite, params = engine.ops, engine.suite, engine.params
+    hello = hello_payload(ops.scheme, suite, params)
+    messages = (ops.commitment_fields, ops.challenge_fields, ops.response_fields)
+    # The widest length field (tag byte plus payload) this session can carry.
+    limit = 1 + max([len(hello), 1, MAX_ERROR_BYTES] + [payload_width(f, suite, params.n) for f in messages])
+    prover = engine.role == "prover"
+    if not prover:
+        send_frame(transport, TAG_HELLO, hello)
+    tag, payload = recv_frame(transport, limit)
+    if tag == TAG_ERROR and not prover:
         raise ProtocolViolation(f"peer error: {payload.decode('ascii', 'replace')}")
-    if got_tag != tag:
-        raise ProtocolViolation(f"expected a {TAG_NAMES[tag]} frame, got {TAG_NAMES[got_tag]}")
+    if tag != TAG_HELLO or payload != hello:
+        if prover:
+            send_frame(transport, TAG_ERROR, b"hello mismatch")
+        raise ProtocolViolation("peer hello does not match these parameters")
+    if prover:
+        send_frame(transport, TAG_HELLO, hello)
+    outgoing = engine.open()
+    while True:
+        for tag, payload in outgoing:
+            send_frame(transport, tag, payload)
+        transcript = engine.transcript()
+        if transcript is not None:
+            return SessionResult(transcript.decision, transcript, engine.restarts)
+        outgoing = engine.receive(*recv_frame(transport, limit))
 
 
 def serve_prover(
@@ -156,64 +178,7 @@ def serve_prover(
     seed=0,
     params: SchemeParams | None = None,
 ) -> SessionResult:
-    scheme = SchemeId(scheme)
-    ops = SCHEMES[scheme]
-    suite: GroupSuite = kp.suite
-    params = params if params is not None else default_scheme_params(suite)
-    expected = hello_payload(scheme, suite, params)
-
-    tag, payload = recv_frame(transport)
-    if tag != TAG_HELLO or payload != expected:
-        send_frame(transport, TAG_ERROR, b"hello mismatch")
-        raise ProtocolViolation("peer hello does not match this key's parameters")
-    send_frame(transport, TAG_HELLO, expected)
-
-    rng = Random(f"{seed}:prover")
-    restarts = 0
-    while True:
-        machine = ProverMachine(scheme, kp, params, rng)
-        commitment = ()
-        try:
-            if ops.three_message:
-                commitment = machine.start()
-                send_frame(transport, TAG_COMMITMENT, encode_payload(ops.commitment_fields, commitment, suite, params.n))
-                _count(suite, ops.commitment_fields, params.n)
-            else:
-                machine.start()
-            tag, payload = recv_frame(transport)
-            _expect(transport, TAG_CHALLENGE, tag, payload)
-            challenge = decode_payload(ops.challenge_fields, payload, suite, params.n)
-            _count(suite, ops.challenge_fields, params.n)
-            response = machine.on_challenge(challenge)
-        except ZeroExponent:
-            restarts += 1
-            if restarts > MAX_RESTARTS:
-                raise DegenerateSuite("restart limit hit")
-            if suite.counter is not None:
-                suite.counter.reset(keep_redraws=True)
-                suite.counter.redraws += 1
-            send_frame(transport, TAG_ERROR, RESTART)
-            continue
-        send_frame(transport, TAG_RESPONSE, encode_payload(ops.response_fields, response, suite, params.n))
-        _count(suite, ops.response_fields, params.n)
-        tag, payload = recv_frame(transport)
-        _expect(transport, TAG_DECISION, tag, payload)
-        if payload not in (b"\x00", b"\x01"):
-            raise ProtocolViolation("decision payload must be one byte, 0 or 1")
-        decision = payload == b"\x01"
-        return SessionResult(
-            decision=decision,
-            transcript=Transcript(
-                scheme=scheme,
-                commitment=commitment,
-                challenge=challenge,
-                response=response,
-                decision=decision,
-                rng_seed=seed,
-                restarts=restarts,
-            ),
-            restarts=restarts,
-        )
+    return _run(ProverMachine(scheme, kp, params, seed=seed, wire=True), transport)
 
 
 def run_verifier(
@@ -223,66 +188,7 @@ def run_verifier(
     seed=0,
     params: SchemeParams | None = None,
 ) -> SessionResult:
-    scheme = SchemeId(scheme)
-    ops = SCHEMES[scheme]
-    suite: GroupSuite = pk.suite
-    params = params if params is not None else default_scheme_params(suite)
-    expected = hello_payload(scheme, suite, params)
-
-    send_frame(transport, TAG_HELLO, expected)
-    tag, payload = recv_frame(transport)
-    if tag == TAG_ERROR:
-        raise ProtocolViolation(f"peer error: {payload.decode('ascii', 'replace')}")
-    if tag != TAG_HELLO or payload != expected:
-        raise ProtocolViolation("peer hello does not match these parameters")
-
-    rng = Random(f"{seed}:verifier")
-    restarts = 0
-    while True:
-        machine = VerifierMachine(scheme, pk, params, rng)
-        commitment = ()
-        if ops.three_message:
-            tag, payload = recv_frame(transport)
-            if tag == TAG_ERROR and payload == RESTART:
-                restarts += 1
-                if restarts > MAX_RESTARTS:
-                    raise ProtocolViolation("peer restarted too many times")
-                continue
-            _expect(transport, TAG_COMMITMENT, tag, payload)
-            commitment = decode_payload(ops.commitment_fields, payload, suite, params.n)
-            _count(suite, ops.commitment_fields, params.n)
-            challenge = machine.on_commitment(commitment)
-        else:
-            challenge = machine.start()
-        send_frame(transport, TAG_CHALLENGE, encode_payload(ops.challenge_fields, challenge, suite, params.n))
-        _count(suite, ops.challenge_fields, params.n)
-        tag, payload = recv_frame(transport)
-        if tag == TAG_ERROR and payload == RESTART:
-            # Counter cleanup is the prover's job: in a loopback both ends
-            # share one counter and the prover may already be inside the
-            # fresh round when this frame arrives.
-            restarts += 1
-            if restarts > MAX_RESTARTS:
-                raise ProtocolViolation("peer restarted too many times")
-            continue
-        _expect(transport, TAG_RESPONSE, tag, payload)
-        response = decode_payload(ops.response_fields, payload, suite, params.n)
-        _count(suite, ops.response_fields, params.n)
-        decision = machine.on_response(response)
-        send_frame(transport, TAG_DECISION, b"\x01" if decision else b"\x00")
-        return SessionResult(
-            decision=decision,
-            transcript=Transcript(
-                scheme=scheme,
-                commitment=commitment,
-                challenge=challenge,
-                response=response,
-                decision=decision,
-                rng_seed=seed,
-                restarts=restarts,
-            ),
-            restarts=restarts,
-        )
+    return _run(VerifierMachine(scheme, pk, params, seed=seed, wire=True), transport)
 
 
 def loopback_session(

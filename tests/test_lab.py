@@ -50,6 +50,8 @@ from pairid.schemes import (
 )
 from pairid.signatures import BudgetExceeded, ForgeryGameConfig, bls_verify, forgery_game
 from pairid.wire import frame_decode
+from pairid.schemes import SCHEMES, run_session
+from pairid.wire import TAG_CHALLENGE, TAG_COMMITMENT, TAG_RESPONSE, encode_payload
 
 from oracles import binomial_band, heavy_mass_from_row_sums
 
@@ -520,3 +522,29 @@ class TestRelay:
 
     def test_relay_on_curve(self, c59):
         assert mitm_relay_demo(c59, SchemeId.HLS, seed=2).decision
+
+
+class TestRelayRestart:
+    def test_verbatim_relay_survives_restarts(self):
+        # At p = 5 about one SCL round in five has no answer; the relay must
+        # restart on the same random streams as run_session and end with
+        # exactly its three messages.
+        suite = transparent_suite(5)
+        params = default_scheme_params(suite)
+        ops = SCHEMES[SchemeId.SCL]
+        restarted = []
+        for seed in range(80):
+            kp = keygen(SchemeId.SCL, suite, Random(f"{seed}:keygen"))
+            local = run_session(SchemeId.SCL, kp, suite, seed=seed)
+            if not local.restarts:
+                continue
+            restarted.append(seed)
+            report = mitm_relay_demo(suite, SchemeId.SCL, seed=seed)
+            assert report.decision, f"seed {seed}: {report.note}"
+            messages = [frame_decode(raw) for raw in report.frames[-3:]]
+            assert messages == [
+                (TAG_COMMITMENT, encode_payload(ops.commitment_fields, local.commitment, suite, params.n)),
+                (TAG_CHALLENGE, encode_payload(ops.challenge_fields, local.challenge, suite, params.n)),
+                (TAG_RESPONSE, encode_payload(ops.response_fields, local.response, suite, params.n)),
+            ]
+        assert len(restarted) == 15

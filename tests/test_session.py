@@ -26,6 +26,7 @@ from pairid.wire import (
     encode_payload,
     frame_encode,
 )
+from pairid.wire import LengthMismatch
 
 ALL_SCHEMES = list(SchemeId)
 
@@ -201,3 +202,66 @@ class TestStdioTransport:
         worker.join()
         assert result.decision
         assert outcome["prover"].decision
+
+
+def _doubled(snapshot: dict) -> dict:
+    out = dict(snapshot)
+    for key in ("sent_elems", "sent_bytes"):
+        out[key] = {kind: 2 * n for kind, n in snapshot[key].items()}
+    return out
+
+
+class TestLoopbackCounting:
+    """In-process sessions count each message once; a loopback counts it on
+    both ends, with every count of a restarted round landing before the
+    prover's reset."""
+
+    def _check(self, scheme, kp, suite, seed):
+        suite.counter.reset()
+        run_session(scheme, kp, suite, seed=seed)
+        local = suite.counter.snapshot()
+        suite.counter.reset()
+        loopback_session(scheme, kp, seed=seed)
+        assert suite.counter.snapshot() == _doubled(local), (scheme, seed)
+
+    def test_every_scheme_counts_twice(self):
+        suite = transparent_suite(1009, counted=True)
+        for scheme in ALL_SCHEMES:
+            self._check(scheme, keygen(scheme, suite, random.Random(11)), suite, seed=4)
+
+    def test_restarted_rounds_count_twice(self):
+        suite = transparent_suite(5, counted=True)
+        kp = scl_keygen(suite, random.Random(1))
+        restart_seeds = [s for s in range(40) if run_session(SchemeId.SCL, kp, suite, seed=s).restarts]
+        assert restart_seeds
+        for _ in range(10):
+            for seed in restart_seeds:
+                self._check(SchemeId.SCL, kp, suite, seed)
+
+
+class TestFrameBounds:
+    def test_oversized_length_field_rejected_before_the_body(self, t1009):
+        kp = keygen(SchemeId.CDHID, t1009, random.Random(2))
+        params = default_scheme_params(t1009)
+        hello = frame_encode(TAG_HELLO, hello_payload(SchemeId.CDHID, t1009, params))
+        oversized = (2**26).to_bytes(4, "big") + bytes([TAG_CHALLENGE])
+        with raises(LengthMismatch):
+            serve_prover(SchemeId.CDHID, kp, ScriptedTransport(hello + oversized))
+
+    def test_short_reads_fill_the_frame(self):
+        class Trickle:
+            """A reader that hands out at most two bytes per call."""
+
+            def __init__(self, data: bytes):
+                self.data = data
+
+            def read(self, nbytes: int) -> bytes:
+                n = min(2, nbytes)
+                chunk, self.data = self.data[:n], self.data[n:]
+                return chunk
+
+        frame = frame_encode(TAG_CHALLENGE, bytes(range(9)))
+        transport = StdioTransport(Trickle(frame + frame[:3]), None)
+        assert transport.read_exact(len(frame)) == frame
+        with raises(TransportClosed):
+            transport.read_exact(4)
