@@ -21,7 +21,7 @@ from __future__ import annotations
 import contextlib
 from dataclasses import dataclass, field
 
-from sympy import isprime
+from .primes import is_prime
 
 ROLES = ("prover", "verifier")
 
@@ -279,7 +279,7 @@ class GroupSuite:
         p = backend.p
         if p < 5:
             raise ValueError("suite prime must be at least 5")
-        if not isprime(p):
+        if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.backend = backend
         self.p = p

@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import socket
 import sys
-from random import Random
+from random import Random, SystemRandom
 
 from .algebra import Scalar, transparent_suite
 from .bench import bench_all, bench_costs
@@ -65,6 +65,13 @@ def _parse_addr(text: str):
     return host, int(port)
 
 
+_SEED_HELP = "seed for a reproducible run; without it every draw is from the OS"
+
+
+def _rng(seed):
+    return SystemRandom() if seed is None else Random(seed)
+
+
 def _message_bytes(args) -> bytes:
     if args.message_hex is not None:
         return bytes.fromhex(args.message_hex)
@@ -79,7 +86,7 @@ def _message_bytes(args) -> bytes:
 def cmd_keygen(args) -> int:
     suite = _build_suite(args)
     scheme = SchemeId(args.scheme)
-    kp = keygen(scheme, suite, Random(args.seed))
+    kp = keygen(scheme, suite, _rng(args.seed))
     params = default_scheme_params(suite)
     save_key(args.out, scheme, kp, params, include_secret=True)
     print(f"wrote secret key for {scheme.value} over {suite!r} to {args.out}")
@@ -137,7 +144,7 @@ def cmd_sign(args) -> int:
         if kp.x is None:
             raise SystemExit("record holds a public key")
         m = Scalar(int.from_bytes(message, "big"), suite.p)
-        sig, r = bb_sign(kp, m, Random(args.seed))
+        sig, r = bb_sign(kp, m, _rng(args.seed))
         print(f"sig = {suite.encode_element(sig).hex()}")
         print(f"r = {suite.encode_scalar(r).hex()}")
         return 0
@@ -313,7 +320,7 @@ def main(argv=None) -> int:
     sp = sub.add_parser("keygen", help="generate a keypair and write it to a record file")
     sp.add_argument("--scheme", required=True, choices=[s.value for s in SchemeId])
     _add_suite_args(sp)
-    sp.add_argument("--seed", default="keygen")
+    sp.add_argument("--seed", default=None, help=_SEED_HELP)
     sp.add_argument("--out", required=True)
     sp.add_argument("--pub-out", default=None)
     sp.set_defaults(func=cmd_keygen)
@@ -323,7 +330,7 @@ def main(argv=None) -> int:
     group = sp.add_mutually_exclusive_group(required=True)
     group.add_argument("--listen", help="host:port to accept one verifier connection on")
     group.add_argument("--stdio", action="store_true", help="speak frames on stdin/stdout")
-    sp.add_argument("--seed", default="prover")
+    sp.add_argument("--seed", default=None, help=_SEED_HELP)
     sp.set_defaults(func=cmd_prove)
 
     sp = sub.add_parser("verify", help="run one identification session as the verifier")
@@ -331,7 +338,7 @@ def main(argv=None) -> int:
     group = sp.add_mutually_exclusive_group(required=True)
     group.add_argument("--connect", help="host:port of a listening prover")
     group.add_argument("--stdio", action="store_true", help="speak frames on stdin/stdout")
-    sp.add_argument("--seed", default="verifier")
+    sp.add_argument("--seed", default=None, help=_SEED_HELP)
     sp.add_argument("--transcript-out", default=None)
     sp.set_defaults(func=cmd_verify)
 
@@ -339,7 +346,7 @@ def main(argv=None) -> int:
     sp.add_argument("--key", required=True)
     sp.add_argument("--message", default=None)
     sp.add_argument("--message-hex", default=None)
-    sp.add_argument("--seed", default="sign")
+    sp.add_argument("--seed", default=None, help=_SEED_HELP)
     sp.set_defaults(func=cmd_sign)
 
     sp = sub.add_parser("sigverify", help="check a signature against a key record")

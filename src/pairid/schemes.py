@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from random import Random
+from random import Random, SystemRandom
 
 from .algebra import (
     KIND_BITS,
@@ -486,7 +486,9 @@ class SessionEngine:
         self.suite: GroupSuite = key.suite
         self.params = params if params is not None else default_scheme_params(self.suite)
         if rng is None:
-            rng = Random() if seed is None else Random(f"{seed}:{self.role}")
+            # Without a seed, draw from the OS: a prover's commitment randomness
+            # must not repeat or be predictable across sessions of one key.
+            rng = SystemRandom() if seed is None else Random(f"{seed}:{self.role}")
         self.rng = rng
         self.seed = seed
         self.wire = wire

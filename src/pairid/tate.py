@@ -27,6 +27,18 @@ inputs the loop can never hit a zero.  A zero can still arise for
 adversarial off-subgroup inputs; the loop raises DegeneratePairing and the
 public entry point retries on deterministic offsets of the second argument.
 
+Points that come back (the generator, key elements) get precomputed tables,
+kept per backend in a bounded TableCache from a point's second use on.  A
+G1 power of such a point runs on a fixed-base comb (Lim and Lee, CRYPTO
+1994): 31 affine sums of 2^(i d) P, then d = ceil(bits(p)/5) doublings and
+at most d additions.  A pairing whose first argument has a table replays
+its stored Miller lines, each two F_q coefficients (a, b) whose value at
+the second argument is (a + b*xq) + yq*i, so a step is only: square f,
+evaluate the line, multiply (the
+fixed-argument precomputation of Barreto et al. and of Lynn's PBC
+library).  Both give exactly what the plain paths give, since the final
+exponentiation erases the lines' F_q* scaling.
+
 All arithmetic here works at real size (q of 512 bits).  Only
 enumerate_and_validate, which counts points exhaustively, and
 TateBackend.log, which brute-forces discrete logs, stay desk-only.
@@ -34,12 +46,13 @@ TateBackend.log, which brute-forces discrete logs, stay desk-only.
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from random import Random
 
-from sympy import factorint, isprime
-
 from .algebra import KIND_G1, GroupSuite, MalformedEncoding
+from .primes import factor, is_prime
 
 
 class NotOnCurve(Exception):
@@ -129,6 +142,10 @@ def on_curve(pt: Point, q: int) -> bool:
 # Z = 0 is the point at infinity.
 _INF = (1, 1, 0)
 
+# Passed as ev to _double and _add_mixed: return the line as coefficients
+# (c0, c1, c2) of its value (c0 + c1*xq) + (c2*yq)*i at any ev = (xq, yq).
+_COEFFS = object()
+
 
 def _line_value(real: int, imag: int, q: int) -> tuple[int, int]:
     real %= q
@@ -145,7 +162,8 @@ def _double(r: tuple, ev: tuple | None, q: int) -> tuple:
     line is computed.  The line is None, meaning "lies in F_q, skip", when
     the tangent is vertical or r is infinity; otherwise it is the (real,
     imaginary) pair of l(ev) * z3 * z^2, where l(x, y) = y - y_r - lambda*(x - x_r)
-    and the slope is lambda = m / z3.
+    and the slope is lambda = m / z3.  With ev _COEFFS it is the same line
+    as coefficients (c0, c1, c2), with c2 reduced and nonzero.
     """
     x, y, z = r
     if z == 0 or y == 0:
@@ -159,6 +177,8 @@ def _double(r: tuple, ev: tuple | None, q: int) -> tuple:
     z3 = 2 * y * z % q
     if ev is None:
         return (x3, y3, z3), None
+    if ev is _COEFFS:
+        return (x3, y3, z3), (m * x - 2 * yy, -m * zz, z3 * zz % q)
     xq, yq = ev
     return (x3, y3, z3), _line_value(-(2 * yy + m * (zz * xq - x)), z3 * zz * yq, q)
 
@@ -188,6 +208,8 @@ def _add_mixed(r: tuple, x2: int, y2: int, ev: tuple | None, q: int) -> tuple:
     z3 = z1 * h % q
     if ev is None:
         return (x3, y3, z3), None
+    if ev is _COEFFS:
+        return (x3, y3, z3), (rr * x2 - z3 * y2, -rr, z3)
     xq, yq = ev
     return (x3, y3, z3), _line_value(-(z3 * y2 + rr * (xq - x2)), z3 * yq, q)
 
@@ -199,6 +221,35 @@ def _affine(r: tuple, q: int) -> Point:
     zi = pow(z, -1, q)
     zi2 = zi * zi % q
     return (x * zi2 % q, y * zi2 * zi % q)
+
+
+def _batch_inverse(values: list, q: int) -> list:
+    """Inverses of nonzero values mod q with one inversion (Montgomery's trick)."""
+    prefix = []
+    acc = 1
+    for v in values:
+        prefix.append(acc)
+        acc = acc * v % q
+    inv = pow(acc, -1, q)
+    out = [0] * len(values)
+    for i in range(len(values) - 1, -1, -1):
+        out[i] = inv * prefix[i] % q
+        inv = inv * values[i] % q
+    return out
+
+
+def _batch_affine(points: list, q: int) -> list:
+    """_affine of each Jacobian point, with one inversion for all of them."""
+    invs = iter(_batch_inverse([z for _, _, z in points if z], q))
+    out = []
+    for x, y, z in points:
+        if z == 0:
+            out.append(None)
+            continue
+        zi = next(invs)
+        zi2 = zi * zi % q
+        out.append((x * zi2 % q, y * zi2 * zi % q))
+    return out
 
 
 def _add(a: Point, b: Point, q: int) -> Point:
@@ -216,13 +267,56 @@ def point_add(a: Point, b: Point, q: int) -> Point:
     return _add(a, b, q)
 
 
-def point_mul(k: int, pt: Point, q: int) -> Point:
-    """k * pt: left-to-right double-and-add with mixed (affine-base) addition."""
+def _comb_table(pt: tuple, bits: int, q: int) -> tuple:
+    """Fixed-base comb for exponents of up to `bits` bits (Lim and Lee).
+
+    With d = ceil(bits / 5), entry j of the table is the sum of 2^(i d) pt
+    over the set bits i of j (1 <= j < 32), in affine form (None for
+    infinity, which small-order points reach).  Returns (d, entries).
+    """
+    d = max(1, -(-bits // 5))
+    spaced = [pt]
+    for _ in range(4):
+        r = _INF if spaced[-1] is None else (*spaced[-1], 1)
+        for _ in range(d):
+            r = _double(r, None, q)[0]
+        spaced.append(_affine(r, q))
+    sums = [_INF] * 32
+    for j in range(1, 32):
+        top = j.bit_length() - 1
+        rest = sums[j ^ (1 << top)]
+        base = spaced[top]
+        sums[j] = rest if base is None else _add_mixed(rest, base[0], base[1], None, q)[0]
+    return d, _batch_affine(sums, q)
+
+
+def _comb_mul(k: int, comb: tuple, q: int) -> Point:
+    # Column j of the five d-bit rows of k picks the entry to add after the
+    # j-th doubling: d doublings and at most d mixed additions.
+    d, entries = comb
+    mask = (1 << d) - 1
+    rows = [format(k >> (i * d) & mask, f"0{d}b") for i in range(4, -1, -1)]
+    r = _INF
+    for column in zip(*rows):
+        r = _double(r, None, q)[0]
+        entry = entries[int("".join(column), 2)]
+        if entry is not None:
+            r = _add_mixed(r, entry[0], entry[1], None, q)[0]
+    return _affine(r, q)
+
+
+def point_mul(k: int, pt: Point, q: int, comb: tuple | None = None) -> Point:
+    """k * pt: left-to-right double-and-add with mixed (affine-base) addition.
+
+    comb, internal, is pt's _comb_table; it serves 0 <= k < 2^(5d).
+    """
     if not on_curve(pt, q):
         raise NotOnCurve("point_mul input is off the curve")
     k = int(k)
     if pt is None or k == 0:
         return None
+    if comb is not None and 0 < k and k.bit_length() <= 5 * comb[0]:
+        return _comb_mul(k, comb, q)
     x, y = pt
     if k < 0:
         k, y = -k, (-y) % q
@@ -266,7 +360,7 @@ def enumerate_and_validate(q: int, p: int | None = None, rng: Random | None = No
     q = int(q)
     if q > 10_000:
         raise ValidationFailed("exhaustive validation is capped at q <= 10^4")
-    if not isprime(q):
+    if not is_prime(q):
         raise ValidationFailed(f"{q} is not prime")
     if q % 4 != 3:
         raise ValidationFailed(f"{q} != 3 (mod 4), so i^2 = -1 has a root in F_q")
@@ -282,11 +376,11 @@ def enumerate_and_validate(q: int, p: int | None = None, rng: Random | None = No
     if count != n:
         raise ValidationFailed(f"point count {count} != q + 1 = {n}")
 
-    factors = {int(f): int(m) for f, m in factorint(n).items()}
+    factors = factor(n)
     if p is None:
         p = max(factors)
     p = int(p)
-    if not isprime(p) or p < 5:
+    if not is_prime(p) or p < 5:
         raise ValidationFailed(f"subgroup order {p} must be a prime >= 5")
     if n % p != 0:
         raise ValidationFailed(f"{p} does not divide the group order {n}")
@@ -353,14 +447,58 @@ def _miller(pt: Point, other: Point, n: int, q: int) -> Fq2:
     return Fq2(f[0], f[1], q)
 
 
+def _miller_lines(pt: Point, n: int, q: int) -> tuple:
+    """The lines of _miller(pt, ., n, q), stored for any second argument.
+
+    One tuple per step of the loop, holding its doubling and addition lines
+    without the skipped ones.  Each line is a pair (a, b): its value at the
+    distorted point (xq, yq*i) is (a + b*xq) + yq*i, the step's value divided
+    by its nonzero imaginary coefficient, so the same F_q* scaling caveat
+    holds and it vanishes exactly where the step's value does.
+    """
+    x, y = pt
+    r = (x, y, 1)
+    steps = []
+    for bit in bin(n)[3:]:
+        r, line = _double(r, _COEFFS, q)
+        step = [line]
+        if bit == "1":
+            r, line = _add_mixed(r, x, y, _COEFFS, q)
+            step.append(line)
+        steps.append([c for c in step if c is not None])
+    invs = iter(_batch_inverse([c2 for step in steps for _, _, c2 in step], q))
+    # zip takes from step first, so it stops without consuming an inverse.
+    return tuple(
+        tuple((c0 * inv % q, c1 * inv % q) for (c0, c1, _), inv in zip(step, invs))
+        for step in steps
+    )
+
+
+def _miller_stored(lines: tuple, other: Point, q: int) -> Fq2:
+    """_miller at phi(other) from its stored lines: square, evaluate, multiply."""
+    xq, yq = (-other[0]) % q, other[1] % q
+    fa, fb = 1, 0
+    for step in lines:
+        fa, fb = (fa + fb) * (fa - fb) % q, 2 * fa * fb % q
+        for a, b in step:
+            la = (a + b * xq) % q
+            if la == 0 and yq == 0:
+                raise DegeneratePairing("line through Miller-loop accumulator vanished")
+            fa, fb = (fa * la - fb * yq) % q, (fa * yq + fb * la) % q
+    return Fq2(fa, fb, q)
+
+
 def _final_exp(f: Fq2, p: int) -> Fq2:
     """f^((q^2 - 1)/p) as (f^(q-1))^h, with f^(q-1) = conj(f)/f by Frobenius."""
     q = f.q
     return (Fq2(f.a, -f.b, q) * f.inv()) ** ((q + 1) // p)
 
 
-def tate_pairing(a: Point, b: Point, params: CurveParams) -> Fq2:
-    """Reduced Tate pairing e(a, phi(b)) with deterministic retry on zeros."""
+def tate_pairing(a: Point, b: Point, params: CurveParams, lines: tuple | None = None) -> Fq2:
+    """Reduced Tate pairing e(a, phi(b)) with deterministic retry on zeros.
+
+    lines, internal, is a's _miller_lines for n = p; the result is the same.
+    """
     q, p = params.q, params.p
     one = Fq2(1, 0, q)
     if not on_curve(a, q) or not on_curve(b, q):
@@ -368,8 +506,11 @@ def tate_pairing(a: Point, b: Point, params: CurveParams) -> Fq2:
     if a is None or b is None:
         return one
 
+    def miller(other):
+        return _miller(a, other, p, q) if lines is None else _miller_stored(lines, other, q)
+
     try:
-        return _final_exp(_miller(a, b, p, q), p)
+        return _final_exp(miller(b), p)
     except DegeneratePairing:
         pass
     # Bilinearity rescue: e(a, b) = e(a, b + s) / e(a, s) for any offset s.
@@ -377,16 +518,72 @@ def tate_pairing(a: Point, b: Point, params: CurveParams) -> Fq2:
         s = point_mul(k, params.gen, q)
         bs = _add(b, s, q)
         try:
-            f1 = one if bs is None else _miller(a, bs, p, q)
-            f2 = _miller(a, s, p, q)
+            f1 = one if bs is None else miller(bs)
+            f2 = miller(s)
             return _final_exp(f1 * f2.inv(), p)
         except DegeneratePairing:
             continue
     raise DegeneratePairing("all retry offsets exhausted")
 
 
+# Bounds of each backend's TableCache.  At q of 512 bits a point's comb takes
+# about 7 KB and its lines about 73 KB, so a full cache holds about 1.3 MB.
+_TABLE_SLOTS = 16
+_SEEN_SLOTS = 64
+
+
+class TableCache:
+    """Precomputed tables for the points a backend sees more than once.
+
+    Keyed by affine point.  A point's first use only takes one of
+    _SEEN_SLOTS slots; its second use moves it to one of _TABLE_SLOTS slots,
+    least recently used first out, where each kind of table for it is built
+    on demand.  So values used once (responses, hashes, challenges) never
+    cost a table, and they never push out a point that has tables.  Safe
+    for threads sharing the backend: a table is built outside the lock and
+    stored in one assignment, so a racing duplicate build is only wasted.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._seen: OrderedDict = OrderedDict()
+        self._tables: OrderedDict = OrderedDict()  # point -> {build: table}
+
+    def get(self, pt: tuple, build):
+        """build(pt), kept for reuse from pt's second use on; None before."""
+        with self._lock:
+            entry = self._tables.get(pt)
+            if entry is not None:
+                self._tables.move_to_end(pt)
+            elif pt in self._seen:
+                del self._seen[pt]
+                entry = self._tables[pt] = {}
+                if len(self._tables) > _TABLE_SLOTS:
+                    self._tables.popitem(last=False)
+            else:
+                self._seen[pt] = None
+                if len(self._seen) > _SEEN_SLOTS:
+                    self._seen.popitem(last=False)
+                return None
+            table = entry.get(build)
+        if table is None:
+            table = entry[build] = build(pt)
+        return table
+
+    def sizes(self) -> tuple[int, int]:
+        """(points seen once, points with tables)."""
+        with self._lock:
+            return len(self._seen), len(self._tables)
+
+
 class TateBackend:
-    """Curve-point payloads for G1, F_{q^2} payloads for G2."""
+    """Curve-point payloads for G1, F_{q^2} payloads for G2.
+
+    The points that sessions raise to powers or pair again and again (the
+    generator, key elements) get precomputed tables in a TableCache: a comb
+    for G1 powers, and the Miller lines of the first pairing argument.  Both
+    paths give the same results as the plain ones.
+    """
 
     name = "tate"
 
@@ -396,6 +593,7 @@ class TateBackend:
         self.q = params.q
         self._fqw = max(2, (params.q.bit_length() + 7) // 8)
         self._gen = params.gen
+        self.tables = TableCache()
         self._g2gen = tate_pairing(self._gen, self._gen, params)
         if self._g2gen == Fq2(1, 0, params.q):
             raise ValidationFailed("pairing is degenerate on the chosen generator")
@@ -405,9 +603,22 @@ class TateBackend:
             return _add(a, b, self.q)
         return a * b
 
+    def _table(self, pt, build):
+        # Only canonical curve points are cached; the callee still checks.
+        q = self.q
+        if pt is None or not (0 <= pt[0] < q and 0 <= pt[1] < q and on_curve(pt, q)):
+            return None
+        return self.tables.get(pt, build)
+
+    def _comb(self, pt):
+        return _comb_table(pt, self.p.bit_length(), self.q)
+
+    def _lines(self, pt):
+        return _miller_lines(pt, self.p, self.q)
+
     def power(self, kind, a, k):
         if kind == KIND_G1:
-            return point_mul(k, a, self.q)
+            return point_mul(k, a, self.q, self._table(a, self._comb))
         return a ** int(k)
 
     def invert(self, kind, a):
@@ -422,7 +633,7 @@ class TateBackend:
 
     def from_int(self, kind, k):
         if kind == KIND_G1:
-            return point_mul(k, self._gen, self.q)
+            return point_mul(k, self._gen, self.q, self._table(self._gen, self._comb))
         return self._g2gen ** int(k)
 
     def log(self, kind, a):
@@ -438,7 +649,7 @@ class TateBackend:
         raise ValueError("element is outside the working subgroup")
 
     def pair(self, a, b):
-        return tate_pairing(a, b, self.params)
+        return tate_pairing(a, b, self.params, self._table(a, self._lines))
 
     def width(self, kind):
         if kind == KIND_G1:
@@ -507,12 +718,33 @@ def tate_suite(q: int = 523, p: int | None = None, counted: bool = False) -> Gro
     return GroupSuite(TateBackend(report.params), counted=counted)
 
 
+# Backends built by suite_from_curve_params, least recently used first.
+_SHARED_SLOTS = 8
+_shared_backends: OrderedDict = OrderedDict()
+_shared_lock = threading.Lock()
+
+
 def suite_from_curve_params(q: int, p: int, h: int, gen: tuple[int, int], counted: bool = False) -> GroupSuite:
-    """Rebuild a suite from stored parameters, re-checking cheap invariants."""
-    if not on_curve(gen, q):
-        raise ValidationFailed("stored generator is off the curve")
-    if point_mul(p, gen, q) is not None:
-        raise ValidationFailed("stored generator does not have order p")
-    if p * h != q + 1:
-        raise ValidationFailed("stored cofactor does not match q + 1")
-    return GroupSuite(TateBackend(CurveParams(q=q, p=p, h=h, gen=gen)), counted=counted)
+    """Rebuild a suite from stored parameters, re-checking cheap invariants.
+
+    Suites over one set of parameters share one backend, validated once, so
+    they share its precomputed tables and compare as compatible at once.
+    """
+    params = CurveParams(q=q, p=p, h=h, gen=gen)
+    with _shared_lock:
+        backend = _shared_backends.get(params)
+        if backend is not None:
+            _shared_backends.move_to_end(params)
+    if backend is None:
+        if not on_curve(gen, q):
+            raise ValidationFailed("stored generator is off the curve")
+        if point_mul(p, gen, q) is not None:
+            raise ValidationFailed("stored generator does not have order p")
+        if p * h != q + 1:
+            raise ValidationFailed("stored cofactor does not match q + 1")
+        backend = TateBackend(params)
+        with _shared_lock:
+            backend = _shared_backends.setdefault(params, backend)
+            if len(_shared_backends) > _SHARED_SLOTS:
+                _shared_backends.popitem(last=False)
+    return GroupSuite(backend, counted=counted)

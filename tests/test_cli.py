@@ -127,3 +127,42 @@ class TestLabCommand:
 
 def test_selftest_runs():
     assert main(["selftest"]) == 0
+
+
+def _tcp_session(sk, pk, transcript) -> int:
+    """One prove/verify session over TCP with default seeds on both ends."""
+    port = free_port()
+    prover_rc = []
+    thread = threading.Thread(
+        target=lambda: prover_rc.append(main(["prove", "--key", str(sk), "--listen", f"127.0.0.1:{port}"])))
+    thread.start()
+    deadline = time.monotonic() + 5
+    while True:
+        try:
+            rc = main(["verify", "--pk", str(pk), "--connect", f"127.0.0.1:{port}", "--transcript-out", str(transcript)])
+            break
+        except OSError:
+            if time.monotonic() > deadline:
+                raise
+            time.sleep(0.05)
+    thread.join(timeout=5)
+    assert not thread.is_alive() and prover_rc == [0]
+    return rc
+
+
+class TestDefaultRandomness:
+    def test_default_keygens_differ(self, tmp_path):
+        paths = [tmp_path / f"{i}.key" for i in range(2)]
+        for path in paths:
+            assert main(["keygen", "--scheme", "owfid", "--out", str(path)]) == 0
+        assert paths[0].read_bytes() != paths[1].read_bytes()
+
+    def test_default_sessions_draw_fresh_commitments(self, keyfiles, tmp_path):
+        # A repeated owfid commitment with two challenges reveals the secret Q.
+        sk, pk = keyfiles
+        commitments = []
+        for i in range(2):
+            transcript = tmp_path / f"{i}.transcript"
+            assert _tcp_session(sk, pk, transcript) == 0
+            commitments.append(load_transcript(str(transcript))[0].commitment)
+        assert commitments[0] != commitments[1]

@@ -1,16 +1,23 @@
 import random
+import sys
+import threading
 
 import pytest
 
 from pairid.algebra import KIND_G1, KIND_G2, MalformedEncoding
 from pairid.tate import (
+    _SEEN_SLOTS,
+    _TABLE_SLOTS,
     CurveParams,
     DegeneratePairing,
     Fq2,
     NotOnCurve,
+    TateBackend,
     ValidationFailed,
     _line,
     _miller,
+    _miller_lines,
+    _miller_stored,
     enumerate_and_validate,
     point_add,
     point_mul,
@@ -430,3 +437,193 @@ class TestCurveCodecs:
         assert c59.decode_g1(c59.encode_element(inf)) == inf
         one = c59.g2_identity()
         assert c59.decode_g2(c59.encode_element(one)) == one
+
+
+class TestPrecomputedTables:
+    """The comb and stored-line paths of TateBackend against the plain
+    point_mul and the reference pairing.  Each input is used twice first, so
+    that its table exists before the compared call."""
+
+    @pytest.mark.parametrize("q", [59, 83])
+    def test_comb_matches_point_mul_on_every_point(self, q):
+        # Off-subgroup, 2-torsion and other small-order bases included:
+        # 2^(5i) * pt is infinity for some of them.
+        backend = TateBackend(enumerate_and_validate(q).params)
+        for pt in curve_points(q):
+            backend.power(KIND_G1, pt, 1)
+            backend.power(KIND_G1, pt, 1)
+            for k in range(backend.p):
+                assert backend.power(KIND_G1, pt, k) == point_mul(k, pt, q), (pt, k)
+
+    def test_comb_uses_several_columns(self):
+        # p = 131 has 8 bits, so the comb has two columns per row.
+        params = enumerate_and_validate(523).params
+        backend = TateBackend(params)
+        rng = random.Random("comb columns")
+        bases = [params.gen, (0, 0)] + [_random_curve_point(523, rng) for _ in range(6)]
+        for pt in bases:
+            backend.power(KIND_G1, pt, 1)
+            backend.power(KIND_G1, pt, 1)
+            for k in range(backend.p):
+                assert backend.power(KIND_G1, pt, k) == naive_mul(k, pt, 523), (pt, k)
+        for k in range(backend.p):
+            assert backend.from_int(KIND_G1, k) == naive_mul(k, params.gen, 523)
+
+    def test_comb_out_of_range_exponents(self):
+        params = enumerate_and_validate(523).params
+        backend = TateBackend(params)
+        for _ in range(2):
+            backend.power(KIND_G1, params.gen, 1)
+        for k in (-1, -130, 1 << 10, 10**6 + 3):
+            assert backend.power(KIND_G1, params.gen, k) == naive_mul(k % 524, params.gen, 523)
+
+    @pytest.mark.parametrize("q", [59, 83])
+    def test_stored_lines_match_reference_on_every_pair(self, q):
+        params = enumerate_and_validate(q).params
+        backend = TateBackend(params)
+        pts = curve_points(q)
+        for a in pts:
+            backend.pair(a, params.gen)
+            backend.pair(a, params.gen)
+            for b in pts:
+                try:
+                    expect = reference_pairing(a, b, q, params.p, params.gen)
+                except ReferenceDegenerate:
+                    with pytest.raises(DegeneratePairing):
+                        backend.pair(a, b)
+                    continue
+                got = backend.pair(a, b)
+                assert (got.a, got.b) == expect, (a, b)
+
+    @pytest.mark.parametrize("q", [59, 83])
+    def test_stored_lines_vanish_exactly_where_miller_does(self, q):
+        params = enumerate_and_validate(q).params
+        pts = [pt for pt in curve_points(q) if pt is not None]
+        vanished = 0
+        for a in pts:
+            lines = _miller_lines(a, params.p, q)
+            for b in pts:
+                try:
+                    plain = _miller(a, b, params.p, q)
+                except DegeneratePairing:
+                    vanished += 1
+                    with pytest.raises(DegeneratePairing):
+                        _miller_stored(lines, b, q)
+                    continue
+                stored = _miller_stored(lines, b, q)
+                # Equal up to an F_q* factor: the ratio has no imaginary part.
+                assert (plain * stored.inv()).b == 0, (a, b)
+        assert vanished > 0
+
+    def test_off_curve_inputs_still_rejected(self):
+        params = enumerate_and_validate(59).params
+        backend = TateBackend(params)
+        for _ in range(3):
+            with pytest.raises(NotOnCurve):
+                backend.pair((1, 1), params.gen)
+            with pytest.raises(NotOnCurve):
+                backend.pair(params.gen, (1, 1))
+            with pytest.raises(NotOnCurve):
+                backend.power(KIND_G1, (1, 1), 2)
+        assert backend.tables.sizes() == (0, 1)  # only the generator
+
+    def test_real_size(self):
+        params = CurveParams(q=REAL_Q, p=REAL_P, h=REAL_H, gen=REAL_GEN)
+        backend = TateBackend(params)
+        rng = random.Random("real-size tables")
+        key = naive_double_and_add(rng.randrange(1, REAL_P), REAL_GEN, REAL_Q)
+        for base in (REAL_GEN, key):
+            for k in [rng.randrange(REAL_P) for _ in range(4)] + [1, REAL_P - 1]:
+                assert backend.power(KIND_G1, base, k) == naive_double_and_add(k, base, REAL_Q), k
+        others = [naive_double_and_add(rng.randrange(1, REAL_P), REAL_GEN, REAL_Q),
+                  _random_curve_point(REAL_Q, rng)]
+        for b in others:
+            for _ in range(2):
+                got = backend.pair(key, b)
+                assert (got.a, got.b) == reference_pairing(key, b, REAL_Q, REAL_P, REAL_GEN)
+        assert backend.tables.sizes()[1] == 2
+
+    def test_table_built_on_second_use(self):
+        params = enumerate_and_validate(83).params
+        backend = TateBackend(params)
+        pt = point_mul(3, params.gen, 83)
+        backend.pair(pt, params.gen)  # only the first argument is looked up
+        assert backend.tables.sizes() == (1, 0)
+        backend.power(KIND_G1, pt, 2)
+        assert backend.tables.sizes() == (0, 1)
+
+    def test_cache_stays_within_its_bounds(self):
+        params = enumerate_and_validate(523).params
+        backend = TateBackend(params)
+        pts = [pt for pt in curve_points(523) if pt is not None][:200]
+        for pt in pts:
+            for _ in range(2):
+                backend.power(KIND_G1, pt, 5)
+                backend.pair(pt, params.gen)
+                seen, tables = backend.tables.sizes()
+                assert seen <= _SEEN_SLOTS and tables <= _TABLE_SLOTS
+        for pt in pts:
+            backend.power(KIND_G1, pt, 7)
+            seen, tables = backend.tables.sizes()
+            assert seen <= _SEEN_SLOTS and tables <= _TABLE_SLOTS
+        assert backend.tables.sizes() == (_SEEN_SLOTS, _TABLE_SLOTS)
+
+    def test_threads_sharing_one_backend(self):
+        params = enumerate_and_validate(523).params
+        backend = TateBackend(params)
+        rng = random.Random("threads")
+        bases = [point_mul(rng.randrange(1, 131), params.gen, 523) for _ in range(24)]
+        jobs = [(a, rng.randrange(131), rng.choice(bases)) for a in bases for _ in range(8)]
+        expect = [(point_mul(k, a, 523), tate_pairing(a, b, params)) for a, k, b in jobs]
+        errors = []
+
+        def work(order):
+            try:
+                for i in order:
+                    a, k, b = jobs[i]
+                    if (backend.power(KIND_G1, a, k), backend.pair(a, b)) != expect[i]:
+                        errors.append(i)
+            except Exception as exc:  # surfaced below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(random.Random(t).sample(range(len(jobs)), len(jobs)),))
+                       for t in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        seen, tables = backend.tables.sizes()
+        assert seen <= _SEEN_SLOTS and tables <= _TABLE_SLOTS
+
+
+class TestSharedBackend:
+    def test_stored_params_share_one_backend(self):
+        params = enumerate_and_validate(83).params
+        a = suite_from_curve_params(params.q, params.p, params.h, params.gen)
+        b = suite_from_curve_params(params.q, params.p, params.h, params.gen, counted=True)
+        assert a.backend is b.backend
+        assert a.counter is None and b.counter is not None
+        other_gen = point_mul(2, params.gen, params.q)
+        c = suite_from_curve_params(params.q, params.p, params.h, other_gen)
+        assert c.backend is not a.backend
+        assert c.g1 != a.g1
+
+    def test_key_records_share_one_backend(self, tmp_path):
+        from pairid.records import load_key, save_key
+        from pairid.schemes import SchemeId, default_scheme_params, keygen
+
+        suite = suite_from_curve_params(REAL_Q, REAL_P, REAL_H, REAL_GEN)
+        params = default_scheme_params(suite)
+        loaded = []
+        for i, scheme in enumerate((SchemeId.CDHID, SchemeId.HLS)):
+            path = tmp_path / f"{i}.key"
+            save_key(path, scheme, keygen(scheme, suite, random.Random(i)), params)
+            loaded.append(load_key(path)[1].suite)
+        assert all(s.backend is suite.backend for s in loaded)
