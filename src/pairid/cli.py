@@ -1,7 +1,7 @@
 """Command line front end: keys, sessions, signatures, benchmarks, lab games.
 
 Exit codes: 0 for accept/pass, 1 for reject or a failed bound, 2 for usage
-errors (argparse's default).
+errors (argparse's default) and for unreadable or malformed record files.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .lab import (
     owfid_inverter,
     transparent_pairing_inverter,
 )
-from .records import load_key, save_key, save_transcript
+from .records import RecordError, load_key, save_key, save_transcript
 from .schemes import SchemeId, default_scheme_params, keygen, run_session
 from .session import SocketTransport, StdioTransport, loopback_session, run_verifier, serve_prover
 from .signatures import (
@@ -98,7 +98,7 @@ def cmd_keygen(args) -> int:
 
 def cmd_prove(args) -> int:
     scheme, kp, params = load_key(args.key)
-    if getattr(kp, "x", True) is None or getattr(kp, "Q", True) is None:
+    if not kp.has_secret:
         raise SystemExit("record holds a public key; proving needs the secret")
     if args.stdio:
         transport = StdioTransport(sys.stdin.buffer, sys.stdout.buffer)
@@ -140,21 +140,19 @@ def cmd_sign(args) -> int:
     scheme, kp, params = load_key(args.key)
     message = _message_bytes(args)
     suite = kp.suite
+    if not isinstance(kp, (BbKeyPair, ExpKeyPair)):
+        raise SystemExit(f"key scheme {scheme.value} has no signature counterpart")
+    if not kp.has_secret:
+        raise SystemExit("record holds a public key")
     if isinstance(kp, BbKeyPair):
-        if kp.x is None:
-            raise SystemExit("record holds a public key")
         m = Scalar(int.from_bytes(message, "big"), suite.p)
         sig, r = bb_sign(kp, m, _rng(args.seed))
         print(f"sig = {suite.encode_element(sig).hex()}")
         print(f"r = {suite.encode_scalar(r).hex()}")
         return 0
-    if isinstance(kp, ExpKeyPair):
-        if kp.x is None:
-            raise SystemExit("record holds a public key")
-        sig = bls_sign(kp, message, params.hash_spec)
-        print(f"sig = {suite.encode_element(sig).hex()}")
-        return 0
-    raise SystemExit(f"key scheme {scheme.value} has no signature counterpart")
+    sig = bls_sign(kp, message, params.hash_spec)
+    print(f"sig = {suite.encode_element(sig).hex()}")
+    return 0
 
 
 def cmd_sigverify(args) -> int:
@@ -378,7 +376,11 @@ def main(argv=None) -> int:
     sp.set_defaults(func=cmd_selftest)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except RecordError as exc:
+        print(f"pairid: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -10,18 +10,10 @@ without them loads as a public key.
 
 from __future__ import annotations
 
-from .algebra import KIND_G1, KIND_G2, KIND_ZP, GroupSuite, transparent_suite
-from .schemes import (
-    SCHEMES,
-    HlsKeyPair,
-    OwfidKeyPair,
-    SchemeId,
-    SchemeParams,
-    SclKeyPair,
-    Transcript,
-)
-from .signatures import BbKeyPair, ExpKeyPair, HashMode, HashSpec
-from .tate import suite_from_curve_params
+from .algebra import GroupSuite, MalformedEncoding, transparent_suite
+from .schemes import SCHEMES, SchemeId, SchemeParams, Transcript
+from .signatures import HashMode, HashSpec
+from .tate import ValidationFailed, suite_from_curve_params
 from .wire import decode_payload, encode_payload
 
 MAGIC = "pairid-record"
@@ -32,30 +24,10 @@ class RecordError(Exception):
     """Record file is missing, malformed, or of the wrong kind."""
 
 
-# Field layouts per scheme: (name, kind) in storage order.
-_PK_FIELDS = {
-    SchemeId.BLSID: (("v", KIND_G1),),
-    SchemeId.CDHID: (("v", KIND_G1),),
-    SchemeId.SDHID: (("u", KIND_G1), ("v", KIND_G1), ("z", KIND_G2)),
-    SchemeId.OWFID: (("P", KIND_G1), ("y", KIND_G2), ("v", KIND_G2)),
-    SchemeId.SCL: (("g", KIND_G1), ("v", KIND_G1), ("z", KIND_G2)),
-    SchemeId.HLS: (("P", KIND_G1), ("z", KIND_G2), ("v", KIND_G2)),
-}
-_SK_FIELDS = {
-    SchemeId.BLSID: (("x", KIND_ZP),),
-    SchemeId.CDHID: (("x", KIND_ZP),),
-    SchemeId.SDHID: (("x", KIND_ZP), ("y", KIND_ZP)),
-    SchemeId.OWFID: (("Q", KIND_G1), ("s", KIND_ZP)),
-    SchemeId.SCL: (("x", KIND_ZP),),
-    SchemeId.HLS: (("Q", KIND_G1),),
-}
-
-
-def _format(kind: str, fields: dict) -> str:
-    lines = [f"{MAGIC} {kind} {VERSION}"]
-    for name, value in fields.items():
-        lines.append(f"{name} = {value}")
-    return "\n".join(lines) + "\n"
+def _write(path, kind: str, fields: dict):
+    lines = [f"{MAGIC} {kind} {VERSION}"] + [f"{name} = {value}" for name, value in fields.items()]
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def _parse(text: str, expect_kind: str) -> dict:
@@ -80,147 +52,113 @@ def _parse(text: str, expect_kind: str) -> dict:
     return fields
 
 
-def _suite_fields(suite: GroupSuite) -> dict:
-    return dict(suite.backend.describe())
+def _field(fields: dict, name: str, parse=str):
+    """Field `name` read through parse; a missing or unparsable value is a
+    RecordError that names the field."""
+    if name not in fields:
+        raise RecordError(f"record has no {name!r} field")
+    try:
+        return parse(fields[name])
+    except (ValueError, MalformedEncoding) as exc:
+        raise RecordError(f"bad {name!r} field: {exc}") from exc
 
 
-def _suite_from_fields(fields: dict) -> GroupSuite:
-    backend = fields.get("backend")
-    if backend == "transparent":
-        return transparent_suite(int(fields["p"]))
-    if backend == "tate":
-        gx, gy = (int(v) for v in fields["gen"].split(","))
-        return suite_from_curve_params(int(fields["q"]), int(fields["p"]), int(fields["h"]), (gx, gy))
-    raise RecordError(f"unknown backend {backend!r}")
+def _unhex(kinds: tuple, suite: GroupSuite, n: int | None = None):
+    """A parser for _field: hex text to the values of a payload of these kinds."""
+    return lambda text: decode_payload(kinds, bytes.fromhex(text), suite, n)
 
 
-def _params_fields(params: SchemeParams) -> dict:
+def _head(scheme: SchemeId, suite: GroupSuite, params: SchemeParams) -> dict:
+    """The fields every key and transcript record opens with."""
     return {
+        "scheme": scheme.value,
+        **suite.describe(),
         "n": str(params.n),
         "hash.mode": params.hash_spec.mode.value,
         "hash.key": params.hash_spec.key.hex(),
     }
 
 
-def _params_from_fields(fields: dict) -> SchemeParams:
-    spec = HashSpec(HashMode(fields["hash.mode"]), bytes.fromhex(fields.get("hash.key", "")))
-    return SchemeParams(n=int(fields["n"]), hash_spec=spec)
+def _suite_from_fields(fields: dict) -> GroupSuite:
+    backend = fields.get("backend")
+    if backend == "transparent":
+        return _field(fields, "p", lambda text: transparent_suite(int(text)))
+    if backend == "tate":
+        q, p, h = (_field(fields, name, int) for name in ("q", "p", "h"))
+        gen = _field(fields, "gen", lambda text: tuple(int(v) for v in text.split(",")))
+        try:
+            return suite_from_curve_params(q, p, h, gen)
+        except (ValueError, ArithmeticError, ValidationFailed) as exc:
+            raise RecordError(f"bad curve fields q, p, h, gen: {exc}") from exc
+    raise RecordError(f"unknown backend {backend!r}")
 
 
-def _encode_value(suite: GroupSuite, kind: str, value) -> str:
-    if kind == KIND_ZP:
-        return suite.encode_scalar(value).hex()
-    return suite.encode_element(value).hex()
-
-
-def _decode_value(suite: GroupSuite, kind: str, text: str):
-    raw = bytes.fromhex(text)
-    if kind == KIND_ZP:
-        return suite.decode_scalar(raw)
-    if kind == KIND_G1:
-        return suite.decode_g1(raw)
-    return suite.decode_g2(raw)
-
-
-def _build_keypair(scheme: SchemeId, suite: GroupSuite, pub: dict, sec: dict | None):
-    if scheme in (SchemeId.BLSID, SchemeId.CDHID):
-        return ExpKeyPair(suite, sec["x"] if sec else None, pub["v"])
-    if scheme == SchemeId.SDHID:
-        return BbKeyPair(
-            suite,
-            sec["x"] if sec else None,
-            sec["y"] if sec else None,
-            pub["u"],
-            pub["v"],
-            pub["z"],
-        )
-    if scheme == SchemeId.OWFID:
-        return OwfidKeyPair(
-            suite,
-            pub["P"],
-            pub["y"],
-            sec["Q"] if sec else None,
-            sec["s"] if sec else None,
-            pub["v"],
-        )
-    if scheme == SchemeId.SCL:
-        return SclKeyPair(suite, pub["g"], sec["x"] if sec else None, pub["v"], pub["z"])
-    return HlsKeyPair(suite, pub["P"], sec["Q"] if sec else None, pub["z"], pub["v"])
+def _read(path, expect_kind: str):
+    """Returns (fields, scheme, suite, params) of a key or transcript record."""
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            fields = _parse(fh.read(), expect_kind)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise RecordError(f"cannot read record {path}: {exc}") from exc
+    scheme = _field(fields, "scheme", SchemeId)
+    suite = _suite_from_fields(fields)
+    mode = _field(fields, "hash.mode", HashMode)
+    key = _field(fields, "hash.key", bytes.fromhex) if "hash.key" in fields else b""
+    return fields, scheme, suite, SchemeParams(n=_field(fields, "n", int), hash_spec=HashSpec(mode, key))
 
 
 def save_key(path, scheme: SchemeId, kp, params: SchemeParams, include_secret: bool = True):
     scheme = SchemeId(scheme)
-    suite = kp.suite
-    fields = {"scheme": scheme.value}
-    fields.update(_suite_fields(suite))
-    fields.update(_params_fields(params))
-    for name, kind in _PK_FIELDS[scheme]:
-        fields[f"pk.{name}"] = _encode_value(suite, kind, getattr(kp, name))
+    if not isinstance(kp, SCHEMES[scheme].keypair):
+        raise RecordError(f"a {type(kp).__name__} is not a {scheme.value} key")
+    if include_secret and not kp.has_secret:
+        raise RecordError("keypair has no secret to save")
+    fields = _head(scheme, kp.suite, params)
+    for name, kind in kp.PUBLIC:
+        fields[f"pk.{name}"] = encode_payload((kind,), (getattr(kp, name),), kp.suite).hex()
     if include_secret:
-        for name, kind in _SK_FIELDS[scheme]:
-            value = getattr(kp, name)
-            if value is None:
-                raise RecordError(f"keypair has no secret field {name!r} to save")
-            fields[f"sk.{name}"] = _encode_value(suite, kind, value)
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(_format("key", fields))
+        for name, kind in kp.SECRET:
+            fields[f"sk.{name}"] = encode_payload((kind,), (getattr(kp, name),), kp.suite).hex()
+    _write(path, "key", fields)
 
 
 def load_key(path):
     """Returns (scheme, keypair, params); the keypair is public-only when
     the record carries no sk.* fields."""
-    with open(path, "r", encoding="ascii") as fh:
-        fields = _parse(fh.read(), "key")
-    scheme = SchemeId(fields["scheme"])
-    suite = _suite_from_fields(fields)
-    params = _params_from_fields(fields)
-    pub = {
-        name: _decode_value(suite, kind, fields[f"pk.{name}"])
-        for name, kind in _PK_FIELDS[scheme]
-    }
-    sk_names = [name for name, _ in _SK_FIELDS[scheme]]
-    have = [name for name in sk_names if f"sk.{name}" in fields]
-    if have and len(have) != len(sk_names):
+    fields, scheme, suite, params = _read(path, "key")
+    cls = SCHEMES[scheme].keypair
+    values = {name: _field(fields, f"pk.{name}", _unhex((kind,), suite))[0] for name, kind in cls.PUBLIC}
+    have = [name for name, _ in cls.SECRET if f"sk.{name}" in fields]
+    if have and len(have) != len(cls.SECRET):
         raise RecordError("record has a partial secret key")
-    sec = None
-    if have:
-        sec = {
-            name: _decode_value(suite, kind, fields[f"sk.{name}"])
-            for name, kind in _SK_FIELDS[scheme]
-        }
-    return scheme, _build_keypair(scheme, suite, pub, sec), params
+    for name, kind in cls.SECRET:
+        values[name] = _field(fields, f"sk.{name}", _unhex((kind,), suite))[0] if have else None
+    return scheme, cls(suite, **values), params
 
 
 def save_transcript(path, t: Transcript, suite: GroupSuite, params: SchemeParams):
     scheme = SchemeId(t.scheme)
     ops = SCHEMES[scheme]
-    fields = {"scheme": scheme.value}
-    fields.update(_suite_fields(suite))
-    fields.update(_params_fields(params))
+    fields = _head(scheme, suite, params)
     if t.rng_seed is not None:
         fields["seed"] = str(t.rng_seed)
     fields["commitment"] = encode_payload(ops.commitment_fields, t.commitment, suite, params.n).hex()
     fields["challenge"] = encode_payload(ops.challenge_fields, t.challenge, suite, params.n).hex()
     fields["response"] = encode_payload(ops.response_fields, t.response, suite, params.n).hex()
     fields["decision"] = "accept" if t.decision else "reject"
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(_format("transcript", fields))
+    _write(path, "transcript", fields)
 
 
 def load_transcript(path):
     """Returns (transcript, suite, params)."""
-    with open(path, "r", encoding="ascii") as fh:
-        fields = _parse(fh.read(), "transcript")
-    scheme = SchemeId(fields["scheme"])
+    fields, scheme, suite, params = _read(path, "transcript")
     ops = SCHEMES[scheme]
-    suite = _suite_from_fields(fields)
-    params = _params_from_fields(fields)
     t = Transcript(
         scheme=scheme,
-        commitment=decode_payload(ops.commitment_fields, bytes.fromhex(fields["commitment"]), suite, params.n),
-        challenge=decode_payload(ops.challenge_fields, bytes.fromhex(fields["challenge"]), suite, params.n),
-        response=decode_payload(ops.response_fields, bytes.fromhex(fields["response"]), suite, params.n),
-        decision=fields["decision"] == "accept",
+        commitment=_field(fields, "commitment", _unhex(ops.commitment_fields, suite, params.n)),
+        challenge=_field(fields, "challenge", _unhex(ops.challenge_fields, suite, params.n)),
+        response=_field(fields, "response", _unhex(ops.response_fields, suite, params.n)),
+        decision=_field(fields, "decision") == "accept",
         rng_seed=fields.get("seed"),
     )
     return t, suite, params
@@ -238,5 +176,4 @@ def save_report(path, report):
         fields[f"param.{key}"] = str(value)
     for key, value in sorted(report.queries.items()):
         fields[f"query.{key}"] = str(value)
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(_format("report", fields))
+    _write(path, "report", fields)

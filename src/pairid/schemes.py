@@ -3,11 +3,12 @@
 Three protocols are two-message (the verifier opens with a random challenge,
 the prover answers, the verifier decides) and three are canonical
 three-message commit/challenge/respond protocols.  Each scheme is described
-by a SchemeOps record holding its keygen, message shapes, and the four core
-callables; ProverMachine and VerifierMachine drive any of them through the
-same state machine, enforcing message order and charging group operations
-to the right role.  Their base, SessionEngine, is the one sans-I/O engine
-that every session driver runs on.
+by a SchemeOps record holding its keypair class (which declares the key's
+fields), its keygen, message shapes, and the four core callables;
+ProverMachine and VerifierMachine drive any of them through the same state
+machine, enforcing message order and charging group operations to the right
+role.  Their base, SessionEngine, is the one sans-I/O engine that every
+session driver runs on.
 
 Scheme summary, with g the suite generator and e the pairing:
 
@@ -50,6 +51,7 @@ from .signatures import (
     DegenerateSuite,
     ExpKeyPair,
     HashSpec,
+    KeyPair,
     bb_keygen,
     bb_sign,
     bb_verify,
@@ -116,7 +118,10 @@ def default_scheme_params(suite: GroupSuite) -> SchemeParams:
 
 
 @dataclass
-class OwfidKeyPair:
+class OwfidKeyPair(KeyPair):
+    PUBLIC = (("P", KIND_G1), ("y", KIND_G2), ("v", KIND_G2))
+    SECRET = (("Q", KIND_G1), ("s", KIND_ZP))
+
     suite: GroupSuite
     P: G1Element
     y: G2Element
@@ -124,32 +129,29 @@ class OwfidKeyPair:
     s: Scalar | None
     v: G2Element
 
-    def public(self) -> "OwfidKeyPair":
-        return OwfidKeyPair(self.suite, self.P, self.y, None, None, self.v)
-
 
 @dataclass
-class SclKeyPair:
+class SclKeyPair(KeyPair):
+    PUBLIC = (("g", KIND_G1), ("v", KIND_G1), ("z", KIND_G2))
+    SECRET = (("x", KIND_ZP),)
+
     suite: GroupSuite
     g: G1Element
     x: Scalar | None
     v: G1Element
     z: G2Element
 
-    def public(self) -> "SclKeyPair":
-        return SclKeyPair(self.suite, self.g, None, self.v, self.z)
-
 
 @dataclass
-class HlsKeyPair:
+class HlsKeyPair(KeyPair):
+    PUBLIC = (("P", KIND_G1), ("z", KIND_G2), ("v", KIND_G2))
+    SECRET = (("Q", KIND_G1),)
+
     suite: GroupSuite
     P: G1Element
     Q: G1Element | None
     z: G2Element
     v: G2Element
-
-    def public(self) -> "HlsKeyPair":
-        return HlsKeyPair(self.suite, self.P, None, self.z, self.v)
 
 
 def _nonidentity_g1(suite: GroupSuite, rng: Random) -> G1Element:
@@ -187,19 +189,6 @@ def hls_keygen(suite: GroupSuite, rng: Random) -> HlsKeyPair:
     P = _nonidentity_g1(suite, rng)
     Q = suite.random_g1(rng)
     return HlsKeyPair(suite, P, Q, suite.pairing(P, P), suite.pairing(P, Q))
-
-
-def keygen(scheme: SchemeId, suite: GroupSuite, rng: Random):
-    scheme = SchemeId(scheme)
-    if scheme in (SchemeId.BLSID, SchemeId.CDHID):
-        return bls_keygen(suite, rng)
-    if scheme == SchemeId.SDHID:
-        return bb_keygen(suite, rng)
-    if scheme == SchemeId.OWFID:
-        return owfid_keygen(suite, rng)
-    if scheme == SchemeId.SCL:
-        return scl_keygen(suite, rng)
-    return hls_keygen(suite, rng)
 
 
 # -- per-scheme operations -----------------------------------------------------
@@ -321,7 +310,7 @@ class SchemeOps:
     """Everything a session driver needs to run one scheme."""
 
     scheme: SchemeId
-    three_message: bool
+    keypair: type  # the KeyPair subclass that declares this scheme's key
     commitment_fields: tuple
     challenge_fields: tuple
     response_fields: tuple
@@ -330,6 +319,10 @@ class SchemeOps:
     sample_challenge: callable  # (suite, params, rng) -> challenge tuple
     respond: callable  # (kp, state, challenge tuple, params, rng, counter) -> response tuple
     verify: callable  # (pk, commitment tuple, challenge tuple, response tuple, params) -> bool
+
+    @property
+    def three_message(self) -> bool:
+        return self.commit is not None
 
 
 def _wrap_commit(fn):
@@ -357,7 +350,7 @@ def _scalar_challenge(suite, params, rng):
 SCHEMES: dict[SchemeId, SchemeOps] = {
     SchemeId.BLSID: SchemeOps(
         scheme=SchemeId.BLSID,
-        three_message=False,
+        keypair=ExpKeyPair,
         commitment_fields=(),
         challenge_fields=(KIND_BITS,),
         response_fields=(KIND_G1,),
@@ -369,7 +362,7 @@ SCHEMES: dict[SchemeId, SchemeOps] = {
     ),
     SchemeId.CDHID: SchemeOps(
         scheme=SchemeId.CDHID,
-        three_message=False,
+        keypair=ExpKeyPair,
         commitment_fields=(),
         challenge_fields=(KIND_G1,),
         response_fields=(KIND_G1,),
@@ -381,7 +374,7 @@ SCHEMES: dict[SchemeId, SchemeOps] = {
     ),
     SchemeId.SDHID: SchemeOps(
         scheme=SchemeId.SDHID,
-        three_message=False,
+        keypair=BbKeyPair,
         commitment_fields=(),
         challenge_fields=(KIND_ZP,),
         response_fields=(KIND_G1, KIND_ZP),
@@ -393,7 +386,7 @@ SCHEMES: dict[SchemeId, SchemeOps] = {
     ),
     SchemeId.OWFID: SchemeOps(
         scheme=SchemeId.OWFID,
-        three_message=True,
+        keypair=OwfidKeyPair,
         commitment_fields=(KIND_G2,),
         challenge_fields=(KIND_ZP,),
         response_fields=(KIND_G1, KIND_ZP),
@@ -405,7 +398,7 @@ SCHEMES: dict[SchemeId, SchemeOps] = {
     ),
     SchemeId.SCL: SchemeOps(
         scheme=SchemeId.SCL,
-        three_message=True,
+        keypair=SclKeyPair,
         commitment_fields=(KIND_G1,),
         challenge_fields=(KIND_ZP,),
         response_fields=(KIND_G1,),
@@ -417,7 +410,7 @@ SCHEMES: dict[SchemeId, SchemeOps] = {
     ),
     SchemeId.HLS: SchemeOps(
         scheme=SchemeId.HLS,
-        three_message=True,
+        keypair=HlsKeyPair,
         commitment_fields=(KIND_G2,),
         challenge_fields=(KIND_ZP,),
         response_fields=(KIND_G1,),
@@ -428,6 +421,10 @@ SCHEMES: dict[SchemeId, SchemeOps] = {
         verify=lambda pk, co, ch, re, params: hls_verify(pk, co[0], ch[0], re[0]),
     ),
 }
+
+
+def keygen(scheme: SchemeId, suite: GroupSuite, rng: Random) -> KeyPair:
+    return SCHEMES[SchemeId(scheme)].keygen(suite, rng)
 
 
 # -- session machinery ---------------------------------------------------------

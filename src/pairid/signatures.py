@@ -17,8 +17,9 @@ import time
 from dataclasses import dataclass, field
 from enum import Enum
 from random import Random
+from typing import ClassVar
 
-from .algebra import G1Element, G2Element, GroupSuite, Scalar
+from .algebra import KIND_G1, KIND_G2, KIND_ZP, G1Element, G2Element, GroupSuite, Scalar
 
 
 class ModeBackendMismatch(Exception):
@@ -97,21 +98,49 @@ def hash_to_group(message: bytes, spec: HashSpec, suite: GroupSuite) -> G1Elemen
 # -- key material ------------------------------------------------------------
 
 
+class KeyPair:
+    """Base of every scheme's keypair, and the one declaration of its layout.
+
+    A subclass is a dataclass whose first field is the suite.  PUBLIC and
+    SECRET name its other fields as (name, kind) pairs in record storage
+    order; a public-only keypair holds None in every SECRET field.
+    """
+
+    PUBLIC: ClassVar[tuple] = ()
+    SECRET: ClassVar[tuple] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        # public() runs several times per lab step; build its None map once.
+        super().__init_subclass__(**kwargs)
+        cls._no_secret = dict.fromkeys(name for name, _ in cls.SECRET)
+
+    def public(self):
+        """The same key with its secret fields cleared."""
+        return type(self)(**{**vars(self), **self._no_secret})
+
+    @property
+    def has_secret(self) -> bool:
+        return all(getattr(self, name) is not None for name, _ in self.SECRET)
+
+
 @dataclass
-class ExpKeyPair:
+class ExpKeyPair(KeyPair):
     """Secret exponent x with public key v = g^x."""
+
+    PUBLIC = (("v", KIND_G1),)
+    SECRET = (("x", KIND_ZP),)
 
     suite: GroupSuite
     x: Scalar | None
     v: G1Element
 
-    def public(self) -> "ExpKeyPair":
-        return ExpKeyPair(self.suite, None, self.v)
-
 
 @dataclass
-class BbKeyPair:
+class BbKeyPair(KeyPair):
     """Two secret exponents (x, y) with public u = g^x, v = g^y, z = e(g, g)."""
+
+    PUBLIC = (("u", KIND_G1), ("v", KIND_G1), ("z", KIND_G2))
+    SECRET = (("x", KIND_ZP), ("y", KIND_ZP))
 
     suite: GroupSuite
     x: Scalar | None
@@ -119,9 +148,6 @@ class BbKeyPair:
     u: G1Element
     v: G1Element
     z: G2Element
-
-    def public(self) -> "BbKeyPair":
-        return BbKeyPair(self.suite, None, None, self.u, self.v, self.z)
 
 
 def _nonzero_scalar(suite: GroupSuite, rng: Random) -> Scalar:

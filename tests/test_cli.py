@@ -72,6 +72,17 @@ class TestProveVerify:
             main(["prove", "--key", str(pk), "--listen", "127.0.0.1:1"])
 
 
+class TestBadRecords:
+    def test_malformed_key_is_a_usage_error(self, keyfiles, capsys):
+        # One line on stderr and exit 2, before any socket is opened.
+        _, pk = keyfiles
+        pk.write_text("".join(ln for ln in pk.read_text().splitlines(True) if not ln.startswith("pk.v")))
+        capsys.readouterr()
+        assert main(["verify", "--pk", str(pk), "--connect", "127.0.0.1:1"]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.splitlines() == ["pairid: record has no 'pk.v' field"]
+
+
 class TestSignatures:
     def test_bls_roundtrip(self, tmp_path, capsys):
         sk = tmp_path / "bls.key"

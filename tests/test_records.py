@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -70,6 +71,33 @@ class TestKeyRecords:
         with pytest.raises(RecordError):
             load_key(path)
 
+    def test_key_of_another_scheme_rejected(self, t1009, tmp_path):
+        # An sdhid keypair has a field v too; saving it as cdhid would write
+        # v = g^y next to x, a key no session accepts.
+        kp = keygen(SchemeId.SDHID, t1009, random.Random(5))
+        with pytest.raises(RecordError, match="cdhid"):
+            save_key(tmp_path / "x.txt", SchemeId.CDHID, kp, default_scheme_params(t1009))
+
+    def test_pinned_owfid_text(self, t1009, tmp_path):
+        kp = keygen(SchemeId.OWFID, t1009, random.Random(1))
+        params = default_scheme_params(t1009)
+        public = [
+            "pairid-record key v1",
+            "scheme = owfid",
+            "backend = transparent",
+            "p = 1009",
+            "n = 10",
+            "hash.mode = test-vector",
+            "hash.key = ",
+            "pk.P = 0089",
+            "pk.y = 0246",
+            "pk.v = 02d7",
+        ]
+        save_key(tmp_path / "sk.txt", SchemeId.OWFID, kp, params)
+        save_key(tmp_path / "pk.txt", SchemeId.OWFID, kp.public(), params, include_secret=False)
+        assert (tmp_path / "sk.txt").read_text() == "\n".join(public + ["sk.Q = 0363", "sk.s = 0335"]) + "\n"
+        assert (tmp_path / "pk.txt").read_text() == "\n".join(public) + "\n"
+
     def test_comments_and_blank_lines_ignored(self, t1009, tmp_path):
         kp = keygen(SchemeId.BLSID, t1009, random.Random(5))
         path = tmp_path / "key.txt"
@@ -77,6 +105,69 @@ class TestKeyRecords:
         path.write_text("# a note\n\n" + path.read_text())
         scheme, _, _ = load_key(path)
         assert scheme == SchemeId.BLSID
+
+
+def _edit(text: str, name: str, value: str | None) -> str:
+    """The record text with field `name` set to value, or dropped for None."""
+    lines = [ln for ln in text.splitlines() if ln.split(" = ")[0] != name]
+    if value is not None:
+        lines.append(f"{name} = {value}")
+    return "\n".join(lines) + "\n"
+
+
+class TestMalformedFields:
+    """Every malformed field is a RecordError that names it."""
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("scheme", None),
+            ("n", None),
+            ("pk.v", None),
+            ("pk.v", "zz"),
+            ("sk.x", "0"),
+            ("scheme", "nosuch"),
+            ("hash.mode", "nosuch"),
+            ("hash.key", "xyz"),
+            ("n", "ten"),
+            ("p", "1O09"),
+            ("p", "1001"),
+            ("pk.v", "ffff"),
+        ],
+    )
+    def test_key_record(self, name, value, t1009, tmp_path):
+        kp = keygen(SchemeId.CDHID, t1009, random.Random(5))
+        path = tmp_path / "key.txt"
+        save_key(path, SchemeId.CDHID, kp, default_scheme_params(t1009))
+        path.write_text(_edit(path.read_text(), name, value))
+        with pytest.raises(RecordError, match=re.escape(repr(name))):
+            load_key(path)
+
+    @pytest.mark.parametrize("name, value", [("q", "0"), ("p", "4"), ("gen", "35,31,1")])
+    def test_curve_fields(self, name, value, c59, tmp_path):
+        kp = keygen(SchemeId.CDHID, c59, random.Random(5))
+        path = tmp_path / "key.txt"
+        save_key(path, SchemeId.CDHID, kp, default_scheme_params(c59))
+        path.write_text(_edit(path.read_text(), name, value))
+        with pytest.raises(RecordError, match="curve fields"):
+            load_key(path)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("commitment", None),("response", "00"), ("challenge", "0g"), ("decision", None), ("p", "7a")],
+    )
+    def test_transcript_record(self, name, value, t1009, tmp_path):
+        kp = keygen(SchemeId.SCL, t1009, random.Random(6))
+        params = default_scheme_params(t1009)
+        path = tmp_path / "transcript.txt"
+        save_transcript(path, run_session(SchemeId.SCL, kp, t1009, seed=1), t1009, params)
+        path.write_text(_edit(path.read_text(), name, value))
+        with pytest.raises(RecordError, match=re.escape(repr(name))):
+            load_transcript(path)
+
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(RecordError, match="cannot read"):
+            load_key(tmp_path / "absent.txt")
 
 
 class TestTranscriptRecords:

@@ -1,8 +1,9 @@
 import random
+from dataclasses import fields
 
 import pytest
 
-from pairid.algebra import transparent_suite
+from pairid.algebra import KIND_ZP, Scalar, transparent_suite
 from pairid.schemes import (
     SCHEMES,
     BadChallengeLength,
@@ -325,6 +326,22 @@ class TestMachines:
             ch = ops.sample_challenge(t11, params, rng)
             assert len(ch) == len(ops.challenge_fields)
             assert ops.three_message == (ops.commit is not None)
+
+    @pytest.mark.parametrize("scheme", ALL_SCHEMES)
+    def test_keypair_declares_its_layout(self, scheme, t11):
+        # PUBLIC and SECRET name every field after the suite, with its kind.
+        ops = SCHEMES[scheme]
+        kp = ops.keygen(t11, random.Random(3))
+        assert type(kp) is ops.keypair
+        layout = ops.keypair.PUBLIC + ops.keypair.SECRET
+        assert sorted(name for name, _ in layout) == sorted(f.name for f in fields(kp) if f.name != "suite")
+        for name, kind in layout:
+            value = getattr(kp, name)
+            assert (KIND_ZP if isinstance(value, Scalar) else value.kind) == kind
+        pk = kp.public()
+        assert kp.has_secret and not pk.has_secret
+        assert pk.suite is kp.suite
+        assert all(getattr(pk, name) is getattr(kp, name) for name, _ in ops.keypair.PUBLIC)
 
 
 class TestCosts:

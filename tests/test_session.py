@@ -200,6 +200,9 @@ class TestStdioTransport:
         worker.start()
         result = run_verifier(SchemeId.SDHID, kp.public(), verifier_t, seed=3)
         worker.join()
+        for t in (prover_t, verifier_t):
+            t.infile.close()
+            t.outfile.close()
         assert result.decision
         assert outcome["prover"].decision
 
