@@ -40,6 +40,10 @@ class MalformedEncoding(Exception):
     """Byte string is not a valid fixed-width encoding for this suite."""
 
 
+class ValidationFailed(ValueError):
+    """Group or curve parameters failed a check."""
+
+
 def scalar_width(p: int) -> int:
     # Fixed-width big-endian.  Never below two bytes, so the tiny desk-scale
     # primes share framing logic with larger ones.
@@ -230,6 +234,8 @@ class TransparentBackend:
     name = "transparent"
 
     def __init__(self, p: int):
+        if p < 5 or not is_prime(p):
+            raise ValidationFailed(f"group order {p} must be a prime >= 5")
         self.p = p
         self._w = scalar_width(p)
 
@@ -273,14 +279,13 @@ class TransparentBackend:
 
 
 class GroupSuite:
-    """A pairing-friendly pair of groups with counters and codecs."""
+    """A pairing-friendly pair of groups with counters and codecs.
+
+    Each backend validates its own parameters when it is built.
+    """
 
     def __init__(self, backend, counted: bool = False):
         p = backend.p
-        if p < 5:
-            raise ValueError("suite prime must be at least 5")
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
         self.backend = backend
         self.p = p
         self.counter = CostCounter() if counted else None
@@ -292,8 +297,6 @@ class GroupSuite:
         # The generator of G2 is e(g, g); from_int(KIND_G2, 1) returns it
         # without pairing again.
         self.g2 = G2Element(self, backend.from_int(KIND_G2, 1))
-        if self.g2.payload == backend.identity(KIND_G2):
-            raise ValueError("degenerate suite: e(g, g) is the identity")
 
     # -- session role bookkeeping ------------------------------------------
 

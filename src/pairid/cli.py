@@ -1,7 +1,8 @@
 """Command line front end: keys, sessions, signatures, benchmarks, lab games.
 
 Exit codes: 0 for accept/pass, 1 for reject or a failed bound, 2 for usage
-errors (argparse's default) and for unreadable or malformed record files.
+errors (argparse's default), for bad hex input or group parameters, and for
+unreadable or malformed record files.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import socket
 import sys
 from random import Random, SystemRandom
 
-from .algebra import Scalar, transparent_suite
+from .algebra import MalformedEncoding, Scalar, ValidationFailed, transparent_suite
 from .bench import bench_all, bench_costs
 from .lab import (
     ProtocolSim,
@@ -46,6 +47,10 @@ from .tate import tate_suite
 from .wire import TAG_CHALLENGE, frame_encode
 
 
+class UsageError(Exception):
+    """Command-line input that cannot be used; pairid exits 2 with it."""
+
+
 def _build_suite(args):
     if args.backend == "transparent":
         return transparent_suite(args.p if args.p else 1009)
@@ -72,9 +77,17 @@ def _rng(seed):
     return SystemRandom() if seed is None else Random(seed)
 
 
+def _from_hex(flag: str, text: str, decode=bytes):
+    """decode(bytes.fromhex(text)), with bad input a UsageError naming flag."""
+    try:
+        return decode(bytes.fromhex(text))
+    except (ValueError, MalformedEncoding) as exc:
+        raise UsageError(f"bad {flag}: {exc}") from exc
+
+
 def _message_bytes(args) -> bytes:
     if args.message_hex is not None:
-        return bytes.fromhex(args.message_hex)
+        return _from_hex("--message-hex", args.message_hex)
     if args.message is not None:
         return args.message.encode()
     raise SystemExit("one of --message / --message-hex is required")
@@ -160,11 +173,11 @@ def cmd_sigverify(args) -> int:
     pk = kp.public()
     message = _message_bytes(args)
     suite = pk.suite
-    sig = suite.decode_g1(bytes.fromhex(args.sig))
+    sig = _from_hex("--sig", args.sig, suite.decode_g1)
     if isinstance(pk, BbKeyPair):
         if args.r is None:
             raise SystemExit("this signature scheme needs --r")
-        ok = bb_verify(pk, Scalar(int.from_bytes(message, "big"), suite.p), sig, suite.decode_scalar(bytes.fromhex(args.r)))
+        ok = bb_verify(pk, Scalar(int.from_bytes(message, "big"), suite.p), sig, _from_hex("--r", args.r, suite.decode_scalar))
     elif isinstance(pk, ExpKeyPair):
         ok = bls_verify(pk, message, sig, params.hash_spec)
     else:
@@ -378,7 +391,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except RecordError as exc:
+    except (RecordError, UsageError, ValidationFailed) as exc:
         print(f"pairid: {exc}", file=sys.stderr)
         return 2
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import ceil
 from random import Random
 
@@ -205,15 +205,17 @@ def run_attack(sim: ProtocolSim, attacker: AttackerPair, seed, forced_challenge:
     return channel.decision, channel.transcript()
 
 
+def _accepted(sim: ProtocolSim, attacker: AttackerPair, seed, forced_challenge: tuple | None = None) -> bool:
+    """run_attack's decision, with a forfeited run counted as a reject."""
+    try:
+        return bool(run_attack(sim, attacker, seed, forced_challenge)[0])
+    except (BudgetExceeded, AttackFailed):
+        return False
+
+
 def attack_success_rate(attacker: AttackerPair, sim: ProtocolSim, trials: int = 100, seed=0) -> GameReport:
-    wins = 0
     t0 = time.monotonic()
-    for i in range(trials):
-        try:
-            decision, _ = run_attack(sim, attacker, seed=f"{seed}:{i}")
-        except (BudgetExceeded, AttackFailed):
-            decision = False
-        wins += bool(decision)
+    wins = sum(_accepted(sim, attacker, f"{seed}:{i}") for i in range(trials))
     return GameReport(
         game=f"impersonation:{sim.scheme.value}",
         params={"p": sim.suite.p, "q": sim.q},
@@ -252,16 +254,7 @@ class SummaryMatrix:
 
 
 def build_summary_matrix(attacker: AttackerPair, sim: ProtocolSim, seeds, challenges) -> SummaryMatrix:
-    bits = []
-    for seed in seeds:
-        row = []
-        for ch in challenges:
-            try:
-                decision, _ = run_attack(sim, attacker, seed, forced_challenge=ch)
-            except (BudgetExceeded, AttackFailed):
-                decision = False
-            row.append(int(bool(decision)))
-        bits.append(row)
+    bits = [[int(_accepted(sim, attacker, seed, ch)) for ch in challenges] for seed in seeds]
     return SummaryMatrix(list(seeds), list(challenges), bits)
 
 
@@ -572,15 +565,7 @@ def cdhid_reduction_game(
         return cdhid_reduction(attacker, ctx, rng, params)
 
     report = om_cdh_game(adversary, suite, q=q, trials=trials, seed=seed)
-    return GameReport(
-        game="one-more-cdh:from-cdhid",
-        params=report.params,
-        trials=report.trials,
-        wins=report.wins,
-        advantage=report.advantage,
-        queries=report.queries,
-        seconds=report.seconds,
-    )
+    return replace(report, game="one-more-cdh:from-cdhid")
 
 
 def blsid_forgery_reduction(

@@ -13,7 +13,7 @@ from __future__ import annotations
 from .algebra import GroupSuite, MalformedEncoding, transparent_suite
 from .schemes import SCHEMES, SchemeId, SchemeParams, Transcript
 from .signatures import HashMode, HashSpec
-from .tate import ValidationFailed, suite_from_curve_params
+from .tate import suite_from_curve_params
 from .wire import decode_payload, encode_payload
 
 MAGIC = "pairid-record"
@@ -88,7 +88,7 @@ def _suite_from_fields(fields: dict) -> GroupSuite:
         gen = _field(fields, "gen", lambda text: tuple(int(v) for v in text.split(",")))
         try:
             return suite_from_curve_params(q, p, h, gen)
-        except (ValueError, ArithmeticError, ValidationFailed) as exc:
+        except (ValueError, ArithmeticError) as exc:
             raise RecordError(f"bad curve fields q, p, h, gen: {exc}") from exc
     raise RecordError(f"unknown backend {backend!r}")
 

@@ -154,25 +154,18 @@ class HlsKeyPair(KeyPair):
     v: G2Element
 
 
-def _nonidentity_g1(suite: GroupSuite, rng: Random) -> G1Element:
+def _nonidentity(draw, rng: Random):
+    """draw(rng), redrawn while it is the identity."""
     for _ in range(100):
-        e = suite.random_g1(rng)
+        e = draw(rng)
         if not e.is_identity:
             return e
-    raise DegenerateSuite("could not sample a non-identity G1 element")
-
-
-def _nonidentity_g2(suite: GroupSuite, rng: Random) -> G2Element:
-    for _ in range(100):
-        e = suite.random_g2(rng)
-        if not e.is_identity:
-            return e
-    raise DegenerateSuite("could not sample a non-identity G2 element")
+    raise DegenerateSuite(f"could not sample a non-identity {e.kind} element")
 
 
 def owfid_keygen(suite: GroupSuite, rng: Random) -> OwfidKeyPair:
-    P = _nonidentity_g1(suite, rng)
-    y = _nonidentity_g2(suite, rng)
+    P = _nonidentity(suite.random_g1, rng)
+    y = _nonidentity(suite.random_g2, rng)
     Q = suite.random_g1(rng)
     s = suite.random_scalar(rng)
     v = (suite.pairing(P, Q) * y**s).inverse()
@@ -180,13 +173,13 @@ def owfid_keygen(suite: GroupSuite, rng: Random) -> OwfidKeyPair:
 
 
 def scl_keygen(suite: GroupSuite, rng: Random) -> SclKeyPair:
-    g = _nonidentity_g1(suite, rng)
+    g = _nonidentity(suite.random_g1, rng)
     x = suite.random_scalar(rng)
     return SclKeyPair(suite, g, x, g**x, suite.pairing(g, g))
 
 
 def hls_keygen(suite: GroupSuite, rng: Random) -> HlsKeyPair:
-    P = _nonidentity_g1(suite, rng)
+    P = _nonidentity(suite.random_g1, rng)
     Q = suite.random_g1(rng)
     return HlsKeyPair(suite, P, Q, suite.pairing(P, P), suite.pairing(P, Q))
 

@@ -73,19 +73,18 @@ def hash_to_group(message: bytes, spec: HashSpec, suite: GroupSuite) -> G1Elemen
     if spec.mode == HashMode.TRY_INCREMENT:
         if suite.backend.name != "tate":
             raise ModeBackendMismatch("try-and-increment hashing needs the curve backend")
+        from .tate import lift_x, point_mul  # local import avoids a cycle
+
         backend = suite.backend
         q, h = backend.q, backend.params.h
         for ctr in range(256):
             digest = hashlib.sha256(spec.key + message + bytes([ctr])).digest()
             x = int.from_bytes(digest, "big") % q
-            rhs = (x * x * x + x) % q
-            y = pow(rhs, (q + 1) // 4, q)
-            if (y * y - rhs) % q != 0:
+            y = lift_x(x, q)
+            if y is None:
                 continue
             if digest[-1] & 1:
                 y = (-y) % q
-            from .tate import point_mul  # local import avoids a cycle
-
             pt = point_mul(h, (x, y), q)
             if pt is None:
                 continue

@@ -39,9 +39,11 @@ fixed-argument precomputation of Barreto et al. and of Lynn's PBC
 library).  Both give exactly what the plain paths give, since the final
 exponentiation erases the lines' F_q* scaling.
 
-All arithmetic here works at real size (q of 512 bits).  Only
-enumerate_and_validate, which counts points exhaustively, and
-TateBackend.log, which brute-forces discrete logs, stay desk-only.
+CurveParams.validate() holds every curve rule and counts no points, so it
+works at real size (q of 512 bits) like all the arithmetic here; every
+TateBackend runs it, and suites over equal parameters share one backend.
+Only enumerate_and_validate, which counts points to pick p and a generator,
+and TateBackend.log, which brute-forces discrete logs, stay desk-only.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from random import Random
 
-from .algebra import KIND_G1, GroupSuite, MalformedEncoding
+from .algebra import KIND_G1, GroupSuite, MalformedEncoding, ValidationFailed
 from .primes import factor, is_prime
 
 
@@ -61,10 +63,6 @@ class NotOnCurve(Exception):
 
 class DegeneratePairing(Exception):
     """Miller loop hit a zero line value for these inputs."""
-
-
-class ValidationFailed(Exception):
-    """Curve or subgroup parameters failed a sanity check."""
 
 
 class Fq2:
@@ -305,6 +303,14 @@ def _comb_mul(k: int, comb: tuple, q: int) -> Point:
     return _affine(r, q)
 
 
+def lift_x(x: int, q: int) -> int | None:
+    """y = (x^3 + x)^((q+1)/4), a square root of x^3 + x when q = 3 (mod 4) and
+    one exists, so that (x, y) is on the curve; None when none exists."""
+    rhs = (x * x * x + x) % q
+    y = pow(rhs, (q + 1) // 4, q)
+    return y if y * y % q == rhs else None
+
+
 def point_mul(k: int, pt: Point, q: int, comb: tuple | None = None) -> Point:
     """k * pt: left-to-right double-and-add with mixed (affine-base) addition.
 
@@ -342,6 +348,32 @@ class CurveParams:
     h: int
     gen: tuple[int, int]
 
+    @staticmethod
+    def validate_field(q: int) -> None:
+        """The rules on q alone, which validate() checks first."""
+        if not is_prime(q):
+            raise ValidationFailed(f"{q} is not prime")
+        if q % 4 != 3:
+            raise ValidationFailed(f"{q} != 3 (mod 4), so i^2 = -1 has a root in F_q")
+
+    def validate(self) -> None:
+        """Raise ValidationFailed unless these are "type A" parameters (Lynn,
+        2007): the curve has q + 1 points, a unique order-p subgroup, and gen
+        is a reduced point of order p.  Primes are checked by Baillie-PSW.
+        """
+        q, p, h, gen = self.q, self.p, self.h, self.gen
+        self.validate_field(q)
+        if p < 5 or not is_prime(p):
+            raise ValidationFailed(f"subgroup order {p} must be a prime >= 5")
+        if p * h != q + 1:
+            raise ValidationFailed(f"p * h = {p * h} != q + 1 = {q + 1}")
+        if (q + 1) % (p * p) == 0:
+            raise ValidationFailed(f"{p}^2 divides the group order; subgroup is not unique")
+        if gen is None or not (0 <= gen[0] < q and 0 <= gen[1] < q and on_curve(gen, q)):
+            raise ValidationFailed("generator is not a reduced point on the curve")
+        if point_mul(p, gen, q) is not None:
+            raise ValidationFailed("generator does not have order p")
+
 
 @dataclass(frozen=True)
 class CurveValidation:
@@ -351,62 +383,41 @@ class CurveValidation:
 
 
 def enumerate_and_validate(q: int, p: int | None = None, rng: Random | None = None) -> CurveValidation:
-    """Count points exhaustively, pick/verify the subgroup order, find a generator.
+    """Count points exhaustively, pick the subgroup order, find a generator.
 
-    The point count per x is 1 + chi(x^3 + x) with chi the Euler criterion
-    (quadratic character), plus the point at infinity.  For a supersingular
-    curve the total must land exactly on q + 1; anything else is a hard fail.
+    Each x with x^3 + x a nonzero square gives two points, x = 0 gives one,
+    and there is the point at infinity.  For a supersingular curve the total
+    must land exactly on q + 1; anything else is a hard fail.
+    p defaults to the largest prime factor of q + 1; the result is validated.
     """
     q = int(q)
     if q > 10_000:
         raise ValidationFailed("exhaustive validation is capped at q <= 10^4")
-    if not is_prime(q):
-        raise ValidationFailed(f"{q} is not prime")
-    if q % 4 != 3:
-        raise ValidationFailed(f"{q} != 3 (mod 4), so i^2 = -1 has a root in F_q")
+    CurveParams.validate_field(q)
 
     count = 1  # infinity
     for x in range(q):
-        rhs = (x * x * x + x) % q
-        if rhs == 0:
-            count += 1
-        elif pow(rhs, (q - 1) // 2, q) == 1:
-            count += 2
+        y = lift_x(x, q)
+        if y is not None:
+            count += 1 if y == 0 else 2
     n = q + 1
     if count != n:
         raise ValidationFailed(f"point count {count} != q + 1 = {n}")
 
     factors = factor(n)
-    if p is None:
-        p = max(factors)
-    p = int(p)
-    if not is_prime(p) or p < 5:
-        raise ValidationFailed(f"subgroup order {p} must be a prime >= 5")
-    if n % p != 0:
-        raise ValidationFailed(f"{p} does not divide the group order {n}")
-    if n % (p * p) == 0:
-        raise ValidationFailed(f"{p}^2 divides the group order; subgroup is not unique")
-    h = n // p
+    p = max(factors) if p is None else int(p)
+    h = n // p if p > 0 else 0  # validate() rejects p <= 0
 
     rng = rng if rng is not None else Random(q)
     gen = None
     for _ in range(1000):
         x = rng.randrange(q)
-        rhs = (x * x * x + x) % q
-        if rhs != 0 and pow(rhs, (q - 1) // 2, q) != 1:
-            continue
-        y = pow(rhs, (q + 1) // 4, q)
-        if (y * y - rhs) % q != 0:
-            continue
-        cand = point_mul(h, (x, y), q)
-        if cand is not None:
-            gen = cand
+        y = lift_x(x, q)
+        if y is not None and (gen := point_mul(h, (x, y), q)) is not None:
             break
-    if gen is None:
-        raise ValidationFailed("no order-p generator found (cofactor sweep exhausted)")
-    if point_mul(p, gen, q) is not None:
-        raise ValidationFailed("candidate generator does not have order p")
-    return CurveValidation(CurveParams(q=q, p=p, h=h, gen=gen), n_points=n, factors=factors)
+    params = CurveParams(q=q, p=p, h=h, gen=gen)
+    params.validate()
+    return CurveValidation(params, n_points=n, factors=factors)
 
 
 def _line(a: Point, b: Point, xq_im: int, yq_im: int, q: int) -> Fq2:
@@ -588,6 +599,7 @@ class TateBackend:
     name = "tate"
 
     def __init__(self, params: CurveParams):
+        params.validate()
         self.params = params
         self.p = params.p
         self.q = params.q
@@ -681,9 +693,8 @@ class TateBackend:
             x = int.from_bytes(xb, "big")
             if x >= self.q:
                 raise MalformedEncoding(f"x = {x} is not reduced mod {self.q}")
-            rhs = (x * x * x + x) % self.q
-            y = pow(rhs, (self.q + 1) // 4, self.q)
-            if (y * y - rhs) % self.q != 0:
+            y = lift_x(x, self.q)
+            if y is None:
                 raise MalformedEncoding("x-coordinate has no square root on the curve")
             if y % 2 != flag - 0x02:
                 y = (-y) % self.q
@@ -712,39 +723,33 @@ class TateBackend:
         }
 
 
-def tate_suite(q: int = 523, p: int | None = None, counted: bool = False) -> GroupSuite:
-    """Validate the curve over F_q and wrap it in a GroupSuite."""
-    report = enumerate_and_validate(q, p)
-    return GroupSuite(TateBackend(report.params), counted=counted)
-
-
-# Backends built by suite_from_curve_params, least recently used first.
+# Shared backends, least recently used first.
 _SHARED_SLOTS = 8
 _shared_backends: OrderedDict = OrderedDict()
 _shared_lock = threading.Lock()
 
 
-def suite_from_curve_params(q: int, p: int, h: int, gen: tuple[int, int], counted: bool = False) -> GroupSuite:
-    """Rebuild a suite from stored parameters, re-checking cheap invariants.
-
-    Suites over one set of parameters share one backend, validated once, so
-    they share its precomputed tables and compare as compatible at once.
-    """
-    params = CurveParams(q=q, p=p, h=h, gen=gen)
+def _shared_suite(params: CurveParams, counted: bool) -> GroupSuite:
+    """A suite over the one backend for params; suites sharing it share its
+    precomputed tables and compare as compatible at once."""
     with _shared_lock:
         backend = _shared_backends.get(params)
         if backend is not None:
             _shared_backends.move_to_end(params)
     if backend is None:
-        if not on_curve(gen, q):
-            raise ValidationFailed("stored generator is off the curve")
-        if point_mul(p, gen, q) is not None:
-            raise ValidationFailed("stored generator does not have order p")
-        if p * h != q + 1:
-            raise ValidationFailed("stored cofactor does not match q + 1")
         backend = TateBackend(params)
         with _shared_lock:
             backend = _shared_backends.setdefault(params, backend)
             if len(_shared_backends) > _SHARED_SLOTS:
                 _shared_backends.popitem(last=False)
     return GroupSuite(backend, counted=counted)
+
+
+def tate_suite(q: int = 523, p: int | None = None, counted: bool = False) -> GroupSuite:
+    """The desk-scale curve over F_q found by enumerate_and_validate."""
+    return _shared_suite(enumerate_and_validate(q, p).params, counted)
+
+
+def suite_from_curve_params(q: int, p: int, h: int, gen: tuple[int, int], counted: bool = False) -> GroupSuite:
+    """Rebuild a suite from stored parameters, validated on first use."""
+    return _shared_suite(CurveParams(q=q, p=p, h=h, gen=gen), counted)

@@ -177,3 +177,32 @@ class TestDefaultRandomness:
             assert _tcp_session(sk, pk, transcript) == 0
             commitments.append(load_transcript(str(transcript))[0].commitment)
         assert commitments[0] != commitments[1]
+
+
+class TestUsageErrors:
+    """Unusable hex or group parameters: one line on stderr and exit 2."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sigverify", "--pk", "{blsid_pub}", "--message", "m", "--sig", "zz"],
+            ["sigverify", "--pk", "{blsid_pub}", "--message", "m", "--sig", "ffff"],
+            ["sign", "--key", "{blsid_key}", "--message-hex", "zz"],
+            ["sigverify", "--pk", "{sdhid_pub}", "--message", "m", "--sig", "0001", "--r", "zz"],
+            ["keygen", "--scheme", "cdhid", "--backend", "tate", "--q", "13", "--out", "{out}"],
+            ["bench", "--p", "1000"],
+        ],
+        ids=["sig-not-hex", "sig-unreduced", "message-not-hex", "r-not-hex", "q-1-mod-4", "p-composite"],
+    )
+    def test_one_line_exit_2(self, argv, tmp_path, capsys):
+        names = {"out": str(tmp_path / "new.key")}
+        for scheme in ("blsid", "sdhid"):
+            names[f"{scheme}_key"] = str(tmp_path / f"{scheme}.key")
+            names[f"{scheme}_pub"] = str(tmp_path / f"{scheme}.pub")
+            assert main(["keygen", "--scheme", scheme, "--seed", "cli", "--out", names[f"{scheme}_key"],
+                         "--pub-out", names[f"{scheme}_pub"]]) == 0
+        capsys.readouterr()
+        assert main([arg.format(**names) for arg in argv]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert len(out.err.splitlines()) == 1 and out.err.startswith("pairid: ")

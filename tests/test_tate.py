@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import sys
 import threading
@@ -19,6 +20,8 @@ from pairid.tate import (
     _miller_lines,
     _miller_stored,
     enumerate_and_validate,
+    lift_x,
+    on_curve,
     point_add,
     point_mul,
     point_neg,
@@ -627,3 +630,77 @@ class TestSharedBackend:
             save_key(path, scheme, keygen(scheme, suite, random.Random(i)), params)
             loaded.append(load_key(path)[1].suite)
         assert all(s.backend is suite.backend for s in loaded)
+
+
+# Parameter sets that pass the generator-on-curve, p*gen = O and p*h = q + 1
+# checks but are not type A.  q = 1 (mod 4) in the first two, so the pairing
+# of the first is not bilinear and that of the second divides by zero; the
+# third has q = 19 * 71 and 5^2 dividing q + 1.
+HOSTILE_SETS = [
+    (2957, 29, 102, (843, 2460)),
+    (233, 13, 18, (215, 21)),
+    (1349, 5, 270, (712, 1269)),
+]
+
+
+class TestCurveParamsValidate:
+    @pytest.mark.parametrize("q, p, h, gen", HOSTILE_SETS)
+    def test_hostile_sets_rejected(self, q, p, h, gen):
+        params = CurveParams(q=q, p=p, h=h, gen=gen)
+        with pytest.raises(ValidationFailed):
+            params.validate()
+        with pytest.raises(ValidationFailed):
+            TateBackend(params)
+        with pytest.raises(ValidationFailed):
+            suite_from_curve_params(q, p, h, gen)
+
+    @pytest.mark.parametrize("q, p, h, gen", HOSTILE_SETS)
+    def test_hostile_key_records_rejected(self, q, p, h, gen, c59, tmp_path):
+        from pairid.records import RecordError, load_key, save_key
+        from pairid.schemes import SchemeId, default_scheme_params, keygen
+
+        path = tmp_path / "key.txt"
+        save_key(path, SchemeId.CDHID, keygen(SchemeId.CDHID, c59, random.Random(5)), default_scheme_params(c59))
+        fields = {"q": q, "p": p, "h": h, "gen": f"{gen[0]},{gen[1]}"}
+        lines = [ln for ln in path.read_text().splitlines() if ln.split(" = ")[0] not in fields]
+        path.write_text("\n".join(lines + [f"{k} = {v}" for k, v in fields.items()]) + "\n")
+        with pytest.raises(RecordError, match="curve fields"):
+            load_key(path)
+
+    def test_real_size_set_accepted(self):
+        CurveParams(q=REAL_Q, p=REAL_P, h=REAL_H, gen=REAL_GEN).validate()
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("h", REAL_H + 1),
+            ("p", REAL_P + 2),
+            ("gen", (REAL_GEN[0], REAL_GEN[1] + 1)),
+            ("gen", _random_curve_point(REAL_Q, random.Random("full order"))),
+            ("gen", None),
+        ],
+        ids=["h+1", "p+2", "off-curve", "full-order", "infinity"],
+    )
+    def test_real_size_mutations_rejected(self, field, value):
+        params = CurveParams(q=REAL_Q, p=REAL_P, h=REAL_H, gen=REAL_GEN)
+        with pytest.raises(ValidationFailed):
+            dataclasses.replace(params, **{field: value}).validate()
+
+    def test_square_dividing_the_group_order_rejected(self):
+        # q = 199 is a prime = 3 (mod 4), but q + 1 = 2^3 * 5^2.
+        gen = next(pt for pt in curve_points(199) if pt is not None and point_order_naive(pt, 199) == 5)
+        with pytest.raises(ValidationFailed, match="divides"):
+            CurveParams(q=199, p=5, h=40, gen=gen).validate()
+
+    def test_lift_matches_the_point_set(self):
+        for q in (59, 83):
+            xs = {pt[0] for pt in curve_points(q) if pt is not None}
+            for x in range(q):
+                y = lift_x(x, q)
+                assert (y is not None) == (x in xs), x
+                assert y is None or on_curve((x, y), q)
+
+    def test_tate_suite_shares_one_backend(self):
+        a, b = tate_suite(83), tate_suite(83, counted=True)
+        assert a.backend is b.backend
+        assert a.counter is None and b.counter is not None
