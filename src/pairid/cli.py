@@ -1,8 +1,8 @@
 """Command line front end: keys, sessions, signatures, benchmarks, lab games.
 
 Exit codes: 0 for accept/pass, 1 for reject or a failed bound, 2 for usage
-errors (argparse's default), for bad hex input or group parameters, and for
-unreadable or malformed record files.
+errors (from argparse or a command), for bad hex input or group parameters,
+and for unreadable or malformed record files.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ def _add_suite_args(sub, default_backend="transparent"):
 def _parse_addr(text: str):
     host, _, port = text.rpartition(":")
     if not host or not port.isdigit():
-        raise SystemExit(f"address must be host:port, got {text!r}")
+        raise UsageError(f"address must be host:port, got {text!r}")
     return host, int(port)
 
 
@@ -90,7 +90,7 @@ def _message_bytes(args) -> bytes:
         return _from_hex("--message-hex", args.message_hex)
     if args.message is not None:
         return args.message.encode()
-    raise SystemExit("one of --message / --message-hex is required")
+    raise UsageError("one of --message / --message-hex is required")
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -112,7 +112,7 @@ def cmd_keygen(args) -> int:
 def cmd_prove(args) -> int:
     scheme, kp, params = load_key(args.key)
     if not kp.has_secret:
-        raise SystemExit("record holds a public key; proving needs the secret")
+        raise UsageError("record holds a public key; proving needs the secret")
     if args.stdio:
         transport = StdioTransport(sys.stdin.buffer, sys.stdout.buffer)
         result = serve_prover(scheme, kp, transport, seed=args.seed, params=params)
@@ -154,9 +154,9 @@ def cmd_sign(args) -> int:
     message = _message_bytes(args)
     suite = kp.suite
     if not isinstance(kp, (BbKeyPair, ExpKeyPair)):
-        raise SystemExit(f"key scheme {scheme.value} has no signature counterpart")
+        raise UsageError(f"key scheme {scheme.value} has no signature counterpart")
     if not kp.has_secret:
-        raise SystemExit("record holds a public key")
+        raise UsageError("record holds a public key")
     if isinstance(kp, BbKeyPair):
         m = Scalar(int.from_bytes(message, "big"), suite.p)
         sig, r = bb_sign(kp, m, _rng(args.seed))
@@ -176,12 +176,12 @@ def cmd_sigverify(args) -> int:
     sig = _from_hex("--sig", args.sig, suite.decode_g1)
     if isinstance(pk, BbKeyPair):
         if args.r is None:
-            raise SystemExit("this signature scheme needs --r")
+            raise UsageError("this signature scheme needs --r")
         ok = bb_verify(pk, Scalar(int.from_bytes(message, "big"), suite.p), sig, _from_hex("--r", args.r, suite.decode_scalar))
     elif isinstance(pk, ExpKeyPair):
         ok = bls_verify(pk, message, sig, params.hash_spec)
     else:
-        raise SystemExit(f"key scheme {scheme.value} has no signature counterpart")
+        raise UsageError(f"key scheme {scheme.value} has no signature counterpart")
     print("valid" if ok else "invalid")
     return 0 if ok else 1
 

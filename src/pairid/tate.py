@@ -11,33 +11,35 @@ Miller loop and point_mul work in Jacobian coordinates (X, Y, Z) standing
 for (X/Z^2, Y/Z^3), so neither inverts in F_q: point_mul converts back to
 affine once at the end, and the Miller loop never does.  Each double or add
 step computes its slope numerator and denominator once and uses them both
-for the next point and for the line through the step, evaluated at the
-distorted second argument (Barreto, Kim, Lynn and Scott, "Efficient
-Algorithms for Pairing-Based Cryptosystems", CRYPTO 2002).
+for the next point and, when asked, for the line through the step
+(Barreto, Kim, Lynn and Scott, "Efficient Algorithms for Pairing-Based
+Cryptosystems", CRYPTO 2002).  A line has one form, three F_q coefficients
+(c0, c1, c2) whose value at the distorted second argument (xq, yq*i) is
+(c0 + c1*xq) + (c2*yq)*i.  _miller_walk walks the loop and yields each
+step's lines, and _miller_stored, the one evaluator, squares f per step and
+multiplies in each line's value.  It runs over a live walk (_miller), over
+stored lines, and over the single line of the test hook _line.
 
-Line values are scaled by nonzero F_q factors (powers of Z and the slope
-denominator), and vertical lines are skipped, since their values lie in F_q
-as well.  The final exponentiation removes every such factor: it raises to
-(q^2 - 1)/p = (q - 1) * (q + 1)/p, and u^(q-1) = 1 for u in F_q*.  It
-computes f^(q-1) by Frobenius, f^q = conj(f), as conj(f)/f, and then raises
-the result to h = (q + 1)/p.  So _miller and _line are correct only up to
-an F_q* factor.  The line value has imaginary part (scale) * y_Q, which is
-nonzero for any distorted point off the x-axis, so for honest subgroup
-inputs the loop can never hit a zero.  A zero can still arise for
-adversarial off-subgroup inputs; the loop raises DegeneratePairing and the
-public entry point retries on deterministic offsets of the second argument.
+Lines carry nonzero F_q factors (powers of Z and the slope denominator), and
+vertical lines, whose values lie in F_q, are skipped.  The final
+exponentiation to (q^2 - 1)/p = (q - 1) * (q + 1)/p erases every such
+factor, since u^(q-1) = 1 for u in F_q*; it takes f^(q-1) as conj(f)/f by
+Frobenius.  So a Miller value is defined only up to an F_q* factor, and a
+pairing exactly.  A line's imaginary part c2*yq is nonzero for any
+distorted point off the x-axis, so honest subgroup inputs never hit a zero.
+Adversarial off-subgroup inputs can; the evaluator then raises
+DegeneratePairing and the public entry point retries on deterministic
+offsets of the second argument.
 
 Points that come back (the generator, key elements) get precomputed tables,
 kept per backend in a bounded TableCache from a point's second use on.  A
 G1 power of such a point runs on a fixed-base comb (Lim and Lee, CRYPTO
 1994): 31 affine sums of 2^(i d) P, then d = ceil(bits(p)/5) doublings and
-at most d additions.  A pairing whose first argument has a table replays
-its stored Miller lines, each two F_q coefficients (a, b) whose value at
-the second argument is (a + b*xq) + yq*i, so a step is only: square f,
-evaluate the line, multiply (the
-fixed-argument precomputation of Barreto et al. and of Lynn's PBC
-library).  Both give exactly what the plain paths give, since the final
-exponentiation erases the lines' F_q* scaling.
+at most d additions.  A pairing whose first argument has a table runs the
+evaluator over its stored lines, the walk's triples divided by their c2
+with one batch inversion so that they read (a, b, 1) (the fixed-argument
+precomputation of Barreto et al. and of Lynn's PBC library).  Both give
+exactly what the plain paths give.
 
 CurveParams.validate() holds every curve rule and counts no points, so it
 works at real size (q of 512 bits) like all the arithmetic here; every
@@ -51,6 +53,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import lru_cache
 from random import Random
 
 from .algebra import KIND_G1, GroupSuite, MalformedEncoding, ValidationFailed
@@ -140,28 +143,15 @@ def on_curve(pt: Point, q: int) -> bool:
 # Z = 0 is the point at infinity.
 _INF = (1, 1, 0)
 
-# Passed as ev to _double and _add_mixed: return the line as coefficients
-# (c0, c1, c2) of its value (c0 + c1*xq) + (c2*yq)*i at any ev = (xq, yq).
-_COEFFS = object()
 
+def _double(r: tuple, q: int, line: bool = False) -> tuple:
+    """(2r, tangent at r) for Jacobian r; the tangent only with line=True.
 
-def _line_value(real: int, imag: int, q: int) -> tuple[int, int]:
-    real %= q
-    imag %= q
-    if real == 0 and imag == 0:
-        raise DegeneratePairing("line through Miller-loop accumulator vanished")
-    return real, imag
-
-
-def _double(r: tuple, ev: tuple | None, q: int) -> tuple:
-    """2r in Jacobian coordinates, and the tangent at r evaluated at ev.
-
-    ev = (xq, yq) stands for the distorted point (xq, yq*i); with ev None no
-    line is computed.  The line is None, meaning "lies in F_q, skip", when
-    the tangent is vertical or r is infinity; otherwise it is the (real,
-    imaginary) pair of l(ev) * z3 * z^2, where l(x, y) = y - y_r - lambda*(x - x_r)
-    and the slope is lambda = m / z3.  With ev _COEFFS it is the same line
-    as coefficients (c0, c1, c2), with c2 reduced and nonzero.
+    The line is None, meaning "lies in F_q, skip", when the tangent is
+    vertical or r is infinity; otherwise it is the triple (c0, c1, c2) whose
+    value (c0 + c1*xq) + (c2*yq)*i at a distorted point (xq, yq*i) is
+    l * z3 * z^2 there, where l(x, y) = y - y_r - lambda*(x - x_r) and the
+    slope is lambda = m / z3.  c2 is reduced.
     """
     x, y, z = r
     if z == 0 or y == 0:
@@ -173,20 +163,17 @@ def _double(r: tuple, ev: tuple | None, q: int) -> tuple:
     x3 = (m * m - 2 * s) % q
     y3 = (m * (s - x3) - 8 * yy * yy) % q
     z3 = 2 * y * z % q
-    if ev is None:
+    if not line:
         return (x3, y3, z3), None
-    if ev is _COEFFS:
-        return (x3, y3, z3), (m * x - 2 * yy, -m * zz, z3 * zz % q)
-    xq, yq = ev
-    return (x3, y3, z3), _line_value(-(2 * yy + m * (zz * xq - x)), z3 * zz * yq, q)
+    return (x3, y3, z3), (m * x - 2 * yy, -m * zz, z3 * zz % q)
 
 
-def _add_mixed(r: tuple, x2: int, y2: int, ev: tuple | None, q: int) -> tuple:
-    """r + (x2, y2) for Jacobian r and affine (x2, y2), and the line through them.
+def _add_mixed(r: tuple, x2: int, y2: int, q: int, line: bool = False) -> tuple:
+    """(r + (x2, y2), chord through them) for Jacobian r and affine (x2, y2).
 
     Same conventions as _double, which handles r = (x2, y2).  The chord has
-    slope lambda = rr / z3 and passes through (x2, y2); its value at ev is
-    scaled by z3.
+    slope lambda = rr / z3 and passes through (x2, y2); its triple is scaled
+    by z3.
     """
     x1, y1, z1 = r
     if z1 == 0:
@@ -196,7 +183,7 @@ def _add_mixed(r: tuple, x2: int, y2: int, ev: tuple | None, q: int) -> tuple:
     rr = (y2 * z1 * zz - y1) % q
     if h == 0:
         if rr == 0:
-            return _double(r, ev, q)
+            return _double(r, q, line)
         return _INF, None  # r = -(x2, y2): vertical chord
     hh = h * h % q
     hhh = h * hh % q
@@ -204,21 +191,13 @@ def _add_mixed(r: tuple, x2: int, y2: int, ev: tuple | None, q: int) -> tuple:
     x3 = (rr * rr - hhh - 2 * v) % q
     y3 = (rr * (v - x3) - y1 * hhh) % q
     z3 = z1 * h % q
-    if ev is None:
+    if not line:
         return (x3, y3, z3), None
-    if ev is _COEFFS:
-        return (x3, y3, z3), (rr * x2 - z3 * y2, -rr, z3)
-    xq, yq = ev
-    return (x3, y3, z3), _line_value(-(z3 * y2 + rr * (xq - x2)), z3 * yq, q)
+    return (x3, y3, z3), (rr * x2 - z3 * y2, -rr, z3)
 
 
 def _affine(r: tuple, q: int) -> Point:
-    x, y, z = r
-    if z == 0:
-        return None
-    zi = pow(z, -1, q)
-    zi2 = zi * zi % q
-    return (x * zi2 % q, y * zi2 * zi % q)
+    return _batch_affine([r], q)[0]
 
 
 def _batch_inverse(values: list, q: int) -> list:
@@ -237,7 +216,7 @@ def _batch_inverse(values: list, q: int) -> list:
 
 
 def _batch_affine(points: list, q: int) -> list:
-    """_affine of each Jacobian point, with one inversion for all of them."""
+    """The affine form of each Jacobian point, with one inversion for all."""
     invs = iter(_batch_inverse([z for _, _, z in points if z], q))
     out = []
     for x, y, z in points:
@@ -256,7 +235,7 @@ def _add(a: Point, b: Point, q: int) -> Point:
         return b
     if b is None:
         return a
-    return _affine(_add_mixed((a[0], a[1], 1), b[0], b[1], None, q)[0], q)
+    return _affine(_add_mixed((a[0], a[1], 1), b[0], b[1], q)[0], q)
 
 
 def point_add(a: Point, b: Point, q: int) -> Point:
@@ -273,18 +252,19 @@ def _comb_table(pt: tuple, bits: int, q: int) -> tuple:
     infinity, which small-order points reach).  Returns (d, entries).
     """
     d = max(1, -(-bits // 5))
-    spaced = [pt]
+    r = (*pt, 1)
+    spaced = [r]
     for _ in range(4):
-        r = _INF if spaced[-1] is None else (*spaced[-1], 1)
         for _ in range(d):
-            r = _double(r, None, q)[0]
-        spaced.append(_affine(r, q))
+            r = _double(r, q)[0]
+        spaced.append(r)
+    spaced = _batch_affine(spaced, q)
     sums = [_INF] * 32
     for j in range(1, 32):
         top = j.bit_length() - 1
         rest = sums[j ^ (1 << top)]
         base = spaced[top]
-        sums[j] = rest if base is None else _add_mixed(rest, base[0], base[1], None, q)[0]
+        sums[j] = rest if base is None else _add_mixed(rest, base[0], base[1], q)[0]
     return d, _batch_affine(sums, q)
 
 
@@ -296,10 +276,10 @@ def _comb_mul(k: int, comb: tuple, q: int) -> Point:
     rows = [format(k >> (i * d) & mask, f"0{d}b") for i in range(4, -1, -1)]
     r = _INF
     for column in zip(*rows):
-        r = _double(r, None, q)[0]
+        r = _double(r, q)[0]
         entry = entries[int("".join(column), 2)]
         if entry is not None:
-            r = _add_mixed(r, entry[0], entry[1], None, q)[0]
+            r = _add_mixed(r, entry[0], entry[1], q)[0]
     return _affine(r, q)
 
 
@@ -328,9 +308,9 @@ def point_mul(k: int, pt: Point, q: int, comb: tuple | None = None) -> Point:
         k, y = -k, (-y) % q
     r = (x, y, 1)
     for bit in bin(k)[3:]:
-        r = _double(r, None, q)[0]
+        r = _double(r, q)[0]
         if bit == "1":
-            r = _add_mixed(r, x, y, None, q)[0]
+            r = _add_mixed(r, x, y, q)[0]
     return _affine(r, q)
 
 
@@ -420,83 +400,66 @@ def enumerate_and_validate(q: int, p: int | None = None, rng: Random | None = No
     return CurveValidation(params, n_points=n, factors=factors)
 
 
-def _line(a: Point, b: Point, xq_im: int, yq_im: int, q: int) -> Fq2:
-    """Sloped line through a and b, evaluated at the distorted point.
+def _miller_walk(pt: Point, n: int, q: int):
+    """Walk the Miller loop of f_{n,pt}: yield each step's lines as triples.
 
-    The evaluation point is phi(Q) = (-x_Q, i*y_Q), passed here as the F_q
-    parts (xq_im = -x_Q mod q, yq_im = y_Q mod q) of its coordinates.  The
-    value is that of the Miller loop's step, so it is correct up to an F_q*
-    factor.  Vertical lines are skipped (returned as 1): their value lies in
-    F_q and the final exponentiation erases it.
-    """
-    line = None
-    if a is not None and b is not None:
-        line = _add_mixed((a[0], a[1], 1), b[0], b[1], (xq_im, yq_im), q)[1]
-    return Fq2(1, 0, q) if line is None else Fq2(line[0], line[1], q)
-
-
-def _times_line(f: tuple, line: tuple | None, q: int) -> tuple:
-    # f * line in F_q(i), both as (real, imaginary) pairs; None is a skipped line.
-    if line is None:
-        return f
-    (fa, fb), (la, lb) = f, line
-    return (fa * la - fb * lb) % q, (fa * lb + fb * la) % q
-
-
-def _miller(pt: Point, other: Point, n: int, q: int) -> Fq2:
-    """The Miller function f_{n,pt} at phi(other), up to an F_q* factor."""
-    x, y = pt
-    ev = ((-other[0]) % q, other[1] % q)
-    f = (1, 0)
-    r = (x, y, 1)
-    for bit in bin(n)[3:]:
-        r, line = _double(r, ev, q)
-        f = _times_line(((f[0] + f[1]) * (f[0] - f[1]) % q, 2 * f[0] * f[1] % q), line, q)
-        if bit == "1":
-            r, line = _add_mixed(r, x, y, ev, q)
-            f = _times_line(f, line, q)
-    return Fq2(f[0], f[1], q)
-
-
-def _miller_lines(pt: Point, n: int, q: int) -> tuple:
-    """The lines of _miller(pt, ., n, q), stored for any second argument.
-
-    One tuple per step of the loop, holding its doubling and addition lines
-    without the skipped ones.  Each line is a pair (a, b): its value at the
-    distorted point (xq, yq*i) is (a + b*xq) + yq*i, the step's value divided
-    by its nonzero imaginary coefficient, so the same F_q* scaling caveat
-    holds and it vanishes exactly where the step's value does.
+    One list per step, holding the triples of its doubling and addition
+    lines (see _double) without the skipped ones.
     """
     x, y = pt
     r = (x, y, 1)
-    steps = []
     for bit in bin(n)[3:]:
-        r, line = _double(r, _COEFFS, q)
+        r, line = _double(r, q, line=True)
         step = [line]
         if bit == "1":
-            r, line = _add_mixed(r, x, y, _COEFFS, q)
+            r, line = _add_mixed(r, x, y, q, line=True)
             step.append(line)
-        steps.append([c for c in step if c is not None])
-    invs = iter(_batch_inverse([c2 for step in steps for _, _, c2 in step], q))
-    # zip takes from step first, so it stops without consuming an inverse.
-    return tuple(
-        tuple((c0 * inv % q, c1 * inv % q) for (c0, c1, _), inv in zip(step, invs))
-        for step in steps
-    )
+        yield [c for c in step if c is not None]
 
 
-def _miller_stored(lines: tuple, other: Point, q: int) -> Fq2:
-    """_miller at phi(other) from its stored lines: square, evaluate, multiply."""
+def _miller_stored(lines, other: Point, q: int) -> Fq2:
+    """The Miller function at phi(other) from the steps of _miller_walk, live
+    or stored: per step, square f and multiply in each line's value."""
     xq, yq = (-other[0]) % q, other[1] % q
     fa, fb = 1, 0
     for step in lines:
         fa, fb = (fa + fb) * (fa - fb) % q, 2 * fa * fb % q
-        for a, b in step:
-            la = (a + b * xq) % q
-            if la == 0 and yq == 0:
+        for a, b, c in step:
+            la, lb = (a + b * xq) % q, c * yq % q
+            if la == 0 and lb == 0:
                 raise DegeneratePairing("line through Miller-loop accumulator vanished")
-            fa, fb = (fa * la - fb * yq) % q, (fa * yq + fb * la) % q
+            fa, fb = (fa * la - fb * lb) % q, (fa * lb + fb * la) % q
     return Fq2(fa, fb, q)
+
+
+def _miller(pt: Point, other: Point, n: int, q: int) -> Fq2:
+    """The Miller function f_{n,pt} at phi(other), up to an F_q* factor."""
+    return _miller_stored(_miller_walk(pt, n, q), other, q)
+
+
+def _miller_lines(pt: Point, n: int, q: int) -> tuple:
+    """The steps of _miller_walk(pt, n, q), stored for any second argument.
+
+    Each triple is divided by its c2, which is nonzero for canonical pt, so
+    it reads (a, b, 1): it differs from the walk's by an F_q* factor and
+    vanishes exactly where the walk's does.
+    """
+    steps = list(_miller_walk(pt, n, q))
+    invs = iter(_batch_inverse([c for step in steps for _, _, c in step], q))
+    # zip takes from step first, so it stops without consuming an inverse.
+    return tuple(
+        tuple((a * inv % q, b * inv % q, 1) for (a, b, _), inv in zip(step, invs))
+        for step in steps
+    )
+
+
+def _line(a: Point, b: Point, xq_im: int, yq_im: int, q: int) -> Fq2:
+    """The Miller step's line through a and b at phi(Q) = (xq_im, yq_im*i),
+    xq_im = -x_Q mod q; 1 for a skipped vertical line."""
+    line = None
+    if a is not None and b is not None:
+        line = _add_mixed((a[0], a[1], 1), b[0], b[1], q, line=True)[1]
+    return _miller_stored([[] if line is None else [line]], (-xq_im, yq_im), q)
 
 
 def _final_exp(f: Fq2, p: int) -> Fq2:
@@ -745,9 +708,15 @@ def _shared_suite(params: CurveParams, counted: bool) -> GroupSuite:
     return GroupSuite(backend, counted=counted)
 
 
+@lru_cache(maxsize=_SHARED_SLOTS)
+def _desk_params(q: int, p: int | None) -> CurveParams:
+    return enumerate_and_validate(q, p).params
+
+
 def tate_suite(q: int = 523, p: int | None = None, counted: bool = False) -> GroupSuite:
-    """The desk-scale curve over F_q found by enumerate_and_validate."""
-    return _shared_suite(enumerate_and_validate(q, p).params, counted)
+    """The desk-scale curve over F_q found by enumerate_and_validate, which
+    counts points once per (q, p) while a bounded memo holds the result."""
+    return _shared_suite(_desk_params(q, p), counted)
 
 
 def suite_from_curve_params(q: int, p: int, h: int, gen: tuple[int, int], counted: bool = False) -> GroupSuite:

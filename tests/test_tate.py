@@ -15,6 +15,8 @@ from pairid.tate import (
     NotOnCurve,
     TateBackend,
     ValidationFailed,
+    _add_mixed,
+    _double,
     _line,
     _miller,
     _miller_lines,
@@ -37,6 +39,7 @@ from oracles import (
     naive_double_and_add,
     naive_mul,
     point_order_naive,
+    reference_line,
     reference_miller,
     reference_pairing,
 )
@@ -262,6 +265,41 @@ class TestPairing:
         params = enumerate_and_validate(59).params
         with pytest.raises(NotOnCurve):
             tate_pairing((1, 1), params.gen, params)
+
+
+class TestLineForm:
+    """The one line formula: the coefficient triples of _double and
+    _add_mixed against the affine lines of oracles.py."""
+
+    @pytest.mark.parametrize("q", [59, 83])
+    def test_triples_match_reference_lines(self, q):
+        # Each triple's value (c0 + c1*xq) + (c2*yq)*i at every distorted
+        # point is c2 times the reference line's, so it vanishes exactly
+        # where the reference does.
+        pts = [pt for pt in curve_points(q) if pt is not None]
+        vanished = 0
+        for a in pts:
+            for b in pts:
+                if a == b:
+                    line = _double((a[0], a[1], 1), q, line=True)[1]
+                else:
+                    line = _add_mixed((a[0], a[1], 1), b[0], b[1], q, line=True)[1]
+                if line is None:
+                    assert a[0] == b[0] and (a[1] + b[1]) % q == 0, (a, b)
+                    continue
+                c0, c1, c2 = line
+                assert c2 % q != 0, (a, b)
+                for x, y in pts:
+                    xq = -x % q
+                    got = ((c0 + c1 * xq) % q, c2 * y % q)
+                    try:
+                        ref = reference_line(a, b, xq, y, q)
+                    except ReferenceDegenerate:
+                        assert got == (0, 0), (a, b, (x, y))
+                        vanished += 1
+                        continue
+                    assert got == (c2 * ref[0] % q, c2 * ref[1] % q), (a, b, (x, y))
+        assert vanished > 0
 
 
 class TestPairingAgainstReference:
@@ -704,3 +742,19 @@ class TestCurveParamsValidate:
         a, b = tate_suite(83), tate_suite(83, counted=True)
         assert a.backend is b.backend
         assert a.counter is None and b.counter is not None
+
+    def test_repeated_tate_suite_counts_points_once(self, monkeypatch):
+        from pairid import tate
+
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return enumerate_and_validate(*args)
+
+        tate._desk_params.cache_clear()
+        monkeypatch.setattr(tate, "enumerate_and_validate", counting)
+        first = tate_suite(9967)
+        second = tate_suite(9967)
+        assert calls == [(9967, None)]
+        assert second.backend is first.backend
