@@ -260,6 +260,9 @@ class TransparentBackend:
     def pair(self, a, b):
         return (a * b) % self.p
 
+    def pair_equal(self, a, b, c, d) -> bool:
+        return (a * b - c * d) % self.p == 0
+
     def width(self, kind):
         return self._w
 
@@ -337,17 +340,30 @@ class GroupSuite:
         self._charge_exp(elem.kind)
         return type(elem)(self, self.backend.power(elem.kind, elem.payload, k))
 
+    def _check_pairing_args(self, *args):
+        for x in args:
+            if not isinstance(x, G1Element):
+                raise TypeError("pairing arguments must be G1 elements")
+        for x in args:
+            if not x.suite.compatible(self):
+                raise ValueError("pairing arguments belong to a different suite")
+
     def pairing(self, a: G1Element, b: G1Element) -> G2Element:
-        if not isinstance(a, G1Element) or not isinstance(b, G1Element):
-            raise TypeError("pairing arguments must be G1 elements")
-        if not (a.suite.compatible(self) and b.suite.compatible(self)):
-            raise ValueError("pairing arguments belong to a different suite")
+        self._check_pairing_args(a, b)
         self._charge_pairing()
         return G2Element(self, self.backend.pair(a.payload, b.payload))
 
+    def pairings_equal(self, a: G1Element, b: G1Element, c: G1Element, d: G1Element) -> bool:
+        """e(a, b) == e(c, d), charged as the two pairings it stands for; the
+        backend may decide it without computing either value."""
+        self._check_pairing_args(a, b, c, d)
+        self._charge_pairing()
+        self._charge_pairing()
+        return self.backend.pair_equal(a.payload, b.payload, c.payload, d.payload)
+
     def ddh_solve(self, g: G1Element, ga: G1Element, gb: G1Element, gc: G1Element) -> bool:
         # Two pairings decide the tuple: e(g, g^c) against e(g^a, g^b).
-        return self.pairing(g, gc) == self.pairing(ga, gb)
+        return self.pairings_equal(g, gc, ga, gb)
 
     # -- constructors and sampling (never counted) --------------------------
 

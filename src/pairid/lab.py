@@ -657,7 +657,7 @@ def invert_to_ddh(
     h2 = inverter(g, ya)
     h3 = inverter(g, yb)
     h4 = inverter(g, yc)
-    return suite.pairing(h1, h4) == suite.pairing(h2, h3)
+    return suite.pairings_equal(h1, h4, h2, h3)
 
 
 def transparent_pairing_inverter(suite: GroupSuite):

@@ -212,7 +212,7 @@ def blsid_verify(pk: ExpKeyPair, message: bytes, sig: G1Element, params: SchemeP
 def blsid_verify_point(pk: ExpKeyPair, h: G1Element, sig: G1Element) -> bool:
     # Same equation with the hashed challenge supplied directly.
     suite = pk.suite
-    return suite.pairing(suite.g1, sig) == suite.pairing(pk.v, h)
+    return suite.pairings_equal(suite.g1, sig, pk.v, h)
 
 
 def cdhid_respond(kp: ExpKeyPair, h: G1Element) -> G1Element:
@@ -225,7 +225,7 @@ def cdhid_verify(pk: ExpKeyPair, h: G1Element, sig: G1Element) -> bool:
     if h.is_identity:
         raise IdentityChallenge("challenge must be a non-identity element")
     suite = pk.suite
-    return suite.pairing(suite.g1, sig) == suite.pairing(pk.v, h)
+    return suite.pairings_equal(suite.g1, sig, pk.v, h)
 
 
 def sdhid_respond(kp: BbKeyPair, m: Scalar, rng: Random, counter=None) -> tuple[G1Element, Scalar]:

@@ -179,7 +179,7 @@ def bls_sign(kp: ExpKeyPair, message: bytes, spec: HashSpec) -> G1Element:
 def bls_verify(pk: ExpKeyPair, message: bytes, sig: G1Element, spec: HashSpec) -> bool:
     suite = pk.suite
     h = hash_to_group(message, spec, suite)
-    return suite.pairing(suite.g1, sig) == suite.pairing(pk.v, h)
+    return suite.pairings_equal(suite.g1, sig, pk.v, h)
 
 
 # -- the inversion-based scheme -----------------------------------------------

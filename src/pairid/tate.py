@@ -9,7 +9,9 @@ Tate pairing into a symmetric pairing on G1 x G1.
 Points are affine (x, y) tuples everywhere outside the inner loops.  The
 Miller loop and point_mul work in Jacobian coordinates (X, Y, Z) standing
 for (X/Z^2, Y/Z^3), so neither inverts in F_q: point_mul converts back to
-affine once at the end, and the Miller loop never does.  Each double or add
+affine once at the end, and the Miller loop never does.  point_mul walks a
+width-4 wNAF of k over the affine odd multiples P, 3P, 5P and 7P, made with
+one batch inversion; a negative digit adds (x, -y).  Each double or add
 step computes its slope numerator and denominator once and uses them both
 for the next point and, when asked, for the line through the step
 (Barreto, Kim, Lynn and Scott, "Efficient Algorithms for Pairing-Based
@@ -18,7 +20,8 @@ Cryptosystems", CRYPTO 2002).  A line has one form, three F_q coefficients
 (c0 + c1*xq) + (c2*yq)*i.  _miller_walk walks the loop and yields each
 step's lines, and _miller_stored, the one evaluator, squares f per step and
 multiplies in each line's value.  It runs over a live walk (_miller), over
-stored lines, and over the single line of the test hook _line.
+stored lines, over several walks at once, and over the single line of the
+test hook _line.
 
 Lines carry nonzero F_q factors (powers of Z and the slope denominator), and
 vertical lines, whose values lie in F_q, are skipped.  The final
@@ -30,6 +33,16 @@ distorted point off the x-axis, so honest subgroup inputs never hit a zero.
 Adversarial off-subgroup inputs can; the evaluator then raises
 DegeneratePairing and the public entry point retries on deterministic
 offsets of the second argument.
+
+conj(f)/f has norm 1, and so does every G2 value, so the remaining power to
+h = (q + 1)/p, and every G2 power, runs on the trace ladder _norm1_pow: a
+Lucas sequence V_n = x^n + x^-n on t = 2*Re(x), two F_q multiplies per bit
+(Scott and Barreto, "Compressed Pairings", CRYPTO 2004).  A G2 inverse is a
+conjugate, and decode's G2 subgroup check is the norm test plus V_p = 2.
+An equality check e(a, b) = e(c, d) needs one final exponentiation:
+M(c, -d) = conj(M(c, d)), so it tests V_h = 2 on M(a, b) * M(c, -d), whose
+two walks the evaluator zips under one squaring per step (Scott, "Computing
+the Tate pairing", CT-RSA 2005).
 
 Points that come back (the generator, key elements) get precomputed tables,
 kept per backend in a bounded TableCache from a point's second use on.  A
@@ -54,6 +67,7 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 from random import Random
 
 from .algebra import KIND_G1, GroupSuite, MalformedEncoding, ValidationFailed
@@ -292,7 +306,8 @@ def lift_x(x: int, q: int) -> int | None:
 
 
 def point_mul(k: int, pt: Point, q: int, comb: tuple | None = None) -> Point:
-    """k * pt: left-to-right double-and-add with mixed (affine-base) addition.
+    """k * pt: a width-4 wNAF over the affine odd multiples pt, 3pt, 5pt and
+    7pt, with mixed (affine-base) addition; a negative digit adds (x, -y).
 
     comb, internal, is pt's _comb_table; it serves 0 <= k < 2^(5d).
     """
@@ -303,14 +318,31 @@ def point_mul(k: int, pt: Point, q: int, comb: tuple | None = None) -> Point:
         return None
     if comb is not None and 0 < k and k.bit_length() <= 5 * comb[0]:
         return _comb_mul(k, comb, q)
-    x, y = pt
     if k < 0:
-        k, y = -k, (-y) % q
-    r = (x, y, 1)
-    for bit in bin(k)[3:]:
+        k, pt = -k, point_neg(pt, q)
+    # Digits least significant first: odd ones in -7..7, each followed by at
+    # least three zeros.
+    digits = []
+    while k:
+        d = 0
+        if k & 1:
+            d = (k & 15) - 16 if k & 8 else k & 15
+            k -= d
+        digits.append(d)
+        k >>= 1
+    x, y = pt
+    r2 = _double((x, y, 1), q)[0]
+    r3 = _add_mixed(r2, x, y, q)[0]
+    r5 = _add_mixed(_double(r2, q)[0], x, y, q)[0]
+    r7 = _add_mixed(_double(r3, q)[0], x, y, q)[0]
+    odd = [pt, *_batch_affine([r3, r5, r7], q)]  # odd[j] = (2j + 1) pt
+    r = _INF
+    for d in reversed(digits):
         r = _double(r, q)[0]
-        if bit == "1":
-            r = _add_mixed(r, x, y, q)[0]
+        if d:
+            base = odd[abs(d) >> 1]
+            if base is not None:
+                r = _add_mixed(r, base[0], base[1] if d > 0 else -base[1] % q, q)[0]
     return _affine(r, q)
 
 
@@ -417,18 +449,25 @@ def _miller_walk(pt: Point, n: int, q: int):
         yield [c for c in step if c is not None]
 
 
-def _miller_stored(lines, other: Point, q: int) -> Fq2:
+def _miller_stored(lines, other: Point, q: int, *more) -> Fq2:
     """The Miller function at phi(other) from the steps of _miller_walk, live
-    or stored: per step, square f and multiply in each line's value."""
-    xq, yq = (-other[0]) % q, other[1] % q
+    or stored: per step, square f and multiply in each line's value.
+
+    more holds further (steps, point) walks of the same loop count; their
+    steps are zipped in under the same squarings, so the result is the
+    product of all the walks' Miller functions.
+    """
+    # Each walk's steps come paired with its point phi(pt) = (xq, yq*i).
+    walks = [zip(steps, repeat(((-pt[0]) % q, pt[1] % q))) for steps, pt in [(lines, other), *more]]
     fa, fb = 1, 0
-    for step in lines:
+    for steps in zip(*walks):
         fa, fb = (fa + fb) * (fa - fb) % q, 2 * fa * fb % q
-        for a, b, c in step:
-            la, lb = (a + b * xq) % q, c * yq % q
-            if la == 0 and lb == 0:
-                raise DegeneratePairing("line through Miller-loop accumulator vanished")
-            fa, fb = (fa * la - fb * lb) % q, (fa * lb + fb * la) % q
+        for step, (xq, yq) in steps:
+            for a, b, c in step:
+                la, lb = (a + b * xq) % q, c * yq % q
+                if la == 0 and lb == 0:
+                    raise DegeneratePairing("line through Miller-loop accumulator vanished")
+                fa, fb = (fa * la - fb * lb) % q, (fa * lb + fb * la) % q
     return Fq2(fa, fb, q)
 
 
@@ -462,10 +501,46 @@ def _line(a: Point, b: Point, xq_im: int, yq_im: int, q: int) -> Fq2:
     return _miller_stored([[] if line is None else [line]], (-xq_im, yq_im), q)
 
 
+def _lucas_v(t: int, e: int, q: int) -> tuple[int, int]:
+    """(V_e, V_{e+1}) mod q for V_0 = 2, V_1 = t, V_{n+1} = t*V_n - V_{n-1}.
+
+    For x of norm 1 and t = x + 1/x = 2*Re(x), V_n = x^n + x^-n = 2*Re(x^n)
+    (Scott and Barreto, "Compressed Pairings", CRYPTO 2004).  A ladder over
+    the bits of e >= 0 keeps (V_k, V_{k+1}) with V_2k = V_k^2 - 2 and
+    V_{2k+1} = V_k*V_{k+1} - t: two F_q multiplies per bit.
+    """
+    v0, v1 = 2, t % q
+    for bit in bin(e)[2:]:
+        if bit == "1":
+            v0, v1 = (v0 * v1 - t) % q, (v1 * v1 - 2) % q
+        else:
+            v0, v1 = (v0 * v0 - 2) % q, (v0 * v1 - t) % q
+    return v0, v1
+
+
+def _norm1_pow(x: Fq2, e: int) -> Fq2:
+    """x^e for x = a + bi of norm a^2 + b^2 = 1, by the trace ladder.
+
+    With x^e = c + di, V_e = 2c and V_{e+1} = 2*Re(x^e * x) = 2(ac - bd), so
+    d = (a*V_e - V_{e+1}) / (2b) with one inversion; b = 0 means x = +-1.
+    """
+    q, a, b = x.q, x.a, x.b
+    if e < 0:
+        e, b = -e, -b  # x^-1 = conj(x)
+    if b == 0:
+        return Fq2(a if e & 1 else 1, 0, q)
+    ve, ve1 = _lucas_v(2 * a, e, q)
+    return Fq2(ve * ((q + 1) // 2), (a * ve - ve1) * pow(2 * b, -1, q), q)
+
+
+def _easy_part(f: Fq2) -> Fq2:
+    """f^(q-1) = conj(f)/f by Frobenius, which has norm 1."""
+    return Fq2(f.a, -f.b, f.q) * f.inv()
+
+
 def _final_exp(f: Fq2, p: int) -> Fq2:
-    """f^((q^2 - 1)/p) as (f^(q-1))^h, with f^(q-1) = conj(f)/f by Frobenius."""
-    q = f.q
-    return (Fq2(f.a, -f.b, q) * f.inv()) ** ((q + 1) // p)
+    """f^((q^2 - 1)/p) as (f^(q-1))^h on the trace ladder."""
+    return _norm1_pow(_easy_part(f), (f.q + 1) // p)
 
 
 def tate_pairing(a: Point, b: Point, params: CurveParams, lines: tuple | None = None) -> Fq2:
@@ -591,15 +666,19 @@ class TateBackend:
     def _lines(self, pt):
         return _miller_lines(pt, self.p, self.q)
 
+    # Every G2 payload has norm 1: pairing values, powers of e(g, g), decodes
+    # checked for order p, and their products and inverses.  So G2 powers run
+    # on the trace ladder and inverses are conjugates.
+
     def power(self, kind, a, k):
         if kind == KIND_G1:
             return point_mul(k, a, self.q, self._table(a, self._comb))
-        return a ** int(k)
+        return _norm1_pow(a, int(k))
 
     def invert(self, kind, a):
         if kind == KIND_G1:
             return point_neg(a, self.q)
-        return a.inv()
+        return Fq2(a.a, -a.b, self.q)
 
     def identity(self, kind):
         if kind == KIND_G1:
@@ -609,7 +688,7 @@ class TateBackend:
     def from_int(self, kind, k):
         if kind == KIND_G1:
             return point_mul(k, self._gen, self.q, self._table(self._gen, self._comb))
-        return self._g2gen ** int(k)
+        return _norm1_pow(self._g2gen, int(k))
 
     def log(self, kind, a):
         # Brute force against the generator; fine at desk scale only.
@@ -625,6 +704,28 @@ class TateBackend:
 
     def pair(self, a, b):
         return tate_pairing(a, b, self.params, self._table(a, self._lines))
+
+    def pair_equal(self, a, b, c, d) -> bool:
+        """pair(a, b) == pair(c, d) with one final exponentiation.
+
+        M(c, -d) = conj(M(c, d)), so e(a, b) = e(c, d) exactly when the final
+        exponentiation of M(a, b) * M(c, -d) is 1, that is when V_h = 2 on its
+        easy part.  Both Miller loops run as one, sharing the squarings.  An
+        infinity or off-curve argument, or a vanishing line, takes the two
+        pairings instead, with their checks and retry.
+        """
+        q, p = self.q, self.p
+        lines_a, lines_c = self._table(a, self._lines), self._table(c, self._lines)
+        if all(pt is not None and on_curve(pt, q) for pt in (a, b, c, d)):
+            walk_a = _miller_walk(a, p, q) if lines_a is None else lines_a
+            walk_c = _miller_walk(c, p, q) if lines_c is None else lines_c
+            try:
+                f = _miller_stored(walk_a, b, q, (walk_c, point_neg(d, q)))
+            except DegeneratePairing:
+                pass
+            else:
+                return _lucas_v(2 * _easy_part(f).a, self.params.h, q)[0] == 2
+        return tate_pairing(a, b, self.params, lines_a) == tate_pairing(c, d, self.params, lines_c)
 
     def width(self, kind):
         if kind == KIND_G1:
@@ -671,10 +772,11 @@ class TateBackend:
         b = int.from_bytes(data[w:], "big")
         if a >= self.q or b >= self.q:
             raise MalformedEncoding("coordinate is not reduced mod q")
-        val = Fq2(a, b, self.q)
-        if val ** self.p != Fq2(1, 0, self.q):
+        # val^p = 1 exactly when val has norm 1 (val^(q+1) = 1, and p | q + 1)
+        # and val^p + val^-p = V_p(2a) = 2.
+        if (a * a + b * b) % self.q != 1 or _lucas_v(2 * a, self.p, self.q)[0] != 2:
             raise MalformedEncoding("value is outside the order-p subgroup")
-        return val
+        return Fq2(a, b, self.q)
 
     def describe(self) -> dict:
         return {

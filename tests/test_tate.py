@@ -5,7 +5,7 @@ import threading
 
 import pytest
 
-from pairid.algebra import KIND_G1, KIND_G2, MalformedEncoding
+from pairid.algebra import KIND_G1, KIND_G2, G1Element, MalformedEncoding
 from pairid.tate import (
     _SEEN_SLOTS,
     _TABLE_SLOTS,
@@ -21,6 +21,7 @@ from pairid.tate import (
     _miller,
     _miller_lines,
     _miller_stored,
+    _norm1_pow,
     enumerate_and_validate,
     lift_x,
     on_curve,
@@ -758,3 +759,180 @@ class TestCurveParamsValidate:
         second = tate_suite(9967)
         assert calls == [(9967, None)]
         assert second.backend is first.backend
+
+
+# -- the pairing pipeline: trace ladder, one-exponentiation equality, wNAF ----------
+
+
+def _real_g2_values(rng, n):
+    """n order-p values of F_q^2 at real size, raised with Fq2.__pow__ alone."""
+    out = []
+    for _ in range(n):
+        f = Fq2(rng.randrange(1, REAL_Q), rng.randrange(1, REAL_Q), REAL_Q)
+        out.append((Fq2(f.a, -f.b, REAL_Q) * f.inv()) ** REAL_H)
+    return out
+
+
+class TestTraceLadder:
+    """_norm1_pow against the generic square-and-multiply of Fq2.__pow__."""
+
+    @pytest.mark.parametrize("q", [59, 83])
+    def test_every_norm1_element_and_exponent(self, q):
+        norm1 = [Fq2(a, b, q) for a in range(q) for b in range(q) if (a * a + b * b) % q == 1]
+        assert len(norm1) == q + 1  # the kernel of the norm map
+        for x in norm1:
+            for e in range(2 * (q + 1) + 1):
+                assert _norm1_pow(x, e) == x ** e, (x, e)
+            assert _norm1_pow(x, -5) == x ** -5, x
+
+    def test_real_size(self):
+        rng = random.Random("real-size trace ladder")
+        one, minus_one = Fq2(1, 0, REAL_Q), Fq2(-1, 0, REAL_Q)
+        values = _real_g2_values(rng, 3) + [one, minus_one]
+        for x in values:
+            for e in (0, 1, REAL_P - 1, REAL_P, REAL_H, rng.randrange(REAL_Q)):
+                assert _norm1_pow(x, e) == x ** e, e
+        for x in values[:3]:
+            assert x ** REAL_P == one  # the values really lie in G2
+
+    def test_backend_g2_power_and_inverse(self, c59):
+        backend = c59.backend
+        for k in range(c59.p):
+            z = backend.from_int(KIND_G2, k)
+            assert z == backend.from_int(KIND_G2, 1) ** k
+            assert backend.invert(KIND_G2, z) == z.inv()
+            for m in range(2 * c59.p):
+                assert backend.power(KIND_G2, z, m) == z ** m
+
+
+class TestG2SubgroupCheck:
+    """decode_g2 accepts val exactly when val^p = 1, the check it replaced."""
+
+    @pytest.mark.parametrize("q, accepted", [(59, 5), (83, 7)])
+    def test_accepts_exactly_the_order_p_values(self, q, accepted):
+        suite = tate_suite(q)
+        w = suite.width(KIND_G2) // 2
+        one = Fq2(1, 0, q)
+        got, expect = set(), set()
+        for a in range(q):
+            for b in range(q):
+                if Fq2(a, b, q) ** suite.p == one:
+                    expect.add((a, b))
+                try:
+                    suite.decode_g2(a.to_bytes(w, "big") + b.to_bytes(w, "big"))
+                except MalformedEncoding:
+                    continue
+                got.add((a, b))
+        assert got == expect
+        assert len(got) == accepted
+
+    def test_real_size(self):
+        backend = TateBackend(CurveParams(q=REAL_Q, p=REAL_P, h=REAL_H, gen=REAL_GEN))
+        rng = random.Random("real-size decode_g2")
+        for z in _real_g2_values(rng, 2):
+            assert backend.decode(KIND_G2, backend.encode(KIND_G2, z)) == z
+        f = Fq2(rng.randrange(REAL_Q), rng.randrange(REAL_Q), REAL_Q)
+        norm1 = Fq2(f.a, -f.b, REAL_Q) * f.inv()  # norm 1, order not p
+        assert norm1 ** REAL_P != Fq2(1, 0, REAL_Q)
+        for bad in (norm1, f, Fq2(0, 0, REAL_Q)):
+            with pytest.raises(MalformedEncoding):
+                backend.decode(KIND_G2, backend.encode(KIND_G2, bad))
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except (DegeneratePairing, NotOnCurve) as exc:
+        return type(exc)
+
+
+class TestPairingsEqual:
+    """One final exponentiation per equality check against the two-pairing
+    compare, exceptions included."""
+
+    def test_every_quadruple_at_q59(self):
+        suite = tate_suite(59)
+        q = 59
+        pts = [point_mul(k, suite.backend.params.gen, q) for k in range(suite.p)] + [(0, 0)]
+        assert len(set(pts)) == 6
+        elems = [G1Element(suite, pt) for pt in pts]
+        for a in elems:
+            for b in elems:
+                for c in elems:
+                    for d in elems:
+                        expect = _outcome(lambda: suite.pairing(a, b) == suite.pairing(c, d))
+                        assert _outcome(lambda: suite.pairings_equal(a, b, c, d)) == expect, (a, b, c, d)
+
+    @pytest.mark.parametrize("q", [59, 83])
+    def test_seeded_quadruples_and_every_vanishing_input(self, q):
+        params = enumerate_and_validate(q).params
+        backend = TateBackend(params)
+        pts = curve_points(q)
+        finite = [pt for pt in pts if pt is not None]
+        vanishing = []
+        for a in finite:
+            for b in finite:
+                try:
+                    _miller(a, b, params.p, q)
+                except DegeneratePairing:
+                    vanishing.append((a, b))
+        assert vanishing
+        rng = random.Random(f"pairings_equal {q}")
+        quads = [tuple(rng.choice(pts) for _ in range(4)) for _ in range(2000)]
+        for a, b in vanishing:
+            c, d = rng.choice(pts), rng.choice(pts)
+            quads += [(a, b, c, d), (c, d, a, b)]
+        for a, b, c, d in quads:
+            expect = _outcome(lambda: tate_pairing(a, b, params) == tate_pairing(c, d, params))
+            assert _outcome(lambda: backend.pair_equal(a, b, c, d)) == expect, (a, b, c, d)
+
+    def test_off_curve_still_rejected(self, c59):
+        g = c59.g1
+        bad = G1Element(c59, (1, 1))
+        for args in ((bad, g, g, g), (g, g, g, bad)):
+            with pytest.raises(NotOnCurve):
+                c59.pairings_equal(*args)
+
+    def test_charges_two_pairings_to_the_role(self):
+        suite = tate_suite(59, counted=True)
+        g = suite.g1
+        with suite.role("verifier"):
+            assert suite.pairings_equal(g, g ** 2, g ** 2, g)
+        assert suite.counter.pairings == {"prover": 0, "verifier": 2}
+        assert not suite.pairings_equal(g, g, g, g ** 2)  # outside a role: free
+        assert suite.counter.pairings == {"prover": 0, "verifier": 2}
+
+    def test_ddh_solve_exhaustive_q59(self):
+        suite = tate_suite(59)
+        g = suite.g1
+        p = suite.p
+        for a in range(p):
+            for b in range(p):
+                for c in range(p):
+                    assert suite.ddh_solve(g, g ** a, g ** b, g ** c) == (a * b % p == c), (a, b, c)
+
+    def test_real_size(self):
+        suite = suite_from_curve_params(REAL_Q, REAL_P, REAL_H, REAL_GEN)
+        rng = random.Random("real-size pairings_equal")
+        g = suite.g1
+        a, b = suite.random_scalar(rng, nonzero=True), suite.random_scalar(rng, nonzero=True)
+        assert suite.pairings_equal(g ** a, g ** b, g, g ** (a * b))
+        assert not suite.pairings_equal(g ** a, g ** b, g, g ** (a * b + 1))
+
+
+class TestWnafPointMul:
+    """point_mul's signed-window branch against the affine oracle."""
+
+    @pytest.mark.parametrize("q", [59, 83])
+    def test_every_point_small_exponents_and_cofactor(self, q):
+        params = enumerate_and_validate(q).params
+        p, h = params.p, params.h
+        for pt in curve_points(q):
+            for k in [*range(-2 * p, 2 * p + 1), h]:
+                assert point_mul(k, pt, q) == naive_double_and_add(k, pt, q), (pt, k)
+
+    def test_real_size(self):
+        rng = random.Random("real-size wNAF")
+        for base in (REAL_GEN, _random_curve_point(REAL_Q, rng)):
+            for k in (REAL_P - 1, REAL_P, REAL_H, 2**352 - 1, rng.randrange(2**352)):
+                assert point_mul(k, base, REAL_Q) == naive_double_and_add(k, base, REAL_Q), k
