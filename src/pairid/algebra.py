@@ -361,6 +361,16 @@ class GroupSuite:
         self._charge_pairing()
         return self.backend.pair_equal(a.payload, b.payload, c.payload, d.payload)
 
+    def pairings_equal_cleared(self, a: G1Element, b: G1Element, c: G1Element, pt, cleared) -> bool:
+        """e(a, b) == e(c, cleared()), where cleared() returns the G1 element
+        h * pt for the curve point pt, or what stands in for it when that is
+        the identity.  Charged as two pairings, like pairings_equal; the curve
+        backend may decide it from pt without calling cleared()."""
+        self._check_pairing_args(a, b, c)
+        self._charge_pairing()
+        self._charge_pairing()
+        return self.backend.pair_equal_cleared(a.payload, b.payload, c.payload, pt, lambda: cleared().payload)
+
     def ddh_solve(self, g: G1Element, ga: G1Element, gb: G1Element, gc: G1Element) -> bool:
         # Two pairings decide the tuple: e(g, g^c) against e(g^a, g^b).
         return self.pairings_equal(g, gc, ga, gb)

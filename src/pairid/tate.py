@@ -42,7 +42,14 @@ conjugate, and decode's G2 subgroup check is the norm test plus V_p = 2.
 An equality check e(a, b) = e(c, d) needs one final exponentiation:
 M(c, -d) = conj(M(c, d)), so it tests V_h = 2 on M(a, b) * M(c, -d), whose
 two walks the evaluator zips under one squaring per step (Scott, "Computing
-the Tate pairing", CT-RSA 2005).
+the Tate pairing", CT-RSA 2005).  An equality e(a, b) = e(c, h * pt), for a
+hash's candidate pt before its cofactor multiply, skips that multiply when c
+has order p and stored lines: e(c, .) is then bilinear, so with
+t = e(c, pt) it tests V_h = 2 on easy(M(a, b)) * conj(t), and t = 1 exactly
+when h * pt is infinity, where the hash moves on.  That case, and every c
+off the subgroup or without tables, clears the cofactor and compares as
+above (Boneh, Lynn and Shacham, "Short signatures from the Weil pairing",
+ASIACRYPT 2001).
 
 Points that come back (the generator, key elements) get precomputed tables,
 kept per backend in a bounded TableCache from a point's second use on.  A
@@ -52,7 +59,8 @@ at most d additions.  A pairing whose first argument has a table runs the
 evaluator over its stored lines, the walk's triples divided by their c2
 with one batch inversion so that they read (a, b, 1) (the fixed-argument
 precomputation of Barreto et al. and of Lynn's PBC library).  Both give
-exactly what the plain paths give.
+exactly what the plain paths give.  The walk that makes the lines ends at
+p * pt, so whether pt has order p is kept beside them at no cost.
 
 CurveParams.validate() holds every curve rule and counts no points, so it
 works at real size (q of 512 bits) like all the arithmetic here; every
@@ -436,7 +444,8 @@ def _miller_walk(pt: Point, n: int, q: int):
     """Walk the Miller loop of f_{n,pt}: yield each step's lines as triples.
 
     One list per step, holding the triples of its doubling and addition
-    lines (see _double) without the skipped ones.
+    lines (see _double) without the skipped ones.  The walk returns (as its
+    StopIteration value) the Jacobian point it ends at, n * pt.
     """
     x, y = pt
     r = (x, y, 1)
@@ -447,6 +456,7 @@ def _miller_walk(pt: Point, n: int, q: int):
             r, line = _add_mixed(r, x, y, q, line=True)
             step.append(line)
         yield [c for c in step if c is not None]
+    return r
 
 
 def _miller_stored(lines, other: Point, q: int, *more) -> Fq2:
@@ -476,20 +486,32 @@ def _miller(pt: Point, other: Point, n: int, q: int) -> Fq2:
     return _miller_stored(_miller_walk(pt, n, q), other, q)
 
 
-def _miller_lines(pt: Point, n: int, q: int) -> tuple:
-    """The steps of _miller_walk(pt, n, q), stored for any second argument.
+def _stored_walk(pt: Point, n: int, q: int) -> tuple[tuple, bool]:
+    """The steps of _miller_walk(pt, n, q), stored for any second argument,
+    and whether the walk ended at infinity, that is whether n * pt = O.
 
     Each triple is divided by its c2, which is nonzero for canonical pt, so
     it reads (a, b, 1): it differs from the walk's by an F_q* factor and
     vanishes exactly where the walk's does.
     """
-    steps = list(_miller_walk(pt, n, q))
+    walk, steps = _miller_walk(pt, n, q), []
+    try:
+        while True:
+            steps.append(next(walk))
+    except StopIteration as stop:
+        at_infinity = stop.value[2] == 0
     invs = iter(_batch_inverse([c for step in steps for _, _, c in step], q))
     # zip takes from step first, so it stops without consuming an inverse.
-    return tuple(
+    lines = tuple(
         tuple((a * inv % q, b * inv % q, 1) for (a, b, _), inv in zip(step, invs))
         for step in steps
     )
+    return lines, at_infinity
+
+
+def _miller_lines(pt: Point, n: int, q: int) -> tuple:
+    """The stored steps of _stored_walk without the end point's test."""
+    return _stored_walk(pt, n, q)[0]
 
 
 def _line(a: Point, b: Point, xq_im: int, yq_im: int, q: int) -> Fq2:
@@ -664,7 +686,13 @@ class TateBackend:
         return _comb_table(pt, self.p.bit_length(), self.q)
 
     def _lines(self, pt):
-        return _miller_lines(pt, self.p, self.q)
+        # The walk ends at p * pt, so the lines come with pt's order for free.
+        return _stored_walk(pt, self.p, self.q)
+
+    def _stored(self, pt) -> tuple:
+        """(pt's stored Miller lines, whether pt has order p), or (None, False)
+        while pt has no tables.  One use of pt in the TableCache."""
+        return self._table(pt, self._lines) or (None, False)
 
     # Every G2 payload has norm 1: pairing values, powers of e(g, g), decodes
     # checked for order p, and their products and inverses.  So G2 powers run
@@ -703,7 +731,7 @@ class TateBackend:
         raise ValueError("element is outside the working subgroup")
 
     def pair(self, a, b):
-        return tate_pairing(a, b, self.params, self._table(a, self._lines))
+        return tate_pairing(a, b, self.params, self._stored(a)[0])
 
     def pair_equal(self, a, b, c, d) -> bool:
         """pair(a, b) == pair(c, d) with one final exponentiation.
@@ -714,8 +742,36 @@ class TateBackend:
         infinity or off-curve argument, or a vanishing line, takes the two
         pairings instead, with their checks and retry.
         """
+        return self._pair_equal(a, b, c, d, self._stored(a)[0], self._stored(c)[0])
+
+    def pair_equal_cleared(self, a, b, c, pt, cleared) -> bool:
+        """pair(a, b) == pair(c, cleared()), where cleared() is h * pt for the
+        curve point pt unless that is infinity (a hash then moves on).
+
+        When c has order p and stored lines, e(c, .) is bilinear, so
+        e(c, h * pt) = t^h for t = e(c, pt), and t = 1 exactly when h * pt is
+        infinity.  For t != 1 the answer is then V_h = 2 on
+        easy(M(a, b)) * conj(t), and cleared() is never called.  Otherwise (t = 1,
+        c off the subgroup or without tables, an infinity or off-curve
+        argument, or a vanishing line) it is pair_equal(a, b, c, cleared()),
+        on the lines already looked up, so c counts as used once.
+        """
+        q, h = self.q, self.params.h
+        (lines_a, _), (lines_c, order_p) = self._stored(a), self._stored(c)
+        if order_p and all(x is not None and on_curve(x, q) for x in (a, b, pt)):
+            try:
+                t = _norm1_pow(_easy_part(_miller_stored(lines_c, pt, q)), h)
+                if t != Fq2(1, 0, q):
+                    walk_a = _miller_walk(a, self.p, q) if lines_a is None else lines_a
+                    f = _easy_part(_miller_stored(walk_a, b, q)) * Fq2(t.a, -t.b, q)
+                    return _lucas_v(2 * f.a, h, q)[0] == 2
+            except DegeneratePairing:
+                pass
+        return self._pair_equal(a, b, c, cleared(), lines_a, lines_c)
+
+    def _pair_equal(self, a, b, c, d, lines_a, lines_c) -> bool:
+        # pair_equal on a's and c's stored lines (None for a live walk).
         q, p = self.q, self.p
-        lines_a, lines_c = self._table(a, self._lines), self._table(c, self._lines)
         if all(pt is not None and on_curve(pt, q) for pt in (a, b, c, d)):
             walk_a = _miller_walk(a, p, q) if lines_a is None else lines_a
             walk_c = _miller_walk(c, p, q) if lines_c is None else lines_c

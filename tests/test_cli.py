@@ -89,6 +89,20 @@ class TestSignatures:
         assert "valid" in capsys.readouterr().out
         assert main(["sigverify", "--pk", str(pk), "--message", "other", "--sig", sig]) == 1
 
+    def test_bls_roundtrip_on_curve(self, tmp_path, capsys):
+        sk = tmp_path / "bls.key"
+        pk = tmp_path / "bls.pub"
+        main(["keygen", "--scheme", "blsid", "--backend", "tate", "--q", "523",
+              "--out", str(sk), "--pub-out", str(pk)])
+        assert main(["sign", "--key", str(sk), "--message", "hello"]) == 0
+        sig = capsys.readouterr().out.strip().splitlines()[-1].split(" = ")[1]
+        assert main(["sigverify", "--pk", str(pk), "--message", "hello", "--sig", sig]) == 0
+        assert capsys.readouterr().out.strip() == "valid"
+        assert main(["sigverify", "--pk", str(pk), "--message", "other", "--sig", sig]) == 1
+        identity = "00" + "00" * (len(sig) // 2 - 1)
+        assert main(["sigverify", "--pk", str(pk), "--message", "hello", "--sig", identity]) == 1
+        assert capsys.readouterr().out.strip().splitlines()[-1] == "invalid"
+
     def test_bb_roundtrip(self, tmp_path, capsys):
         sk = tmp_path / "bb.key"
         pk = tmp_path / "bb.pub"

@@ -1,11 +1,15 @@
+import hashlib
 import random
 
 import pytest
 
-from pairid.algebra import KIND_G1
+from pairid import signatures
+from pairid.algebra import KIND_G1, G1Element, GroupSuite
+from pairid.primes import _jacobi
 from pairid.signatures import (
     BudgetExceeded,
     DegenerateSuite,
+    ExpKeyPair,
     ForgeryGameConfig,
     HashMode,
     HashSpec,
@@ -20,7 +24,18 @@ from pairid.signatures import (
     forgery_game,
     hash_to_group,
 )
-from pairid.tate import point_mul
+from pairid.tate import (
+    TableCache,
+    TateBackend,
+    enumerate_and_validate,
+    lift_x,
+    point_mul,
+    suite_from_curve_params,
+    tate_suite,
+)
+
+from oracles import curve_points
+from test_tate import REAL_GEN, REAL_H, REAL_P, REAL_Q
 
 
 class FakeRng:
@@ -191,3 +206,137 @@ class TestForgeryGame:
         line = report.line()
         assert line.startswith("forgery:bls: 0/4 wins")
         assert "hash=0" in line and "sign=0" in line
+
+
+# SHA-256 over the encoded hash_to_group points of _PIN_MESSAGES, recorded
+# while try-and-increment still called lift_x on every x, before the Jacobi
+# skip and the candidate generator.
+_PIN_MESSAGES = [b"pin %d" % i for i in range(40)]
+_PINNED_HASHES = {
+    83: "efaddbb2ffbffbab914d8f68f67ee81e8223909af25ce9ac3d74be61e81fb471",
+    523: "0b5b1124406042ffba1f7d0cc4bbdd8a3c19a82353a9b4d1b82e1f76ef91b49c",
+    "real": "7bf8f5af341b465cf227042530ed126a766cf957c6340ee6d272c1b09c3ec697",
+}
+_TRY = HashSpec(HashMode.TRY_INCREMENT)
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except Exception as exc:  # the type must match too
+        return type(exc)
+
+
+def _fell_back(monkeypatch):
+    """A bls_verify that also says whether it cleared the cofactor, that is
+    whether it fell back from the fold."""
+    calls = []
+    clear = signatures._clear_cofactor
+
+    def counted(candidates, suite):
+        calls.append(1)
+        return clear(candidates, suite)
+
+    monkeypatch.setattr(signatures, "_clear_cofactor", counted)
+
+    def verify(*args):
+        calls.clear()
+        return _outcome(lambda: bls_verify(*args)), bool(calls)
+
+    return verify
+
+
+class TestTryIncrementPinned:
+    @pytest.mark.parametrize("curve", [83, 523, "real"])
+    def test_hash_values(self, curve):
+        if curve == "real":
+            suite = suite_from_curve_params(REAL_Q, REAL_P, REAL_H, REAL_GEN)
+        else:
+            suite = tate_suite(curve)
+        encoded = b"".join(suite.encode_element(hash_to_group(m, _TRY, suite)) for m in _PIN_MESSAGES)
+        assert hashlib.sha256(encoded).hexdigest() == _PINNED_HASHES[curve]
+
+    @pytest.mark.parametrize("q", [59, 83, 523])
+    def test_jacobi_skip_is_exactly_lift_failure(self, q):
+        for x in range(q):
+            assert (_jacobi(x * x * x + x, q) == -1) == (lift_x(x, q) is None), x
+
+
+def _sweep_messages(suite):
+    # Twelve messages; some first candidate P' has h * P' = O, so its hash
+    # is drawn from a later counter.
+    msgs = [b"m%d" % i for i in range(3, 15)]
+    h, q = suite.backend.params.h, suite.backend.q
+    assert any(point_mul(h, next(signatures._try_increment(m, _TRY, suite)), q) is None for m in msgs)
+    return msgs
+
+
+class TestCofactorFold:
+    """bls_verify on the curve backend against the two-pairing compare with
+    the cofactor cleared, exceptions included."""
+
+    @pytest.mark.parametrize("q", [59, 83])
+    def test_every_key_cold_and_warm(self, q, monkeypatch):
+        params = enumerate_and_validate(q).params
+        backend = TateBackend(params)
+        suite = GroupSuite(backend)
+        g, p = suite.g1, suite.p
+        msgs = _sweep_messages(suite)
+        pts = curve_points(q)
+        off = G1Element(suite, next(pt for pt in pts if pt is not None and point_mul(p, pt, q) is not None))
+        logs = {point_mul(x, params.gen, q): x for x in range(p)}
+        verify = _fell_back(monkeypatch)
+        for warm in (False, True):
+            folds = 0
+            for pt in pts:
+                v = G1Element(suite, pt)
+                pk = ExpKeyPair(suite, None, v)
+                backend.tables = TableCache()
+                for _ in range(2 if warm else 0):  # two uses build v's lines
+                    _outcome(lambda: backend.pair(pt, params.gen))
+                for m in msgs:
+                    hm = hash_to_group(m, _TRY, suite)
+                    sigs = [suite.g1_identity(), g, g ** 2, off]
+                    if pt in logs:
+                        sigs.append(hm ** logs[pt])
+                    for sig in sigs:
+                        if not warm:
+                            backend.tables = TableCache()
+                        got, fell_back = verify(pk, m, sig, _TRY)
+                        assert got == _outcome(lambda: suite.pairings_equal(g, sig, v, hm)), (pt, m, sig)
+                        # Cold, only v = g has lines, built by its use as the
+                        # first argument just before.
+                        assert fell_back or warm or pt == params.gen
+                        folds += not fell_back
+            assert folds
+
+    def test_charges_two_pairings_on_both_paths(self, monkeypatch):
+        suite = GroupSuite(TateBackend(enumerate_and_validate(523).params), counted=True)
+        kp = bls_keygen(suite, random.Random("counted fold"))
+        sig = bls_sign(kp, b"counted", _TRY)
+        verify = _fell_back(monkeypatch)
+        for fallback in (True, False):  # v's first use has no lines; its second builds them
+            suite.counter.reset()
+            with suite.role("verifier"):
+                assert verify(kp.public(), b"counted", sig, _TRY) == (True, fallback)
+            assert suite.counter.pairings == {"prover": 0, "verifier": 2}
+            assert suite.counter.g1_exp == {"prover": 0, "verifier": 0}
+            assert suite.counter.g2_exp == {"prover": 0, "verifier": 0}
+
+    def test_one_table_use_per_verify(self, monkeypatch):
+        # v is used once per verify, as in the two-pairing compare: its first
+        # verify leaves it seen once with no table, its second builds its lines.
+        params = enumerate_and_validate(523).params
+        other = GroupSuite(TateBackend(params))
+        kp = bls_keygen(other, random.Random("table use"))
+        msgs = [b"first", b"second"]
+        sigs = [bls_sign(kp, m, _TRY) for m in msgs]
+        folded = GroupSuite(TateBackend(params))
+        plain = GroupSuite(TateBackend(params))
+        verify = _fell_back(monkeypatch)
+        for m, sig, fallback, sizes in zip(msgs, sigs, (True, False), ((1, 1), (0, 2))):
+            v, s = G1Element(folded, kp.v.payload), G1Element(folded, sig.payload)
+            assert verify(ExpKeyPair(folded, None, v), m, s, _TRY) == (True, fallback)
+            v, s = G1Element(plain, kp.v.payload), G1Element(plain, sig.payload)
+            assert plain.pairings_equal(plain.g1, s, v, hash_to_group(m, _TRY, plain))
+            assert folded.backend.tables.sizes() == plain.backend.tables.sizes() == sizes

@@ -936,3 +936,45 @@ class TestWnafPointMul:
         for base in (REAL_GEN, _random_curve_point(REAL_Q, rng)):
             for k in (REAL_P - 1, REAL_P, REAL_H, 2**352 - 1, rng.randrange(2**352)):
                 assert point_mul(k, base, REAL_Q) == naive_double_and_add(k, base, REAL_Q), k
+
+
+class TestCofactorFold:
+    """pair_equal_cleared, which may fold the cofactor h into the pairing,
+    against pair_equal on the cleared point, exceptions included."""
+
+    @pytest.mark.parametrize("q", [59, 83])
+    def test_every_key_and_candidate(self, q):
+        params = enumerate_and_validate(q).params
+        backend = TateBackend(params)
+        g, p, h = params.gen, params.p, params.h
+        for c in curve_points(q):
+            for _ in range(2):  # two uses build c's lines, where it has them
+                _outcome(lambda: backend.pair(c, g))
+            for d in filter(None, curve_points(q)):
+                for b in (g, point_mul(2, g, q)):
+                    calls = []
+
+                    def cleared():
+                        calls.append(1)
+                        return point_mul(h, d, q)
+
+                    got = _outcome(lambda: backend.pair_equal_cleared(g, b, c, d, cleared))
+                    assert got == _outcome(lambda: backend.pair_equal(g, b, c, point_mul(h, d, q))), (b, c, d)
+                    # It folds exactly for c of order p and h * d not infinity.
+                    fold = c is not None and point_mul(p, c, q) is None and point_mul(h, d, q) is not None
+                    assert bool(calls) != fold, (b, c, d)
+
+    def test_real_size(self):
+        backend = suite_from_curve_params(REAL_Q, REAL_P, REAL_H, REAL_GEN).backend
+        rng = random.Random("real-size fold")
+        k = rng.randrange(1, REAL_P)
+        key = naive_double_and_add(k, REAL_GEN, REAL_Q)
+        for _ in range(2):
+            backend.pair(key, REAL_GEN)
+        for _ in range(2):
+            d = _random_curve_point(REAL_Q, rng)
+            hd = point_mul(REAL_H, d, REAL_Q)
+            # e(gen, k * hd) = e(k * gen, hd) holds; one more hd breaks it.
+            for b, expect in ((point_mul(k, hd, REAL_Q), True), (point_mul(k + 1, hd, REAL_Q), False)):
+                assert backend.pair_equal(REAL_GEN, b, key, hd) is expect
+                assert backend.pair_equal_cleared(REAL_GEN, b, key, d, lambda: pytest.fail("no fold")) is expect
