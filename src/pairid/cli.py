@@ -1,8 +1,10 @@
 """Command line front end: keys, sessions, signatures, benchmarks, lab games.
 
+`lab` prints one of pairid.lab's named demos; `selftest` runs all of them.
+
 Exit codes: 0 for accept/pass, 1 for reject or a failed bound, 2 for usage
-errors (from argparse or a command), for bad hex input or group parameters,
-and for unreadable or malformed record files.
+errors (from argparse or a command), for bad hex input, group parameters or
+counts, and for unreadable or malformed record files.
 """
 
 from __future__ import annotations
@@ -14,35 +16,11 @@ from random import Random, SystemRandom
 
 from .algebra import MalformedEncoding, Scalar, ValidationFailed, transparent_suite
 from .bench import bench_all, bench_costs
-from .lab import (
-    ProtocolSim,
-    ScriptedBlsidAttacker,
-    ScriptedCdhidAttacker,
-    ScriptedOwfidAttacker,
-    InversionFailed,
-    blsid_forger,
-    build_summary_matrix,
-    cdhid_reduction_game,
-    heavy_row_stats,
-    invert_to_cdh,
-    invert_to_ddh,
-    mitm_relay_demo,
-    owfid_inverter,
-    transparent_pairing_inverter,
-)
+from .lab import DEMO_DEFAULTS, DEMOS, DemoInputError, run_demo
 from .records import RecordError, load_key, save_key, save_transcript
 from .schemes import SchemeId, default_scheme_params, keygen, run_session
 from .session import SocketTransport, StdioTransport, loopback_session, run_verifier, serve_prover
-from .signatures import (
-    BbKeyPair,
-    ExpKeyPair,
-    ForgeryGameConfig,
-    bb_sign,
-    bb_verify,
-    bls_sign,
-    bls_verify,
-    forgery_game,
-)
+from .signatures import BbKeyPair, ExpKeyPair, bb_sign, bb_verify, bls_sign, bls_verify
 from .tate import tate_suite
 from .wire import TAG_CHALLENGE, frame_encode
 
@@ -187,6 +165,8 @@ def cmd_sigverify(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.sessions < 1:
+        raise UsageError(f"sessions must be at least 1, got {args.sessions}")
     suite = _build_suite(args)
     if args.scheme and not args.all_schemes:
         results = [bench_costs(SchemeId(args.scheme), suite, sessions=args.sessions)]
@@ -197,98 +177,11 @@ def cmd_bench(args) -> int:
     return 0 if all(res.matches for res in results) else 1
 
 
-def _lab_omcdh(args, suite) -> int:
-    attacker = ScriptedCdhidAttacker(eps=args.eps, queries=args.queries)
-    report = cdhid_reduction_game(attacker, suite, q=args.queries, trials=args.trials, seed=args.seed)
-    print(report.line())
-    return 0 if report.wins > 0 else 1
-
-
-def _lab_forgery(args, suite) -> int:
-    params = default_scheme_params(suite)
-    attacker = ScriptedBlsidAttacker(n=params.n, queries=args.queries)
-    config = ForgeryGameConfig(q_s=args.queries, q_h=4 * args.queries, trials=args.trials, seed=args.seed)
-    report = forgery_game("bls", blsid_forger(attacker, params), config, suite)
-    print(report.line())
-    return 0 if report.wins > 0 else 1
-
-
-def _lab_invert_cdh(args, suite) -> int:
-    rng = Random(args.seed)
-    inverter = transparent_pairing_inverter(suite)
-    g = suite.g1
-    a = suite.random_scalar(rng, nonzero=True)
-    b = suite.random_scalar(rng, nonzero=True)
-    answer = invert_to_cdh(inverter, g, g**a, g**b)
-    ok = answer == g ** (a * b)
-    print(f"exponent-combination answer {'correct' if ok else 'wrong'}")
-    return 0 if ok else 1
-
-
-def _lab_invert_ddh(args, suite) -> int:
-    rng = Random(args.seed)
-    inverter = transparent_pairing_inverter(suite)
-    y = suite.random_g2(rng, nonidentity=True)
-    a = suite.random_scalar(rng, nonzero=True)
-    b = suite.random_scalar(rng, nonzero=True)
-    real = invert_to_ddh(inverter, y, y**a, y**b, y ** (a * b), suite, rng)
-    fake = invert_to_ddh(inverter, y, y**a, y**b, y ** (a * b + 1), suite, rng)
-    print(f"matched tuple: {real}, mismatched tuple: {fake}")
-    return 0 if real and not fake else 1
-
-
-def _lab_heavyrow(args, suite) -> int:
-    attacker = ScriptedCdhidAttacker(eps=args.eps, queries=0)
-    sim = ProtocolSim.new(SchemeId.CDHID, suite, seed=args.seed, q=0)
-    seeds = [f"{args.seed}:row{i}" for i in range(args.trials)]
-    cols = min(suite.p - 1, 8)
-    challenges = [(suite.g1_from_int(k),) for k in range(1, cols + 1)]
-    stats = heavy_row_stats(build_summary_matrix(attacker, sim, seeds, challenges))
-    print(
-        f"matrix {stats.shape[0]}x{stats.shape[1]}: {stats.ones} ones, "
-        f"{len(stats.heavy_rows)} heavy rows carrying {stats.heavy_mass:.3f} of the mass"
-    )
-    return 0 if stats.heavy_mass > 0.5 else 1
-
-
-def _lab_extractor(args, suite) -> int:
-    rng = Random(args.seed)
-    attacker = ScriptedOwfidAttacker(eps=args.eps)
-    P = suite.random_g1(rng, nonidentity=True)
-    y = suite.random_g2(rng, nonidentity=True)
-    try:
-        Z = owfid_inverter(attacker, P, y, suite, mode=args.mode, eps=args.eps, rng=rng)
-    except InversionFailed as exc:
-        print(f"inversion failed: {exc}")
-        return 1
-    ok = suite.pairing(P, Z) == y
-    print(f"extracted preimage {'verifies' if ok else 'does not verify'}")
-    return 0 if ok else 1
-
-
-def _lab_mitm(args, suite) -> int:
-    clean = mitm_relay_demo(suite, seed=args.seed)
-    flipped = mitm_relay_demo(suite, seed=args.seed, flip=(2, 5, 0))
-    for label, report in (("verbatim", clean), ("bit-flipped", flipped)):
-        print(f"{label}: {'accept' if report.decision else 'reject'} over {len(report.frames)} frames")
-        print(f"  {report.note}")
-    return 0 if clean.decision and not flipped.decision else 1
-
-
-_LAB_GAMES = {
-    "omcdh": _lab_omcdh,
-    "forgery": _lab_forgery,
-    "invert-cdh": _lab_invert_cdh,
-    "invert-ddh": _lab_invert_ddh,
-    "heavyrow": _lab_heavyrow,
-    "extractor": _lab_extractor,
-    "mitm": _lab_mitm,
-}
-
-
 def cmd_lab(args) -> int:
     suite = transparent_suite(args.p if args.p else 1009)
-    return _LAB_GAMES[args.game](args, suite)
+    ok, lines = run_demo(args.game, suite, args.seed, args.eps, args.trials, args.queries, args.mode)
+    print(*lines, sep="\n")
+    return 0 if ok else 1
 
 
 def cmd_selftest(args) -> int:
@@ -310,6 +203,8 @@ def cmd_selftest(args) -> int:
         check(f"{scheme.value} loopback session accepts", prover_res.decision and verifier_res.decision)
     for res in bench_all(suite, sessions=2, seed="selftest"):
         check(f"{res.scheme.value} costs match the expected table", res.matches)
+    for name in DEMOS:
+        check(f"lab {name}", run_demo(name, suite, **DEMO_DEFAULTS)[0])
 
     curve = tate_suite(83)
     for scheme in SchemeId:
@@ -376,14 +271,14 @@ def main(argv=None) -> int:
     sp.set_defaults(func=cmd_bench)
 
     sp = sub.add_parser("lab", help="run a security-game demonstration")
-    sp.add_argument("--game", required=True, choices=sorted(_LAB_GAMES))
+    sp.add_argument("--game", required=True, choices=sorted(DEMOS))
     sp.add_argument("--p", type=int, default=None, help="transparent group order (default 1009)")
-    sp.add_argument("--eps", type=float, default=0.4)
-    sp.add_argument("--trials", type=int, default=100)
-    sp.add_argument("--queries", type=int, default=4)
-    sp.add_argument("--seed", default="lab")
-    sp.add_argument("--mode", choices=("iterated", "single-shot"), default="iterated")
-    sp.set_defaults(func=cmd_lab)
+    sp.add_argument("--eps", type=float)
+    sp.add_argument("--trials", type=int)
+    sp.add_argument("--queries", type=int)
+    sp.add_argument("--seed")
+    sp.add_argument("--mode", choices=("iterated", "single-shot"))
+    sp.set_defaults(func=cmd_lab, **DEMO_DEFAULTS)
 
     sp = sub.add_parser("selftest", help="quick end-to-end exercise of both backends")
     sp.set_defaults(func=cmd_selftest)
@@ -391,7 +286,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (RecordError, UsageError, ValidationFailed) as exc:
+    except (DemoInputError, RecordError, UsageError, ValidationFailed) as exc:
         print(f"pairid: {exc}", file=sys.stderr)
         return 2
 

@@ -15,12 +15,15 @@ success rate are provided for calibrating the statistical claims: they
 decide win/lose by a keyed hash over (their per-seed nonce, the challenge),
 which makes the seed-by-challenge outcome matrix a well-defined object that
 can be tabulated exhaustively.
+
+The repeated games share one trial loop, signatures.run_trials.  DEMOS names
+one demo per game; run_demo sets it up and returns (passed, lines), which is
+all that `pairid lab` prints and `pairid selftest` checks.
 """
 
 from __future__ import annotations
 
 import hashlib
-import time
 from dataclasses import dataclass, replace
 from math import ceil
 from random import Random
@@ -43,7 +46,16 @@ from .schemes import (
     keygen,
     owfid_verify,
 )
-from .signatures import BudgetExceeded, ExpKeyPair, GameReport, bls_verify, hash_to_group
+from .signatures import (
+    BudgetExceeded,
+    ExpKeyPair,
+    ForgeryGameConfig,
+    GameReport,
+    bls_verify,
+    forgery_game,
+    hash_to_group,
+    run_trials,
+)
 from .wire import (
     LengthMismatch,
     ShortFrame,
@@ -205,25 +217,20 @@ def run_attack(sim: ProtocolSim, attacker: AttackerPair, seed, forced_challenge:
     return channel.decision, channel.transcript()
 
 
-def _accepted(sim: ProtocolSim, attacker: AttackerPair, seed, forced_challenge: tuple | None = None) -> bool:
-    """run_attack's decision, with a forfeited run counted as a reject."""
+def _accepted(sim: ProtocolSim, attacker: AttackerPair, seed, forced_challenge: tuple | None = None) -> Transcript | None:
+    """run_attack's transcript if it was accepted, else None; a forfeited run is a reject."""
     try:
-        return bool(run_attack(sim, attacker, seed, forced_challenge)[0])
+        decision, transcript = run_attack(sim, attacker, seed, forced_challenge)
     except (BudgetExceeded, AttackFailed):
-        return False
+        return None
+    return transcript if decision else None
 
 
 def attack_success_rate(attacker: AttackerPair, sim: ProtocolSim, trials: int = 100, seed=0) -> GameReport:
-    t0 = time.monotonic()
-    wins = sum(_accepted(sim, attacker, f"{seed}:{i}") for i in range(trials))
-    return GameReport(
-        game=f"impersonation:{sim.scheme.value}",
-        params={"p": sim.suite.p, "q": sim.q},
-        trials=trials,
-        wins=wins,
-        advantage=wins / trials if trials else 0.0,
-        seconds=time.monotonic() - t0,
-    )
+    def trial(i):
+        return _accepted(sim, attacker, f"{seed}:{i}") is not None, {}
+
+    return run_trials(f"impersonation:{sim.scheme.value}", {"p": sim.suite.p, "q": sim.q}, trials, trial)
 
 
 def estimate_success(attacker: AttackerPair, sim: ProtocolSim, sessions: int = 200, seed="pilot") -> float:
@@ -254,7 +261,7 @@ class SummaryMatrix:
 
 
 def build_summary_matrix(attacker: AttackerPair, sim: ProtocolSim, seeds, challenges) -> SummaryMatrix:
-    bits = [[int(_accepted(sim, attacker, seed, ch)) for ch in challenges] for seed in seeds]
+    bits = [[int(_accepted(sim, attacker, seed, ch) is not None) for ch in challenges] for seed in seeds]
     return SummaryMatrix(list(seeds), list(challenges), bits)
 
 
@@ -318,34 +325,21 @@ def probe_strategy(
     ops = SCHEMES[sim.scheme]
 
     n1 = ceil(1 / eps)
-    first = None
-    phase1 = 0
-    for _ in range(n1):
-        phase1 += 1
+    for phase1 in range(1, n1 + 1):
         seed = f"probe:{rng.getrandbits(48)}"
-        try:
-            decision, t = run_attack(sim, attacker, seed)
-        except (BudgetExceeded, AttackFailed):
-            continue
-        if decision:
-            first = (seed, t)
+        t1 = _accepted(sim, attacker, seed)
+        if t1 is not None:
             break
-    if first is None:
+    else:
         raise ProbeFailed(f"phase one found no accepting run in {n1} probes")
 
-    seed, t1 = first
     n2 = ceil(2 / eps)
-    phase2 = 0
-    for _ in range(n2):
-        phase2 += 1
+    for phase2 in range(1, n2 + 1):
         ch = ops.sample_challenge(sim.suite, sim.params, rng)
         if ch == t1.challenge:
             continue  # same column: a wasted probe
-        try:
-            decision, t2 = run_attack(sim, attacker, seed, forced_challenge=ch)
-        except (BudgetExceeded, AttackFailed):
-            continue
-        if decision:
+        t2 = _accepted(sim, attacker, seed, forced_challenge=ch)
+        if t2 is not None:
             if t2.commitment != t1.commitment:
                 raise ProbeFailed("rewind did not reproduce the commitment")
             return ProbeReport(first=t1, second=t2, seed=seed, eps=eps, phase1_probes=phase1, phase2_probes=phase2)
@@ -493,33 +487,19 @@ class OmCdhContext:
 
 def om_cdh_game(adversary, suite: GroupSuite, q: int = 8, trials: int = 100, seed=0) -> GameReport:
     """Run adversary(ctx, rng) -> G1 guess; win iff the guess is target^x."""
-    wins = 0
-    calls = 0
-    t0 = time.monotonic()
-    for trial in range(trials):
-        rng_game = Random(f"{seed}:{trial}:game")
-        rng_adv = Random(f"{seed}:{trial}:adv")
+
+    def trial(i):
+        rng_game = Random(f"{seed}:{i}:game")
         x = suite.random_scalar(rng_game, nonzero=True)
         ctx = OmCdhContext(suite, x, q, rng_game)
         try:
-            answer = adversary(ctx, rng_adv)
+            answer = adversary(ctx, Random(f"{seed}:{i}:adv"))
         except (BudgetExceeded, OrderingViolation, AttackFailed):
-            calls += ctx.calls
-            continue
-        calls += ctx.calls
-        if ctx.target is None or not isinstance(answer, G1Element):
-            continue
-        if answer == ctx.target ** x:
-            wins += 1
-    return GameReport(
-        game="one-more-cdh",
-        params={"q": q, "p": suite.p},
-        trials=trials,
-        wins=wins,
-        advantage=wins / trials if trials else 0.0,
-        queries={"cdh": calls},
-        seconds=time.monotonic() - t0,
-    )
+            answer = None
+        won = ctx.target is not None and isinstance(answer, G1Element) and answer == ctx.target ** x
+        return won, {"cdh": ctx.calls}
+
+    return run_trials("one-more-cdh", {"q": q, "p": suite.p}, trials, trial, ("cdh",))
 
 
 def cdhid_reduction(attacker: AttackerPair, ctx: OmCdhContext, rng: Random, params: SchemeParams | None = None) -> G1Element:
@@ -859,3 +839,102 @@ class ScriptedOwfidAttacker(AttackerPair):
         else:
             # Off-by-one exponent: verification picks up a stray factor of y.
             channel.send_response((T, a + 1))
+
+
+# -- named demos: the games that `pairid lab` and `pairid selftest` run -------------
+
+
+class DemoInputError(ValueError):
+    """A demo was asked for counts it cannot run with."""
+
+
+def _omcdh_demo(suite, seed, eps, trials, queries, **_):
+    attacker = ScriptedCdhidAttacker(eps=eps, queries=queries)
+    report = cdhid_reduction_game(attacker, suite, q=queries, trials=trials, seed=seed)
+    return report.wins > 0, [report.line()]
+
+
+def _forgery_demo(suite, seed, trials, queries, **_):
+    params = default_scheme_params(suite)
+    # The attacker's queries are distinct n-bit challenges.
+    if queries > 2**params.n:
+        raise DemoInputError(f"queries must be at most 2^{params.n} at p = {suite.p}, got {queries}")
+    attacker = ScriptedBlsidAttacker(n=params.n, queries=queries)
+    config = ForgeryGameConfig(q_s=queries, q_h=4 * queries, trials=trials, seed=seed)
+    report = forgery_game("bls", blsid_forger(attacker, params), config, suite)
+    return report.wins > 0, [report.line()]
+
+
+def _invert_cdh_demo(suite, seed, **_):
+    rng = Random(seed)
+    g = suite.g1
+    a = suite.random_scalar(rng, nonzero=True)
+    b = suite.random_scalar(rng, nonzero=True)
+    ok = invert_to_cdh(transparent_pairing_inverter(suite), g, g**a, g**b) == g ** (a * b)
+    return ok, [f"exponent-combination answer {'correct' if ok else 'wrong'}"]
+
+
+def _invert_ddh_demo(suite, seed, **_):
+    rng = Random(seed)
+    inverter = transparent_pairing_inverter(suite)
+    y = suite.random_g2(rng, nonidentity=True)
+    a = suite.random_scalar(rng, nonzero=True)
+    b = suite.random_scalar(rng, nonzero=True)
+    real = invert_to_ddh(inverter, y, y**a, y**b, y ** (a * b), suite, rng)
+    fake = invert_to_ddh(inverter, y, y**a, y**b, y ** (a * b + 1), suite, rng)
+    return real and not fake, [f"matched tuple: {real}, mismatched tuple: {fake}"]
+
+
+def _heavyrow_demo(suite, seed, eps, trials, **_):
+    attacker = ScriptedCdhidAttacker(eps=eps, queries=0)
+    sim = ProtocolSim.new(SchemeId.CDHID, suite, seed=seed, q=0)
+    seeds = [f"{seed}:row{i}" for i in range(trials)]
+    challenges = [(suite.g1_from_int(k),) for k in range(1, min(suite.p - 1, 8) + 1)]
+    stats = heavy_row_stats(build_summary_matrix(attacker, sim, seeds, challenges))
+    line = (f"matrix {stats.shape[0]}x{stats.shape[1]}: {stats.ones} ones, "
+            f"{len(stats.heavy_rows)} heavy rows carrying {stats.heavy_mass:.3f} of the mass")
+    return stats.heavy_mass > 0.5, [line]
+
+
+def _extractor_demo(suite, seed, eps, mode, **_):
+    rng = Random(seed)
+    P = suite.random_g1(rng, nonidentity=True)
+    y = suite.random_g2(rng, nonidentity=True)
+    try:
+        Z = owfid_inverter(ScriptedOwfidAttacker(eps=eps), P, y, suite, mode=mode, eps=eps, rng=rng)
+    except InversionFailed as exc:
+        return False, [f"inversion failed: {exc}"]
+    ok = suite.pairing(P, Z) == y
+    return ok, [f"extracted preimage {'verifies' if ok else 'does not verify'}"]
+
+
+def _mitm_demo(suite, seed, **_):
+    clean = mitm_relay_demo(suite, seed=seed)
+    flipped = mitm_relay_demo(suite, seed=seed, flip=(2, 5, 0))
+    lines = []
+    for label, report in (("verbatim", clean), ("bit-flipped", flipped)):
+        lines += [f"{label}: {'accept' if report.decision else 'reject'} over {len(report.frames)} frames",
+                  f"  {report.note}"]
+    return clean.decision and not flipped.decision, lines
+
+
+DEMOS = {
+    "omcdh": _omcdh_demo,
+    "forgery": _forgery_demo,
+    "invert-cdh": _invert_cdh_demo,
+    "invert-ddh": _invert_ddh_demo,
+    "heavyrow": _heavyrow_demo,
+    "extractor": _extractor_demo,
+    "mitm": _mitm_demo,
+}
+# The `pairid lab` flag defaults, which `pairid selftest` runs every demo at.
+DEMO_DEFAULTS = {"seed": "lab", "eps": 0.4, "trials": 100, "queries": 4, "mode": "iterated"}
+
+
+def run_demo(name: str, suite: GroupSuite, seed, eps: float, trials: int, queries: int, mode: str):
+    """Run one named demo; return (passed, the lines that report it)."""
+    if trials < 1:
+        raise DemoInputError(f"trials must be at least 1, got {trials}")
+    if queries < 0:
+        raise DemoInputError(f"queries must be at least 0, got {queries}")
+    return DEMOS[name](suite, seed=seed, eps=eps, trials=trials, queries=queries, mode=mode)

@@ -270,6 +270,24 @@ class GameReport:
         )
 
 
+def run_trials(game: str, params: dict, trials: int, trial, oracles: tuple = ()) -> GameReport:
+    """Play trial(i) for i in range(trials) and report the win rate.
+
+    trial(i) returns (won, {oracle: queries spent}).  The report names every
+    oracle in oracles, so a run of zero trials still shows them at zero.
+    """
+    wins = 0
+    queries = dict.fromkeys(oracles, 0)
+    t0 = time.monotonic()
+    for i in range(trials):
+        won, spent = trial(i)
+        wins += won
+        for oracle, calls in spent.items():
+            queries[oracle] += calls
+    advantage = wins / trials if trials else 0.0
+    return GameReport(game, params, trials, wins, advantage, queries, seconds=time.monotonic() - t0)
+
+
 class _SignOracle:
     def __init__(self, limit: int):
         self.limit = limit
@@ -327,38 +345,21 @@ def forgery_game(
     if sig_scheme not in ("bls", "bb"):
         raise ValueError(f"unknown signature scheme {sig_scheme!r}")
     spec = hash_spec if hash_spec is not None else default_hash_spec(suite)
-    wins = 0
-    sign_calls = 0
-    hash_calls = 0
-    t0 = time.monotonic()
-    for trial in range(config.trials):
-        rng_game = Random(f"{config.seed}:{trial}:game")
-        rng_adv = Random(f"{config.seed}:{trial}:adv")
+
+    def trial(i):
+        rng_game = Random(f"{config.seed}:{i}:game")
         kp = bls_keygen(suite, rng_game) if sig_scheme == "bls" else bb_keygen(suite, rng_game)
         ctx = ForgeryContext(sig_scheme, kp, suite, spec, config, rng_game)
         try:
-            message, forgery = adversary(ctx, rng_adv)
+            message, forgery = adversary(ctx, Random(f"{config.seed}:{i}:adv"))
         except BudgetExceeded:
-            sign_calls += ctx._sign.calls
-            hash_calls += ctx._hash.calls
-            continue
-        sign_calls += ctx._sign.calls
-        hash_calls += ctx._hash.calls
-        if message in ctx.signed:
-            continue  # not fresh: no credit
-        if sig_scheme == "bls":
-            ok = bls_verify(kp.public(), message, forgery, spec)
+            won = False
         else:
-            sig, r = forgery
-            ok = bb_verify(kp.public(), message, sig, r)
-        if ok:
-            wins += 1
-    return GameReport(
-        game=f"forgery:{sig_scheme}",
-        params={"q_s": config.q_s, "q_h": config.q_h, "p": suite.p},
-        trials=config.trials,
-        wins=wins,
-        advantage=wins / config.trials if config.trials else 0.0,
-        queries={"sign": sign_calls, "hash": hash_calls},
-        seconds=time.monotonic() - t0,
-    )
+            # A message sent to the sign oracle is not fresh: no credit.
+            won = message not in ctx.signed and (
+                bls_verify(kp.public(), message, forgery, spec) if sig_scheme == "bls"
+                else bb_verify(kp.public(), message, *forgery))
+        return won, {"sign": ctx._sign.calls, "hash": ctx._hash.calls}
+
+    params = {"q_s": config.q_s, "q_h": config.q_h, "p": suite.p}
+    return run_trials(f"forgery:{sig_scheme}", params, config.trials, trial, ("sign", "hash"))

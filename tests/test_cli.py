@@ -1,3 +1,4 @@
+import hashlib
 import socket
 import threading
 import time
@@ -5,6 +6,7 @@ import time
 import pytest
 
 from pairid.cli import main
+from pairid.lab import DEMOS
 from pairid.records import load_key, load_transcript
 
 
@@ -143,6 +145,43 @@ def test_selftest_runs():
     assert main(["selftest"]) == 0
 
 
+# `pairid lab --game G --p P FLAGS` for each P in _LAB_P and flag set in
+# _LAB_FLAGS, in that order: SHA-256 over each run's exit code and stdout.
+_LAB_P = ("101", "1009")
+_LAB_FLAGS = (
+    [],
+    ["--seed", "t", "--trials", "10", "--eps", "0.8", "--queries", "2"],
+    ["--mode", "single-shot", "--seed", "s", "--trials", "5", "--eps", "0.6", "--queries", "0"],
+    ["--seed", "z", "--trials", "3", "--eps", "0.05", "--queries", "1"],
+    ["--seed", "a", "--trials", "2", "--queries", "100"],
+)
+_LAB_DIGESTS = {
+    "omcdh": "9f9af959d8b56260b227ec202f7e06dbe252027dbd1e934857c94aa810e3c857",
+    "forgery": "bb0efbedafb72d787b83a5744ffae889671cb610f787502c286cb17c076bf4c3",
+    "invert-cdh": "00a9835becb6974b9bd546e9f24c90efac1c11cf7800d4962df0278306456adc",
+    "invert-ddh": "aaa40811c6da6090e102e579f2699672c357fcbe9ffe8840612439f67ecf6107",
+    "heavyrow": "7bdad392233882c2a6f8e810f37af5079ecc002ee00a9194547215798ef6098b",
+    "extractor": "13b7ac8450e6e183f03f5e5454185b9b5b04625f84e87ce48b8dda1b206ca146",
+    "mitm": "036f4bf0efd100856cdf2768b7e16c5491f61535e3f2a5add73fd7afbf0d7fda",
+}
+
+
+class TestLabPinned:
+    @pytest.mark.parametrize("game", list(DEMOS))
+    def test_output_digest(self, game, capsys):
+        digest = hashlib.sha256()
+        for p in _LAB_P:
+            for flags in _LAB_FLAGS:
+                rc = main(["lab", "--game", game, "--p", p, *flags])
+                digest.update(f"{rc}\n{capsys.readouterr().out}".encode())
+        assert digest.hexdigest() == _LAB_DIGESTS[game]
+
+    def test_selftest_runs_every_demo(self, capsys):
+        assert main(["selftest"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line for line in lines if " lab " in line] == [f"[ok] lab {name}" for name in DEMOS]
+
+
 def _tcp_session(sk, pk, transcript) -> int:
     """One prove/verify session over TCP with default seeds on both ends."""
     port = free_port()
@@ -199,9 +238,14 @@ class TestUsageErrors:
             ["prove", "--key", "{blsid_pub}", "--listen", "127.0.0.1:1"],
             ["verify", "--pk", "{blsid_pub}", "--connect", "nohostport"],
             ["sigverify", "--pk", "{sdhid_pub}", "--message", "m", "--sig", "0001"],
+            ["bench", "--sessions", "0"],
+            ["lab", "--game", "omcdh", "--trials", "-3"],
+            ["lab", "--game", "forgery", "--queries", "-1"],
+            ["lab", "--game", "forgery", "--p", "5", "--queries", "9"],
         ],
         ids=["sig-not-hex", "sig-unreduced", "message-not-hex", "r-not-hex", "q-1-mod-4", "p-composite",
-             "sign-no-message", "sign-public-key", "prove-public-key", "connect-no-port", "sigverify-no-r"],
+             "sign-no-message", "sign-public-key", "prove-public-key", "connect-no-port", "sigverify-no-r",
+             "sessions-zero", "trials-negative", "queries-negative", "queries-over-challenges"],
     )
     def test_one_line_exit_2(self, argv, tmp_path, capsys):
         names = {"out": str(tmp_path / "new.key")}
