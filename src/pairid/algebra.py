@@ -19,7 +19,7 @@ conventionally drawn up (only explicit exponentiations and pairings count).
 from __future__ import annotations
 
 import contextlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .primes import is_prime
 
@@ -155,13 +155,10 @@ class CostCounter:
         self.sent_bytes[kind] += nbytes
 
     def reset(self, keep_redraws: bool = False):
-        redraws = self.redraws if keep_redraws else 0
-        self.g1_exp = {r: 0 for r in ROLES}
-        self.g2_exp = {r: 0 for r in ROLES}
-        self.pairings = {r: 0 for r in ROLES}
-        self.sent_elems = {k: 0 for k in (KIND_G1, KIND_G2, KIND_ZP, KIND_BITS)}
-        self.sent_bytes = {k: 0 for k in (KIND_G1, KIND_G2, KIND_ZP, KIND_BITS)}
-        self.redraws = redraws
+        """Set every field back to its default, redraws too unless kept."""
+        fresh = CostCounter(redraws=self.redraws if keep_redraws else 0)
+        for f in fields(self):
+            setattr(self, f.name, getattr(fresh, f.name))
 
     def snapshot(self) -> dict:
         return {

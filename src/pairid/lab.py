@@ -845,7 +845,7 @@ class ScriptedOwfidAttacker(AttackerPair):
 
 
 class DemoInputError(ValueError):
-    """A demo was asked for counts it cannot run with."""
+    """A demo was asked for counts or an eps it cannot run with."""
 
 
 def _omcdh_demo(suite, seed, eps, trials, queries, **_):
@@ -937,4 +937,7 @@ def run_demo(name: str, suite: GroupSuite, seed, eps: float, trials: int, querie
         raise DemoInputError(f"trials must be at least 1, got {trials}")
     if queries < 0:
         raise DemoInputError(f"queries must be at least 0, got {queries}")
+    # Also false for NaN.  Below 0.001 the extractor's ceil(1/eps) probes run long.
+    if not 0.001 <= eps <= 1:
+        raise DemoInputError(f"eps must be a finite number in [0.001, 1], got {eps}")
     return DEMOS[name](suite, seed=seed, eps=eps, trials=trials, queries=queries, mode=mode)

@@ -5,7 +5,7 @@ strong Fermat test to base 2, then a strong Lucas test with Selfridge's
 parameters (Baillie and Wagstaff, "Lucas Pseudoprimes", Math. Comp. 1980).
 No composite is known to pass both, and none below 2^64 does.  factor is
 plain trial division, meant for the desk-scale group orders (q + 1 <= 10^4 + 1)
-that exhaustive curve validation factors.
+that the desk curve search factors.
 """
 
 from __future__ import annotations

@@ -53,7 +53,8 @@ class HashMode(str, Enum):
     # digest's sign bit, clear the cofactor.  Curve backend only.
     TRY_INCREMENT = "try-increment"
     # Keyed digest reduced mod p, used as an exponent of the generator.
-    # Backend-independent; the security games default to this.
+    # Backend-independent, and no default: default_hash_spec picks
+    # TEST_VECTOR on the transparent backend and TRY_INCREMENT on the curve.
     PSEUDORANDOM = "pseudorandom"
 
 

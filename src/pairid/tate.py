@@ -20,8 +20,7 @@ Cryptosystems", CRYPTO 2002).  A line has one form, three F_q coefficients
 (c0 + c1*xq) + (c2*yq)*i.  _miller_walk walks the loop and yields each
 step's lines, and _miller_stored, the one evaluator, squares f per step and
 multiplies in each line's value.  It runs over a live walk (_miller), over
-stored lines, over several walks at once, and over the single line of the
-test hook _line.
+stored lines, and over several walks at once.
 
 Lines carry nonzero F_q factors (powers of Z and the slope denominator), and
 vertical lines, whose values lie in F_q, are skipped.  The final
@@ -64,9 +63,10 @@ p * pt, so whether pt has order p is kept beside them at no cost.
 
 CurveParams.validate() holds every curve rule and counts no points, so it
 works at real size (q of 512 bits) like all the arithmetic here; every
-TateBackend runs it, and suites over equal parameters share one backend.
-Only enumerate_and_validate, which counts points to pick p and a generator,
-and TateBackend.log, which brute-forces discrete logs, stay desk-only.
+TateBackend runs it, and suites over equal parameters share a backend from
+a bounded lru_cache.  enumerate_and_validate takes the point count q + 1
+from the theorem above and searches a desk-size q for a generator, and
+TateBackend.log brute-forces discrete logs; only these two stay desk-only.
 """
 
 from __future__ import annotations
@@ -100,12 +100,6 @@ class Fq2:
         self.b = b % q
         self.q = q
 
-    def __add__(self, other: "Fq2") -> "Fq2":
-        return Fq2(self.a + other.a, self.b + other.b, self.q)
-
-    def __sub__(self, other: "Fq2") -> "Fq2":
-        return Fq2(self.a - other.a, self.b - other.b, self.q)
-
     def __mul__(self, other: "Fq2") -> "Fq2":
         q = self.q
         return Fq2(
@@ -133,10 +127,6 @@ class Fq2:
             if bit == "1":
                 u, v = (u * a - v * b) % q, (u * b + v * a) % q
         return Fq2(u, v, q)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
 
     def __eq__(self, other):
         if not isinstance(other, Fq2):
@@ -402,33 +392,25 @@ class CurveValidation:
     factors: dict
 
 
-def enumerate_and_validate(q: int, p: int | None = None, rng: Random | None = None) -> CurveValidation:
-    """Count points exhaustively, pick the subgroup order, find a generator.
+def enumerate_and_validate(q: int, p: int | None = None) -> CurveValidation:
+    """Pick the subgroup order and a generator of a desk-size curve.
 
-    Each x with x^3 + x a nonzero square gives two points, x = 0 gives one,
-    and there is the point at infinity.  For a supersingular curve the total
-    must land exactly on q + 1; anything else is a hard fail.
-    p defaults to the largest prime factor of q + 1; the result is validated.
+    For q prime and q = 3 (mod 4) the curve is supersingular, so it has
+    exactly q + 1 points.  p defaults to the largest prime factor of q + 1,
+    the generator is h * pt for the first point pt drawn with Random(q) that
+    h does not send to infinity, and the result is validated.
     """
     q = int(q)
     if q > 10_000:
-        raise ValidationFailed("exhaustive validation is capped at q <= 10^4")
+        raise ValidationFailed("the desk curve search is capped at q <= 10^4")
     CurveParams.validate_field(q)
 
-    count = 1  # infinity
-    for x in range(q):
-        y = lift_x(x, q)
-        if y is not None:
-            count += 1 if y == 0 else 2
     n = q + 1
-    if count != n:
-        raise ValidationFailed(f"point count {count} != q + 1 = {n}")
-
     factors = factor(n)
     p = max(factors) if p is None else int(p)
     h = n // p if p > 0 else 0  # validate() rejects p <= 0
 
-    rng = rng if rng is not None else Random(q)
+    rng = Random(q)
     gen = None
     for _ in range(1000):
         x = rng.randrange(q)
@@ -509,20 +491,6 @@ def _stored_walk(pt: Point, n: int, q: int) -> tuple[tuple, bool]:
     return lines, at_infinity
 
 
-def _miller_lines(pt: Point, n: int, q: int) -> tuple:
-    """The stored steps of _stored_walk without the end point's test."""
-    return _stored_walk(pt, n, q)[0]
-
-
-def _line(a: Point, b: Point, xq_im: int, yq_im: int, q: int) -> Fq2:
-    """The Miller step's line through a and b at phi(Q) = (xq_im, yq_im*i),
-    xq_im = -x_Q mod q; 1 for a skipped vertical line."""
-    line = None
-    if a is not None and b is not None:
-        line = _add_mixed((a[0], a[1], 1), b[0], b[1], q, line=True)[1]
-    return _miller_stored([[] if line is None else [line]], (-xq_im, yq_im), q)
-
-
 def _lucas_v(t: int, e: int, q: int) -> tuple[int, int]:
     """(V_e, V_{e+1}) mod q for V_0 = 2, V_1 = t, V_{n+1} = t*V_n - V_{n-1}.
 
@@ -568,7 +536,8 @@ def _final_exp(f: Fq2, p: int) -> Fq2:
 def tate_pairing(a: Point, b: Point, params: CurveParams, lines: tuple | None = None) -> Fq2:
     """Reduced Tate pairing e(a, phi(b)) with deterministic retry on zeros.
 
-    lines, internal, is a's _miller_lines for n = p; the result is the same.
+    lines, internal, is a's stored steps from _stored_walk for n = p; the
+    result is the same.
     """
     q, p = params.q, params.p
     one = Fq2(1, 0, q)
@@ -844,26 +813,8 @@ class TateBackend:
         }
 
 
-# Shared backends, least recently used first.
+# Memo bounds: curve parameters per (q, p), backends per CurveParams.
 _SHARED_SLOTS = 8
-_shared_backends: OrderedDict = OrderedDict()
-_shared_lock = threading.Lock()
-
-
-def _shared_suite(params: CurveParams, counted: bool) -> GroupSuite:
-    """A suite over the one backend for params; suites sharing it share its
-    precomputed tables and compare as compatible at once."""
-    with _shared_lock:
-        backend = _shared_backends.get(params)
-        if backend is not None:
-            _shared_backends.move_to_end(params)
-    if backend is None:
-        backend = TateBackend(params)
-        with _shared_lock:
-            backend = _shared_backends.setdefault(params, backend)
-            if len(_shared_backends) > _SHARED_SLOTS:
-                _shared_backends.popitem(last=False)
-    return GroupSuite(backend, counted=counted)
 
 
 @lru_cache(maxsize=_SHARED_SLOTS)
@@ -871,12 +822,19 @@ def _desk_params(q: int, p: int | None) -> CurveParams:
     return enumerate_and_validate(q, p).params
 
 
+@lru_cache(maxsize=_SHARED_SLOTS)
+def _shared_backend(params: CurveParams) -> TateBackend:
+    """The memoised backend for params, so that suites over equal parameters
+    share its precomputed tables.  Two racing first calls may each build
+    one; both are valid, and GroupSuite.compatible compares describe()."""
+    return TateBackend(params)
+
+
 def tate_suite(q: int = 523, p: int | None = None, counted: bool = False) -> GroupSuite:
-    """The desk-scale curve over F_q found by enumerate_and_validate, which
-    counts points once per (q, p) while a bounded memo holds the result."""
-    return _shared_suite(_desk_params(q, p), counted)
+    """The desk-scale curve over F_q found by enumerate_and_validate, memoised per (q, p)."""
+    return GroupSuite(_shared_backend(_desk_params(q, p)), counted=counted)
 
 
 def suite_from_curve_params(q: int, p: int, h: int, gen: tuple[int, int], counted: bool = False) -> GroupSuite:
     """Rebuild a suite from stored parameters, validated on first use."""
-    return _shared_suite(CurveParams(q=q, p=p, h=h, gen=gen), counted)
+    return GroupSuite(_shared_backend(CurveParams(q=q, p=p, h=h, gen=gen)), counted=counted)

@@ -242,10 +242,14 @@ class TestUsageErrors:
             ["lab", "--game", "omcdh", "--trials", "-3"],
             ["lab", "--game", "forgery", "--queries", "-1"],
             ["lab", "--game", "forgery", "--p", "5", "--queries", "9"],
+            ["lab", "--game", "extractor", "--eps", "nan"],
+            ["lab", "--game", "extractor", "--eps", "inf"],
+            ["lab", "--game", "extractor", "--eps", "1e-9"],
         ],
         ids=["sig-not-hex", "sig-unreduced", "message-not-hex", "r-not-hex", "q-1-mod-4", "p-composite",
              "sign-no-message", "sign-public-key", "prove-public-key", "connect-no-port", "sigverify-no-r",
-             "sessions-zero", "trials-negative", "queries-negative", "queries-over-challenges"],
+             "sessions-zero", "trials-negative", "queries-negative", "queries-over-challenges",
+             "eps-nan", "eps-inf", "eps-tiny"],
     )
     def test_one_line_exit_2(self, argv, tmp_path, capsys):
         names = {"out": str(tmp_path / "new.key")}
