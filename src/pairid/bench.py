@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from random import Random
 
 from .algebra import GroupSuite
-from .schemes import SchemeId, SchemeParams, default_scheme_params, keygen, run_session
+from .schemes import SchemeId, keygen, run_session
 
 
 class NonDeterministicCosts(Exception):
@@ -69,24 +69,17 @@ class BenchResult:
         )
 
 
-def bench_costs(
-    scheme: SchemeId,
-    suite: GroupSuite,
-    sessions: int = 4,
-    seed="bench",
-    params: SchemeParams | None = None,
-) -> BenchResult:
+def bench_costs(scheme: SchemeId, suite: GroupSuite, sessions: int = 4, seed="bench") -> BenchResult:
     """Measure one scheme over several honest sessions on a counted clone."""
     scheme = SchemeId(scheme)
     counted = GroupSuite(suite.backend, counted=True)
-    params = params if params is not None else default_scheme_params(counted)
     kp = keygen(scheme, counted, Random(f"{seed}:keygen"))
 
     snapshots = []
     redraws = 0
     for i in range(sessions):
         counted.counter.reset()
-        t = run_session(scheme, kp, counted, seed=f"{seed}:{i}", params=params)
+        t = run_session(scheme, kp, counted, seed=f"{seed}:{i}")
         assert t.decision, "honest session must be accepted"
         snapshots.append(counted.counter.snapshot())
         redraws += counted.counter.redraws

@@ -35,8 +35,8 @@ def _build_suite(args):
     return tate_suite(args.q if args.q else 523, args.p)
 
 
-def _add_suite_args(sub, default_backend="transparent"):
-    sub.add_argument("--backend", choices=("transparent", "tate"), default=default_backend)
+def _add_suite_args(sub):
+    sub.add_argument("--backend", choices=("transparent", "tate"), default="transparent")
     sub.add_argument("--p", type=int, default=None, help="group order (transparent) or subgroup order (tate)")
     sub.add_argument("--q", type=int, default=None, help="field size for the tate backend (default 523)")
 

@@ -193,10 +193,10 @@ class ProtocolSim:
         return self.kp.suite
 
     @classmethod
-    def new(cls, scheme: SchemeId, suite: GroupSuite, seed=0, q: int = 0, params: SchemeParams | None = None):
+    def new(cls, scheme: SchemeId, suite: GroupSuite, seed=0, q: int = 0):
         scheme = SchemeId(scheme)
         kp = keygen(scheme, suite, Random(f"{seed}:keygen"))
-        return cls(scheme, kp, params if params is not None else default_scheme_params(suite), q)
+        return cls(scheme, kp, default_scheme_params(suite), q)
 
 
 def run_attack(sim: ProtocolSim, attacker: AttackerPair, seed, forced_challenge: tuple | None = None):
@@ -356,7 +356,7 @@ class ExtractionResult:
     Z: G1Element
 
 
-def owfid_extractor(t1: Transcript, t2: Transcript, simkey: OwfidKeyPair, pk: OwfidKeyPair | None = None) -> ExtractionResult:
+def owfid_extractor(t1: Transcript, t2: Transcript, simkey: OwfidKeyPair) -> ExtractionResult:
     """Pull a key out of two accepting transcripts sharing a commitment.
 
     Dividing the two response equations cancels the commitment randomness:
@@ -366,7 +366,7 @@ def owfid_extractor(t1: Transcript, t2: Transcript, simkey: OwfidKeyPair, pk: Ow
     learned nothing and SameWitness is raised; otherwise combining the two
     witnesses yields Z with e(P, Z) = y, a pairing preimage of y.
     """
-    pk = pk if pk is not None else simkey.public()
+    pk = simkey.public()
     suite = pk.suite
     for t in (t1, t2):
         if SchemeId(t.scheme) != SchemeId.OWFID:
@@ -400,9 +400,7 @@ def owfid_inverter(
     suite: GroupSuite,
     mode: str = "iterated",
     eps: float | None = None,
-    q: int = 0,
     rng: Random | None = None,
-    params: SchemeParams | None = None,
 ) -> G1Element:
     """Turn an impersonation attacker into a pairing preimage of y under e(P, .).
 
@@ -414,12 +412,12 @@ def owfid_inverter(
     if mode not in ("iterated", "single-shot"):
         raise ValueError(f"unknown inverter mode {mode!r}")
     rng = rng if rng is not None else Random("inverter")
-    params = params if params is not None else default_scheme_params(suite)
+    params = default_scheme_params(suite)
     Qstar = suite.random_g1(rng)
     sstar = suite.random_scalar(rng)
     v = (suite.pairing(P, Qstar) * y**sstar).inverse()
     simkey = OwfidKeyPair(suite, P, y, Qstar, sstar, v)
-    sim = ProtocolSim(SchemeId.OWFID, simkey, params, q)
+    sim = ProtocolSim(SchemeId.OWFID, simkey, params)
 
     if eps is None:
         eps = estimate_success(attacker, sim, sessions=200, seed=f"pilot:{rng.getrandbits(32)}")
@@ -502,7 +500,7 @@ def om_cdh_game(adversary, suite: GroupSuite, q: int = 8, trials: int = 100, see
     return run_trials("one-more-cdh", {"q": q, "p": suite.p}, trials, trial, ("cdh",))
 
 
-def cdhid_reduction(attacker: AttackerPair, ctx: OmCdhContext, rng: Random, params: SchemeParams | None = None) -> G1Element:
+def cdhid_reduction(attacker: AttackerPair, ctx: OmCdhContext, rng: Random) -> G1Element:
     """Play the one-more game using a cdhid impersonation attacker.
 
     Prover queries are forwarded to the helper oracle; the game target is
@@ -510,7 +508,6 @@ def cdhid_reduction(attacker: AttackerPair, ctx: OmCdhContext, rng: Random, para
     the verification equation exactly target^x.
     """
     suite = ctx.suite
-    params = params if params is not None else default_scheme_params(suite)
     pk = ExpKeyPair(suite, None, ctx.v)
 
     # The honest prover's response to challenge h is h^x, exactly what the
@@ -524,8 +521,9 @@ def cdhid_reduction(attacker: AttackerPair, ctx: OmCdhContext, rng: Random, para
     oracle = HonestProverOracle.answering(respond)
     state = attacker.verifier_phase(pk, oracle, rng)
     target = ctx.challenge()
+    # The forced challenge leaves the verifier's stream undrawn.
     channel = HonestVerifierChannel(
-        SchemeId.CDHID, pk, params, Random(f"reduction:{id(ctx)}"), forced_challenge=(target,)
+        SchemeId.CDHID, pk, default_scheme_params(suite), Random("reduction"), forced_challenge=(target,)
     )
     attacker.prover_phase(pk, state, channel, rng)
     if not channel.decision:
@@ -534,28 +532,17 @@ def cdhid_reduction(attacker: AttackerPair, ctx: OmCdhContext, rng: Random, para
 
 
 def cdhid_reduction_game(
-    attacker: AttackerPair,
-    suite: GroupSuite,
-    q: int = 8,
-    trials: int = 100,
-    seed=0,
-    params: SchemeParams | None = None,
+    attacker: AttackerPair, suite: GroupSuite, q: int = 8, trials: int = 100, seed=0
 ) -> GameReport:
     def adversary(ctx, rng):
-        return cdhid_reduction(attacker, ctx, rng, params)
+        return cdhid_reduction(attacker, ctx, rng)
 
     report = om_cdh_game(adversary, suite, q=q, trials=trials, seed=seed)
     return replace(report, game="one-more-cdh:from-cdhid")
 
 
 def blsid_forgery_reduction(
-    attacker: AttackerPair,
-    pk: ExpKeyPair,
-    sign,
-    suite: GroupSuite,
-    params: SchemeParams | None = None,
-    rng: Random | None = None,
-    forced_challenge: tuple | None = None,
+    attacker: AttackerPair, pk: ExpKeyPair, sign, suite: GroupSuite, params: SchemeParams, rng: Random
 ):
     """Turn a blsid impersonation attacker into a signature forger.
 
@@ -563,17 +550,17 @@ def blsid_forgery_reduction(
     honest verifier's random challenge collides with a signed query, the run
     is unusable and FreshnessCollision is raised (checked before the
     decision, so collision statistics do not depend on the attacker's skill).
+    An attacker that never takes the challenge, or whose response is not
+    accepted, makes it raise AttackFailed.
     """
-    params = params if params is not None else default_scheme_params(suite)
-    rng = rng if rng is not None else Random("blsid-reduction")
     # The hash-based prover's response to challenge M is a signature on M,
     # so forwarding to the signer is again a perfect simulation.
     oracle = HonestProverOracle.answering(lambda challenge: (sign(challenge[0]),))
     state = attacker.verifier_phase(pk, oracle, rng)
-    channel = HonestVerifierChannel(
-        SchemeId.BLSID, pk, params, Random(rng.getrandbits(64)), forced_challenge=forced_challenge
-    )
+    channel = HonestVerifierChannel(SchemeId.BLSID, pk, params, Random(rng.getrandbits(64)))
     attacker.prover_phase(pk, state, channel, rng)
+    if not channel.challenge:
+        raise AttackFailed("attacker ended the session before taking the challenge")
     fresh = channel.challenge[0]
     if (fresh,) in oracle.asked:
         raise FreshnessCollision("verifier challenge collided with a signed message")
@@ -748,10 +735,9 @@ class ScriptedCdhidAttacker(AttackerPair):
     outcome matrix a fixed object.
     """
 
-    def __init__(self, eps: float, queries: int = 2, salt: bytes = b"cdhid"):
+    def __init__(self, eps: float, queries: int = 2):
         self.eps = eps
         self.queries = queries
-        self.salt = salt
 
     def verifier_phase(self, pk, prover: HonestProverOracle, rng: Random):
         suite = pk.suite
@@ -764,7 +750,7 @@ class ScriptedCdhidAttacker(AttackerPair):
         suite = pk.suite
         (h,) = channel.get_challenge()
         x = suite.discrete_log(pk.v)
-        if _keyed_bit(self.salt, token, suite.encode_element(h), self.eps):
+        if _keyed_bit(b"cdhid", token, suite.encode_element(h), self.eps):
             channel.send_response((h**x,))
         else:
             channel.send_response((h ** ((x + 1) % suite.p),))
@@ -806,9 +792,8 @@ class ScriptedOwfidAttacker(AttackerPair):
     witness whose exponent matches the simulator's with probability 1/p.
     """
 
-    def __init__(self, eps: float, salt: bytes = b"owfid"):
+    def __init__(self, eps: float):
         self.eps = eps
-        self.salt = salt
 
     def verifier_phase(self, pk, prover, rng: Random):
         suite = pk.suite
@@ -834,7 +819,7 @@ class ScriptedOwfidAttacker(AttackerPair):
         (m,) = channel.send_commitment((commitment,))
         T = R * Q_a**m
         a = r + m * s_a
-        if _keyed_bit(self.salt, token, suite.encode_scalar(m), self.eps):
+        if _keyed_bit(b"owfid", token, suite.encode_scalar(m), self.eps):
             channel.send_response((T, a))
         else:
             # Off-by-one exponent: verification picks up a stray factor of y.

@@ -5,14 +5,15 @@ Records are line-oriented: a `pairid-record <kind> v1` header, then
 same fixed-width encodings the wire uses, and every record embeds enough
 suite description (backend, p, and the curve parameters when applicable) to
 rebuild the suite on load.  Secret fields live under sk.*; a key record
-without them loads as a public key.
+without them loads as a public key.  A record's n and hash.mode are always
+its suite's own, so a record with any other value is refused.
 """
 
 from __future__ import annotations
 
 from .algebra import GroupSuite, MalformedEncoding, transparent_suite
-from .schemes import SCHEMES, SchemeId, SchemeParams, Transcript
-from .signatures import HashMode, HashSpec
+from .schemes import SCHEMES, SchemeId, SchemeParams, Transcript, default_scheme_params
+from .signatures import HashSpec
 from .tate import suite_from_curve_params
 from .wire import decode_payload, encode_payload
 
@@ -102,9 +103,12 @@ def _read(path, expect_kind: str):
         raise RecordError(f"cannot read record {path}: {exc}") from exc
     scheme = _field(fields, "scheme", SchemeId)
     suite = _suite_from_fields(fields)
-    mode = _field(fields, "hash.mode", HashMode)
+    params = default_scheme_params(suite)
+    for name, own in (("n", str(params.n)), ("hash.mode", params.hash_spec.mode.value)):
+        if _field(fields, name) != own:
+            raise RecordError(f"field {name!r} is {fields[name]!r}, but this suite's is {own!r}")
     key = _field(fields, "hash.key", bytes.fromhex) if "hash.key" in fields else b""
-    return fields, scheme, suite, SchemeParams(n=_field(fields, "n", int), hash_spec=HashSpec(mode, key))
+    return fields, scheme, suite, SchemeParams(params.n, HashSpec(params.hash_spec.mode, key))
 
 
 def save_key(path, scheme: SchemeId, kp, params: SchemeParams, include_secret: bool = True):

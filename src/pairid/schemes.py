@@ -4,7 +4,8 @@ Three protocols are two-message (the verifier opens with a random challenge,
 the prover answers, the verifier decides) and three are canonical
 three-message commit/challenge/respond protocols.  Each scheme is described
 by a SchemeOps record holding its keypair class (which declares the key's
-fields), its keygen, message shapes, and the four core callables;
+fields), its keygen, message shapes, and the commit, respond and verify
+callables; its challenge kind picks how challenges are drawn.
 ProverMachine and VerifierMachine drive any of them through the same state
 machine, enforcing message order and charging group operations to the right
 role.  Their base, SessionEngine, is the one sans-I/O engine that every
@@ -228,9 +229,9 @@ def cdhid_verify(pk: ExpKeyPair, h: G1Element, sig: G1Element) -> bool:
     return suite.pairings_equal(suite.g1, sig, pk.v, h)
 
 
-def sdhid_respond(kp: BbKeyPair, m: Scalar, rng: Random, counter=None) -> tuple[G1Element, Scalar]:
+def sdhid_respond(kp: BbKeyPair, m: Scalar, rng: Random) -> tuple[G1Element, Scalar]:
     _check_nonzero(m)
-    return bb_sign(kp, m, rng, counter)
+    return bb_sign(kp, m, rng)
 
 
 def sdhid_verify(pk: BbKeyPair, m: Scalar, sig: G1Element, r: Scalar) -> bool:
@@ -309,13 +310,21 @@ class SchemeOps:
     response_fields: tuple
     keygen: callable
     commit: callable  # (kp, params, rng) -> (state, commitment tuple); None for 2-message
-    sample_challenge: callable  # (suite, params, rng) -> challenge tuple
-    respond: callable  # (kp, state, challenge tuple, params, rng, counter) -> response tuple
+    respond: callable  # (kp, state, challenge tuple, params, rng) -> response tuple
     verify: callable  # (pk, commitment tuple, challenge tuple, response tuple, params) -> bool
 
     @property
     def three_message(self) -> bool:
         return self.commit is not None
+
+    def sample_challenge(self, suite: GroupSuite, params: SchemeParams, rng: Random) -> tuple:
+        """A fresh challenge of the scheme's one challenge kind."""
+        (kind,) = self.challenge_fields
+        if kind == KIND_BITS:
+            return (rng.getrandbits(params.n).to_bytes((params.n + 7) // 8, "big"),)
+        if kind == KIND_G1:
+            return (suite.random_g1(rng, nonidentity=True),)
+        return (suite.random_scalar(rng, nonzero=True),)
 
 
 def _wrap_commit(fn):
@@ -327,19 +336,6 @@ def _wrap_commit(fn):
     return commit
 
 
-def _bits_challenge(suite, params, rng):
-    width = (params.n + 7) // 8
-    return (rng.getrandbits(params.n).to_bytes(width, "big"),)
-
-
-def _g1_challenge(suite, params, rng):
-    return (suite.random_g1(rng, nonidentity=True),)
-
-
-def _scalar_challenge(suite, params, rng):
-    return (suite.random_scalar(rng, nonzero=True),)
-
-
 SCHEMES: dict[SchemeId, SchemeOps] = {
     SchemeId.BLSID: SchemeOps(
         scheme=SchemeId.BLSID,
@@ -349,8 +345,7 @@ SCHEMES: dict[SchemeId, SchemeOps] = {
         response_fields=(KIND_G1,),
         keygen=bls_keygen,
         commit=None,
-        sample_challenge=_bits_challenge,
-        respond=lambda kp, st, ch, params, rng, counter: (blsid_respond(kp, ch[0], params),),
+        respond=lambda kp, st, ch, params, rng: (blsid_respond(kp, ch[0], params),),
         verify=lambda pk, co, ch, re, params: blsid_verify(pk, ch[0], re[0], params),
     ),
     SchemeId.CDHID: SchemeOps(
@@ -361,8 +356,7 @@ SCHEMES: dict[SchemeId, SchemeOps] = {
         response_fields=(KIND_G1,),
         keygen=bls_keygen,
         commit=None,
-        sample_challenge=_g1_challenge,
-        respond=lambda kp, st, ch, params, rng, counter: (cdhid_respond(kp, ch[0]),),
+        respond=lambda kp, st, ch, params, rng: (cdhid_respond(kp, ch[0]),),
         verify=lambda pk, co, ch, re, params: cdhid_verify(pk, ch[0], re[0]),
     ),
     SchemeId.SDHID: SchemeOps(
@@ -373,8 +367,7 @@ SCHEMES: dict[SchemeId, SchemeOps] = {
         response_fields=(KIND_G1, KIND_ZP),
         keygen=bb_keygen,
         commit=None,
-        sample_challenge=_scalar_challenge,
-        respond=lambda kp, st, ch, params, rng, counter: sdhid_respond(kp, ch[0], rng, counter),
+        respond=lambda kp, st, ch, params, rng: sdhid_respond(kp, ch[0], rng),
         verify=lambda pk, co, ch, re, params: sdhid_verify(pk, ch[0], re[0], re[1]),
     ),
     SchemeId.OWFID: SchemeOps(
@@ -385,8 +378,7 @@ SCHEMES: dict[SchemeId, SchemeOps] = {
         response_fields=(KIND_G1, KIND_ZP),
         keygen=owfid_keygen,
         commit=_wrap_commit(owfid_commit),
-        sample_challenge=_scalar_challenge,
-        respond=lambda kp, st, ch, params, rng, counter: owfid_respond(kp, st, ch[0]),
+        respond=lambda kp, st, ch, params, rng: owfid_respond(kp, st, ch[0]),
         verify=lambda pk, co, ch, re, params: owfid_verify(pk, co[0], ch[0], re[0], re[1]),
     ),
     SchemeId.SCL: SchemeOps(
@@ -397,8 +389,7 @@ SCHEMES: dict[SchemeId, SchemeOps] = {
         response_fields=(KIND_G1,),
         keygen=scl_keygen,
         commit=_wrap_commit(scl_commit),
-        sample_challenge=_scalar_challenge,
-        respond=lambda kp, st, ch, params, rng, counter: (scl_respond(kp, st, ch[0]),),
+        respond=lambda kp, st, ch, params, rng: (scl_respond(kp, st, ch[0]),),
         verify=lambda pk, co, ch, re, params: scl_verify(pk, co[0], ch[0], re[0]),
     ),
     SchemeId.HLS: SchemeOps(
@@ -409,8 +400,7 @@ SCHEMES: dict[SchemeId, SchemeOps] = {
         response_fields=(KIND_G1,),
         keygen=hls_keygen,
         commit=_wrap_commit(hls_commit),
-        sample_challenge=_scalar_challenge,
-        respond=lambda kp, st, ch, params, rng, counter: (hls_respond(kp, st, ch[0]),),
+        respond=lambda kp, st, ch, params, rng: (hls_respond(kp, st, ch[0]),),
         verify=lambda pk, co, ch, re, params: hls_verify(pk, co[0], ch[0], re[0]),
     ),
 }
@@ -589,9 +579,8 @@ class ProverMachine(SessionEngine):
         if len(challenge) != len(self.ops.challenge_fields):
             raise ProtocolViolation("challenge has the wrong number of fields")
         self.challenge = challenge
-        counter = self.suite.counter
         with self.suite.role("prover"):
-            self.response = self.ops.respond(self.key, self._secret_state, challenge, self.params, self.rng, counter)
+            self.response = self.ops.respond(self.key, self._secret_state, challenge, self.params, self.rng)
         self.state = "done"
         return self.response
 

@@ -191,12 +191,7 @@ def run_verifier(
     return _run(VerifierMachine(scheme, pk, params, seed=seed, wire=True), transport)
 
 
-def loopback_session(
-    scheme: SchemeId,
-    kp,
-    seed=0,
-    params: SchemeParams | None = None,
-) -> tuple[SessionResult, SessionResult]:
+def loopback_session(scheme: SchemeId, kp, seed=0) -> tuple[SessionResult, SessionResult]:
     """Run prover and verifier over a socketpair; returns both results.
 
     Both endpoints share the keypair's suite, so with a counted suite every
@@ -207,14 +202,14 @@ def loopback_session(
 
     def prover_side():
         try:
-            outcome["prover"] = serve_prover(scheme, kp, SocketTransport(left), seed, params)
+            outcome["prover"] = serve_prover(scheme, kp, SocketTransport(left), seed)
         except Exception as exc:  # surfaced after join
             outcome["error"] = exc
 
     worker = threading.Thread(target=prover_side)
     worker.start()
     try:
-        verifier = run_verifier(scheme, kp.public(), SocketTransport(right), seed, params)
+        verifier = run_verifier(scheme, kp.public(), SocketTransport(right), seed)
     finally:
         worker.join()
         left.close()

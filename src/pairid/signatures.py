@@ -30,6 +30,7 @@ from typing import ClassVar
 
 from .algebra import KIND_G1, KIND_G2, KIND_ZP, G1Element, G2Element, GroupSuite, Scalar
 from .primes import _jacobi
+from .tate import lift_x, point_mul
 
 
 class ModeBackendMismatch(Exception):
@@ -45,6 +46,7 @@ class DegenerateSuite(Exception):
 
 
 class HashMode(str, Enum):
+    # Each backend has exactly one mode, which default_hash_spec chooses.
     # Decode the message as a big-endian integer and reduce mod p.  Only
     # meaningful on the transparent backend where elements are exponents.
     TEST_VECTOR = "test-vector"
@@ -52,10 +54,6 @@ class HashMode(str, Enum):
     # digest, interpret as an x-coordinate, take the even/odd root by the
     # digest's sign bit, clear the cofactor.  Curve backend only.
     TRY_INCREMENT = "try-increment"
-    # Keyed digest reduced mod p, used as an exponent of the generator.
-    # Backend-independent, and no default: default_hash_spec picks
-    # TEST_VECTOR on the transparent backend and TRY_INCREMENT on the curve.
-    PSEUDORANDOM = "pseudorandom"
 
 
 @dataclass(frozen=True)
@@ -77,10 +75,6 @@ def hash_to_group(message: bytes, spec: HashSpec, suite: GroupSuite) -> G1Elemen
             raise ModeBackendMismatch("test-vector hashing needs the transparent backend")
         return suite.g1_from_int(int.from_bytes(message, "big") % suite.p)
 
-    if spec.mode == HashMode.PSEUDORANDOM:
-        digest = hashlib.sha256(spec.key + message).digest()
-        return suite.g1_from_int(int.from_bytes(digest, "big") % suite.p)
-
     if spec.mode == HashMode.TRY_INCREMENT:
         if suite.backend.name != "tate":
             raise ModeBackendMismatch("try-and-increment hashing needs the curve backend")
@@ -92,8 +86,6 @@ def hash_to_group(message: bytes, spec: HashSpec, suite: GroupSuite) -> G1Elemen
 def _try_increment(message: bytes, spec: HashSpec, suite: GroupSuite):
     """Try-and-increment's on-curve candidates (x, y) in counter order, before
     the cofactor multiply, on a curve suite."""
-    from .tate import lift_x  # local import avoids a cycle
-
     q = suite.backend.q
     for ctr in range(256):
         digest = hashlib.sha256(spec.key + message + bytes([ctr])).digest()
@@ -108,8 +100,6 @@ def _try_increment(message: bytes, spec: HashSpec, suite: GroupSuite):
 
 def _clear_cofactor(candidates, suite: GroupSuite) -> G1Element:
     """h * P' for the first candidate P' whose multiple is not the identity."""
-    from .tate import point_mul  # local import avoids a cycle
-
     q, h = suite.backend.q, suite.backend.params.h
     for pt in candidates:
         pt = point_mul(h, pt, q)
@@ -217,11 +207,12 @@ def bls_verify(pk: ExpKeyPair, message: bytes, sig: G1Element, spec: HashSpec) -
 # -- the inversion-based scheme -----------------------------------------------
 
 
-def bb_sign(kp: BbKeyPair, m: Scalar, rng: Random, counter=None) -> tuple[G1Element, Scalar]:
+def bb_sign(kp: BbKeyPair, m: Scalar, rng: Random) -> tuple[G1Element, Scalar]:
     """Sign the scalar m; returns (signature, blinding scalar).
 
     The blinding scalar is redrawn while x + m + y*r = 0, before any group
-    operation happens, so the cost profile stays deterministic.
+    operation happens, so the cost profile stays deterministic; a counted
+    suite counts each redraw.
     """
     suite = kp.suite
     for _ in range(100):
@@ -229,8 +220,8 @@ def bb_sign(kp: BbKeyPair, m: Scalar, rng: Random, counter=None) -> tuple[G1Elem
         denom = kp.x + m + kp.y * r
         if denom.value != 0:
             return suite.g1 ** denom.inv(), r
-        if counter is not None:
-            counter.redraws += 1
+        if suite.counter is not None:
+            suite.counter.redraws += 1
     raise DegenerateSuite("blinding redraw limit hit")
 
 
@@ -330,13 +321,7 @@ class ForgeryContext:
         return list(self._sign.asked)
 
 
-def forgery_game(
-    sig_scheme: str,
-    adversary,
-    config: ForgeryGameConfig,
-    suite: GroupSuite,
-    hash_spec: HashSpec | None = None,
-) -> GameReport:
+def forgery_game(sig_scheme: str, adversary, config: ForgeryGameConfig, suite: GroupSuite) -> GameReport:
     """Run the existential-forgery game `trials` times and report the win rate.
 
     The adversary is a callable (ctx, rng) -> (message, forgery).  A win
@@ -345,7 +330,7 @@ def forgery_game(
     """
     if sig_scheme not in ("bls", "bb"):
         raise ValueError(f"unknown signature scheme {sig_scheme!r}")
-    spec = hash_spec if hash_spec is not None else default_hash_spec(suite)
+    spec = default_hash_spec(suite)
 
     def trial(i):
         rng_game = Random(f"{config.seed}:{i}:game")

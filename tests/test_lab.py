@@ -438,6 +438,14 @@ class TestForgeryReduction:
         assert lo <= report.advantage <= hi
         assert report.queries["sign"] == 100 * 8
 
+    def test_forger_that_quits_loses(self, t11):
+        class Quitter(ScriptedBlsidAttacker):
+            def prover_phase(self, pk, state, channel, rng):
+                return None
+
+        report = forgery_game("bls", blsid_forger(Quitter(n=4, queries=2)), ForgeryGameConfig(trials=5), t11)
+        assert report.wins == 0
+
 
 class TestPairingInversionUses:
     def test_cdh_from_inverter_vector(self, t11):

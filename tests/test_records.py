@@ -133,6 +133,11 @@ class TestMalformedFields:
             ("p", "1O09"),
             ("p", "1001"),
             ("pk.v", "ffff"),
+            ("hash.mode", "try-increment"),
+            ("hash.mode", "pseudorandom"),
+            ("n", "-3"),
+            ("n", "70000"),
+            ("n", "11"),
         ],
     )
     def test_key_record(self, name, value, t1009, tmp_path):

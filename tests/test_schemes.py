@@ -97,14 +97,14 @@ class TestWorkedVectors:
             if k:
                 assert not blsid_verify_point(kp.public(), h, h ** 5)
 
-    def test_sdhid_with_redraw(self, t11):
+    def test_sdhid_with_redraw(self):
+        t11 = transparent_suite(11, counted=True)
         kp = BbKeyPair(t11, t11.scalar(2), t11.scalar(3), t11.g1_from_int(2), t11.g1_from_int(3), t11.g2)
         m = t11.scalar(4)
         # r = 9 collides: 2 + 4 + 3*9 = 33 = 0 (mod 11); the next draw lands
-        counter = type("C", (), {"redraws": 0})()
-        sigma, r = sdhid_respond(kp, m, FakeRng([9, 5]), counter)
+        sigma, r = sdhid_respond(kp, m, FakeRng([9, 5]))
         assert r == 5
-        assert counter.redraws == 1
+        assert t11.counter.redraws == 1
         assert sigma == t11.g1_from_int(10)  # 1/(2 + 4 + 15) = 1/10 = 10
         assert sdhid_verify(kp.public(), m, sigma, r)
         assert not sdhid_verify(kp.public(), m, sigma, r + 1)

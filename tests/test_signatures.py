@@ -4,7 +4,7 @@ import random
 import pytest
 
 from pairid import signatures
-from pairid.algebra import KIND_G1, G1Element, GroupSuite
+from pairid.algebra import G1Element, GroupSuite
 from pairid.primes import _jacobi
 from pairid.signatures import (
     BudgetExceeded,
@@ -70,19 +70,6 @@ class TestHashing:
     def test_try_increment_needs_curve(self, t11):
         with pytest.raises(ModeBackendMismatch):
             hash_to_group(b"\x01", HashSpec(HashMode.TRY_INCREMENT), t11)
-
-    def test_pseudorandom_on_both_backends(self, t1009, c59):
-        for suite in (t1009, c59):
-            spec = HashSpec(HashMode.PSEUDORANDOM, key=b"k1")
-            a = hash_to_group(b"msg", spec, suite)
-            assert a == hash_to_group(b"msg", spec, suite)
-            assert a.kind == KIND_G1
-
-    def test_pseudorandom_key_separates(self, t1009):
-        msgs = [k.to_bytes(2, "big") for k in range(8)]
-        a = [hash_to_group(m, HashSpec(HashMode.PSEUDORANDOM, b"k1"), t1009) for m in msgs]
-        b = [hash_to_group(m, HashSpec(HashMode.PSEUDORANDOM, b"k2"), t1009) for m in msgs]
-        assert a != b
 
     def test_default_spec_tracks_backend(self, t11, c59):
         assert default_hash_spec(t11).mode == HashMode.TEST_VECTOR
