@@ -7,7 +7,12 @@ represents every element by its discrete logarithm relative to the suite
 generator, so the pairing is literally exponent multiplication mod p: every
 identity can be re-checked with integer arithmetic and logs are free, which
 the lab uses to script omniscient attackers.  The curve backend lives in
-pairid.tate and exposes the same payload operations.
+pairid.tate.  Both implement the whole backend interface, so GroupSuite
+never asks which one it holds: p, name, hash_mode; combine, power, invert,
+identity, from_int and log per element kind; pair, pair_equal; hash_to_g1
+(the hash hash_mode names) and pair_equal_hashed(a, b, c, data), which
+decides e(a, b) = e(c, hash_to_g1(data)), if it can without the hash; width,
+encode, decode and describe.
 
 Exponentiations and pairings are charged to whichever session role (prover
 or verifier) is currently active on the suite.  Library calls made outside a
@@ -42,6 +47,10 @@ class MalformedEncoding(Exception):
 
 class ValidationFailed(ValueError):
     """Group or curve parameters failed a check."""
+
+
+class DegenerateSuite(Exception):
+    """Sampling could not produce usable key material."""
 
 
 def scalar_width(p: int) -> int:
@@ -229,6 +238,7 @@ class TransparentBackend:
     """Element = its exponent mod p; pairing = exponent product mod p."""
 
     name = "transparent"
+    hash_mode = "test-vector"
 
     def __init__(self, p: int):
         if p < 5 or not is_prime(p):
@@ -259,6 +269,12 @@ class TransparentBackend:
 
     def pair_equal(self, a, b, c, d) -> bool:
         return (a * b - c * d) % self.p == 0
+
+    def hash_to_g1(self, data: bytes):
+        return int.from_bytes(data, "big") % self.p
+
+    def pair_equal_hashed(self, a, b, c, data: bytes) -> bool:
+        return self.pair_equal(a, b, c, self.hash_to_g1(data))
 
     def width(self, kind):
         return self._w
@@ -358,15 +374,13 @@ class GroupSuite:
         self._charge_pairing()
         return self.backend.pair_equal(a.payload, b.payload, c.payload, d.payload)
 
-    def pairings_equal_cleared(self, a: G1Element, b: G1Element, c: G1Element, pt, cleared) -> bool:
-        """e(a, b) == e(c, cleared()), where cleared() returns the G1 element
-        h * pt for the curve point pt, or what stands in for it when that is
-        the identity.  Charged as two pairings, like pairings_equal; the curve
-        backend may decide it from pt without calling cleared()."""
+    def pairings_equal_hashed(self, a: G1Element, b: G1Element, c: G1Element, data: bytes) -> bool:
+        """e(a, b) == e(c, hash_to_g1(data)), charged as two pairings, like
+        pairings_equal; the backend may decide it without the hash."""
         self._check_pairing_args(a, b, c)
         self._charge_pairing()
         self._charge_pairing()
-        return self.backend.pair_equal_cleared(a.payload, b.payload, c.payload, pt, lambda: cleared().payload)
+        return self.backend.pair_equal_hashed(a.payload, b.payload, c.payload, data)
 
     def ddh_solve(self, g: G1Element, ga: G1Element, gb: G1Element, gc: G1Element) -> bool:
         # Two pairings decide the tuple: e(g, g^c) against e(g^a, g^b).
@@ -385,6 +399,10 @@ class GroupSuite:
 
     def g2_from_int(self, k: int) -> G2Element:
         return G2Element(self, self.backend.from_int(KIND_G2, int(k) % self.p))
+
+    def hash_to_g1(self, data: bytes) -> G1Element:
+        """data hashed into G1 by the backend's hash_mode."""
+        return G1Element(self, self.backend.hash_to_g1(data))
 
     def g1_identity(self) -> G1Element:
         return self.g1_from_int(0)

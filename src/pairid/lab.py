@@ -541,9 +541,7 @@ def cdhid_reduction_game(
     return replace(report, game="one-more-cdh:from-cdhid")
 
 
-def blsid_forgery_reduction(
-    attacker: AttackerPair, pk: ExpKeyPair, sign, suite: GroupSuite, params: SchemeParams, rng: Random
-):
+def blsid_forgery_reduction(attacker: AttackerPair, pk: ExpKeyPair, sign, params: SchemeParams, rng: Random):
     """Turn a blsid impersonation attacker into a signature forger.
 
     Returns (message, signature) for a message the signer never saw.  If the
@@ -575,7 +573,7 @@ def blsid_forger(attacker: AttackerPair, params: SchemeParams | None = None):
     def adversary(ctx, rng):
         local = params if params is not None else default_scheme_params(ctx.suite)
         try:
-            return blsid_forgery_reduction(attacker, ctx.pk, ctx.sign, ctx.suite, local, rng)
+            return blsid_forgery_reduction(attacker, ctx.pk, ctx.sign, local, rng)
         except (FreshnessCollision, AttackFailed):
             # Unusable run; concede the trial with a non-verifying forgery.
             # The identity is usually wrong, but if b"\x00" happens to hash to

@@ -6,14 +6,13 @@ same fixed-width encodings the wire uses, and every record embeds enough
 suite description (backend, p, and the curve parameters when applicable) to
 rebuild the suite on load.  Secret fields live under sk.*; a key record
 without them loads as a public key.  A record's n and hash.mode are always
-its suite's own, so a record with any other value is refused.
+its suite's own and its hash.key is always empty, so any other is refused.
 """
 
 from __future__ import annotations
 
 from .algebra import GroupSuite, MalformedEncoding, transparent_suite
 from .schemes import SCHEMES, SchemeId, SchemeParams, Transcript, default_scheme_params
-from .signatures import HashSpec
 from .tate import suite_from_curve_params
 from .wire import decode_payload, encode_payload
 
@@ -76,7 +75,7 @@ def _head(scheme: SchemeId, suite: GroupSuite, params: SchemeParams) -> dict:
         **suite.describe(),
         "n": str(params.n),
         "hash.mode": params.hash_spec.mode.value,
-        "hash.key": params.hash_spec.key.hex(),
+        "hash.key": "",
     }
 
 
@@ -107,8 +106,9 @@ def _read(path, expect_kind: str):
     for name, own in (("n", str(params.n)), ("hash.mode", params.hash_spec.mode.value)):
         if _field(fields, name) != own:
             raise RecordError(f"field {name!r} is {fields[name]!r}, but this suite's is {own!r}")
-    key = _field(fields, "hash.key", bytes.fromhex) if "hash.key" in fields else b""
-    return fields, scheme, suite, SchemeParams(params.n, HashSpec(params.hash_spec.mode, key))
+    if fields.get("hash.key"):
+        raise RecordError(f"field 'hash.key' is {fields['hash.key']!r}, but it is always empty")
+    return fields, scheme, suite, params
 
 
 def save_key(path, scheme: SchemeId, kp, params: SchemeParams, include_secret: bool = True):

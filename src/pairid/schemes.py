@@ -42,6 +42,7 @@ from .algebra import (
     KIND_G1,
     KIND_G2,
     KIND_ZP,
+    DegenerateSuite,
     G1Element,
     G2Element,
     GroupSuite,
@@ -49,7 +50,6 @@ from .algebra import (
 )
 from .signatures import (
     BbKeyPair,
-    DegenerateSuite,
     ExpKeyPair,
     HashSpec,
     KeyPair,

@@ -1,15 +1,10 @@
 """Short signatures from pairings, hashing to the group, and the forgery game.
 
 Two schemes live here.  The hash-based one signs by exponentiating the
-hashed message with the secret key and verifies with two pairings.  On the
-curve backend the message hashes by try-and-increment: candidate points P'
-in counter order (an x whose x^3 + x has Jacobi symbol -1 is skipped before
-the square root), and H(m) = h * P' for the first P' with h * P' not the
-identity.  The verifier hands the backend the first P' instead, and the
-backend folds h into the pairing, e(v, h * P') = e(v, P')^h, when the key v
-has order p and stored lines; otherwise, and when h * P' is the identity,
-it clears the cofactor from the candidates not yet drawn and compares as
-usual.  Either way verification is two pairings.  The
+hashed message with the secret key and verifies with two pairings.  The
+hash into G1 and the check e(g, sig) = e(v, H(m)) are the backend's
+(pairid.algebra), and the curve backend folds the cofactor into that
+check (pairid.tate); a hash spec names the backend's mode.  The
 inversion-based one signs m by exponentiating the generator with
 1/(x + m + y*r) for a fresh blinding scalar r, redrawing r whenever the
 denominator collapses to zero; verification needs two exponentiations plus
@@ -20,17 +15,13 @@ is what makes the forgery reductions in the lab mechanical.
 
 from __future__ import annotations
 
-import hashlib
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain
 from random import Random
 from typing import ClassVar
 
-from .algebra import KIND_G1, KIND_G2, KIND_ZP, G1Element, G2Element, GroupSuite, Scalar
-from .primes import _jacobi
-from .tate import lift_x, point_mul
+from .algebra import KIND_G1, KIND_G2, KIND_ZP, DegenerateSuite, G1Element, G2Element, GroupSuite, Scalar
 
 
 class ModeBackendMismatch(Exception):
@@ -41,71 +32,31 @@ class BudgetExceeded(Exception):
     """An oracle was queried more times than the game allows."""
 
 
-class DegenerateSuite(Exception):
-    """Sampling could not produce usable key material."""
-
-
 class HashMode(str, Enum):
-    # Each backend has exactly one mode, which default_hash_spec chooses.
-    # Decode the message as a big-endian integer and reduce mod p.  Only
-    # meaningful on the transparent backend where elements are exponents.
+    # Each backend has exactly one mode, its hash_mode: the message as an
+    # integer mod p on the transparent one, try-and-increment on the curve.
     TEST_VECTOR = "test-vector"
-    # Classic try-and-increment onto the curve: append a counter byte,
-    # digest, interpret as an x-coordinate, take the even/odd root by the
-    # digest's sign bit, clear the cofactor.  Curve backend only.
     TRY_INCREMENT = "try-increment"
 
 
 @dataclass(frozen=True)
 class HashSpec:
     mode: HashMode
-    key: bytes = b""
 
 
 def default_hash_spec(suite: GroupSuite) -> HashSpec:
-    if suite.backend.name == "transparent":
-        return HashSpec(HashMode.TEST_VECTOR)
-    return HashSpec(HashMode.TRY_INCREMENT)
+    return HashSpec(HashMode(suite.backend.hash_mode))
+
+
+def _check_mode(spec: HashSpec, suite: GroupSuite) -> None:
+    if spec.mode != suite.backend.hash_mode:
+        raise ModeBackendMismatch(f"hash mode {spec.mode!r} is not this backend's, {suite.backend.hash_mode!r}")
 
 
 def hash_to_group(message: bytes, spec: HashSpec, suite: GroupSuite) -> G1Element:
     """Map a byte string into G1.  Hashing is never charged to a role."""
-    if spec.mode == HashMode.TEST_VECTOR:
-        if suite.backend.name != "transparent":
-            raise ModeBackendMismatch("test-vector hashing needs the transparent backend")
-        return suite.g1_from_int(int.from_bytes(message, "big") % suite.p)
-
-    if spec.mode == HashMode.TRY_INCREMENT:
-        if suite.backend.name != "tate":
-            raise ModeBackendMismatch("try-and-increment hashing needs the curve backend")
-        return _clear_cofactor(_try_increment(message, spec, suite), suite)
-
-    raise ModeBackendMismatch(f"unknown hash mode {spec.mode!r}")
-
-
-def _try_increment(message: bytes, spec: HashSpec, suite: GroupSuite):
-    """Try-and-increment's on-curve candidates (x, y) in counter order, before
-    the cofactor multiply, on a curve suite."""
-    q = suite.backend.q
-    for ctr in range(256):
-        digest = hashlib.sha256(spec.key + message + bytes([ctr])).digest()
-        x = int.from_bytes(digest, "big") % q
-        # The Jacobi symbol costs a fraction of lift_x's power, and -1 is
-        # exactly where lift_x finds no root; otherwise y is not None.
-        if _jacobi(x * x * x + x, q) == -1:
-            continue
-        y = lift_x(x, q)
-        yield (x, (-y) % q) if digest[-1] & 1 else (x, y)
-
-
-def _clear_cofactor(candidates, suite: GroupSuite) -> G1Element:
-    """h * P' for the first candidate P' whose multiple is not the identity."""
-    q, h = suite.backend.q, suite.backend.params.h
-    for pt in candidates:
-        pt = point_mul(h, pt, q)
-        if pt is not None:
-            return G1Element(suite, pt)
-    raise DegenerateSuite("try-and-increment exhausted 256 counters")
+    _check_mode(spec, suite)
+    return suite.hash_to_g1(message)
 
 
 # -- key material ------------------------------------------------------------
@@ -192,16 +143,8 @@ def bls_sign(kp: ExpKeyPair, message: bytes, spec: HashSpec) -> G1Element:
 
 def bls_verify(pk: ExpKeyPair, message: bytes, sig: G1Element, spec: HashSpec) -> bool:
     suite = pk.suite
-    if spec.mode == HashMode.TRY_INCREMENT and suite.backend.name == "tate":
-        # The backend may fold the cofactor into the pairing; if it cannot,
-        # it clears the cofactor from the candidates not yet drawn.
-        candidates = _try_increment(message, spec, suite)
-        first = next(candidates, None)
-        if first is not None:
-            rest = chain([first], candidates)
-            return suite.pairings_equal_cleared(suite.g1, sig, pk.v, first, lambda: _clear_cofactor(rest, suite))
-    h = hash_to_group(message, spec, suite)
-    return suite.pairings_equal(suite.g1, sig, pk.v, h)
+    _check_mode(spec, suite)
+    return suite.pairings_equal_hashed(suite.g1, sig, pk.v, message)
 
 
 # -- the inversion-based scheme -----------------------------------------------

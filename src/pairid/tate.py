@@ -41,14 +41,19 @@ conjugate, and decode's G2 subgroup check is the norm test plus V_p = 2.
 An equality check e(a, b) = e(c, d) needs one final exponentiation:
 M(c, -d) = conj(M(c, d)), so it tests V_h = 2 on M(a, b) * M(c, -d), whose
 two walks the evaluator zips under one squaring per step (Scott, "Computing
-the Tate pairing", CT-RSA 2005).  An equality e(a, b) = e(c, h * pt), for a
-hash's candidate pt before its cofactor multiply, skips that multiply when c
-has order p and stored lines: e(c, .) is then bilinear, so with
-t = e(c, pt) it tests V_h = 2 on easy(M(a, b)) * conj(t), and t = 1 exactly
-when h * pt is infinity, where the hash moves on.  That case, and every c
-off the subgroup or without tables, clears the cofactor and compares as
-above (Boneh, Lynn and Shacham, "Short signatures from the Weil pairing",
-ASIACRYPT 2001).
+the Tate pairing", CT-RSA 2005).
+
+hash_to_g1 is try-and-increment (Boneh, Lynn and Shacham, "Short signatures
+from the Weil pairing", ASIACRYPT 2001): for ctr = 0, 1, ..., 255 it takes
+x = SHA-256(data || ctr) mod q, skips x if x^3 + x has Jacobi symbol -1,
+makes the candidate pt = (x, y) from lift_x's y, negated when the digest is
+odd, and returns h * pt for the first pt with h * pt not infinity.
+pair_equal_hashed, the BLS check e(a, b) = e(c, H(data)), skips that
+multiply when c has order p and stored lines: e(c, .) is then bilinear, so
+with t = e(c, pt) for the first pt it tests V_h = 2 on
+easy(M(a, b)) * conj(t), and t = 1 exactly when h * pt is infinity, where
+the hash moves on.  That case, and every c off the subgroup or without
+tables, clears the cofactor from the candidates not yet drawn and compares.
 
 Points that come back (the generator, key elements) get precomputed tables,
 kept per backend in a bounded TableCache from a point's second use on.  A
@@ -71,15 +76,16 @@ TateBackend.log brute-forces discrete logs; only these two stay desk-only.
 
 from __future__ import annotations
 
+import hashlib
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import repeat
+from itertools import chain, repeat
 from random import Random
 
-from .algebra import KIND_G1, GroupSuite, MalformedEncoding, ValidationFailed
-from .primes import factor, is_prime
+from .algebra import KIND_G1, DegenerateSuite, GroupSuite, MalformedEncoding, ValidationFailed
+from .primes import _jacobi, factor, is_prime
 
 
 class NotOnCurve(Exception):
@@ -349,6 +355,29 @@ def point_neg(pt: Point, q: int) -> Point:
         return None
     x, y = pt
     return (x, (-y) % q)
+
+
+def _try_increment(data: bytes, q: int):
+    """Try-and-increment's on-curve candidates (x, y) in counter order, before
+    the cofactor multiply."""
+    for ctr in range(256):
+        digest = hashlib.sha256(data + bytes([ctr])).digest()
+        x = int.from_bytes(digest, "big") % q
+        # The Jacobi symbol costs a fraction of lift_x's power, and -1 is
+        # exactly where lift_x finds no root; otherwise y is not None.
+        if _jacobi(x * x * x + x, q) == -1:
+            continue
+        y = lift_x(x, q)
+        yield (x, (-y) % q) if digest[-1] & 1 else (x, y)
+
+
+def _clear_cofactor(candidates, q: int, h: int) -> Point:
+    """h * P' for the first candidate P' whose multiple is not infinity."""
+    for pt in candidates:
+        pt = point_mul(h, pt, q)
+        if pt is not None:
+            return pt
+    raise DegenerateSuite("try-and-increment exhausted 256 counters")
 
 
 @dataclass(frozen=True)
@@ -626,6 +655,7 @@ class TateBackend:
     """
 
     name = "tate"
+    hash_mode = "try-increment"
 
     def __init__(self, params: CurveParams):
         params.validate()
@@ -737,6 +767,15 @@ class TateBackend:
             except DegeneratePairing:
                 pass
         return self._pair_equal(a, b, c, cleared(), lines_a, lines_c)
+
+    def hash_to_g1(self, data: bytes):
+        return _clear_cofactor(_try_increment(data, self.q), self.q, self.params.h)
+
+    def pair_equal_hashed(self, a, b, c, data: bytes) -> bool:
+        q, h = self.q, self.params.h
+        candidates = _try_increment(data, q)
+        first = next(candidates, None)
+        return self.pair_equal_cleared(a, b, c, first, lambda: _clear_cofactor(chain([first], candidates), q, h))
 
     def _pair_equal(self, a, b, c, d, lines_a, lines_c) -> bool:
         # pair_equal on a's and c's stored lines (None for a live walk).

@@ -445,7 +445,7 @@ def test_c10_forgery_collision_rate():
             return bls_sign(kp, message, params.hash_spec)
 
         try:
-            message, sig = blsid_forgery_reduction(attacker, kp.public(), sign, suite, params, Random(f"c10:{i}"))
+            message, sig = blsid_forgery_reduction(attacker, kp.public(), sign, params, Random(f"c10:{i}"))
         except FreshnessCollision:
             collisions += 1
             continue

@@ -414,7 +414,7 @@ class TestForgeryReduction:
 
         attacker = ScriptedBlsidAttacker(n=4, queries=8)
         # seed picked so the random challenge misses the 8 queried messages
-        message, sig = blsid_forgery_reduction(attacker, kp.public(), sign, t11, params, Random(4))
+        message, sig = blsid_forgery_reduction(attacker, kp.public(), sign, params, Random(4))
         assert message not in calls
         assert len(calls) == 8
         assert bls_verify(kp.public(), message, sig, params.hash_spec)
@@ -427,7 +427,7 @@ class TestForgeryReduction:
         attacker = ScriptedBlsidAttacker(n=4, queries=16)  # queries the whole domain
         with pytest.raises(FreshnessCollision):
             blsid_forgery_reduction(
-                attacker, kp.public(), lambda m: bls_sign(kp, m, params.hash_spec), t11, params, Random(2)
+                attacker, kp.public(), lambda m: bls_sign(kp, m, params.hash_spec), params, Random(2)
             )
 
     def test_forger_in_game(self, t11):

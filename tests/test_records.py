@@ -138,6 +138,7 @@ class TestMalformedFields:
             ("n", "-3"),
             ("n", "70000"),
             ("n", "11"),
+            ("hash.key", "00"),
         ],
     )
     def test_key_record(self, name, value, t1009, tmp_path):

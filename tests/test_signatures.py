@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from pairid import signatures
+from pairid import tate
 from pairid.algebra import G1Element, GroupSuite
 from pairid.primes import _jacobi
 from pairid.signatures import (
@@ -55,6 +55,9 @@ class TestHashing:
     def test_test_vector_needs_transparent(self, c59):
         with pytest.raises(ModeBackendMismatch):
             hash_to_group(b"\x01", HashSpec(HashMode.TEST_VECTOR), c59)
+        pk = bls_keygen(c59, random.Random(1)).public()
+        with pytest.raises(ModeBackendMismatch):
+            bls_verify(pk, b"\x01", c59.g1, HashSpec(HashMode.TEST_VECTOR))
 
     def test_try_increment_lands_in_subgroup(self, c83):
         spec = HashSpec(HashMode.TRY_INCREMENT)
@@ -70,6 +73,9 @@ class TestHashing:
     def test_try_increment_needs_curve(self, t11):
         with pytest.raises(ModeBackendMismatch):
             hash_to_group(b"\x01", HashSpec(HashMode.TRY_INCREMENT), t11)
+        pk = bls_keygen(t11, random.Random(1)).public()
+        with pytest.raises(ModeBackendMismatch):
+            bls_verify(pk, b"\x01", t11.g1, HashSpec(HashMode.TRY_INCREMENT))
 
     def test_default_spec_tracks_backend(self, t11, c59):
         assert default_hash_spec(t11).mode == HashMode.TEST_VECTOR
@@ -87,6 +93,18 @@ class TestHashSigned:
         assert not bls_verify(kp.public(), b"\x06", sig, spec)
         other = bls_keygen(suite, random.Random(2))
         assert not bls_verify(other.public(), b"\x05", sig, spec)
+
+    def test_transparent_verify_is_the_hashed_compare(self, t11):
+        # Every key, every signature and every 4-bit message at p = 11.
+        g, spec = t11.g1, HashSpec(HashMode.TEST_VECTOR)
+        for x in range(11):
+            v = t11.g1_from_int(x)
+            pk = ExpKeyPair(t11, None, v)
+            for s in range(11):
+                sig = t11.g1_from_int(s)
+                for m in range(16):
+                    expect = t11.pairings_equal(g, sig, v, t11.g1_from_int(m))
+                    assert bls_verify(pk, bytes([m]), sig, spec) is expect, (x, s, m)
 
     def test_keygen_never_zero(self, t11):
         for seed in range(50):
@@ -218,13 +236,13 @@ def _fell_back(monkeypatch):
     """A bls_verify that also says whether it cleared the cofactor, that is
     whether it fell back from the fold."""
     calls = []
-    clear = signatures._clear_cofactor
+    clear = tate._clear_cofactor
 
-    def counted(candidates, suite):
+    def counted(*args):
         calls.append(1)
-        return clear(candidates, suite)
+        return clear(*args)
 
-    monkeypatch.setattr(signatures, "_clear_cofactor", counted)
+    monkeypatch.setattr(tate, "_clear_cofactor", counted)
 
     def verify(*args):
         calls.clear()
@@ -254,7 +272,7 @@ def _sweep_messages(suite):
     # is drawn from a later counter.
     msgs = [b"m%d" % i for i in range(3, 15)]
     h, q = suite.backend.params.h, suite.backend.q
-    assert any(point_mul(h, next(signatures._try_increment(m, _TRY, suite)), q) is None for m in msgs)
+    assert any(point_mul(h, next(tate._try_increment(m, q)), q) is None for m in msgs)
     return msgs
 
 
