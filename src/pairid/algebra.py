@@ -1,8 +1,9 @@
 """Prime-order groups, scalars, the pairing interface, and cost accounting.
 
 A GroupSuite bundles a prime p, two groups G1 and G2 of order p with fixed
-generators, and a bilinear pairing G1 x G1 -> G2.  Group elements are thin
-handles over a backend payload.  The transparent backend in this module
+generators, a bilinear pairing G1 x G1 -> G2, and n, the bit length of
+p - 1, which fixes the length of bit-string challenges.  Group elements are
+thin handles over a backend payload.  The transparent backend in this module
 represents every element by its discrete logarithm relative to the suite
 generator, so the pairing is literally exponent multiplication mod p: every
 identity can be re-checked with integer arithmetic and logs are free, which
@@ -12,7 +13,8 @@ never asks which one it holds: p, name, hash_mode; combine, power, invert,
 identity, from_int and log per element kind; pair, pair_equal; hash_to_g1
 (the hash hash_mode names) and pair_equal_hashed(a, b, c, data), which
 decides e(a, b) = e(c, hash_to_g1(data)), if it can without the hash; width,
-encode, decode and describe.
+encode, decode and describe.  Backend widths cover group elements;
+GroupSuite.width adds scalars and n-bit strings, which depend on p alone.
 
 Exponentiations and pairings are charged to whichever session role (prover
 or verifier) is currently active on the suite.  Library calls made outside a
@@ -304,6 +306,8 @@ class GroupSuite:
         p = backend.p
         self.backend = backend
         self.p = p
+        # n-bit challenges cover Z_p when n is the bit length of p - 1.
+        self.n = (p - 1).bit_length()
         self.counter = CostCounter() if counted else None
         self._role = None
         # Everything that makes two backends interchangeable: compatible()
@@ -421,13 +425,11 @@ class GroupSuite:
 
     # -- codecs --------------------------------------------------------------
 
-    def width(self, kind: str, n: int | None = None) -> int:
+    def width(self, kind: str) -> int:
         if kind == KIND_ZP:
             return scalar_width(self.p)
         if kind == KIND_BITS:
-            if n is None:
-                raise ValueError("bit-string width needs the bit length n")
-            return (n + 7) // 8
+            return (self.n + 7) // 8
         return self.backend.width(kind)
 
     def encode_element(self, elem: _GroupElement) -> bytes:

@@ -2,9 +2,10 @@
 
 `lab` prints one of pairid.lab's named demos; `selftest` runs all of them.
 
-Exit codes: 0 for accept/pass, 1 for reject or a failed bound, 2 for usage
-errors (from argparse or a command), for bad hex input, group parameters or
-counts, and for unreadable or malformed record files.
+Exit codes: 0 for accept/pass, 1 for reject or a failed bound (a session
+that a peer ends early with an error is a reject), 2 for usage errors (from
+argparse or a command), for bad hex input, group parameters or counts, and
+for unreadable or malformed record files.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .bench import bench_all, bench_costs
 from .lab import DEMO_DEFAULTS, DEMOS, DemoInputError, run_demo
 from .records import RecordError, load_key, save_key, save_transcript
 from .schemes import SchemeId, default_scheme_params, keygen, run_session
-from .session import SocketTransport, StdioTransport, loopback_session, run_verifier, serve_prover
+from .session import PEER_ERRORS, SocketTransport, StdioTransport, loopback_session, run_verifier, serve_prover
 from .signatures import BbKeyPair, ExpKeyPair, bb_sign, bb_verify, bls_sign, bls_verify
 from .tate import tate_suite
 from .wire import TAG_CHALLENGE, frame_encode
@@ -88,12 +89,12 @@ def cmd_keygen(args) -> int:
 
 
 def cmd_prove(args) -> int:
-    scheme, kp, params = load_key(args.key)
+    scheme, kp, _ = load_key(args.key)
     if not kp.has_secret:
         raise UsageError("record holds a public key; proving needs the secret")
     if args.stdio:
         transport = StdioTransport(sys.stdin.buffer, sys.stdout.buffer)
-        result = serve_prover(scheme, kp, transport, seed=args.seed, params=params)
+        result = serve_prover(scheme, kp, transport, seed=args.seed)
         print(f"prover: {'accepted' if result.decision else 'rejected'} "
               f"(restarts {result.restarts})", file=sys.stderr)
         return 0 if result.decision else 1
@@ -102,7 +103,7 @@ def cmd_prove(args) -> int:
         print(f"listening on {host}:{port} for one session", file=sys.stderr)
         conn, peer = server.accept()
         with conn:
-            result = serve_prover(scheme, kp, SocketTransport(conn), seed=args.seed, params=params)
+            result = serve_prover(scheme, kp, SocketTransport(conn), seed=args.seed)
     print(f"prover: {'accepted' if result.decision else 'rejected'} by {peer[0]} "
           f"(restarts {result.restarts})")
     return 0 if result.decision else 1
@@ -113,12 +114,12 @@ def cmd_verify(args) -> int:
     pk = kp.public()
     if args.stdio:
         transport = StdioTransport(sys.stdin.buffer, sys.stdout.buffer)
-        result = run_verifier(scheme, pk, transport, seed=args.seed, params=params)
+        result = run_verifier(scheme, pk, transport, seed=args.seed)
         out = sys.stderr
     else:
         host, port = _parse_addr(args.connect)
         with socket.create_connection((host, port)) as conn:
-            result = run_verifier(scheme, pk, SocketTransport(conn), seed=args.seed, params=params)
+            result = run_verifier(scheme, pk, SocketTransport(conn), seed=args.seed)
         out = sys.stdout
     if args.transcript_out:
         save_transcript(args.transcript_out, result.transcript, pk.suite, params)
@@ -289,6 +290,10 @@ def main(argv=None) -> int:
     except (DemoInputError, RecordError, UsageError, ValidationFailed) as exc:
         print(f"pairid: {exc}", file=sys.stderr)
         return 2
+    except PEER_ERRORS as exc:
+        # A session that the peer or the wire ended early is a reject.
+        print(f"pairid: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -28,19 +28,16 @@ from dataclasses import dataclass, replace
 from math import ceil
 from random import Random
 
-from .algebra import G1Element, G2Element, GroupSuite, MalformedEncoding, Scalar
+from .algebra import G1Element, G2Element, GroupSuite, Scalar
 from .schemes import (
     SCHEMES,
-    BadChallengeLength,
     IdentityChallenge,
     OwfidKeyPair,
-    ProtocolViolation,
     ProverMachine,
     SchemeId,
     SchemeParams,
     Transcript,
     VerifierMachine,
-    ZeroChallenge,
     default_scheme_params,
     exchange,
     keygen,
@@ -56,13 +53,8 @@ from .signatures import (
     hash_to_group,
     run_trials,
 )
-from .wire import (
-    LengthMismatch,
-    ShortFrame,
-    UnknownTag,
-    frame_decode,
-    frame_encode,
-)
+from .session import PEER_ERRORS
+from .wire import frame_decode, frame_encode
 
 
 class AttackFailed(Exception):
@@ -335,7 +327,7 @@ def probe_strategy(
 
     n2 = ceil(2 / eps)
     for phase2 in range(1, n2 + 1):
-        ch = ops.sample_challenge(sim.suite, sim.params, rng)
+        ch = ops.sample_challenge(sim.suite, rng)
         if ch == t1.challenge:
             continue  # same column: a wasted probe
         t2 = _accepted(sim, attacker, seed, forced_challenge=ch)
@@ -431,8 +423,8 @@ def owfid_inverter(
         else:
             ops = SCHEMES[SchemeId.OWFID]
             seed = f"oneshot:{rng.getrandbits(48)}"
-            ch1 = ops.sample_challenge(suite, params, rng)
-            ch2 = ops.sample_challenge(suite, params, rng)
+            ch1 = ops.sample_challenge(suite, rng)
+            ch2 = ops.sample_challenge(suite, rng)
             if ch1 == ch2:
                 raise ProbeFailed("both draws landed on the same challenge")
             d1, t1 = run_attack(sim, attacker, seed, forced_challenge=ch1)
@@ -696,8 +688,7 @@ def mitm_relay_demo(suite: GroupSuite, scheme: SchemeId = SchemeId.HLS, seed=0, 
     verifier = VerifierMachine(scheme, kp.public(), params, seed=seed, wire=True)
     try:
         decision = exchange(prover, verifier, relay).decision
-    except (ShortFrame, LengthMismatch, UnknownTag, MalformedEncoding, ZeroChallenge,
-            IdentityChallenge, BadChallengeLength, ProtocolViolation) as exc:
+    except PEER_ERRORS as exc:
         decision = False
         note = f"tampered frame broke the exchange: {exc}"
     else:
@@ -838,13 +829,12 @@ def _omcdh_demo(suite, seed, eps, trials, queries, **_):
 
 
 def _forgery_demo(suite, seed, trials, queries, **_):
-    params = default_scheme_params(suite)
     # The attacker's queries are distinct n-bit challenges.
-    if queries > 2**params.n:
-        raise DemoInputError(f"queries must be at most 2^{params.n} at p = {suite.p}, got {queries}")
-    attacker = ScriptedBlsidAttacker(n=params.n, queries=queries)
+    if queries > 2**suite.n:
+        raise DemoInputError(f"queries must be at most 2^{suite.n} at p = {suite.p}, got {queries}")
+    attacker = ScriptedBlsidAttacker(n=suite.n, queries=queries)
     config = ForgeryGameConfig(q_s=queries, q_h=4 * queries, trials=trials, seed=seed)
-    report = forgery_game("bls", blsid_forger(attacker, params), config, suite)
+    report = forgery_game("bls", blsid_forger(attacker), config, suite)
     return report.wins > 0, [report.line()]
 
 

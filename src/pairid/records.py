@@ -63,9 +63,9 @@ def _field(fields: dict, name: str, parse=str):
         raise RecordError(f"bad {name!r} field: {exc}") from exc
 
 
-def _unhex(kinds: tuple, suite: GroupSuite, n: int | None = None):
+def _unhex(kinds: tuple, suite: GroupSuite):
     """A parser for _field: hex text to the values of a payload of these kinds."""
-    return lambda text: decode_payload(kinds, bytes.fromhex(text), suite, n)
+    return lambda text: decode_payload(kinds, bytes.fromhex(text), suite)
 
 
 def _head(scheme: SchemeId, suite: GroupSuite, params: SchemeParams) -> dict:
@@ -146,9 +146,9 @@ def save_transcript(path, t: Transcript, suite: GroupSuite, params: SchemeParams
     fields = _head(scheme, suite, params)
     if t.rng_seed is not None:
         fields["seed"] = str(t.rng_seed)
-    fields["commitment"] = encode_payload(ops.commitment_fields, t.commitment, suite, params.n).hex()
-    fields["challenge"] = encode_payload(ops.challenge_fields, t.challenge, suite, params.n).hex()
-    fields["response"] = encode_payload(ops.response_fields, t.response, suite, params.n).hex()
+    fields["commitment"] = encode_payload(ops.commitment_fields, t.commitment, suite).hex()
+    fields["challenge"] = encode_payload(ops.challenge_fields, t.challenge, suite).hex()
+    fields["response"] = encode_payload(ops.response_fields, t.response, suite).hex()
     fields["decision"] = "accept" if t.decision else "reject"
     _write(path, "transcript", fields)
 
@@ -159,9 +159,9 @@ def load_transcript(path):
     ops = SCHEMES[scheme]
     t = Transcript(
         scheme=scheme,
-        commitment=_field(fields, "commitment", _unhex(ops.commitment_fields, suite, params.n)),
-        challenge=_field(fields, "challenge", _unhex(ops.challenge_fields, suite, params.n)),
-        response=_field(fields, "response", _unhex(ops.response_fields, suite, params.n)),
+        commitment=_field(fields, "commitment", _unhex(ops.commitment_fields, suite)),
+        challenge=_field(fields, "challenge", _unhex(ops.challenge_fields, suite)),
+        response=_field(fields, "response", _unhex(ops.response_fields, suite)),
         decision=_field(fields, "decision") == "accept",
         rng_seed=fields.get("seed"),
     )

@@ -104,15 +104,14 @@ class SchemeId(str, Enum):
 
 @dataclass(frozen=True)
 class SchemeParams:
-    """Per-session knobs: challenge bit length and the hash for blsid."""
+    """Per-session knobs: the suite's challenge bit length and blsid's hash."""
 
     n: int
     hash_spec: HashSpec
 
 
 def default_scheme_params(suite: GroupSuite) -> SchemeParams:
-    # n-bit challenges cover Z_p when n is the bit length of p - 1.
-    return SchemeParams(n=(suite.p - 1).bit_length(), hash_spec=default_hash_spec(suite))
+    return SchemeParams(n=suite.n, hash_spec=default_hash_spec(suite))
 
 
 # -- key material --------------------------------------------------------------
@@ -188,11 +187,11 @@ def hls_keygen(suite: GroupSuite, rng: Random) -> HlsKeyPair:
 # -- per-scheme operations -----------------------------------------------------
 
 
-def _check_bits(message: bytes, n: int):
-    if len(message) != (n + 7) // 8:
-        raise BadChallengeLength(f"expected {(n + 7) // 8} bytes for {n} bits")
-    if int.from_bytes(message, "big") >> n:
-        raise BadChallengeLength(f"value does not fit in {n} bits")
+def _check_bits(message: bytes, suite: GroupSuite):
+    if len(message) != suite.width(KIND_BITS):
+        raise BadChallengeLength(f"expected {suite.width(KIND_BITS)} bytes for {suite.n} bits")
+    if int.from_bytes(message, "big") >> suite.n:
+        raise BadChallengeLength(f"value does not fit in {suite.n} bits")
 
 
 def _check_nonzero(m: Scalar):
@@ -201,12 +200,12 @@ def _check_nonzero(m: Scalar):
 
 
 def blsid_respond(kp: ExpKeyPair, message: bytes, params: SchemeParams) -> G1Element:
-    _check_bits(message, params.n)
+    _check_bits(message, kp.suite)
     return bls_sign(kp, message, params.hash_spec)
 
 
 def blsid_verify(pk: ExpKeyPair, message: bytes, sig: G1Element, params: SchemeParams) -> bool:
-    _check_bits(message, params.n)
+    _check_bits(message, pk.suite)
     return bls_verify(pk, message, sig, params.hash_spec)
 
 
@@ -317,11 +316,11 @@ class SchemeOps:
     def three_message(self) -> bool:
         return self.commit is not None
 
-    def sample_challenge(self, suite: GroupSuite, params: SchemeParams, rng: Random) -> tuple:
+    def sample_challenge(self, suite: GroupSuite, rng: Random) -> tuple:
         """A fresh challenge of the scheme's one challenge kind."""
         (kind,) = self.challenge_fields
         if kind == KIND_BITS:
-            return (rng.getrandbits(params.n).to_bytes((params.n + 7) // 8, "big"),)
+            return (rng.getrandbits(suite.n).to_bytes(suite.width(KIND_BITS), "big"),)
         if kind == KIND_G1:
             return (suite.random_g1(rng, nonidentity=True),)
         return (suite.random_scalar(rng, nonzero=True),)
@@ -492,7 +491,7 @@ class SessionEngine:
         """Take one message from the peer; return the messages it calls for."""
         if tag in self.takes:
             if self.wire:
-                payload = decode_payload(getattr(self.ops, _FIELDS[tag]), payload, self.suite, self.params.n)
+                payload = decode_payload(getattr(self.ops, _FIELDS[tag]), payload, self.suite)
                 if self.suite.counter is not None:
                     self._count(tag)
             if tag == TAG_COMMITMENT:
@@ -538,12 +537,12 @@ class SessionEngine:
         if self.suite.counter is not None:
             self._count(tag)
         if self.wire:
-            return [(tag, encode_payload(getattr(self.ops, _FIELDS[tag]), value, self.suite, self.params.n))]
+            return [(tag, encode_payload(getattr(self.ops, _FIELDS[tag]), value, self.suite))]
         return [(tag, value)]
 
     def _count(self, tag: int):
         for kind in getattr(self.ops, _FIELDS[tag]):
-            self.suite.counter.add_sent(kind, self.suite.width(kind, self.params.n))
+            self.suite.counter.add_sent(kind, self.suite.width(kind))
 
     def _decide(self, decision: bool):
         self._transcript = Transcript(
@@ -600,7 +599,7 @@ class VerifierMachine(SessionEngine):
         if self.forced_challenge is not None:
             ch = self.forced_challenge
         else:
-            ch = self.ops.sample_challenge(self.suite, self.params, self.rng)
+            ch = self.ops.sample_challenge(self.suite, self.rng)
         if len(ch) != len(self.ops.challenge_fields):
             raise ProtocolViolation("challenge has the wrong number of fields")
         self.challenge = ch
@@ -656,26 +655,19 @@ def exchange(prover: SessionEngine, verifier: SessionEngine, carry=None) -> Tran
     return verifier.transcript()
 
 
-def run_session(
-    scheme: SchemeId,
-    kp,
-    suite: GroupSuite,
-    seed=0,
-    params: SchemeParams | None = None,
-) -> Transcript:
+def run_session(scheme: SchemeId, kp, suite: GroupSuite, seed=0) -> Transcript:
     """Run one honest in-process exchange and return its transcript.
 
     If the prover hits an unanswerable (commitment, challenge) pair, the
     whole exchange restarts with fresh randomness; operation counts are
     reset so the recorded costs describe the completed run only.
     """
-    params = params if params is not None else default_scheme_params(suite)
+    params = default_scheme_params(suite)
     prover = ProverMachine(scheme, kp, params, seed=seed)
     return exchange(prover, VerifierMachine(scheme, kp.public(), params, seed=seed))
 
 
-def replay_decision(t: Transcript, pk, params: SchemeParams | None = None) -> bool:
+def replay_decision(t: Transcript, pk) -> bool:
     """Re-run the verification equation over a stored transcript."""
     ops = SCHEMES[SchemeId(t.scheme)]
-    params = params if params is not None else default_scheme_params(pk.suite)
-    return bool(ops.verify(pk, t.commitment, t.challenge, t.response, params))
+    return bool(ops.verify(pk, t.commitment, t.challenge, t.response, default_scheme_params(pk.suite)))

@@ -8,10 +8,11 @@ count each message on both ends, so a loopback counts it twice.
 lab.mitm_relay_demo joins both roles in memory through a frame-level relay.
 
 Over a transport both peers start with a hello exchange pinning (scheme,
-backend, p, n, q); any disagreement aborts before group elements flow.  The
-verifier is the client: it sends hello, the prover echoes it, then the
-protocol messages run inside commitment/challenge/response frames and the
-verifier closes with a one-byte decision frame.  A prover that cannot
+backend, p, n, q), with n = bits(p - 1) the suite's challenge length; any
+disagreement aborts before group elements flow.  The verifier is the
+client: it sends hello, the prover echoes it, then the protocol messages
+run inside commitment/challenge/response frames and the verifier closes
+with a one-byte decision frame.  A prover that cannot
 answer the challenge it was dealt (the inversion-based three-message scheme
 has one unanswerable challenge per commitment) sends an error frame with
 payload b"restart" and both sides rerun the whole exchange with fresh
@@ -26,9 +27,11 @@ import struct
 import threading
 from dataclasses import dataclass
 
-from .algebra import GroupSuite
+from .algebra import GroupSuite, MalformedEncoding
 from .schemes import (  # RESTART is re-exported as part of the wire protocol
     RESTART,
+    BadChallengeLength,
+    IdentityChallenge,
     ProtocolViolation,
     ProverMachine,
     SchemeId,
@@ -36,11 +39,14 @@ from .schemes import (  # RESTART is re-exported as part of the wire protocol
     SessionEngine,
     Transcript,
     VerifierMachine,
+    ZeroChallenge,
 )
 from .wire import (
     TAG_ERROR,
     TAG_HELLO,
     LengthMismatch,
+    ShortFrame,
+    UnknownTag,
     frame_decode,
     frame_encode,
     payload_width,
@@ -52,6 +58,11 @@ MAX_ERROR_BYTES = 64
 
 class TransportClosed(Exception):
     """Peer went away mid-frame."""
+
+
+# What a peer, or a wire between the peers, can make a session raise.
+PEER_ERRORS = (ShortFrame, LengthMismatch, UnknownTag, MalformedEncoding, ZeroChallenge,
+               IdentityChallenge, BadChallengeLength, ProtocolViolation, TransportClosed)
 
 
 class _StreamTransport:
@@ -148,7 +159,7 @@ def _run(engine: SessionEngine, transport) -> SessionResult:
     hello = hello_payload(ops.scheme, suite, params)
     messages = (ops.commitment_fields, ops.challenge_fields, ops.response_fields)
     # The widest length field (tag byte plus payload) this session can carry.
-    limit = 1 + max([len(hello), 1, MAX_ERROR_BYTES] + [payload_width(f, suite, params.n) for f in messages])
+    limit = 1 + max([len(hello), 1, MAX_ERROR_BYTES] + [payload_width(f, suite) for f in messages])
     prover = engine.role == "prover"
     if not prover:
         send_frame(transport, TAG_HELLO, hello)
@@ -171,31 +182,21 @@ def _run(engine: SessionEngine, transport) -> SessionResult:
         outgoing = engine.receive(*recv_frame(transport, limit))
 
 
-def serve_prover(
-    scheme: SchemeId,
-    kp,
-    transport,
-    seed=0,
-    params: SchemeParams | None = None,
-) -> SessionResult:
-    return _run(ProverMachine(scheme, kp, params, seed=seed, wire=True), transport)
+def serve_prover(scheme: SchemeId, kp, transport, seed=0) -> SessionResult:
+    return _run(ProverMachine(scheme, kp, seed=seed, wire=True), transport)
 
 
-def run_verifier(
-    scheme: SchemeId,
-    pk,
-    transport,
-    seed=0,
-    params: SchemeParams | None = None,
-) -> SessionResult:
-    return _run(VerifierMachine(scheme, pk, params, seed=seed, wire=True), transport)
+def run_verifier(scheme: SchemeId, pk, transport, seed=0) -> SessionResult:
+    return _run(VerifierMachine(scheme, pk, seed=seed, wire=True), transport)
 
 
 def loopback_session(scheme: SchemeId, kp, seed=0) -> tuple[SessionResult, SessionResult]:
     """Run prover and verifier over a socketpair; returns both results.
 
     Both endpoints share the keypair's suite, so with a counted suite every
-    protocol message is charged twice (once per endpoint).
+    protocol message is charged twice (once per endpoint).  Each end closes
+    its socket when it ends, so the peer of an end that raises reads EOF,
+    and the call raises the error that ended the session.
     """
     left, right = socket.socketpair()
     outcome: dict = {}
@@ -205,15 +206,19 @@ def loopback_session(scheme: SchemeId, kp, seed=0) -> tuple[SessionResult, Sessi
             outcome["prover"] = serve_prover(scheme, kp, SocketTransport(left), seed)
         except Exception as exc:  # surfaced after join
             outcome["error"] = exc
+        finally:
+            left.close()
 
     worker = threading.Thread(target=prover_side)
     worker.start()
     try:
         verifier = run_verifier(scheme, kp.public(), SocketTransport(right), seed)
+    except TransportClosed as exc:
+        # The prover closed its end after recording its error, if it had one.
+        outcome.setdefault("error", exc)
     finally:
-        worker.join()
-        left.close()
         right.close()
+        worker.join()
     if "error" in outcome:
         raise outcome["error"]
     return outcome["prover"], verifier

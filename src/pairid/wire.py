@@ -11,8 +11,9 @@ Payloads are concatenations of fixed-width fields.  Scalars and transparent
 group elements occupy max(2, ceil(bits(p)/8)) bytes; curve points are one
 flag byte (0x00 infinity, 0x02/0x03 even/odd y) plus an x-coordinate; curve
 G2 values are two field coordinates.  Bit-string challenges occupy
-ceil(n/8) bytes.  Decoding rejects unreduced values and off-subgroup
-elements, so a frame either parses to valid suite objects or raises.
+ceil(n/8) bytes for the suite's n = bits(p - 1).  Decoding rejects
+unreduced values, strings over n bits and off-subgroup elements, so a
+frame either parses to valid suite objects or raises.
 """
 
 from __future__ import annotations
@@ -71,17 +72,17 @@ def frame_decode(buf: bytes) -> tuple[int, bytes]:
     return tag, bytes(buf[5:])
 
 
-def payload_width(fields: tuple, suite: GroupSuite, n: int | None = None) -> int:
-    return sum(suite.width(kind, n) for kind in fields)
+def payload_width(fields: tuple, suite: GroupSuite) -> int:
+    return sum(suite.width(kind) for kind in fields)
 
 
-def encode_payload(fields: tuple, values: tuple, suite: GroupSuite, n: int | None = None) -> bytes:
+def encode_payload(fields: tuple, values: tuple, suite: GroupSuite) -> bytes:
     if len(fields) != len(values):
         raise ValueError("field/value count mismatch")
     out = bytearray()
     for kind, value in zip(fields, values):
         if kind == KIND_BITS:
-            if len(value) != suite.width(KIND_BITS, n):
+            if len(value) != suite.width(KIND_BITS):
                 raise MalformedEncoding("bit-string field has the wrong byte length")
             out += value
         elif kind == KIND_ZP:
@@ -95,17 +96,17 @@ def encode_payload(fields: tuple, values: tuple, suite: GroupSuite, n: int | Non
     return bytes(out)
 
 
-def decode_payload(fields: tuple, data: bytes, suite: GroupSuite, n: int | None = None) -> tuple:
+def decode_payload(fields: tuple, data: bytes, suite: GroupSuite) -> tuple:
     values = []
     pos = 0
     for kind in fields:
-        width = suite.width(kind, n)
+        width = suite.width(kind)
         chunk = data[pos : pos + width]
         if len(chunk) != width:
             raise MalformedEncoding(f"payload ends inside a {kind} field")
         if kind == KIND_BITS:
-            if n is not None and int.from_bytes(chunk, "big") >> n:
-                raise MalformedEncoding(f"bit-string value does not fit in {n} bits")
+            if int.from_bytes(chunk, "big") >> suite.n:
+                raise MalformedEncoding(f"bit-string value does not fit in {suite.n} bits")
             values.append(chunk)
         elif kind == KIND_ZP:
             values.append(suite.decode_scalar(chunk))

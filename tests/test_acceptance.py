@@ -12,7 +12,7 @@ import time
 from fractions import Fraction
 from random import Random
 
-from pairid.algebra import G1Element, transparent_suite
+from pairid.algebra import transparent_suite
 from pairid.bench import bench_all
 from pairid.cli import main as cli_main
 from pairid.lab import (
@@ -31,7 +31,6 @@ from pairid.lab import (
     invert_to_ddh,
     owfid_inverter,
     probe_strategy,
-    run_attack,
     transparent_pairing_inverter,
     unreliable_inverter,
     AttackFailed,
@@ -56,8 +55,6 @@ from pairid.session import loopback_session
 from pairid.signatures import ExpKeyPair, bls_sign, bls_verify
 from pairid.tate import tate_suite
 from pairid.wire import TAG_NAMES, encode_payload, frame_decode, frame_encode
-
-from oracles import binomial_band
 
 
 def _report(num: int, name: str, ok: bool, detail: str):
@@ -504,7 +501,7 @@ def _random_of_kind(kind, suite, params, rng):
 def _random_guess_trial(scheme, pk, suite, params, rng) -> bool:
     ops = SCHEMES[scheme]
     co = tuple(_random_of_kind(k, suite, params, rng) for k in ops.commitment_fields)
-    ch = ops.sample_challenge(suite, params, rng)
+    ch = ops.sample_challenge(suite, rng)
     re = tuple(_random_of_kind(k, suite, params, rng) for k in ops.response_fields)
     return ops.verify(pk, co, ch, re, params)
 
@@ -620,17 +617,16 @@ def test_c14_wire_roundtrips():
         if frame_decode(encoded) != (tag, payload):
             bad += 1
 
-    def section_bytes(t, suite, params):
+    def section_bytes(t, suite):
         ops = SCHEMES[t.scheme]
-        return (encode_payload(ops.commitment_fields, t.commitment, suite, params.n),
-                encode_payload(ops.challenge_fields, t.challenge, suite, params.n),
-                encode_payload(ops.response_fields, t.response, suite, params.n))
+        return (encode_payload(ops.commitment_fields, t.commitment, suite),
+                encode_payload(ops.challenge_fields, t.challenge, suite),
+                encode_payload(ops.response_fields, t.response, suite))
 
     mismatched = 0
     suites = [(transparent_suite(1009), list(SchemeId)), (tate_suite(59), [SchemeId.CDHID, SchemeId.HLS])]
     compared = 0
     for suite, schemes in suites:
-        params = default_scheme_params(suite)
         for scheme in schemes:
             kp = keygen(scheme, suite, Random(f"c14:{scheme}:{suite.p}"))
             local = run_session(scheme, kp, suite, seed="c14:session")
@@ -638,7 +634,7 @@ def test_c14_wire_roundtrips():
             compared += 1
             same = (wired.decision == local.decision
                     and wired.restarts == local.restarts
-                    and section_bytes(wired.transcript, suite, params) == section_bytes(local, suite, params))
+                    and section_bytes(wired.transcript, suite) == section_bytes(local, suite))
             mismatched += not same
     ok = bad == 0 and mismatched == 0
     _report(14, "wire layer", ok,

@@ -55,8 +55,8 @@ class TestMeasurement:
         real = bench_mod.run_session
         state = {"n": 0}
 
-        def jittery(scheme, kp, suite, seed=0, params=None):
-            t = real(scheme, kp, suite, seed=seed, params=params)
+        def jittery(scheme, kp, suite, seed=0):
+            t = real(scheme, kp, suite, seed=seed)
             state["n"] += 1
             if state["n"] == 2:
                 with suite.role("prover"):

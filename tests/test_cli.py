@@ -1,5 +1,7 @@
 import hashlib
+import io
 import socket
+import sys
 import threading
 import time
 
@@ -67,6 +69,28 @@ class TestProveVerify:
         assert rc == 0 and prover_rc == [0]
         t, _, _ = load_transcript(str(transcript))
         assert t.decision
+
+
+class TestBrokenSessions:
+    """A session the peer ends early is a reject: one line on stderr, exit 1."""
+
+    @pytest.mark.parametrize(
+        "argv, inbound",
+        [
+            (["verify", "--pk", "{pk}", "--stdio"], b""),
+            (["prove", "--key", "{sk}", "--stdio"], b"\x00\x00\x00\x02\x06x"),
+            (["prove", "--key", "{sk}", "--stdio"], b"\x00\x00\x00\x02\x09x"),
+        ],
+        ids=["verify-empty-stdin", "prove-error-frame", "prove-unknown-tag"],
+    )
+    def test_one_line_exit_1(self, argv, inbound, keyfiles, monkeypatch, capsys):
+        sk, pk = keyfiles
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(inbound)))
+        monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(io.BytesIO()))
+        capsys.readouterr()
+        assert main([arg.format(sk=sk, pk=pk) for arg in argv]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("pairid: ")
 
 
 class TestBadRecords:

@@ -5,7 +5,6 @@ import pytest
 
 from pairid.algebra import transparent_suite
 from pairid.lab import (
-    AttackFailed,
     FreshnessCollision,
     HonestProverOracle,
     HonestVerifierChannel,
@@ -538,7 +537,6 @@ class TestRelayRestart:
         # restart on the same random streams as run_session and end with
         # exactly its three messages.
         suite = transparent_suite(5)
-        params = default_scheme_params(suite)
         ops = SCHEMES[SchemeId.SCL]
         restarted = []
         for seed in range(80):
@@ -551,8 +549,8 @@ class TestRelayRestart:
             assert report.decision, f"seed {seed}: {report.note}"
             messages = [frame_decode(raw) for raw in report.frames[-3:]]
             assert messages == [
-                (TAG_COMMITMENT, encode_payload(ops.commitment_fields, local.commitment, suite, params.n)),
-                (TAG_CHALLENGE, encode_payload(ops.challenge_fields, local.challenge, suite, params.n)),
-                (TAG_RESPONSE, encode_payload(ops.response_fields, local.response, suite, params.n)),
+                (TAG_COMMITMENT, encode_payload(ops.commitment_fields, local.commitment, suite)),
+                (TAG_CHALLENGE, encode_payload(ops.challenge_fields, local.challenge, suite)),
+                (TAG_RESPONSE, encode_payload(ops.response_fields, local.response, suite)),
             ]
         assert len(restarted) == 15

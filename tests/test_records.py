@@ -191,7 +191,7 @@ class TestTranscriptRecords:
         assert got.commitment == t.commitment
         assert got.challenge == t.challenge
         assert got.response == t.response
-        assert replay_decision(got, kp.public(), got_params) == t.decision
+        assert replay_decision(got, kp.public()) == t.decision
 
     def test_wrong_kind_rejected(self, t1009, tmp_path):
         kp = keygen(SchemeId.HLS, t1009, random.Random(6))

@@ -40,7 +40,7 @@ from pairid.schemes import (
     sdhid_verify,
     HlsKeyPair,
 )
-from pairid.signatures import BbKeyPair, ExpKeyPair, HashMode
+from pairid.signatures import BbKeyPair, ExpKeyPair
 
 ALL_SCHEMES = list(SchemeId)
 
@@ -321,9 +321,8 @@ class TestMachines:
             verifier.on_commitment((t11.g2, t11.g2))
 
     def test_registry_shapes(self, t11, rng):
-        params = default_scheme_params(t11)
         for scheme, ops in SCHEMES.items():
-            ch = ops.sample_challenge(t11, params, rng)
+            ch = ops.sample_challenge(t11, rng)
             assert len(ch) == len(ops.challenge_fields)
             assert ops.three_message == (ops.commit is not None)
 

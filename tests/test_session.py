@@ -6,7 +6,16 @@ import threading
 from pytest import raises
 
 from pairid.algebra import transparent_suite
-from pairid.schemes import SCHEMES, ProtocolViolation, SchemeId, keygen, run_session, scl_keygen
+from pairid.schemes import (
+    SCHEMES,
+    ProtocolViolation,
+    ProverMachine,
+    SchemeId,
+    VerifierMachine,
+    keygen,
+    run_session,
+    scl_keygen,
+)
 from pairid.session import (
     RESTART,
     SocketTransport,
@@ -31,12 +40,12 @@ from pairid.wire import LengthMismatch
 ALL_SCHEMES = list(SchemeId)
 
 
-def transcripts_bytes(t, suite, params):
+def transcripts_bytes(t, suite):
     ops = SCHEMES[SchemeId(t.scheme)]
     return (
-        encode_payload(ops.commitment_fields, t.commitment, suite, params.n),
-        encode_payload(ops.challenge_fields, t.challenge, suite, params.n),
-        encode_payload(ops.response_fields, t.response, suite, params.n),
+        encode_payload(ops.commitment_fields, t.commitment, suite),
+        encode_payload(ops.challenge_fields, t.challenge, suite),
+        encode_payload(ops.response_fields, t.response, suite),
     )
 
 
@@ -74,32 +83,67 @@ class TestLoopback:
             assert prover.decision and verifier.decision
 
     def test_wire_reproduces_in_process_transcripts(self, t1009):
-        params = default_scheme_params(t1009)
         for scheme in ALL_SCHEMES:
             kp = keygen(scheme, t1009, random.Random(21))
             local = run_session(scheme, kp, t1009, seed="match")
             _, wire = loopback_session(scheme, kp, seed="match")
-            assert transcripts_bytes(local, t1009, params) == transcripts_bytes(
-                wire.transcript, t1009, params
+            assert transcripts_bytes(local, t1009) == transcripts_bytes(
+                wire.transcript, t1009
             )
             assert local.decision == wire.decision
 
     def test_restart_over_wire_matches_in_process(self):
         suite = transparent_suite(5)
         kp = scl_keygen(suite, random.Random(1))
-        params = default_scheme_params(suite)
         seeds_with_restart = []
         for seed in range(40):
             local = run_session(SchemeId.SCL, kp, suite, seed=seed)
             prover, verifier = loopback_session(SchemeId.SCL, kp, seed=seed)
             assert verifier.decision and local.decision
             assert prover.restarts == verifier.restarts == local.restarts
-            assert transcripts_bytes(local, suite, params) == transcripts_bytes(
-                verifier.transcript, suite, params
+            assert transcripts_bytes(local, suite) == transcripts_bytes(
+                verifier.transcript, suite
             )
             if local.restarts:
                 seeds_with_restart.append(seed)
         assert seeds_with_restart  # the restart path really ran
+
+
+class Injected(Exception):
+    """A failure planted in one end of a loopback session."""
+
+
+class TestLoopbackFailure:
+    """An end that raises ends the whole loopback, with its own error."""
+
+    def _bounded(self, monkeypatch, machine, method, t1009):
+        def fail(self, *args):
+            raise Injected(method)
+
+        monkeypatch.setattr(machine, method, fail)
+        kp = keygen(SchemeId.OWFID, t1009, random.Random(3))
+        outcome = {}
+
+        def run():
+            try:
+                loopback_session(SchemeId.OWFID, kp, seed=1)
+            except Exception as exc:
+                outcome["error"] = exc
+
+        # A daemon thread with a bounded wait, so that a hang fails the test.
+        worker = threading.Thread(target=run, daemon=True)
+        worker.start()
+        worker.join(timeout=10)
+        assert not worker.is_alive(), "loopback_session still running 10 s after one end raised"
+        return outcome.get("error")
+
+    def test_verifier_raises(self, monkeypatch, t1009):
+        error = self._bounded(monkeypatch, VerifierMachine, "on_response", t1009)
+        assert isinstance(error, Injected)
+
+    def test_prover_raises(self, monkeypatch, t1009):
+        error = self._bounded(monkeypatch, ProverMachine, "on_challenge", t1009)
+        assert isinstance(error, Injected)
 
 
 class TestHello:
@@ -152,7 +196,7 @@ class TestFrameValidation:
         ops = SCHEMES[SchemeId.CDHID]
         challenge = frame_encode(
             TAG_CHALLENGE,
-            encode_payload(ops.challenge_fields, (suite.g1_from_int(3),), suite, params.n),
+            encode_payload(ops.challenge_fields, (suite.g1_from_int(3),), suite),
         )
         return hello, challenge
 

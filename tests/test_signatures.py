@@ -7,7 +7,6 @@ from pairid import tate
 from pairid.algebra import G1Element, GroupSuite
 from pairid.primes import _jacobi
 from pairid.signatures import (
-    BudgetExceeded,
     DegenerateSuite,
     ExpKeyPair,
     ForgeryGameConfig,

@@ -10,7 +10,6 @@ from pairid.wire import (
     TAG_CHALLENGE,
     TAG_DECISION,
     TAG_ERROR,
-    TAG_HELLO,
     TAG_NAMES,
     LengthMismatch,
     ShortFrame,
@@ -89,7 +88,6 @@ class TestPayloadCodecs:
     def test_message_round_trips(self, scheme, fixture, request):
         suite = request.getfixturevalue(fixture)
         kp = keygen(scheme, suite, random.Random(3))
-        params = default_scheme_params(suite)
         t = run_session(scheme, kp, suite, seed=5)
         ops = SCHEMES[scheme]
         for fields, values in [
@@ -97,9 +95,9 @@ class TestPayloadCodecs:
             (ops.challenge_fields, t.challenge),
             (ops.response_fields, t.response),
         ]:
-            data = encode_payload(fields, values, suite, params.n)
-            assert len(data) == payload_width(fields, suite, params.n)
-            assert decode_payload(fields, data, suite, params.n) == values
+            data = encode_payload(fields, values, suite)
+            assert len(data) == payload_width(fields, suite)
+            assert decode_payload(fields, data, suite) == values
 
     def test_field_count_mismatch(self, t11):
         with pytest.raises(ValueError):
@@ -114,12 +112,12 @@ class TestPayloadCodecs:
     def test_bitstring_width_enforced(self, t11):
         params = default_scheme_params(t11)
         assert params.n == 4
-        data = encode_payload(("nbits",), (b"\x0c",), t11, params.n)
-        assert decode_payload(("nbits",), data, t11, params.n) == (b"\x0c",)
+        data = encode_payload(("nbits",), (b"\x0c",), t11)
+        assert decode_payload(("nbits",), data, t11) == (b"\x0c",)
         with pytest.raises(MalformedEncoding):
-            encode_payload(("nbits",), (b"\x00\x0c",), t11, params.n)
+            encode_payload(("nbits",), (b"\x00\x0c",), t11)
         with pytest.raises(MalformedEncoding):
-            decode_payload(("nbits",), b"\x1c", t11, params.n)  # 28 >= 2^4
+            decode_payload(("nbits",), b"\x1c", t11)  # 28 >= 2^4
 
     def test_truncated_and_oversized_payloads(self, t11):
         data = encode_payload(("g1", "zp"), (t11.g1, t11.scalar(5)), t11)
