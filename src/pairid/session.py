@@ -57,7 +57,11 @@ MAX_ERROR_BYTES = 64
 
 
 class TransportClosed(Exception):
-    """Peer went away mid-frame."""
+    """Peer went away mid-frame, or reset the stream."""
+
+
+# What a stream raises when its peer reset it or stopped reading.
+_RESETS = (BrokenPipeError, ConnectionResetError)
 
 
 # What a peer, or a wire between the peers, can make a session raise.
@@ -88,10 +92,16 @@ class SocketTransport(_StreamTransport):
         self.sock = sock
 
     def write(self, data: bytes):
-        self.sock.sendall(data)
+        try:
+            self.sock.sendall(data)
+        except _RESETS as exc:
+            raise TransportClosed(f"peer reset the connection: {exc.strerror}") from exc
 
     def _read(self, nbytes: int) -> bytes:
-        return self.sock.recv(nbytes)
+        try:
+            return self.sock.recv(nbytes)
+        except _RESETS as exc:
+            raise TransportClosed(f"peer reset the connection: {exc.strerror}") from exc
 
     def close(self):
         self.sock.close()
@@ -105,8 +115,11 @@ class StdioTransport(_StreamTransport):
         self.outfile = outfile
 
     def write(self, data: bytes):
-        self.outfile.write(data)
-        self.outfile.flush()
+        try:
+            self.outfile.write(data)
+            self.outfile.flush()
+        except _RESETS as exc:
+            raise TransportClosed(f"peer stopped reading: {exc.strerror}") from exc
 
     def _read(self, nbytes: int) -> bytes:
         return self.infile.read(nbytes)

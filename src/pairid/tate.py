@@ -34,10 +34,11 @@ DegeneratePairing and the public entry point retries on deterministic
 offsets of the second argument.
 
 conj(f)/f has norm 1, and so does every G2 value, so the remaining power to
-h = (q + 1)/p, and every G2 power, runs on the trace ladder _norm1_pow: a
-Lucas sequence V_n = x^n + x^-n on t = 2*Re(x), two F_q multiplies per bit
-(Scott and Barreto, "Compressed Pairings", CRYPTO 2004).  A G2 inverse is a
-conjugate, and decode's G2 subgroup check is the norm test plus V_p = 2.
+h = (q + 1)/p, and every G2 power without a table, runs on the trace ladder
+_norm1_pow: a Lucas sequence V_n = x^n + x^-n on t = 2*Re(x), two F_q
+multiplies per bit and one inversion (Scott and Barreto, "Compressed
+Pairings", CRYPTO 2004).  A G2 inverse is a conjugate, and decode's G2
+subgroup check is the norm test plus V_p = 2.
 An equality check e(a, b) = e(c, d) needs one final exponentiation:
 M(c, -d) = conj(M(c, d)), so it tests V_h = 2 on M(a, b) * M(c, -d), whose
 two walks the evaluator zips under one squaring per step (Scott, "Computing
@@ -55,16 +56,21 @@ easy(M(a, b)) * conj(t), and t = 1 exactly when h * pt is infinity, where
 the hash moves on.  That case, and every c off the subgroup or without
 tables, clears the cofactor from the candidates not yet drawn and compares.
 
-Points that come back (the generator, key elements) get precomputed tables,
-kept per backend in a bounded TableCache from a point's second use on.  A
-G1 power of such a point runs on a fixed-base comb (Lim and Lee, CRYPTO
-1994): 31 affine sums of 2^(i d) P, then d = ceil(bits(p)/5) doublings and
-at most d additions.  A pairing whose first argument has a table runs the
-evaluator over its stored lines, the walk's triples divided by their c2
-with one batch inversion so that they read (a, b, 1) (the fixed-argument
-precomputation of Barreto et al. and of Lynn's PBC library).  Both give
-exactly what the plain paths give.  The walk that makes the lines ends at
-p * pt, so whether pt has order p is kept beside them at no cost.
+Values that come back (the generator, key elements, e(g, g) and the G2
+keys) get precomputed tables, kept per backend in a bounded TableCache from
+a value's second use on.  A power of such a value runs on a fixed-base comb
+(Lim and Lee, CRYPTO 1994) of _COMB_ROWS = 8 rows: with d = ceil(bits(p)/8),
+the 255 products of the x^(2^(i d)) over the nonempty sets of i, then d
+squarings and at most d multiplies, 20 and 20 at 160 bits.  The G1 comb
+keeps its 255 sums in affine form for mixed additions; the G2 comb keeps
+(a, b) pairs and multiplies in plain F_q(i), three F_q multiplies a product
+and two a square, with no inversion and no use of the norm.  A pairing
+whose first argument has a table runs the evaluator over its stored lines,
+the walk's triples divided by their c2 with one batch inversion so that
+they read (a, b, 1) (the fixed-argument precomputation of Barreto et al.
+and of Lynn's PBC library).  All of them give exactly what the plain paths
+give.  The walk that makes the lines ends at p * pt, so whether pt has order
+p is kept beside them at no cost.
 
 CurveParams.validate() holds every curve rule and counts no points, so it
 works at real size (q of 512 bits) like all the arithmetic here; every
@@ -262,23 +268,51 @@ def point_add(a: Point, b: Point, q: int) -> Point:
     return _add(a, b, q)
 
 
-def _comb_table(pt: tuple, bits: int, q: int) -> tuple:
-    """Fixed-base comb for exponents of up to `bits` bits (Lim and Lee).
+# Rows of the fixed-base combs (Lim and Lee): a comb for exponents of up to
+# `bits` bits has spacing d = ceil(bits / _COMB_ROWS) and 2^_COMB_ROWS - 1
+# entries, and a power takes d doublings (squarings) and at most d additions
+# (products).
+_COMB_ROWS = 8
 
-    With d = ceil(bits / 5), entry j of the table is the sum of 2^(i d) pt
-    over the set bits i of j (1 <= j < 32), in affine form (None for
-    infinity, which small-order points reach).  Returns (d, entries).
+
+def _comb_spacing(bits: int) -> int:
+    return max(1, -(-bits // _COMB_ROWS))
+
+
+def _comb_covers(comb: tuple | None, k: int) -> bool:
+    """Whether comb, a (d, entries) table or None, serves 0 < k < 2^(rows d)."""
+    return comb is not None and 0 < k and k.bit_length() <= _COMB_ROWS * comb[0]
+
+
+def _comb_columns(k: int, d: int) -> list:
+    """The entry index of each column of k, most significant column first.
+
+    k is cut into _COMB_ROWS rows of d bits each; bit i of column j's index
+    is bit j of row i, that is bit i d + j of k.  The walk doubles once per
+    column and then adds that entry.
     """
-    d = max(1, -(-bits // 5))
+    mask = (1 << d) - 1
+    rows = [format(k >> (i * d) & mask, f"0{d}b") for i in reversed(range(_COMB_ROWS))]
+    return [int("".join(column), 2) for column in zip(*rows)]
+
+
+def _comb_table(pt: tuple, bits: int, q: int) -> tuple:
+    """Fixed-base comb of pt for exponents of up to `bits` bits.
+
+    Entry j is the sum of 2^(i d) pt over the set bits i of j, in affine
+    form (None for infinity, which small-order points reach).  Returns
+    (d, entries).
+    """
+    d = _comb_spacing(bits)
     r = (*pt, 1)
     spaced = [r]
-    for _ in range(4):
+    for _ in range(_COMB_ROWS - 1):
         for _ in range(d):
             r = _double(r, q)[0]
         spaced.append(r)
     spaced = _batch_affine(spaced, q)
-    sums = [_INF] * 32
-    for j in range(1, 32):
+    sums = [_INF] * (1 << _COMB_ROWS)
+    for j in range(1, 1 << _COMB_ROWS):
         top = j.bit_length() - 1
         rest = sums[j ^ (1 << top)]
         base = spaced[top]
@@ -287,18 +321,51 @@ def _comb_table(pt: tuple, bits: int, q: int) -> tuple:
 
 
 def _comb_mul(k: int, comb: tuple, q: int) -> Point:
-    # Column j of the five d-bit rows of k picks the entry to add after the
-    # j-th doubling: d doublings and at most d mixed additions.
     d, entries = comb
-    mask = (1 << d) - 1
-    rows = [format(k >> (i * d) & mask, f"0{d}b") for i in range(4, -1, -1)]
     r = _INF
-    for column in zip(*rows):
+    for j in _comb_columns(k, d):
         r = _double(r, q)[0]
-        entry = entries[int("".join(column), 2)]
+        entry = entries[j]
         if entry is not None:
             r = _add_mixed(r, entry[0], entry[1], q)[0]
     return _affine(r, q)
+
+
+def _fq2_comb_table(x: Fq2, bits: int) -> tuple:
+    """Fixed-base comb of x in F_q(i) for exponents of up to `bits` bits.
+
+    Entry j is the product of x^(2^(i d)) over the set bits i of j, as an
+    (a, b) pair standing for a + bi.  Plain F_q(i) arithmetic, so it is
+    exact for any x.  Returns (d, entries).
+    """
+    q, d = x.q, _comb_spacing(bits)
+    u, v = x.a, x.b
+    spaced = [(u, v)]
+    for _ in range(_COMB_ROWS - 1):
+        for _ in range(d):
+            u, v = (u + v) * (u - v) % q, 2 * u * v % q
+        spaced.append((u, v))
+    entries = [(1, 0)] * (1 << _COMB_ROWS)
+    for j in range(1, 1 << _COMB_ROWS):
+        top = j.bit_length() - 1
+        (a, b), (c, e) = entries[j ^ (1 << top)], spaced[top]
+        ac, be = a * c, b * e
+        entries[j] = ((ac - be) % q, ((a + b) * (c + e) - ac - be) % q)
+    return d, entries
+
+
+def _fq2_comb_pow(k: int, comb: tuple, q: int) -> Fq2:
+    # A square is (u + v)(u - v) + 2uv*i and a product takes three
+    # multiplies, so no step inverts.
+    d, entries = comb
+    u, v = 1, 0
+    for j in _comb_columns(k, d):
+        u, v = (u + v) * (u - v) % q, 2 * u * v % q
+        if j:
+            c, e = entries[j]
+            uc, ve = u * c, v * e
+            u, v = (uc - ve) % q, ((u + v) * (c + e) - uc - ve) % q
+    return Fq2(u, v, q)
 
 
 def lift_x(x: int, q: int) -> int | None:
@@ -313,14 +380,14 @@ def point_mul(k: int, pt: Point, q: int, comb: tuple | None = None) -> Point:
     """k * pt: a width-4 wNAF over the affine odd multiples pt, 3pt, 5pt and
     7pt, with mixed (affine-base) addition; a negative digit adds (x, -y).
 
-    comb, internal, is pt's _comb_table; it serves 0 <= k < 2^(5d).
+    comb, internal, is pt's _comb_table; see _comb_covers for the k it serves.
     """
     if not on_curve(pt, q):
         raise NotOnCurve("point_mul input is off the curve")
     k = int(k)
     if pt is None or k == 0:
         return None
-    if comb is not None and 0 < k and k.bit_length() <= 5 * comb[0]:
+    if _comb_covers(comb, k):
         return _comb_mul(k, comb, q)
     if k < 0:
         k, pt = -k, point_neg(pt, q)
@@ -595,20 +662,22 @@ def tate_pairing(a: Point, b: Point, params: CurveParams, lines: tuple | None = 
     raise DegeneratePairing("all retry offsets exhausted")
 
 
-# Bounds of each backend's TableCache.  At q of 512 bits a point's comb takes
-# about 7 KB and its lines about 73 KB, so a full cache holds about 1.3 MB.
+# Bounds of each backend's TableCache.  At q of 512 bits a comb, G1 or G2,
+# takes about 64 KB and a point's lines about 71 KB, so a full cache holds
+# at most about 2.2 MB.
 _TABLE_SLOTS = 16
 _SEEN_SLOTS = 64
 
 
 class TableCache:
-    """Precomputed tables for the points a backend sees more than once.
+    """Precomputed tables for the values a backend sees more than once.
 
-    Keyed by affine point.  A point's first use only takes one of
+    Keyed by value: affine G1 points and G2 Fq2 values, which never compare
+    equal, share the slots.  A value's first use only takes one of
     _SEEN_SLOTS slots; its second use moves it to one of _TABLE_SLOTS slots,
     least recently used first out, where each kind of table for it is built
     on demand.  So values used once (responses, hashes, challenges) never
-    cost a table, and they never push out a point that has tables.  Safe
+    cost a table, and they never push out a value that has tables.  Safe
     for threads sharing the backend: a table is built outside the lock and
     stored in one assignment, so a racing duplicate build is only wasted.
     """
@@ -648,10 +717,10 @@ class TableCache:
 class TateBackend:
     """Curve-point payloads for G1, F_{q^2} payloads for G2.
 
-    The points that sessions raise to powers or pair again and again (the
-    generator, key elements) get precomputed tables in a TableCache: a comb
-    for G1 powers, and the Miller lines of the first pairing argument.  Both
-    paths give the same results as the plain ones.
+    The values that sessions raise to powers or pair again and again (the
+    generator, key elements, e(g, g)) get precomputed tables in a
+    TableCache: a comb for G1 and for G2 powers, and the Miller lines of the
+    first pairing argument.  Each gives the same results as the plain path.
     """
 
     name = "tate"
@@ -674,15 +743,30 @@ class TateBackend:
             return _add(a, b, self.q)
         return a * b
 
-    def _table(self, pt, build):
-        # Only canonical curve points are cached; the callee still checks.
+    def _table(self, x, build):
+        # Only canonical curve points and F_q(i) values of this q are cached;
+        # the callee still checks.
         q = self.q
-        if pt is None or not (0 <= pt[0] < q and 0 <= pt[1] < q and on_curve(pt, q)):
-            return None
-        return self.tables.get(pt, build)
+        if isinstance(x, Fq2):
+            canonical = x.q == q  # Fq2 reduces its coordinates
+        else:
+            canonical = x is not None and 0 <= x[0] < q and 0 <= x[1] < q and on_curve(x, q)
+        return self.tables.get(x, build) if canonical else None
 
     def _comb(self, pt):
         return _comb_table(pt, self.p.bit_length(), self.q)
+
+    def _g2_comb(self, x):
+        return _fq2_comb_table(x, self.p.bit_length())
+
+    def _g2_power(self, x: Fq2, k: int) -> Fq2:
+        # Only a power that multiplies is a use of x: +-1 (b = 0) and k <= 1
+        # never take a table (GroupSuite's x^1 for its G2 generator
+        # included), and the ladder answers them at once.
+        comb = self._table(x, self._g2_comb) if x.b and k > 1 else None
+        if _comb_covers(comb, k):
+            return _fq2_comb_pow(k, comb, self.q)
+        return _norm1_pow(x, k)
 
     def _lines(self, pt):
         # The walk ends at p * pt, so the lines come with pt's order for free.
@@ -694,13 +778,13 @@ class TateBackend:
         return self._table(pt, self._lines) or (None, False)
 
     # Every G2 payload has norm 1: pairing values, powers of e(g, g), decodes
-    # checked for order p, and their products and inverses.  So G2 powers run
-    # on the trace ladder and inverses are conjugates.
+    # checked for order p, and their products and inverses.  So G2 powers
+    # without a table run on the trace ladder, and inverses are conjugates.
 
     def power(self, kind, a, k):
         if kind == KIND_G1:
             return point_mul(k, a, self.q, self._table(a, self._comb))
-        return _norm1_pow(a, int(k))
+        return self._g2_power(a, int(k))
 
     def invert(self, kind, a):
         if kind == KIND_G1:
@@ -715,7 +799,7 @@ class TateBackend:
     def from_int(self, kind, k):
         if kind == KIND_G1:
             return point_mul(k, self._gen, self.q, self._table(self._gen, self._comb))
-        return _norm1_pow(self._g2gen, int(k))
+        return self._g2_power(self._g2gen, int(k))
 
     def log(self, kind, a):
         # Brute force against the generator; fine at desk scale only.

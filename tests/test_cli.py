@@ -10,6 +10,7 @@ import pytest
 from pairid.cli import main
 from pairid.lab import DEMOS
 from pairid.records import load_key, load_transcript
+from test_session import reset
 
 
 def free_port() -> int:
@@ -91,6 +92,48 @@ class TestBrokenSessions:
         assert main([arg.format(sk=sk, pk=pk) for arg in argv]) == 1
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("pairid: ")
+
+    def test_verify_connect_peer_reset(self, keyfiles, capsys):
+        # The prover reads the hello and resets the connection.
+        _, pk = keyfiles
+        with socket.create_server(("127.0.0.1", 0)) as server:
+            def prover():
+                conn, _ = server.accept()
+                conn.recv(4096)
+                reset(conn)
+
+            thread = threading.Thread(target=prover)
+            thread.start()
+            capsys.readouterr()
+            rc = main(["verify", "--pk", str(pk), "--connect", f"127.0.0.1:{server.getsockname()[1]}"])
+            thread.join(timeout=5)
+        assert not thread.is_alive() and rc == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("pairid: ")
+
+    def test_prove_listen_peer_reset(self, keyfiles, capsys):
+        # The verifier connects and resets the connection before its hello.
+        sk, _ = keyfiles
+        port = free_port()
+        prover_rc = []
+        thread = threading.Thread(
+            target=lambda: prover_rc.append(main(["prove", "--key", str(sk), "--listen", f"127.0.0.1:{port}"])))
+        capsys.readouterr()
+        thread.start()
+        deadline = time.monotonic() + 5
+        while True:
+            try:
+                reset(socket.create_connection(("127.0.0.1", port)))
+                break
+            except ConnectionRefusedError:
+                if time.monotonic() > deadline:
+                    raise
+                time.sleep(0.05)
+        thread.join(timeout=5)
+        assert not thread.is_alive() and prover_rc == [1]
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("listening on ")
+        assert len(err) == 2 and err[1].startswith("pairid: ")
 
 
 class TestBadRecords:

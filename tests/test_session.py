@@ -1,6 +1,7 @@
 import os
 import random
 import socket
+import struct
 import threading
 
 from pytest import raises
@@ -249,6 +250,52 @@ class TestStdioTransport:
             t.outfile.close()
         assert result.decision
         assert outcome["prover"].decision
+
+
+def tcp_pair() -> tuple[socket.socket, socket.socket]:
+    """Both ends of one TCP loopback connection."""
+    with socket.create_server(("127.0.0.1", 0)) as server:
+        client = socket.create_connection(server.getsockname())
+        conn, _ = server.accept()
+    return client, conn
+
+
+def reset(sock: socket.socket):
+    """Close sock with SO_LINGER 0, so that its peer gets a reset, not EOF."""
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+    sock.close()
+
+
+class TestPeerReset:
+    """A peer that resets the stream ends the session as one that closed it."""
+
+    def test_socket_read_then_write(self):
+        client, conn = tcp_pair()
+        reset(conn)
+        transport = SocketTransport(client)
+        try:
+            with raises(TransportClosed, match="reset"):  # ConnectionResetError
+                transport.read_exact(4)
+            with raises(TransportClosed, match="reset"):  # BrokenPipeError
+                transport.write(b"\x00\x00\x00\x01")
+        finally:
+            client.close()
+
+    def test_socket_write_first(self):
+        client, conn = tcp_pair()
+        reset(conn)
+        try:
+            with raises(TransportClosed, match="reset"):
+                SocketTransport(client).write(b"\x00\x00\x00\x01")
+        finally:
+            client.close()
+
+    def test_stdio_reader_gone(self):
+        r, w = os.pipe()
+        os.close(r)
+        with os.fdopen(w, "wb", buffering=0) as out:
+            with raises(TransportClosed):  # BrokenPipeError
+                StdioTransport(None, out).write(b"\x00\x00\x00\x01")
 
 
 def _doubled(snapshot: dict) -> dict:

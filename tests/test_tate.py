@@ -16,7 +16,9 @@ from pairid.tate import (
     TateBackend,
     ValidationFailed,
     _add_mixed,
+    _comb_spacing,
     _double,
+    _fq2_comb_table,
     _miller,
     _miller_stored,
     _norm1_pow,
@@ -500,18 +502,30 @@ class TestPrecomputedTables:
                 assert backend.power(KIND_G1, pt, k) == point_mul(k, pt, q), (pt, k)
 
     def test_comb_uses_several_columns(self):
-        # p = 131 has 8 bits, so the comb has two columns per row.
-        params = enumerate_and_validate(523).params
-        backend = TateBackend(params)
+        # q + 1 = 1052 = 4 * 263, and p = 263 has 9 bits, so each of the
+        # comb's rows has two columns.
+        suite = tate_suite(1051, 263)
+        backend, params = suite.backend, suite.backend.params
+        assert _comb_spacing(backend.p.bit_length()) == 2
         rng = random.Random("comb columns")
-        bases = [params.gen, (0, 0)] + [_random_curve_point(523, rng) for _ in range(6)]
+        bases = [params.gen, (0, 0)] + [_random_curve_point(1051, rng) for _ in range(6)]
         for pt in bases:
             backend.power(KIND_G1, pt, 1)
             backend.power(KIND_G1, pt, 1)
             for k in range(backend.p):
-                assert backend.power(KIND_G1, pt, k) == naive_mul(k, pt, 523), (pt, k)
+                assert backend.power(KIND_G1, pt, k) == naive_mul(k, pt, 1051), (pt, k)
         for k in range(backend.p):
-            assert backend.from_int(KIND_G1, k) == naive_mul(k, params.gen, 523)
+            assert backend.from_int(KIND_G1, k) == naive_mul(k, params.gen, 1051)
+        # The G2 comb over the same two columns, on the generator and a
+        # value of order p.
+        g2 = backend.from_int(KIND_G2, 1)
+        for x in (g2, g2 ** 100):
+            for _ in range(2):
+                backend.power(KIND_G2, x, 2)
+            for k in range(backend.p):
+                assert backend.power(KIND_G2, x, k) == x ** k, (x, k)
+        for k in range(backend.p):
+            assert backend.from_int(KIND_G2, k) == g2 ** k
 
     def test_comb_out_of_range_exponents(self):
         params = enumerate_and_validate(523).params
@@ -520,6 +534,46 @@ class TestPrecomputedTables:
             backend.power(KIND_G1, params.gen, 1)
         for k in (-1, -130, 1 << 10, 10**6 + 3):
             assert backend.power(KIND_G1, params.gen, k) == naive_mul(k % 524, params.gen, 523)
+
+    @pytest.mark.parametrize("q", [59, 83, 523])
+    def test_g2_comb_matches_the_ladder_on_every_value(self, q):
+        # Every element of mu_p, the order-p values of F_q^2, each used twice
+        # first; exponents past the comb's 2^8 and negative ones take the
+        # ladder.
+        params = enumerate_and_validate(q).params
+        backend = TateBackend(params)
+        g2 = backend.from_int(KIND_G2, 1)
+        mu_p = [g2 ** i for i in range(params.p)]
+        exponents = [*range(params.p), 255, 256, 257, -1, -params.p]
+        for x in mu_p:
+            for _ in range(2):
+                backend.power(KIND_G2, x, 2)
+            for k in exponents:
+                assert backend.power(KIND_G2, x, k) == _norm1_pow(x, k), (x, k)
+        for k in exponents:
+            assert backend.from_int(KIND_G2, k) == _norm1_pow(g2, k), k
+        # Each value but 1 (b = 0) still has its table: p - 1 of them, up to
+        # the cache's bound.
+        assert backend.tables.sizes()[1] == min(params.p - 1, _TABLE_SLOTS)
+
+    def test_g2_table_built_on_second_use(self, monkeypatch):
+        from pairid import tate
+
+        builds = []
+        monkeypatch.setattr(tate, "_fq2_comb_table", lambda x, bits: builds.append(x) or _fq2_comb_table(x, bits))
+        params = enumerate_and_validate(83).params
+        backend = TateBackend(params)
+        z = tate_pairing(point_mul(3, params.gen, 83), params.gen, params)
+        # Powers that multiply nothing are no use of their base.
+        for x, k in ((z, 0), (z, 1), (Fq2(1, 0, 83), 5), (Fq2(-1, 0, 83), 5)):
+            backend.power(KIND_G2, x, k)
+        assert backend.tables.sizes() == (0, 0)
+        backend.power(KIND_G2, z, 2)
+        assert backend.tables.sizes() == (1, 0) and builds == []
+        backend.power(KIND_G2, z, 3)
+        assert backend.tables.sizes() == (0, 1) and builds == [z]
+        assert backend.power(KIND_G2, z, 4) == z ** 4
+        assert builds == [z]
 
     @pytest.mark.parametrize("q", [59, 83])
     def test_stored_lines_match_reference_on_every_pair(self, q):
@@ -586,6 +640,15 @@ class TestPrecomputedTables:
                 got = backend.pair(key, b)
                 assert (got.a, got.b) == reference_pairing(key, b, REAL_Q, REAL_P, REAL_GEN)
         assert backend.tables.sizes()[1] == 2
+        # The G2 comb, on the generator e(g, g) and on a value of order p.
+        g2 = backend.from_int(KIND_G2, 1)
+        for x in (g2, *_real_g2_values(rng, 1)):
+            for _ in range(2):
+                backend.power(KIND_G2, x, 2)
+            for k in [rng.randrange(REAL_P) for _ in range(4)] + [1, REAL_P - 1]:
+                assert backend.power(KIND_G2, x, k) == x ** k, k
+                assert backend.from_int(KIND_G2, k) == g2 ** k, k
+        assert backend.tables.sizes()[1] == 4
 
     def test_table_built_on_second_use(self):
         params = enumerate_and_validate(83).params
@@ -597,17 +660,32 @@ class TestPrecomputedTables:
         assert backend.tables.sizes() == (0, 1)
 
     def test_cache_stays_within_its_bounds(self):
+        self._fill_cache(mixed=False)
+
+    def test_cache_stays_within_its_bounds_with_g2_values(self):
+        self._fill_cache(mixed=True)
+
+    @staticmethod
+    def _fill_cache(mixed):
+        # Mixed, each point comes with one of the 130 values of order p in
+        # F_q^2 other than 1, and G2 combs share the slots with G1 tables.
         params = enumerate_and_validate(523).params
         backend = TateBackend(params)
         pts = [pt for pt in curve_points(523) if pt is not None][:200]
-        for pt in pts:
+        g2 = backend.from_int(KIND_G2, 1)
+        values = [g2 ** (1 + i % 130) for i in range(len(pts))] if mixed else [None] * len(pts)
+        for pt, x in zip(pts, values):
             for _ in range(2):
                 backend.power(KIND_G1, pt, 5)
                 backend.pair(pt, params.gen)
+                if mixed:
+                    backend.power(KIND_G2, x, 5)
                 seen, tables = backend.tables.sizes()
                 assert seen <= _SEEN_SLOTS and tables <= _TABLE_SLOTS
-        for pt in pts:
+        for pt, x in zip(pts, values):
             backend.power(KIND_G1, pt, 7)
+            if mixed:
+                backend.power(KIND_G2, x, 7)
             seen, tables = backend.tables.sizes()
             assert seen <= _SEEN_SLOTS and tables <= _TABLE_SLOTS
         assert backend.tables.sizes() == (_SEEN_SLOTS, _TABLE_SLOTS)
@@ -618,14 +696,17 @@ class TestPrecomputedTables:
         rng = random.Random("threads")
         bases = [point_mul(rng.randrange(1, 131), params.gen, 523) for _ in range(24)]
         jobs = [(a, rng.randrange(131), rng.choice(bases)) for a in bases for _ in range(8)]
-        expect = [(point_mul(k, a, 523), tate_pairing(a, b, params)) for a, k, b in jobs]
+        # Each base also brings a G2 value, whose comb shares the slots.
+        g2 = {a: tate_pairing(a, params.gen, params) for a in bases}
+        expect = [(point_mul(k, a, 523), tate_pairing(a, b, params), _norm1_pow(g2[a], k)) for a, k, b in jobs]
         errors = []
 
         def work(order):
             try:
                 for i in order:
                     a, k, b = jobs[i]
-                    if (backend.power(KIND_G1, a, k), backend.pair(a, b)) != expect[i]:
+                    got = (backend.power(KIND_G1, a, k), backend.pair(a, b), backend.power(KIND_G2, g2[a], k))
+                    if got != expect[i]:
                         errors.append(i)
             except Exception as exc:  # surfaced below
                 errors.append(exc)
