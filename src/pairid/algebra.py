@@ -433,6 +433,8 @@ class GroupSuite:
         return self.backend.width(kind)
 
     def encode_element(self, elem: _GroupElement) -> bytes:
+        if not elem.suite.compatible(self):
+            raise ValueError("element does not belong to this suite")
         return self.backend.encode(elem.kind, elem.payload)
 
     def decode_g1(self, data: bytes) -> G1Element:

@@ -129,7 +129,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sign(args) -> int:
-    scheme, kp, params = load_key(args.key)
+    scheme, kp, _ = load_key(args.key)
     message = _message_bytes(args)
     suite = kp.suite
     if not isinstance(kp, (BbKeyPair, ExpKeyPair)):
@@ -142,13 +142,13 @@ def cmd_sign(args) -> int:
         print(f"sig = {suite.encode_element(sig).hex()}")
         print(f"r = {suite.encode_scalar(r).hex()}")
         return 0
-    sig = bls_sign(kp, message, params.hash_spec)
+    sig = bls_sign(kp, message)
     print(f"sig = {suite.encode_element(sig).hex()}")
     return 0
 
 
 def cmd_sigverify(args) -> int:
-    scheme, kp, params = load_key(args.pk)
+    scheme, kp, _ = load_key(args.pk)
     pk = kp.public()
     message = _message_bytes(args)
     suite = pk.suite
@@ -158,7 +158,7 @@ def cmd_sigverify(args) -> int:
             raise UsageError("this signature scheme needs --r")
         ok = bb_verify(pk, Scalar(int.from_bytes(message, "big"), suite.p), sig, _from_hex("--r", args.r, suite.decode_scalar))
     elif isinstance(pk, ExpKeyPair):
-        ok = bls_verify(pk, message, sig, params.hash_spec)
+        ok = bls_verify(pk, message, sig)
     else:
         raise UsageError(f"key scheme {scheme.value} has no signature counterpart")
     print("valid" if ok else "invalid")

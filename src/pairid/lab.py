@@ -93,12 +93,13 @@ class HonestProverOracle:
 
     One begin()/finish() pair is one identification session and consumes one
     unit of budget.  query(challenge) is the two-message convenience form.
-    The constructor runs the scheme's honest prover; answering() builds the
+    The constructor runs the scheme's honest prover, whose sessions never go
+    on the wire, so it takes no session settings; answering() builds the
     oracle a reduction hands an attacker instead.
     """
 
-    def __init__(self, scheme: SchemeId, kp, params: SchemeParams, limit: int, rng: Random):
-        self._prover = (scheme, kp, params, rng)
+    def __init__(self, scheme: SchemeId, kp, limit: int, rng: Random):
+        self._prover = (scheme, kp, rng)
         self._respond = None
         self.limit = limit
         self.calls = 0
@@ -111,7 +112,7 @@ class HonestProverOracle:
 
         The callable keeps its own budget, so the oracle sets none.
         """
-        oracle = cls(scheme=None, kp=None, params=None, limit=float("inf"), rng=None)
+        oracle = cls(scheme=None, kp=None, limit=float("inf"), rng=None)
         oracle._respond = respond
         return oracle
 
@@ -124,7 +125,8 @@ class HonestProverOracle:
         if self._respond is not None:
             self._pending = self._respond
             return ()
-        machine = ProverMachine(*self._prover)
+        scheme, kp, rng = self._prover
+        machine = ProverMachine(scheme, kp, rng=rng)
         commitment = machine.start()
         self._pending = machine.on_challenge
         return commitment if commitment is not None else ()
@@ -200,7 +202,7 @@ def run_attack(sim: ProtocolSim, attacker: AttackerPair, seed, forced_challenge:
     """
     rng_a = Random(f"{seed}:attacker")
     pk = sim.kp.public()
-    oracle = HonestProverOracle(sim.scheme, sim.kp, sim.params, sim.q, Random(f"{seed}:prover"))
+    oracle = HonestProverOracle(sim.scheme, sim.kp, sim.q, Random(f"{seed}:prover"))
     state = attacker.verifier_phase(pk, oracle, rng_a)
     channel = HonestVerifierChannel(sim.scheme, pk, sim.params, Random(f"{seed}:verifier"), forced_challenge)
     attacker.prover_phase(pk, state, channel, rng_a)
@@ -572,7 +574,7 @@ def blsid_forger(attacker: AttackerPair, params: SchemeParams | None = None):
             # the identity itself the generator is wrong instead (it cannot
             # both be the identity and equal the hash's secret power).
             sig = ctx.suite.g1_identity()
-            if bls_verify(ctx.pk, b"\x00", sig, local.hash_spec):
+            if bls_verify(ctx.pk, b"\x00", sig):
                 sig = ctx.suite.g1
             return b"\x00", sig
 
@@ -672,7 +674,6 @@ def mitm_relay_demo(suite: GroupSuite, scheme: SchemeId = SchemeId.HLS, seed=0, 
     distance check is outside what these games model.
     """
     scheme = SchemeId(scheme)
-    params = default_scheme_params(suite)
     kp = keygen(scheme, suite, Random(f"{seed}:keygen"))
     frames: list[bytes] = []
 
@@ -684,8 +685,8 @@ def mitm_relay_demo(suite: GroupSuite, scheme: SchemeId = SchemeId.HLS, seed=0, 
         frames.append(bytes(raw))
         return frame_decode(frames[-1])
 
-    prover = ProverMachine(scheme, kp, params, seed=seed, wire=True)
-    verifier = VerifierMachine(scheme, kp.public(), params, seed=seed, wire=True)
+    prover = ProverMachine(scheme, kp, seed=seed, wire=True)
+    verifier = VerifierMachine(scheme, kp.public(), seed=seed, wire=True)
     try:
         decision = exchange(prover, verifier, relay).decision
     except PEER_ERRORS as exc:

@@ -6,7 +6,9 @@ same fixed-width encodings the wire uses, and every record embeds enough
 suite description (backend, p, and the curve parameters when applicable) to
 rebuild the suite on load.  Secret fields live under sk.*; a key record
 without them loads as a public key.  A record's n and hash.mode are always
-its suite's own and its hash.key is always empty, so any other is refused.
+its suite's own and its hash.key is always empty, so any other is refused;
+loading returns them as the suite's SchemeParams.  A p or q wider than
+MAX_BITS is refused before any arithmetic runs on it.
 """
 
 from __future__ import annotations
@@ -18,6 +20,9 @@ from .wire import decode_payload, encode_payload
 
 MAGIC = "pairid-record"
 VERSION = "v1"
+# Loading tests p and q for primality, which takes seconds at a few thousand
+# bits; 1,024 bits is twice the q of the real-size curve.
+MAX_BITS = 1024
 
 
 class RecordError(Exception):
@@ -63,6 +68,14 @@ def _field(fields: dict, name: str, parse=str):
         raise RecordError(f"bad {name!r} field: {exc}") from exc
 
 
+def _bounded_int(text: str) -> int:
+    """A parser for _field: a decimal integer no wider than MAX_BITS."""
+    value = int(text)
+    if value.bit_length() > MAX_BITS:
+        raise ValueError(f"{value.bit_length()} bits is wider than {MAX_BITS}")
+    return value
+
+
 def _unhex(kinds: tuple, suite: GroupSuite):
     """A parser for _field: hex text to the values of a payload of these kinds."""
     return lambda text: decode_payload(kinds, bytes.fromhex(text), suite)
@@ -82,12 +95,13 @@ def _head(scheme: SchemeId, suite: GroupSuite, params: SchemeParams) -> dict:
 def _suite_from_fields(fields: dict) -> GroupSuite:
     backend = fields.get("backend")
     if backend == "transparent":
-        return _field(fields, "p", lambda text: transparent_suite(int(text)))
+        return _field(fields, "p", lambda text: transparent_suite(_bounded_int(text)))
     if backend == "tate":
-        q, p, h = (_field(fields, name, int) for name in ("q", "p", "h"))
-        gen = _field(fields, "gen", lambda text: tuple(int(v) for v in text.split(",")))
+        q, p = (_field(fields, name, _bounded_int) for name in ("q", "p"))
+        h, gen = _field(fields, "h", int), _field(fields, "gen")
         try:
-            return suite_from_curve_params(q, p, h, gen)
+            x, y = gen.split(",")  # exactly two integers; any other count is a ValueError
+            return suite_from_curve_params(q, p, h, (int(x), int(y)))
         except (ValueError, ArithmeticError) as exc:
             raise RecordError(f"bad curve fields q, p, h, gen: {exc}") from exc
     raise RecordError(f"unknown backend {backend!r}")

@@ -104,7 +104,7 @@ class SchemeId(str, Enum):
 
 @dataclass(frozen=True)
 class SchemeParams:
-    """Per-session knobs: the suite's challenge bit length and blsid's hash."""
+    """A session's declared settings: the suite's challenge bit length and hash."""
 
     n: int
     hash_spec: HashSpec
@@ -199,14 +199,14 @@ def _check_nonzero(m: Scalar):
         raise ZeroChallenge("scalar challenges are drawn from Z_p^*")
 
 
-def blsid_respond(kp: ExpKeyPair, message: bytes, params: SchemeParams) -> G1Element:
+def blsid_respond(kp: ExpKeyPair, message: bytes) -> G1Element:
     _check_bits(message, kp.suite)
-    return bls_sign(kp, message, params.hash_spec)
+    return bls_sign(kp, message)
 
 
-def blsid_verify(pk: ExpKeyPair, message: bytes, sig: G1Element, params: SchemeParams) -> bool:
+def blsid_verify(pk: ExpKeyPair, message: bytes, sig: G1Element) -> bool:
     _check_bits(message, pk.suite)
-    return bls_verify(pk, message, sig, params.hash_spec)
+    return bls_verify(pk, message, sig)
 
 
 def blsid_verify_point(pk: ExpKeyPair, h: G1Element, sig: G1Element) -> bool:
@@ -308,9 +308,9 @@ class SchemeOps:
     challenge_fields: tuple
     response_fields: tuple
     keygen: callable
-    commit: callable  # (kp, params, rng) -> (state, commitment tuple); None for 2-message
-    respond: callable  # (kp, state, challenge tuple, params, rng) -> response tuple
-    verify: callable  # (pk, commitment tuple, challenge tuple, response tuple, params) -> bool
+    commit: callable  # (kp, rng) -> (state, commitment tuple); None for 2-message
+    respond: callable  # (kp, state, challenge tuple, rng) -> response tuple
+    verify: callable  # (pk, commitment tuple, challenge tuple, response tuple) -> bool
 
     @property
     def three_message(self) -> bool:
@@ -328,7 +328,7 @@ class SchemeOps:
 
 def _wrap_commit(fn):
     # Flat commit helpers return (secret state, single message value).
-    def commit(kp, params, rng):
+    def commit(kp, rng):
         state, value = fn(kp, rng)
         return state, (value,)
 
@@ -344,8 +344,8 @@ SCHEMES: dict[SchemeId, SchemeOps] = {
         response_fields=(KIND_G1,),
         keygen=bls_keygen,
         commit=None,
-        respond=lambda kp, st, ch, params, rng: (blsid_respond(kp, ch[0], params),),
-        verify=lambda pk, co, ch, re, params: blsid_verify(pk, ch[0], re[0], params),
+        respond=lambda kp, st, ch, rng: (blsid_respond(kp, ch[0]),),
+        verify=lambda pk, co, ch, re: blsid_verify(pk, ch[0], re[0]),
     ),
     SchemeId.CDHID: SchemeOps(
         scheme=SchemeId.CDHID,
@@ -355,8 +355,8 @@ SCHEMES: dict[SchemeId, SchemeOps] = {
         response_fields=(KIND_G1,),
         keygen=bls_keygen,
         commit=None,
-        respond=lambda kp, st, ch, params, rng: (cdhid_respond(kp, ch[0]),),
-        verify=lambda pk, co, ch, re, params: cdhid_verify(pk, ch[0], re[0]),
+        respond=lambda kp, st, ch, rng: (cdhid_respond(kp, ch[0]),),
+        verify=lambda pk, co, ch, re: cdhid_verify(pk, ch[0], re[0]),
     ),
     SchemeId.SDHID: SchemeOps(
         scheme=SchemeId.SDHID,
@@ -366,8 +366,8 @@ SCHEMES: dict[SchemeId, SchemeOps] = {
         response_fields=(KIND_G1, KIND_ZP),
         keygen=bb_keygen,
         commit=None,
-        respond=lambda kp, st, ch, params, rng: sdhid_respond(kp, ch[0], rng),
-        verify=lambda pk, co, ch, re, params: sdhid_verify(pk, ch[0], re[0], re[1]),
+        respond=lambda kp, st, ch, rng: sdhid_respond(kp, ch[0], rng),
+        verify=lambda pk, co, ch, re: sdhid_verify(pk, ch[0], re[0], re[1]),
     ),
     SchemeId.OWFID: SchemeOps(
         scheme=SchemeId.OWFID,
@@ -377,8 +377,8 @@ SCHEMES: dict[SchemeId, SchemeOps] = {
         response_fields=(KIND_G1, KIND_ZP),
         keygen=owfid_keygen,
         commit=_wrap_commit(owfid_commit),
-        respond=lambda kp, st, ch, params, rng: owfid_respond(kp, st, ch[0]),
-        verify=lambda pk, co, ch, re, params: owfid_verify(pk, co[0], ch[0], re[0], re[1]),
+        respond=lambda kp, st, ch, rng: owfid_respond(kp, st, ch[0]),
+        verify=lambda pk, co, ch, re: owfid_verify(pk, co[0], ch[0], re[0], re[1]),
     ),
     SchemeId.SCL: SchemeOps(
         scheme=SchemeId.SCL,
@@ -388,8 +388,8 @@ SCHEMES: dict[SchemeId, SchemeOps] = {
         response_fields=(KIND_G1,),
         keygen=scl_keygen,
         commit=_wrap_commit(scl_commit),
-        respond=lambda kp, st, ch, params, rng: (scl_respond(kp, st, ch[0]),),
-        verify=lambda pk, co, ch, re, params: scl_verify(pk, co[0], ch[0], re[0]),
+        respond=lambda kp, st, ch, rng: (scl_respond(kp, st, ch[0]),),
+        verify=lambda pk, co, ch, re: scl_verify(pk, co[0], ch[0], re[0]),
     ),
     SchemeId.HLS: SchemeOps(
         scheme=SchemeId.HLS,
@@ -399,8 +399,8 @@ SCHEMES: dict[SchemeId, SchemeOps] = {
         response_fields=(KIND_G1,),
         keygen=hls_keygen,
         commit=_wrap_commit(hls_commit),
-        respond=lambda kp, st, ch, params, rng: (hls_respond(kp, st, ch[0]),),
-        verify=lambda pk, co, ch, re, params: hls_verify(pk, co[0], ch[0], re[0]),
+        respond=lambda kp, st, ch, rng: (hls_respond(kp, st, ch[0]),),
+        verify=lambda pk, co, ch, re: hls_verify(pk, co[0], ch[0], re[0]),
     ),
 }
 
@@ -567,7 +567,7 @@ class ProverMachine(SessionEngine):
         self._expect("init")
         if self.ops.three_message:
             with self.suite.role("prover"):
-                self._secret_state, self.commitment = self.ops.commit(self.key, self.params, self.rng)
+                self._secret_state, self.commitment = self.ops.commit(self.key, self.rng)
             self.state = "committed"
             return self.commitment
         self.state = "committed"
@@ -579,7 +579,7 @@ class ProverMachine(SessionEngine):
             raise ProtocolViolation("challenge has the wrong number of fields")
         self.challenge = challenge
         with self.suite.role("prover"):
-            self.response = self.ops.respond(self.key, self._secret_state, challenge, self.params, self.rng)
+            self.response = self.ops.respond(self.key, self._secret_state, challenge, self.rng)
         self.state = "done"
         return self.response
 
@@ -628,7 +628,7 @@ class VerifierMachine(SessionEngine):
             raise ProtocolViolation("response has the wrong number of fields")
         self.response = response
         with self.suite.role("verifier"):
-            decision = self.ops.verify(self.key, self.commitment, self.challenge, response, self.params)
+            decision = self.ops.verify(self.key, self.commitment, self.challenge, response)
         self.state = "done"
         return bool(decision)
 
@@ -670,4 +670,4 @@ def run_session(scheme: SchemeId, kp, suite: GroupSuite, seed=0) -> Transcript:
 def replay_decision(t: Transcript, pk) -> bool:
     """Re-run the verification equation over a stored transcript."""
     ops = SCHEMES[SchemeId(t.scheme)]
-    return bool(ops.verify(pk, t.commitment, t.challenge, t.response, default_scheme_params(pk.suite)))
+    return bool(ops.verify(pk, t.commitment, t.challenge, t.response))

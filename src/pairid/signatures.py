@@ -2,13 +2,13 @@
 
 Two schemes live here.  The hash-based one signs by exponentiating the
 hashed message with the secret key and verifies with two pairings.  The
-hash into G1 and the check e(g, sig) = e(v, H(m)) are the backend's
+hash into G1 and the check e(g, sig) = e(v, H(m)) are the suite's
 (pairid.algebra), and the curve backend folds the cofactor into that
-check (pairid.tate); a hash spec names the backend's mode.  The
-inversion-based one signs m by exponentiating the generator with
-1/(x + m + y*r) for a fresh blinding scalar r, redrawing r whenever the
-denominator collapses to zero; verification needs two exponentiations plus
-one pairing against a fixed target.  Both keygens and both verify equations
+check (pairid.tate); only hash_to_group takes a hash spec, which must name
+the backend's one mode.  The inversion-based one signs m by exponentiating
+the generator with 1/(x + m + y*r) for a fresh blinding scalar r, redrawing
+r whenever the denominator collapses to zero; verification needs two
+exponentiations plus one pairing against a fixed target.  Both keygens and both verify equations
 are shared verbatim with the corresponding identification protocols, which
 is what makes the forgery reductions in the lab mechanical.
 """
@@ -48,14 +48,10 @@ def default_hash_spec(suite: GroupSuite) -> HashSpec:
     return HashSpec(HashMode(suite.backend.hash_mode))
 
 
-def _check_mode(spec: HashSpec, suite: GroupSuite) -> None:
-    if spec.mode != suite.backend.hash_mode:
-        raise ModeBackendMismatch(f"hash mode {spec.mode!r} is not this backend's, {suite.backend.hash_mode!r}")
-
-
 def hash_to_group(message: bytes, spec: HashSpec, suite: GroupSuite) -> G1Element:
     """Map a byte string into G1.  Hashing is never charged to a role."""
-    _check_mode(spec, suite)
+    if spec.mode != suite.backend.hash_mode:
+        raise ModeBackendMismatch(f"hash mode {spec.mode!r} is not this backend's, {suite.backend.hash_mode!r}")
     return suite.hash_to_g1(message)
 
 
@@ -136,14 +132,12 @@ def bb_keygen(suite: GroupSuite, rng: Random) -> BbKeyPair:
 # -- the hash-based scheme ----------------------------------------------------
 
 
-def bls_sign(kp: ExpKeyPair, message: bytes, spec: HashSpec) -> G1Element:
-    h = hash_to_group(message, spec, kp.suite)
-    return h ** kp.x
+def bls_sign(kp: ExpKeyPair, message: bytes) -> G1Element:
+    return kp.suite.hash_to_g1(message) ** kp.x
 
 
-def bls_verify(pk: ExpKeyPair, message: bytes, sig: G1Element, spec: HashSpec) -> bool:
+def bls_verify(pk: ExpKeyPair, message: bytes, sig: G1Element) -> bool:
     suite = pk.suite
-    _check_mode(spec, suite)
     return suite.pairings_equal_hashed(suite.g1, sig, pk.v, message)
 
 
@@ -239,10 +233,9 @@ class _SignOracle:
 class ForgeryContext:
     """What a forger sees: the public key plus budgeted sign/hash oracles."""
 
-    def __init__(self, scheme: str, kp, suite: GroupSuite, spec: HashSpec, cfg: ForgeryGameConfig, rng: Random):
+    def __init__(self, scheme: str, kp, suite: GroupSuite, cfg: ForgeryGameConfig, rng: Random):
         self.scheme = scheme
         self.suite = suite
-        self.spec = spec
         self.pk = kp.public()
         self._kp = kp
         self._rng = rng
@@ -252,12 +245,12 @@ class ForgeryContext:
     def sign(self, message):
         self._sign.charge(message)
         if self.scheme == "bls":
-            return bls_sign(self._kp, message, self.spec)
+            return bls_sign(self._kp, message)
         return bb_sign(self._kp, message, self._rng)
 
     def hash(self, message: bytes) -> G1Element:
         self._hash.charge(message)
-        return hash_to_group(message, self.spec, self.suite)
+        return self.suite.hash_to_g1(message)
 
     @property
     def signed(self) -> list:
@@ -273,12 +266,11 @@ def forgery_game(sig_scheme: str, adversary, config: ForgeryGameConfig, suite: G
     """
     if sig_scheme not in ("bls", "bb"):
         raise ValueError(f"unknown signature scheme {sig_scheme!r}")
-    spec = default_hash_spec(suite)
 
     def trial(i):
         rng_game = Random(f"{config.seed}:{i}:game")
         kp = bls_keygen(suite, rng_game) if sig_scheme == "bls" else bb_keygen(suite, rng_game)
-        ctx = ForgeryContext(sig_scheme, kp, suite, spec, config, rng_game)
+        ctx = ForgeryContext(sig_scheme, kp, suite, config, rng_game)
         try:
             message, forgery = adversary(ctx, Random(f"{config.seed}:{i}:adv"))
         except BudgetExceeded:
@@ -286,7 +278,7 @@ def forgery_game(sig_scheme: str, adversary, config: ForgeryGameConfig, suite: G
         else:
             # A message sent to the sign oracle is not fresh: no credit.
             won = message not in ctx.signed and (
-                bls_verify(kp.public(), message, forgery, spec) if sig_scheme == "bls"
+                bls_verify(kp.public(), message, forgery) if sig_scheme == "bls"
                 else bb_verify(kp.public(), message, *forgery))
         return won, {"sign": ctx._sign.calls, "hash": ctx._hash.calls}
 

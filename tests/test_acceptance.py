@@ -186,10 +186,9 @@ def _sweep_decisions(scheme, ct, tt):
     kp_c = keygen(scheme, ct, Random(f"c4:{scheme}:{ct.p}"))
     kp_t = _twin_keypair(scheme, kp_c, ct, tt)
     ops = SCHEMES[scheme]
-    params_c, params_t = default_scheme_params(ct), default_scheme_params(tt)
 
     if ops.three_message:
-        _, co_c = ops.commit(kp_c, params_c, Random(f"c4commit:{scheme}"))
+        _, co_c = ops.commit(kp_c, Random(f"c4commit:{scheme}"))
         co_t = tuple(_twin(ct, tt, v) for v in co_c)
     else:
         co_c = co_t = ()
@@ -211,8 +210,8 @@ def _sweep_decisions(scheme, ct, tt):
         ch_t = tuple(_twin(ct, tt, v) for v in ch_c)
         for re_c in itertools.product(*response_space):
             re_t = tuple(_twin(ct, tt, v) for v in re_c)
-            on_curve = ops.verify(kp_c.public(), co_c, ch_c, re_c, params_c)
-            plain = ops.verify(kp_t.public(), co_t, ch_t, re_t, params_t)
+            on_curve = ops.verify(kp_c.public(), co_c, ch_c, re_c)
+            plain = ops.verify(kp_t.public(), co_t, ch_t, re_t)
             pairs += 1
             mismatches += on_curve != plain
             accepts += on_curve
@@ -439,7 +438,7 @@ def test_c10_forgery_collision_rate():
 
         def sign(message, _calls=calls):
             _calls.append(message)
-            return bls_sign(kp, message, params.hash_spec)
+            return bls_sign(kp, message)
 
         try:
             message, sig = blsid_forgery_reduction(attacker, kp.public(), sign, params, Random(f"c10:{i}"))
@@ -447,7 +446,7 @@ def test_c10_forgery_collision_rate():
             collisions += 1
             continue
         successes += 1
-        if message in calls or not bls_verify(kp.public(), message, sig, params.hash_spec):
+        if message in calls or not bls_verify(kp.public(), message, sig):
             invalid += 1
     rate = collisions / trials
     band = 3 * _sigma(0.5, trials)
@@ -503,7 +502,7 @@ def _random_guess_trial(scheme, pk, suite, params, rng) -> bool:
     co = tuple(_random_of_kind(k, suite, params, rng) for k in ops.commitment_fields)
     ch = ops.sample_challenge(suite, rng)
     re = tuple(_random_of_kind(k, suite, params, rng) for k in ops.response_fields)
-    return ops.verify(pk, co, ch, re, params)
+    return ops.verify(pk, co, ch, re)
 
 
 def test_c12_soundness_floor():

@@ -9,6 +9,7 @@ from pairid.algebra import (
     KIND_G1,
     KIND_ZP,
     CostCounter,
+    GroupSuite,
     MalformedEncoding,
     Scalar,
     ZeroInverse,
@@ -266,6 +267,16 @@ class TestCodecs:
     def test_foreign_scalar_rejected(self, t11):
         with pytest.raises(ValueError):
             t11.encode_scalar(Scalar(1, 13))
+
+    def test_foreign_element_rejected(self, t11, t1009, c59, c83):
+        for suite, other in ((t11, t1009), (c59, c83)):
+            with pytest.raises(ValueError):
+                suite.encode_element(other.g1 ** 3)
+            with pytest.raises(ValueError):
+                suite.encode_element(other.g2)
+        # A suite over the same backend, such as a counted clone, shares its elements.
+        clone = GroupSuite(c59.backend, counted=True)
+        assert clone.encode_element(c59.g1 ** 3) == c59.encode_element(c59.g1 ** 3)
 
     @given(v=st.integers(0, 1008))
     @settings(max_examples=50, deadline=None)

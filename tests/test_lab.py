@@ -62,7 +62,7 @@ def owfid_sim(p: int = 101, q: int = 0, seed="sim") -> ProtocolSim:
 class TestHonestCounterparties:
     def test_prover_oracle_budget(self, t1009):
         kp = keygen(SchemeId.CDHID, t1009, random.Random(1))
-        oracle = HonestProverOracle(SchemeId.CDHID, kp, default_scheme_params(t1009), 2, Random(0))
+        oracle = HonestProverOracle(SchemeId.CDHID, kp, 2, Random(0))
         h = (t1009.g1_from_int(5),)
         oracle.query(h)
         oracle.query(h)
@@ -72,7 +72,7 @@ class TestHonestCounterparties:
 
     def test_prover_oracle_ordering(self, t1009):
         kp = keygen(SchemeId.OWFID, t1009, random.Random(1))
-        oracle = HonestProverOracle(SchemeId.OWFID, kp, default_scheme_params(t1009), 5, Random(0))
+        oracle = HonestProverOracle(SchemeId.OWFID, kp, 5, Random(0))
         commitment = oracle.begin()
         assert len(commitment) == 1
         with pytest.raises(OrderingViolation):
@@ -84,7 +84,7 @@ class TestHonestCounterparties:
 
     def test_oracle_answers_verify(self, t1009):
         kp = keygen(SchemeId.CDHID, t1009, random.Random(1))
-        oracle = HonestProverOracle(SchemeId.CDHID, kp, default_scheme_params(t1009), 3, Random(0))
+        oracle = HonestProverOracle(SchemeId.CDHID, kp, 3, Random(0))
         h = t1009.g1_from_int(7)
         (sigma,) = oracle.query((h,))
         assert sigma == h ** kp.x
@@ -409,14 +409,14 @@ class TestForgeryReduction:
 
         def sign(message):
             calls.append(message)
-            return bls_sign(kp, message, params.hash_spec)
+            return bls_sign(kp, message)
 
         attacker = ScriptedBlsidAttacker(n=4, queries=8)
         # seed picked so the random challenge misses the 8 queried messages
         message, sig = blsid_forgery_reduction(attacker, kp.public(), sign, params, Random(4))
         assert message not in calls
         assert len(calls) == 8
-        assert bls_verify(kp.public(), message, sig, params.hash_spec)
+        assert bls_verify(kp.public(), message, sig)
 
     def test_collision_when_budget_covers_domain(self, t11):
         from pairid.signatures import bls_keygen, bls_sign
@@ -426,7 +426,7 @@ class TestForgeryReduction:
         attacker = ScriptedBlsidAttacker(n=4, queries=16)  # queries the whole domain
         with pytest.raises(FreshnessCollision):
             blsid_forgery_reduction(
-                attacker, kp.public(), lambda m: bls_sign(kp, m, params.hash_spec), params, Random(2)
+                attacker, kp.public(), lambda m: bls_sign(kp, m), params, Random(2)
             )
 
     def test_forger_in_game(self, t11):

@@ -2,7 +2,10 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pairid import algebra, tate
 from pairid.records import (
     RecordError,
     load_key,
@@ -115,6 +118,10 @@ def _edit(text: str, name: str, value: str | None) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _no_primality_test(n):
+    raise AssertionError("a record field reached the primality test")
+
+
 class TestMalformedFields:
     """Every malformed field is a RecordError that names it."""
 
@@ -149,13 +156,26 @@ class TestMalformedFields:
         with pytest.raises(RecordError, match=re.escape(repr(name))):
             load_key(path)
 
-    @pytest.mark.parametrize("name, value", [("q", "0"), ("p", "4"), ("gen", "35,31,1")])
+    @pytest.mark.parametrize("name, value", [("q", "0"), ("p", "4"), ("gen", "35,31,1"), ("gen", "5")])
     def test_curve_fields(self, name, value, c59, tmp_path):
         kp = keygen(SchemeId.CDHID, c59, random.Random(5))
         path = tmp_path / "key.txt"
         save_key(path, SchemeId.CDHID, kp, default_scheme_params(c59))
         path.write_text(_edit(path.read_text(), name, value))
         with pytest.raises(RecordError, match="curve fields"):
+            load_key(path)
+
+    @pytest.mark.parametrize("fixture, name", [("t1009", "p"), ("c59", "p"), ("c59", "q")])
+    def test_wide_numbers_refused_before_primality(self, fixture, name, request, tmp_path, monkeypatch):
+        # 2^11213 - 1 is prime, and testing it takes seconds.
+        suite = request.getfixturevalue(fixture)
+        kp = keygen(SchemeId.CDHID, suite, random.Random(5))
+        path = tmp_path / "key.txt"
+        save_key(path, SchemeId.CDHID, kp, default_scheme_params(suite))
+        path.write_text(_edit(path.read_text(), name, str(2**11213 - 1)))
+        for module in (algebra, tate):
+            monkeypatch.setattr(module, "is_prime", _no_primality_test)
+        with pytest.raises(RecordError, match=re.escape(repr(name)) + ".*wider than 1024"):
             load_key(path)
 
     @pytest.mark.parametrize(
@@ -174,6 +194,62 @@ class TestMalformedFields:
     def test_missing_file(self, tmp_path):
         with pytest.raises(RecordError, match="cannot read"):
             load_key(tmp_path / "absent.txt")
+
+
+@pytest.fixture(scope="module")
+def saved_records(tmp_path_factory, c59):
+    """(loader, text) of a saved owfid key and transcript on t1009 and c59,
+    and a path to write a mutated record to."""
+    folder = tmp_path_factory.mktemp("records")
+    records = []
+    for suite in (algebra.transparent_suite(1009), c59):
+        kp = keygen(SchemeId.OWFID, suite, random.Random(5))
+        save_key(folder / "key.txt", SchemeId.OWFID, kp, default_scheme_params(suite))
+        t = run_session(SchemeId.OWFID, kp, suite, seed=1)
+        save_transcript(folder / "transcript.txt", t, suite, default_scheme_params(suite))
+        records += [(load_key, (folder / "key.txt").read_text()),
+                    (load_transcript, (folder / "transcript.txt").read_text())]
+    return records, folder / "mutated.txt"
+
+
+# Short texts of digits, hex, commas and "-": a small integer or a hex
+# string, alone or in a comma list.
+_TOKEN = st.one_of(st.integers(-9, 99).map(str), st.text("0123456789abcdef-", max_size=6))
+_VALUE = st.one_of(_TOKEN, st.lists(_TOKEN, max_size=3).map(",".join))
+
+
+def _mutations(text: str, data) -> list:
+    """text with each line in turn given a new value, and with one line
+    dropped, one duplicated, two swapped and one character changed."""
+    lines = text.splitlines()
+
+    def join(edited):
+        return "\n".join(edited) + "\n"
+
+    out = [join(lines[:i] + [f"{line.split(' = ')[0]} = {data.draw(_VALUE)}"] + lines[i + 1 :])
+           for i, line in enumerate(lines)]
+    index = st.integers(0, len(lines) - 1)
+    i, j = data.draw(index), data.draw(index)
+    swapped = list(lines)
+    swapped[i], swapped[j] = lines[j], lines[i]
+    out += [join(lines[:i] + lines[i + 1 :]), join(lines[: i + 1] + lines[i:]), join(swapped)]
+    k = data.draw(st.integers(0, len(text) - 1))
+    out.append(text[:k] + data.draw(st.characters(max_codepoint=255)) + text[k + 1 :])
+    return out
+
+
+class TestRecordFuzz:
+    @given(data=st.data())
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def test_mutated_records_load_or_raise_record_error(self, saved_records, data):
+        records, path = saved_records
+        load, text = data.draw(st.sampled_from(records))
+        for mutated in _mutations(text, data):
+            path.write_bytes(mutated.encode("utf-8"))
+            try:
+                load(path)
+            except RecordError:
+                pass
 
 
 class TestTranscriptRecords:

@@ -76,18 +76,17 @@ class TestWorkedVectors:
         params = default_scheme_params(t11)
         assert params.n == 4
         message = (7).to_bytes(1, "big")
-        sigma = blsid_respond(kp, message, params)
+        sigma = blsid_respond(kp, message)
         assert sigma == t11.g1_from_int(6)  # H(7) = g^7, 7 * 4 = 28 = 6
-        assert blsid_verify(kp.public(), message, sigma, params)
-        assert not blsid_verify(kp.public(), (8).to_bytes(1, "big"), sigma, params)
+        assert blsid_verify(kp.public(), message, sigma)
+        assert not blsid_verify(kp.public(), (8).to_bytes(1, "big"), sigma)
 
     def test_blsid_challenge_length(self, t11):
         kp = ExpKeyPair(t11, t11.scalar(4), t11.g1_from_int(4))
-        params = default_scheme_params(t11)
         with pytest.raises(BadChallengeLength):
-            blsid_respond(kp, b"\x00\x07", params)  # two bytes for 4 bits
+            blsid_respond(kp, b"\x00\x07")  # two bytes for 4 bits
         with pytest.raises(BadChallengeLength):
-            blsid_respond(kp, b"\x10", params)  # 16 does not fit in 4 bits
+            blsid_respond(kp, b"\x10")  # 16 does not fit in 4 bits
 
     def test_blsid_point_form(self, t11):
         kp = ExpKeyPair(t11, t11.scalar(4), t11.g1_from_int(4))
