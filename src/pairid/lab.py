@@ -16,9 +16,12 @@ decide win/lose by a keyed hash over (their per-seed nonce, the challenge),
 which makes the seed-by-challenge outcome matrix a well-defined object that
 can be tabulated exhaustively.
 
-The repeated games share one trial loop, signatures.run_trials.  DEMOS names
-one demo per game; run_demo sets it up and returns (passed, lines), which is
-all that `pairid lab` prints and `pairid selftest` checks.
+The repeated games share one trial loop, signatures.run_trials, and every
+oracle counts its queries against one signatures.Budget.  An unknown success
+rate eps is estimated once, by the pilot in probe_strategy; the single-shot
+inverter never estimates it.  DEMOS names one demo per game; run_demo sets it
+up and returns (passed, lines), which is all that `pairid lab` prints and
+`pairid selftest` checks.
 """
 
 from __future__ import annotations
@@ -28,22 +31,23 @@ from dataclasses import dataclass, replace
 from math import ceil
 from random import Random
 
-from .algebra import G1Element, G2Element, GroupSuite, Scalar
+from .algebra import KIND_BITS, G1Element, G2Element, GroupSuite, Scalar
 from .schemes import (
     SCHEMES,
-    IdentityChallenge,
     OwfidKeyPair,
     ProverMachine,
     SchemeId,
     SchemeParams,
     Transcript,
     VerifierMachine,
+    check_nonidentity,
     default_scheme_params,
     exchange,
     keygen,
     owfid_verify,
 )
 from .signatures import (
+    Budget,
     BudgetExceeded,
     ExpKeyPair,
     ForgeryGameConfig,
@@ -88,21 +92,21 @@ class OrderingViolation(Exception):
 # -- honest counterparties -----------------------------------------------------
 
 
-class HonestProverOracle:
+class HonestProverOracle(Budget):
     """Budgeted access to prover runs, with the caller as verifier.
 
-    One begin()/finish() pair is one identification session and consumes one
-    unit of budget.  query(challenge) is the two-message convenience form.
+    One begin()/finish() pair is one identification session and charges the
+    oracle's Budget once; calls counts them.  query(challenge) is the
+    two-message convenience form.
     The constructor runs the scheme's honest prover, whose sessions never go
     on the wire, so it takes no session settings; answering() builds the
     oracle a reduction hands an attacker instead.
     """
 
     def __init__(self, scheme: SchemeId, kp, limit: int, rng: Random):
+        super().__init__(limit)
         self._prover = (scheme, kp, rng)
         self._respond = None
-        self.limit = limit
-        self.calls = 0
         self.asked: list = []
         self._pending = None
 
@@ -119,9 +123,7 @@ class HonestProverOracle:
     def begin(self) -> tuple:
         if self._pending is not None:
             raise OrderingViolation("previous session is still waiting for a challenge")
-        self.calls += 1
-        if self.calls > self.limit:
-            raise BudgetExceeded(f"prover oracle budget {self.limit} exceeded")
+        self.charge()
         if self._respond is not None:
             self._pending = self._respond
             return ()
@@ -146,8 +148,6 @@ class HonestProverOracle:
 class HonestVerifierChannel(VerifierMachine):
     """One honest verifier session, driven message by message by an attacker."""
 
-    decision: bool | None = None
-
     def get_challenge(self) -> tuple:
         if self.ops.three_message:
             raise OrderingViolation("this scheme starts with a commitment")
@@ -157,9 +157,14 @@ class HonestVerifierChannel(VerifierMachine):
         return self.on_commitment(tuple(commitment))
 
     def send_response(self, response: tuple) -> bool:
-        self.decision = self.on_response(tuple(response))
-        self._decide(self.decision)
-        return self.decision
+        return self.on_response(tuple(response))
+
+    def accepted_response(self) -> tuple:
+        """The response this session accepted; AttackFailed if it accepted none."""
+        transcript = self.transcript()
+        if not (transcript and transcript.decision):
+            raise AttackFailed("impersonation attempt was rejected")
+        return transcript.response
 
 
 class AttackerPair:
@@ -206,9 +211,10 @@ def run_attack(sim: ProtocolSim, attacker: AttackerPair, seed, forced_challenge:
     state = attacker.verifier_phase(pk, oracle, rng_a)
     channel = HonestVerifierChannel(sim.scheme, pk, sim.params, Random(f"{seed}:verifier"), forced_challenge)
     attacker.prover_phase(pk, state, channel, rng_a)
-    if channel.decision is None:
+    transcript = channel.transcript()
+    if transcript is None:
         raise AttackFailed("attacker ended the session without answering")
-    return channel.decision, channel.transcript()
+    return transcript.decision, transcript
 
 
 def _accepted(sim: ProtocolSim, attacker: AttackerPair, seed, forced_challenge: tuple | None = None) -> Transcript | None:
@@ -227,9 +233,12 @@ def attack_success_rate(attacker: AttackerPair, sim: ProtocolSim, trials: int = 
     return run_trials(f"impersonation:{sim.scheme.value}", {"p": sim.suite.p, "q": sim.q}, trials, trial)
 
 
-def estimate_success(attacker: AttackerPair, sim: ProtocolSim, sessions: int = 200, seed="pilot") -> float:
-    """Pilot estimate of the attacker's acceptance probability."""
-    return attack_success_rate(attacker, sim, trials=sessions, seed=seed).advantage
+def estimate_success(attacker: AttackerPair, sim: ProtocolSim, rng: Random) -> float:
+    """Pilot estimate of the attacker's acceptance probability: 200 sessions on a seed drawn from rng.
+
+    probe_strategy is the one caller, and runs it only when no eps is given.
+    """
+    return attack_success_rate(attacker, sim, trials=200, seed=f"pilot:{rng.getrandbits(32)}").advantage
 
 
 # -- seed-by-challenge outcome matrix -------------------------------------------
@@ -309,11 +318,12 @@ def probe_strategy(
     drawn challenges.  A probe that draws the phase-one challenge again is
     spent, not redrawn.  Success probability is at least
     (1 - 1/e) * (1/2)(1 - 1/e) ~ 0.1998 for any attacker with true rate eps,
-    by the heavy-row argument.
+    by the heavy-row argument.  Without eps, a pilot (estimate_success)
+    draws its seed from rng first; a pilot that never accepts is ProbeFailed.
     """
     rng = rng if rng is not None else Random("probe")
     if eps is None:
-        eps = estimate_success(attacker, sim, sessions=200, seed=f"pilot:{rng.getrandbits(32)}")
+        eps = estimate_success(attacker, sim, rng)
     if eps <= 0:
         raise ProbeFailed("attacker never succeeded in the pilot; nothing to probe")
     ops = SCHEMES[sim.scheme]
@@ -400,8 +410,9 @@ def owfid_inverter(
 
     The simulator key is honestly distributed (fresh Q*, s*), so the attacker
     cannot tell it is talking to a reduction.  "iterated" runs the two-phase
-    probing strategy; "single-shot" runs the attacker exactly twice on one
-    seed with independently drawn challenges.
+    probing strategy, which estimates eps with its pilot when eps is None;
+    "single-shot" runs the attacker exactly twice on one seed with
+    independently drawn challenges, and never reads or estimates eps.
     """
     if mode not in ("iterated", "single-shot"):
         raise ValueError(f"unknown inverter mode {mode!r}")
@@ -412,12 +423,6 @@ def owfid_inverter(
     v = (suite.pairing(P, Qstar) * y**sstar).inverse()
     simkey = OwfidKeyPair(suite, P, y, Qstar, sstar, v)
     sim = ProtocolSim(SchemeId.OWFID, simkey, params)
-
-    if eps is None:
-        eps = estimate_success(attacker, sim, sessions=200, seed=f"pilot:{rng.getrandbits(32)}")
-        if eps <= 0:
-            raise InversionFailed("pilot sessions never accepted")
-
     try:
         if mode == "iterated":
             report = probe_strategy(attacker, sim, eps=eps, rng=rng)
@@ -441,21 +446,23 @@ def owfid_inverter(
 # -- the one-more computational game and protocol reductions ----------------------
 
 
-class OmCdhContext:
+class OmCdhContext(Budget):
     """Challenger state for the one-more-style computational game.
 
     The helper oracle answers exponentiation queries only until the target is
     drawn; the target is drawn exactly once.  Both misuses raise rather than
-    silently losing, and the game loop treats a raise as a lost trial.
+    silently losing, and the game loop treats a raise as a lost trial.  The
+    context is the helper oracle's Budget of q queries: calls counts them,
+    the one that overspends included.
     """
 
     def __init__(self, suite: GroupSuite, x: Scalar, q: int, rng: Random):
+        super().__init__(q)
         self.suite = suite
         self._x = x
         self.q = q
         self._rng = rng
         self.v = suite.g1 ** x
-        self.calls = 0
         self.target: G1Element | None = None
 
     def cdh(self, h: G1Element) -> G1Element:
@@ -463,9 +470,7 @@ class OmCdhContext:
             raise OrderingViolation("helper oracle closes once the target is drawn")
         if not isinstance(h, G1Element):
             raise TypeError("helper oracle takes a G1 element")
-        self.calls += 1
-        if self.calls > self.q:
-            raise BudgetExceeded(f"helper budget {self.q} exceeded")
+        self.charge()
         return h ** self._x
 
     def challenge(self) -> G1Element:
@@ -508,8 +513,7 @@ def cdhid_reduction(attacker: AttackerPair, ctx: OmCdhContext, rng: Random) -> G
     # helper oracle computes, so the attacker's view is perfect.
     def respond(challenge: tuple) -> tuple:
         (h,) = challenge
-        if h.is_identity:
-            raise IdentityChallenge("challenge must be a non-identity element")
+        check_nonidentity(h)
         return (ctx.cdh(h),)
 
     oracle = HonestProverOracle.answering(respond)
@@ -520,9 +524,7 @@ def cdhid_reduction(attacker: AttackerPair, ctx: OmCdhContext, rng: Random) -> G
         SchemeId.CDHID, pk, default_scheme_params(suite), Random("reduction"), forced_challenge=(target,)
     )
     attacker.prover_phase(pk, state, channel, rng)
-    if not channel.decision:
-        raise AttackFailed("impersonation attempt was rejected")
-    return channel.response[0]
+    return channel.accepted_response()[0]
 
 
 def cdhid_reduction_game(
@@ -556,9 +558,7 @@ def blsid_forgery_reduction(attacker: AttackerPair, pk: ExpKeyPair, sign, params
     fresh = channel.challenge[0]
     if (fresh,) in oracle.asked:
         raise FreshnessCollision("verifier challenge collided with a signed message")
-    if not channel.decision:
-        raise AttackFailed("impersonation attempt was rejected")
-    return fresh, channel.response[0]
+    return fresh, channel.accepted_response()[0]
 
 
 def blsid_forger(attacker: AttackerPair, params: SchemeParams | None = None):
@@ -638,12 +638,10 @@ def unreliable_inverter(suite: GroupSuite, inner, eps: float, salt: bytes = b"")
     Wrong answers are off by one generator step, so they are well-formed
     group elements that fail the preimage identity.
     """
-    threshold = int(eps * 2**256)
 
     def invert(P: G1Element, y: G2Element) -> G1Element:
         answer = inner(P, y)
-        digest = hashlib.sha256(salt + suite.encode_element(P) + suite.encode_element(y)).digest()
-        if int.from_bytes(digest, "big") < threshold:
+        if _keyed_bit(salt, suite.encode_element(P), suite.encode_element(y), eps):
             return answer
         return answer * suite.g1
 
@@ -759,7 +757,7 @@ class ScriptedBlsidAttacker(AttackerPair):
         self.queries = queries
 
     def verifier_phase(self, pk, prover, rng: Random):
-        width = (self.n + 7) // 8
+        width = pk.suite.width(KIND_BITS)
         for value in rng.sample(range(2**self.n), self.queries):
             prover.query((value.to_bytes(width, "big"),))
         return b""

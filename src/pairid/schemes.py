@@ -199,6 +199,12 @@ def _check_nonzero(m: Scalar):
         raise ZeroChallenge("scalar challenges are drawn from Z_p^*")
 
 
+def check_nonidentity(h: G1Element):
+    """The rule on a G1 challenge, for the cdhid prover and verifier and any simulation of them."""
+    if h.is_identity:
+        raise IdentityChallenge("challenge must be a non-identity element")
+
+
 def blsid_respond(kp: ExpKeyPair, message: bytes) -> G1Element:
     _check_bits(message, kp.suite)
     return bls_sign(kp, message)
@@ -216,16 +222,13 @@ def blsid_verify_point(pk: ExpKeyPair, h: G1Element, sig: G1Element) -> bool:
 
 
 def cdhid_respond(kp: ExpKeyPair, h: G1Element) -> G1Element:
-    if h.is_identity:
-        raise IdentityChallenge("challenge must be a non-identity element")
+    check_nonidentity(h)
     return h ** kp.x
 
 
 def cdhid_verify(pk: ExpKeyPair, h: G1Element, sig: G1Element) -> bool:
-    if h.is_identity:
-        raise IdentityChallenge("challenge must be a non-identity element")
-    suite = pk.suite
-    return suite.pairings_equal(suite.g1, sig, pk.v, h)
+    check_nonidentity(h)
+    return blsid_verify_point(pk, h, sig)
 
 
 def sdhid_respond(kp: BbKeyPair, m: Scalar, rng: Random) -> tuple[G1Element, Scalar]:
@@ -502,9 +505,7 @@ class SessionEngine:
                 except ZeroExponent:
                     return [(TAG_ERROR, RESTART)] + self._restart()
                 return self._send(TAG_RESPONSE, response)
-            decision = self.on_response(payload)
-            self._decide(decision)
-            return [(TAG_DECISION, b"\x01" if decision else b"\x00")]
+            return [(TAG_DECISION, b"\x01" if self.on_response(payload) else b"\x00")]
         if tag == TAG_ERROR:
             if payload == RESTART and self.role == "verifier":
                 return self._restart()
@@ -539,6 +540,11 @@ class SessionEngine:
         if self.wire:
             return [(tag, encode_payload(getattr(self.ops, _FIELDS[tag]), value, self.suite))]
         return [(tag, value)]
+
+    def _shaped(self, tag: int, values: tuple) -> tuple:
+        if len(values) != len(getattr(self.ops, _FIELDS[tag])):
+            raise ProtocolViolation(f"{TAG_NAMES[tag]} has the wrong number of fields")
+        return values
 
     def _count(self, tag: int):
         for kind in getattr(self.ops, _FIELDS[tag]):
@@ -575,9 +581,7 @@ class ProverMachine(SessionEngine):
 
     def on_challenge(self, challenge: tuple) -> tuple:
         self._expect("committed")
-        if len(challenge) != len(self.ops.challenge_fields):
-            raise ProtocolViolation("challenge has the wrong number of fields")
-        self.challenge = challenge
+        self.challenge = self._shaped(TAG_CHALLENGE, challenge)
         with self.suite.role("prover"):
             self.response = self.ops.respond(self.key, self._secret_state, challenge, self.rng)
         self.state = "done"
@@ -596,13 +600,10 @@ class VerifierMachine(SessionEngine):
         self.forced_challenge = forced_challenge
 
     def _pick_challenge(self) -> tuple:
-        if self.forced_challenge is not None:
-            ch = self.forced_challenge
-        else:
+        ch = self.forced_challenge
+        if ch is None:
             ch = self.ops.sample_challenge(self.suite, self.rng)
-        if len(ch) != len(self.ops.challenge_fields):
-            raise ProtocolViolation("challenge has the wrong number of fields")
-        self.challenge = ch
+        self.challenge = self._shaped(TAG_CHALLENGE, ch)
         self.state = "challenged"
         return ch
 
@@ -617,20 +618,17 @@ class VerifierMachine(SessionEngine):
         self._expect("init")
         if not self.ops.three_message:
             raise ProtocolViolation("two-message schemes have no commitment")
-        if len(commitment) != len(self.ops.commitment_fields):
-            raise ProtocolViolation("commitment has the wrong number of fields")
-        self.commitment = commitment
+        self.commitment = self._shaped(TAG_COMMITMENT, commitment)
         return self._pick_challenge()
 
     def on_response(self, response: tuple) -> bool:
         self._expect("challenged")
-        if len(response) != len(self.ops.response_fields):
-            raise ProtocolViolation("response has the wrong number of fields")
-        self.response = response
+        self.response = self._shaped(TAG_RESPONSE, response)
         with self.suite.role("verifier"):
-            decision = self.ops.verify(self.key, self.commitment, self.challenge, response)
+            decision = bool(self.ops.verify(self.key, self.commitment, self.challenge, response))
         self.state = "done"
-        return bool(decision)
+        self._decide(decision)
+        return decision
 
 
 def exchange(prover: SessionEngine, verifier: SessionEngine, carry=None) -> Transcript:

@@ -11,6 +11,10 @@ r whenever the denominator collapses to zero; verification needs two
 exponentiations plus one pairing against a fixed target.  Both keygens and both verify equations
 are shared verbatim with the corresponding identification protocols, which
 is what makes the forgery reductions in the lab mechanical.
+
+Every game here and in the lab limits its oracles with one Budget: the sign
+and hash oracles of the forgery game, the lab's honest-prover oracle and its
+one-more helper oracle.  The repeated games share one trial loop, run_trials.
 """
 
 from __future__ import annotations
@@ -30,6 +34,19 @@ class ModeBackendMismatch(Exception):
 
 class BudgetExceeded(Exception):
     """An oracle was queried more times than the game allows."""
+
+
+class Budget:
+    """An oracle's query budget: charge() counts a call and refuses the one past the limit."""
+
+    def __init__(self, limit: int | float):
+        self.limit = limit
+        self.calls = 0
+
+    def charge(self):
+        self.calls += 1
+        if self.calls > self.limit:
+            raise BudgetExceeded(f"oracle budget {self.limit} exceeded")
 
 
 class HashMode(str, Enum):
@@ -217,19 +234,6 @@ def run_trials(game: str, params: dict, trials: int, trial, oracles: tuple = ())
     return GameReport(game, params, trials, wins, advantage, queries, seconds=time.monotonic() - t0)
 
 
-class _SignOracle:
-    def __init__(self, limit: int):
-        self.limit = limit
-        self.calls = 0
-        self.asked: list[bytes] = []
-
-    def charge(self, item):
-        self.calls += 1
-        if self.calls > self.limit:
-            raise BudgetExceeded(f"oracle budget {self.limit} exceeded")
-        self.asked.append(item)
-
-
 class ForgeryContext:
     """What a forger sees: the public key plus budgeted sign/hash oracles."""
 
@@ -239,22 +243,20 @@ class ForgeryContext:
         self.pk = kp.public()
         self._kp = kp
         self._rng = rng
-        self._sign = _SignOracle(cfg.q_s)
-        self._hash = _SignOracle(cfg.q_h)
+        self._sign = Budget(cfg.q_s)
+        self._hash = Budget(cfg.q_h)
+        self.signed: list = []
 
     def sign(self, message):
-        self._sign.charge(message)
+        self._sign.charge()
+        self.signed.append(message)
         if self.scheme == "bls":
             return bls_sign(self._kp, message)
         return bb_sign(self._kp, message, self._rng)
 
     def hash(self, message: bytes) -> G1Element:
-        self._hash.charge(message)
+        self._hash.charge()
         return self.suite.hash_to_g1(message)
-
-    @property
-    def signed(self) -> list:
-        return list(self._sign.asked)
 
 
 def forgery_game(sig_scheme: str, adversary, config: ForgeryGameConfig, suite: GroupSuite) -> GameReport:

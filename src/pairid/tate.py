@@ -90,7 +90,7 @@ from functools import lru_cache
 from itertools import chain, repeat
 from random import Random
 
-from .algebra import KIND_G1, DegenerateSuite, GroupSuite, MalformedEncoding, ValidationFailed
+from .algebra import KIND_G1, DegenerateSuite, GroupSuite, MalformedEncoding, ValidationFailed, scalar_width
 from .primes import _jacobi, factor, is_prime
 
 
@@ -475,7 +475,7 @@ class CurveParams:
             raise ValidationFailed(f"p * h = {p * h} != q + 1 = {q + 1}")
         if (q + 1) % (p * p) == 0:
             raise ValidationFailed(f"{p}^2 divides the group order; subgroup is not unique")
-        if gen is None or not (0 <= gen[0] < q and 0 <= gen[1] < q and on_curve(gen, q)):
+        if gen is None or len(gen) != 2 or not (0 <= gen[0] < q and 0 <= gen[1] < q and on_curve(gen, q)):
             raise ValidationFailed("generator is not a reduced point on the curve")
         if point_mul(p, gen, q) is not None:
             raise ValidationFailed("generator does not have order p")
@@ -731,7 +731,7 @@ class TateBackend:
         self.params = params
         self.p = params.p
         self.q = params.q
-        self._fqw = max(2, (params.q.bit_length() + 7) // 8)
+        self._fqw = scalar_width(params.q)
         self._gen = params.gen
         self.tables = TableCache()
         self._g2gen = tate_pairing(self._gen, self._gen, params)

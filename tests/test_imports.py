@@ -1,4 +1,5 @@
-"""Every top-level import in the tests and in pairid is used, checked with ast alone."""
+"""Every top-level import in the tests and in pairid is used, checked with ast alone,
+and no block of three lines in pairid is written twice."""
 
 import ast
 from pathlib import Path
@@ -10,6 +11,8 @@ SRC = Path(pairid.__file__).parent
 # Imports kept only to re-export a name: the package's public names, and the
 # restart payload that session re-exports as part of the wire protocol.
 REEXPORTS = {"__init__.py": set(pairid.__all__), "session.py": {"RESTART"}}
+# Three-line blocks that may occur more than once, as windows of whitespace-collapsed lines.
+REPEATS: set = set()
 
 
 def unused_imports(source: str) -> list:
@@ -50,3 +53,44 @@ def test_no_unused_imports_in_src():
 def test_the_check_finds_unused_names():
     source = "import os.path\nimport sys\nfrom a import b, c as d\nprint(d, sys.argv)\n"
     assert unused_imports(source) == ["1: os", "3: b"]
+
+
+def _is_code(line: str) -> bool:
+    # Blank lines, comments and docstring delimiters are not code.
+    return bool(line) and not line.startswith("#") and not line.startswith('"""') and not line.endswith('"""')
+
+
+def repeated_blocks(sources: dict, allowed: set) -> list:
+    """'file:line file:line' for each three-line window that occurs again.
+
+    Lines are compared with whitespace collapsed.  A window counts when each
+    of its lines is code and the three hold at least 60 characters together.
+    """
+    first = {}
+    found = []
+    for name, source in sources.items():
+        lines = [" ".join(line.split()) for line in source.splitlines()]
+        for i in range(len(lines) - 2):
+            window = tuple(lines[i : i + 3])
+            if window in allowed or not all(map(_is_code, window)) or sum(map(len, window)) < 60:
+                continue
+            if window in first:
+                found.append(f"{first[window]} {name}:{i + 1}")
+            else:
+                first[window] = f"{name}:{i + 1}"
+    return found
+
+
+def test_no_repeated_blocks_in_src():
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert repeated_blocks(sources, REPEATS) == []
+
+
+def test_the_check_finds_repeated_blocks():
+    block = "total = first_value + second_value\nscaled = total * factor\nreturn scaled\n"
+    short = "a = 1\nb = 2\nreturn a\n"
+    broken = "total = first_value + second_value\n# note\nscaled = total * factor\nreturn scaled\n"
+    sources = {"a.py": block + short, "b.py": "def f():\n" + block.replace("\n", "\n    ") + short + broken}
+    assert repeated_blocks(sources, set()) == ["a.py:1 b.py:2"]
+    window = ("total = first_value + second_value", "scaled = total * factor", "return scaled")
+    assert repeated_blocks(sources, {window}) == []

@@ -4,6 +4,8 @@ import socket
 import struct
 import threading
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from pytest import raises
 
 from pairid.algebra import transparent_suite
@@ -13,11 +15,13 @@ from pairid.schemes import (
     ProverMachine,
     SchemeId,
     VerifierMachine,
+    exchange,
     keygen,
     run_session,
     scl_keygen,
 )
 from pairid.session import (
+    PEER_ERRORS,
     RESTART,
     SocketTransport,
     StdioTransport,
@@ -34,9 +38,11 @@ from pairid.wire import (
     TAG_ERROR,
     TAG_HELLO,
     encode_payload,
+    frame_decode,
     frame_encode,
 )
 from pairid.wire import LengthMismatch
+from pairid.tate import tate_suite
 
 ALL_SCHEMES = list(SchemeId)
 
@@ -359,3 +365,54 @@ class TestFrameBounds:
         assert transport.read_exact(len(frame)) == frame
         with raises(TransportClosed):
             transport.read_exact(4)
+
+
+def _changed_in_transit(raw: bytes, data) -> bytes:
+    """One frame with a bit flipped, its payload cut short, its tag rewritten or a byte appended.
+
+    A cut or an appended byte comes with a length field that matches, so the
+    frame decodes and the change reaches the engine.
+    """
+    tag, payload = raw[4], raw[5:]
+    change = data.draw(st.sampled_from(["flip", "truncate", "tag", "append"]))
+    if change == "flip":
+        out = bytearray(raw)
+        out[data.draw(st.integers(0, len(raw) - 1))] ^= 1 << data.draw(st.integers(0, 7))
+        return bytes(out)
+    if change == "tag":
+        # Tags 1-6 are assigned, 0 and 7 are not.
+        return raw[:4] + bytes([data.draw(st.integers(0, 7))]) + payload
+    if change == "truncate":
+        payload = payload[: data.draw(st.integers(0, max(len(payload) - 1, 0)))]
+    else:
+        payload += bytes([data.draw(st.integers(0, 255))])
+    return (len(payload) + 1).to_bytes(4, "big") + bytes([tag]) + payload
+
+
+class TestFrameFuzz:
+    """A wire session relayed in memory with one frame changed on the way."""
+
+    @given(data=st.data())
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def test_changed_frame_decides_or_raises_a_peer_error(self, data):
+        suite = data.draw(st.sampled_from([transparent_suite(1009), tate_suite(59)]))
+        scheme = data.draw(st.sampled_from(ALL_SCHEMES))
+        seed = data.draw(st.integers(0, 2**16))
+        target = data.draw(st.integers(0, 2 if SCHEMES[scheme].three_message else 1))
+        kp = keygen(scheme, suite, random.Random(seed))
+        carried = []
+
+        def carry(tag: int, payload: bytes) -> tuple[int, bytes]:
+            raw = frame_encode(tag, payload)
+            if len(carried) == target:
+                raw = _changed_in_transit(raw, data)
+            carried.append(raw)
+            return frame_decode(raw)
+
+        prover = ProverMachine(scheme, kp, seed=seed, wire=True)
+        verifier = VerifierMachine(scheme, kp.public(), seed=seed, wire=True)
+        try:
+            transcript = exchange(prover, verifier, carry)
+        except PEER_ERRORS:
+            return
+        assert transcript.decision in (True, False)

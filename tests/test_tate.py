@@ -800,8 +800,10 @@ class TestCurveParamsValidate:
             ("gen", (REAL_GEN[0], REAL_GEN[1] + 1)),
             ("gen", _random_curve_point(REAL_Q, random.Random("full order"))),
             ("gen", None),
+            ("gen", (REAL_GEN[0],)),
+            ("gen", (*REAL_GEN, 1)),
         ],
-        ids=["h+1", "p+2", "off-curve", "full-order", "infinity"],
+        ids=["h+1", "p+2", "off-curve", "full-order", "infinity", "one-coordinate", "three-coordinates"],
     )
     def test_real_size_mutations_rejected(self, field, value):
         params = CurveParams(q=REAL_Q, p=REAL_P, h=REAL_H, gen=REAL_GEN)
