@@ -10,7 +10,11 @@ machinery a forking-style extractor needs.
 
 Attackers implement two phases.  In the verifier phase they may interrogate
 honest provers through a budgeted oracle; in the prover phase they get one
-shot at convincing an honest verifier.  Scripted attackers with a chosen
+shot at convincing an honest verifier, whose engine (schemes.VerifierMachine)
+they drive through its own start, on_commitment and on_response.  The
+simulations reuse the scheme functions rather than restating them: the
+simulator's key comes from schemes.owfid_keypair, and the scripted owfid
+attacker runs owfid_commit and owfid_respond.  Scripted attackers with a chosen
 success rate are provided for calibrating the statistical claims: they
 decide win/lose by a keyed hash over (their per-seed nonce, the challenge),
 which makes the seed-by-challenge outcome matrix a well-defined object that
@@ -44,7 +48,10 @@ from .schemes import (
     default_scheme_params,
     exchange,
     keygen,
-    owfid_verify,
+    owfid_commit,
+    owfid_keypair,
+    owfid_respond,
+    replay_decision,
 )
 from .signatures import (
     Budget,
@@ -146,18 +153,12 @@ class HonestProverOracle(Budget):
 
 
 class HonestVerifierChannel(VerifierMachine):
-    """One honest verifier session, driven message by message by an attacker."""
+    """One honest verifier session, driven message by message by an attacker.
 
-    def get_challenge(self) -> tuple:
-        if self.ops.three_message:
-            raise OrderingViolation("this scheme starts with a commitment")
-        return self.start()
-
-    def send_commitment(self, commitment: tuple) -> tuple:
-        return self.on_commitment(tuple(commitment))
-
-    def send_response(self, response: tuple) -> bool:
-        return self.on_response(tuple(response))
+    It is the scheme's own verifier engine: the attacker calls start() (two
+    messages) or on_commitment() (three messages) for the challenge, then
+    on_response() for the decision, with message tuples.
+    """
 
     def accepted_response(self) -> tuple:
         """The response this session accepted; AttackFailed if it accepted none."""
@@ -175,6 +176,7 @@ class AttackerPair:
         return b""
 
     def prover_phase(self, pk, state, channel: HonestVerifierChannel, rng: Random):
+        """Try to convince the channel, driving its own start/on_commitment/on_response."""
         raise NotImplementedError
 
 
@@ -375,7 +377,7 @@ def owfid_extractor(t1: Transcript, t2: Transcript, simkey: OwfidKeyPair) -> Ext
     for t in (t1, t2):
         if SchemeId(t.scheme) != SchemeId.OWFID:
             raise MalformedTranscripts(f"extractor got a {t.scheme} transcript")
-        if not owfid_verify(pk, t.commitment[0], t.challenge[0], t.response[0], t.response[1]):
+        if not replay_decision(t, pk):
             raise MalformedTranscripts("transcript does not verify under this key")
     if t1.commitment != t2.commitment:
         raise MalformedTranscripts("transcripts do not share a commitment")
@@ -387,7 +389,7 @@ def owfid_extractor(t1: Transcript, t2: Transcript, simkey: OwfidKeyPair) -> Ext
     dm_inv = (m1 - m2).inv()
     Q = (T1 / T2) ** dm_inv
     s = (a1 - a2) * dm_inv
-    if suite.pairing(pk.P, Q) * pk.y**s != pk.v.inverse():
+    if owfid_keypair(suite, pk.P, pk.y, Q, s).v != pk.v:
         raise MalformedTranscripts("extracted witness fails the key equation")
     if s == simkey.s:
         assert Q == simkey.Q, "equal exponents must force equal witnesses"
@@ -418,10 +420,7 @@ def owfid_inverter(
         raise ValueError(f"unknown inverter mode {mode!r}")
     rng = rng if rng is not None else Random("inverter")
     params = default_scheme_params(suite)
-    Qstar = suite.random_g1(rng)
-    sstar = suite.random_scalar(rng)
-    v = (suite.pairing(P, Qstar) * y**sstar).inverse()
-    simkey = OwfidKeyPair(suite, P, y, Qstar, sstar, v)
+    simkey = owfid_keypair(suite, P, y, suite.random_g1(rng), suite.random_scalar(rng))
     sim = ProtocolSim(SchemeId.OWFID, simkey, params)
     try:
         if mode == "iterated":
@@ -616,7 +615,7 @@ def invert_to_ddh(
     h2 = inverter(g, ya)
     h3 = inverter(g, yb)
     h4 = inverter(g, yc)
-    return suite.pairings_equal(h1, h4, h2, h3)
+    return suite.ddh_solve(h1, h2, h3, h4)
 
 
 def transparent_pairing_inverter(suite: GroupSuite):
@@ -736,12 +735,11 @@ class ScriptedCdhidAttacker(AttackerPair):
 
     def prover_phase(self, pk, token: bytes, channel: HonestVerifierChannel, rng: Random):
         suite = pk.suite
-        (h,) = channel.get_challenge()
+        (h,) = channel.start()
         x = suite.discrete_log(pk.v)
-        if _keyed_bit(b"cdhid", token, suite.encode_element(h), self.eps):
-            channel.send_response((h**x,))
-        else:
-            channel.send_response((h ** ((x + 1) % suite.p),))
+        if not _keyed_bit(b"cdhid", token, suite.encode_element(h), self.eps):
+            x += 1  # a losing draw answers with a wrong exponent
+        channel.on_response((h**x,))
 
 
 class ScriptedBlsidAttacker(AttackerPair):
@@ -764,10 +762,10 @@ class ScriptedBlsidAttacker(AttackerPair):
 
     def prover_phase(self, pk, state, channel: HonestVerifierChannel, rng: Random):
         suite = pk.suite
-        (message,) = channel.get_challenge()
+        (message,) = channel.start()
         x = suite.discrete_log(pk.v)
         h = hash_to_group(message, channel.params.hash_spec, suite)
-        channel.send_response((h**x,))
+        channel.on_response((h**x,))
 
 
 class ScriptedOwfidAttacker(AttackerPair):
@@ -798,20 +796,13 @@ class ScriptedOwfidAttacker(AttackerPair):
         dl_v = suite.discrete_log(pk.v) % p
         # Solve the key equation e(P, Q) * y^s * v = 1 for Q at the chosen s.
         q_a = (-(dl_v + dl_y * s_a) * pow(dl_p, -1, p)) % p
-        Q_a = suite.g1 ** q_a
-        s_a = suite.scalar(s_a)
-
-        R = suite.random_g1(rng)
-        r = suite.random_scalar(rng)
-        commitment = suite.pairing(pk.P, R) * pk.y**r
-        (m,) = channel.send_commitment((commitment,))
-        T = R * Q_a**m
-        a = r + m * s_a
-        if _keyed_bit(b"owfid", token, suite.encode_scalar(m), self.eps):
-            channel.send_response((T, a))
-        else:
-            # Off-by-one exponent: verification picks up a stray factor of y.
-            channel.send_response((T, a + 1))
+        kp = OwfidKeyPair(suite, pk.P, pk.y, suite.g1**q_a, suite.scalar(s_a), pk.v)
+        state, commitment = owfid_commit(kp, rng)
+        (m,) = channel.on_commitment((commitment,))
+        T, a = owfid_respond(kp, state, m)
+        if not _keyed_bit(b"owfid", token, suite.encode_scalar(m), self.eps):
+            a += 1  # off-by-one exponent: verification picks up a stray factor of y
+        channel.on_response((T, a))
 
 
 # -- named demos: the games that `pairid lab` and `pairid selftest` run -------------

@@ -163,13 +163,18 @@ def _nonidentity(draw, rng: Random):
     raise DegenerateSuite(f"could not sample a non-identity {e.kind} element")
 
 
+def owfid_keypair(suite: GroupSuite, P: G1Element, y: G2Element, Q: G1Element, s: Scalar) -> OwfidKeyPair:
+    """The owfid key with secret (Q, s) over (P, y): v = (e(P, Q) y^s)^-1.
+
+    keygen, the lab's simulator key and the extractor's key check all use it.
+    """
+    return OwfidKeyPair(suite, P, y, Q, s, (suite.pairing(P, Q) * y**s).inverse())
+
+
 def owfid_keygen(suite: GroupSuite, rng: Random) -> OwfidKeyPair:
     P = _nonidentity(suite.random_g1, rng)
     y = _nonidentity(suite.random_g2, rng)
-    Q = suite.random_g1(rng)
-    s = suite.random_scalar(rng)
-    v = (suite.pairing(P, Q) * y**s).inverse()
-    return OwfidKeyPair(suite, P, y, Q, s, v)
+    return owfid_keypair(suite, P, y, suite.random_g1(rng), suite.random_scalar(rng))
 
 
 def scl_keygen(suite: GroupSuite, rng: Random) -> SclKeyPair:
@@ -636,7 +641,9 @@ def exchange(prover: SessionEngine, verifier: SessionEngine, carry=None) -> Tran
 
     carry, when given, maps each message (tag, payload) in transit to the
     one delivered.  The exchange ends when the verifier decides, so its
-    decision message is never carried.
+    decision message is never carried.  If nothing is left in flight before
+    the decision (a carried message left both ends waiting for the other),
+    it ends with ProtocolViolation.
     """
     # One role opens the exchange; from then on each batch of messages
     # answers the one before it.
@@ -644,6 +651,8 @@ def exchange(prover: SessionEngine, verifier: SessionEngine, carry=None) -> Tran
     if not messages:
         messages, to = verifier.open(), prover
     while verifier.transcript() is None:
+        if not messages:
+            raise ProtocolViolation("both ends wait for a message; the exchange cannot go on")
         replies = []
         for tag, payload in messages:
             if carry is not None:

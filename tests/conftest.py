@@ -21,7 +21,7 @@ def t1009():
     return transparent_suite(1009)
 
 
-# curve suites are session-scoped: validation enumerates the whole curve once
+# curve suites are session-scoped: each is built (generator search and validate()) once per run
 @pytest.fixture(scope="session")
 def c59():
     return tate_suite(59)

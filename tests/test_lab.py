@@ -5,6 +5,8 @@ import pytest
 
 from pairid.algebra import transparent_suite
 from pairid.lab import (
+    AttackerPair,
+    AttackFailed,
     FreshnessCollision,
     HonestProverOracle,
     HonestVerifierChannel,
@@ -39,6 +41,7 @@ from pairid.lab import (
 )
 from pairid.schemes import (
     OwfidKeyPair,
+    ProtocolViolation,
     SchemeId,
     Transcript,
     default_scheme_params,
@@ -92,19 +95,30 @@ class TestHonestCounterparties:
     def test_verifier_channel_two_message(self, t1009):
         kp = keygen(SchemeId.CDHID, t1009, random.Random(1))
         channel = HonestVerifierChannel(SchemeId.CDHID, kp.public(), default_scheme_params(t1009), Random(2))
-        (h,) = channel.get_challenge()
-        assert channel.send_response((h ** kp.x,))
+        (h,) = channel.start()
+        assert channel.on_response((h ** kp.x,))
         t = channel.transcript()
         assert t.decision and t.commitment == ()
 
     def test_verifier_channel_three_message_ordering(self, t1009):
         kp = keygen(SchemeId.OWFID, t1009, random.Random(1))
         channel = HonestVerifierChannel(SchemeId.OWFID, kp.public(), default_scheme_params(t1009), Random(2))
-        with pytest.raises(OrderingViolation):
-            channel.get_challenge()
+        with pytest.raises(ProtocolViolation, match="three-message schemes wait for a commitment"):
+            channel.start()
 
 
 class TestRunAttack:
+    def test_silent_attacker_loses(self):
+        class Silent(AttackerPair):
+            def prover_phase(self, pk, state, channel, rng):
+                channel.start()  # takes the challenge and never answers
+
+        sim = ProtocolSim.new(SchemeId.CDHID, transparent_suite(101), seed=1, q=2)
+        with pytest.raises(AttackFailed, match="attacker ended the session without answering"):
+            run_attack(sim, Silent(), seed="quiet")
+        report = attack_success_rate(Silent(), sim, trials=20)
+        assert (report.wins, report.trials) == (0, 20)
+
     def test_deterministic_replay(self):
         sim = ProtocolSim.new(SchemeId.CDHID, transparent_suite(101), seed=1, q=2)
         attacker = ScriptedCdhidAttacker(0.7)

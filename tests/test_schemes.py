@@ -3,8 +3,11 @@ from dataclasses import fields
 
 import pytest
 
-from pairid.algebra import KIND_ZP, Scalar, transparent_suite
+from pairid import schemes
+from pairid.algebra import KIND_ZP, DegenerateSuite, Scalar, transparent_suite
 from pairid.schemes import (
+    MAX_RESTARTS,
+    RESTART,
     SCHEMES,
     BadChallengeLength,
     IdentityChallenge,
@@ -41,6 +44,7 @@ from pairid.schemes import (
     HlsKeyPair,
 )
 from pairid.signatures import BbKeyPair, ExpKeyPair
+from pairid.wire import TAG_CHALLENGE, TAG_ERROR
 
 ALL_SCHEMES = list(SchemeId)
 
@@ -253,6 +257,27 @@ class TestSessions:
             assert snap == baseline  # identical whether or not a restart happened
             if t.restarts:
                 assert suite.counter.redraws >= 1
+
+    def test_verifier_restart_limit(self, t1009):
+        kp = keygen(SchemeId.BLSID, t1009, random.Random(2))
+        verifier = VerifierMachine(SchemeId.BLSID, kp.public(), seed=0)
+        verifier.open()
+        for k in range(1, MAX_RESTARTS + 1):
+            # Each restart is answered with a freshly drawn challenge.
+            [(tag, challenge)] = verifier.receive(TAG_ERROR, RESTART)
+            assert tag == TAG_CHALLENGE and challenge == verifier.challenge
+            assert verifier.restarts == k and verifier.state == "challenged"
+        with pytest.raises(ProtocolViolation, match="peer restarted too many times"):
+            verifier.receive(TAG_ERROR, RESTART)
+
+    def test_prover_restart_limit(self, monkeypatch, t1009):
+        def unanswerable(kp, w, r):
+            raise ZeroExponent("x*r + w = 0")
+
+        monkeypatch.setattr(schemes, "scl_respond", unanswerable)
+        kp = scl_keygen(t1009, random.Random(1))
+        with pytest.raises(DegenerateSuite, match="session restart limit hit"):
+            run_session(SchemeId.SCL, kp, t1009, seed=0)
 
     def test_tampered_transcript_replays_false(self, t1009):
         kp = keygen(SchemeId.HLS, t1009, random.Random(5))

@@ -6,7 +6,7 @@ import threading
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from pytest import raises
+from pytest import mark, raises
 
 from pairid.algebra import transparent_suite
 from pairid.schemes import (
@@ -34,9 +34,11 @@ from pairid.session import (
 from pairid.schemes import default_scheme_params
 from pairid.wire import (
     TAG_CHALLENGE,
+    TAG_COMMITMENT,
     TAG_DECISION,
     TAG_ERROR,
     TAG_HELLO,
+    TAG_RESPONSE,
     encode_payload,
     frame_decode,
     frame_encode,
@@ -120,6 +122,27 @@ class Injected(Exception):
     """A failure planted in one end of a loopback session."""
 
 
+def _error_within(fn, hang_message: str):
+    """The exception fn() raised, or None.
+
+    fn runs in a daemon thread with a bounded wait, so that a hang fails the
+    test instead of the run.
+    """
+    outcome = {}
+
+    def run():
+        try:
+            fn()
+        except Exception as exc:
+            outcome["error"] = exc
+
+    worker = threading.Thread(target=run, daemon=True)
+    worker.start()
+    worker.join(timeout=10)
+    assert not worker.is_alive(), hang_message
+    return outcome.get("error")
+
+
 class TestLoopbackFailure:
     """An end that raises ends the whole loopback, with its own error."""
 
@@ -129,20 +152,8 @@ class TestLoopbackFailure:
 
         monkeypatch.setattr(machine, method, fail)
         kp = keygen(SchemeId.OWFID, t1009, random.Random(3))
-        outcome = {}
-
-        def run():
-            try:
-                loopback_session(SchemeId.OWFID, kp, seed=1)
-            except Exception as exc:
-                outcome["error"] = exc
-
-        # A daemon thread with a bounded wait, so that a hang fails the test.
-        worker = threading.Thread(target=run, daemon=True)
-        worker.start()
-        worker.join(timeout=10)
-        assert not worker.is_alive(), "loopback_session still running 10 s after one end raised"
-        return outcome.get("error")
+        return _error_within(lambda: loopback_session(SchemeId.OWFID, kp, seed=1),
+                             "loopback_session still running 10 s after one end raised")
 
     def test_verifier_raises(self, monkeypatch, t1009):
         error = self._bounded(monkeypatch, VerifierMachine, "on_response", t1009)
@@ -151,6 +162,24 @@ class TestLoopbackFailure:
     def test_prover_raises(self, monkeypatch, t1009):
         error = self._bounded(monkeypatch, ProverMachine, "on_challenge", t1009)
         assert isinstance(error, Injected)
+
+
+class TestExchangeStall:
+    """A restart carried in place of a prover message leaves both engines waiting."""
+
+    @mark.parametrize("wire", [False, True], ids=["memory", "wire"])
+    @mark.parametrize("swapped", [TAG_COMMITMENT, TAG_RESPONSE], ids=["commitment", "response"])
+    def test_restart_in_transit_ends_the_exchange(self, t1009, swapped, wire):
+        kp = keygen(SchemeId.OWFID, t1009, random.Random(3))
+        prover = ProverMachine(SchemeId.OWFID, kp, seed=1, wire=wire)
+        verifier = VerifierMachine(SchemeId.OWFID, kp.public(), seed=1, wire=wire)
+
+        def carry(tag, payload):
+            return (TAG_ERROR, RESTART) if tag == swapped else (tag, payload)
+
+        error = _error_within(lambda: exchange(prover, verifier, carry),
+                              "exchange still running 10 s after both ends began to wait")
+        assert isinstance(error, ProtocolViolation)
 
 
 class TestHello:
@@ -368,13 +397,17 @@ class TestFrameBounds:
 
 
 def _changed_in_transit(raw: bytes, data) -> bytes:
-    """One frame with a bit flipped, its payload cut short, its tag rewritten or a byte appended.
+    """One frame changed in transit.
 
-    A cut or an appended byte comes with a length field that matches, so the
-    frame decodes and the change reaches the engine.
+    A bit is flipped, the payload cut short, the tag rewritten, a byte
+    appended, or the whole frame swapped for a restart.  A cut or an appended
+    byte comes with a length field that matches, so the frame decodes and the
+    change reaches the engine.
     """
     tag, payload = raw[4], raw[5:]
-    change = data.draw(st.sampled_from(["flip", "truncate", "tag", "append"]))
+    change = data.draw(st.sampled_from(["flip", "truncate", "tag", "append", "restart"]))
+    if change == "restart":
+        return frame_encode(TAG_ERROR, RESTART)
     if change == "flip":
         out = bytearray(raw)
         out[data.draw(st.integers(0, len(raw) - 1))] ^= 1 << data.draw(st.integers(0, 7))

@@ -191,6 +191,20 @@ class TestForgeryGame:
         report = forgery_game("bb", adv, ForgeryGameConfig(trials=15, seed=1), t1009)
         assert report.wins == 15
 
+    def test_bb_sign_oracle(self, t1009):
+        signed = []
+
+        def adv(ctx, rng):
+            m = ctx.suite.random_scalar(rng, nonzero=True)
+            sig, r = ctx.sign(m)
+            signed.append((ctx.pk, m, sig, r))
+            return m, (sig, r)  # the signed message itself: never fresh
+
+        report = forgery_game("bb", adv, ForgeryGameConfig(trials=10, seed=2), t1009)
+        assert report.wins == 0
+        assert report.queries["sign"] == len(signed) == 10
+        assert all(bb_verify(pk, m, sig, r) for pk, m, sig, r in signed)
+
     def test_unknown_scheme_rejected(self, t1009):
         with pytest.raises(ValueError):
             forgery_game("rsa", lambda ctx, rng: None, ForgeryGameConfig(trials=1), t1009)
