@@ -43,7 +43,11 @@ class ZeroInverse(Exception):
     """Multiplicative inverse of 0 mod p was requested."""
 
 
-class MalformedEncoding(Exception):
+class PeerError(Exception):
+    """What a peer, or a wire between the peers, can end a session with."""
+
+
+class MalformedEncoding(PeerError):
     """Byte string is not a valid fixed-width encoding for this suite."""
 
 

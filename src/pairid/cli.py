@@ -3,7 +3,7 @@
 `lab` prints one of pairid.lab's named demos; `selftest` runs all of them.
 
 Exit codes: 0 for accept/pass, 1 for reject or a failed bound (a session
-that a peer ends early with an error is a reject), 2 for usage errors (from
+that a peer ends early with a PeerError is a reject), 2 for usage errors (from
 argparse or a command), for bad hex input, group parameters or counts, and
 for unreadable or malformed record files.
 """
@@ -15,12 +15,12 @@ import socket
 import sys
 from random import Random, SystemRandom
 
-from .algebra import MalformedEncoding, Scalar, ValidationFailed, transparent_suite
+from .algebra import MalformedEncoding, PeerError, Scalar, ValidationFailed, transparent_suite
 from .bench import bench_all, bench_costs
 from .lab import DEMO_DEFAULTS, DEMOS, DemoInputError, run_demo
 from .records import RecordError, load_key, save_key, save_transcript
 from .schemes import SchemeId, default_scheme_params, keygen, run_session
-from .session import PEER_ERRORS, SocketTransport, StdioTransport, loopback_session, run_verifier, serve_prover
+from .session import SocketTransport, StdioTransport, loopback_session, run_verifier, serve_prover
 from .signatures import BbKeyPair, ExpKeyPair, bb_sign, bb_verify, bls_sign, bls_verify
 from .tate import tate_suite
 from .wire import TAG_CHALLENGE, frame_encode
@@ -70,6 +70,11 @@ def _message_bytes(args) -> bytes:
     if args.message is not None:
         return args.message.encode()
     raise UsageError("one of --message / --message-hex is required")
+
+
+def _require_signing_key(scheme: SchemeId, kp):
+    if not isinstance(kp, (BbKeyPair, ExpKeyPair)):
+        raise UsageError(f"key scheme {scheme.value} has no signature counterpart")
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -132,8 +137,7 @@ def cmd_sign(args) -> int:
     scheme, kp, _ = load_key(args.key)
     message = _message_bytes(args)
     suite = kp.suite
-    if not isinstance(kp, (BbKeyPair, ExpKeyPair)):
-        raise UsageError(f"key scheme {scheme.value} has no signature counterpart")
+    _require_signing_key(scheme, kp)
     if not kp.has_secret:
         raise UsageError("record holds a public key")
     if isinstance(kp, BbKeyPair):
@@ -153,14 +157,13 @@ def cmd_sigverify(args) -> int:
     message = _message_bytes(args)
     suite = pk.suite
     sig = _from_hex("--sig", args.sig, suite.decode_g1)
+    _require_signing_key(scheme, pk)
     if isinstance(pk, BbKeyPair):
         if args.r is None:
             raise UsageError("this signature scheme needs --r")
         ok = bb_verify(pk, Scalar(int.from_bytes(message, "big"), suite.p), sig, _from_hex("--r", args.r, suite.decode_scalar))
-    elif isinstance(pk, ExpKeyPair):
-        ok = bls_verify(pk, message, sig)
     else:
-        raise UsageError(f"key scheme {scheme.value} has no signature counterpart")
+        ok = bls_verify(pk, message, sig)
     print("valid" if ok else "invalid")
     return 0 if ok else 1
 
@@ -290,7 +293,7 @@ def main(argv=None) -> int:
     except (DemoInputError, RecordError, UsageError, ValidationFailed) as exc:
         print(f"pairid: {exc}", file=sys.stderr)
         return 2
-    except PEER_ERRORS as exc:
+    except PeerError as exc:
         # A session that the peer or the wire ended early is a reject.
         print(f"pairid: {exc}", file=sys.stderr)
         return 1

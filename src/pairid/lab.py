@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 from math import ceil
 from random import Random
 
-from .algebra import KIND_BITS, G1Element, G2Element, GroupSuite, Scalar
+from .algebra import KIND_BITS, G1Element, G2Element, GroupSuite, PeerError, Scalar
 from .schemes import (
     SCHEMES,
     OwfidKeyPair,
@@ -64,7 +64,6 @@ from .signatures import (
     hash_to_group,
     run_trials,
 )
-from .session import PEER_ERRORS
 from .wire import frame_decode, frame_encode
 
 
@@ -686,7 +685,7 @@ def mitm_relay_demo(suite: GroupSuite, scheme: SchemeId = SchemeId.HLS, seed=0, 
     verifier = VerifierMachine(scheme, kp.public(), seed=seed, wire=True)
     try:
         decision = exchange(prover, verifier, relay).decision
-    except PEER_ERRORS as exc:
+    except PeerError as exc:
         decision = False
         note = f"tampered frame broke the exchange: {exc}"
     else:

@@ -46,6 +46,7 @@ from .algebra import (
     G1Element,
     G2Element,
     GroupSuite,
+    PeerError,
     Scalar,
 )
 from .signatures import (
@@ -73,15 +74,15 @@ from .wire import (
 )
 
 
-class IdentityChallenge(Exception):
+class IdentityChallenge(PeerError):
     """Group-element challenge was the identity."""
 
 
-class BadChallengeLength(Exception):
+class BadChallengeLength(PeerError):
     """Bit-string challenge does not have the configured length."""
 
 
-class ZeroChallenge(Exception):
+class ZeroChallenge(PeerError):
     """Scalar challenge was zero; challenges are drawn from Z_p^*."""
 
 
@@ -89,8 +90,13 @@ class ZeroExponent(Exception):
     """The response exponent denominator vanished for this (commitment, challenge)."""
 
 
-class ProtocolViolation(Exception):
+class ProtocolViolation(PeerError):
     """Message arrived out of order or with the wrong shape."""
+
+
+def raise_peer_error(payload: bytes):
+    """End the session on the peer's error frame, quoting its text."""
+    raise ProtocolViolation(f"peer error: {payload.decode('ascii', 'replace')}")
 
 
 class SchemeId(str, Enum):
@@ -514,7 +520,7 @@ class SessionEngine:
         if tag == TAG_ERROR:
             if payload == RESTART and self.role == "verifier":
                 return self._restart()
-            raise ProtocolViolation(f"peer error: {payload.decode('ascii', 'replace')}")
+            raise_peer_error(payload)
         if tag != TAG_DECISION or self.role != "prover":
             raise ProtocolViolation(f"a {self.role} takes no {TAG_NAMES[tag]} message")
         self._expect("done")

@@ -12,12 +12,13 @@ backend, p, n, q), with n = bits(p - 1) the suite's challenge length; any
 disagreement aborts before group elements flow.  The verifier is the
 client: it sends hello, the prover echoes it, then the protocol messages
 run inside commitment/challenge/response frames and the verifier closes
-with a one-byte decision frame.  A prover that cannot
-answer the challenge it was dealt (the inversion-based three-message scheme
-has one unanswerable challenge per commitment) sends an error frame with
-payload b"restart" and both sides rerun the whole exchange with fresh
-randomness.  A frame whose length field exceeds the widest frame the
-session can carry is rejected before its body is read.
+with a one-byte decision frame.  A prover that cannot answer the challenge
+it was dealt (the inversion-based three-message scheme has one unanswerable
+challenge per commitment) sends an error frame with payload b"restart" and
+both sides rerun the whole exchange with fresh randomness.  A frame whose
+length field exceeds the widest frame the session can carry is rejected
+before its body is read.  Whatever a peer, or the wire between the peers,
+ends a session with is an algebra.PeerError, TransportClosed included.
 """
 
 from __future__ import annotations
@@ -27,11 +28,9 @@ import struct
 import threading
 from dataclasses import dataclass
 
-from .algebra import GroupSuite, MalformedEncoding
+from .algebra import GroupSuite, PeerError
 from .schemes import (  # RESTART is re-exported as part of the wire protocol
     RESTART,
-    BadChallengeLength,
-    IdentityChallenge,
     ProtocolViolation,
     ProverMachine,
     SchemeId,
@@ -39,16 +38,15 @@ from .schemes import (  # RESTART is re-exported as part of the wire protocol
     SessionEngine,
     Transcript,
     VerifierMachine,
-    ZeroChallenge,
+    raise_peer_error,
 )
 from .wire import (
     TAG_ERROR,
     TAG_HELLO,
     LengthMismatch,
-    ShortFrame,
-    UnknownTag,
     frame_decode,
     frame_encode,
+    frame_length,
     payload_width,
 )
 
@@ -56,21 +54,23 @@ from .wire import (
 MAX_ERROR_BYTES = 64
 
 
-class TransportClosed(Exception):
+class TransportClosed(PeerError):
     """Peer went away mid-frame, or reset the stream."""
 
 
-# What a stream raises when its peer reset it or stopped reading.
-_RESETS = (BrokenPipeError, ConnectionResetError)
-
-
-# What a peer, or a wire between the peers, can make a session raise.
-PEER_ERRORS = (ShortFrame, LengthMismatch, UnknownTag, MalformedEncoding, ZeroChallenge,
-               IdentityChallenge, BadChallengeLength, ProtocolViolation, TransportClosed)
-
-
 class _StreamTransport:
-    """read_exact over a per-transport _read(n), which returns at most n bytes."""
+    """read_exact and write over a transport's raw _read(n), which returns at
+    most n bytes, and _write(data).  A reset stream raises TransportClosed."""
+
+    @staticmethod
+    def _io(step, arg):
+        try:
+            return step(arg)
+        except (BrokenPipeError, ConnectionResetError) as exc:
+            raise TransportClosed(f"peer reset the connection: {exc.strerror}") from exc
+
+    def write(self, data: bytes):
+        self._io(self._write, data)
 
     def read_exact(self, nbytes: int) -> bytes:
         # A bytearray grows in amortized constant time per byte; bytes += is
@@ -78,7 +78,7 @@ class _StreamTransport:
         # whole frame part at once, the common case, is passed on uncopied.
         buf = bytearray()
         while len(buf) < nbytes:
-            chunk = self._read(nbytes - len(buf))
+            chunk = self._io(self._read, nbytes - len(buf))
             if not chunk:
                 raise TransportClosed("peer closed the stream mid-frame")
             if not buf and len(chunk) == nbytes:
@@ -90,21 +90,7 @@ class _StreamTransport:
 class SocketTransport(_StreamTransport):
     def __init__(self, sock: socket.socket):
         self.sock = sock
-
-    def write(self, data: bytes):
-        try:
-            self.sock.sendall(data)
-        except _RESETS as exc:
-            raise TransportClosed(f"peer reset the connection: {exc.strerror}") from exc
-
-    def _read(self, nbytes: int) -> bytes:
-        try:
-            return self.sock.recv(nbytes)
-        except _RESETS as exc:
-            raise TransportClosed(f"peer reset the connection: {exc.strerror}") from exc
-
-    def close(self):
-        self.sock.close()
+        self._read, self._write = sock.recv, sock.sendall
 
 
 class StdioTransport(_StreamTransport):
@@ -114,18 +100,12 @@ class StdioTransport(_StreamTransport):
         self.infile = infile
         self.outfile = outfile
 
-    def write(self, data: bytes):
-        try:
-            self.outfile.write(data)
-            self.outfile.flush()
-        except _RESETS as exc:
-            raise TransportClosed(f"peer stopped reading: {exc.strerror}") from exc
+    def _write(self, data: bytes):
+        self.outfile.write(data)
+        self.outfile.flush()
 
     def _read(self, nbytes: int) -> bytes:
         return self.infile.read(nbytes)
-
-    def close(self):
-        pass
 
 
 def send_frame(transport, tag: int, payload: bytes):
@@ -135,9 +115,7 @@ def send_frame(transport, tag: int, payload: bytes):
 def recv_frame(transport, limit: int) -> tuple[int, bytes]:
     """Read one frame whose length field is at most limit bytes."""
     header = transport.read_exact(4)
-    length = int.from_bytes(header, "big")
-    if length < 1:
-        raise LengthMismatch("length field must cover at least the tag byte")
+    length = frame_length(header)
     if length > limit:
         raise LengthMismatch(f"frame advertises {length} bytes; this session's frames carry at most {limit}")
     return frame_decode(header + transport.read_exact(length))
@@ -178,7 +156,7 @@ def _run(engine: SessionEngine, transport) -> SessionResult:
         send_frame(transport, TAG_HELLO, hello)
     tag, payload = recv_frame(transport, limit)
     if tag == TAG_ERROR and not prover:
-        raise ProtocolViolation(f"peer error: {payload.decode('ascii', 'replace')}")
+        raise_peer_error(payload)
     if tag != TAG_HELLO or payload != hello:
         if prover:
             send_frame(transport, TAG_ERROR, b"hello mismatch")

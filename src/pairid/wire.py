@@ -18,7 +18,7 @@ frame either parses to valid suite objects or raises.
 
 from __future__ import annotations
 
-from .algebra import KIND_BITS, KIND_G1, KIND_G2, KIND_ZP, GroupSuite, MalformedEncoding
+from .algebra import KIND_BITS, KIND_G1, KIND_G2, KIND_ZP, GroupSuite, MalformedEncoding, PeerError
 
 TAG_HELLO = 0x01
 TAG_COMMITMENT = 0x02
@@ -37,21 +37,34 @@ TAG_NAMES = {
 }
 
 
-class ShortFrame(Exception):
+class ShortFrame(PeerError):
     """Buffer ends before the advertised frame does."""
 
 
-class LengthMismatch(Exception):
+class LengthMismatch(PeerError):
     """Advertised length is impossible or leaves trailing bytes."""
 
 
-class UnknownTag(Exception):
+class UnknownTag(PeerError):
     """Tag byte is not one of the assigned values."""
 
 
-def frame_encode(tag: int, payload: bytes) -> bytes:
+def _checked_tag(tag: int) -> int:
     if tag not in TAG_NAMES:
         raise UnknownTag(f"tag {tag:#04x} is not assigned")
+    return tag
+
+
+def frame_length(header: bytes) -> int:
+    """The length field of a frame header: the tag byte plus the payload."""
+    length = int.from_bytes(header[:4], "big")
+    if length < 1:
+        raise LengthMismatch("length field must cover at least the tag byte")
+    return length
+
+
+def frame_encode(tag: int, payload: bytes) -> bytes:
+    _checked_tag(tag)
     return (len(payload) + 1).to_bytes(4, "big") + bytes([tag]) + payload
 
 
@@ -59,17 +72,12 @@ def frame_decode(buf: bytes) -> tuple[int, bytes]:
     """Parse one complete frame; the buffer must hold exactly one frame."""
     if len(buf) < 5:
         raise ShortFrame(f"{len(buf)} bytes is shorter than any frame")
-    length = int.from_bytes(buf[:4], "big")
-    if length < 1:
-        raise LengthMismatch("length field must cover at least the tag byte")
+    length = frame_length(buf)
     if len(buf) < 4 + length:
         raise ShortFrame(f"frame advertises {length} bytes but only {len(buf) - 4} follow")
     if len(buf) > 4 + length:
         raise LengthMismatch(f"{len(buf) - 4 - length} trailing bytes after the frame")
-    tag = buf[4]
-    if tag not in TAG_NAMES:
-        raise UnknownTag(f"tag {tag:#04x} is not assigned")
-    return tag, bytes(buf[5:])
+    return _checked_tag(buf[4]), bytes(buf[5:])
 
 
 def payload_width(fields: tuple, suite: GroupSuite) -> int:

@@ -1,5 +1,5 @@
 """Every top-level import in the tests and in pairid is used, checked with ast alone,
-and no block of three lines in pairid is written twice."""
+and no block of three lines and no raise line in pairid is written twice."""
 
 import ast
 from pathlib import Path
@@ -13,6 +13,8 @@ SRC = Path(pairid.__file__).parent
 REEXPORTS = {"__init__.py": set(pairid.__all__), "session.py": {"RESTART"}}
 # Three-line blocks that may occur more than once, as windows of whitespace-collapsed lines.
 REPEATS: set = set()
+# Whitespace-collapsed raise lines that may occur more than once.
+RAISE_REPEATS: set = set()
 
 
 def unused_imports(source: str) -> list:
@@ -94,3 +96,34 @@ def test_the_check_finds_repeated_blocks():
     assert repeated_blocks(sources, set()) == ["a.py:1 b.py:2"]
     window = ("total = first_value + second_value", "scaled = total * factor", "return scaled")
     assert repeated_blocks(sources, {window}) == []
+
+
+def repeated_raises(sources: dict, allowed: set) -> list:
+    """'file:line file:line' for each whitespace-collapsed raise line that occurs again."""
+    first = {}
+    found = []
+    for name, source in sources.items():
+        for i, line in enumerate(source.splitlines(), start=1):
+            line = " ".join(line.split())
+            if not line.startswith("raise ") or line in allowed:
+                continue
+            if line in first:
+                found.append(f"{first[line]} {name}:{i}")
+            else:
+                first[line] = f"{name}:{i}"
+    return found
+
+
+def test_no_raise_written_twice_in_src():
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert repeated_raises(sources, RAISE_REPEATS) == []
+
+
+def test_the_check_finds_repeated_raises():
+    twice = 'raise ValueError(f"bad {name}")\n'
+    sources = {
+        "a.py": "try:\n    f()\nexcept KeyError:\n    raise\n" + twice,
+        "b.py": "def g(name):\n    if name:\n        " + twice + "    raise\n    raise  ValueError( 'other' )\n",
+    }
+    assert repeated_raises(sources, set()) == ["a.py:5 b.py:3"]
+    assert repeated_raises(sources, {twice.strip()}) == []

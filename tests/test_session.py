@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from pytest import mark, raises
 
-from pairid.algebra import transparent_suite
+from pairid.algebra import PeerError, transparent_suite
 from pairid.schemes import (
     SCHEMES,
     ProtocolViolation,
@@ -21,7 +21,6 @@ from pairid.schemes import (
     scl_keygen,
 )
 from pairid.session import (
-    PEER_ERRORS,
     RESTART,
     SocketTransport,
     StdioTransport,
@@ -325,6 +324,13 @@ class TestPeerReset:
         finally:
             client.close()
 
+    def test_stdio_read_reset(self):
+        client, conn = tcp_pair()
+        reset(conn)
+        with os.fdopen(client.detach(), "rb") as infile:
+            with raises(TransportClosed, match="reset"):  # ConnectionResetError
+                StdioTransport(infile, None).read_exact(4)
+
     def test_stdio_reader_gone(self):
         r, w = os.pipe()
         os.close(r)
@@ -446,6 +452,6 @@ class TestFrameFuzz:
         verifier = VerifierMachine(scheme, kp.public(), seed=seed, wire=True)
         try:
             transcript = exchange(prover, verifier, carry)
-        except PEER_ERRORS:
+        except PeerError:
             return
         assert transcript.decision in (True, False)

@@ -271,6 +271,17 @@ class TestPairing:
         with pytest.raises(NotOnCurve):
             tate_pairing((1, 1), params.gen, params)
 
+    def test_retry_offsets_exhausted(self, monkeypatch):
+        from pairid import tate
+
+        def vanishing(*args):
+            raise DegeneratePairing("a Miller line vanished")
+
+        params = enumerate_and_validate(59).params
+        monkeypatch.setattr(tate, "_miller", vanishing)
+        with pytest.raises(DegeneratePairing, match="^all retry offsets exhausted$"):
+            tate_pairing(params.gen, point_mul(3, params.gen, params.q), params)
+
 
 class TestLineForm:
     """The one line formula: the coefficient triples of _double and
@@ -888,6 +899,12 @@ class TestTraceLadder:
             assert backend.invert(KIND_G2, z) == z.inv()
             for m in range(2 * c59.p):
                 assert backend.power(KIND_G2, z, m) == z ** m
+
+    def test_backend_g1_inverse(self, c59):
+        for pt in curve_points(c59.backend.q):
+            inv = c59.backend.invert(KIND_G1, pt)
+            assert on_curve(inv, c59.backend.q), pt
+            assert naive_add(pt, inv, c59.backend.q) is None, pt
 
 
 class TestG2SubgroupCheck:
