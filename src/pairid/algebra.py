@@ -25,7 +25,6 @@ conventionally drawn up (only explicit exponentiations and pairings count).
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass, field, fields
 
 from .primes import is_prime
@@ -300,6 +299,25 @@ class TransparentBackend:
         return {"backend": self.name, "p": str(self.p)}
 
 
+class _RoleContext:
+    """GroupSuite.role's context: the suite's role is who while it is open."""
+
+    __slots__ = ("suite", "who")
+
+    def __init__(self, suite: "GroupSuite", who: str):
+        self.suite = suite
+        self.who = who
+
+    def __enter__(self) -> "GroupSuite":
+        if self.suite._role is not None:
+            raise RuntimeError("role context is not reentrant")
+        self.suite._role = self.who
+        return self.suite
+
+    def __exit__(self, *exc):
+        self.suite._role = None
+
+
 class GroupSuite:
     """A pairing-friendly pair of groups with counters and codecs.
 
@@ -324,17 +342,11 @@ class GroupSuite:
 
     # -- session role bookkeeping ------------------------------------------
 
-    @contextlib.contextmanager
-    def role(self, who: str):
+    def role(self, who: str) -> "_RoleContext":
+        """A context that charges the group operations inside it to who."""
         if who not in ROLES:
             raise ValueError(f"unknown role {who!r}")
-        if self._role is not None:
-            raise RuntimeError("role context is not reentrant")
-        self._role = who
-        try:
-            yield self
-        finally:
-            self._role = None
+        return _RoleContext(self, who)
 
     def _charge_exp(self, kind):
         if self.counter is not None and self._role is not None:

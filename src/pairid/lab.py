@@ -2,11 +2,13 @@
 
 The lab treats an attacker as a deterministic function of a seed.  Every
 random stream an attack run touches (attacker coins, honest prover coins,
-honest verifier coins) is derived from that seed, so running the same seed
-twice replays the attack exactly, and running the same seed with a different
-forced challenge is a rewind: the commitment phase repeats verbatim and only
-the challenge (and whatever depends on it) changes.  That is all the
-machinery a forking-style extractor needs.
+honest verifier coins) is derived from that seed and seeded at its first
+draw (schemes.SeededRandom), so a stream the run never draws from is never
+seeded.  Running the same seed twice replays the attack exactly, and
+running the same seed with a different forced challenge is a rewind: the
+commitment phase repeats verbatim and only the challenge (and whatever
+depends on it) changes.  That is all the machinery a forking-style
+extractor needs.
 
 Attackers implement two phases.  In the verifier phase they may interrogate
 honest provers through a budgeted oracle; in the prover phase they get one
@@ -42,6 +44,7 @@ from .schemes import (
     ProverMachine,
     SchemeId,
     SchemeParams,
+    SeededRandom,
     Transcript,
     VerifierMachine,
     check_nonidentity,
@@ -206,11 +209,11 @@ def run_attack(sim: ProtocolSim, attacker: AttackerPair, seed, forced_challenge:
     and a different forced challenge rewinds the attacker to the moment the
     challenge arrives.
     """
-    rng_a = Random(f"{seed}:attacker")
+    rng_a = SeededRandom(f"{seed}:attacker")
     pk = sim.kp.public()
-    oracle = HonestProverOracle(sim.scheme, sim.kp, sim.q, Random(f"{seed}:prover"))
+    oracle = HonestProverOracle(sim.scheme, sim.kp, sim.q, SeededRandom(f"{seed}:prover"))
     state = attacker.verifier_phase(pk, oracle, rng_a)
-    channel = HonestVerifierChannel(sim.scheme, pk, sim.params, Random(f"{seed}:verifier"), forced_challenge)
+    channel = HonestVerifierChannel(sim.scheme, pk, sim.params, SeededRandom(f"{seed}:verifier"), forced_challenge)
     attacker.prover_phase(pk, state, channel, rng_a)
     transcript = channel.transcript()
     if transcript is None:
@@ -504,8 +507,7 @@ def cdhid_reduction(attacker: AttackerPair, ctx: OmCdhContext, rng: Random) -> G
     then forced as the verifier's challenge, so an accepted response is by
     the verification equation exactly target^x.
     """
-    suite = ctx.suite
-    pk = ExpKeyPair(suite, None, ctx.v)
+    pk = ExpKeyPair(ctx.suite, None, ctx.v)
 
     # The honest prover's response to challenge h is h^x, exactly what the
     # helper oracle computes, so the attacker's view is perfect.
@@ -518,9 +520,7 @@ def cdhid_reduction(attacker: AttackerPair, ctx: OmCdhContext, rng: Random) -> G
     state = attacker.verifier_phase(pk, oracle, rng)
     target = ctx.challenge()
     # The forced challenge leaves the verifier's stream undrawn.
-    channel = HonestVerifierChannel(
-        SchemeId.CDHID, pk, default_scheme_params(suite), Random("reduction"), forced_challenge=(target,)
-    )
+    channel = HonestVerifierChannel(SchemeId.CDHID, pk, rng=SeededRandom("reduction"), forced_challenge=(target,))
     attacker.prover_phase(pk, state, channel, rng)
     return channel.accepted_response()[0]
 

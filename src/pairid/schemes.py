@@ -120,6 +120,49 @@ def default_scheme_params(suite: GroupSuite) -> SchemeParams:
     return SchemeParams(n=suite.n, hash_spec=default_hash_spec(suite))
 
 
+class SeededRandom(Random):
+    """Random(seed), seeded at its first draw.
+
+    Seeding from a string hashes it and fills the generator's whole state, and
+    many session and attack streams are never drawn from: a verifier given a
+    forced challenge, the prover of a two-message scheme.  The first random(),
+    getrandbits() or getstate() seeds the stream and turns the object into a
+    plain Random, so it yields Random(seed)'s stream and later draws run
+    Random's own methods.  An explicit seed() or setstate() replaces the
+    deferred seed's stream.  Defining both random() and getrandbits() keeps
+    Random's choice of _randbelow, and with it the stream of randrange,
+    choice and sample.  The first draw is a check-then-act on the object, so
+    a stream is shared between threads only once it is seeded.
+    """
+
+    def __init__(self, seed=None):
+        self._deferred_seed = seed
+
+    def _settle(self) -> Random:
+        # A method bound before the first draw (_randbelow binds getrandbits
+        # once per call) lands here again after it, on a plain Random; so the
+        # methods below call SeededRandom._settle, not self._settle.
+        if type(self) is SeededRandom:
+            self.__class__ = Random
+            Random.__init__(self, self.__dict__.pop("_deferred_seed"))
+        return self
+
+    def random(self):
+        return Random.random(SeededRandom._settle(self))
+
+    def getrandbits(self, k):
+        return Random.getrandbits(SeededRandom._settle(self), k)
+
+    def getstate(self):
+        return Random.getstate(SeededRandom._settle(self))
+
+    def seed(self, *args, **kwargs):
+        Random.seed(SeededRandom._settle(self), *args, **kwargs)
+
+    def setstate(self, state):
+        Random.setstate(SeededRandom._settle(self), state)
+
+
 # -- key material --------------------------------------------------------------
 
 
@@ -460,7 +503,9 @@ class SessionEngine:
     value tuples and only the sender counts them; on the wire (wire=True)
     they are encoded bytes and each end counts every message, before handing
     it out, so that the prover's counter reset on a restart follows every
-    count of the abandoned round.
+    count of the abandoned round.  params, the settings a hello pins, is
+    built from the suite when read unless given; seed gives each role the
+    stream SeededRandom(f"{seed}:{role}"), seeded at its first draw.
     """
 
     role = ""
@@ -477,14 +522,19 @@ class SessionEngine:
         self.ops = SCHEMES[SchemeId(scheme)]
         self.key = key
         self.suite: GroupSuite = key.suite
-        self.params = params if params is not None else default_scheme_params(self.suite)
+        self._params = params
         if rng is None:
             # Without a seed, draw from the OS: a prover's commitment randomness
             # must not repeat or be predictable across sessions of one key.
-            rng = SystemRandom() if seed is None else Random(f"{seed}:{self.role}")
+            rng = SystemRandom() if seed is None else SeededRandom(f"{seed}:{self.role}")
         self.rng = rng
         self.seed = seed
         self.wire = wire
+
+    @property
+    def params(self) -> SchemeParams:
+        """The settings given, or else the suite's, built when read."""
+        return self._params if self._params is not None else default_scheme_params(self.suite)
 
     def _expect(self, state: str):
         if self.state != state:
@@ -675,9 +725,7 @@ def run_session(scheme: SchemeId, kp, suite: GroupSuite, seed=0) -> Transcript:
     whole exchange restarts with fresh randomness; operation counts are
     reset so the recorded costs describe the completed run only.
     """
-    params = default_scheme_params(suite)
-    prover = ProverMachine(scheme, kp, params, seed=seed)
-    return exchange(prover, VerifierMachine(scheme, kp.public(), params, seed=seed))
+    return exchange(ProverMachine(scheme, kp, seed=seed), VerifierMachine(scheme, kp.public(), seed=seed))
 
 
 def replay_decision(t: Transcript, pk) -> bool:

@@ -269,6 +269,15 @@ class TestTranscriptRecords:
         assert got.response == t.response
         assert replay_decision(got, kp.public()) == t.decision
 
+    @pytest.mark.parametrize("seed", ["a\nb", "x\ndecision = accept", "a\rb", "a\x0bb", " padded ", "tab\t", "caf\xe9"])
+    def test_seed_a_record_cannot_hold_is_refused(self, seed, t1009, tmp_path):
+        kp = keygen(SchemeId.SCL, t1009, random.Random(6))
+        t = run_session(SchemeId.SCL, kp, t1009, seed=seed)
+        path = tmp_path / "transcript.txt"
+        with pytest.raises(RecordError, match="'seed'"):
+            save_transcript(path, t, t1009, default_scheme_params(t1009))
+        assert not path.exists()
+
     def test_wrong_kind_rejected(self, t1009, tmp_path):
         kp = keygen(SchemeId.HLS, t1009, random.Random(6))
         path = tmp_path / "key.txt"
