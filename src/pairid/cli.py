@@ -18,7 +18,7 @@ from random import Random, SystemRandom
 from .algebra import MalformedEncoding, PeerError, Scalar, ValidationFailed, transparent_suite
 from .bench import bench_all, bench_costs
 from .lab import DEMO_DEFAULTS, DEMOS, DemoInputError, run_demo
-from .records import RecordError, load_key, save_key, save_transcript
+from .records import RecordError, load_key, save_key, save_transcript, seed_field
 from .schemes import SchemeId, default_scheme_params, keygen, run_session
 from .session import SocketTransport, StdioTransport, loopback_session, run_verifier, serve_prover
 from .signatures import BbKeyPair, ExpKeyPair, bb_sign, bb_verify, bls_sign, bls_verify
@@ -117,6 +117,8 @@ def cmd_prove(args) -> int:
 def cmd_verify(args) -> int:
     scheme, kp, params = load_key(args.pk)
     pk = kp.public()
+    if args.transcript_out and args.seed is not None:
+        seed_field(args.seed)  # a seed the transcript cannot hold fails before the session
     if args.stdio:
         transport = StdioTransport(sys.stdin.buffer, sys.stdout.buffer)
         result = run_verifier(scheme, pk, transport, seed=args.seed)

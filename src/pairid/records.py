@@ -154,18 +154,24 @@ def load_key(path):
     return scheme, cls(suite, **values), params
 
 
+def seed_field(seed) -> str:
+    """A session seed as save_transcript writes it; RecordError when the
+    record could not hold it."""
+    seed = str(seed)
+    # Loading reads one stripped ASCII line per field; refuse a seed that
+    # would not come back as written.
+    if seed != seed.strip() or len(seed.splitlines()) > 1 or not seed.isascii():
+        raise RecordError(f"field 'seed' cannot hold {seed!r}: it must be one ASCII line "
+                          "without leading or trailing whitespace")
+    return seed
+
+
 def save_transcript(path, t: Transcript, suite: GroupSuite, params: SchemeParams):
     scheme = SchemeId(t.scheme)
     ops = SCHEMES[scheme]
     fields = _head(scheme, suite, params)
     if t.rng_seed is not None:
-        seed = str(t.rng_seed)
-        # Loading reads one stripped ASCII line per field; refuse a seed that
-        # would not come back as written.
-        if seed != seed.strip() or len(seed.splitlines()) > 1 or not seed.isascii():
-            raise RecordError(f"field 'seed' cannot hold {seed!r}: it must be one ASCII line "
-                              "without leading or trailing whitespace")
-        fields["seed"] = seed
+        fields["seed"] = seed_field(t.rng_seed)
     fields["commitment"] = encode_payload(ops.commitment_fields, t.commitment, suite).hex()
     fields["challenge"] = encode_payload(ops.challenge_fields, t.challenge, suite).hex()
     fields["response"] = encode_payload(ops.response_fields, t.response, suite).hex()

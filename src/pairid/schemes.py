@@ -133,18 +133,29 @@ class SeededRandom(Random):
     Random's choice of _randbelow, and with it the stream of randrange,
     choice and sample.  The first draw is a check-then-act on the object, so
     a stream is shared between threads only once it is seeded.
+
+    The deferred seed waits in _deferred, keyed by id, and not in the
+    object: on CPython 3.11 an attribute set before the class changes leaves
+    the plain Random's draws slower (a random() took half as long again).
     """
 
+    _deferred: dict = {}  # id(stream) -> seed, for each stream not yet seeded
+
     def __init__(self, seed=None):
-        self._deferred_seed = seed
+        self._deferred[id(self)] = seed
+
+    def __del__(self):
+        # Only a stream never seeded is still a SeededRandom.
+        self._deferred.pop(id(self), None)
 
     def _settle(self) -> Random:
         # A method bound before the first draw (_randbelow binds getrandbits
         # once per call) lands here again after it, on a plain Random; so the
         # methods below call SeededRandom._settle, not self._settle.
         if type(self) is SeededRandom:
+            seed = self._deferred.pop(id(self))
             self.__class__ = Random
-            Random.__init__(self, self.__dict__.pop("_deferred_seed"))
+            Random.__init__(self, seed)
         return self
 
     def random(self):
@@ -519,7 +530,7 @@ class SessionEngine:
 
     def __init__(self, scheme: SchemeId, key, params: SchemeParams | None = None, rng: Random | None = None,
                  *, seed=None, wire: bool = False):
-        self.ops = SCHEMES[SchemeId(scheme)]
+        self.ops = SCHEMES[scheme if isinstance(scheme, SchemeId) else SchemeId(scheme)]
         self.key = key
         self.suite: GroupSuite = key.suite
         self._params = params

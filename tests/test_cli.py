@@ -146,6 +146,21 @@ class TestBadRecords:
         out = capsys.readouterr()
         assert out.out == "" and out.err.splitlines() == ["pairid: record has no 'pk.v' field"]
 
+    def test_unrecordable_seed_fails_before_the_hello(self, keyfiles, tmp_path, monkeypatch, capsys):
+        # Exit 2 naming the seed, with nothing on the wire and no transcript.
+        _, pk = keyfiles
+        transcript = tmp_path / "t.rec"
+        wire = io.BytesIO()
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO()))
+        monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(wire))
+        capsys.readouterr()
+        argv = ["verify", "--pk", str(pk), "--stdio", "--seed", "a\nb", "--transcript-out", str(transcript)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("pairid: field 'seed' cannot hold")
+        sys.stdout.flush()
+        assert wire.getvalue() == b"" and not transcript.exists()
+
 
 class TestSignatures:
     def test_bls_roundtrip(self, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import random
 import sys
 import threading
@@ -18,10 +19,14 @@ from pairid.tate import (
     _add_mixed,
     _comb_spacing,
     _double,
+    _final_exp,
     _fq2_comb_table,
+    _loop_digits,
     _miller,
     _miller_stored,
+    _miller_walk,
     _norm1_pow,
+    _signed_walk,
     _stored_walk,
     enumerate_and_validate,
     lift_x,
@@ -1080,3 +1085,102 @@ class TestCofactorFold:
             for b, expect in ((point_mul(k, hd, REAL_Q), True), (point_mul(k + 1, hd, REAL_Q), False)):
                 assert backend.pair_equal(REAL_GEN, b, key, hd) is expect
                 assert backend.pair_equal_cleared(REAL_GEN, b, key, d, lambda: pytest.fail("no fold")) is expect
+
+
+class _NoTables:
+    """A TableCache that keeps no table, so every pairing walks live."""
+
+    def get(self, pt, build):
+        return None
+
+
+class TestSignedWalk:
+    """The Miller loop over p's signed digits (its NAF) for first arguments
+    of order p, against the walk over p's bits and the reference pairing."""
+
+    def test_digits_rebuild_n(self):
+        for n in range(1, 5000):
+            signed, binary = _loop_digits(n)
+            for digits in (signed, binary):
+                value = 1  # the leading digit, where the walk starts
+                for d in digits:
+                    value = 2 * value + d
+                assert value == n, (n, digits)
+            assert set(binary) <= {0, 1}, n
+            full = (1, *signed)
+            assert not any(x and y for x, y in zip(full, full[1:])), n
+        signed, binary = _loop_digits(REAL_P)
+        assert (1 + sum(map(abs, signed)), 1 + sum(binary)) == (52, 90)
+
+    @pytest.mark.parametrize("q", [59, 83])
+    def test_signed_and_binary_walks_agree(self, q):
+        params = enumerate_and_validate(q).params
+        p = params.p
+        signed, binary = _loop_digits(p)
+        for k in range(1, p):
+            a = point_mul(k, params.gen, q)
+            lines, order_p = _stored_walk(a, p, q)
+            assert order_p and len(lines) == len(signed)
+            for b in filter(None, curve_points(q)):  # (0, 0) included
+                expect = _final_exp(_miller_stored(_miller_walk(a, binary, q), b, q), p)
+                assert _final_exp(_miller_stored(_signed_walk(a, p, q), b, q), p) == expect, (a, b)
+                assert _final_exp(_miller_stored(lines, b, q), p) == expect, (a, b)
+
+    @pytest.mark.parametrize("warm", [False, True])
+    @pytest.mark.parametrize("q", [59, 83])
+    def test_backend_matches_reference(self, q, warm):
+        params = enumerate_and_validate(q).params
+        g, p, h = params.gen, params.p, params.h
+        subgroup = [point_mul(k, g, q) for k in range(1, p)]
+        pts = curve_points(q)
+        ref = {(a, b): reference_pairing(a, b, q, p, g) for a in subgroup for b in pts}
+        backend = TateBackend(params)
+        if warm:
+            for a in subgroup * 2:
+                backend.pair(a, g)
+            assert backend.tables.sizes()[1] == len(subgroup)
+        else:
+            backend.tables = _NoTables()
+        for a in subgroup:
+            for b in pts:
+                got = backend.pair(a, b)
+                assert (got.a, got.b) == ref[a, b], (a, b)
+                for c in subgroup:
+                    # d = m * b with e(c, d) = e(a, b), and three more.
+                    m = (subgroup.index(a) + 1) * pow(subgroup.index(c) + 1, -1, p) % p
+                    for d in (point_mul(m, b, q), point_mul(m + 1, b, q), (0, 0), g):
+                        assert backend.pair_equal(a, b, c, d) == (ref[a, b] == ref[c, d]), (a, b, c, d)
+            for c in subgroup:
+                for pt in filter(None, pts):
+                    hpt = point_mul(h, pt, q)
+                    got = backend.pair_equal_cleared(a, g, c, pt, lambda: hpt)
+                    assert got == (ref[a, g] == ref[c, hpt]), (a, c, pt)
+
+    def test_real_size_generator_lines(self):
+        lines, order_p = _stored_walk(REAL_GEN, REAL_P, REAL_Q)
+        assert order_p
+        assert (len(lines), sum(len(step) - 1 for step in lines)) == (160, 50)
+
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_off_subgroup_argument_takes_two_pairings(self, warm):
+        # At q = 83, p = 7 has two bits and three signed digits after its
+        # leading 1, so its binary lines must never zip with a signed walk,
+        # and a live signed walk must check its end wherever it sits in the zip.
+        params = enumerate_and_validate(83).params
+        q, g, p = 83, params.gen, params.p
+        assert (len(_loop_digits(p)[0]), len(_loop_digits(p)[1])) == (3, 2)
+        pts = curve_points(q)
+        off = [c for c in pts if c is not None and point_mul(p, c, q) is not None]
+        for c in off:
+            backend = TateBackend(params)
+            if warm:
+                for _ in range(2):
+                    _outcome(lambda: backend.pair(c, g))
+                assert backend._stored(c)[0] is not None
+            else:
+                backend.tables = _NoTables()
+            # A line through multiples of c can vanish only at phi((0, 0)).
+            for d, e in itertools.product(pts, (g, (0, 0))):
+                for args in ((g, d, c, e), (c, e, g, d)):
+                    expect = _outcome(lambda: tate_pairing(*args[:2], params) == tate_pairing(*args[2:], params))
+                    assert _outcome(lambda: backend.pair_equal(*args)) == expect, args
