@@ -8,7 +8,11 @@ seeded.  Running the same seed twice replays the attack exactly, and
 running the same seed with a different forced challenge is a rewind: the
 commitment phase repeats verbatim and only the challenge (and whatever
 depends on it) changes.  That is all the machinery a forking-style
-extractor needs.
+extractor needs.  The seed-by-challenge matrix rewinds without the replay:
+build_summary_matrix runs a seed's verifier phase once and each challenge's
+prover phase on a copy of the attacker stream as the challenge found it,
+which gives the replay's bits because a prover phase leaves its verifier
+phase's state alone (the AttackerPair contract).
 
 Attackers implement two phases.  In the verifier phase they may interrogate
 honest provers through a budgeted oracle; in the prover phase they get one
@@ -171,7 +175,15 @@ class HonestVerifierChannel(VerifierMachine):
 
 
 class AttackerPair:
-    """Base class for two-phase impersonation attackers."""
+    """Base class for two-phase impersonation attackers.
+
+    The contract that rewinding rests on: prover_phase never mutates the
+    state its verifier phase returned (nor the oracle, nor the attacker
+    object), so one verifier phase can serve a prover phase per challenge;
+    the scripted attackers return bytes and tuples.  Both phases draw their
+    coins only from the rng they are given, so a copy of that stream taken
+    at the challenge rewinds them.
+    """
 
     def verifier_phase(self, pk, prover: HonestProverOracle, rng: Random):
         """Interrogate honest provers; return state for the prover phase."""
@@ -202,17 +214,18 @@ class ProtocolSim:
         return cls(scheme, kp, default_scheme_params(suite), q)
 
 
-def run_attack(sim: ProtocolSim, attacker: AttackerPair, seed, forced_challenge: tuple | None = None):
-    """One deterministic attack run; returns (decision, transcript).
-
-    All coins are derived from the seed, so a second call with the same seed
-    and a different forced challenge rewinds the attacker to the moment the
-    challenge arrives.
-    """
-    rng_a = SeededRandom(f"{seed}:attacker")
+def _verifier_half(sim: ProtocolSim, attacker: AttackerPair, seed, rng_a: Random) -> tuple:
+    """An attack run up to the challenge: (public key, the verifier phase's state)."""
     pk = sim.kp.public()
     oracle = HonestProverOracle(sim.scheme, sim.kp, sim.q, SeededRandom(f"{seed}:prover"))
-    state = attacker.verifier_phase(pk, oracle, rng_a)
+    return pk, attacker.verifier_phase(pk, oracle, rng_a)
+
+
+def _prover_half(
+    sim: ProtocolSim, attacker: AttackerPair, seed, rng_a: Random, opening: tuple, forced_challenge: tuple | None
+):
+    """An attack run from the challenge on, after the verifier half that returned opening."""
+    pk, state = opening
     channel = HonestVerifierChannel(sim.scheme, pk, sim.params, SeededRandom(f"{seed}:verifier"), forced_challenge)
     attacker.prover_phase(pk, state, channel, rng_a)
     transcript = channel.transcript()
@@ -221,18 +234,35 @@ def run_attack(sim: ProtocolSim, attacker: AttackerPair, seed, forced_challenge:
     return transcript.decision, transcript
 
 
-def _accepted(sim: ProtocolSim, attacker: AttackerPair, seed, forced_challenge: tuple | None = None) -> Transcript | None:
-    """run_attack's transcript if it was accepted, else None; a forfeited run is a reject."""
+def run_attack(sim: ProtocolSim, attacker: AttackerPair, seed, forced_challenge: tuple | None = None):
+    """One deterministic attack run; returns (decision, transcript).
+
+    All coins are derived from the seed, so a second call with the same seed
+    and a different forced challenge rewinds the attacker to the moment the
+    challenge arrives.  The run is its verifier half then its prover half,
+    both on the one attacker stream; build_summary_matrix runs the first
+    half once per seed and the second once per challenge.
+    """
+    rng_a = SeededRandom(f"{seed}:attacker")
+    return _prover_half(sim, attacker, seed, rng_a, _verifier_half(sim, attacker, seed, rng_a), forced_challenge)
+
+
+# What ends an attack run as a reject rather than an error.
+_FORFEITS = (BudgetExceeded, AttackFailed)
+
+
+def _accepted(attack, *args) -> Transcript | None:
+    """attack(*args)'s transcript if it was accepted, else None; a forfeited run is a reject."""
     try:
-        decision, transcript = run_attack(sim, attacker, seed, forced_challenge)
-    except (BudgetExceeded, AttackFailed):
+        decision, transcript = attack(*args)
+    except _FORFEITS:
         return None
     return transcript if decision else None
 
 
 def attack_success_rate(attacker: AttackerPair, sim: ProtocolSim, trials: int = 100, seed=0) -> GameReport:
     def trial(i):
-        return _accepted(sim, attacker, f"{seed}:{i}") is not None, {}
+        return _accepted(run_attack, sim, attacker, f"{seed}:{i}") is not None, {}
 
     return run_trials(f"impersonation:{sim.scheme.value}", {"p": sim.suite.p, "q": sim.q}, trials, trial)
 
@@ -267,9 +297,35 @@ class SummaryMatrix:
         return sum(self.bits[i])
 
 
+def _stream_at(state) -> Random:
+    """A Random at a getstate() state; Random() would first seed itself from urandom."""
+    rng = Random.__new__(Random)
+    rng.setstate(state)
+    return rng
+
+
 def build_summary_matrix(attacker: AttackerPair, sim: ProtocolSim, seeds, challenges) -> SummaryMatrix:
-    bits = [[int(_accepted(sim, attacker, seed, ch) is not None) for ch in challenges] for seed in seeds]
-    return SummaryMatrix(list(seeds), list(challenges), bits)
+    """Acceptance of every (seed, challenge) cell, each rewound to the challenge.
+
+    A seed's verifier half runs once; each challenge then runs the prover
+    half on a copy of the attacker stream as the challenge found it.  Under
+    AttackerPair's contract a cell is therefore what
+    _accepted(run_attack, sim, attacker, seed, challenge) gives: a forfeit in
+    the verifier phase loses the whole row, and one in a prover half its cell.
+    """
+    seeds, challenges = list(seeds), list(challenges)
+    bits = []
+    for seed in seeds:
+        rng_a = SeededRandom(f"{seed}:attacker")
+        try:
+            opening = _verifier_half(sim, attacker, seed, rng_a)
+        except _FORFEITS:
+            bits.append([0] * len(challenges))
+            continue
+        rewind = rng_a.getstate()
+        bits.append([int(_accepted(_prover_half, sim, attacker, seed, _stream_at(rewind), opening, ch) is not None)
+                     for ch in challenges])
+    return SummaryMatrix(seeds, challenges, bits)
 
 
 @dataclass
@@ -335,7 +391,7 @@ def probe_strategy(
     n1 = ceil(1 / eps)
     for phase1 in range(1, n1 + 1):
         seed = f"probe:{rng.getrandbits(48)}"
-        t1 = _accepted(sim, attacker, seed)
+        t1 = _accepted(run_attack, sim, attacker, seed)
         if t1 is not None:
             break
     else:
@@ -346,7 +402,8 @@ def probe_strategy(
         ch = ops.sample_challenge(sim.suite, rng)
         if ch == t1.challenge:
             continue  # same column: a wasted probe
-        t2 = _accepted(sim, attacker, seed, forced_challenge=ch)
+        # Re-run from the seed: forking the verifier half costs more than the owfid phase's two draws.
+        t2 = _accepted(run_attack, sim, attacker, seed, ch)
         if t2 is not None:
             if t2.commitment != t1.commitment:
                 raise ProbeFailed("rewind did not reproduce the commitment")

@@ -3,7 +3,7 @@ from random import Random
 
 import pytest
 
-from pairid.algebra import transparent_suite
+from pairid.algebra import KIND_G1, transparent_suite
 from pairid.lab import (
     AttackerPair,
     AttackFailed,
@@ -51,6 +51,7 @@ from pairid.schemes import (
     owfid_verify,
 )
 from pairid.signatures import BudgetExceeded, ForgeryGameConfig, bls_verify, forgery_game
+from pairid.tate import TateBackend
 from pairid.wire import frame_decode
 from pairid.schemes import SCHEMES, run_session
 from pairid.wire import TAG_CHALLENGE, TAG_COMMITMENT, TAG_RESPONSE, encode_payload
@@ -107,12 +108,22 @@ class TestHonestCounterparties:
             channel.start()
 
 
+class Silent(AttackerPair):
+    def prover_phase(self, pk, state, channel, rng):
+        channel.start()  # takes the challenge and never answers
+
+
+class StreamCoin(ScriptedCdhidAttacker):
+    """Wins on a coin drawn from the attacker stream after the challenge."""
+
+    def prover_phase(self, pk, token, channel, rng):
+        (h,) = channel.start()
+        x = pk.suite.discrete_log(pk.v) + (rng.random() >= self.eps)
+        channel.on_response((h**x,))
+
+
 class TestRunAttack:
     def test_silent_attacker_loses(self):
-        class Silent(AttackerPair):
-            def prover_phase(self, pk, state, channel, rng):
-                channel.start()  # takes the challenge and never answers
-
         sim = ProtocolSim.new(SchemeId.CDHID, transparent_suite(101), seed=1, q=2)
         with pytest.raises(AttackFailed, match="attacker ended the session without answering"):
             run_attack(sim, Silent(), seed="quiet")
@@ -187,6 +198,37 @@ class TestSummaryMatrix:
         matrix = build_summary_matrix(ScriptedCdhidAttacker(0.5, queries=0), sim, seeds, challenges)
         lo, hi = binomial_band(0.5, 400)
         assert lo <= matrix.ones() / 400 <= hi
+
+    @pytest.mark.parametrize("suite_name", ["t1009", "c523"])
+    @pytest.mark.parametrize("scheme, attacker, q, wins", [
+        *[pytest.param(SchemeId.CDHID, ScriptedCdhidAttacker(eps, queries=n), 4, True, id=f"cdhid-{n}q-eps{eps}")
+          for n in (0, 2, 4) for eps in (0.3, 0.6)],
+        # Its prover phase draws the commitment from the attacker stream.
+        pytest.param(SchemeId.OWFID, ScriptedOwfidAttacker(0.4), 0, True, id="owfid-eps0.4"),
+        # Its bits depend on where the stream stood at the challenge.
+        pytest.param(SchemeId.CDHID, StreamCoin(0.5), 4, True, id="stream-coin"),
+        # A budget below the attacker's queries forfeits before the challenge.
+        pytest.param(SchemeId.CDHID, ScriptedCdhidAttacker(0.6, queries=4), 2, False, id="cdhid-over-budget"),
+        pytest.param(SchemeId.CDHID, Silent(), 0, False, id="silent"),
+    ])
+    def test_rewound_matrix_equals_replay(self, request, suite_name, scheme, attacker, q, wins):
+        suite = request.getfixturevalue(suite_name)
+        sim = ProtocolSim.new(scheme, suite, seed="exact", q=q)
+        rng = Random(f"exact:{suite_name}")
+        challenges = [SCHEMES[scheme].sample_challenge(suite, rng) for _ in range(8)]
+        seeds = [f"e{i}" for i in range(6)]
+
+        def replayed(seed, ch):
+            # The whole run again, verifier phase and oracle sessions included.
+            try:
+                decision, _ = run_attack(sim, attacker, seed, forced_challenge=ch)
+            except (BudgetExceeded, AttackFailed):
+                return 0
+            return int(decision)
+
+        matrix = build_summary_matrix(attacker, sim, seeds, challenges)
+        assert matrix.bits == [[replayed(seed, ch) for ch in challenges] for seed in seeds]
+        assert (matrix.ones() > 0) == wins
 
     def test_heavy_rows_match_oracle(self):
         cases = [
@@ -337,6 +379,25 @@ class TestInverter:
             found += 1
             assert suite.pairing(P, Z) == y
         assert found > 0
+
+    def test_iterated_on_curve(self, c523, monkeypatch):
+        # The extractor's G1 division T1 / T2 runs TateBackend.invert in a game.
+        inverts = []
+        invert = TateBackend.invert
+        monkeypatch.setattr(TateBackend, "invert", lambda self, kind, a: inverts.append(kind) or invert(self, kind, a))
+        rng = Random("curve-inverter")
+        P = c523.random_g1(rng, nonidentity=True)
+        y = c523.random_g2(rng, nonidentity=True)
+        inverted = 0
+        for i in range(5):
+            try:
+                Z = owfid_inverter(ScriptedOwfidAttacker(0.5), P, y, c523, eps=0.5, rng=Random(f"curve:{i}"))
+            except InversionFailed:
+                continue
+            inverted += 1
+            assert c523.pairing(P, Z) == y
+        assert inverted > 0
+        assert KIND_G1 in inverts
 
     def test_hopeless_attacker(self):
         suite = transparent_suite(101)

@@ -6,7 +6,7 @@ from random import Random
 
 import pytest
 
-from pairid.lab import ProtocolSim, ScriptedCdhidAttacker, build_summary_matrix
+from pairid.lab import HonestProverOracle, ProtocolSim, ScriptedCdhidAttacker, build_summary_matrix
 from pairid.schemes import SchemeId, SeededRandom, default_scheme_params, keygen, run_session
 
 SEEDS = ["a", "x:op3:prover", 12345]
@@ -79,15 +79,20 @@ def test_copy_carries_the_stream(clone):
     assert [draw(clone(SeededRandom("a"))) for draw in _DRAWS] == [draw(Random("a")) for draw in _DRAWS]
 
 
-def test_summary_row_seeds_only_the_attacker(seedings, t1009):
-    # One row of lab-games' summary-row step: each forced-challenge cdhid run
-    # draws only from the attacker's stream.
+def test_summary_row_seeds_only_the_attacker(seedings, monkeypatch, t1009):
+    # One row of lab-games' summary-row step: forced-challenge cdhid runs draw
+    # only from the attacker's stream, and the row rewinds that stream at the
+    # challenge, so it is seeded once and the two oracle queries run once.
     kp = keygen(SchemeId.CDHID, t1009, Random("row:keygen"))
     challenges = [(t1009.g1_from_int(k),) for k in Random("row").sample(range(1, t1009.p), 8)]
     sim = ProtocolSim(SchemeId.CDHID, kp, default_scheme_params(t1009), q=2)
+    finishes = []
+    finish = HonestProverOracle.finish
+    monkeypatch.setattr(HonestProverOracle, "finish", lambda self, ch: finishes.append(ch) or finish(self, ch))
     seedings.clear()
     build_summary_matrix(ScriptedCdhidAttacker(0.5, queries=2), sim, ["row"], challenges)
-    assert len(seedings) == 8
+    assert len(seedings) == 1
+    assert len(finishes) == 2
 
 
 @pytest.mark.parametrize("scheme, count", [
