@@ -19,8 +19,11 @@ Cryptosystems", CRYPTO 2002).  A line has one form, three F_q coefficients
 (c0, c1, c2) whose value at the distorted second argument (xq, yq*i) is
 (c0 + c1*xq) + (c2*yq)*i.  _miller_walk walks the loop and yields each
 step's lines, and _miller_stored, the one evaluator, squares f per step and
-multiplies in each line's value.  It runs over a live walk (_miller), over
-stored lines, and over several walks at once.
+multiplies in each value of the step with three F_q products (Devegili,
+O hEigeartaigh, Scott and Dahab, "Multiplication and squaring on
+pairing-friendly fields", 2006): one per line of a live walk, and one per
+step of stored lines.  It runs over a live walk (_miller), over stored
+lines, and over several walks at once.
 
 Lines carry nonzero F_q factors (powers of Z and the slope denominator), and
 vertical lines, whose values lie in F_q, are skipped.  The final
@@ -52,8 +55,11 @@ conj(f)/f has norm 1, and so does every G2 value, so the remaining power to
 h = (q + 1)/p, and every G2 power without a table, runs on the trace ladder
 _norm1_pow: a Lucas sequence V_n = x^n + x^-n on t = 2*Re(x), two F_q
 multiplies per bit and one inversion (Scott and Barreto, "Compressed
-Pairings", CRYPTO 2004).  A G2 inverse is a conjugate, and decode's G2
-subgroup check is the norm test plus V_p = 2.
+Pairings", CRYPTO 2004).  The final exponentiation makes one inversion in
+all: _easy_part inverts the norm of f and the product of its coordinates
+in one batch, which gives both conj(f)/f and the inverse the ladder needs.
+A G2 inverse is a conjugate, and decode's G2 subgroup check is the norm
+test plus V_p = 2.
 An equality check e(a, b) = e(c, d) needs one final exponentiation:
 M(c, -d) = conj(M(c, d)), so it tests V_h = 2 on M(a, b) * M(c, -d), whose
 two walks the evaluator zips under one squaring per step (Scott, "Computing
@@ -77,15 +83,18 @@ a value's second use on.  A power of such a value runs on a fixed-base comb
 (Lim and Lee, CRYPTO 1994) of _COMB_ROWS = 8 rows: with d = ceil(bits(p)/8),
 the 255 products of the x^(2^(i d)) over the nonempty sets of i, then d
 squarings and at most d multiplies, 20 and 20 at 160 bits.  The G1 comb
-keeps its 255 sums in affine form for mixed additions; the G2 comb keeps
+keeps its 255 sums in affine form for mixed additions, built in eight
+levels of affine additions with one batch inversion each; the G2 comb keeps
 (a, b) pairs and multiplies in plain F_q(i), three F_q multiplies a product
 and two a square, with no inversion and no use of the norm.  A pairing
-whose first argument has a table runs the evaluator over its stored lines,
-the walk's triples divided by their c2 with one batch inversion so that
-they read (a, b, 1) (the fixed-argument precomputation of Barreto et al.
-and of Lynn's PBC library).  All of them give exactly what the plain paths
-give.  The signed walk that makes the lines ends at p * pt, so whether pt
-has order p is kept beside them at no cost; without it they are binary.
+whose first argument has a table runs the evaluator over its stored lines
+(the fixed-argument precomputation of Barreto et al. and of Lynn's PBC
+library): the walk's triples divided by their c2 with one batch inversion,
+and each step's lines multiplied out into one product, so that a step
+costs one value and one multiply into f (see _stored_walk).  All of them
+give exactly what the plain paths give.  The signed walk that makes the
+lines ends at p * pt, so whether pt has order p is kept beside them at no
+cost; without it they are binary.
 
 CurveParams.validate() holds every curve rule and counts no points, so it
 works at real size (q of 512 bits) like all the arithmetic here; every
@@ -102,7 +111,7 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, repeat
+from itertools import chain
 from random import Random
 
 from .algebra import KIND_G1, DegenerateSuite, GroupSuite, MalformedEncoding, ValidationFailed, scalar_width
@@ -203,9 +212,9 @@ def _double(r: tuple, q: int, line: bool = False) -> tuple:
     yy = y * y % q
     zz = z * z % q
     s = 4 * x * yy % q
-    m = (3 * x * x + zz * zz) % q
+    m = (x * x * 3 + zz * zz) % q  # x * x and yy * yy run as squares
     x3 = (m * m - 2 * s) % q
-    y3 = (m * (s - x3) - 8 * yy * yy) % q
+    y3 = (m * (s - x3) - yy * yy * 8) % q
     z3 = 2 * y * z % q
     if not line:
         return (x3, y3, z3), None
@@ -320,7 +329,10 @@ def _comb_table(pt: tuple, bits: int, q: int) -> tuple:
     """Fixed-base comb of pt for exponents of up to `bits` bits.
 
     Entry j is the sum of 2^(i d) pt over the set bits i of j, in affine
-    form (None for infinity, which small-order points reach).  Returns
+    form (None for infinity, which small-order points reach).  Entries
+    2^i ... 2^(i+1) - 1 are entries 0 ... 2^i - 1 plus row i, so the table
+    grows in one level per row: affine chords under one batch inversion,
+    and the sums with infinity or an equal x through _add.  Returns
     (d, entries).
     """
     d = _comb_spacing(bits)
@@ -330,14 +342,21 @@ def _comb_table(pt: tuple, bits: int, q: int) -> tuple:
         for _ in range(d):
             r = _double(r, q)[0]
         spaced.append(r)
-    spaced = _batch_affine(spaced, q)
-    sums = [_INF] * (1 << _COMB_ROWS)
-    for j in range(1, 1 << _COMB_ROWS):
-        top = j.bit_length() - 1
-        rest = sums[j ^ (1 << top)]
-        base = spaced[top]
-        sums[j] = rest if base is None else _add_mixed(rest, base[0], base[1], q)[0]
-    return d, _batch_affine(sums, q)
+    entries = [None]
+    for base in _batch_affine(spaced, q):
+        chord = [e is not None and base is not None and e[0] != base[0] for e in entries]
+        invs = iter(_batch_inverse([base[0] - e[0] for e, c in zip(entries, chord) if c], q))
+        level = []
+        for e, c in zip(entries, chord):
+            if not c:
+                level.append(_add(e, base, q))
+                continue
+            (x1, y1), (x2, y2) = e, base
+            lam = (y2 - y1) * next(invs) % q
+            x3 = (lam * lam - x1 - x2) % q
+            level.append((x3, (lam * (x1 - x3) - y1) % q))
+        entries += level
+    return d, entries
 
 
 def _comb_mul(k: int, comb: tuple, q: int) -> Point:
@@ -580,9 +599,29 @@ def _signed_walk(pt: Point, n: int, q: int):
         raise DegeneratePairing("signed Miller walk did not end at infinity")
 
 
+def _step_values(steps, pt: Point, q: int):
+    """Each step's values at phi(pt) = (xq, yq*i), as a list of (la, lb)
+    pairs standing for la + lb*i: one per line of a live walk's step, and at
+    most one per step of stored lines, the tuple that _stored_walk makes."""
+    xq, yq = -pt[0] % q, pt[1] % q
+    if not isinstance(steps, tuple):  # a live walk: each step a list of triples
+        return ([((c0 + c1 * xq) % q, c2 * yq % q) for c0, c1, c2 in step] for step in steps)
+    # Stored steps are (a, b), (c0, c1, c2, s0, s1) or (); xq^2, yq^2 and
+    # xq*yq are made once per walk.
+    xx, yy, xy = xq * xq % q, yq * yq % q, xq * yq % q
+    return (
+        [((s[0] + s[1] * xq) % q, yq)] if len(s) == 2
+        else [((s[0] + s[1] * xq + s[2] * xx - yy) % q, (s[3] * yq + s[4] * xy) % q)] if s
+        else []
+        for s in steps
+    )
+
+
 def _miller_stored(lines, other: Point, q: int, *more) -> Fq2:
     """The Miller function at phi(other) from the steps of a walk, live or
-    stored: per step, square f and multiply in each line's value.
+    stored: per step, square f and multiply in each of the step's values
+    (_step_values) with three products, (fa + fb*i)(la + lb*i) having the
+    imaginary part (fa + fb)(la + lb) - fa*la - fb*lb.
 
     more holds further (steps, point) walks over the same digits; their
     steps are zipped in under the same squarings, so the result is the
@@ -590,17 +629,16 @@ def _miller_stored(lines, other: Point, q: int, *more) -> Fq2:
     every walk to its end, so every signed walk checks its order, and walks
     of different lengths raise ValueError.
     """
-    # Each walk's steps come paired with its point phi(pt) = (xq, yq*i).
-    walks = [zip(steps, repeat(((-pt[0]) % q, pt[1] % q))) for steps, pt in [(lines, other), *more]]
+    walks = [_step_values(steps, pt, q) for steps, pt in [(lines, other), *more]]
     fa, fb = 1, 0
     for steps in zip(*walks, strict=True):
         fa, fb = (fa + fb) * (fa - fb) % q, 2 * fa * fb % q
-        for step, (xq, yq) in steps:
-            for a, b, c in step:
-                la, lb = (a + b * xq) % q, c * yq % q
+        for values in steps:
+            for la, lb in values:
                 if la == 0 and lb == 0:
                     raise DegeneratePairing("line through Miller-loop accumulator vanished")
-                fa, fb = (fa * la - fb * lb) % q, (fa * lb + fb * la) % q
+                t1, t2 = fa * la, fb * lb
+                fa, fb = (t1 - t2) % q, ((fa + fb) * (la + lb) - t1 - t2) % q
     return Fq2(fa, fb, q)
 
 
@@ -618,21 +656,31 @@ def _stored_walk(pt: Point, n: int, q: int) -> tuple[tuple, bool]:
     n * pt = O: the steps of _signed_walk when it ends at infinity, and else
     of the walk over n's bits.
 
-    Each triple is divided by its c2, which is nonzero for canonical pt, so
-    it reads (a, b, 1): it differs from the walk's by an F_q* factor and
-    vanishes exactly where the walk's does.
+    Each step is stored as the product of its lines at a distorted point
+    (xq, yq*i).  Each triple is first divided by its c2, which is nonzero
+    for canonical pt, so that its line reads (a + b*xq) + yq*i: it differs
+    from the walk's by an F_q* factor and vanishes exactly where the walk's
+    does.  A step with no line is (), one line is (a, b), and two lines are
+    (c0, c1, c2, s0, s1), whose product is
+    (c0 + c1*xq + c2*xq^2 - yq^2) + (s0 + s1*xq)*yq*i by
+    (u1 + Y)(u2 + Y) = u1*u2 + Y^2 + (u1 + u2)*Y for Y = yq*i, Y^2 = -yq^2.
+    That is exact algebra, so a product vanishes exactly where one of its
+    lines does.
     """
     try:
         steps, order_n = list(_signed_walk(pt, n, q)), True
     except DegeneratePairing:
         steps, order_n = list(_miller_walk(pt, _loop_digits(n)[1], q)), False
     invs = iter(_batch_inverse([c for step in steps for _, _, c in step], q))
-    # zip takes from step first, so it stops without consuming an inverse.
-    lines = tuple(
-        tuple((a * inv % q, b * inv % q, 1) for (a, b, _), inv in zip(step, invs))
-        for step in steps
-    )
-    return lines, order_n
+    stored = []
+    for step in steps:
+        # zip takes from step first, so it stops without consuming an inverse.
+        ab = [(a * inv % q, b * inv % q) for (a, b, _), inv in zip(step, invs)]
+        if len(ab) == 2:
+            (a1, b1), (a2, b2) = ab
+            ab = [(a1 * a2 % q, (a1 * b2 + a2 * b1) % q, b1 * b2 % q, (a1 + a2) % q, (b1 + b2) % q)]
+        stored.append(ab[0] if ab else ())
+    return tuple(stored), order_n
 
 
 def _lucas_v(t: int, e: int, q: int) -> tuple[int, int]:
@@ -652,11 +700,12 @@ def _lucas_v(t: int, e: int, q: int) -> tuple[int, int]:
     return v0, v1
 
 
-def _norm1_pow(x: Fq2, e: int) -> Fq2:
+def _norm1_pow(x: Fq2, e: int, inv_2b: int | None = None) -> Fq2:
     """x^e for x = a + bi of norm a^2 + b^2 = 1, by the trace ladder.
 
     With x^e = c + di, V_e = 2c and V_{e+1} = 2*Re(x^e * x) = 2(ac - bd), so
     d = (a*V_e - V_{e+1}) / (2b) with one inversion; b = 0 means x = +-1.
+    inv_2b, internal, is 1/(2b) when the caller already has it (e >= 0).
     """
     q, a, b = x.q, x.a, x.b
     if e < 0:
@@ -664,17 +713,31 @@ def _norm1_pow(x: Fq2, e: int) -> Fq2:
     if b == 0:
         return Fq2(a if e & 1 else 1, 0, q)
     ve, ve1 = _lucas_v(2 * a, e, q)
-    return Fq2(ve * ((q + 1) // 2), (a * ve - ve1) * pow(2 * b, -1, q), q)
+    return Fq2(ve * ((q + 1) // 2), (a * ve - ve1) * (inv_2b or pow(2 * b, -1, q)), q)
 
 
-def _easy_part(f: Fq2) -> Fq2:
-    """f^(q-1) = conj(f)/f by Frobenius, which has norm 1."""
-    return Fq2(f.a, -f.b, f.q) * f.inv()
+def _easy_part(f: Fq2) -> tuple[Fq2, int | None]:
+    """(f^(q-1), 1/(2b)) for f^(q-1) = a + bi, with one inversion for both.
+
+    f^(q-1) = conj(f)/f by Frobenius, which has norm 1.  With N = fa^2 + fb^2
+    and m = fa*fb it is ((fa^2 - fb^2) - 2m*i)/N, so 1/(2b) = -N/(4m), and
+    one batch inversion of N and m gives both.  m = 0 makes it +-1, with b = 0
+    and None for 1/(2b).
+    """
+    q, fa, fb = f.q, f.a, f.b
+    m = fa * fb % q
+    if m == 0:
+        return Fq2(1 if fb == 0 else -1, 0, q), None
+    aa, bb = fa * fa, fb * fb
+    n = (aa + bb) % q
+    n_inv, m_inv = _batch_inverse([n, m], q)
+    return Fq2((aa - bb) * n_inv, -2 * m * n_inv, q), -n * m_inv * ((q + 1) // 4) % q
 
 
 def _final_exp(f: Fq2, p: int) -> Fq2:
-    """f^((q^2 - 1)/p) as (f^(q-1))^h on the trace ladder."""
-    return _norm1_pow(_easy_part(f), (f.q + 1) // p)
+    """f^((q^2 - 1)/p) as (f^(q-1))^h on the trace ladder, with one inversion."""
+    x, inv_2b = _easy_part(f)
+    return _norm1_pow(x, (f.q + 1) // p, inv_2b)
 
 
 def tate_pairing(a: Point, b: Point, params: CurveParams, lines: tuple | None = None) -> Fq2:
@@ -711,8 +774,8 @@ def tate_pairing(a: Point, b: Point, params: CurveParams, lines: tuple | None = 
 
 
 # Bounds of each backend's TableCache.  At q of 512 bits a comb, G1 or G2,
-# takes about 64 KB and a point's lines about 71 KB, so a full cache holds
-# at most about 2.2 MB.
+# takes about 64 KB and a point's stored steps about 55 KB, so a full cache
+# holds at most about 1.9 MB.
 _TABLE_SLOTS = 16
 _SEEN_SLOTS = 64
 
@@ -896,10 +959,10 @@ class TateBackend:
         (lines_a, _), (lines_c, order_p) = stored_a, stored_c
         if order_p and all(x is not None and on_curve(x, q) for x in (a, b, pt)):
             try:
-                t = _norm1_pow(_easy_part(_miller_stored(lines_c, pt, q)), h)
+                t = _final_exp(_miller_stored(lines_c, pt, q), self.p)
                 if t != Fq2(1, 0, q):
-                    f = _easy_part(_miller_stored(self._walk(a, lines_a), b, q)) * Fq2(t.a, -t.b, q)
-                    return _lucas_v(2 * f.a, h, q)[0] == 2
+                    x = _easy_part(_miller_stored(self._walk(a, lines_a), b, q))[0]
+                    return _lucas_v(2 * (x.a * t.a + x.b * t.b) % q, h, q)[0] == 2  # 2*Re(x * conj(t))
             except DegeneratePairing:
                 pass
         return self._pair_equal(a, b, c, cleared(), stored_a, stored_c)
@@ -926,7 +989,7 @@ class TateBackend:
             except DegeneratePairing:
                 pass
             else:
-                return _lucas_v(2 * _easy_part(f).a, self.params.h, q)[0] == 2
+                return _lucas_v(2 * _easy_part(f)[0].a, self.params.h, q)[0] == 2
         return tate_pairing(a, b, self.params, lines_a) == tate_pairing(c, d, self.params, lines_c)
 
     def width(self, kind):

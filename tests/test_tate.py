@@ -18,7 +18,9 @@ from pairid.tate import (
     ValidationFailed,
     _add_mixed,
     _comb_spacing,
+    _comb_table,
     _double,
+    _easy_part,
     _final_exp,
     _fq2_comb_table,
     _loop_digits,
@@ -80,6 +82,20 @@ REAL_GEN = (
         "956851955514171891276748054785903373997938302622881312521909056028975195513150"
     ),
 )
+
+
+def _real_multiple(k):
+    """k * REAL_GEN by the oracle's affine double-and-add."""
+    return naive_double_and_add(k % REAL_P, REAL_GEN, REAL_Q)
+
+
+def _multiples(pt, q):
+    """[O, pt, 2 pt, ...] up to pt's order, by the oracle's group law."""
+    out, acc = [None], pt
+    while acc is not None:
+        out.append(acc)
+        acc = naive_add(acc, pt, q)
+    return out
 
 
 def _random_curve_point(q, rng):
@@ -362,18 +378,45 @@ class TestPairingAgainstReference:
                     _miller(a, b, params.p, q)
         assert vanished > 0
 
+    @staticmethod
+    def _real_subgroup_pairs(rng):
+        """Three pairs (a, b) of points of order p, with their logs (i, j)."""
+        logs = [(rng.randrange(1, REAL_P), rng.randrange(1, REAL_P)) for _ in range(3)]
+        return logs, [(_real_multiple(i), _real_multiple(j)) for i, j in logs]
+
     def test_real_size_random_pairs(self):
         params = CurveParams(q=REAL_Q, p=REAL_P, h=REAL_H, gen=REAL_GEN)
         rng = random.Random("real-size pairing")
-        pairs = [
-            (naive_double_and_add(rng.randrange(1, REAL_P), REAL_GEN, REAL_Q),
-             naive_double_and_add(rng.randrange(1, REAL_P), REAL_GEN, REAL_Q))
-            for _ in range(3)
-        ]
+        pairs = self._real_subgroup_pairs(rng)[1]
         pairs.append((_random_curve_point(REAL_Q, rng), _random_curve_point(REAL_Q, rng)))
         for a, b in pairs:
             got = tate_pairing(a, b, params)
             assert (got.a, got.b) == reference_pairing(a, b, REAL_Q, REAL_P, REAL_GEN)
+
+    def test_real_size_stored_steps(self, monkeypatch):
+        # The subgroup pairs above on a warm backend, so that each a's
+        # pairing runs its stored steps, and pair_equal zips them with the
+        # live walk of a c used there first.
+        from pairid import tate
+
+        params = CurveParams(q=REAL_Q, p=REAL_P, h=REAL_H, gen=REAL_GEN)
+        backend = TateBackend(params)
+        logs, pairs = self._real_subgroup_pairs(random.Random("real-size pairing"))
+        for (i, j), (a, b) in zip(logs, pairs):
+            backend.pair(a, b)
+            got = backend.pair(a, b)
+            assert backend.tables.sizes()[1] == 1 + logs.index((i, j))  # a has its lines
+            assert (got.a, got.b) == reference_pairing(a, b, REAL_Q, REAL_P, REAL_GEN)
+            # e(2j g, (i/2) g) = e(a, b), and e(3j g, (i/2) g) is not.
+            d = _real_multiple(i * pow(2, -1, REAL_P))
+            for m, equal in ((2, True), (3, False)):
+                c = _real_multiple(m * j)
+                expect = tate_pairing(a, b, params) == tate_pairing(c, d, params)
+                with monkeypatch.context() as patch:
+                    # The zipped walks decide, not the two-pairing fallback.
+                    patch.setattr(tate, "tate_pairing", None)
+                    assert backend.pair_equal(a, b, c, d) == expect == equal
+        assert backend.tables.sizes()[1] == 3  # no c got lines
 
     def test_real_size_point_mul(self):
         rng = random.Random("real-size point_mul")
@@ -516,6 +559,31 @@ class TestPrecomputedTables:
             backend.power(KIND_G1, pt, 1)
             for k in range(backend.p):
                 assert backend.power(KIND_G1, pt, k) == point_mul(k, pt, q), (pt, k)
+
+    @pytest.mark.parametrize("q", [59, 83, 523, 1051])
+    def test_comb_entries_by_definition(self, q):
+        # Entry j is sum(2^(i d) pt for the set bits i of j): for pt = k g of
+        # order p that is (k * that sum mod p) g, read off g's multiples.
+        # At 59 and 83 every curve point, small orders included, is read off
+        # its own multiples.  At 1051 each row has two columns.
+        params = enumerate_and_validate(q).params
+        bits = params.p.bit_length()
+        d = _comb_spacing(bits)
+        sums = [sum(1 << (i * d) for i in range(8) if j >> i & 1) for j in range(256)]
+        mults = _multiples(params.gen, q)
+        bases = [(mults[k], mults, k) for k in range(1, params.p)]
+        if q < 100:
+            bases += [(pt, _multiples(pt, q), 1) for pt in filter(None, curve_points(q))]
+        for pt, multiples, k in bases:
+            assert _comb_table(pt, bits, q) == (d, [multiples[k * s % len(multiples)] for s in sums]), pt
+
+    def test_comb_entries_real_size(self):
+        d = _comb_spacing(REAL_P.bit_length())
+        rows = [_real_multiple(1 << (i * d)) for i in range(8)]
+        entries = [None]
+        for row in rows:
+            entries += [naive_add(e, row, REAL_Q) for e in entries]
+        assert _comb_table(REAL_GEN, REAL_P.bit_length(), REAL_Q) == (d, entries)
 
     def test_comb_uses_several_columns(self):
         # q + 1 = 1052 = 4 * 263, and p = 263 has 9 bits, so each of the
@@ -896,6 +964,27 @@ class TestTraceLadder:
         for x in values[:3]:
             assert x ** REAL_P == one  # the values really lie in G2
 
+    @pytest.mark.parametrize("q", [59, 83, 523])
+    def test_final_exp_is_the_full_power(self, q):
+        # Every nonzero f at q = 59 and 83, and a seeded sample at 523, with
+        # the real and the imaginary f (fa*fb = 0) included.
+        p = enumerate_and_validate(q).params.p
+        if q < 100:
+            values = [Fq2(a, b, q) for a in range(q) for b in range(q) if a or b]
+        else:
+            rng = random.Random("final exp")
+            values = [Fq2(rng.randrange(q), rng.randrange(1, q), q) for _ in range(2000)]
+            values += [Fq2(a, 0, q) for a in range(1, q)] + [Fq2(0, b, q) for b in range(1, q)]
+        for f in values:
+            assert _easy_part(f)[0] == f ** (q - 1), f
+            assert _final_exp(f, p) == f ** ((q * q - 1) // p), f
+
+    def test_final_exp_real_size(self):
+        rng = random.Random("real-size final exp")
+        f = _miller(_real_multiple(rng.randrange(1, REAL_P)), _random_curve_point(REAL_Q, rng), REAL_P, REAL_Q)
+        for x in (f, Fq2(f.a, 0, REAL_Q), Fq2(0, f.b, REAL_Q)):
+            assert _final_exp(x, REAL_P) == x ** ((REAL_Q * REAL_Q - 1) // REAL_P)
+
     def test_backend_g2_power_and_inverse(self, c59):
         backend = c59.backend
         for k in range(c59.p):
@@ -1159,7 +1248,10 @@ class TestSignedWalk:
     def test_real_size_generator_lines(self):
         lines, order_p = _stored_walk(REAL_GEN, REAL_P, REAL_Q)
         assert order_p
-        assert (len(lines), sum(len(step) - 1 for step in lines)) == (160, 50)
+        # 160 steps: 50 two-line products (c0, c1, c2, s0, s1) and 110
+        # single lines (a, b).
+        shapes = [len(step) for step in lines]
+        assert (len(shapes), shapes.count(5), shapes.count(2)) == (160, 50, 110)
 
     @pytest.mark.parametrize("warm", [False, True])
     def test_off_subgroup_argument_takes_two_pairings(self, warm):
