@@ -31,18 +31,18 @@ def _strong_fermat_base2(n: int) -> bool:
 
 
 def _jacobi(a: int, n: int) -> int:
-    """The Jacobi symbol (a/n) for odd n > 0."""
+    """The Jacobi symbol (a/n) for odd n > 0.  Each round strips all t
+    factors of 2 from a at once and then swaps a and n by reciprocity."""
     a %= n
     result = 1
     while a:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                result = -result
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
+        t = (a & -a).bit_length() - 1
+        a >>= t
+        if t & 1 and (n & 7) in (3, 5):
             result = -result
-        a %= n
+        if a & n & 2:  # both odd, so both are 3 (mod 4)
+            result = -result
+        a, n = n % a, a
     return result if n == 1 else 0
 
 

@@ -6,24 +6,23 @@ The distortion map phi(x, y) = (-x, i*y) sends the order-p subgroup into an
 independent subgroup over F_{q^2} = F_q(i) with i^2 = -1, which turns the
 Tate pairing into a symmetric pairing on G1 x G1.
 
-Points are affine (x, y) tuples everywhere outside the inner loops.  The
-Miller loop and point_mul work in Jacobian coordinates (X, Y, Z) standing
-for (X/Z^2, Y/Z^3), so neither inverts in F_q: point_mul converts back to
-affine once at the end, and the Miller loop never does.  point_mul walks a
-width-4 wNAF of k over the affine odd multiples P, 3P, 5P and 7P, made with
-one batch inversion; a negative digit adds (x, -y).  Each double or add
-step computes its slope numerator and denominator once and uses them both
-for the next point and, when asked, for the line through the step
-(Barreto, Kim, Lynn and Scott, "Efficient Algorithms for Pairing-Based
-Cryptosystems", CRYPTO 2002).  A line has one form, three F_q coefficients
+Points are affine (x, y) tuples outside the inner loop.  One double-and-add
+loop, _double_and_add, walks every G1 power and every Miller loop in
+Jacobian coordinates (X, Y, Z) standing for (X/Z^2, Y/Z^3), so it never
+inverts in F_q.  Each digit d doubles and then adds table[d], an affine
+point, with the negated points at negative indices.  The loop holds the only
+copy of the doubling and mixed-addition formulas, and each step's slope
+numerator and denominator serve both the next point and, when asked, the
+line through the step (Barreto, Kim, Lynn and Scott, "Efficient Algorithms
+for Pairing-Based Cryptosystems", CRYPTO 2002): three F_q coefficients
 (c0, c1, c2) whose value at the distorted second argument (xq, yq*i) is
-(c0 + c1*xq) + (c2*yq)*i.  _miller_walk walks the loop and yields each
-step's lines, and _miller_stored, the one evaluator, squares f per step and
-multiplies in each value of the step with three F_q products (Devegili,
-O hEigeartaigh, Scott and Dahab, "Multiplication and squaring on
-pairing-friendly fields", 2006): one per line of a live walk, and one per
-step of stored lines.  It runs over a live walk (_miller), over stored
-lines, and over several walks at once.
+(c0 + c1*xq) + (c2*yq)*i.  It serves point_mul's width-4 wNAF over +-pt,
++-3pt, +-5pt and +-7pt, comb powers over column indices, _stored_walk, which
+keeps each step's triples, and the live Miller loop (_miller), which squares
+f per step and multiplies in each line's value as it is made with three F_q
+products (Devegili, O hEigeartaigh, Scott and Dahab, "Multiplication and
+squaring on pairing-friendly fields", 2006; Scott, "Computing the Tate
+pairing", CT-RSA 2005).  _miller_stored does the same per stored step.
 
 Lines carry nonzero F_q factors (powers of Z and the slope denominator), and
 vertical lines, whose values lie in F_q, are skipped.  The final
@@ -32,24 +31,24 @@ factor, since u^(q-1) = 1 for u in F_q*; it takes f^(q-1) as conj(f)/f by
 Frobenius.  So a Miller value is defined only up to an F_q* factor, and a
 pairing exactly.  A line's imaginary part c2*yq is nonzero for any
 distorted point off the x-axis, so honest subgroup inputs never hit a zero.
-Adversarial off-subgroup inputs can; the evaluator then raises
-DegeneratePairing and the public entry point retries on deterministic
-offsets of the second argument.
+Adversarial off-subgroup inputs can.  F_q(i) is a field, so a Miller value
+is 0 exactly when one of its lines vanished; the evaluators check that once,
+at the end, and raise DegeneratePairing, and the public entry point retries
+on deterministic offsets of the second argument.
 
-The walk runs over digits in {-1, 0, 1} that _loop_digits makes once per
-n: n's signed digits (its non-adjacent form) or its bits.  A -1 digit adds
-(x, -y), and the verticals a subtraction leaves lie in F_q, so it costs what
-a +1 costs; at the pinned 160-bit p the walk adds 51 times, not 89.  The
-signed walk is exact for a first argument pt of order p: its lines pass
+A Miller loop runs over digits in {-1, 0, 1} that _loop_digits makes once
+per n: n's signed digits (its non-adjacent form) or its bits.  A -1 digit
+adds (x, -y), and the verticals a subtraction leaves lie in F_q, so it costs
+what a +1 costs; at the pinned 160-bit p the walk adds 51 times, not 89.
+The signed walk is exact for a first argument pt of order p: its lines pass
 through multiples of pt, which phi(b) never is for b in E(F_q) other than O,
 and a skipped vertical at x_R vanishes at phi(b) only for R = b = (0, 0).
 So no line vanishes, and the value equals the binary walk's after the final
-exponentiation.  _signed_walk proves the order itself: it raises
-DegeneratePairing unless it ends at infinity, and then, as when a line
-vanishes, the walk over p's bits runs as before, with its values and zeros.
-Walks that _miller_stored zips must share one digit sequence: its zip is
-strict, so each runs its end check, and the binary lines stored for a point
-off the subgroup take the two pairings instead.
+exponentiation.  The signed walk proves the order itself, since it ends at
+p * pt: unless that is infinity, or when a line vanishes, the walk over p's
+bits runs instead, with its values and zeros.  So stored lines of a point
+off the subgroup are binary, and _miller_stored never zips them with signed
+ones.
 
 conj(f)/f has norm 1, and so does every G2 value, so the remaining power to
 h = (q + 1)/p, and every G2 power without a table, runs on the trace ladder
@@ -61,9 +60,10 @@ in one batch, which gives both conj(f)/f and the inverse the ladder needs.
 A G2 inverse is a conjugate, and decode's G2 subgroup check is the norm
 test plus V_p = 2.
 An equality check e(a, b) = e(c, d) needs one final exponentiation:
-M(c, -d) = conj(M(c, d)), so it tests V_h = 2 on M(a, b) * M(c, -d), whose
-two walks the evaluator zips under one squaring per step (Scott, "Computing
-the Tate pairing", CT-RSA 2005).
+M(c, -d) = conj(M(c, d)), so it tests V_h = 2 on M(a, b) * M(c, -d).  When
+both sides have stored lines, _miller_stored zips their walks under one
+squaring per step (Scott, CT-RSA 2005); otherwise the two Miller values,
+live or stored, are multiplied.
 
 hash_to_g1 is try-and-increment (Boneh, Lynn and Shacham, "Short signatures
 from the Weil pairing", ASIACRYPT 2001): for ctr = 0, 1, ..., 255 it takes
@@ -71,11 +71,12 @@ x = SHA-256(data || ctr) mod q, skips x if x^3 + x has Jacobi symbol -1,
 makes the candidate pt = (x, y) from lift_x's y, negated when the digest is
 odd, and returns h * pt for the first pt with h * pt not infinity.
 pair_equal_hashed, the BLS check e(a, b) = e(c, H(data)), skips that
-multiply when c has order p and stored lines: e(c, .) is then bilinear, so
-with t = e(c, pt) for the first pt it tests V_h = 2 on
-easy(M(a, b)) * conj(t), and t = 1 exactly when h * pt is infinity, where
-the hash moves on.  That case, and every c off the subgroup or without
-tables, clears the cofactor from the candidates not yet drawn and compares.
+multiply when c has order p: e(c, .) is then bilinear, so with t = e(c, pt)
+for the first pt it tests V_h = 2 on easy(M(a, b)) * conj(t), and t = 1
+exactly when h * pt is infinity, where the hash moves on.  c's order comes
+with its stored lines, or from its live signed walk for t while it has none.
+That case, and every c off the subgroup, clears the cofactor from the
+candidates not yet drawn and compares.
 
 Values that come back (the generator, key elements, e(g, g) and the G2
 keys) get precomputed tables, kept per backend in a bounded TableCache from
@@ -87,7 +88,7 @@ keeps its 255 sums in affine form for mixed additions, built in eight
 levels of affine additions with one batch inversion each; the G2 comb keeps
 (a, b) pairs and multiplies in plain F_q(i), three F_q multiplies a product
 and two a square, with no inversion and no use of the norm.  A pairing
-whose first argument has a table runs the evaluator over its stored lines
+whose first argument has a table runs _miller_stored over its stored lines
 (the fixed-argument precomputation of Barreto et al. and of Lynn's PBC
 library): the walk's triples divided by their c2 with one batch inversion,
 and each step's lines multiplied out into one product, so that a step
@@ -197,56 +198,78 @@ def on_curve(pt: Point, q: int) -> bool:
 _INF = (1, 1, 0)
 
 
-def _double(r: tuple, q: int, line: bool = False) -> tuple:
-    """(2r, tangent at r) for Jacobian r; the tangent only with line=True.
+def _double_and_add(r: tuple, digits, table, q: int, other: Point = None, steps: list | None = None):
+    """From Jacobian r, each digit d doubles and then adds the affine
+    table[d] unless it is None (table[0] is).  Returns the Jacobian point
+    reached and f, an (fa, fb) pair standing for fa + fb*i.
 
-    The line is None, meaning "lies in F_q, skip", when the tangent is
-    vertical or r is infinity; otherwise it is the triple (c0, c1, c2) whose
-    value (c0 + c1*xq) + (c2*yq)*i at a distorted point (xq, yq*i) is
-    l * z3 * z^2 there, where l(x, y) = y - y_r - lambda*(x - x_r) and the
-    slope is lambda = m / z3.  c2 is reduced.
+    A line's triple (c0, c1, c2) is l * z3 * z^2 for a tangent and l * z3
+    for a chord, where l(x, y) = y - y_r - lambda*(x - x_r) and the slope
+    lambda is m / z3 or rr / z3; c2 is reduced.  Vertical lines (2r = O,
+    r = -table[d]) lie in F_q and are skipped, as is the addition to r = O;
+    an addition to r = table[d] takes r's tangent.  With steps, a list, each
+    digit appends the list of its triples.  With other, each digit squares f
+    and multiplies in each line's value at phi(other), (fa + fb*i)(la + lb*i)
+    having the imaginary part (fa + fb)(la + lb) - fa*la - fb*lb; f is 0
+    exactly when a line vanished, since F_q(i) is a field.
     """
     x, y, z = r
-    if z == 0 or y == 0:
-        return _INF, None
-    yy = y * y % q
-    zz = z * z % q
-    s = 4 * x * yy % q
-    m = (x * x * 3 + zz * zz) % q  # x * x and yy * yy run as squares
-    x3 = (m * m - 2 * s) % q
-    y3 = (m * (s - x3) - yy * yy * 8) % q
-    z3 = 2 * y * z % q
-    if not line:
-        return (x3, y3, z3), None
-    return (x3, y3, z3), (m * x - 2 * yy, -m * zz, z3 * zz % q)
-
-
-def _add_mixed(r: tuple, x2: int, y2: int, q: int, line: bool = False) -> tuple:
-    """(r + (x2, y2), chord through them) for Jacobian r and affine (x2, y2).
-
-    Same conventions as _double, which handles r = (x2, y2).  The chord has
-    slope lambda = rr / z3 and passes through (x2, y2); its triple is scaled
-    by z3.
-    """
-    x1, y1, z1 = r
-    if z1 == 0:
-        return (x2, y2, 1), None
-    zz = z1 * z1 % q
-    h = (x2 * zz - x1) % q
-    rr = (y2 * z1 * zz - y1) % q
-    if h == 0:
-        if rr == 0:
-            return _double(r, q, line)
-        return _INF, None  # r = -(x2, y2): vertical chord
-    hh = h * h % q
-    hhh = h * hh % q
-    v = x1 * hh % q
-    x3 = (rr * rr - hhh - 2 * v) % q
-    y3 = (rr * (v - x3) - y1 * hhh) % q
-    z3 = z1 * h % q
-    if not line:
-        return (x3, y3, z3), None
-    return (x3, y3, z3), (rr * x2 - z3 * y2, -rr, z3)
+    evaluate, lines = other is not None, other is not None or steps is not None
+    if evaluate:
+        xq, yq = -other[0] % q, other[1] % q
+    fa, fb = 1, 0
+    for d in digits:
+        if evaluate:
+            fa, fb = (fa + fb) * (fa - fb) % q, 2 * fa * fb % q
+        elif lines:
+            steps.append(step := [])
+        add = table[d]
+        for base in (None, add) if add else (None,):
+            if base is not None:
+                x2, y2 = base
+                if not z:
+                    x, y, z = x2, y2, 1
+                    continue
+                zz = z * z % q
+                h = (x2 * zz - x) % q
+                rr = (y2 * z * zz - y) % q
+                if h:
+                    hh = h * h % q
+                    hhh = h * hh % q
+                    v = x * hh % q
+                    x = (rr * rr - hhh - 2 * v) % q
+                    y = (rr * (v - x) - y * hhh) % q
+                    z = z * h % q
+                    if not lines:
+                        continue
+                    c0, c1, c2 = rr * x2 - z * y2, -rr, z
+                elif rr:
+                    x, y, z = _INF  # r = -base
+                    continue
+                else:
+                    base = None  # r = base: the tangent below
+            if base is None:
+                if not (z and y):
+                    x, y, z = _INF
+                    continue
+                yy = y * y % q
+                zz = z * z % q
+                z = 2 * y * z % q
+                s = 4 * x * yy % q
+                m = (x * x * 3 + zz * zz) % q  # x * x and yy * yy run as squares
+                if lines:
+                    c0, c1, c2 = m * x - 2 * yy, -m * zz, z * zz % q
+                x = (m * m - 2 * s) % q
+                y = (m * (s - x) - yy * yy * 8) % q
+                if not lines:
+                    continue
+            if not evaluate:
+                step.append((c0, c1, c2))
+                continue
+            la, lb = (c0 + c1 * xq) % q, c2 * yq % q
+            t1, t2 = fa * la, fb * lb
+            fa, fb = (t1 - t2) % q, ((fa + fb) * (la + lb) - t1 - t2) % q
+    return (x, y, z), (fa, fb)
 
 
 def _affine(r: tuple, q: int) -> Point:
@@ -282,13 +305,23 @@ def _batch_affine(points: list, q: int) -> list:
     return out
 
 
+def _chord(a: tuple, x2: int, lam: int, q: int) -> tuple:
+    # a + (x2, .) for affine points on a line of slope lam.
+    x1, y1 = a
+    x3 = (lam * lam - x1 - x2) % q
+    return x3, (lam * (x1 - x3) - y1) % q
+
+
 def _add(a: Point, b: Point, q: int) -> Point:
-    # Raw chord-and-tangent group law; callers validate inputs.
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return _affine(_add_mixed((a[0], a[1], 1), b[0], b[1], q)[0], q)
+    # Raw affine chord-and-tangent group law; callers validate inputs.
+    if a is None or b is None:
+        return b if a is None else a
+    (x1, y1), (x2, y2) = a, b
+    if (x2 - x1) % q:
+        return _chord(a, x2, (y2 - y1) * pow(x2 - x1, -1, q) % q, q)
+    if (y1 + y2) % q:
+        return _chord(a, x2, (3 * x1 * x1 + 1) * pow(2 * y1, -1, q) % q, q)
+    return None
 
 
 def point_add(a: Point, b: Point, q: int) -> Point:
@@ -317,12 +350,12 @@ def _comb_columns(k: int, d: int) -> list:
     """The entry index of each column of k, most significant column first.
 
     k is cut into _COMB_ROWS rows of d bits each; bit i of column j's index
-    is bit j of row i, that is bit i d + j of k.  The walk doubles once per
-    column and then adds that entry.
+    is bit j of row i, that is bit i d + j of k.  In k's binary string, top
+    row first, a column's bits are every d-th character.  The walk doubles
+    once per column and then adds that entry.
     """
-    mask = (1 << d) - 1
-    rows = [format(k >> (i * d) & mask, f"0{d}b") for i in reversed(range(_COMB_ROWS))]
-    return [int("".join(column), 2) for column in zip(*rows)]
+    bits = format(k, f"0{_COMB_ROWS * d}b")
+    return [int(bits[j::d], 2) for j in range(d)]
 
 
 def _comb_table(pt: tuple, bits: int, q: int) -> tuple:
@@ -339,8 +372,7 @@ def _comb_table(pt: tuple, bits: int, q: int) -> tuple:
     r = (*pt, 1)
     spaced = [r]
     for _ in range(_COMB_ROWS - 1):
-        for _ in range(d):
-            r = _double(r, q)[0]
+        r = _double_and_add(r, (0,) * d, (None,), q)[0]
         spaced.append(r)
     entries = [None]
     for base in _batch_affine(spaced, q):
@@ -351,23 +383,9 @@ def _comb_table(pt: tuple, bits: int, q: int) -> tuple:
             if not c:
                 level.append(_add(e, base, q))
                 continue
-            (x1, y1), (x2, y2) = e, base
-            lam = (y2 - y1) * next(invs) % q
-            x3 = (lam * lam - x1 - x2) % q
-            level.append((x3, (lam * (x1 - x3) - y1) % q))
+            level.append(_chord(e, base[0], (base[1] - e[1]) * next(invs) % q, q))
         entries += level
     return d, entries
-
-
-def _comb_mul(k: int, comb: tuple, q: int) -> Point:
-    d, entries = comb
-    r = _INF
-    for j in _comb_columns(k, d):
-        r = _double(r, q)[0]
-        entry = entries[j]
-        if entry is not None:
-            r = _add_mixed(r, entry[0], entry[1], q)[0]
-    return _affine(r, q)
 
 
 def _fq2_comb_table(x: Fq2, bits: int) -> tuple:
@@ -432,10 +450,12 @@ def lift_x(x: int, q: int) -> int | None:
 
 
 def point_mul(k: int, pt: Point, q: int, comb: tuple | None = None) -> Point:
-    """k * pt: a width-4 wNAF over the affine odd multiples pt, 3pt, 5pt and
-    7pt, with mixed (affine-base) addition; a negative digit adds (x, -y).
+    """k * pt by _double_and_add, with one conversion to affine at the end:
+    over the width-4 wNAF of |k| and the affine +-pt, +-3pt, +-5pt and +-7pt
+    (5pt = 2(3pt) - pt, 7pt = 2(3pt) + pt), made with one batch inversion.
 
-    comb, internal, is pt's _comb_table; see _comb_covers for the k it serves.
+    comb, internal, is pt's _comb_table; for the k it serves (see
+    _comb_covers) the walk runs over k's columns and the comb's entries.
     """
     if not on_curve(pt, q):
         raise NotOnCurve("point_mul input is off the curve")
@@ -443,24 +463,18 @@ def point_mul(k: int, pt: Point, q: int, comb: tuple | None = None) -> Point:
     if pt is None or k == 0:
         return None
     if _comb_covers(comb, k):
-        return _comb_mul(k, comb, q)
+        d, entries = comb
+        return _affine(_double_and_add(_INF, _comb_columns(k, d), entries, q)[0], q)
     if k < 0:
         k, pt = -k, point_neg(pt, q)
-    digits = _wnaf(k, 4)
-    x, y = pt
-    r2 = _double((x, y, 1), q)[0]
-    r3 = _add_mixed(r2, x, y, q)[0]
-    r5 = _add_mixed(_double(r2, q)[0], x, y, q)[0]
-    r7 = _add_mixed(_double(r3, q)[0], x, y, q)[0]
-    odd = [pt, *_batch_affine([r3, r5, r7], q)]  # odd[j] = (2j + 1) pt
-    r = _INF
-    for d in reversed(digits):
-        r = _double(r, q)[0]
-        if d:
-            base = odd[abs(d) >> 1]
-            if base is not None:
-                r = _add_mixed(r, base[0], base[1] if d > 0 else -base[1] % q, q)[0]
-    return _affine(r, q)
+    signed = (None, pt, point_neg(pt, q))  # the table of digits -1, 0 and 1
+    r3 = _double_and_add((*pt, 1), (1,), signed, q)[0]
+    r5, r7 = (_double_and_add(r3, (d,), signed, q)[0] for d in (-1, 1))
+    odd = [pt, *_batch_affine([r3, r5, r7], q)]
+    table = [None] * 16
+    for j, m in zip((1, 3, 5, 7), odd):
+        table[j], table[-j] = m, point_neg(m, q)
+    return _affine(_double_and_add(_INF, reversed(_wnaf(k, 4)), table, q)[0], q)
 
 
 def point_neg(pt: Point, q: int) -> Point:
@@ -571,90 +585,35 @@ def _loop_digits(n: int) -> tuple[tuple, tuple]:
     return tuple(reversed(_wnaf(n, 2)))[1:], tuple(map(int, bin(n)[3:]))
 
 
-def _miller_walk(pt: Point, digits: tuple, q: int):
-    """Walk the Miller loop over digits: yield each step's lines as triples.
-
-    Each step doubles and then, on a digit d = +-1 (from _loop_digits), adds
-    d * pt.  One list per step holds the triples of its doubling and
-    addition lines (see _double) without the skipped ones.  The walk returns
-    (as its StopIteration value) the Jacobian point it ends at, n * pt.
-    """
-    x, y = pt
-    ys = (None, y, -y % q)  # ys[d] is the y of d * pt
-    r = (x, y, 1)
-    for d in digits:
-        r, line = _double(r, q, line=True)
-        step = [line]
-        if d:
-            r, line = _add_mixed(r, x, ys[d], q, line=True)
-            step.append(line)
-        yield [c for c in step if c is not None]
-    return r
+def _miller_loop(pt: tuple, digits: tuple, q: int, other: Point = None, steps: list | None = None) -> tuple:
+    """_double_and_add from pt over Miller digits in {-1, 0, 1} (from
+    _loop_digits), with pt's lines: evaluated at phi(other) or stored."""
+    return _double_and_add((*pt, 1), digits, (None, pt, point_neg(pt, q)), q, other, steps)
 
 
-def _signed_walk(pt: Point, n: int, q: int):
-    """_miller_walk over n's signed digits, which is exact for pt of order n
-    only; so it raises DegeneratePairing at its end unless n * pt = O."""
-    if (yield from _miller_walk(pt, _loop_digits(n)[0], q))[2]:
-        raise DegeneratePairing("signed Miller walk did not end at infinity")
-
-
-def _step_values(steps, pt: Point, q: int):
-    """Each step's values at phi(pt) = (xq, yq*i), as a list of (la, lb)
-    pairs standing for la + lb*i: one per line of a live walk's step, and at
-    most one per step of stored lines, the tuple that _stored_walk makes."""
-    xq, yq = -pt[0] % q, pt[1] % q
-    if not isinstance(steps, tuple):  # a live walk: each step a list of triples
-        return ([((c0 + c1 * xq) % q, c2 * yq % q) for c0, c1, c2 in step] for step in steps)
-    # Stored steps are (a, b), (c0, c1, c2, s0, s1) or (); xq^2, yq^2 and
-    # xq*yq are made once per walk.
-    xx, yy, xy = xq * xq % q, yq * yq % q, xq * yq % q
-    return (
-        [((s[0] + s[1] * xq) % q, yq)] if len(s) == 2
-        else [((s[0] + s[1] * xq + s[2] * xx - yy) % q, (s[3] * yq + s[4] * xy) % q)] if s
-        else []
-        for s in steps
-    )
-
-
-def _miller_stored(lines, other: Point, q: int, *more) -> Fq2:
-    """The Miller function at phi(other) from the steps of a walk, live or
-    stored: per step, square f and multiply in each of the step's values
-    (_step_values) with three products, (fa + fb*i)(la + lb*i) having the
-    imaginary part (fa + fb)(la + lb) - fa*la - fb*lb.
-
-    more holds further (steps, point) walks over the same digits; their
-    steps are zipped in under the same squarings, so the result is the
-    product of all the walks' Miller functions.  The zip is strict: it runs
-    every walk to its end, so every signed walk checks its order, and walks
-    of different lengths raise ValueError.
-    """
-    walks = [_step_values(steps, pt, q) for steps, pt in [(lines, other), *more]]
-    fa, fb = 1, 0
-    for steps in zip(*walks, strict=True):
-        fa, fb = (fa + fb) * (fa - fb) % q, 2 * fa * fb % q
-        for values in steps:
-            for la, lb in values:
-                if la == 0 and lb == 0:
-                    raise DegeneratePairing("line through Miller-loop accumulator vanished")
-                t1, t2 = fa * la, fb * lb
-                fa, fb = (t1 - t2) % q, ((fa + fb) * (la + lb) - t1 - t2) % q
-    return Fq2(fa, fb, q)
+def _miller_value(f: tuple, q: int) -> Fq2:
+    # A Miller value is 0 exactly when one of its lines vanished.
+    if f == (0, 0):
+        raise DegeneratePairing("a line through the Miller-loop accumulator vanished")
+    return Fq2(*f, q)
 
 
 def _miller(pt: Point, other: Point, n: int, q: int) -> Fq2:
-    """The Miller function f_{n,pt} at phi(other), up to an F_q* factor: over
-    n's signed digits when pt has order n, and otherwise over its bits."""
-    try:
-        return _miller_stored(_signed_walk(pt, n, q), other, q)
-    except DegeneratePairing:
-        return _miller_stored(_miller_walk(pt, _loop_digits(n)[1], q), other, q)
+    """The Miller function f_{n,pt} at phi(other), up to an F_q* factor, from
+    one live _miller_loop over n's signed digits.  That walk is exact for pt
+    of order n only; unless it ends at n * pt = O, or when a line vanishes,
+    the walk over n's bits runs instead."""
+    signed, binary = _loop_digits(n)
+    r, f = _miller_loop(pt, signed, q, other)
+    if r[2] or f == (0, 0):
+        f = _miller_loop(pt, binary, q, other)[1]
+    return _miller_value(f, q)
 
 
 def _stored_walk(pt: Point, n: int, q: int) -> tuple[tuple, bool]:
     """pt's Miller steps for n, stored for any second argument, and whether
-    n * pt = O: the steps of _signed_walk when it ends at infinity, and else
-    of the walk over n's bits.
+    n * pt = O: _miller_loop's triples over n's signed digits when that walk
+    ends at infinity, and else over n's bits.
 
     Each step is stored as the product of its lines at a distorted point
     (xq, yq*i).  Each triple is first divided by its c2, which is nonzero
@@ -667,10 +626,10 @@ def _stored_walk(pt: Point, n: int, q: int) -> tuple[tuple, bool]:
     That is exact algebra, so a product vanishes exactly where one of its
     lines does.
     """
-    try:
-        steps, order_n = list(_signed_walk(pt, n, q)), True
-    except DegeneratePairing:
-        steps, order_n = list(_miller_walk(pt, _loop_digits(n)[1], q)), False
+    signed, binary = _loop_digits(n)
+    order_n = not _miller_loop(pt, signed, q, steps=(steps := []))[0][2]
+    if not order_n:
+        _miller_loop(pt, binary, q, steps=(steps := []))
     invs = iter(_batch_inverse([c for step in steps for _, _, c in step], q))
     stored = []
     for step in steps:
@@ -681,6 +640,42 @@ def _stored_walk(pt: Point, n: int, q: int) -> tuple[tuple, bool]:
             ab = [(a1 * a2 % q, (a1 * b2 + a2 * b1) % q, b1 * b2 % q, (a1 + a2) % q, (b1 + b2) % q)]
         stored.append(ab[0] if ab else ())
     return tuple(stored), order_n
+
+
+def _step_values(steps: tuple, pt: Point, q: int):
+    """Each stored step's value at phi(pt) = (xq, yq*i), an (la, lb) pair, or
+    None for a step with no line; xq^2, yq^2 and xq*yq are made once."""
+    xq, yq = -pt[0] % q, pt[1] % q
+    xx, yy, xy = xq * xq % q, yq * yq % q, xq * yq % q
+    return (
+        ((s[0] + s[1] * xq) % q, yq) if len(s) == 2
+        else ((s[0] + s[1] * xq + s[2] * xx - yy) % q, (s[3] * yq + s[4] * xy) % q) if s
+        else None
+        for s in steps
+    )
+
+
+def _miller_stored(lines: tuple, other: Point, q: int, *more) -> Fq2:
+    """The Miller function at phi(other) from stored steps: per step, square
+    f and multiply in the step's value as _double_and_add does per line.
+    more holds further (steps, point) walks over the same digits, zipped in
+    under the same squarings, so the result is the product of their Miller
+    functions; walks of different lengths raise ValueError."""
+    walks = [_step_values(steps, pt, q) for steps, pt in [(lines, other), *more]]
+    fa, fb = 1, 0
+    for values in zip(*walks, strict=True):
+        fa, fb = (fa + fb) * (fa - fb) % q, 2 * fa * fb % q
+        for value in values:
+            if value:
+                la, lb = value
+                t1, t2 = fa * la, fb * lb
+                fa, fb = (t1 - t2) % q, ((fa + fb) * (la + lb) - t1 - t2) % q
+    return _miller_value((fa, fb), q)
+
+
+def _miller_at(pt: Point, lines: tuple | None, other: Point, p: int, q: int) -> Fq2:
+    # M(pt, other) for n = p: on pt's stored lines, or live while it has none.
+    return _miller(pt, other, p, q) if lines is None else _miller_stored(lines, other, q)
 
 
 def _lucas_v(t: int, e: int, q: int) -> tuple[int, int]:
@@ -753,11 +748,8 @@ def tate_pairing(a: Point, b: Point, params: CurveParams, lines: tuple | None = 
     if a is None or b is None:
         return one
 
-    def miller(other):
-        return _miller(a, other, p, q) if lines is None else _miller_stored(lines, other, q)
-
     try:
-        return _final_exp(miller(b), p)
+        return _final_exp(_miller_at(a, lines, b, p, q), p)
     except DegeneratePairing:
         pass
     # Bilinearity rescue: e(a, b) = e(a, b + s) / e(a, s) for any offset s.
@@ -765,8 +757,8 @@ def tate_pairing(a: Point, b: Point, params: CurveParams, lines: tuple | None = 
         s = point_mul(k, params.gen, q)
         bs = _add(b, s, q)
         try:
-            f1 = one if bs is None else miller(bs)
-            f2 = miller(s)
+            f1 = one if bs is None else _miller_at(a, lines, bs, p, q)
+            f2 = _miller_at(a, lines, s, p, q)
             return _final_exp(f1 * f2.inv(), p)
         except DegeneratePairing:
             continue
@@ -888,10 +880,6 @@ class TateBackend:
         while pt has no tables.  One use of pt in the TableCache."""
         return self._table(pt, self._lines) or (None, False)
 
-    def _walk(self, pt, lines):
-        # pt's stored lines, or its live signed walk while it has none.
-        return _signed_walk(pt, self.p, self.q) if lines is None else lines
-
     # Every G2 payload has norm 1: pairing values, powers of e(g, g), decodes
     # checked for order p, and their products and inverses.  So G2 powers
     # without a table run on the trace ladder, and inverses are conjugates.
@@ -936,9 +924,11 @@ class TateBackend:
 
         M(c, -d) = conj(M(c, d)), so e(a, b) = e(c, d) exactly when the final
         exponentiation of M(a, b) * M(c, -d) is 1, that is when V_h = 2 on its
-        easy part.  Both Miller loops run as one, sharing the squarings.  An
-        infinity or off-curve argument, or a vanishing line, takes the two
-        pairings instead, with their checks and retry.
+        easy part.  When a and c both have stored lines over the same digits,
+        their evaluations run as one, sharing the squarings; otherwise the
+        two Miller values, live or stored, are multiplied.  An infinity or
+        off-curve argument, or a vanishing line, takes the two pairings
+        instead, with their checks and retry.
         """
         return self._pair_equal(a, b, c, d, self._stored(a), self._stored(c))
 
@@ -946,22 +936,27 @@ class TateBackend:
         """pair(a, b) == pair(c, cleared()), where cleared() is h * pt for the
         curve point pt unless that is infinity (a hash then moves on).
 
-        When c has order p and stored lines, e(c, .) is bilinear, so
-        e(c, h * pt) = t^h for t = e(c, pt), and t = 1 exactly when h * pt is
-        infinity.  For t != 1 the answer is then V_h = 2 on
-        easy(M(a, b)) * conj(t), and cleared() is never called.  Otherwise (t = 1,
-        c off the subgroup or without tables, an infinity or off-curve
-        argument, or a vanishing line) it is pair_equal(a, b, c, cleared()),
-        on the lines already looked up, so c counts as used once.
+        When c has order p, e(c, .) is bilinear, so e(c, h * pt) = t^h for
+        t = e(c, pt), and t = 1 exactly when h * pt is infinity.  For t != 1
+        the answer is then V_h = 2 on easy(M(a, b)) * conj(t), and cleared()
+        is never called.  c's stored lines carry its order; without them,
+        its live signed walk for t proves it.  Otherwise (t = 1, c off the
+        subgroup, an infinity or off-curve argument, or a vanishing line) it
+        is pair_equal(a, b, c, cleared()), on the lines already looked up, so
+        c counts as used once.
         """
-        q, h = self.q, self.params.h
+        q, p, h = self.q, self.p, self.params.h
         stored_a, stored_c = self._stored(a), self._stored(c)
         (lines_a, _), (lines_c, order_p) = stored_a, stored_c
-        if order_p and all(x is not None and on_curve(x, q) for x in (a, b, pt)):
+        if (order_p or lines_c is None) and all(x is not None and on_curve(x, q) for x in (a, b, c, pt)):
             try:
-                t = _final_exp(_miller_stored(lines_c, pt, q), self.p)
+                if lines_c is None:  # c's live signed walk proves its order by ending at p * c = O
+                    r, f = _miller_loop(c, _loop_digits(p)[0], q, pt)
+                    if r[2]:
+                        raise DegeneratePairing("c is off the subgroup")
+                t = _final_exp(_miller_value(f, q) if lines_c is None else _miller_stored(lines_c, pt, q), p)
                 if t != Fq2(1, 0, q):
-                    x = _easy_part(_miller_stored(self._walk(a, lines_a), b, q))[0]
+                    x = _easy_part(_miller_at(a, lines_a, b, p, q))[0]
                     return _lucas_v(2 * (x.a * t.a + x.b * t.b) % q, h, q)[0] == 2  # 2*Re(x * conj(t))
             except DegeneratePairing:
                 pass
@@ -978,14 +973,17 @@ class TateBackend:
 
     def _pair_equal(self, a, b, c, d, stored_a, stored_c) -> bool:
         # pair_equal on a's and c's _stored results.  Zipped walks must share
-        # p's signed digits: lines stored for a point off the subgroup are
-        # binary, so they take the two pairings.
-        q = self.q
+        # one digit sequence: lines stored for a point off the subgroup are
+        # binary, and signed otherwise.
+        q, p = self.q, self.p
         (lines_a, order_a), (lines_c, order_c) = stored_a, stored_c
-        signed = (lines_a is None or order_a) and (lines_c is None or order_c)
-        if signed and all(pt is not None and on_curve(pt, q) for pt in (a, b, c, d)):
+        if all(pt is not None and on_curve(pt, q) for pt in (a, b, c, d)):
+            neg_d = point_neg(d, q)
             try:
-                f = _miller_stored(self._walk(a, lines_a), b, q, (self._walk(c, lines_c), point_neg(d, q)))
+                if lines_a is not None and lines_c is not None and order_a == order_c:
+                    f = _miller_stored(lines_a, b, q, (lines_c, neg_d))
+                else:
+                    f = _miller_at(a, lines_a, b, p, q) * _miller_at(c, lines_c, neg_d, p, q)
             except DegeneratePairing:
                 pass
             else:

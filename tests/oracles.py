@@ -31,6 +31,23 @@ def inverse_mod(a: int, m: int) -> int:
     return u % m
 
 
+def jacobi_reference(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for odd n > 0, stripping one factor of 2 per
+    pass: the loop pairid.primes used before its bit-mask form."""
+    a %= n
+    result = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
+
+
 def is_prime_naive(n: int) -> bool:
     if n < 2:
         return False

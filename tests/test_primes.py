@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -6,9 +7,9 @@ from pathlib import Path
 import pytest
 
 import pairid
-from pairid.primes import _strong_fermat_base2, _strong_lucas, factor, is_prime
+from pairid.primes import _jacobi, _strong_fermat_base2, _strong_lucas, factor, is_prime
 
-from oracles import factor_naive, is_prime_naive
+from oracles import factor_naive, is_prime_naive, jacobi_reference
 from test_tate import REAL_P, REAL_Q
 
 # Composites that pass one half of the Baillie-PSW test.
@@ -24,6 +25,22 @@ def test_is_prime_matches_trial_division():
 def test_factor_matches_trial_division():
     for n in range(2, 10_002):
         assert factor(n) == factor_naive(n), n
+
+
+def test_jacobi_matches_the_reference():
+    # Every odd n < 2000 and every a in [-n, 2n]; the reference reduces a
+    # mod n first, so one row of it per n serves all three periods.
+    for n in range(1, 2000, 2):
+        row = [jacobi_reference(a, n) for a in range(n)]
+        for a in range(-n, 2 * n + 1):
+            assert _jacobi(a, n) == row[a % n], (a, n)
+
+
+def test_jacobi_is_euler_criterion_at_real_size():
+    rng = random.Random("jacobi 512")
+    for a in [rng.randrange(1, REAL_Q) for _ in range(1000)]:
+        euler = pow(a, (REAL_Q - 1) // 2, REAL_Q)
+        assert _jacobi(a, REAL_Q) == (1 if euler == 1 else -1), a
 
 
 @pytest.mark.parametrize("n", STRONG_BASE2_PSEUDOPRIMES)

@@ -1,5 +1,6 @@
 import hashlib
 import random
+from itertools import count
 
 import pytest
 
@@ -282,6 +283,13 @@ def _sweep_messages(suite):
     return msgs
 
 
+def _falls_back_message(params):
+    # A message whose first candidate P' has h * P' = O, so that its hash is
+    # drawn from a later counter and bls_verify clears the cofactor.
+    q, h = params.q, params.h
+    return next(m for m in (b"fb%d" % i for i in count()) if point_mul(h, next(tate._try_increment(m, q)), q) is None)
+
+
 class TestCofactorFold:
     """bls_verify on the curve backend against the two-pairing compare with
     the cofactor cleared, exceptions included."""
@@ -297,6 +305,7 @@ class TestCofactorFold:
         off = G1Element(suite, next(pt for pt in pts if pt is not None and point_mul(p, pt, q) is not None))
         logs = {point_mul(x, params.gen, q): x for x in range(p)}
         verify = _fell_back(monkeypatch)
+        cold_fell_back = {}
         for warm in (False, True):
             folds = 0
             for pt in pts:
@@ -315,39 +324,46 @@ class TestCofactorFold:
                             backend.tables = TableCache()
                         got, fell_back = verify(pk, m, sig)
                         assert got == _outcome(lambda: suite.pairings_equal(g, sig, v, hm)), (pt, m, sig)
-                        # Cold, only v = g has lines, built by its use as the
-                        # first argument just before.
-                        assert fell_back or warm or pt == params.gen
+                        # A key folds cold, on its live walk, exactly where it
+                        # folds warm, on its stored lines.
+                        assert cold_fell_back.setdefault((pt, m, sig), fell_back) == fell_back, (pt, m, sig)
                         folds += not fell_back
             assert folds
 
     def test_charges_two_pairings_on_both_paths(self, monkeypatch):
-        suite = GroupSuite(TateBackend(enumerate_and_validate(523).params), counted=True)
-        kp = bls_keygen(suite, random.Random("counted fold"))
-        sig = bls_sign(kp, b"counted")
+        params = enumerate_and_validate(523).params
+        falls_back = _falls_back_message(params)
         verify = _fell_back(monkeypatch)
-        for fallback in (True, False):  # v's first use has no lines; its second builds them
-            suite.counter.reset()
-            with suite.role("verifier"):
-                assert verify(kp.public(), b"counted", sig) == (True, fallback)
-            assert suite.counter.pairings == {"prover": 0, "verifier": 2}
-            assert suite.counter.g1_exp == {"prover": 0, "verifier": 0}
-            assert suite.counter.g2_exp == {"prover": 0, "verifier": 0}
+        # Each key verifies both messages twice, one of them first: cold (v's
+        # first use), while building v's lines (its second), then warm.
+        for msgs in ((b"counted", falls_back), (falls_back, b"counted")):
+            suite = GroupSuite(TateBackend(params), counted=True)
+            kp = bls_keygen(suite, random.Random("counted fold"))
+            for m in msgs + msgs:
+                sig = bls_sign(kp, m)
+                suite.counter.reset()
+                with suite.role("verifier"):
+                    assert verify(kp.public(), m, sig) == (True, m == falls_back), m
+                assert suite.counter.pairings == {"prover": 0, "verifier": 2}
+                assert suite.counter.g1_exp == {"prover": 0, "verifier": 0}
+                assert suite.counter.g2_exp == {"prover": 0, "verifier": 0}
 
     def test_one_table_use_per_verify(self, monkeypatch):
-        # v is used once per verify, as in the two-pairing compare: its first
-        # verify leaves it seen once with no table, its second builds its lines.
+        # v is used once per verify, as in the two-pairing compare, whether
+        # the verify folds or falls back: its first verify leaves it seen once
+        # with no table, its second builds its lines.
         params = enumerate_and_validate(523).params
         other = GroupSuite(TateBackend(params))
         kp = bls_keygen(other, random.Random("table use"))
-        msgs = [b"first", b"second"]
-        sigs = [bls_sign(kp, m) for m in msgs]
-        folded = GroupSuite(TateBackend(params))
-        plain = GroupSuite(TateBackend(params))
+        falls_back = _falls_back_message(params)
         verify = _fell_back(monkeypatch)
-        for m, sig, fallback, sizes in zip(msgs, sigs, (True, False), ((1, 1), (0, 2))):
-            v, s = G1Element(folded, kp.v.payload), G1Element(folded, sig.payload)
-            assert verify(ExpKeyPair(folded, None, v), m, s) == (True, fallback)
-            v, s = G1Element(plain, kp.v.payload), G1Element(plain, sig.payload)
-            assert plain.pairings_equal(plain.g1, s, v, hash_to_group(m, _TRY, plain))
-            assert folded.backend.tables.sizes() == plain.backend.tables.sizes() == sizes
+        for msgs in ((b"first", falls_back), (falls_back, b"first")):
+            folded = GroupSuite(TateBackend(params))
+            plain = GroupSuite(TateBackend(params))
+            for m, sizes in zip(msgs + msgs, ((1, 1), (0, 2), (0, 2), (0, 2))):
+                sig = bls_sign(kp, m)
+                v, s = G1Element(folded, kp.v.payload), G1Element(folded, sig.payload)
+                assert verify(ExpKeyPair(folded, None, v), m, s) == (True, m == falls_back), m
+                v, s = G1Element(plain, kp.v.payload), G1Element(plain, sig.payload)
+                assert plain.pairings_equal(plain.g1, s, v, hash_to_group(m, _TRY, plain))
+                assert folded.backend.tables.sizes() == plain.backend.tables.sizes() == sizes, m

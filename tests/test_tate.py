@@ -16,19 +16,17 @@ from pairid.tate import (
     NotOnCurve,
     TateBackend,
     ValidationFailed,
-    _add_mixed,
     _comb_spacing,
     _comb_table,
-    _double,
     _easy_part,
     _final_exp,
     _fq2_comb_table,
     _loop_digits,
     _miller,
+    _miller_loop,
     _miller_stored,
-    _miller_walk,
+    _miller_value,
     _norm1_pow,
-    _signed_walk,
     _stored_walk,
     enumerate_and_validate,
     lift_x,
@@ -272,9 +270,11 @@ class TestPairing:
         lam = (3 * x1 * x1 + 1) * pow(2 * y1, -1, q) % q
         # choose the evaluation abscissa so the tangent value is exactly zero
         xq_im = (x1 - y1 * pow(lam, -1, q)) % q
-        line = _add_mixed((x1, y1, 1), x1, y1, q, line=True)[1]
+        # n = 2 walks one step, the tangent at gen, live and stored.
         with pytest.raises(DegeneratePairing):
-            _miller_stored([[line]], (-xq_im, 0), q)
+            _miller(params.gen, (-xq_im, 0), 2, q)
+        with pytest.raises(DegeneratePairing):
+            _miller_stored(_stored_walk(params.gen, 2, q)[0], (-xq_im, 0), q)
 
     def test_two_torsion_argument_stays_in_target_group(self):
         # (0, 0) sits outside the working subgroup; whatever path the retry
@@ -304,39 +304,56 @@ class TestPairing:
             tate_pairing(params.gen, point_mul(3, params.gen, params.q), params)
 
 
+def _walk_lines(a, digits, q):
+    """Per step of the Miller walk of a over digits, the point pairs (r, s)
+    of its lines that are not vertical, by the oracle's group law."""
+    steps, r = [], a
+    for d in digits:
+        step = []
+        for s in (r, None if d == 0 else a if d == 1 else (a[0], -a[1] % q)):
+            if s is not None and r is not None and (r[0] != s[0] or (r[1] + s[1]) % q):
+                step.append((r, s))
+            r = naive_add(r, s, q)
+        steps.append(step)
+    return steps
+
+
 class TestLineForm:
-    """The one line formula: the coefficient triples of _double and
-    _add_mixed against the affine lines of oracles.py."""
+    """The one line formula: the coefficient triples that _double_and_add
+    stores against the affine lines of oracles.py."""
 
     @pytest.mark.parametrize("q", [59, 83])
     def test_triples_match_reference_lines(self, q):
-        # Each triple's value (c0 + c1*xq) + (c2*yq)*i at every distorted
-        # point is c2 times the reference line's, so it vanishes exactly
-        # where the reference does.
+        # Every triple of every Miller walk, over p's signed digits and its
+        # bits and over those of q + 1, from every curve point: its value
+        # (c0 + c1*xq) + (c2*yq)*i at every distorted point is c2 times the
+        # reference line's, so it vanishes exactly where the reference does.
+        # Its lines are the tangents and chords the walk meets, the chord
+        # through r = s (a tangent) and the skipped verticals included.
+        p = enumerate_and_validate(q).params.p
         pts = [pt for pt in curve_points(q) if pt is not None]
-        vanished = 0
-        for a in pts:
-            for b in pts:
-                if a == b:
-                    line = _double((a[0], a[1], 1), q, line=True)[1]
-                else:
-                    line = _add_mixed((a[0], a[1], 1), b[0], b[1], q, line=True)[1]
-                if line is None:
-                    assert a[0] == b[0] and (a[1] + b[1]) % q == 0, (a, b)
-                    continue
+        walks = [digits for n in (p, q + 1) for digits in _loop_digits(n)]
+        vanished, kinds = 0, set()
+        for a, digits in itertools.product(pts, walks):
+            steps = []
+            _miller_loop(a, digits, q, steps=steps)
+            expect = _walk_lines(a, digits, q)
+            assert [len(step) for step in steps] == [len(step) for step in expect], (a, digits)
+            for line, (r, s) in zip(itertools.chain(*steps), itertools.chain(*expect)):
+                kinds.add("tangent" if r == s else "chord")
                 c0, c1, c2 = line
-                assert c2 % q != 0, (a, b)
+                assert c2 % q != 0, (a, r, s)
                 for x, y in pts:
                     xq = -x % q
                     got = ((c0 + c1 * xq) % q, c2 * y % q)
                     try:
-                        ref = reference_line(a, b, xq, y, q)
+                        ref = reference_line(r, s, xq, y, q)
                     except ReferenceDegenerate:
-                        assert got == (0, 0), (a, b, (x, y))
+                        assert got == (0, 0), (a, r, s, (x, y))
                         vanished += 1
                         continue
-                    assert got == (c2 * ref[0] % q, c2 * ref[1] % q), (a, b, (x, y))
-        assert vanished > 0
+                    assert got == (c2 * ref[0] % q, c2 * ref[1] % q), (a, r, s, (x, y))
+        assert vanished > 0 and kinds == {"tangent", "chord"}
 
 
 class TestPairingAgainstReference:
@@ -377,6 +394,34 @@ class TestPairingAgainstReference:
                 else:
                     _miller(a, b, params.p, q)
         assert vanished > 0
+
+    @pytest.mark.parametrize("q", [59, 83])
+    def test_live_miller_matches_stored_and_reference(self, q):
+        # Every pair of finite points, after the final exponentiation: the
+        # live loop, which multiplies in each line as it makes it, the stored
+        # steps and the oracle's affine loop agree, and where the oracle's
+        # lines vanish, the other two raise.
+        p = enumerate_and_validate(q).params.p
+        pts = [pt for pt in curve_points(q) if pt is not None]
+        for a in pts:
+            lines = _stored_walk(a, p, q)[0]
+            for b in pts:
+                try:
+                    expect = _final_exp(Fq2(*reference_miller(a, b, p, q), q), p)
+                except ReferenceDegenerate:
+                    for miller in (lambda: _miller(a, b, p, q), lambda: _miller_stored(lines, b, q)):
+                        with pytest.raises(DegeneratePairing):
+                            miller()
+                    continue
+                assert _final_exp(_miller(a, b, p, q), p) == expect, (a, b)
+                assert _final_exp(_miller_stored(lines, b, q), p) == expect, (a, b)
+
+    def test_live_miller_real_size(self):
+        for a, b in self._real_subgroup_pairs(random.Random("real-size live Miller"))[1]:
+            expect = _final_exp(Fq2(*reference_miller(a, b, REAL_P, REAL_Q), REAL_Q), REAL_P)
+            assert _final_exp(_miller(a, b, REAL_P, REAL_Q), REAL_P) == expect, (a, b)
+            lines = _stored_walk(a, REAL_P, REAL_Q)[0]
+            assert _final_exp(_miller_stored(lines, b, REAL_Q), REAL_P) == expect, (a, b)
 
     @staticmethod
     def _real_subgroup_pairs(rng):
@@ -576,6 +621,19 @@ class TestPrecomputedTables:
             bases += [(pt, _multiples(pt, q), 1) for pt in filter(None, curve_points(q))]
         for pt, multiples, k in bases:
             assert _comb_table(pt, bits, q) == (d, [multiples[k * s % len(multiples)] for s in sums]), pt
+
+    @pytest.mark.parametrize("q", [523, 1051])
+    def test_comb_power_every_exponent(self, q):
+        # Every k in [0, 2p) on every point j*g of order p, through the comb
+        # (k = 0 and, at 523, k >= 256 through the wNAF), against the
+        # oracle's (j*k mod p) * g.
+        params = enumerate_and_validate(q).params
+        g, p = params.gen, params.p
+        multiples = [naive_double_and_add(m, g, q) for m in range(p)]
+        for j in range(1, p):
+            comb = _comb_table(multiples[j], p.bit_length(), q)
+            for k in range(2 * p):
+                assert point_mul(k, multiples[j], q, comb) == multiples[j * k % p], (j, k)
 
     def test_comb_entries_real_size(self):
         d = _comb_spacing(REAL_P.bit_length())
@@ -1140,10 +1198,12 @@ class TestCofactorFold:
 
     @pytest.mark.parametrize("q", [59, 83])
     def test_every_key_and_candidate(self, q):
+        # Cold, no c has lines, and c's live walk decides its order.
         params = enumerate_and_validate(q).params
-        backend = TateBackend(params)
+        cold, warm = TateBackend(params), TateBackend(params)
+        cold.tables = _NoTables()
         g, p, h = params.gen, params.p, params.h
-        for c in curve_points(q):
+        for backend, c in itertools.product((cold, warm), curve_points(q)):
             for _ in range(2):  # two uses build c's lines, where it has them
                 _outcome(lambda: backend.pair(c, g))
             for d in filter(None, curve_points(q)):
@@ -1162,6 +1222,8 @@ class TestCofactorFold:
 
     def test_real_size(self):
         backend = suite_from_curve_params(REAL_Q, REAL_P, REAL_H, REAL_GEN).backend
+        cold = TateBackend(backend.params)  # keeps no table, so the key stays cold
+        cold.tables = _NoTables()
         rng = random.Random("real-size fold")
         k = rng.randrange(1, REAL_P)
         key = naive_double_and_add(k, REAL_GEN, REAL_Q)
@@ -1174,6 +1236,7 @@ class TestCofactorFold:
             for b, expect in ((point_mul(k, hd, REAL_Q), True), (point_mul(k + 1, hd, REAL_Q), False)):
                 assert backend.pair_equal(REAL_GEN, b, key, hd) is expect
                 assert backend.pair_equal_cleared(REAL_GEN, b, key, d, lambda: pytest.fail("no fold")) is expect
+                assert cold.pair_equal_cleared(REAL_GEN, b, key, d, lambda: pytest.fail("no cold fold")) is expect
 
 
 class _NoTables:
@@ -1211,8 +1274,9 @@ class TestSignedWalk:
             lines, order_p = _stored_walk(a, p, q)
             assert order_p and len(lines) == len(signed)
             for b in filter(None, curve_points(q)):  # (0, 0) included
-                expect = _final_exp(_miller_stored(_miller_walk(a, binary, q), b, q), p)
-                assert _final_exp(_miller_stored(_signed_walk(a, p, q), b, q), p) == expect, (a, b)
+                expect = _final_exp(_miller_value(_miller_loop(a, binary, q, b)[1], q), p)
+                r, f = _miller_loop(a, signed, q, b)
+                assert not r[2] and _final_exp(_miller_value(f, q), p) == expect, (a, b)
                 assert _final_exp(_miller_stored(lines, b, q), p) == expect, (a, b)
 
     @pytest.mark.parametrize("warm", [False, True])
