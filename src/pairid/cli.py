@@ -4,8 +4,8 @@
 
 Exit codes: 0 for accept/pass, 1 for reject or a failed bound (a session
 that a peer ends early with a PeerError is a reject), 2 for usage errors (from
-argparse or a command), for bad hex input, group parameters or counts, and
-for unreadable or malformed record files.
+argparse or a command), bad hex input, group parameters or counts, unreadable
+or malformed record files, and OS errors (a missing directory, a busy port).
 """
 
 from __future__ import annotations
@@ -32,14 +32,14 @@ class UsageError(Exception):
 
 def _build_suite(args):
     if args.backend == "transparent":
-        return transparent_suite(args.p if args.p else 1009)
-    return tate_suite(args.q if args.q else 523, args.p)
+        return transparent_suite(1009 if args.p is None else args.p)
+    return tate_suite(args.q, args.p)
 
 
 def _add_suite_args(sub):
     sub.add_argument("--backend", choices=("transparent", "tate"), default="transparent")
     sub.add_argument("--p", type=int, default=None, help="group order (transparent) or subgroup order (tate)")
-    sub.add_argument("--q", type=int, default=None, help="field size for the tate backend (default 523)")
+    sub.add_argument("--q", type=int, default=523, help="field size for the tate backend (default 523)")
 
 
 def _parse_addr(text: str):
@@ -184,7 +184,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_lab(args) -> int:
-    suite = transparent_suite(args.p if args.p else 1009)
+    suite = transparent_suite(args.p)
     ok, lines = run_demo(args.game, suite, args.seed, args.eps, args.trials, args.queries, args.mode)
     print(*lines, sep="\n")
     return 0 if ok else 1
@@ -278,7 +278,7 @@ def main(argv=None) -> int:
 
     sp = sub.add_parser("lab", help="run a security-game demonstration")
     sp.add_argument("--game", required=True, choices=sorted(DEMOS))
-    sp.add_argument("--p", type=int, default=None, help="transparent group order (default 1009)")
+    sp.add_argument("--p", type=int, default=1009, help="transparent group order (default 1009)")
     sp.add_argument("--eps", type=float)
     sp.add_argument("--trials", type=int)
     sp.add_argument("--queries", type=int)
@@ -292,7 +292,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DemoInputError, RecordError, UsageError, ValidationFailed) as exc:
+    except (DemoInputError, OSError, RecordError, UsageError, ValidationFailed) as exc:
         print(f"pairid: {exc}", file=sys.stderr)
         return 2
     except PeerError as exc:

@@ -5,7 +5,10 @@ the prover answers, the verifier decides) and three are canonical
 three-message commit/challenge/respond protocols.  Each scheme is described
 by a SchemeOps record holding its keypair class (which declares the key's
 fields), its keygen, message shapes, and the commit, respond and verify
-callables; its challenge kind picks how challenges are drawn.
+callables; its challenge kind picks how challenges are drawn.  Key
+generation works in the exponent: each keygen draws the logs of the key's
+elements, nonzero where one must not be the identity, and builds every key
+value as a power of g or of e(g, g), with no pairing.
 ProverMachine and VerifierMachine drive any of them through the same state
 machine, enforcing message order and charging group operations to the right
 role.  Their base, SessionEngine, is the one sans-I/O engine that every
@@ -54,6 +57,7 @@ from .signatures import (
     ExpKeyPair,
     HashSpec,
     KeyPair,
+    _nonzero_scalar,
     bb_keygen,
     bb_sign,
     bb_verify,
@@ -214,39 +218,34 @@ class HlsKeyPair(KeyPair):
     v: G2Element
 
 
-def _nonidentity(draw, rng: Random):
-    """draw(rng), redrawn while it is the identity."""
-    for _ in range(100):
-        e = draw(rng)
-        if not e.is_identity:
-            return e
-    raise DegenerateSuite(f"could not sample a non-identity {e.kind} element")
-
-
 def owfid_keypair(suite: GroupSuite, P: G1Element, y: G2Element, Q: G1Element, s: Scalar) -> OwfidKeyPair:
     """The owfid key with secret (Q, s) over (P, y): v = (e(P, Q) y^s)^-1.
 
-    keygen, the lab's simulator key and the extractor's key check all use it.
+    The lab's simulator key, the extractor's key check and keygen's tests use it.
     """
     return OwfidKeyPair(suite, P, y, Q, s, (suite.pairing(P, Q) * y**s).inverse())
 
 
 def owfid_keygen(suite: GroupSuite, rng: Random) -> OwfidKeyPair:
-    P = _nonidentity(suite.random_g1, rng)
-    y = _nonidentity(suite.random_g2, rng)
-    return owfid_keypair(suite, P, y, suite.random_g1(rng), suite.random_scalar(rng))
+    # P = g^a, y = e(g, g)^c, Q = g^b: v = (e(P, Q) y^s)^-1 = e(g, g)^-(ab + cs).
+    a = _nonzero_scalar(suite, rng)
+    c = _nonzero_scalar(suite, rng)
+    b, s = suite.random_scalar(rng), suite.random_scalar(rng)
+    return OwfidKeyPair(suite, suite.g1**a, suite.g2**c, suite.g1**b, s, suite.g2 ** -(a * b + c * s))
 
 
 def scl_keygen(suite: GroupSuite, rng: Random) -> SclKeyPair:
-    g = _nonidentity(suite.random_g1, rng)
+    # g' = g^k: v = g'^x = g^(kx) and z = e(g', g') = e(g, g)^(k^2).
+    k = _nonzero_scalar(suite, rng)
     x = suite.random_scalar(rng)
-    return SclKeyPair(suite, g, x, g**x, suite.pairing(g, g))
+    return SclKeyPair(suite, suite.g1**k, x, suite.g1 ** (k * x), suite.g2 ** (k * k))
 
 
 def hls_keygen(suite: GroupSuite, rng: Random) -> HlsKeyPair:
-    P = _nonidentity(suite.random_g1, rng)
-    Q = suite.random_g1(rng)
-    return HlsKeyPair(suite, P, Q, suite.pairing(P, P), suite.pairing(P, Q))
+    # P = g^a, Q = g^b: z = e(P, P) = e(g, g)^(a^2) and v = e(P, Q) = e(g, g)^(ab).
+    a = _nonzero_scalar(suite, rng)
+    b = suite.random_scalar(rng)
+    return HlsKeyPair(suite, suite.g1**a, suite.g1**b, suite.g2 ** (a * a), suite.g2 ** (a * b))
 
 
 # -- per-scheme operations -----------------------------------------------------

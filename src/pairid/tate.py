@@ -765,10 +765,10 @@ def tate_pairing(a: Point, b: Point, params: CurveParams, lines: tuple | None = 
     raise DegeneratePairing("all retry offsets exhausted")
 
 
-# Bounds of each backend's TableCache.  At q of 512 bits a comb, G1 or G2,
-# takes about 64 KB and a point's stored steps about 55 KB, so a full cache
-# holds at most about 1.9 MB.
-_TABLE_SLOTS = 16
+# TableCache bounds.  At q of 512 bits a comb is ~64 KB, stored steps ~55 KB.
+# One key per scheme and the generator take 14 slots; 18 also fits the owfid key
+# of curve-session's replay checks (16 again once they get their own backend).
+_TABLE_SLOTS = 18
 _SEEN_SLOTS = 64
 
 

@@ -10,6 +10,7 @@ import pytest
 from pairid.cli import main
 from pairid.lab import DEMOS
 from pairid.records import load_key, load_transcript
+from pairid.session import SocketTransport, serve_prover
 from test_session import reset
 
 
@@ -45,29 +46,8 @@ class TestKeygen:
 class TestProveVerify:
     def test_tcp_session(self, keyfiles, tmp_path):
         sk, pk = keyfiles
-        port = free_port()
         transcript = tmp_path / "session.transcript"
-        prover_rc = []
-
-        def prove():
-            prover_rc.append(main(["prove", "--key", str(sk), "--listen", f"127.0.0.1:{port}"]))
-
-        thread = threading.Thread(target=prove)
-        thread.start()
-        # the prover accepts exactly one connection, so retry the real session
-        # rather than probing the port
-        deadline = time.monotonic() + 5
-        while True:
-            try:
-                rc = main(["verify", "--pk", str(pk), "--connect", f"127.0.0.1:{port}",
-                           "--transcript-out", str(transcript)])
-                break
-            except OSError:
-                if time.monotonic() > deadline:
-                    raise
-                time.sleep(0.05)
-        thread.join(timeout=5)
-        assert rc == 0 and prover_rc == [0]
+        assert _tcp_session(sk, pk, transcript) == 0
         t, _, _ = load_transcript(str(transcript))
         assert t.decision
 
@@ -271,15 +251,12 @@ def _tcp_session(sk, pk, transcript) -> int:
     thread = threading.Thread(
         target=lambda: prover_rc.append(main(["prove", "--key", str(sk), "--listen", f"127.0.0.1:{port}"])))
     thread.start()
+    # The prover accepts exactly one connection, so retry the real session
+    # rather than probing the port: a refused connection exits 2.
+    argv = ["verify", "--pk", str(pk), "--connect", f"127.0.0.1:{port}", "--transcript-out", str(transcript)]
     deadline = time.monotonic() + 5
-    while True:
-        try:
-            rc = main(["verify", "--pk", str(pk), "--connect", f"127.0.0.1:{port}", "--transcript-out", str(transcript)])
-            break
-        except OSError:
-            if time.monotonic() > deadline:
-                raise
-            time.sleep(0.05)
+    while (rc := main(argv)) == 2 and time.monotonic() < deadline:
+        time.sleep(0.05)
     thread.join(timeout=5)
     assert not thread.is_alive() and prover_rc == [0]
     return rc
@@ -327,14 +304,21 @@ class TestUsageErrors:
             ["lab", "--game", "extractor", "--eps", "nan"],
             ["lab", "--game", "extractor", "--eps", "inf"],
             ["lab", "--game", "extractor", "--eps", "1e-9"],
+            ["keygen", "--scheme", "cdhid", "--p", "0", "--out", "{out}"],
+            ["keygen", "--scheme", "cdhid", "--backend", "tate", "--q", "0", "--out", "{out}"],
+            ["lab", "--game", "forgery", "--p", "0"],
+            ["keygen", "--scheme", "cdhid", "--out", "{missing}"],
+            ["verify", "--pk", "{blsid_pub}", "--connect", "127.0.0.1:{closed}"],
         ],
         ids=["sig-not-hex", "sig-unreduced", "message-not-hex", "r-not-hex", "q-1-mod-4", "p-composite",
              "sign-no-message", "sign-public-key", "prove-public-key", "connect-no-port", "sigverify-no-r",
              "sessions-zero", "trials-negative", "queries-negative", "queries-over-challenges",
-             "eps-nan", "eps-inf", "eps-tiny"],
+             "eps-nan", "eps-inf", "eps-tiny", "p-zero", "tate-q-zero", "lab-p-zero", "out-missing-dir",
+             "connect-refused"],
     )
     def test_one_line_exit_2(self, argv, tmp_path, capsys):
-        names = {"out": str(tmp_path / "new.key")}
+        names = {"out": str(tmp_path / "new.key"), "missing": str(tmp_path / "missing" / "new.key"),
+                 "closed": free_port()}
         for scheme in ("blsid", "sdhid"):
             names[f"{scheme}_key"] = str(tmp_path / f"{scheme}.key")
             names[f"{scheme}_pub"] = str(tmp_path / f"{scheme}.pub")
@@ -345,3 +329,42 @@ class TestUsageErrors:
         out = capsys.readouterr()
         assert out.out == ""
         assert len(out.err.splitlines()) == 1 and out.err.startswith("pairid: ")
+
+
+class TestOsErrors:
+    """An operating-system error ends in one pairid: line and exit 2."""
+
+    def test_pub_out_missing_dir(self, tmp_path, capsys):
+        argv = ["keygen", "--scheme", "owfid", "--out", str(tmp_path / "id.key"),
+                "--pub-out", str(tmp_path / "missing" / "id.pub")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("pairid: ")
+
+    def test_listen_port_in_use(self, keyfiles, capsys):
+        sk, _ = keyfiles
+        with socket.create_server(("127.0.0.1", 0)) as held:
+            capsys.readouterr()
+            assert main(["prove", "--key", str(sk), "--listen", f"127.0.0.1:{held.getsockname()[1]}"]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and len(out.err.splitlines()) == 1 and out.err.startswith("pairid: ")
+
+    def test_transcript_out_missing_dir(self, keyfiles, tmp_path, capsys):
+        # The session runs; saving its transcript fails.
+        sk, pk = keyfiles
+        scheme, kp, _ = load_key(str(sk))
+        with socket.create_server(("127.0.0.1", 0)) as server:
+            def prover():
+                conn, _ = server.accept()
+                with conn:
+                    serve_prover(scheme, kp, SocketTransport(conn))
+
+            thread = threading.Thread(target=prover)
+            thread.start()
+            capsys.readouterr()
+            rc = main(["verify", "--pk", str(pk), "--connect", f"127.0.0.1:{server.getsockname()[1]}",
+                       "--transcript-out", str(tmp_path / "missing" / "t.rec")])
+            thread.join(timeout=5)
+        assert not thread.is_alive() and rc == 2
+        out = capsys.readouterr()
+        assert out.out == "" and len(out.err.splitlines()) == 1 and out.err.startswith("pairid: ")

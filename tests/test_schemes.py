@@ -1,9 +1,10 @@
+import hashlib
 import random
 from dataclasses import fields
 
 import pytest
 
-from pairid import schemes
+from pairid import schemes, tate
 from pairid.algebra import KIND_ZP, DegenerateSuite, Scalar, transparent_suite
 from pairid.schemes import (
     MAX_RESTARTS,
@@ -26,11 +27,13 @@ from pairid.schemes import (
     cdhid_verify,
     default_scheme_params,
     hls_commit,
+    hls_keygen,
     hls_respond,
     hls_verify,
     keygen,
     owfid_commit,
     owfid_keygen,
+    owfid_keypair,
     owfid_respond,
     owfid_verify,
     replay_decision,
@@ -43,10 +46,19 @@ from pairid.schemes import (
     sdhid_verify,
     HlsKeyPair,
 )
+from pairid.records import save_key
 from pairid.signatures import BbKeyPair, ExpKeyPair
+from pairid.tate import TateBackend, suite_from_curve_params
 from pairid.wire import TAG_CHALLENGE, TAG_ERROR
 
+from test_tate import REAL_GEN, REAL_H, REAL_P, REAL_Q
+
 ALL_SCHEMES = list(SchemeId)
+
+
+@pytest.fixture(scope="module")
+def real():
+    return suite_from_curve_params(REAL_Q, REAL_P, REAL_H, REAL_GEN)
 
 
 class FakeRng:
@@ -172,24 +184,31 @@ class TestWorkedVectors:
             hls_respond(kp, t11.scalar(5), t11.scalar(0))
 
 
+def key_equation_holds(kp) -> bool:
+    """kp's key equation in pairing form; owfid's is owfid_keypair."""
+    suite, g = kp.suite, kp.suite.g1
+    if isinstance(kp, OwfidKeyPair):
+        return not (kp.P.is_identity or kp.y.is_identity) and owfid_keypair(suite, kp.P, kp.y, kp.Q, kp.s).v == kp.v
+    if isinstance(kp, SclKeyPair):
+        return not kp.g.is_identity and kp.v == kp.g ** kp.x and kp.z == suite.pairing(kp.g, kp.g)
+    if isinstance(kp, HlsKeyPair):
+        return not kp.P.is_identity and kp.z == suite.pairing(kp.P, kp.P) and kp.v == suite.pairing(kp.P, kp.Q)
+    if isinstance(kp, BbKeyPair):
+        return kp.u == g ** kp.x and kp.v == g ** kp.y and kp.z == suite.pairing(g, g)
+    return kp.v == g ** kp.x
+
+
+# sha256 over the secret key records that keygen writes for every scheme with
+# seeds pin:<scheme>:0 and pin:<scheme>:1, as they were when keygen still
+# paired: working in the exponent must not change a byte of them.
+_KEY_RECORD_DIGESTS = {
+    "t1009": "5a1610c3cc21989822cb99fd1a5a89d219900e4e105dc464feeeb35201267a2f",
+    "c523": "cb397cdd9163de8002859dc38e9442c639aef9d42c30aa0856cccf7e2030f248",
+    "real": "e2d593698837784f24b0e555336dfad703bc65237e23b65b91cf9b696a47da32",
+}
+
+
 class TestKeygen:
-    def test_key_equations_transparent(self, t1009, rng):
-        for _ in range(20):
-            o = owfid_keygen(t1009, rng)
-            assert not o.P.is_identity and not o.y.is_identity
-            assert (t1009.pairing(o.P, o.Q) * o.y ** o.s).inverse() == o.v
-            s = scl_keygen(t1009, rng)
-            assert not s.g.is_identity
-            assert s.v == s.g ** s.x
-            assert s.z == t1009.pairing(s.g, s.g)
-
-    def test_key_equations_curve(self, c83, rng):
-        o = owfid_keygen(c83, rng)
-        assert (c83.pairing(o.P, o.Q) * o.y ** o.s).inverse() == o.v
-        kp = keygen(SchemeId.HLS, c83, rng)
-        assert kp.z == c83.pairing(kp.P, kp.P)
-        assert kp.v == c83.pairing(kp.P, kp.Q)
-
     def test_dispatch_types(self, t11, rng):
         assert isinstance(keygen(SchemeId.BLSID, t11, rng), ExpKeyPair)
         assert isinstance(keygen(SchemeId.CDHID, t11, rng), ExpKeyPair)
@@ -210,6 +229,48 @@ class TestKeygen:
         for scheme, names in secret_names.items():
             pk = keygen(scheme, t11, rng).public()
             assert all(getattr(pk, name) is None for name in names)
+
+    @pytest.mark.parametrize("fixture", ["t1009", "c59", "c83", "c523", "real"])
+    @pytest.mark.parametrize("scheme", ALL_SCHEMES)
+    def test_key_equations(self, scheme, fixture, request):
+        suite = request.getfixturevalue(fixture)
+        for i in range(1 if fixture == "real" else 8):
+            assert key_equation_holds(keygen(scheme, suite, random.Random(f"equation:{i}")))
+
+    @pytest.mark.parametrize("fixture", ["c523", "real"])
+    def test_no_pairing(self, fixture, request, monkeypatch):
+        suite = request.getfixturevalue(fixture)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("keygen paired")
+
+        for name in ("pair", "pair_equal", "pair_equal_cleared"):
+            monkeypatch.setattr(TateBackend, name, refuse)
+        monkeypatch.setattr(tate, "tate_pairing", refuse)
+        for gen in (owfid_keygen, scl_keygen, hls_keygen):
+            for i in range(3):
+                gen(suite, random.Random(f"no pairing:{i}"))
+
+    def test_zero_draws_are_redrawn(self, t11):
+        # The draws of the worked vectors above, each redrawn element first drawn as 0.
+        o = owfid_keygen(t11, FakeRng([0, 2, 0, 5, 3, 4]))
+        assert (o.P, o.y, o.Q, o.s, o.v) == (t11.g1_from_int(2), t11.g2_from_int(5), t11.g1_from_int(3), 4, t11.g2_from_int(7))
+        s = scl_keygen(t11, FakeRng([0, 1, 4]))
+        assert (s.g, s.x, s.v, s.z) == (t11.g1, 4, t11.g1_from_int(4), t11.g2)
+        h = hls_keygen(t11, FakeRng([0, 2, 2]))
+        assert (h.P, h.Q, h.z, h.v) == (t11.g1_from_int(2), t11.g1_from_int(2), t11.g2_from_int(4), t11.g2_from_int(4))
+
+    @pytest.mark.parametrize("fixture", ["t1009", "c523", "real"])
+    def test_key_records_pinned(self, fixture, request, tmp_path):
+        suite = request.getfixturevalue(fixture)
+        params = default_scheme_params(suite)
+        digest = hashlib.sha256()
+        for scheme in ALL_SCHEMES:
+            for i in range(2):
+                path = tmp_path / f"{scheme.value}{i}.key"
+                save_key(path, scheme, keygen(scheme, suite, random.Random(f"pin:{scheme.value}:{i}")), params)
+                digest.update(path.read_bytes())
+        assert digest.hexdigest() == _KEY_RECORD_DIGESTS[fixture]
 
 
 class TestSessions:
