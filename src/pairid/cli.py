@@ -6,13 +6,16 @@ Exit codes: 0 for accept/pass, 1 for reject or a failed bound (a session
 that a peer ends early with a PeerError is a reject), 2 for usage errors (from
 argparse or a command), bad hex input, group parameters or counts, unreadable
 or malformed record files, and OS errors (a missing directory, a busy port).
+A keygen or verify that fails leaves none of the records it was to write.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import socket
 import sys
+from contextlib import contextmanager, suppress
 from random import Random, SystemRandom
 
 from .algebra import MalformedEncoding, PeerError, Scalar, ValidationFailed, transparent_suite
@@ -77,6 +80,19 @@ def _require_signing_key(scheme: SchemeId, kp):
         raise UsageError(f"key scheme {scheme.value} has no signature counterpart")
 
 
+@contextmanager
+def _removed_on_error(path):
+    """Remove the file at path (None for no file) if the block raises, so
+    that a command that fails leaves no file it wrote behind."""
+    try:
+        yield
+    except BaseException:
+        if path is not None:
+            with suppress(FileNotFoundError):
+                os.remove(path)
+        raise
+
+
 # -- subcommands ----------------------------------------------------------------
 
 
@@ -86,9 +102,11 @@ def cmd_keygen(args) -> int:
     kp = keygen(scheme, suite, _rng(args.seed))
     params = default_scheme_params(suite)
     save_key(args.out, scheme, kp, params, include_secret=True)
+    if args.pub_out:
+        with _removed_on_error(args.out):
+            save_key(args.pub_out, scheme, kp.public(), params, include_secret=False)
     print(f"wrote secret key for {scheme.value} over {suite!r} to {args.out}")
     if args.pub_out:
-        save_key(args.pub_out, scheme, kp.public(), params, include_secret=False)
         print(f"wrote public key to {args.pub_out}")
     return 0
 
@@ -117,20 +135,25 @@ def cmd_prove(args) -> int:
 def cmd_verify(args) -> int:
     scheme, kp, params = load_key(args.pk)
     pk = kp.public()
-    if args.transcript_out and args.seed is not None:
-        seed_field(args.seed)  # a seed the transcript cannot hold fails before the session
-    if args.stdio:
-        transport = StdioTransport(sys.stdin.buffer, sys.stdout.buffer)
-        result = run_verifier(scheme, pk, transport, seed=args.seed)
-        out = sys.stderr
-    else:
-        host, port = _parse_addr(args.connect)
-        with socket.create_connection((host, port)) as conn:
-            result = run_verifier(scheme, pk, SocketTransport(conn), seed=args.seed)
-        out = sys.stdout
     if args.transcript_out:
-        save_transcript(args.transcript_out, result.transcript, pk.suite, params)
-        print(f"wrote transcript to {args.transcript_out}", file=out)
+        # A seed the transcript cannot hold, or a path that cannot be
+        # written, fails before the session.
+        if args.seed is not None:
+            seed_field(args.seed)
+        open(args.transcript_out, "w").close()
+    with _removed_on_error(args.transcript_out):
+        if args.stdio:
+            transport = StdioTransport(sys.stdin.buffer, sys.stdout.buffer)
+            result = run_verifier(scheme, pk, transport, seed=args.seed)
+            out = sys.stderr
+        else:
+            host, port = _parse_addr(args.connect)
+            with socket.create_connection((host, port)) as conn:
+                result = run_verifier(scheme, pk, SocketTransport(conn), seed=args.seed)
+            out = sys.stdout
+        if args.transcript_out:
+            save_transcript(args.transcript_out, result.transcript, pk.suite, params)
+            print(f"wrote transcript to {args.transcript_out}", file=out)
     print(f"verifier: {'accept' if result.decision else 'reject'} (restarts {result.restarts})", file=out)
     return 0 if result.decision else 1
 

@@ -8,7 +8,10 @@ fields), its keygen, message shapes, and the commit, respond and verify
 callables; its challenge kind picks how challenges are drawn.  Key
 generation works in the exponent: each keygen draws the logs of the key's
 elements, nonzero where one must not be the identity, and builds every key
-value as a power of g or of e(g, g), with no pairing.
+value as a power of g or of e(g, g), with no pairing.  The owfid prover
+commits in the exponent too: its R is g^rho, so e(P, R) is
+pairing_from_int(P, rho), which the curve backend takes as a comb power of
+e(P, g) once P's stored lines prove its order.
 ProverMachine and VerifierMachine drive any of them through the same state
 machine, enforcing message order and charging group operations to the right
 role.  Their base, SessionEngine, is the one sans-I/O engine that every
@@ -306,10 +309,12 @@ def sdhid_verify(pk: BbKeyPair, m: Scalar, sig: G1Element, r: Scalar) -> bool:
 
 
 def owfid_commit(kp: OwfidKeyPair, rng: Random):
+    # random_g1's draw, kept: with R = g^rho, e(P, R) = e(P, g)^rho.
     suite = kp.suite
-    R = suite.random_g1(rng)
+    rho = rng.randrange(0, suite.p)
+    R = suite.g1_from_int(rho)
     r = suite.random_scalar(rng)
-    x = suite.pairing(kp.P, R) * kp.y**r
+    x = suite.pairing_from_int(kp.P, rho) * kp.y**r
     return (R, r), x
 
 

@@ -95,7 +95,10 @@ and each step's lines multiplied out into one product, so that a step
 costs one value and one multiply into f (see _stored_walk).  All of them
 give exactly what the plain paths give.  The signed walk that makes the
 lines ends at p * pt, so whether pt has order p is kept beside them at no
-cost; without it they are binary.
+cost; without it they are binary.  For pt of order p, e(pt, .) is linear,
+so pair_from_int(pt, k), e(pt, g^k), is e(pt, g)^k: a comb power of
+e(pt, g), whose comb is kept in pt's entry beside its lines.  Off the
+subgroup that identity fails, and pair_from_int pairs.
 
 CurveParams.validate() holds every curve rule and counts no points, so it
 works at real size (q of 512 bits) like all the arithmetic here; every
@@ -765,9 +768,11 @@ def tate_pairing(a: Point, b: Point, params: CurveParams, lines: tuple | None = 
     raise DegeneratePairing("all retry offsets exhausted")
 
 
-# TableCache bounds.  At q of 512 bits a comb is ~64 KB, stored steps ~55 KB.
-# One key per scheme and the generator take 14 slots; 18 also fits the owfid key
-# of curve-session's replay checks (16 again once they get their own backend).
+# TableCache bounds.  At q of 512 bits a comb is ~64 KB, stored steps ~55 KB;
+# a point of order p whose pair_from_int is used keeps the comb of e(pt, g),
+# ~64 KB more, in its own entry.  One key per scheme and the generator take 14
+# slots; 18 also fits the owfid key of curve-session's replay checks (16 again
+# once they get their own backend).
 _TABLE_SLOTS = 18
 _SEEN_SLOTS = 64
 
@@ -822,8 +827,9 @@ class TateBackend:
 
     The values that sessions raise to powers or pair again and again (the
     generator, key elements, e(g, g)) get precomputed tables in a
-    TableCache: a comb for G1 and for G2 powers, and the Miller lines of the
-    first pairing argument.  Each gives the same results as the plain path.
+    TableCache: a comb for G1 and for G2 powers, the Miller lines of the
+    first pairing argument and, for one of order p, the comb of e(a, g) that
+    pair_from_int raises.  Each gives the same results as the plain path.
     """
 
     name = "tate"
@@ -861,6 +867,12 @@ class TateBackend:
 
     def _g2_comb(self, x):
         return _fq2_comb_table(x, self.p.bit_length())
+
+    def _pair_comb(self, pt):
+        # e(pt, g)'s comb, or () when pt's stored lines show it is off the
+        # subgroup, where e(pt, .) is not linear.
+        lines, order_p = self._stored(pt)
+        return self._g2_comb(tate_pairing(pt, self._gen, self.params, lines)) if order_p else ()
 
     def _g2_power(self, x: Fq2, k: int) -> Fq2:
         # Only a power that multiplies is a use of x: +-1 (b = 0) and k <= 1
@@ -918,6 +930,20 @@ class TateBackend:
 
     def pair(self, a, b):
         return tate_pairing(a, b, self.params, self._stored(a)[0])
+
+    def pair_from_int(self, a, k):
+        """pair(a, from_int(KIND_G1, k)) for 0 <= k < p.
+
+        Once a has tables and its stored lines prove it has order p, e(a, .)
+        is linear, so the result is e(a, g)^k: a comb power of e(a, g), both
+        kept in a's own entry.  While a is cold, and for a off the subgroup
+        or not a canonical point, it is the pairing itself.
+        """
+        comb = self._table(a, self._pair_comb)
+        if comb:
+            return _fq2_comb_pow(k, comb, self.q)
+        lines = None if comb is None else self._stored(a)[0]
+        return tate_pairing(a, self.from_int(KIND_G1, k), self.params, lines)
 
     def pair_equal(self, a, b, c, d) -> bool:
         """pair(a, b) == pair(c, d) with one final exponentiation.

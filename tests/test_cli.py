@@ -10,7 +10,6 @@ import pytest
 from pairid.cli import main
 from pairid.lab import DEMOS
 from pairid.records import load_key, load_transcript
-from pairid.session import SocketTransport, serve_prover
 from test_session import reset
 
 
@@ -73,6 +72,14 @@ class TestBrokenSessions:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("pairid: ")
 
+    def test_failed_session_leaves_no_transcript(self, keyfiles, tmp_path, monkeypatch, capsys):
+        _, pk = keyfiles
+        transcript = tmp_path / "t.rec"
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO()))
+        monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(io.BytesIO()))
+        assert main(["verify", "--pk", str(pk), "--stdio", "--transcript-out", str(transcript)]) == 1
+        assert not transcript.exists()
+
     def test_verify_connect_peer_reset(self, keyfiles, capsys):
         # The prover reads the hello and resets the connection.
         _, pk = keyfiles
@@ -82,7 +89,7 @@ class TestBrokenSessions:
                 conn.recv(4096)
                 reset(conn)
 
-            thread = threading.Thread(target=prover)
+            thread = threading.Thread(target=prover, daemon=True)
             thread.start()
             capsys.readouterr()
             rc = main(["verify", "--pk", str(pk), "--connect", f"127.0.0.1:{server.getsockname()[1]}"])
@@ -97,7 +104,8 @@ class TestBrokenSessions:
         port = free_port()
         prover_rc = []
         thread = threading.Thread(
-            target=lambda: prover_rc.append(main(["prove", "--key", str(sk), "--listen", f"127.0.0.1:{port}"])))
+            target=lambda: prover_rc.append(main(["prove", "--key", str(sk), "--listen", f"127.0.0.1:{port}"])),
+            daemon=True)
         capsys.readouterr()
         thread.start()
         deadline = time.monotonic() + 5
@@ -248,8 +256,11 @@ def _tcp_session(sk, pk, transcript) -> int:
     """One prove/verify session over TCP with default seeds on both ends."""
     port = free_port()
     prover_rc = []
+    # A daemon: should the verifier never connect, the prover's accept must
+    # not keep pytest from reporting the failure and exiting.
     thread = threading.Thread(
-        target=lambda: prover_rc.append(main(["prove", "--key", str(sk), "--listen", f"127.0.0.1:{port}"])))
+        target=lambda: prover_rc.append(main(["prove", "--key", str(sk), "--listen", f"127.0.0.1:{port}"])),
+        daemon=True)
     thread.start()
     # The prover accepts exactly one connection, so retry the real session
     # rather than probing the port: a refused connection exits 2.
@@ -340,6 +351,7 @@ class TestOsErrors:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("pairid: ")
+        assert not (tmp_path / "id.key").exists()  # a failed keygen leaves no file behind
 
     def test_listen_port_in_use(self, keyfiles, capsys):
         sk, _ = keyfiles
@@ -350,21 +362,21 @@ class TestOsErrors:
         assert out.out == "" and len(out.err.splitlines()) == 1 and out.err.startswith("pairid: ")
 
     def test_transcript_out_missing_dir(self, keyfiles, tmp_path, capsys):
-        # The session runs; saving its transcript fails.
-        sk, pk = keyfiles
-        scheme, kp, _ = load_key(str(sk))
+        # Saving the transcript would fail, so no session starts.  Should the
+        # verifier connect anyway, nobody answers its hello: a timeout ends its
+        # wait, and the listener's backlog shows the connection.
+        _, pk = keyfiles
         with socket.create_server(("127.0.0.1", 0)) as server:
-            def prover():
-                conn, _ = server.accept()
-                with conn:
-                    serve_prover(scheme, kp, SocketTransport(conn))
-
-            thread = threading.Thread(target=prover)
-            thread.start()
             capsys.readouterr()
-            rc = main(["verify", "--pk", str(pk), "--connect", f"127.0.0.1:{server.getsockname()[1]}",
-                       "--transcript-out", str(tmp_path / "missing" / "t.rec")])
-            thread.join(timeout=5)
-        assert not thread.is_alive() and rc == 2
+            socket.setdefaulttimeout(5)
+            try:
+                rc = main(["verify", "--pk", str(pk), "--connect", f"127.0.0.1:{server.getsockname()[1]}",
+                           "--transcript-out", str(tmp_path / "missing" / "t.rec")])
+            finally:
+                socket.setdefaulttimeout(None)
+            server.setblocking(False)
+            with pytest.raises(BlockingIOError):  # nobody connected
+                server.accept()
+        assert rc == 2
         out = capsys.readouterr()
         assert out.out == "" and len(out.err.splitlines()) == 1 and out.err.startswith("pairid: ")

@@ -46,7 +46,7 @@ from pairid.schemes import (
     sdhid_verify,
     HlsKeyPair,
 )
-from pairid.records import save_key
+from pairid.records import save_key, save_transcript
 from pairid.signatures import BbKeyPair, ExpKeyPair
 from pairid.tate import TateBackend, suite_from_curve_params
 from pairid.wire import TAG_CHALLENGE, TAG_ERROR
@@ -207,6 +207,17 @@ _KEY_RECORD_DIGESTS = {
     "real": "e2d593698837784f24b0e555336dfad703bc65237e23b65b91cf9b696a47da32",
 }
 
+# sha256 over the transcripts that run_session saves for every scheme, one key
+# per scheme (seed pin:<scheme>:0) and sessions seeded pin:<scheme>:0 and
+# pin:<scheme>:1, as they were when the owfid prover still paired e(P, R):
+# committing in the exponent must not change a byte of them.  The first owfid
+# commitment runs cold and the second on P's comb.
+_TRANSCRIPT_DIGESTS = {
+    "t1009": "fe298e7362a7dfa4df948a84c6b0c68357d304e5fc539a1a1d471f8fa555f0bd",
+    "c523": "0af2b09661939a64e0c62e8c085319b0f8fb24239bcdf5187f0e59cff79347e8",
+    "real": "de53ff1dc621a877418c0e87027840c7a2ff2d57256976578b0a8aa9e0bd3591",
+}
+
 
 class TestKeygen:
     def test_dispatch_types(self, t11, rng):
@@ -274,6 +285,19 @@ class TestKeygen:
 
 
 class TestSessions:
+    @pytest.mark.parametrize("fixture", ["t1009", "c523", "real"])
+    def test_transcripts_pinned(self, fixture, request, tmp_path):
+        suite = request.getfixturevalue(fixture)
+        params = default_scheme_params(suite)
+        digest = hashlib.sha256()
+        for scheme in ALL_SCHEMES:
+            kp = keygen(scheme, suite, random.Random(f"pin:{scheme.value}:0"))
+            for i in range(2):
+                path = tmp_path / f"{scheme.value}{i}.transcript"
+                save_transcript(path, run_session(scheme, kp, suite, seed=f"pin:{scheme.value}:{i}"), suite, params)
+                digest.update(path.read_bytes())
+        assert digest.hexdigest() == _TRANSCRIPT_DIGESTS[fixture]
+
     @pytest.mark.parametrize("scheme", ALL_SCHEMES)
     def test_honest_sessions_accept_transparent(self, scheme, t1009):
         kp = keygen(scheme, t1009, random.Random(7))
@@ -426,6 +450,36 @@ class TestMachines:
         assert kp.has_secret and not pk.has_secret
         assert pk.suite is kp.suite
         assert all(getattr(pk, name) is getattr(kp, name) for name, _ in ops.keypair.PUBLIC)
+
+
+class TestOwfidCommit:
+    """owfid_commit takes e(P, R) as pairing_from_int(P, rho) for R = g^rho."""
+
+    @pytest.mark.parametrize("fixture", ["t1009", "c59", "c523", "real"])
+    def test_equals_the_pairing_form(self, fixture, request):
+        suite = request.getfixturevalue(fixture)
+        kp = owfid_keygen(suite, random.Random(f"commit {fixture}"))
+        for i in range(3):  # the first commitment runs cold, the later ones on P's comb
+            got, draws = random.Random(i), random.Random(i)
+            state, x = owfid_commit(kp, got)
+            R, r = suite.random_g1(draws), suite.random_scalar(draws)
+            assert state == (R, r) and x == suite.pairing(kp.P, R) * kp.y**r
+            assert got.getstate() == draws.getstate()
+
+    @pytest.mark.parametrize("fixture", ["c523", "real"])
+    def test_warm_commit_pairs_nothing(self, fixture, request, monkeypatch):
+        suite = request.getfixturevalue(fixture)
+        kp = owfid_keygen(suite, random.Random(f"warm commit {fixture}"))
+        for i in range(2):  # P's second use builds its lines and its comb
+            owfid_commit(kp, random.Random(i))
+        expect = owfid_commit(kp, random.Random("warm"))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the commitment paired")
+
+        for name in ("tate_pairing", "_miller", "_miller_stored", "_final_exp"):
+            monkeypatch.setattr(tate, name, refuse)
+        assert owfid_commit(kp, random.Random("warm")) == expect
 
 
 class TestCosts:

@@ -6,7 +6,7 @@ import threading
 
 import pytest
 
-from pairid.algebra import KIND_G1, KIND_G2, G1Element, MalformedEncoding
+from pairid.algebra import KIND_G1, KIND_G2, G1Element, GroupSuite, MalformedEncoding
 from pairid.tate import (
     _SEEN_SLOTS,
     _TABLE_SLOTS,
@@ -1340,3 +1340,58 @@ class TestSignedWalk:
                 for args in ((g, d, c, e), (c, e, g, d)):
                     expect = _outcome(lambda: tate_pairing(*args[:2], params) == tate_pairing(*args[2:], params))
                     assert _outcome(lambda: backend.pair_equal(*args)) == expect, args
+
+
+class TestPairFromInt:
+    """pairing_from_int(a, k), e(a, g)^k on a comb once a's lines prove its
+    order, against pairing(a, g1_from_int(k)), exceptions included."""
+
+    @staticmethod
+    def _suite(params, warm):
+        backend = TateBackend(params)
+        if not warm:
+            backend.tables = _NoTables()
+        return GroupSuite(backend)
+
+    @staticmethod
+    def _warm_up(suite, pt):
+        for _ in range(2):  # two uses build pt's lines
+            _outcome(lambda: suite.backend.pair(pt, suite.g1.payload))
+
+    @pytest.mark.parametrize("warm", [False, True])
+    @pytest.mark.parametrize("q", [59, 83])
+    def test_every_point_and_exponent(self, q, warm):
+        params = enumerate_and_validate(q).params
+        suite = self._suite(params, warm)
+        combs = 0
+        for pt in curve_points(q):  # infinity and points off the subgroup included
+            a = G1Element(suite, pt)
+            if warm:
+                self._warm_up(suite, pt)
+            for k in range(params.p):
+                expect = _outcome(lambda: suite.pairing(a, suite.g1_from_int(k)))
+                assert _outcome(lambda: suite.pairing_from_int(a, k)) == expect, (pt, k)
+            combs += bool(suite.backend.tables.get(pt, suite.backend._pair_comb))
+        # Warm, exactly the points of order p take the comb.
+        assert combs == (params.p - 1 if warm else 0)
+
+    @pytest.mark.parametrize("size", ["c523", "real"])
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_random_pairs(self, size, warm):
+        params = enumerate_and_validate(523).params if size == "c523" else CurveParams(REAL_Q, REAL_P, REAL_H, REAL_GEN)
+        q, rng = params.q, random.Random(f"pair_from_int {size}")
+        suite = self._suite(params, warm)
+        for pt in (point_mul(rng.randrange(1, params.p), params.gen, q), _random_curve_point(q, rng)):
+            a = G1Element(suite, pt)
+            if warm:
+                self._warm_up(suite, pt)
+            for k in (0, 1, params.p - 1, rng.randrange(params.p), rng.randrange(params.p)):
+                expect = tate_pairing(pt, point_mul(k, params.gen, q), params)
+                assert suite.pairing_from_int(a, k).payload == expect, (pt, k)
+
+    def test_charges_one_pairing_to_the_role(self):
+        suite = tate_suite(59, counted=True)
+        with suite.role("prover"):
+            suite.pairing_from_int(suite.g1, 3)
+        assert suite.counter.pairings == {"prover": 1, "verifier": 0}
+        assert suite.counter.g1_exp == {"prover": 0, "verifier": 0}
