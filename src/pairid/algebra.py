@@ -10,8 +10,8 @@ identity can be re-checked with integer arithmetic and logs are free, which
 the lab uses to script omniscient attackers.  The curve backend lives in
 pairid.tate.  Both implement the whole backend interface, so GroupSuite
 never asks which one it holds: p, name, hash_mode; combine, power, invert,
-identity, from_int and log per element kind; pair, pair_from_int(a, k),
-which is pair(a, from_int(KIND_G1, k)), pair_equal; hash_to_g1 (the hash
+identity, from_int and log per element kind; pair, pair_from_int(a, b, k),
+which is pair(a, b) for b = from_int(KIND_G1, k), pair_equal; hash_to_g1 (the hash
 hash_mode names) and pair_equal_hashed(a, b, c, data), which decides
 e(a, b) = e(c, hash_to_g1(data)), if it can without the hash; width, encode,
 decode and describe.  Backend widths cover group elements;
@@ -273,7 +273,7 @@ class TransparentBackend:
     def pair(self, a, b):
         return (a * b) % self.p
 
-    def pair_from_int(self, a, k):
+    def pair_from_int(self, a, b, k):
         return (a * k) % self.p
 
     def pair_equal(self, a, b, c, d) -> bool:
@@ -390,12 +390,13 @@ class GroupSuite:
         self._charge_pairing()
         return G2Element(self, self.backend.pair(a.payload, b.payload))
 
-    def pairing_from_int(self, a: G1Element, k) -> G2Element:
-        """pairing(a, g1_from_int(k)), charged as the one pairing it is; the
-        backend may take it as e(a, g)^k without pairing."""
-        self._check_pairing_args(a)
+    def pairing_from_int(self, a: G1Element, b: G1Element, k) -> G2Element:
+        """pairing(a, b) for b = g1_from_int(k), which the caller has made,
+        charged as the one pairing it is; the backend may take it as
+        e(a, g)^k without pairing."""
+        self._check_pairing_args(a, b)
         self._charge_pairing()
-        return G2Element(self, self.backend.pair_from_int(a.payload, int(k) % self.p))
+        return G2Element(self, self.backend.pair_from_int(a.payload, b.payload, int(k) % self.p))
 
     def pairings_equal(self, a: G1Element, b: G1Element, c: G1Element, d: G1Element) -> bool:
         """e(a, b) == e(c, d), charged as the two pairings it stands for; the

@@ -10,8 +10,8 @@ generation works in the exponent: each keygen draws the logs of the key's
 elements, nonzero where one must not be the identity, and builds every key
 value as a power of g or of e(g, g), with no pairing.  The owfid prover
 commits in the exponent too: its R is g^rho, so e(P, R) is
-pairing_from_int(P, rho), which the curve backend takes as a comb power of
-e(P, g) once P's stored lines prove its order.
+pairing_from_int(P, R, rho), which the curve backend takes as a comb power
+of e(P, g) once P has stored lines, and as e(P, R) while P is cold.
 ProverMachine and VerifierMachine drive any of them through the same state
 machine, enforcing message order and charging group operations to the right
 role.  Their base, SessionEngine, is the one sans-I/O engine that every
@@ -314,7 +314,7 @@ def owfid_commit(kp: OwfidKeyPair, rng: Random):
     rho = rng.randrange(0, suite.p)
     R = suite.g1_from_int(rho)
     r = suite.random_scalar(rng)
-    x = suite.pairing_from_int(kp.P, rho) * kp.y**r
+    x = suite.pairing_from_int(kp.P, R, rho) * kp.y**r
     return (R, r), x
 
 

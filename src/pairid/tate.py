@@ -29,26 +29,26 @@ vertical lines, whose values lie in F_q, are skipped.  The final
 exponentiation to (q^2 - 1)/p = (q - 1) * (q + 1)/p erases every such
 factor, since u^(q-1) = 1 for u in F_q*; it takes f^(q-1) as conj(f)/f by
 Frobenius.  So a Miller value is defined only up to an F_q* factor, and a
-pairing exactly.  A line's imaginary part c2*yq is nonzero for any
-distorted point off the x-axis, so honest subgroup inputs never hit a zero.
-Adversarial off-subgroup inputs can.  F_q(i) is a field, so a Miller value
-is 0 exactly when one of its lines vanished; the evaluators check that once,
-at the end, and raise DegeneratePairing, and the public entry point retries
-on deterministic offsets of the second argument.
+pairing exactly.
 
-A Miller loop runs over digits in {-1, 0, 1} that _loop_digits makes once
-per n: n's signed digits (its non-adjacent form) or its bits.  A -1 digit
-adds (x, -y), and the verticals a subtraction leaves lie in F_q, so it costs
-what a +1 costs; at the pinned 160-bit p the walk adds 51 times, not 89.
-The signed walk is exact for a first argument pt of order p: its lines pass
-through multiples of pt, which phi(b) never is for b in E(F_q) other than O,
-and a skipped vertical at x_R vanishes at phi(b) only for R = b = (0, 0).
-So no line vanishes, and the value equals the binary walk's after the final
-exponentiation.  The signed walk proves the order itself, since it ends at
-p * pt: unless that is infinity, or when a line vanishes, the walk over p's
-bits runs instead, with its values and zeros.  So stored lines of a point
-off the subgroup are binary, and _miller_stored never zips them with signed
-ones.
+A Miller loop walks n's signed digits in {-1, 0, 1} (its non-adjacent
+form), which _loop_digits makes once per n.  A -1 digit adds (x, -y), and
+the verticals a subtraction leaves lie in F_q, so it costs what a +1 costs;
+at the pinned 160-bit p the walk adds 51 times, not 89.
+
+The backend pairs subgroup points only: a finite first pairing argument
+must have order p, and every pairing entry point raises NotOnCurve for one
+that does not, warm or cold, whatever the other arguments are.  Inside the
+package no such point arises: decode checks p * pt = O, hash_to_g1 clears
+the cofactor, and from_int, power and combine keep the subgroup.  The walk
+proves the order at no cost, since it ends at p * pt; a pairing with O as
+second argument and no stored lines walks without lines for that.  For pt
+of order p no line vanishes at phi(b), b in E(F_q) other than O: a line's
+imaginary part c2*yq is nonzero unless b = (0, 0), and a line through the
+multiples R and S of pt passes through (0, 0) only if R + S = (0, 0), of
+order 2, which a multiple of pt is not.  F_q(i) is a field, so a Miller
+value is 0 exactly when one of its lines vanished; _miller_value still
+checks that once, at the end, and raises DegeneratePairing.
 
 conj(f)/f has norm 1, and so does every G2 value, so the remaining power to
 h = (q + 1)/p, and every G2 power without a table, runs on the trace ladder
@@ -71,12 +71,11 @@ x = SHA-256(data || ctr) mod q, skips x if x^3 + x has Jacobi symbol -1,
 makes the candidate pt = (x, y) from lift_x's y, negated when the digest is
 odd, and returns h * pt for the first pt with h * pt not infinity.
 pair_equal_hashed, the BLS check e(a, b) = e(c, H(data)), skips that
-multiply when c has order p: e(c, .) is then bilinear, so with t = e(c, pt)
-for the first pt it tests V_h = 2 on easy(M(a, b)) * conj(t), and t = 1
-exactly when h * pt is infinity, where the hash moves on.  c's order comes
-with its stored lines, or from its live signed walk for t while it has none.
-That case, and every c off the subgroup, clears the cofactor from the
-candidates not yet drawn and compares.
+multiply: c has order p, so e(c, .) is bilinear, and with t = e(c, pt) for
+the first pt it tests V_h = 2 on easy(M(a, b)) * conj(t).  t = 1 exactly
+when h * pt is infinity, where the hash moves on; the candidate (0, 0) is
+one such, since t^2 = e(c, O) = 1 and p is odd.  That case clears the
+cofactor from the candidates not yet drawn and compares.
 
 Values that come back (the generator, key elements, e(g, g) and the G2
 keys) get precomputed tables, kept per backend in a bounded TableCache from
@@ -93,12 +92,11 @@ whose first argument has a table runs _miller_stored over its stored lines
 library): the walk's triples divided by their c2 with one batch inversion,
 and each step's lines multiplied out into one product, so that a step
 costs one value and one multiply into f (see _stored_walk).  All of them
-give exactly what the plain paths give.  The signed walk that makes the
-lines ends at p * pt, so whether pt has order p is kept beside them at no
-cost; without it they are binary.  For pt of order p, e(pt, .) is linear,
-so pair_from_int(pt, k), e(pt, g^k), is e(pt, g)^k: a comb power of
-e(pt, g), whose comb is kept in pt's entry beside its lines.  Off the
-subgroup that identity fails, and pair_from_int pairs.
+give exactly what the plain paths give.  Stored lines exist only for pt
+of order p, since the walk that makes them proves it, so e(pt, .) is linear
+and pair_from_int(pt, b, k), e(pt, b) for b = g^k, is e(pt, g)^k: a comb
+power of e(pt, g), whose comb is kept in pt's entry beside its lines.
+While pt is cold, pair_from_int pairs pt with b.
 
 CurveParams.validate() holds every curve rule and counts no points, so it
 works at real size (q of 512 bits) like all the arithmetic here; every
@@ -127,7 +125,7 @@ class NotOnCurve(Exception):
 
 
 class DegeneratePairing(Exception):
-    """Miller loop hit a zero line value for these inputs."""
+    """Miller loop hit a zero line value, which no first argument of order p does."""
 
 
 class Fq2:
@@ -582,16 +580,21 @@ def enumerate_and_validate(q: int, p: int | None = None) -> CurveValidation:
 
 
 @lru_cache(maxsize=_SHARED_SLOTS)
-def _loop_digits(n: int) -> tuple[tuple, tuple]:
-    """The Miller loop's digits for n: (signed, binary), n's NAF and its bits,
-    most significant first, without the leading 1 the walk starts from."""
-    return tuple(reversed(_wnaf(n, 2)))[1:], tuple(map(int, bin(n)[3:]))
+def _loop_digits(n: int) -> tuple:
+    """The Miller loop's digits for n: n's NAF, most significant first,
+    without the leading 1 the walk starts from."""
+    return tuple(reversed(_wnaf(n, 2)))[1:]
 
 
-def _miller_loop(pt: tuple, digits: tuple, q: int, other: Point = None, steps: list | None = None) -> tuple:
-    """_double_and_add from pt over Miller digits in {-1, 0, 1} (from
-    _loop_digits), with pt's lines: evaluated at phi(other) or stored."""
-    return _double_and_add((*pt, 1), digits, (None, pt, point_neg(pt, q)), q, other, steps)
+def _miller_loop(pt: tuple, n: int, q: int, other: Point = None, steps: list | None = None) -> tuple:
+    """_double_and_add from pt over n's Miller digits, with pt's lines
+    evaluated at phi(other), stored, or (with neither) not made; returns f.
+    The walk ends at n * pt, so it proves pt's order: NotOnCurve unless that
+    is infinity."""
+    r, f = _double_and_add((*pt, 1), _loop_digits(n), (None, pt, point_neg(pt, q)), q, other, steps)
+    if r[2]:
+        raise NotOnCurve("pairing argument is outside the order-p subgroup")
+    return f
 
 
 def _miller_value(f: tuple, q: int) -> Fq2:
@@ -603,20 +606,13 @@ def _miller_value(f: tuple, q: int) -> Fq2:
 
 def _miller(pt: Point, other: Point, n: int, q: int) -> Fq2:
     """The Miller function f_{n,pt} at phi(other), up to an F_q* factor, from
-    one live _miller_loop over n's signed digits.  That walk is exact for pt
-    of order n only; unless it ends at n * pt = O, or when a line vanishes,
-    the walk over n's bits runs instead."""
-    signed, binary = _loop_digits(n)
-    r, f = _miller_loop(pt, signed, q, other)
-    if r[2] or f == (0, 0):
-        f = _miller_loop(pt, binary, q, other)[1]
-    return _miller_value(f, q)
+    one live _miller_loop; NotOnCurve unless pt has order n."""
+    return _miller_value(_miller_loop(pt, n, q, other), q)
 
 
-def _stored_walk(pt: Point, n: int, q: int) -> tuple[tuple, bool]:
-    """pt's Miller steps for n, stored for any second argument, and whether
-    n * pt = O: _miller_loop's triples over n's signed digits when that walk
-    ends at infinity, and else over n's bits.
+def _stored_walk(pt: Point, n: int, q: int) -> tuple:
+    """pt's Miller steps for n, stored for any second argument: the triples
+    of one _miller_loop, which raises NotOnCurve unless pt has order n.
 
     Each step is stored as the product of its lines at a distorted point
     (xq, yq*i).  Each triple is first divided by its c2, which is nonzero
@@ -629,10 +625,7 @@ def _stored_walk(pt: Point, n: int, q: int) -> tuple[tuple, bool]:
     That is exact algebra, so a product vanishes exactly where one of its
     lines does.
     """
-    signed, binary = _loop_digits(n)
-    order_n = not _miller_loop(pt, signed, q, steps=(steps := []))[0][2]
-    if not order_n:
-        _miller_loop(pt, binary, q, steps=(steps := []))
+    _miller_loop(pt, n, q, steps=(steps := []))
     invs = iter(_batch_inverse([c for step in steps for _, _, c in step], q))
     stored = []
     for step in steps:
@@ -642,7 +635,7 @@ def _stored_walk(pt: Point, n: int, q: int) -> tuple[tuple, bool]:
             (a1, b1), (a2, b2) = ab
             ab = [(a1 * a2 % q, (a1 * b2 + a2 * b1) % q, b1 * b2 % q, (a1 + a2) % q, (b1 + b2) % q)]
         stored.append(ab[0] if ab else ())
-    return tuple(stored), order_n
+    return tuple(stored)
 
 
 def _step_values(steps: tuple, pt: Point, q: int):
@@ -739,38 +732,28 @@ def _final_exp(f: Fq2, p: int) -> Fq2:
 
 
 def tate_pairing(a: Point, b: Point, params: CurveParams, lines: tuple | None = None) -> Fq2:
-    """Reduced Tate pairing e(a, phi(b)) with deterministic retry on zeros.
+    """Reduced Tate pairing e(a, phi(b)) for a of order p or infinity and any
+    curve point b; NotOnCurve for a finite a off the subgroup, b = O
+    included, where a's walk runs without lines to prove its order.
 
-    lines, internal, is a's stored steps from _stored_walk for n = p; the
-    result is the same.
+    lines, internal, is a's stored steps from _stored_walk for n = p, which
+    prove its order; the result is the same.
     """
     q, p = params.q, params.p
-    one = Fq2(1, 0, q)
     if not on_curve(a, q) or not on_curve(b, q):
         raise NotOnCurve("pairing input is off the curve")
-    if a is None or b is None:
-        return one
-
-    try:
-        return _final_exp(_miller_at(a, lines, b, p, q), p)
-    except DegeneratePairing:
-        pass
-    # Bilinearity rescue: e(a, b) = e(a, b + s) / e(a, s) for any offset s.
-    for k in range(1, 5):
-        s = point_mul(k, params.gen, q)
-        bs = _add(b, s, q)
-        try:
-            f1 = one if bs is None else _miller_at(a, lines, bs, p, q)
-            f2 = _miller_at(a, lines, s, p, q)
-            return _final_exp(f1 * f2.inv(), p)
-        except DegeneratePairing:
-            continue
-    raise DegeneratePairing("all retry offsets exhausted")
+    if a is None:
+        return Fq2(1, 0, q)
+    if b is None:
+        if lines is None:
+            _miller_loop(a, p, q)
+        return Fq2(1, 0, q)
+    return _final_exp(_miller_at(a, lines, b, p, q), p)
 
 
 # TableCache bounds.  At q of 512 bits a comb is ~64 KB, stored steps ~55 KB;
-# a point of order p whose pair_from_int is used keeps the comb of e(pt, g),
-# ~64 KB more, in its own entry.  One key per scheme and the generator take 14
+# a point whose pair_from_int is used keeps the comb of e(pt, g), ~64 KB
+# more, in its own entry.  One key per scheme and the generator take 14
 # slots; 18 also fits the owfid key of curve-session's replay checks (16 again
 # once they get their own backend).
 _TABLE_SLOTS = 18
@@ -828,8 +811,9 @@ class TateBackend:
     The values that sessions raise to powers or pair again and again (the
     generator, key elements, e(g, g)) get precomputed tables in a
     TableCache: a comb for G1 and for G2 powers, the Miller lines of the
-    first pairing argument and, for one of order p, the comb of e(a, g) that
-    pair_from_int raises.  Each gives the same results as the plain path.
+    first pairing argument and the comb of e(a, g) that pair_from_int
+    raises.  Each gives the same results as the plain path.  It pairs
+    subgroup points only, as the module docstring says.
     """
 
     name = "tate"
@@ -869,10 +853,8 @@ class TateBackend:
         return _fq2_comb_table(x, self.p.bit_length())
 
     def _pair_comb(self, pt):
-        # e(pt, g)'s comb, or () when pt's stored lines show it is off the
-        # subgroup, where e(pt, .) is not linear.
-        lines, order_p = self._stored(pt)
-        return self._g2_comb(tate_pairing(pt, self._gen, self.params, lines)) if order_p else ()
+        # e(pt, g)'s comb, made on pt's stored lines.
+        return self._g2_comb(tate_pairing(pt, self._gen, self.params, self._stored(pt)))
 
     def _g2_power(self, x: Fq2, k: int) -> Fq2:
         # Only a power that multiplies is a use of x: +-1 (b = 0) and k <= 1
@@ -884,13 +866,13 @@ class TateBackend:
         return _norm1_pow(x, k)
 
     def _lines(self, pt):
-        # The walk ends at p * pt, so the lines come with pt's order for free.
         return _stored_walk(pt, self.p, self.q)
 
-    def _stored(self, pt) -> tuple:
-        """(pt's stored Miller lines, whether pt has order p), or (None, False)
-        while pt has no tables.  One use of pt in the TableCache."""
-        return self._table(pt, self._lines) or (None, False)
+    def _stored(self, pt) -> tuple | None:
+        """pt's stored Miller lines, or None while pt has no tables.  One use
+        of pt in the TableCache; making the lines proves pt's order, so from
+        its second use on a pt off the subgroup raises NotOnCurve here."""
+        return self._table(pt, self._lines)
 
     # Every G2 payload has norm 1: pairing values, powers of e(g, g), decodes
     # checked for order p, and their products and inverses.  So G2 powers
@@ -929,32 +911,31 @@ class TateBackend:
         raise ValueError("element is outside the working subgroup")
 
     def pair(self, a, b):
-        return tate_pairing(a, b, self.params, self._stored(a)[0])
+        return tate_pairing(a, b, self.params, self._stored(a))
 
-    def pair_from_int(self, a, k):
-        """pair(a, from_int(KIND_G1, k)) for 0 <= k < p.
+    def pair_from_int(self, a, b, k):
+        """pair(a, b) for b = from_int(KIND_G1, k), 0 <= k < p.
 
-        Once a has tables and its stored lines prove it has order p, e(a, .)
-        is linear, so the result is e(a, g)^k: a comb power of e(a, g), both
-        kept in a's own entry.  While a is cold, and for a off the subgroup
-        or not a canonical point, it is the pairing itself.
+        From a's second use on, its stored lines prove it has order p, so
+        e(a, .) is linear and the result is e(a, g)^k: a comb power of
+        e(a, g), both kept in a's own entry.  While a is cold, or not a
+        canonical point, it is pair(a, b).
         """
         comb = self._table(a, self._pair_comb)
-        if comb:
+        if comb is not None:
             return _fq2_comb_pow(k, comb, self.q)
-        lines = None if comb is None else self._stored(a)[0]
-        return tate_pairing(a, self.from_int(KIND_G1, k), self.params, lines)
+        return tate_pairing(a, b, self.params)
 
     def pair_equal(self, a, b, c, d) -> bool:
         """pair(a, b) == pair(c, d) with one final exponentiation.
 
         M(c, -d) = conj(M(c, d)), so e(a, b) = e(c, d) exactly when the final
         exponentiation of M(a, b) * M(c, -d) is 1, that is when V_h = 2 on its
-        easy part.  When a and c both have stored lines over the same digits,
-        their evaluations run as one, sharing the squarings; otherwise the
-        two Miller values, live or stored, are multiplied.  An infinity or
-        off-curve argument, or a vanishing line, takes the two pairings
-        instead, with their checks and retry.
+        easy part.  When a and c both have stored lines, their evaluations
+        run as one, sharing the squarings; otherwise the two Miller values,
+        live or stored, are multiplied.  Either way a's and c's walks prove
+        their order.  An infinity or off-curve argument takes the two
+        pairings instead, with their checks.
         """
         return self._pair_equal(a, b, c, d, self._stored(a), self._stored(c))
 
@@ -962,31 +943,22 @@ class TateBackend:
         """pair(a, b) == pair(c, cleared()), where cleared() is h * pt for the
         curve point pt unless that is infinity (a hash then moves on).
 
-        When c has order p, e(c, .) is bilinear, so e(c, h * pt) = t^h for
-        t = e(c, pt), and t = 1 exactly when h * pt is infinity.  For t != 1
-        the answer is then V_h = 2 on easy(M(a, b)) * conj(t), and cleared()
-        is never called.  c's stored lines carry its order; without them,
-        its live signed walk for t proves it.  Otherwise (t = 1, c off the
-        subgroup, an infinity or off-curve argument, or a vanishing line) it
-        is pair_equal(a, b, c, cleared()), on the lines already looked up, so
-        c counts as used once.
+        c has order p (its walk for t, stored or live, proves it), so e(c, .)
+        is bilinear: e(c, h * pt) = t^h for t = e(c, pt), and t = 1 exactly
+        when h * pt is infinity.  For t != 1 the answer is then V_h = 2 on
+        easy(M(a, b)) * conj(t), and cleared() is never called.  Otherwise
+        (t = 1, or an infinity or off-curve argument) it is
+        pair_equal(a, b, c, cleared()), on the lines already looked up, so c
+        counts as used once.
         """
         q, p, h = self.q, self.p, self.params.h
-        stored_a, stored_c = self._stored(a), self._stored(c)
-        (lines_a, _), (lines_c, order_p) = stored_a, stored_c
-        if (order_p or lines_c is None) and all(x is not None and on_curve(x, q) for x in (a, b, c, pt)):
-            try:
-                if lines_c is None:  # c's live signed walk proves its order by ending at p * c = O
-                    r, f = _miller_loop(c, _loop_digits(p)[0], q, pt)
-                    if r[2]:
-                        raise DegeneratePairing("c is off the subgroup")
-                t = _final_exp(_miller_value(f, q) if lines_c is None else _miller_stored(lines_c, pt, q), p)
-                if t != Fq2(1, 0, q):
-                    x = _easy_part(_miller_at(a, lines_a, b, p, q))[0]
-                    return _lucas_v(2 * (x.a * t.a + x.b * t.b) % q, h, q)[0] == 2  # 2*Re(x * conj(t))
-            except DegeneratePairing:
-                pass
-        return self._pair_equal(a, b, c, cleared(), stored_a, stored_c)
+        lines_a, lines_c = self._stored(a), self._stored(c)
+        if all(x is not None and on_curve(x, q) for x in (a, b, c, pt)):
+            t = _final_exp(_miller_at(c, lines_c, pt, p, q), p)
+            if t != Fq2(1, 0, q):
+                x = _easy_part(_miller_at(a, lines_a, b, p, q))[0]
+                return _lucas_v(2 * (x.a * t.a + x.b * t.b) % q, h, q)[0] == 2  # 2*Re(x * conj(t))
+        return self._pair_equal(a, b, c, cleared(), lines_a, lines_c)
 
     def hash_to_g1(self, data: bytes):
         return _clear_cofactor(_try_increment(data, self.q), self.q, self.params.h)
@@ -997,23 +969,16 @@ class TateBackend:
         first = next(candidates, None)
         return self.pair_equal_cleared(a, b, c, first, lambda: _clear_cofactor(chain([first], candidates), q, h))
 
-    def _pair_equal(self, a, b, c, d, stored_a, stored_c) -> bool:
-        # pair_equal on a's and c's _stored results.  Zipped walks must share
-        # one digit sequence: lines stored for a point off the subgroup are
-        # binary, and signed otherwise.
+    def _pair_equal(self, a, b, c, d, lines_a, lines_c) -> bool:
+        # pair_equal on a's and c's _stored results.
         q, p = self.q, self.p
-        (lines_a, order_a), (lines_c, order_c) = stored_a, stored_c
         if all(pt is not None and on_curve(pt, q) for pt in (a, b, c, d)):
             neg_d = point_neg(d, q)
-            try:
-                if lines_a is not None and lines_c is not None and order_a == order_c:
-                    f = _miller_stored(lines_a, b, q, (lines_c, neg_d))
-                else:
-                    f = _miller_at(a, lines_a, b, p, q) * _miller_at(c, lines_c, neg_d, p, q)
-            except DegeneratePairing:
-                pass
+            if lines_a is not None and lines_c is not None:
+                f = _miller_stored(lines_a, b, q, (lines_c, neg_d))
             else:
-                return _lucas_v(2 * _easy_part(f)[0].a, self.params.h, q)[0] == 2
+                f = _miller_at(a, lines_a, b, p, q) * _miller_at(c, lines_c, neg_d, p, q)
+            return _lucas_v(2 * _easy_part(f)[0].a, self.params.h, q)[0] == 2
         return tate_pairing(a, b, self.params, lines_a) == tate_pairing(c, d, self.params, lines_c)
 
     def width(self, kind):

@@ -455,3 +455,43 @@ class TestFrameFuzz:
         except PeerError:
             return
         assert transcript.decision in (True, False)
+
+
+class TestBitFlipRelay:
+    """Every single-bit flip of every frame of an in-memory curve exchange,
+    for every scheme: each run ends in a decision or a PeerError.  Any other
+    exception, NotOnCurve included, fails the test, so no hostile byte
+    stream reaches the curve backend's errors."""
+
+    def test_every_bit_of_every_frame(self):
+        suite = tate_suite(59)
+        outcomes = {"decision": 0, "peer error": 0}
+        for scheme in ALL_SCHEMES:
+            for seed in range(3):
+                kp = keygen(scheme, suite, random.Random(seed))
+
+                def run(carry):
+                    prover = ProverMachine(scheme, kp, seed=seed, wire=True)
+                    verifier = VerifierMachine(scheme, kp.public(), seed=seed, wire=True)
+                    try:
+                        transcript = exchange(prover, verifier, carry)
+                    except PeerError:
+                        return "peer error"
+                    assert transcript.decision in (True, False)
+                    return "decision"
+
+                honest = []
+                assert run(lambda tag, payload: honest.append(frame_encode(tag, payload)) or (tag, payload)) == "decision"
+                for index, raw in enumerate(honest):
+                    for bit in range(8 * len(raw)):
+                        carried = []
+
+                        def carry(tag, payload):
+                            out = bytearray(frame_encode(tag, payload))
+                            if len(carried) == index:
+                                out[bit // 8] ^= 1 << bit % 8
+                            carried.append(out)
+                            return frame_decode(bytes(out))
+
+                        outcomes[run(carry)] += 1
+        assert outcomes["decision"] and outcomes["peer error"], outcomes

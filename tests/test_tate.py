@@ -18,12 +18,12 @@ from pairid.tate import (
     ValidationFailed,
     _comb_spacing,
     _comb_table,
+    _double_and_add,
     _easy_part,
     _final_exp,
     _fq2_comb_table,
     _loop_digits,
     _miller,
-    _miller_loop,
     _miller_stored,
     _miller_value,
     _norm1_pow,
@@ -94,6 +94,15 @@ def _multiples(pt, q):
         out.append(acc)
         acc = naive_add(acc, pt, q)
     return out
+
+
+def _by_order(q):
+    """The finite points of the desk curve at q, split by the oracle's point
+    order: (those of order p, those off the order-p subgroup)."""
+    inside, off = [], []
+    for pt in filter(None, curve_points(q)):
+        (inside if point_order_naive(pt, q) == CURVE_TABLE[q]["p"] else off).append(pt)
+    return inside, off
 
 
 def _random_curve_point(q, rng):
@@ -248,7 +257,8 @@ class TestPairing:
         assert c59.pairing(c59.g1, inf).is_identity
 
     def test_offset_rescue_identity(self):
-        # The retry path relies on reduced(f(P,Q)) = reduced(f(P,Q+S)/f(P,S)).
+        # oracles.reference_pairing's retry relies on
+        # reduced(f(P,Q)) = reduced(f(P,Q+S)/f(P,S)).
         params = enumerate_and_validate(59).params
         q, p = params.q, params.p
         exp = (q * q - 1) // p
@@ -265,43 +275,34 @@ class TestPairing:
 
     def test_line_vanishing_raises(self):
         params = enumerate_and_validate(59).params
-        q = params.q
+        q, p = params.q, params.p
         x1, y1 = params.gen
         lam = (3 * x1 * x1 + 1) * pow(2 * y1, -1, q) % q
-        # choose the evaluation abscissa so the tangent value is exactly zero
+        # choose the evaluation abscissa so the tangent value is exactly zero;
+        # (-xq_im, 0) is not a curve point, where no line of gen's walk vanishes
         xq_im = (x1 - y1 * pow(lam, -1, q)) % q
-        # n = 2 walks one step, the tangent at gen, live and stored.
+        # p = 5's walk opens with the tangent at gen, live and stored.
+        assert _loop_digits(p)[0] == 0
         with pytest.raises(DegeneratePairing):
+            _miller(params.gen, (-xq_im, 0), p, q)
+        with pytest.raises(DegeneratePairing):
+            _miller_stored(_stored_walk(params.gen, p, q), (-xq_im, 0), q)
+        # A walk that does not end at infinity proves nothing and raises first.
+        with pytest.raises(NotOnCurve):
             _miller(params.gen, (-xq_im, 0), 2, q)
-        with pytest.raises(DegeneratePairing):
-            _miller_stored(_stored_walk(params.gen, 2, q)[0], (-xq_im, 0), q)
+        with pytest.raises(NotOnCurve):
+            _stored_walk(params.gen, 2, q)
 
     def test_two_torsion_argument_stays_in_target_group(self):
-        # (0, 0) sits outside the working subgroup; whatever path the retry
-        # takes, the output must still land in the order-p target group.
+        # (0, 0) sits outside the working subgroup; as a second argument it
+        # pairs to 1, since e(gen, (0, 0))^2 = e(gen, O) and p is odd.
         params = enumerate_and_validate(59).params
-        one = Fq2(1, 0, params.q)
-        try:
-            val = tate_pairing(params.gen, (0, 0), params)
-        except DegeneratePairing:
-            return
-        assert val ** params.p == one
+        assert tate_pairing(params.gen, (0, 0), params) == Fq2(1, 0, params.q)
 
     def test_off_curve_pairing_rejected(self):
         params = enumerate_and_validate(59).params
         with pytest.raises(NotOnCurve):
             tate_pairing((1, 1), params.gen, params)
-
-    def test_retry_offsets_exhausted(self, monkeypatch):
-        from pairid import tate
-
-        def vanishing(*args):
-            raise DegeneratePairing("a Miller line vanished")
-
-        params = enumerate_and_validate(59).params
-        monkeypatch.setattr(tate, "_miller", vanishing)
-        with pytest.raises(DegeneratePairing, match="^all retry offsets exhausted$"):
-            tate_pairing(params.gen, point_mul(3, params.gen, params.q), params)
 
 
 def _walk_lines(a, digits, q):
@@ -324,19 +325,20 @@ class TestLineForm:
 
     @pytest.mark.parametrize("q", [59, 83])
     def test_triples_match_reference_lines(self, q):
-        # Every triple of every Miller walk, over p's signed digits and its
-        # bits and over those of q + 1, from every curve point: its value
+        # Every triple of every double-and-add walk over Miller digits, p's
+        # signed digits and its bits and those of q + 1, from every curve
+        # point (the loop is the same off the subgroup): its value
         # (c0 + c1*xq) + (c2*yq)*i at every distorted point is c2 times the
         # reference line's, so it vanishes exactly where the reference does.
         # Its lines are the tangents and chords the walk meets, the chord
         # through r = s (a tangent) and the skipped verticals included.
         p = enumerate_and_validate(q).params.p
         pts = [pt for pt in curve_points(q) if pt is not None]
-        walks = [digits for n in (p, q + 1) for digits in _loop_digits(n)]
+        walks = [digits for n in (p, q + 1) for digits in (_loop_digits(n), tuple(map(int, bin(n)[3:])))]
         vanished, kinds = 0, set()
         for a, digits in itertools.product(pts, walks):
             steps = []
-            _miller_loop(a, digits, q, steps=steps)
+            _double_and_add((*a, 1), digits, (None, a, point_neg(a, q)), q, steps=steps)
             expect = _walk_lines(a, digits, q)
             assert [len(step) for step in steps] == [len(step) for step in expect], (a, digits)
             for line, (r, s) in zip(itertools.chain(*steps), itertools.chain(*expect)):
@@ -362,65 +364,67 @@ class TestPairingAgainstReference:
 
     @pytest.mark.parametrize("q", [59, 83])
     def test_every_pair_of_curve_points(self, q):
-        # Off-subgroup and 2-torsion points included: where the reference
-        # gives up, the package must raise DegeneratePairing too.
+        # A first argument of order p or O, against every curve point (O and
+        # (0, 0) included), equals the reference, whose retry never runs
+        # there; a first argument off the subgroup raises NotOnCurve.
         params = enumerate_and_validate(q).params
+        off = _by_order(q)[1]
         pts = curve_points(q)
         for a in pts:
             for b in pts:
-                try:
-                    expect = reference_pairing(a, b, q, params.p, params.gen)
-                except ReferenceDegenerate:
-                    with pytest.raises(DegeneratePairing):
+                if a in off:
+                    with pytest.raises(NotOnCurve):
                         tate_pairing(a, b, params)
                     continue
                 got = tate_pairing(a, b, params)
-                assert (got.a, got.b) == expect, (a, b)
+                assert (got.a, got.b) == reference_pairing(a, b, q, params.p, params.gen), (a, b)
 
     @pytest.mark.parametrize("q", [59, 83])
-    def test_miller_vanishes_exactly_where_reference_does(self, q):
-        # These are the inputs that take tate_pairing's retry path.
-        params = enumerate_and_validate(q).params
-        pts = [pt for pt in curve_points(q) if pt is not None]
+    def test_no_line_vanishes_on_the_subgroup(self, q):
+        # For a of order p no line of the reference's walk or of the
+        # package's vanishes at any finite b, (0, 0) included.  Some a off
+        # the subgroup make the reference's lines vanish; the package's walk
+        # raises NotOnCurve for every such a instead.
+        p = enumerate_and_validate(q).params.p
+        inside, off = _by_order(q)
+        for a in inside:
+            for b in inside + off:
+                reference_miller(a, b, p, q)
+                _miller(a, b, p, q)
         vanished = 0
-        for a in pts:
-            for b in pts:
+        for a in off:
+            for b in inside + off:
                 try:
-                    reference_miller(a, b, params.p, q)
+                    reference_miller(a, b, p, q)
                 except ReferenceDegenerate:
                     vanished += 1
-                    with pytest.raises(DegeneratePairing):
-                        _miller(a, b, params.p, q)
-                else:
-                    _miller(a, b, params.p, q)
+                with pytest.raises(NotOnCurve):
+                    _miller(a, b, p, q)
         assert vanished > 0
 
     @pytest.mark.parametrize("q", [59, 83])
     def test_live_miller_matches_stored_and_reference(self, q):
-        # Every pair of finite points, after the final exponentiation: the
-        # live loop, which multiplies in each line as it makes it, the stored
-        # steps and the oracle's affine loop agree, and where the oracle's
-        # lines vanish, the other two raise.
+        # Every first argument of order p against every finite point, after
+        # the final exponentiation: the live loop, which multiplies in each
+        # line as it makes it, the stored steps and the oracle's affine loop
+        # agree.  A first argument off the subgroup gets no stored steps.
         p = enumerate_and_validate(q).params.p
-        pts = [pt for pt in curve_points(q) if pt is not None]
-        for a in pts:
-            lines = _stored_walk(a, p, q)[0]
-            for b in pts:
-                try:
-                    expect = _final_exp(Fq2(*reference_miller(a, b, p, q), q), p)
-                except ReferenceDegenerate:
-                    for miller in (lambda: _miller(a, b, p, q), lambda: _miller_stored(lines, b, q)):
-                        with pytest.raises(DegeneratePairing):
-                            miller()
-                    continue
+        inside, off = _by_order(q)
+        for a in inside:
+            lines = _stored_walk(a, p, q)
+            for b in inside + off:
+                expect = _final_exp(Fq2(*reference_miller(a, b, p, q), q), p)
                 assert _final_exp(_miller(a, b, p, q), p) == expect, (a, b)
                 assert _final_exp(_miller_stored(lines, b, q), p) == expect, (a, b)
+        for a in off:
+            with pytest.raises(NotOnCurve):
+                _stored_walk(a, p, q)
 
     def test_live_miller_real_size(self):
         for a, b in self._real_subgroup_pairs(random.Random("real-size live Miller"))[1]:
             expect = _final_exp(Fq2(*reference_miller(a, b, REAL_P, REAL_Q), REAL_Q), REAL_P)
             assert _final_exp(_miller(a, b, REAL_P, REAL_Q), REAL_P) == expect, (a, b)
-            lines = _stored_walk(a, REAL_P, REAL_Q)[0]
+            lines = _stored_walk(a, REAL_P, REAL_Q)
             assert _final_exp(_miller_stored(lines, b, REAL_Q), REAL_P) == expect, (a, b)
 
     @staticmethod
@@ -433,10 +437,14 @@ class TestPairingAgainstReference:
         params = CurveParams(q=REAL_Q, p=REAL_P, h=REAL_H, gen=REAL_GEN)
         rng = random.Random("real-size pairing")
         pairs = self._real_subgroup_pairs(rng)[1]
-        pairs.append((_random_curve_point(REAL_Q, rng), _random_curve_point(REAL_Q, rng)))
+        # A random curve point is off the subgroup; h times it is not.
+        off, other = _random_curve_point(REAL_Q, rng), _random_curve_point(REAL_Q, rng)
+        pairs.append((point_mul(REAL_H, off, REAL_Q), other))
         for a, b in pairs:
             got = tate_pairing(a, b, params)
             assert (got.a, got.b) == reference_pairing(a, b, REAL_Q, REAL_P, REAL_GEN)
+        with pytest.raises(NotOnCurve):
+            tate_pairing(off, other, params)
 
     def test_real_size_stored_steps(self, monkeypatch):
         # The subgroup pairs above on a warm backend, so that each a's
@@ -719,34 +727,40 @@ class TestPrecomputedTables:
 
     @pytest.mark.parametrize("q", [59, 83])
     def test_stored_lines_match_reference_on_every_pair(self, q):
+        # Warm: a first argument of order p pairs on its stored lines and
+        # equals the reference against every curve point; one off the
+        # subgroup raises NotOnCurve on every use.
         params = enumerate_and_validate(q).params
         backend = TateBackend(params)
+        off = _by_order(q)[1]
         pts = curve_points(q)
         for a in pts:
-            backend.pair(a, params.gen)
-            backend.pair(a, params.gen)
+            for _ in range(2):
+                _outcome(lambda: backend.pair(a, params.gen))
             for b in pts:
-                try:
-                    expect = reference_pairing(a, b, q, params.p, params.gen)
-                except ReferenceDegenerate:
-                    with pytest.raises(DegeneratePairing):
+                if a in off:
+                    with pytest.raises(NotOnCurve):
                         backend.pair(a, b)
                     continue
                 got = backend.pair(a, b)
-                assert (got.a, got.b) == expect, (a, b)
+                assert (got.a, got.b) == reference_pairing(a, b, q, params.p, params.gen), (a, b)
 
     @pytest.mark.parametrize("q", [59, 83])
     def test_stored_lines_vanish_exactly_where_miller_does(self, q):
+        # For a of order p, at every (x, y) in F_q x F_q as the point that
+        # phi distorts, curve points or not: stored steps and the live walk
+        # vanish at the same points, none of them on the curve, and
+        # elsewhere agree up to an F_q* factor.
         params = enumerate_and_validate(q).params
-        pts = [pt for pt in curve_points(q) if pt is not None]
         vanished = 0
-        for a in pts:
-            lines = _stored_walk(a, params.p, q)[0]
-            for b in pts:
+        for a in _by_order(q)[0]:
+            lines = _stored_walk(a, params.p, q)
+            for b in itertools.product(range(q), repeat=2):
                 try:
                     plain = _miller(a, b, params.p, q)
                 except DegeneratePairing:
                     vanished += 1
+                    assert not on_curve(b, q), (a, b)
                     with pytest.raises(DegeneratePairing):
                         _miller_stored(lines, b, q)
                     continue
@@ -811,9 +825,11 @@ class TestPrecomputedTables:
     def _fill_cache(mixed):
         # Mixed, each point comes with one of the 130 values of order p in
         # F_q^2 other than 1, and G2 combs share the slots with G1 tables.
+        # The 130 points of order p are more than both bounds together.
         params = enumerate_and_validate(523).params
         backend = TateBackend(params)
-        pts = [pt for pt in curve_points(523) if pt is not None][:200]
+        pts = [point_mul(k, params.gen, 523) for k in range(1, params.p)]
+        assert len(pts) > _SEEN_SLOTS + _TABLE_SLOTS
         g2 = backend.from_int(KIND_G2, 1)
         values = [g2 ** (1 + i % 130) for i in range(len(pts))] if mixed else [None] * len(pts)
         for pt, x in zip(pts, values):
@@ -1119,6 +1135,9 @@ class TestPairingsEqual:
 
     @pytest.mark.parametrize("q", [59, 83])
     def test_seeded_quadruples_and_every_vanishing_input(self, q):
+        # Off-subgroup first arguments included, each of which raises
+        # NotOnCurve both ways, as do those where the reference's lines
+        # vanish.
         params = enumerate_and_validate(q).params
         backend = TateBackend(params)
         pts = curve_points(q)
@@ -1127,8 +1146,8 @@ class TestPairingsEqual:
         for a in finite:
             for b in finite:
                 try:
-                    _miller(a, b, params.p, q)
-                except DegeneratePairing:
+                    reference_miller(a, b, params.p, q)
+                except ReferenceDegenerate:
                     vanishing.append((a, b))
         assert vanishing
         rng = random.Random(f"pairings_equal {q}")
@@ -1198,14 +1217,16 @@ class TestCofactorFold:
 
     @pytest.mark.parametrize("q", [59, 83])
     def test_every_key_and_candidate(self, q):
-        # Cold, no c has lines, and c's live walk decides its order.
+        # Every key of order p, and O, against every candidate, (0, 0)
+        # included.  Cold, no c has lines, and c's live walk gives t.  Keys
+        # off the subgroup raise (TestSubgroupContract).
         params = enumerate_and_validate(q).params
         cold, warm = TateBackend(params), TateBackend(params)
         cold.tables = _NoTables()
         g, p, h = params.gen, params.p, params.h
-        for backend, c in itertools.product((cold, warm), curve_points(q)):
-            for _ in range(2):  # two uses build c's lines, where it has them
-                _outcome(lambda: backend.pair(c, g))
+        for backend, c in itertools.product((cold, warm), [None, *_by_order(q)[0]]):
+            for _ in range(2):  # two uses build c's lines
+                backend.pair(c, g)
             for d in filter(None, curve_points(q)):
                 for b in (g, point_mul(2, g, q)):
                     calls = []
@@ -1252,31 +1273,30 @@ class TestSignedWalk:
 
     def test_digits_rebuild_n(self):
         for n in range(1, 5000):
-            signed, binary = _loop_digits(n)
-            for digits in (signed, binary):
-                value = 1  # the leading digit, where the walk starts
-                for d in digits:
-                    value = 2 * value + d
-                assert value == n, (n, digits)
-            assert set(binary) <= {0, 1}, n
-            full = (1, *signed)
+            digits = _loop_digits(n)
+            value = 1  # the leading digit, where the walk starts
+            for d in digits:
+                value = 2 * value + d
+            assert value == n, (n, digits)
+            full = (1, *digits)
             assert not any(x and y for x, y in zip(full, full[1:])), n
-        signed, binary = _loop_digits(REAL_P)
-        assert (1 + sum(map(abs, signed)), 1 + sum(binary)) == (52, 90)
+        assert (1 + sum(map(abs, _loop_digits(REAL_P))), bin(REAL_P).count("1")) == (52, 90)
 
     @pytest.mark.parametrize("q", [59, 83])
     def test_signed_and_binary_walks_agree(self, q):
+        # The package's walk over p's signed digits, live and stored, against
+        # the same double-and-add loop over p's bits.
         params = enumerate_and_validate(q).params
         p = params.p
-        signed, binary = _loop_digits(p)
+        binary = tuple(map(int, bin(p)[3:]))
         for k in range(1, p):
             a = point_mul(k, params.gen, q)
-            lines, order_p = _stored_walk(a, p, q)
-            assert order_p and len(lines) == len(signed)
+            lines = _stored_walk(a, p, q)
+            assert len(lines) == len(_loop_digits(p))
             for b in filter(None, curve_points(q)):  # (0, 0) included
-                expect = _final_exp(_miller_value(_miller_loop(a, binary, q, b)[1], q), p)
-                r, f = _miller_loop(a, signed, q, b)
-                assert not r[2] and _final_exp(_miller_value(f, q), p) == expect, (a, b)
+                r, f = _double_and_add((*a, 1), binary, (None, a, point_neg(a, q)), q, b)
+                expect = _final_exp(_miller_value(f, q), p)
+                assert not r[2] and _final_exp(_miller(a, b, p, q), p) == expect, (a, b)
                 assert _final_exp(_miller_stored(lines, b, q), p) == expect, (a, b)
 
     @pytest.mark.parametrize("warm", [False, True])
@@ -1310,41 +1330,56 @@ class TestSignedWalk:
                     assert got == (ref[a, g] == ref[c, hpt]), (a, c, pt)
 
     def test_real_size_generator_lines(self):
-        lines, order_p = _stored_walk(REAL_GEN, REAL_P, REAL_Q)
-        assert order_p
+        lines = _stored_walk(REAL_GEN, REAL_P, REAL_Q)
         # 160 steps: 50 two-line products (c0, c1, c2, s0, s1) and 110
         # single lines (a, b).
         shapes = [len(step) for step in lines]
         assert (len(shapes), shapes.count(5), shapes.count(2)) == (160, 50, 110)
 
+
+def _raises_not_on_curve(fn, *args):
+    with pytest.raises(NotOnCurve):
+        fn(*args)
+
+
+class TestSubgroupContract:
+    """A finite first pairing argument off the order-p subgroup raises
+    NotOnCurve at each of the six pairing entry points, cold and warm,
+    whatever the other arguments are, and never yields a value."""
+
     @pytest.mark.parametrize("warm", [False, True])
-    def test_off_subgroup_argument_takes_two_pairings(self, warm):
-        # At q = 83, p = 7 has two bits and three signed digits after its
-        # leading 1, so its binary lines must never zip with a signed walk,
-        # and a live signed walk must check its end wherever it sits in the zip.
-        params = enumerate_and_validate(83).params
-        q, g, p = 83, params.gen, params.p
-        assert (len(_loop_digits(p)[0]), len(_loop_digits(p)[1])) == (3, 2)
-        pts = curve_points(q)
-        off = [c for c in pts if c is not None and point_mul(p, c, q) is not None]
-        for c in off:
-            backend = TateBackend(params)
-            if warm:
-                for _ in range(2):
-                    _outcome(lambda: backend.pair(c, g))
-                assert backend._stored(c)[0] is not None
-            else:
-                backend.tables = _NoTables()
-            # A line through multiples of c can vanish only at phi((0, 0)).
-            for d, e in itertools.product(pts, (g, (0, 0))):
-                for args in ((g, d, c, e), (c, e, g, d)):
-                    expect = _outcome(lambda: tate_pairing(*args[:2], params) == tate_pairing(*args[2:], params))
-                    assert _outcome(lambda: backend.pair_equal(*args)) == expect, args
+    def test_off_subgroup_first_argument_raises(self, warm):
+        for q in (59, 83):
+            params = enumerate_and_validate(q).params
+            g, p, h = params.gen, params.p, params.h
+            off = _by_order(q)[1]
+            # O, a point of order p, the 2-torsion point and one off the subgroup.
+            others = [None, g, (0, 0), off[-1]]
+            for c in off:
+                backend = TateBackend(params)
+                if warm:
+                    for _ in range(2):  # c's second use tries to make its lines
+                        with pytest.raises(NotOnCurve):
+                            backend.pair(c, g)
+                    assert backend.tables.sizes() == (0, 1)
+                else:
+                    backend.tables = _NoTables()
+                for k in range(p):
+                    _raises_not_on_curve(backend.pair_from_int, c, point_mul(k, g, q), k)
+                for x in others:
+                    _raises_not_on_curve(tate_pairing, c, x, params)
+                    _raises_not_on_curve(backend.pair, c, x)
+                    for first, second in ((c, g), (g, c)):
+                        for data in (b"m3", b"m4"):
+                            _raises_not_on_curve(backend.pair_equal_hashed, first, x, second, data)
+                        for y in others:
+                            _raises_not_on_curve(backend.pair_equal, first, x, second, y)
+                            _raises_not_on_curve(backend.pair_equal_cleared, first, x, second, y, lambda: point_mul(h, y, q))
 
 
 class TestPairFromInt:
-    """pairing_from_int(a, k), e(a, g)^k on a comb once a's lines prove its
-    order, against pairing(a, g1_from_int(k)), exceptions included."""
+    """pairing_from_int(a, b, k) for b = g^k, e(a, g)^k on a comb once a has
+    stored lines, against pairing(a, b)."""
 
     @staticmethod
     def _suite(params, warm):
@@ -1356,21 +1391,23 @@ class TestPairFromInt:
     @staticmethod
     def _warm_up(suite, pt):
         for _ in range(2):  # two uses build pt's lines
-            _outcome(lambda: suite.backend.pair(pt, suite.g1.payload))
+            suite.backend.pair(pt, suite.g1.payload)
 
     @pytest.mark.parametrize("warm", [False, True])
     @pytest.mark.parametrize("q", [59, 83])
     def test_every_point_and_exponent(self, q, warm):
+        # Infinity and every point of order p; points off the subgroup raise
+        # (TestSubgroupContract).
         params = enumerate_and_validate(q).params
         suite = self._suite(params, warm)
         combs = 0
-        for pt in curve_points(q):  # infinity and points off the subgroup included
+        for pt in [None, *_by_order(q)[0]]:
             a = G1Element(suite, pt)
             if warm:
                 self._warm_up(suite, pt)
             for k in range(params.p):
-                expect = _outcome(lambda: suite.pairing(a, suite.g1_from_int(k)))
-                assert _outcome(lambda: suite.pairing_from_int(a, k)) == expect, (pt, k)
+                b = suite.g1_from_int(k)
+                assert suite.pairing_from_int(a, b, k) == suite.pairing(a, b), (pt, k)
             combs += bool(suite.backend.tables.get(pt, suite.backend._pair_comb))
         # Warm, exactly the points of order p take the comb.
         assert combs == (params.p - 1 if warm else 0)
@@ -1381,17 +1418,35 @@ class TestPairFromInt:
         params = enumerate_and_validate(523).params if size == "c523" else CurveParams(REAL_Q, REAL_P, REAL_H, REAL_GEN)
         q, rng = params.q, random.Random(f"pair_from_int {size}")
         suite = self._suite(params, warm)
-        for pt in (point_mul(rng.randrange(1, params.p), params.gen, q), _random_curve_point(q, rng)):
+        # A multiple of g, and a random curve point with its cofactor cleared.
+        for pt in (point_mul(rng.randrange(1, params.p), params.gen, q), point_mul(params.h, _random_curve_point(q, rng), q)):
             a = G1Element(suite, pt)
             if warm:
                 self._warm_up(suite, pt)
             for k in (0, 1, params.p - 1, rng.randrange(params.p), rng.randrange(params.p)):
-                expect = tate_pairing(pt, point_mul(k, params.gen, q), params)
-                assert suite.pairing_from_int(a, k).payload == expect, (pt, k)
+                b = point_mul(k, params.gen, q)
+                expect = tate_pairing(pt, b, params)
+                assert suite.pairing_from_int(a, G1Element(suite, b), k).payload == expect, (pt, k)
 
     def test_charges_one_pairing_to_the_role(self):
         suite = tate_suite(59, counted=True)
+        b = suite.g1_from_int(3)  # outside a role: free
         with suite.role("prover"):
-            suite.pairing_from_int(suite.g1, 3)
+            suite.pairing_from_int(suite.g1, b, 3)
         assert suite.counter.pairings == {"prover": 1, "verifier": 0}
         assert suite.counter.g1_exp == {"prover": 0, "verifier": 0}
+
+    @pytest.mark.parametrize("size", ["c523", "real"])
+    def test_cold_call_makes_no_g1_power(self, size, monkeypatch):
+        # A cold call pairs a with the caller's b and makes no g^k of its own.
+        from pairid import tate
+
+        params = enumerate_and_validate(523).params if size == "c523" else CurveParams(REAL_Q, REAL_P, REAL_H, REAL_GEN)
+        suite = self._suite(params, warm=False)
+        a, k = suite.g1_from_int(5), 7
+        b = suite.g1_from_int(k)
+        calls = []
+        monkeypatch.setattr(tate, "point_mul", lambda *args: calls.append(args) or point_mul(*args))
+        got = suite.pairing_from_int(a, b, k)
+        assert calls == []
+        assert got == suite.pairing(a, b)
