@@ -18,11 +18,12 @@ for Pairing-Based Cryptosystems", CRYPTO 2002): three F_q coefficients
 (c0, c1, c2) whose value at the distorted second argument (xq, yq*i) is
 (c0 + c1*xq) + (c2*yq)*i.  It serves point_mul's width-4 wNAF over +-pt,
 +-3pt, +-5pt and +-7pt, comb powers over column indices, _stored_walk, which
-keeps each step's triples, and the live Miller loop (_miller), which squares
-f per step and multiplies in each line's value as it is made with three F_q
-products (Devegili, O hEigeartaigh, Scott and Dahab, "Multiplication and
-squaring on pairing-friendly fields", 2006; Scott, "Computing the Tate
-pairing", CT-RSA 2005).  _miller_stored does the same per stored step.
+keeps each step's triples, and the live Miller loop (_miller_loop), which
+squares f per step and multiplies in each line's value as it is made with
+three F_q products (Devegili, O hEigeartaigh, Scott and Dahab,
+"Multiplication and squaring on pairing-friendly fields", 2006; Scott,
+"Computing the Tate pairing", CT-RSA 2005).  _miller_stored does the same
+per stored step.
 
 Lines carry nonzero F_q factors (powers of Z and the slope denominator), and
 vertical lines, whose values lie in F_q, are skipped.  The final
@@ -59,11 +60,12 @@ all: _easy_part inverts the norm of f and the product of its coordinates
 in one batch, which gives both conj(f)/f and the inverse the ladder needs.
 A G2 inverse is a conjugate, and decode's G2 subgroup check is the norm
 test plus V_p = 2.
+Each pairing takes its Miller value from _miller_at, 1 for an O argument.
 An equality check e(a, b) = e(c, d) needs one final exponentiation:
 M(c, -d) = conj(M(c, d)), so it tests V_h = 2 on M(a, b) * M(c, -d).  When
-both sides have stored lines, _miller_stored zips their walks under one
-squaring per step (Scott, CT-RSA 2005); otherwise the two Miller values,
-live or stored, are multiplied.
+both sides have stored lines and finite second arguments, _miller_stored
+zips their walks under one squaring per step (Scott, CT-RSA 2005);
+otherwise the two _miller_at values are multiplied.
 
 hash_to_g1 is try-and-increment (Boneh, Lynn and Shacham, "Short signatures
 from the Weil pairing", ASIACRYPT 2001): for ctr = 0, 1, ..., 255 it takes
@@ -71,11 +73,12 @@ x = SHA-256(data || ctr) mod q, skips x if x^3 + x has Jacobi symbol -1,
 makes the candidate pt = (x, y) from lift_x's y, negated when the digest is
 odd, and returns h * pt for the first pt with h * pt not infinity.
 pair_equal_hashed, the BLS check e(a, b) = e(c, H(data)), skips that
-multiply: c has order p, so e(c, .) is bilinear, and with t = e(c, pt) for
-the first pt it tests V_h = 2 on easy(M(a, b)) * conj(t).  t = 1 exactly
-when h * pt is infinity, where the hash moves on; the candidate (0, 0) is
-one such, since t^2 = e(c, O) = 1 and p is odd.  That case clears the
-cofactor from the candidates not yet drawn and compares.
+multiply: c has order p, so e(c, .) is bilinear, and with t = e(c, pt) it
+tests V_h = 2 on easy(M(a, b)) * conj(t).  t = 1 exactly when h * pt is
+infinity, where the hash moves on, and so does the check: it folds over the
+candidates itself and takes the first with t != 1.  The candidate (0, 0) is
+one it passes, since t^2 = e(c, O) = 1 and p is odd.  A c of O compares
+e(a, b) with 1 through pair_equal.
 
 Values that come back (the generator, key elements, e(g, g) and the G2
 keys) get precomputed tables, kept per backend in a bounded TableCache from
@@ -113,7 +116,6 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
 from random import Random
 
 from .algebra import KIND_G1, DegenerateSuite, GroupSuite, MalformedEncoding, ValidationFailed, scalar_width
@@ -487,7 +489,7 @@ def point_neg(pt: Point, q: int) -> Point:
 
 def _try_increment(data: bytes, q: int):
     """Try-and-increment's on-curve candidates (x, y) in counter order, before
-    the cofactor multiply."""
+    the cofactor multiply; DegenerateSuite once all 256 counters are drawn."""
     for ctr in range(256):
         digest = hashlib.sha256(data + bytes([ctr])).digest()
         x = int.from_bytes(digest, "big") % q
@@ -497,14 +499,6 @@ def _try_increment(data: bytes, q: int):
             continue
         y = lift_x(x, q)
         yield (x, (-y) % q) if digest[-1] & 1 else (x, y)
-
-
-def _clear_cofactor(candidates, q: int, h: int) -> Point:
-    """h * P' for the first candidate P' whose multiple is not infinity."""
-    for pt in candidates:
-        pt = point_mul(h, pt, q)
-        if pt is not None:
-            return pt
     raise DegenerateSuite("try-and-increment exhausted 256 counters")
 
 
@@ -604,12 +598,6 @@ def _miller_value(f: tuple, q: int) -> Fq2:
     return Fq2(*f, q)
 
 
-def _miller(pt: Point, other: Point, n: int, q: int) -> Fq2:
-    """The Miller function f_{n,pt} at phi(other), up to an F_q* factor, from
-    one live _miller_loop; NotOnCurve unless pt has order n."""
-    return _miller_value(_miller_loop(pt, n, q, other), q)
-
-
 def _stored_walk(pt: Point, n: int, q: int) -> tuple:
     """pt's Miller steps for n, stored for any second argument: the triples
     of one _miller_loop, which raises NotOnCurve unless pt has order n.
@@ -670,8 +658,19 @@ def _miller_stored(lines: tuple, other: Point, q: int, *more) -> Fq2:
 
 
 def _miller_at(pt: Point, lines: tuple | None, other: Point, p: int, q: int) -> Fq2:
-    # M(pt, other) for n = p: on pt's stored lines, or live while it has none.
-    return _miller(pt, other, p, q) if lines is None else _miller_stored(lines, other, q)
+    """f_{p,pt} at phi(other) up to an F_q* factor, 1 when pt or other is O:
+    on pt's stored lines, or while it has none from a live _miller_loop,
+    which proves pt's order (with no lines when other is O)."""
+    if pt is None or (other is None and lines is not None):
+        return Fq2(1, 0, q)
+    if lines is None:
+        return _miller_value(_miller_loop(pt, p, q, other), q)
+    return _miller_stored(lines, other, q)
+
+
+def _check_on_curve(q: int, *pts: Point) -> None:
+    if not all(on_curve(pt, q) for pt in pts):
+        raise NotOnCurve("pairing input is off the curve")
 
 
 def _lucas_v(t: int, e: int, q: int) -> tuple[int, int]:
@@ -739,16 +738,8 @@ def tate_pairing(a: Point, b: Point, params: CurveParams, lines: tuple | None = 
     lines, internal, is a's stored steps from _stored_walk for n = p, which
     prove its order; the result is the same.
     """
-    q, p = params.q, params.p
-    if not on_curve(a, q) or not on_curve(b, q):
-        raise NotOnCurve("pairing input is off the curve")
-    if a is None:
-        return Fq2(1, 0, q)
-    if b is None:
-        if lines is None:
-            _miller_loop(a, p, q)
-        return Fq2(1, 0, q)
-    return _final_exp(_miller_at(a, lines, b, p, q), p)
+    _check_on_curve(params.q, a, b)
+    return _final_exp(_miller_at(a, lines, b, params.p, params.q), params.p)
 
 
 # TableCache bounds.  At q of 512 bits a comb is ~64 KB, stored steps ~55 KB;
@@ -768,8 +759,10 @@ class TableCache:
     _SEEN_SLOTS slots; its second use moves it to one of _TABLE_SLOTS slots,
     least recently used first out, where each kind of table for it is built
     on demand.  So values used once (responses, hashes, challenges) never
-    cost a table, and they never push out a value that has tables.  Safe
-    for threads sharing the backend: a table is built outside the lock and
+    cost a table, and they never push out a value that has tables.  The
+    move happens only once its first table is built, so a build that raises
+    (for a point off the subgroup) leaves the cache as it was.  Safe for
+    threads sharing the backend: a table is built outside the lock and
     stored in one assignment, so a racing duplicate build is only wasted.
     """
 
@@ -784,19 +777,22 @@ class TableCache:
             entry = self._tables.get(pt)
             if entry is not None:
                 self._tables.move_to_end(pt)
-            elif pt in self._seen:
-                del self._seen[pt]
-                entry = self._tables[pt] = {}
-                if len(self._tables) > _TABLE_SLOTS:
-                    self._tables.popitem(last=False)
-            else:
+                table = entry.get(build)
+                if table is not None:
+                    return table
+            elif pt not in self._seen:
                 self._seen[pt] = None
                 if len(self._seen) > _SEEN_SLOTS:
                     self._seen.popitem(last=False)
                 return None
-            table = entry.get(build)
-        if table is None:
-            table = entry[build] = build(pt)
+        table = build(pt)
+        with self._lock:
+            if entry is None:  # pt's move, once its first table is built
+                self._seen.pop(pt, None)
+                entry = self._tables.setdefault(pt, {})
+                if len(self._tables) > _TABLE_SLOTS:
+                    self._tables.popitem(last=False)
+            entry[build] = table
         return table
 
     def sizes(self) -> tuple[int, int]:
@@ -931,55 +927,50 @@ class TateBackend:
 
         M(c, -d) = conj(M(c, d)), so e(a, b) = e(c, d) exactly when the final
         exponentiation of M(a, b) * M(c, -d) is 1, that is when V_h = 2 on its
-        easy part.  When a and c both have stored lines, their evaluations
-        run as one, sharing the squarings; otherwise the two Miller values,
-        live or stored, are multiplied.  Either way a's and c's walks prove
-        their order.  An infinity or off-curve argument takes the two
-        pairings instead, with their checks.
+        easy part.  When a and c both have stored lines and b and d are
+        finite, their evaluations run as one, sharing the squarings;
+        otherwise the two _miller_at values are multiplied, 1 for a side
+        with an O.  Either way a's and c's walks prove their order.
         """
-        return self._pair_equal(a, b, c, d, self._stored(a), self._stored(c))
+        q, p = self.q, self.p
+        lines_a, lines_c = self._stored(a), self._stored(c)
+        _check_on_curve(q, a, b, c, d)
+        neg_d = point_neg(d, q)
+        if lines_a is not None and lines_c is not None and b is not None and d is not None:
+            f = _miller_stored(lines_a, b, q, (lines_c, neg_d))
+        else:
+            f = _miller_at(a, lines_a, b, p, q) * _miller_at(c, lines_c, neg_d, p, q)
+        return _lucas_v(2 * _easy_part(f)[0].a, self.params.h, q)[0] == 2
 
-    def pair_equal_cleared(self, a, b, c, pt, cleared) -> bool:
-        """pair(a, b) == pair(c, cleared()), where cleared() is h * pt for the
-        curve point pt unless that is infinity (a hash then moves on).
+    def hash_to_g1(self, data: bytes):
+        q, h = self.q, self.params.h
+        for pt in _try_increment(data, q):
+            if (pt := point_mul(h, pt, q)) is not None:
+                return pt
+
+    def pair_equal_hashed(self, a, b, c, data: bytes) -> bool:
+        return self._pair_equal_folded(a, b, c, _try_increment(data, self.q))
+
+    def _pair_equal_folded(self, a, b, c, candidates) -> bool:
+        """pair(a, b) == pair(c, h * pt) for the first curve point pt among
+        candidates with h * pt not infinity (_try_increment's raise when none).
 
         c has order p (its walk for t, stored or live, proves it), so e(c, .)
         is bilinear: e(c, h * pt) = t^h for t = e(c, pt), and t = 1 exactly
-        when h * pt is infinity.  For t != 1 the answer is then V_h = 2 on
-        easy(M(a, b)) * conj(t), and cleared() is never called.  Otherwise
-        (t = 1, or an infinity or off-curve argument) it is
-        pair_equal(a, b, c, cleared()), on the lines already looked up, so c
-        counts as used once.
+        when h * pt is infinity, where the fold moves on.  At the first
+        t != 1 the answer is V_h = 2 on easy(M(a, b)) * conj(t), with no
+        multiply by h and one use of c.  A c of O takes pair_equal.
         """
-        q, p, h = self.q, self.p, self.params.h
+        if c is None:
+            return self.pair_equal(a, b, c, c)
+        q, p = self.q, self.p
         lines_a, lines_c = self._stored(a), self._stored(c)
-        if all(x is not None and on_curve(x, q) for x in (a, b, c, pt)):
+        _check_on_curve(q, a, b, c)
+        for pt in candidates:
             t = _final_exp(_miller_at(c, lines_c, pt, p, q), p)
             if t != Fq2(1, 0, q):
                 x = _easy_part(_miller_at(a, lines_a, b, p, q))[0]
-                return _lucas_v(2 * (x.a * t.a + x.b * t.b) % q, h, q)[0] == 2  # 2*Re(x * conj(t))
-        return self._pair_equal(a, b, c, cleared(), lines_a, lines_c)
-
-    def hash_to_g1(self, data: bytes):
-        return _clear_cofactor(_try_increment(data, self.q), self.q, self.params.h)
-
-    def pair_equal_hashed(self, a, b, c, data: bytes) -> bool:
-        q, h = self.q, self.params.h
-        candidates = _try_increment(data, q)
-        first = next(candidates, None)
-        return self.pair_equal_cleared(a, b, c, first, lambda: _clear_cofactor(chain([first], candidates), q, h))
-
-    def _pair_equal(self, a, b, c, d, lines_a, lines_c) -> bool:
-        # pair_equal on a's and c's _stored results.
-        q, p = self.q, self.p
-        if all(pt is not None and on_curve(pt, q) for pt in (a, b, c, d)):
-            neg_d = point_neg(d, q)
-            if lines_a is not None and lines_c is not None:
-                f = _miller_stored(lines_a, b, q, (lines_c, neg_d))
-            else:
-                f = _miller_at(a, lines_a, b, p, q) * _miller_at(c, lines_c, neg_d, p, q)
-            return _lucas_v(2 * _easy_part(f)[0].a, self.params.h, q)[0] == 2
-        return tate_pairing(a, b, self.params, lines_a) == tate_pairing(c, d, self.params, lines_c)
+                return _lucas_v(2 * (x.a * t.a + x.b * t.b) % q, self.params.h, q)[0] == 2  # 2*Re(x * conj(t))
 
     def width(self, kind):
         if kind == KIND_G1:

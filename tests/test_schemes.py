@@ -255,7 +255,7 @@ class TestKeygen:
         def refuse(*args, **kwargs):
             raise AssertionError("keygen paired")
 
-        for name in ("pair", "pair_equal", "pair_equal_cleared"):
+        for name in ("pair", "pair_equal", "pair_equal_hashed"):
             monkeypatch.setattr(TateBackend, name, refuse)
         monkeypatch.setattr(tate, "tate_pairing", refuse)
         for gen in (owfid_keygen, scl_keygen, hls_keygen):
@@ -477,7 +477,7 @@ class TestOwfidCommit:
         def refuse(*args, **kwargs):
             raise AssertionError("the commitment paired")
 
-        for name in ("tate_pairing", "_miller", "_miller_stored", "_final_exp"):
+        for name in ("tate_pairing", "_miller_at", "_miller_stored", "_final_exp"):
             monkeypatch.setattr(tate, name, refuse)
         assert owfid_commit(kp, random.Random("warm")) == expect
 

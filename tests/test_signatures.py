@@ -239,21 +239,25 @@ def _outcome(fn):
         return type(exc)
 
 
-def _fell_back(monkeypatch):
-    """A bls_verify that also says whether it cleared the cofactor, that is
-    whether it fell back from the fold."""
-    calls = []
-    clear = tate._clear_cofactor
+def _moved_on(monkeypatch):
+    """A bls_verify that also says whether the fold moved on past its first
+    hash candidate, which it does exactly when h sends that one to O."""
+    drawn = []
+    fold = TateBackend._pair_equal_folded
 
-    def counted(*args):
-        calls.append(1)
-        return clear(*args)
+    def counted(self, a, b, c, candidates):
+        def counting():
+            for pt in candidates:
+                drawn.append(pt)
+                yield pt
 
-    monkeypatch.setattr(tate, "_clear_cofactor", counted)
+        return fold(self, a, b, c, counting())
+
+    monkeypatch.setattr(TateBackend, "_pair_equal_folded", counted)
 
     def verify(*args):
-        calls.clear()
-        return _outcome(lambda: bls_verify(*args)), bool(calls)
+        drawn.clear()
+        return _outcome(lambda: bls_verify(*args)), len(drawn) > 1
 
     return verify
 
@@ -285,14 +289,15 @@ def _sweep_messages(suite):
 
 def _falls_back_message(params):
     # A message whose first candidate P' has h * P' = O, so that its hash is
-    # drawn from a later counter and bls_verify clears the cofactor.
+    # drawn from a later counter and bls_verify's fold moves on to it.
     q, h = params.q, params.h
     return next(m for m in (b"fb%d" % i for i in count()) if point_mul(h, next(tate._try_increment(m, q)), q) is None)
 
 
 class TestCofactorFold:
-    """bls_verify on the curve backend against the two-pairing compare with
-    the cofactor cleared, exceptions included."""
+    """bls_verify on the curve backend, whose fold takes the first hash
+    candidate that h does not send to O, against the two-pairing compare
+    with the cofactor cleared, exceptions included."""
 
     @pytest.mark.parametrize("q", [59, 83])
     def test_every_key_cold_and_warm(self, q, monkeypatch):
@@ -304,10 +309,10 @@ class TestCofactorFold:
         pts = curve_points(q)
         off = G1Element(suite, next(pt for pt in pts if pt is not None and point_mul(p, pt, q) is not None))
         logs = {point_mul(x, params.gen, q): x for x in range(p)}
-        verify = _fell_back(monkeypatch)
-        cold_fell_back = {}
+        verify = _moved_on(monkeypatch)
+        cold_moved_on = {}
         for warm in (False, True):
-            folds = 0
+            moves = [0, 0]
             # Keys of order p and O; a key off the subgroup raises NotOnCurve
             # (tests/test_tate.py::TestSubgroupContract).  off stays a signature.
             for pt in logs:
@@ -321,18 +326,21 @@ class TestCofactorFold:
                     for sig in (suite.g1_identity(), g, g ** 2, off, hm ** logs[pt]):
                         if not warm:
                             backend.tables = TableCache()
-                        got, fell_back = verify(pk, m, sig)
+                        got, moved_on = verify(pk, m, sig)
                         assert got == _outcome(lambda: suite.pairings_equal(g, sig, v, hm)), (pt, m, sig)
-                        # A key folds cold, on its live walk, exactly where it
-                        # folds warm, on its stored lines.
-                        assert cold_fell_back.setdefault((pt, m, sig), fell_back) == fell_back, (pt, m, sig)
-                        folds += not fell_back
-            assert folds
+                        # A key moves on cold, on its live walk, exactly where
+                        # it moves on warm, on its stored lines.
+                        assert cold_moved_on.setdefault((pt, m, sig), moved_on) == moved_on, (pt, m, sig)
+                        moves[moved_on] += 1
+            assert all(moves)
 
     def test_charges_two_pairings_on_both_paths(self, monkeypatch):
         params = enumerate_and_validate(523).params
         falls_back = _falls_back_message(params)
-        verify = _fell_back(monkeypatch)
+        assert falls_back == b"fb1"
+        verify = _moved_on(monkeypatch)
+        multiples = []
+        monkeypatch.setattr(tate, "point_mul", lambda k, *args: multiples.append(k) or point_mul(k, *args))
         # Each key verifies both messages twice, one of them first: cold (v's
         # first use), while building v's lines (its second), then warm.
         for msgs in ((b"counted", falls_back), (falls_back, b"counted")):
@@ -341,21 +349,23 @@ class TestCofactorFold:
             for m in msgs + msgs:
                 sig = bls_sign(kp, m)
                 suite.counter.reset()
+                multiples.clear()
                 with suite.role("verifier"):
                     assert verify(kp.public(), m, sig) == (True, m == falls_back), m
+                assert params.h not in multiples, m  # no candidate is multiplied by h
                 assert suite.counter.pairings == {"prover": 0, "verifier": 2}
                 assert suite.counter.g1_exp == {"prover": 0, "verifier": 0}
                 assert suite.counter.g2_exp == {"prover": 0, "verifier": 0}
 
     def test_one_table_use_per_verify(self, monkeypatch):
         # v is used once per verify, as in the two-pairing compare, whether
-        # the verify folds or falls back: its first verify leaves it seen once
-        # with no table, its second builds its lines.
+        # or not the fold moves on: its first verify leaves it seen once with
+        # no table, its second builds its lines.
         params = enumerate_and_validate(523).params
         other = GroupSuite(TateBackend(params))
         kp = bls_keygen(other, random.Random("table use"))
         falls_back = _falls_back_message(params)
-        verify = _fell_back(monkeypatch)
+        verify = _moved_on(monkeypatch)
         for msgs in ((b"first", falls_back), (falls_back, b"first")):
             folded = GroupSuite(TateBackend(params))
             plain = GroupSuite(TateBackend(params))

@@ -23,7 +23,7 @@ from pairid.tate import (
     _final_exp,
     _fq2_comb_table,
     _loop_digits,
-    _miller,
+    _miller_at,
     _miller_stored,
     _miller_value,
     _norm1_pow,
@@ -264,13 +264,13 @@ class TestPairing:
         exp = (q * q - 1) // p
         pt = params.gen
         other = point_mul(3, params.gen, q)
-        direct = _miller(pt, other, p, q) ** exp
+        direct = _miller_at(pt, None, other, p, q) ** exp
         one = Fq2(1, 0, q)
         for k in range(1, 5):
             s = point_mul(k, params.gen, q)
             shifted = point_add(other, s, q)
-            f1 = one if shifted is None else _miller(pt, shifted, p, q)
-            f2 = _miller(pt, s, p, q)
+            f1 = _miller_at(pt, None, shifted, p, q)
+            f2 = _miller_at(pt, None, s, p, q)
             assert (f1 * f2.inv()) ** exp == direct
 
     def test_line_vanishing_raises(self):
@@ -284,12 +284,12 @@ class TestPairing:
         # p = 5's walk opens with the tangent at gen, live and stored.
         assert _loop_digits(p)[0] == 0
         with pytest.raises(DegeneratePairing):
-            _miller(params.gen, (-xq_im, 0), p, q)
+            _miller_at(params.gen, None, (-xq_im, 0), p, q)
         with pytest.raises(DegeneratePairing):
             _miller_stored(_stored_walk(params.gen, p, q), (-xq_im, 0), q)
         # A walk that does not end at infinity proves nothing and raises first.
         with pytest.raises(NotOnCurve):
-            _miller(params.gen, (-xq_im, 0), 2, q)
+            _miller_at(params.gen, None, (-xq_im, 0), 2, q)
         with pytest.raises(NotOnCurve):
             _stored_walk(params.gen, 2, q)
 
@@ -390,7 +390,7 @@ class TestPairingAgainstReference:
         for a in inside:
             for b in inside + off:
                 reference_miller(a, b, p, q)
-                _miller(a, b, p, q)
+                _miller_at(a, None, b, p, q)
         vanished = 0
         for a in off:
             for b in inside + off:
@@ -399,7 +399,7 @@ class TestPairingAgainstReference:
                 except ReferenceDegenerate:
                     vanished += 1
                 with pytest.raises(NotOnCurve):
-                    _miller(a, b, p, q)
+                    _miller_at(a, None, b, p, q)
         assert vanished > 0
 
     @pytest.mark.parametrize("q", [59, 83])
@@ -414,7 +414,7 @@ class TestPairingAgainstReference:
             lines = _stored_walk(a, p, q)
             for b in inside + off:
                 expect = _final_exp(Fq2(*reference_miller(a, b, p, q), q), p)
-                assert _final_exp(_miller(a, b, p, q), p) == expect, (a, b)
+                assert _final_exp(_miller_at(a, None, b, p, q), p) == expect, (a, b)
                 assert _final_exp(_miller_stored(lines, b, q), p) == expect, (a, b)
         for a in off:
             with pytest.raises(NotOnCurve):
@@ -423,7 +423,7 @@ class TestPairingAgainstReference:
     def test_live_miller_real_size(self):
         for a, b in self._real_subgroup_pairs(random.Random("real-size live Miller"))[1]:
             expect = _final_exp(Fq2(*reference_miller(a, b, REAL_P, REAL_Q), REAL_Q), REAL_P)
-            assert _final_exp(_miller(a, b, REAL_P, REAL_Q), REAL_P) == expect, (a, b)
+            assert _final_exp(_miller_at(a, None, b, REAL_P, REAL_Q), REAL_P) == expect, (a, b)
             lines = _stored_walk(a, REAL_P, REAL_Q)
             assert _final_exp(_miller_stored(lines, b, REAL_Q), REAL_P) == expect, (a, b)
 
@@ -757,7 +757,7 @@ class TestPrecomputedTables:
             lines = _stored_walk(a, params.p, q)
             for b in itertools.product(range(q), repeat=2):
                 try:
-                    plain = _miller(a, b, params.p, q)
+                    plain = _miller_at(a, None, b, params.p, q)
                 except DegeneratePairing:
                     vanished += 1
                     assert not on_curve(b, q), (a, b)
@@ -1055,7 +1055,7 @@ class TestTraceLadder:
 
     def test_final_exp_real_size(self):
         rng = random.Random("real-size final exp")
-        f = _miller(_real_multiple(rng.randrange(1, REAL_P)), _random_curve_point(REAL_Q, rng), REAL_P, REAL_Q)
+        f = _miller_at(_real_multiple(rng.randrange(1, REAL_P)), None, _random_curve_point(REAL_Q, rng), REAL_P, REAL_Q)
         for x in (f, Fq2(f.a, 0, REAL_Q), Fq2(0, f.b, REAL_Q)):
             assert _final_exp(x, REAL_P) == x ** ((REAL_Q * REAL_Q - 1) // REAL_P)
 
@@ -1212,34 +1212,39 @@ class TestWnafPointMul:
 
 
 class TestCofactorFold:
-    """pair_equal_cleared, which may fold the cofactor h into the pairing,
-    against pair_equal on the cleared point, exceptions included."""
+    """_pair_equal_folded, which folds the cofactor h into the pairing and
+    moves on past candidates that h sends to O, against pair_equal on the
+    first cleared candidate, exceptions included."""
 
     @pytest.mark.parametrize("q", [59, 83])
     def test_every_key_and_candidate(self, q):
-        # Every key of order p, and O, against every candidate, (0, 0)
-        # included.  Cold, no c has lines, and c's live walk gives t.  Keys
-        # off the subgroup raise (TestSubgroupContract).
+        # Every key of order p, and O, against every first candidate d,
+        # (0, 0) included, with g after it.  Cold, no c has lines, and c's
+        # live walk gives t.  Keys off the subgroup raise
+        # (TestSubgroupContract).
         params = enumerate_and_validate(q).params
         cold, warm = TateBackend(params), TateBackend(params)
         cold.tables = _NoTables()
-        g, p, h = params.gen, params.p, params.h
+        g, h = params.gen, params.h
         for backend, c in itertools.product((cold, warm), [None, *_by_order(q)[0]]):
             for _ in range(2):  # two uses build c's lines
                 backend.pair(c, g)
             for d in filter(None, curve_points(q)):
+                hd = point_mul(h, d, q)
                 for b in (g, point_mul(2, g, q)):
-                    calls = []
+                    drawn = []
 
-                    def cleared():
-                        calls.append(1)
-                        return point_mul(h, d, q)
+                    def candidates():
+                        for pt in (d, g):
+                            drawn.append(pt)
+                            yield pt
 
-                    got = _outcome(lambda: backend.pair_equal_cleared(g, b, c, d, cleared))
-                    assert got == _outcome(lambda: backend.pair_equal(g, b, c, point_mul(h, d, q))), (b, c, d)
-                    # It folds exactly for c of order p and h * d not infinity.
-                    fold = c is not None and point_mul(p, c, q) is None and point_mul(h, d, q) is not None
-                    assert bool(calls) != fold, (b, c, d)
+                    got = _outcome(lambda: backend._pair_equal_folded(g, b, c, candidates()))
+                    cleared = hd if hd is not None else point_mul(h, g, q)
+                    assert got == _outcome(lambda: backend.pair_equal(g, b, c, cleared)), (b, c, d)
+                    # It draws no candidate for c = O, and otherwise moves on
+                    # exactly past a d with h * d infinity.
+                    assert drawn == ([] if c is None else [d] if hd is not None else [d, g]), (b, c, d)
 
     def test_real_size(self):
         backend = suite_from_curve_params(REAL_Q, REAL_P, REAL_H, REAL_GEN).backend
@@ -1256,8 +1261,8 @@ class TestCofactorFold:
             # e(gen, k * hd) = e(k * gen, hd) holds; one more hd breaks it.
             for b, expect in ((point_mul(k, hd, REAL_Q), True), (point_mul(k + 1, hd, REAL_Q), False)):
                 assert backend.pair_equal(REAL_GEN, b, key, hd) is expect
-                assert backend.pair_equal_cleared(REAL_GEN, b, key, d, lambda: pytest.fail("no fold")) is expect
-                assert cold.pair_equal_cleared(REAL_GEN, b, key, d, lambda: pytest.fail("no cold fold")) is expect
+                assert backend._pair_equal_folded(REAL_GEN, b, key, [d]) is expect
+                assert cold._pair_equal_folded(REAL_GEN, b, key, [d]) is expect
 
 
 class _NoTables:
@@ -1296,7 +1301,7 @@ class TestSignedWalk:
             for b in filter(None, curve_points(q)):  # (0, 0) included
                 r, f = _double_and_add((*a, 1), binary, (None, a, point_neg(a, q)), q, b)
                 expect = _final_exp(_miller_value(f, q), p)
-                assert not r[2] and _final_exp(_miller(a, b, p, q), p) == expect, (a, b)
+                assert not r[2] and _final_exp(_miller_at(a, None, b, p, q), p) == expect, (a, b)
                 assert _final_exp(_miller_stored(lines, b, q), p) == expect, (a, b)
 
     @pytest.mark.parametrize("warm", [False, True])
@@ -1325,8 +1330,9 @@ class TestSignedWalk:
                         assert backend.pair_equal(a, b, c, d) == (ref[a, b] == ref[c, d]), (a, b, c, d)
             for c in subgroup:
                 for pt in filter(None, pts):
-                    hpt = point_mul(h, pt, q)
-                    got = backend.pair_equal_cleared(a, g, c, pt, lambda: hpt)
+                    # A pt that h sends to O moves the fold on to g.
+                    hpt = point_mul(h, pt, q) or point_mul(h, g, q)
+                    got = backend._pair_equal_folded(a, g, c, [pt, g])
                     assert got == (ref[a, g] == ref[c, hpt]), (a, c, pt)
 
     def test_real_size_generator_lines(self):
@@ -1345,13 +1351,14 @@ def _raises_not_on_curve(fn, *args):
 class TestSubgroupContract:
     """A finite first pairing argument off the order-p subgroup raises
     NotOnCurve at each of the six pairing entry points, cold and warm,
-    whatever the other arguments are, and never yields a value."""
+    whatever the other arguments are, and never yields a value; and it
+    takes no table slot."""
 
     @pytest.mark.parametrize("warm", [False, True])
     def test_off_subgroup_first_argument_raises(self, warm):
         for q in (59, 83):
             params = enumerate_and_validate(q).params
-            g, p, h = params.gen, params.p, params.h
+            g, p = params.gen, params.p
             off = _by_order(q)[1]
             # O, a point of order p, the 2-torsion point and one off the subgroup.
             others = [None, g, (0, 0), off[-1]]
@@ -1361,7 +1368,7 @@ class TestSubgroupContract:
                     for _ in range(2):  # c's second use tries to make its lines
                         with pytest.raises(NotOnCurve):
                             backend.pair(c, g)
-                    assert backend.tables.sizes() == (0, 1)
+                    assert backend.tables.sizes() == (1, 0)  # the failed build left c seen once
                 else:
                     backend.tables = _NoTables()
                 for k in range(p):
@@ -1374,7 +1381,24 @@ class TestSubgroupContract:
                             _raises_not_on_curve(backend.pair_equal_hashed, first, x, second, data)
                         for y in others:
                             _raises_not_on_curve(backend.pair_equal, first, x, second, y)
-                            _raises_not_on_curve(backend.pair_equal_cleared, first, x, second, y, lambda: point_mul(h, y, q))
+                            _raises_not_on_curve(backend._pair_equal_folded, first, x, second, [y, g])
+
+    def test_failed_builds_keep_a_warm_key(self):
+        # Each off-subgroup point fails twice, the second time in its table
+        # build; more of them than there are table slots leave the warm
+        # generator's lines in place.
+        params = enumerate_and_validate(59).params
+        backend, g = TateBackend(params), params.gen
+        for _ in range(2):
+            backend.pair(g, g)
+        lines = backend._stored(g)
+        off = _by_order(59)[1][: _TABLE_SLOTS + 2]
+        assert len(off) == _TABLE_SLOTS + 2
+        for pt in off:
+            for _ in range(2):
+                _raises_not_on_curve(backend.pair, pt, g)
+        assert backend.tables.sizes() == (len(off), 1)
+        assert backend._stored(g) is lines
 
 
 class TestPairFromInt:
