@@ -16,6 +16,12 @@ hash_mode names) and pair_equal_hashed(a, b, c, data), which decides
 e(a, b) = e(c, hash_to_g1(data)), if it can without the hash; width, encode,
 decode and describe.  Backend widths cover group elements;
 GroupSuite.width adds scalars and n-bit strings, which depend on p alone.
+power, pair, pair_from_int, pair_equal and pair_equal_hashed also take,
+after their payloads and in their order, the holder of each base: a of
+each, and c of the two equalities.  GroupSuite passes the element itself,
+whose `tables` slot is None until a backend keeps precomputed tables for
+its value there; the curve backend does, and the transparent one ignores
+its holders.
 
 Exponentiations and pairings are charged to whichever session role (prover
 or verifier) is currently active on the suite.  Library calls made outside a
@@ -186,12 +192,13 @@ class CostCounter:
 
 
 class _GroupElement:
-    __slots__ = ("suite", "payload")
+    __slots__ = ("suite", "payload", "tables")
     kind = ""
 
     def __init__(self, suite: "GroupSuite", payload):
         self.suite = suite
         self.payload = payload
+        self.tables = None  # what the backend keeps for payload (see the module docstring)
 
     def _same(self, other) -> bool:
         return type(other) is type(self) and other.suite.compatible(self.suite)
@@ -255,7 +262,7 @@ class TransparentBackend:
     def combine(self, kind, a, b):
         return (a + b) % self.p
 
-    def power(self, kind, a, k):
+    def power(self, kind, a, k, holder=None):
         return (a * k) % self.p
 
     def invert(self, kind, a):
@@ -270,19 +277,19 @@ class TransparentBackend:
     def log(self, kind, a):
         return a
 
-    def pair(self, a, b):
+    def pair(self, a, b, holder=None):
         return (a * b) % self.p
 
-    def pair_from_int(self, a, b, k):
+    def pair_from_int(self, a, b, k, holder=None):
         return (a * k) % self.p
 
-    def pair_equal(self, a, b, c, d) -> bool:
+    def pair_equal(self, a, b, c, d, holder_a=None, holder_c=None) -> bool:
         return (a * b - c * d) % self.p == 0
 
     def hash_to_g1(self, data: bytes):
         return int.from_bytes(data, "big") % self.p
 
-    def pair_equal_hashed(self, a, b, c, data: bytes) -> bool:
+    def pair_equal_hashed(self, a, b, c, data: bytes, holder_a=None, holder_c=None) -> bool:
         return self.pair_equal(a, b, c, self.hash_to_g1(data))
 
     def width(self, kind):
@@ -375,7 +382,7 @@ class GroupSuite:
     def _power(self, elem: _GroupElement, k):
         k = self._exponent(k)
         self._charge_exp(elem.kind)
-        return type(elem)(self, self.backend.power(elem.kind, elem.payload, k))
+        return type(elem)(self, self.backend.power(elem.kind, elem.payload, k, elem))
 
     def _check_pairing_args(self, *args):
         for x in args:
@@ -388,7 +395,7 @@ class GroupSuite:
     def pairing(self, a: G1Element, b: G1Element) -> G2Element:
         self._check_pairing_args(a, b)
         self._charge_pairing()
-        return G2Element(self, self.backend.pair(a.payload, b.payload))
+        return G2Element(self, self.backend.pair(a.payload, b.payload, a))
 
     def pairing_from_int(self, a: G1Element, b: G1Element, k) -> G2Element:
         """pairing(a, b) for b = g1_from_int(k), which the caller has made,
@@ -396,7 +403,7 @@ class GroupSuite:
         e(a, g)^k without pairing."""
         self._check_pairing_args(a, b)
         self._charge_pairing()
-        return G2Element(self, self.backend.pair_from_int(a.payload, b.payload, int(k) % self.p))
+        return G2Element(self, self.backend.pair_from_int(a.payload, b.payload, int(k) % self.p, a))
 
     def pairings_equal(self, a: G1Element, b: G1Element, c: G1Element, d: G1Element) -> bool:
         """e(a, b) == e(c, d), charged as the two pairings it stands for; the
@@ -404,7 +411,7 @@ class GroupSuite:
         self._check_pairing_args(a, b, c, d)
         self._charge_pairing()
         self._charge_pairing()
-        return self.backend.pair_equal(a.payload, b.payload, c.payload, d.payload)
+        return self.backend.pair_equal(a.payload, b.payload, c.payload, d.payload, a, c)
 
     def pairings_equal_hashed(self, a: G1Element, b: G1Element, c: G1Element, data: bytes) -> bool:
         """e(a, b) == e(c, hash_to_g1(data)), charged as two pairings, like
@@ -412,7 +419,7 @@ class GroupSuite:
         self._check_pairing_args(a, b, c)
         self._charge_pairing()
         self._charge_pairing()
-        return self.backend.pair_equal_hashed(a.payload, b.payload, c.payload, data)
+        return self.backend.pair_equal_hashed(a.payload, b.payload, c.payload, data, a, c)
 
     def ddh_solve(self, g: G1Element, ga: G1Element, gb: G1Element, gc: G1Element) -> bool:
         # Two pairings decide the tuple: e(g, g^c) against e(g^a, g^b).

@@ -5,7 +5,8 @@
 Exit codes: 0 for accept/pass, 1 for reject or a failed bound (a session
 that a peer ends early with a PeerError is a reject), 2 for usage errors (from
 argparse or a command), bad hex input, group parameters or counts, unreadable
-or malformed record files, and OS errors (a missing directory, a busy port).
+or malformed record files, a key whose suite the session hello cannot
+describe, and OS errors (a missing directory, a busy port).
 A keygen or verify that fails leaves none of the records it was to write.
 """
 
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import os
 import socket
+import struct
 import sys
 from contextlib import contextmanager, suppress
 from random import Random, SystemRandom
@@ -23,7 +25,7 @@ from .bench import bench_all, bench_costs
 from .lab import DEMO_DEFAULTS, DEMOS, DemoInputError, run_demo
 from .records import RecordError, load_key, save_key, save_transcript, seed_field
 from .schemes import SchemeId, default_scheme_params, keygen, run_session
-from .session import SocketTransport, StdioTransport, loopback_session, run_verifier, serve_prover
+from .session import SocketTransport, StdioTransport, hello_payload, loopback_session, run_verifier, serve_prover
 from .signatures import BbKeyPair, ExpKeyPair, bb_sign, bb_verify, bls_sign, bls_verify
 from .tate import tate_suite
 from .wire import TAG_CHALLENGE, frame_encode
@@ -93,6 +95,15 @@ def _removed_on_error(path):
         raise
 
 
+def _require_hello(scheme: SchemeId, kp):
+    """Refuse a suite that the session hello cannot describe (a real-size
+    curve), before any socket opens or file is written."""
+    try:
+        hello_payload(scheme, kp.suite, default_scheme_params(kp.suite))
+    except struct.error as exc:
+        raise UsageError(f"the session hello cannot describe this suite ({exc})") from exc
+
+
 # -- subcommands ----------------------------------------------------------------
 
 
@@ -115,6 +126,7 @@ def cmd_prove(args) -> int:
     scheme, kp, _ = load_key(args.key)
     if not kp.has_secret:
         raise UsageError("record holds a public key; proving needs the secret")
+    _require_hello(scheme, kp)
     if args.stdio:
         transport = StdioTransport(sys.stdin.buffer, sys.stdout.buffer)
         result = serve_prover(scheme, kp, transport, seed=args.seed)
@@ -135,6 +147,7 @@ def cmd_prove(args) -> int:
 def cmd_verify(args) -> int:
     scheme, kp, params = load_key(args.pk)
     pk = kp.public()
+    _require_hello(scheme, pk)
     if args.transcript_out:
         # A seed the transcript cannot hold, or a path that cannot be
         # written, fails before the session.

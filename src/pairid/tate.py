@@ -48,8 +48,8 @@ of order p no line vanishes at phi(b), b in E(F_q) other than O: a line's
 imaginary part c2*yq is nonzero unless b = (0, 0), and a line through the
 multiples R and S of pt passes through (0, 0) only if R + S = (0, 0), of
 order 2, which a multiple of pt is not.  F_q(i) is a field, so a Miller
-value is 0 exactly when one of its lines vanished; _miller_value still
-checks that once, at the end, and raises DegeneratePairing.
+value is 0 exactly when one of its lines vanished, which no entry point
+reaches.
 
 conj(f)/f has norm 1, and so does every G2 value, so the remaining power to
 h = (q + 1)/p, and every G2 power without a table, runs on the trace ladder
@@ -81,25 +81,31 @@ one it passes, since t^2 = e(c, O) = 1 and p is odd.  A c of O compares
 e(a, b) with 1 through pair_equal.
 
 Values that come back (the generator, key elements, e(g, g) and the G2
-keys) get precomputed tables, kept per backend in a bounded TableCache from
-a value's second use on.  A power of such a value runs on a fixed-base comb
-(Lim and Lee, CRYPTO 1994) of _COMB_ROWS = 8 rows: with d = ceil(bits(p)/8),
-the 255 products of the x^(2^(i d)) over the nonempty sets of i, then d
-squarings and at most d multiplies, 20 and 20 at 160 bits.  The G1 comb
-keeps its 255 sums in affine form for mixed additions, built in eight
-levels of affine additions with one batch inversion each; the G2 comb keeps
-(a, b) pairs and multiplies in plain F_q(i), three F_q multiplies a product
-and two a square, with no inversion and no use of the norm.  A pairing
-whose first argument has a table runs _miller_stored over its stored lines
-(the fixed-argument precomputation of Barreto et al. and of Lynn's PBC
+keys) get precomputed tables from their second use on.  Each backend call
+takes the holder of each base beside its payload (GroupSuite passes the
+element), and the tables live on the holder; the backend holds the
+generators' tables, which every holder of g or e(g, g) shares.  A power of
+such a value runs on a fixed-base comb (Lim and Lee, CRYPTO 1994) of
+_COMB_ROWS = 8 rows: with d = ceil(bits(p)/8), the 255 products of the
+x^(2^(i d)) over the nonempty sets of i, then d squarings and at most d
+multiplies, 20 and 20 at 160 bits.  The G1 comb keeps its 255 sums in
+affine form for mixed additions, built in eight levels of affine additions
+with one batch inversion each; the G2 comb keeps (a, b) pairs and
+multiplies in plain F_q(i), three F_q multiplies a product and two a
+square, with no inversion and no use of the norm.  A pairing whose first
+argument has a table runs _miller_stored over its stored lines (the
+fixed-argument precomputation of Barreto et al. and of Lynn's PBC
 library): the walk's triples divided by their c2 with one batch inversion,
-and each step's lines multiplied out into one product, so that a step
-costs one value and one multiply into f (see _stored_walk).  All of them
-give exactly what the plain paths give.  Stored lines exist only for pt
-of order p, since the walk that makes them proves it, so e(pt, .) is linear
-and pair_from_int(pt, b, k), e(pt, b) for b = g^k, is e(pt, g)^k: a comb
-power of e(pt, g), whose comb is kept in pt's entry beside its lines.
-While pt is cold, pair_from_int pairs pt with b.
+and each step's lines multiplied out into one product, so that a step costs
+one value and one multiply into f (see _stored_walk).  All of them give
+exactly what the plain paths give.  Stored lines exist only for pt of order
+p, since the walk that makes them proves it, so e(pt, .) is linear and
+pair_from_int(pt, b, k), e(pt, b) for b = g^k, is e(pt, g)^k: a comb power
+of e(pt, g), whose comb is kept on pt's holder beside its lines.  While pt
+is cold, pair_from_int pairs pt with b.  A table dies with its holder, so
+nothing is evicted, and a value reached through two holders (a decoded copy
+of a key, say) builds its tables on each.  At 512-bit q a comb takes about
+64 KB and a point's stored lines about 55 KB.
 
 CurveParams.validate() holds every curve rule and counts no points, so it
 works at real size (q of 512 bits) like all the arithmetic here; every
@@ -112,11 +118,10 @@ TateBackend.log brute-forces discrete logs; only these two stay desk-only.
 from __future__ import annotations
 
 import hashlib
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 from random import Random
+from types import SimpleNamespace
 
 from .algebra import KIND_G1, DegenerateSuite, GroupSuite, MalformedEncoding, ValidationFailed, scalar_width
 from .primes import _jacobi, factor, is_prime
@@ -124,10 +129,6 @@ from .primes import _jacobi, factor, is_prime
 
 class NotOnCurve(Exception):
     """Point fails the curve equation or the subgroup check."""
-
-
-class DegeneratePairing(Exception):
-    """Miller loop hit a zero line value, which no first argument of order p does."""
 
 
 class Fq2:
@@ -591,13 +592,6 @@ def _miller_loop(pt: tuple, n: int, q: int, other: Point = None, steps: list | N
     return f
 
 
-def _miller_value(f: tuple, q: int) -> Fq2:
-    # A Miller value is 0 exactly when one of its lines vanished.
-    if f == (0, 0):
-        raise DegeneratePairing("a line through the Miller-loop accumulator vanished")
-    return Fq2(*f, q)
-
-
 def _stored_walk(pt: Point, n: int, q: int) -> tuple:
     """pt's Miller steps for n, stored for any second argument: the triples
     of one _miller_loop, which raises NotOnCurve unless pt has order n.
@@ -654,7 +648,7 @@ def _miller_stored(lines: tuple, other: Point, q: int, *more) -> Fq2:
                 la, lb = value
                 t1, t2 = fa * la, fb * lb
                 fa, fb = (t1 - t2) % q, ((fa + fb) * (la + lb) - t1 - t2) % q
-    return _miller_value((fa, fb), q)
+    return Fq2(fa, fb, q)
 
 
 def _miller_at(pt: Point, lines: tuple | None, other: Point, p: int, q: int) -> Fq2:
@@ -664,13 +658,13 @@ def _miller_at(pt: Point, lines: tuple | None, other: Point, p: int, q: int) -> 
     if pt is None or (other is None and lines is not None):
         return Fq2(1, 0, q)
     if lines is None:
-        return _miller_value(_miller_loop(pt, p, q, other), q)
+        return Fq2(*_miller_loop(pt, p, q, other), q)
     return _miller_stored(lines, other, q)
 
 
 def _check_on_curve(q: int, *pts: Point) -> None:
     if not all(on_curve(pt, q) for pt in pts):
-        raise NotOnCurve("pairing input is off the curve")
+        raise NotOnCurve("input point is off the curve")
 
 
 def _lucas_v(t: int, e: int, q: int) -> tuple[int, int]:
@@ -742,74 +736,19 @@ def tate_pairing(a: Point, b: Point, params: CurveParams, lines: tuple | None = 
     return _final_exp(_miller_at(a, lines, b, params.p, params.q), params.p)
 
 
-# TableCache bounds.  At q of 512 bits a comb is ~64 KB, stored steps ~55 KB;
-# a point whose pair_from_int is used keeps the comb of e(pt, g), ~64 KB
-# more, in its own entry.  One key per scheme and the generator take 14
-# slots; 18 also fits the owfid key of curve-session's replay checks (16 again
-# once they get their own backend).
-_TABLE_SLOTS = 18
-_SEEN_SLOTS = 64
-
-
-class TableCache:
-    """Precomputed tables for the values a backend sees more than once.
-
-    Keyed by value: affine G1 points and G2 Fq2 values, which never compare
-    equal, share the slots.  A value's first use only takes one of
-    _SEEN_SLOTS slots; its second use moves it to one of _TABLE_SLOTS slots,
-    least recently used first out, where each kind of table for it is built
-    on demand.  So values used once (responses, hashes, challenges) never
-    cost a table, and they never push out a value that has tables.  The
-    move happens only once its first table is built, so a build that raises
-    (for a point off the subgroup) leaves the cache as it was.  Safe for
-    threads sharing the backend: a table is built outside the lock and
-    stored in one assignment, so a racing duplicate build is only wasted.
-    """
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._seen: OrderedDict = OrderedDict()
-        self._tables: OrderedDict = OrderedDict()  # point -> {build: table}
-
-    def get(self, pt: tuple, build):
-        """build(pt), kept for reuse from pt's second use on; None before."""
-        with self._lock:
-            entry = self._tables.get(pt)
-            if entry is not None:
-                self._tables.move_to_end(pt)
-                table = entry.get(build)
-                if table is not None:
-                    return table
-            elif pt not in self._seen:
-                self._seen[pt] = None
-                if len(self._seen) > _SEEN_SLOTS:
-                    self._seen.popitem(last=False)
-                return None
-        table = build(pt)
-        with self._lock:
-            if entry is None:  # pt's move, once its first table is built
-                self._seen.pop(pt, None)
-                entry = self._tables.setdefault(pt, {})
-                if len(self._tables) > _TABLE_SLOTS:
-                    self._tables.popitem(last=False)
-            entry[build] = table
-        return table
-
-    def sizes(self) -> tuple[int, int]:
-        """(points seen once, points with tables)."""
-        with self._lock:
-            return len(self._seen), len(self._tables)
-
-
 class TateBackend:
     """Curve-point payloads for G1, F_{q^2} payloads for G2.
 
     The values that sessions raise to powers or pair again and again (the
-    generator, key elements, e(g, g)) get precomputed tables in a
-    TableCache: a comb for G1 and for G2 powers, the Miller lines of the
-    first pairing argument and the comb of e(a, g) that pair_from_int
-    raises.  Each gives the same results as the plain path.  It pairs
-    subgroup points only, as the module docstring says.
+    generator, key elements, e(g, g)) get precomputed tables, kept on the
+    holder that comes with each base (GroupSuite passes the element): a
+    comb for G1 and for G2 powers, the Miller lines of the first pairing
+    argument and the comb of e(a, g) that pair_from_int raises.  A holder's
+    first use marks it and a later one builds the kind of table it needs,
+    so a value used once builds nothing, and a value's tables go with it.
+    The backend holds the generators' tables, which every holder of g or
+    e(g, g) shares.  Each table gives the same results as the plain path.
+    It pairs subgroup points only, as the module docstring says.
     """
 
     name = "tate"
@@ -822,62 +761,84 @@ class TateBackend:
         self.q = params.q
         self._fqw = scalar_width(params.q)
         self._gen = params.gen
-        self.tables = TableCache()
         self._g2gen = tate_pairing(self._gen, self._gen, params)
         if self._g2gen == Fq2(1, 0, params.q):
             raise ValidationFailed("pairing is degenerate on the chosen generator")
+        # The generators' holders are marked from the start, and every
+        # holder of the same value shares their tables (see _table).
+        self._gen_holder, self._g2gen_holder = SimpleNamespace(tables={}), SimpleNamespace(tables={})
+        self._generator_tables = {self._gen: self._gen_holder.tables, self._g2gen: self._g2gen_holder.tables}
 
     def combine(self, kind, a, b):
         if kind == KIND_G1:
             return _add(a, b, self.q)
         return a * b
 
-    def _table(self, x, build):
-        # Only canonical curve points and F_q(i) values of this q are cached;
-        # the callee still checks.
-        q = self.q
-        if isinstance(x, Fq2):
-            canonical = x.q == q  # Fq2 reduces its coordinates
-        else:
-            canonical = x is not None and 0 <= x[0] < q and 0 <= x[1] < q and on_curve(x, q)
-        return self.tables.get(x, build) if canonical else None
+    def _table(self, holder, build, x, *args):
+        """build(x, *args), kept on holder, x's holder, from its second use
+        on; None before that, and always with no holder or for O.
+
+        holder.tables is None until the first use, which marks it with an
+        empty dict, or with the generator's tables.  A later use builds the
+        kind of table it needs and stores it with one assignment; a build
+        that raises stores nothing.  Threads sharing a holder may build a
+        table twice, and one of the two stays.
+        """
+        if holder is None or x is None:
+            return None
+        tables = holder.tables
+        if tables is None:
+            shared = self._generator_tables.get(x)
+            if shared is None:
+                holder.tables = {}
+                return None
+            tables = holder.tables = shared
+        table = tables.get(build)
+        if table is None:
+            table = tables[build] = build(x, *args)
+        return table
 
     def _comb(self, pt):
+        # point_mul's check, made here once for the comb it would use.
+        _check_on_curve(self.q, pt)
         return _comb_table(pt, self.p.bit_length(), self.q)
 
     def _g2_comb(self, x):
         return _fq2_comb_table(x, self.p.bit_length())
 
-    def _pair_comb(self, pt):
+    def _pair_comb(self, pt, holder):
         # e(pt, g)'s comb, made on pt's stored lines.
-        return self._g2_comb(tate_pairing(pt, self._gen, self.params, self._stored(pt)))
+        return self._g2_comb(tate_pairing(pt, self._gen, self.params, self._stored(pt, holder)))
 
-    def _g2_power(self, x: Fq2, k: int) -> Fq2:
+    def _g2_power(self, x: Fq2, k: int, holder) -> Fq2:
         # Only a power that multiplies is a use of x: +-1 (b = 0) and k <= 1
         # never take a table (GroupSuite's x^1 for its G2 generator
         # included), and the ladder answers them at once.
-        comb = self._table(x, self._g2_comb) if x.b and k > 1 else None
+        comb = self._table(holder, self._g2_comb, x) if x.b and k > 1 else None
         if _comb_covers(comb, k):
             return _fq2_comb_pow(k, comb, self.q)
         return _norm1_pow(x, k)
 
     def _lines(self, pt):
+        # Off the curve a walk may still end at O, so tate_pairing's check
+        # comes first, once for the lines.
+        _check_on_curve(self.q, pt)
         return _stored_walk(pt, self.p, self.q)
 
-    def _stored(self, pt) -> tuple | None:
-        """pt's stored Miller lines, or None while pt has no tables.  One use
-        of pt in the TableCache; making the lines proves pt's order, so from
-        its second use on a pt off the subgroup raises NotOnCurve here."""
-        return self._table(pt, self._lines)
+    def _stored(self, pt, holder) -> tuple | None:
+        """pt's stored Miller lines, or None while its holder is cold.
+        Making the lines proves pt's order, so from the second use on a pt
+        off the subgroup raises NotOnCurve here and keeps no table."""
+        return self._table(holder, self._lines, pt)
 
     # Every G2 payload has norm 1: pairing values, powers of e(g, g), decodes
     # checked for order p, and their products and inverses.  So G2 powers
     # without a table run on the trace ladder, and inverses are conjugates.
 
-    def power(self, kind, a, k):
+    def power(self, kind, a, k, holder=None):
         if kind == KIND_G1:
-            return point_mul(k, a, self.q, self._table(a, self._comb))
-        return self._g2_power(a, int(k))
+            return point_mul(k, a, self.q, self._table(holder, self._comb, a))
+        return self._g2_power(a, int(k), holder)
 
     def invert(self, kind, a):
         if kind == KIND_G1:
@@ -891,8 +852,8 @@ class TateBackend:
 
     def from_int(self, kind, k):
         if kind == KIND_G1:
-            return point_mul(k, self._gen, self.q, self._table(self._gen, self._comb))
-        return self._g2_power(self._g2gen, int(k))
+            return point_mul(k, self._gen, self.q, self._table(self._gen_holder, self._comb, self._gen))
+        return self._g2_power(self._g2gen, int(k), self._g2gen_holder)
 
     def log(self, kind, a):
         # Brute force against the generator; fine at desk scale only.
@@ -906,23 +867,23 @@ class TateBackend:
             acc = self.combine(kind, acc, step)
         raise ValueError("element is outside the working subgroup")
 
-    def pair(self, a, b):
-        return tate_pairing(a, b, self.params, self._stored(a))
+    def pair(self, a, b, holder=None):
+        return tate_pairing(a, b, self.params, self._stored(a, holder))
 
-    def pair_from_int(self, a, b, k):
+    def pair_from_int(self, a, b, k, holder=None):
         """pair(a, b) for b = from_int(KIND_G1, k), 0 <= k < p.
 
-        From a's second use on, its stored lines prove it has order p, so
-        e(a, .) is linear and the result is e(a, g)^k: a comb power of
-        e(a, g), both kept in a's own entry.  While a is cold, or not a
-        canonical point, it is pair(a, b).
+        From the second use of a's holder on, a's stored lines prove it has
+        order p, so e(a, .) is linear and the result is e(a, g)^k: a comb
+        power of e(a, g), kept on the holder beside the lines.  While the
+        holder is cold, or with none, it is pair(a, b).
         """
-        comb = self._table(a, self._pair_comb)
+        comb = self._table(holder, self._pair_comb, a, holder)
         if comb is not None:
             return _fq2_comb_pow(k, comb, self.q)
         return tate_pairing(a, b, self.params)
 
-    def pair_equal(self, a, b, c, d) -> bool:
+    def pair_equal(self, a, b, c, d, holder_a=None, holder_c=None) -> bool:
         """pair(a, b) == pair(c, d) with one final exponentiation.
 
         M(c, -d) = conj(M(c, d)), so e(a, b) = e(c, d) exactly when the final
@@ -933,7 +894,7 @@ class TateBackend:
         with an O.  Either way a's and c's walks prove their order.
         """
         q, p = self.q, self.p
-        lines_a, lines_c = self._stored(a), self._stored(c)
+        lines_a, lines_c = self._stored(a, holder_a), self._stored(c, holder_c)
         _check_on_curve(q, a, b, c, d)
         neg_d = point_neg(d, q)
         if lines_a is not None and lines_c is not None and b is not None and d is not None:
@@ -948,10 +909,10 @@ class TateBackend:
             if (pt := point_mul(h, pt, q)) is not None:
                 return pt
 
-    def pair_equal_hashed(self, a, b, c, data: bytes) -> bool:
-        return self._pair_equal_folded(a, b, c, _try_increment(data, self.q))
+    def pair_equal_hashed(self, a, b, c, data: bytes, holder_a=None, holder_c=None) -> bool:
+        return self._pair_equal_folded(a, b, c, _try_increment(data, self.q), holder_a, holder_c)
 
-    def _pair_equal_folded(self, a, b, c, candidates) -> bool:
+    def _pair_equal_folded(self, a, b, c, candidates, holder_a=None, holder_c=None) -> bool:
         """pair(a, b) == pair(c, h * pt) for the first curve point pt among
         candidates with h * pt not infinity (_try_increment's raise when none).
 
@@ -962,9 +923,9 @@ class TateBackend:
         multiply by h and one use of c.  A c of O takes pair_equal.
         """
         if c is None:
-            return self.pair_equal(a, b, c, c)
+            return self.pair_equal(a, b, c, c, holder_a)
         q, p = self.q, self.p
-        lines_a, lines_c = self._stored(a), self._stored(c)
+        lines_a, lines_c = self._stored(a, holder_a), self._stored(c, holder_c)
         _check_on_curve(q, a, b, c)
         for pt in candidates:
             t = _final_exp(_miller_at(c, lines_c, pt, p, q), p)
@@ -1041,8 +1002,8 @@ def _desk_params(q: int, p: int | None) -> CurveParams:
 @lru_cache(maxsize=_SHARED_SLOTS)
 def _shared_backend(params: CurveParams) -> TateBackend:
     """The memoised backend for params, so that suites over equal parameters
-    share its precomputed tables.  Two racing first calls may each build
-    one; both are valid, and GroupSuite.compatible compares describe()."""
+    share it and its generators' tables.  Two racing first calls may each
+    build one; both are valid, and GroupSuite.compatible compares describe()."""
     return TateBackend(params)
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import io
+import random
 import socket
 import sys
 import threading
@@ -148,6 +149,58 @@ class TestBadRecords:
         assert len(err) == 1 and err[0].startswith("pairid: field 'seed' cannot hold")
         sys.stdout.flush()
         assert wire.getvalue() == b"" and not transcript.exists()
+
+
+@pytest.fixture(scope="module")
+def real_keyfiles(tmp_path_factory):
+    """A cdhid key record and its public record on the pinned real-size curve."""
+    from pairid.records import save_key
+    from pairid.schemes import SchemeId, default_scheme_params, keygen
+    from pairid.tate import suite_from_curve_params
+    from test_tate import REAL_GEN, REAL_H, REAL_P, REAL_Q
+
+    suite = suite_from_curve_params(REAL_Q, REAL_P, REAL_H, REAL_GEN)
+    kp = keygen(SchemeId.CDHID, suite, random.Random("real-size record"))
+    root = tmp_path_factory.mktemp("real")
+    sk, pk = root / "real.key", root / "real.pub"
+    save_key(sk, SchemeId.CDHID, kp, default_scheme_params(suite), include_secret=True)
+    save_key(pk, SchemeId.CDHID, kp.public(), default_scheme_params(suite), include_secret=False)
+    return sk, pk
+
+
+class TestRealSizeRecord:
+    """A real-size record loads, but the session hello cannot describe its
+    suite: prove and verify refuse it with one pairid: line and exit 2,
+    before any stream or socket is opened and before the transcript file."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["prove", "--key", "{sk}", "--stdio"],
+            ["prove", "--key", "{sk}", "--listen", "127.0.0.1:{port}"],
+            ["verify", "--pk", "{pk}", "--stdio", "--transcript-out", "{transcript}"],
+            ["verify", "--pk", "{pk}", "--connect", "127.0.0.1:{port}", "--transcript-out", "{transcript}"],
+        ],
+        ids=["prove-stdio", "prove-listen", "verify-stdio", "verify-connect"],
+    )
+    def test_refused_before_the_session(self, argv, real_keyfiles, tmp_path, monkeypatch, capsys):
+        from pairid import cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the session was started")
+
+        for name in ("create_server", "create_connection"):
+            monkeypatch.setattr(cli.socket, name, refuse)
+        monkeypatch.setattr(cli, "StdioTransport", refuse)
+        sk, pk = real_keyfiles
+        transcript = tmp_path / "t.rec"
+        names = {"sk": sk, "pk": pk, "port": free_port(), "transcript": transcript}
+        capsys.readouterr()
+        assert main([arg.format(**names) for arg in argv]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and len(out.err.splitlines()) == 1
+        assert out.err.startswith("pairid: the session hello cannot describe this suite")
+        assert not transcript.exists()
 
 
 class TestSignatures:

@@ -25,7 +25,6 @@ from pairid.signatures import (
     hash_to_group,
 )
 from pairid.tate import (
-    TableCache,
     TateBackend,
     enumerate_and_validate,
     lift_x,
@@ -245,13 +244,13 @@ def _moved_on(monkeypatch):
     drawn = []
     fold = TateBackend._pair_equal_folded
 
-    def counted(self, a, b, c, candidates):
+    def counted(self, a, b, c, candidates, *holders):
         def counting():
             for pt in candidates:
                 drawn.append(pt)
                 yield pt
 
-        return fold(self, a, b, c, counting())
+        return fold(self, a, b, c, counting(), *holders)
 
     monkeypatch.setattr(TateBackend, "_pair_equal_folded", counted)
 
@@ -317,16 +316,14 @@ class TestCofactorFold:
             # (tests/test_tate.py::TestSubgroupContract).  off stays a signature.
             for pt in logs:
                 v = G1Element(suite, pt)
-                pk = ExpKeyPair(suite, None, v)
-                backend.tables = TableCache()
                 for _ in range(2 if warm else 0):  # two uses build v's lines
-                    backend.pair(pt, params.gen)
+                    suite.pairing(v, g)
                 for m in msgs:
                     hm = hash_to_group(m, _TRY, suite)
                     for sig in (suite.g1_identity(), g, g ** 2, off, hm ** logs[pt]):
                         if not warm:
-                            backend.tables = TableCache()
-                        got, moved_on = verify(pk, m, sig)
+                            v = G1Element(suite, pt)  # cold: the verify is the first use of v
+                        got, moved_on = verify(ExpKeyPair(suite, None, v), m, sig)
                         assert got == _outcome(lambda: suite.pairings_equal(g, sig, v, hm)), (pt, m, sig)
                         # A key moves on cold, on its live walk, exactly where
                         # it moves on warm, on its stored lines.
@@ -359,8 +356,9 @@ class TestCofactorFold:
 
     def test_one_table_use_per_verify(self, monkeypatch):
         # v is used once per verify, as in the two-pairing compare, whether
-        # or not the fold moves on: its first verify leaves it seen once with
-        # no table, its second builds its lines.
+        # or not the fold moves on: its first verify marks its holder with
+        # no table, its second builds its lines; g has its lines from the
+        # first.
         params = enumerate_and_validate(523).params
         other = GroupSuite(TateBackend(params))
         kp = bls_keygen(other, random.Random("table use"))
@@ -369,10 +367,14 @@ class TestCofactorFold:
         for msgs in ((b"first", falls_back), (falls_back, b"first")):
             folded = GroupSuite(TateBackend(params))
             plain = GroupSuite(TateBackend(params))
-            for m, sizes in zip(msgs + msgs, ((1, 1), (0, 2), (0, 2), (0, 2))):
+            v_folded, v_plain = G1Element(folded, kp.v.payload), G1Element(plain, kp.v.payload)
+            for m, built in zip(msgs + msgs, (0, 1, 1, 1)):
                 sig = bls_sign(kp, m)
-                v, s = G1Element(folded, kp.v.payload), G1Element(folded, sig.payload)
-                assert verify(ExpKeyPair(folded, None, v), m, s) == (True, m == falls_back), m
-                v, s = G1Element(plain, kp.v.payload), G1Element(plain, sig.payload)
-                assert plain.pairings_equal(plain.g1, s, v, hash_to_group(m, _TRY, plain))
-                assert folded.backend.tables.sizes() == plain.backend.tables.sizes() == sizes, m
+                s = G1Element(folded, sig.payload)
+                assert verify(ExpKeyPair(folded, None, v_folded), m, s) == (True, m == falls_back), m
+                s = G1Element(plain, sig.payload)
+                assert plain.pairings_equal(plain.g1, s, v_plain, hash_to_group(m, _TRY, plain))
+                for suite, v in ((folded, v_folded), (plain, v_plain)):
+                    lines = suite.backend._lines
+                    assert list(v.tables) == [lines] * built, m
+                    assert lines in suite.g1.tables, m

@@ -3,15 +3,16 @@ import itertools
 import random
 import sys
 import threading
+from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
-from pairid.algebra import KIND_G1, KIND_G2, G1Element, GroupSuite, MalformedEncoding
+from pairid.algebra import KIND_G1, KIND_G2, G1Element, G2Element, GroupSuite, MalformedEncoding
+from pairid.schemes import SchemeId, keygen, replay_decision, run_session
+from pairid.session import loopback_session
 from pairid.tate import (
-    _SEEN_SLOTS,
-    _TABLE_SLOTS,
     CurveParams,
-    DegeneratePairing,
     Fq2,
     NotOnCurve,
     TateBackend,
@@ -25,7 +26,6 @@ from pairid.tate import (
     _loop_digits,
     _miller_at,
     _miller_stored,
-    _miller_value,
     _norm1_pow,
     _stored_walk,
     enumerate_and_validate,
@@ -103,6 +103,11 @@ def _by_order(q):
     for pt in filter(None, curve_points(q)):
         (inside if point_order_naive(pt, q) == CURVE_TABLE[q]["p"] else off).append(pt)
     return inside, off
+
+
+def _holder():
+    """A table holder for a backend call on a raw payload, as an element is."""
+    return SimpleNamespace(tables=None)
 
 
 def _random_curve_point(q, rng):
@@ -283,10 +288,8 @@ class TestPairing:
         xq_im = (x1 - y1 * pow(lam, -1, q)) % q
         # p = 5's walk opens with the tangent at gen, live and stored.
         assert _loop_digits(p)[0] == 0
-        with pytest.raises(DegeneratePairing):
-            _miller_at(params.gen, None, (-xq_im, 0), p, q)
-        with pytest.raises(DegeneratePairing):
-            _miller_stored(_stored_walk(params.gen, p, q), (-xq_im, 0), q)
+        assert _miller_at(params.gen, None, (-xq_im, 0), p, q) == Fq2(0, 0, q)
+        assert _miller_stored(_stored_walk(params.gen, p, q), (-xq_im, 0), q) == Fq2(0, 0, q)
         # A walk that does not end at infinity proves nothing and raises first.
         with pytest.raises(NotOnCurve):
             _miller_at(params.gen, None, (-xq_im, 0), 2, q)
@@ -456,20 +459,21 @@ class TestPairingAgainstReference:
         backend = TateBackend(params)
         logs, pairs = self._real_subgroup_pairs(random.Random("real-size pairing"))
         for (i, j), (a, b) in zip(logs, pairs):
-            backend.pair(a, b)
-            got = backend.pair(a, b)
-            assert backend.tables.sizes()[1] == 1 + logs.index((i, j))  # a has its lines
+            ha = _holder()
+            backend.pair(a, b, ha)
+            got = backend.pair(a, b, ha)
+            assert list(ha.tables) == [backend._lines]  # a has its lines
             assert (got.a, got.b) == reference_pairing(a, b, REAL_Q, REAL_P, REAL_GEN)
             # e(2j g, (i/2) g) = e(a, b), and e(3j g, (i/2) g) is not.
             d = _real_multiple(i * pow(2, -1, REAL_P))
             for m, equal in ((2, True), (3, False)):
-                c = _real_multiple(m * j)
+                c, hc = _real_multiple(m * j), _holder()
                 expect = tate_pairing(a, b, params) == tate_pairing(c, d, params)
                 with monkeypatch.context() as patch:
                     # The zipped walks decide, not the two-pairing fallback.
                     patch.setattr(tate, "tate_pairing", None)
-                    assert backend.pair_equal(a, b, c, d) == expect == equal
-        assert backend.tables.sizes()[1] == 3  # no c got lines
+                    assert backend.pair_equal(a, b, c, d, ha, hc) == expect == equal
+                assert hc.tables == {}  # no c got lines
 
     def test_real_size_point_mul(self):
         rng = random.Random("real-size point_mul")
@@ -599,8 +603,8 @@ class TestCurveCodecs:
 
 class TestPrecomputedTables:
     """The comb and stored-line paths of TateBackend against the plain
-    point_mul and the reference pairing.  Each input is used twice first, so
-    that its table exists before the compared call."""
+    point_mul and the reference pairing.  Each input's holder is used twice
+    first, so that its table exists before the compared call."""
 
     @pytest.mark.parametrize("q", [59, 83])
     def test_comb_matches_point_mul_on_every_point(self, q):
@@ -608,10 +612,12 @@ class TestPrecomputedTables:
         # 2^(5i) * pt is infinity for some of them.
         backend = TateBackend(enumerate_and_validate(q).params)
         for pt in curve_points(q):
-            backend.power(KIND_G1, pt, 1)
-            backend.power(KIND_G1, pt, 1)
+            h = _holder()
+            backend.power(KIND_G1, pt, 1, h)
+            backend.power(KIND_G1, pt, 1, h)
+            assert list(h.tables or {}) == ([] if pt is None else [backend._comb])
             for k in range(backend.p):
-                assert backend.power(KIND_G1, pt, k) == point_mul(k, pt, q), (pt, k)
+                assert backend.power(KIND_G1, pt, k, h) == point_mul(k, pt, q), (pt, k)
 
     @pytest.mark.parametrize("q", [59, 83, 523, 1051])
     def test_comb_entries_by_definition(self, q):
@@ -660,30 +666,34 @@ class TestPrecomputedTables:
         rng = random.Random("comb columns")
         bases = [params.gen, (0, 0)] + [_random_curve_point(1051, rng) for _ in range(6)]
         for pt in bases:
-            backend.power(KIND_G1, pt, 1)
-            backend.power(KIND_G1, pt, 1)
+            h = _holder()
+            backend.power(KIND_G1, pt, 1, h)
+            backend.power(KIND_G1, pt, 1, h)
             for k in range(backend.p):
-                assert backend.power(KIND_G1, pt, k) == naive_mul(k, pt, 1051), (pt, k)
+                assert backend.power(KIND_G1, pt, k, h) == naive_mul(k, pt, 1051), (pt, k)
         for k in range(backend.p):
             assert backend.from_int(KIND_G1, k) == naive_mul(k, params.gen, 1051)
         # The G2 comb over the same two columns, on the generator and a
         # value of order p.
         g2 = backend.from_int(KIND_G2, 1)
         for x in (g2, g2 ** 100):
+            h = _holder()
             for _ in range(2):
-                backend.power(KIND_G2, x, 2)
+                backend.power(KIND_G2, x, 2, h)
+            assert backend._g2_comb in h.tables
             for k in range(backend.p):
-                assert backend.power(KIND_G2, x, k) == x ** k, (x, k)
+                assert backend.power(KIND_G2, x, k, h) == x ** k, (x, k)
         for k in range(backend.p):
             assert backend.from_int(KIND_G2, k) == g2 ** k
 
     def test_comb_out_of_range_exponents(self):
         params = enumerate_and_validate(523).params
-        backend = TateBackend(params)
+        backend, h = TateBackend(params), _holder()
         for _ in range(2):
-            backend.power(KIND_G1, params.gen, 1)
+            backend.power(KIND_G1, params.gen, 1, h)
+        assert backend._comb in h.tables
         for k in (-1, -130, 1 << 10, 10**6 + 3):
-            assert backend.power(KIND_G1, params.gen, k) == naive_mul(k % 524, params.gen, 523)
+            assert backend.power(KIND_G1, params.gen, k, h) == naive_mul(k % 524, params.gen, 523)
 
     @pytest.mark.parametrize("q", [59, 83, 523])
     def test_g2_comb_matches_the_ladder_on_every_value(self, q):
@@ -694,17 +704,17 @@ class TestPrecomputedTables:
         backend = TateBackend(params)
         g2 = backend.from_int(KIND_G2, 1)
         mu_p = [g2 ** i for i in range(params.p)]
+        holders = [_holder() for _ in mu_p]
         exponents = [*range(params.p), 255, 256, 257, -1, -params.p]
-        for x in mu_p:
+        for x, h in zip(mu_p, holders):
             for _ in range(2):
-                backend.power(KIND_G2, x, 2)
+                backend.power(KIND_G2, x, 2, h)
             for k in exponents:
-                assert backend.power(KIND_G2, x, k) == _norm1_pow(x, k), (x, k)
+                assert backend.power(KIND_G2, x, k, h) == _norm1_pow(x, k), (x, k)
         for k in exponents:
             assert backend.from_int(KIND_G2, k) == _norm1_pow(g2, k), k
-        # Each value but 1 (b = 0) still has its table: p - 1 of them, up to
-        # the cache's bound.
-        assert backend.tables.sizes()[1] == min(params.p - 1, _TABLE_SLOTS)
+        # Each value but 1 (b = 0) still has its comb, and 1 never took one.
+        assert [list(h.tables or {}) for h in holders] == [[backend._g2_comb] if x.b else [] for x in mu_p]
 
     def test_g2_table_built_on_second_use(self, monkeypatch):
         from pairid import tate
@@ -714,15 +724,16 @@ class TestPrecomputedTables:
         params = enumerate_and_validate(83).params
         backend = TateBackend(params)
         z = tate_pairing(point_mul(3, params.gen, 83), params.gen, params)
+        hz, hs = _holder(), [_holder(), _holder()]
         # Powers that multiply nothing are no use of their base.
-        for x, k in ((z, 0), (z, 1), (Fq2(1, 0, 83), 5), (Fq2(-1, 0, 83), 5)):
-            backend.power(KIND_G2, x, k)
-        assert backend.tables.sizes() == (0, 0)
-        backend.power(KIND_G2, z, 2)
-        assert backend.tables.sizes() == (1, 0) and builds == []
-        backend.power(KIND_G2, z, 3)
-        assert backend.tables.sizes() == (0, 1) and builds == [z]
-        assert backend.power(KIND_G2, z, 4) == z ** 4
+        for x, k, h in ((z, 0, hz), (z, 1, hz), (Fq2(1, 0, 83), 5, hs[0]), (Fq2(-1, 0, 83), 5, hs[1])):
+            backend.power(KIND_G2, x, k, h)
+        assert [h.tables for h in (hz, *hs)] == [None] * 3
+        backend.power(KIND_G2, z, 2, hz)
+        assert hz.tables == {} and builds == []
+        backend.power(KIND_G2, z, 3, hz)
+        assert list(hz.tables) == [backend._g2_comb] and builds == [z]
+        assert backend.power(KIND_G2, z, 4, hz) == z ** 4
         assert builds == [z]
 
     @pytest.mark.parametrize("q", [59, 83])
@@ -735,14 +746,15 @@ class TestPrecomputedTables:
         off = _by_order(q)[1]
         pts = curve_points(q)
         for a in pts:
+            h = _holder()
             for _ in range(2):
-                _outcome(lambda: backend.pair(a, params.gen))
+                _outcome(lambda: backend.pair(a, params.gen, h))
             for b in pts:
                 if a in off:
                     with pytest.raises(NotOnCurve):
-                        backend.pair(a, b)
+                        backend.pair(a, b, h)
                     continue
-                got = backend.pair(a, b)
+                got = backend.pair(a, b, h)
                 assert (got.a, got.b) == reference_pairing(a, b, q, params.p, params.gen), (a, b)
 
     @pytest.mark.parametrize("q", [59, 83])
@@ -756,15 +768,12 @@ class TestPrecomputedTables:
         for a in _by_order(q)[0]:
             lines = _stored_walk(a, params.p, q)
             for b in itertools.product(range(q), repeat=2):
-                try:
-                    plain = _miller_at(a, None, b, params.p, q)
-                except DegeneratePairing:
+                plain, stored = _miller_at(a, None, b, params.p, q), _miller_stored(lines, b, q)
+                if plain == Fq2(0, 0, q):
                     vanished += 1
                     assert not on_curve(b, q), (a, b)
-                    with pytest.raises(DegeneratePairing):
-                        _miller_stored(lines, b, q)
+                    assert stored == Fq2(0, 0, q), (a, b)
                     continue
-                stored = _miller_stored(lines, b, q)
                 # Equal up to an F_q* factor: the ratio has no imaginary part.
                 assert (plain * stored.inv()).b == 0, (a, b)
         assert vanished > 0
@@ -772,81 +781,90 @@ class TestPrecomputedTables:
     def test_off_curve_inputs_still_rejected(self):
         params = enumerate_and_validate(59).params
         backend = TateBackend(params)
+        bad, gen = _holder(), _holder()
         for _ in range(3):
             with pytest.raises(NotOnCurve):
-                backend.pair((1, 1), params.gen)
+                backend.pair((1, 1), params.gen, bad)
             with pytest.raises(NotOnCurve):
-                backend.pair(params.gen, (1, 1))
+                backend.pair(params.gen, (1, 1), gen)
             with pytest.raises(NotOnCurve):
-                backend.power(KIND_G1, (1, 1), 2)
-        assert backend.tables.sizes() == (0, 1)  # only the generator
+                backend.power(KIND_G1, (1, 1), 2, bad)
+        assert bad.tables == {} and list(gen.tables) == [backend._lines]  # only the generator
 
     def test_real_size(self):
         params = CurveParams(q=REAL_Q, p=REAL_P, h=REAL_H, gen=REAL_GEN)
         backend = TateBackend(params)
         rng = random.Random("real-size tables")
         key = naive_double_and_add(rng.randrange(1, REAL_P), REAL_GEN, REAL_Q)
-        for base in (REAL_GEN, key):
+        holders = {REAL_GEN: _holder(), key: _holder()}
+        for base, h in holders.items():
             for k in [rng.randrange(REAL_P) for _ in range(4)] + [1, REAL_P - 1]:
-                assert backend.power(KIND_G1, base, k) == naive_double_and_add(k, base, REAL_Q), k
+                assert backend.power(KIND_G1, base, k, h) == naive_double_and_add(k, base, REAL_Q), k
         others = [naive_double_and_add(rng.randrange(1, REAL_P), REAL_GEN, REAL_Q),
                   _random_curve_point(REAL_Q, rng)]
         for b in others:
             for _ in range(2):
-                got = backend.pair(key, b)
+                got = backend.pair(key, b, holders[key])
                 assert (got.a, got.b) == reference_pairing(key, b, REAL_Q, REAL_P, REAL_GEN)
-        assert backend.tables.sizes()[1] == 2
+        assert list(holders[REAL_GEN].tables) == [backend._comb]
+        assert list(holders[key].tables) == [backend._comb, backend._lines]
         # The G2 comb, on the generator e(g, g) and on a value of order p.
         g2 = backend.from_int(KIND_G2, 1)
         for x in (g2, *_real_g2_values(rng, 1)):
+            h = _holder()
             for _ in range(2):
-                backend.power(KIND_G2, x, 2)
+                backend.power(KIND_G2, x, 2, h)
+            assert list(h.tables) == [backend._g2_comb]
             for k in [rng.randrange(REAL_P) for _ in range(4)] + [1, REAL_P - 1]:
-                assert backend.power(KIND_G2, x, k) == x ** k, k
+                assert backend.power(KIND_G2, x, k, h) == x ** k, k
                 assert backend.from_int(KIND_G2, k) == g2 ** k, k
-        assert backend.tables.sizes()[1] == 4
 
     def test_table_built_on_second_use(self):
+        # The first use marks the holder, and the second builds only the
+        # kind of table that it needs.
         params = enumerate_and_validate(83).params
-        backend = TateBackend(params)
+        backend, h = TateBackend(params), _holder()
         pt = point_mul(3, params.gen, 83)
-        backend.pair(pt, params.gen)  # only the first argument is looked up
-        assert backend.tables.sizes() == (1, 0)
-        backend.power(KIND_G1, pt, 2)
-        assert backend.tables.sizes() == (0, 1)
+        backend.pair(pt, params.gen, h)
+        assert h.tables == {}
+        backend.power(KIND_G1, pt, 2, h)
+        assert list(h.tables) == [backend._comb]
+        backend.pair(pt, params.gen, h)
+        assert list(h.tables) == [backend._comb, backend._lines]
 
-    def test_cache_stays_within_its_bounds(self):
-        self._fill_cache(mixed=False)
+    def test_tables_stay_on_their_holders(self):
+        self._fill_holders(mixed=False)
 
-    def test_cache_stays_within_its_bounds_with_g2_values(self):
-        self._fill_cache(mixed=True)
+    def test_tables_stay_on_their_holders_with_g2_values(self):
+        self._fill_holders(mixed=True)
 
     @staticmethod
-    def _fill_cache(mixed):
-        # Mixed, each point comes with one of the 130 values of order p in
-        # F_q^2 other than 1, and G2 combs share the slots with G1 tables.
-        # The 130 points of order p are more than both bounds together.
+    def _fill_holders(mixed):
+        # Every point of order p at q = 523 but g, each used twice through
+        # its holder: each holder keeps the tables of its own uses, however
+        # many holders there are, and the backend keeps none.  Mixed, each
+        # point comes with one of the 129 values of order p in F_q^2 other
+        # than 1 and e(g, g), whose holder keeps its G2 comb.
         params = enumerate_and_validate(523).params
         backend = TateBackend(params)
-        pts = [point_mul(k, params.gen, 523) for k in range(1, params.p)]
-        assert len(pts) > _SEEN_SLOTS + _TABLE_SLOTS
+        names = set(vars(backend))
+        pts = [point_mul(k, params.gen, 523) for k in range(2, params.p)]
         g2 = backend.from_int(KIND_G2, 1)
-        values = [g2 ** (1 + i % 130) for i in range(len(pts))] if mixed else [None] * len(pts)
-        for pt, x in zip(pts, values):
+        values = [g2 ** (2 + i) for i in range(len(pts))] if mixed else [None] * len(pts)
+        holders = [(_holder(), _holder()) for _ in pts]
+        for pt, x, (h, hx) in zip(pts, values, holders):
             for _ in range(2):
-                backend.power(KIND_G1, pt, 5)
-                backend.pair(pt, params.gen)
+                backend.power(KIND_G1, pt, 5, h)
+                backend.pair(pt, params.gen, h)
                 if mixed:
-                    backend.power(KIND_G2, x, 5)
-                seen, tables = backend.tables.sizes()
-                assert seen <= _SEEN_SLOTS and tables <= _TABLE_SLOTS
-        for pt, x in zip(pts, values):
-            backend.power(KIND_G1, pt, 7)
+                    backend.power(KIND_G2, x, 5, hx)
+        for pt, x, (h, hx) in zip(pts, values, holders):
+            assert backend.power(KIND_G1, pt, 7, h) == point_mul(7, pt, 523)
+            assert set(h.tables) == {backend._comb, backend._lines}
             if mixed:
-                backend.power(KIND_G2, x, 7)
-            seen, tables = backend.tables.sizes()
-            assert seen <= _SEEN_SLOTS and tables <= _TABLE_SLOTS
-        assert backend.tables.sizes() == (_SEEN_SLOTS, _TABLE_SLOTS)
+                assert backend.power(KIND_G2, x, 7, hx) == x ** 7
+                assert list(hx.tables) == [backend._g2_comb]
+        assert vars(backend).keys() == names and backend._generator_tables == {params.gen: {}, g2: {}}
 
     def test_threads_sharing_one_backend(self):
         params = enumerate_and_validate(523).params
@@ -854,8 +872,9 @@ class TestPrecomputedTables:
         rng = random.Random("threads")
         bases = [point_mul(rng.randrange(1, 131), params.gen, 523) for _ in range(24)]
         jobs = [(a, rng.randrange(131), rng.choice(bases)) for a in bases for _ in range(8)]
-        # Each base also brings a G2 value, whose comb shares the slots.
+        # Each base also brings a G2 value; every thread uses the same holders.
         g2 = {a: tate_pairing(a, params.gen, params) for a in bases}
+        holders = {a: (_holder(), _holder()) for a in bases}
         expect = [(point_mul(k, a, 523), tate_pairing(a, b, params), _norm1_pow(g2[a], k)) for a, k, b in jobs]
         errors = []
 
@@ -863,7 +882,8 @@ class TestPrecomputedTables:
             try:
                 for i in order:
                     a, k, b = jobs[i]
-                    got = (backend.power(KIND_G1, a, k), backend.pair(a, b), backend.power(KIND_G2, g2[a], k))
+                    h, hx = holders[a]
+                    got = (backend.power(KIND_G1, a, k, h), backend.pair(a, b, h), backend.power(KIND_G2, g2[a], k, hx))
                     if got != expect[i]:
                         errors.append(i)
             except Exception as exc:  # surfaced below
@@ -882,8 +902,185 @@ class TestPrecomputedTables:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert errors == []
-        seen, tables = backend.tables.sizes()
-        assert seen <= _SEEN_SLOTS and tables <= _TABLE_SLOTS
+        # Each holder ends with one table of each kind it was used for, equal
+        # to a table built alone.
+        for a, (h, hx) in holders.items():
+            assert h.tables == {backend._comb: backend._comb(a), backend._lines: backend._lines(a)}, a
+            if g2[a].b:
+                assert hx.tables == {backend._g2_comb: backend._g2_comb(g2[a])}, a
+
+
+def _key_tables(kp) -> dict:
+    """Each key element's tables, by field name, for the elements that have any."""
+    return {name: elem.tables for name, elem in vars(kp).items() if isinstance(elem, (G1Element, G2Element)) and elem.tables}
+
+
+class TestTableHolders:
+    """Tables live on the elements that reuse them, GroupSuite passing each
+    base's element to the backend as its holder."""
+
+    @staticmethod
+    def _count_builds(monkeypatch) -> list:
+        from pairid import tate
+
+        builds = []
+        for name in ("_comb_table", "_fq2_comb_table", "_stored_walk"):
+            build = getattr(tate, name)
+            monkeypatch.setattr(tate, name, lambda *args, build=build, name=name: builds.append(name) or build(*args))
+        return builds
+
+    def test_one_shot_elements_build_nothing(self, monkeypatch):
+        builds = self._count_builds(monkeypatch)
+        suite = GroupSuite(TateBackend(enumerate_and_validate(523).params))
+        rng = random.Random("one shot")
+        for _ in range(2):  # the generators' tables, which every suite shares
+            suite.random_g1(rng), suite.random_g2(rng, nonidentity=True)
+        builds.clear()
+        g1 = [suite.random_g1(rng, nonidentity=True) for _ in range(11)]
+        y = suite.random_g2(rng, nonidentity=True)
+        bases, others = [y, *g1[:7]], g1[7:]
+        y ** 5
+        g1[0] ** 5
+        suite.pairing(g1[1], others[0])
+        suite.pairing_from_int(g1[2], suite.g1_from_int(3), 3)
+        suite.pairings_equal(g1[3], others[1], g1[4], others[2])
+        suite.pairings_equal_hashed(g1[5], others[3], g1[6], b"one shot")
+        assert builds == []
+        assert [elem.tables for elem in bases] == [{}] * len(bases)
+        assert [elem.tables for elem in others] == [None] * len(others)  # not a base: never marked
+
+    def test_second_use_builds_only_the_kind_it_needs(self, monkeypatch):
+        builds = self._count_builds(monkeypatch)
+        suite = GroupSuite(TateBackend(enumerate_and_validate(523).params))
+        backend, g, rng = suite.backend, suite.g1, random.Random("second use")
+        P, Q, R = (suite.random_g1(rng, nonidentity=True) for _ in range(3))
+        y = suite.random_g2(rng, nonidentity=True)
+        builds.clear()
+        uses = [
+            (P, lambda: P ** 5, ["_comb_table"], [backend._comb]),
+            (Q, lambda: suite.pairing(Q, g), ["_stored_walk"], [backend._lines]),
+            # e(R, g)'s comb is made on R's stored lines.
+            (R, lambda: suite.pairing_from_int(R, suite.g1_from_int(3), 3), ["_stored_walk", "_fq2_comb_table"],
+             [backend._lines, backend._pair_comb]),
+            (y, lambda: y ** 5, ["_fq2_comb_table"], [backend._g2_comb]),
+        ]
+        for elem, use, built, kinds in uses:
+            use()
+            assert builds == [] and elem.tables == {}
+            use()
+            use()
+            assert builds == built and list(elem.tables) == kinds
+            builds.clear()
+
+    def test_generator_tables_are_shared_by_every_suite(self, monkeypatch):
+        # The backend's holders for g and e(g, g) are marked from the start,
+        # so their first use builds, once for every suite on the backend.
+        builds = self._count_builds(monkeypatch)
+        backend = TateBackend(enumerate_and_validate(523).params)
+        plain, counted = GroupSuite(backend), GroupSuite(backend, counted=True)
+        assert builds == ["_comb_table"]  # from_int(KIND_G1, 1), in the first suite
+        for suite in (plain, counted, plain, counted):
+            suite.g1 ** 5, suite.g2 ** 5, suite.pairing(suite.g1, suite.g1)
+        assert builds == ["_comb_table", "_fq2_comb_table", "_stored_walk"]
+        assert plain.g1.tables is counted.g1.tables and plain.g2.tables is counted.g2.tables
+        assert set(plain.g1.tables) == {backend._comb, backend._lines}
+        assert list(counted.g2.tables) == [backend._g2_comb]
+        # So does an element of the same value that another path made.
+        decoded = counted.decode_g1(plain.encode_element(plain.g1))
+        decoded ** 3
+        assert decoded.tables is plain.g1.tables
+        a, b = tate_suite(83), tate_suite(83, counted=True)
+        a.g1 ** 3, b.g1 ** 3
+        assert a.g1.tables is b.g1.tables and a.backend._comb in b.g1.tables
+
+    @pytest.mark.parametrize("scheme", list(SchemeId))
+    def test_replays_under_other_keys_keep_the_scheme_key_tables(self, scheme):
+        # 20 unrelated keys each replay two transcripts, which builds tables
+        # for many more values than the scheme key has.
+        suite = GroupSuite(TateBackend(enumerate_and_validate(523).params))
+        kp = keygen(scheme, suite, random.Random(f"replay {scheme.value}"))
+        transcripts = [run_session(scheme, kp, suite, seed=f"replay {i}") for i in range(3)]
+        tables = _key_tables(kp)
+        kept = {name: dict(kinds) for name, kinds in tables.items()}
+        assert tables
+        for j in range(20):
+            alt = keygen(scheme, suite, random.Random(f"replay alt {j}")).public()
+            for t in transcripts[:2]:
+                assert t.decision and not replay_decision(t, alt)
+        assert _key_tables(kp) == tables
+        for name, kinds in tables.items():
+            assert kinds.keys() == kept[name].keys()
+            assert all(kinds[kind] is kept[name][kind] for kind in kinds), name
+        assert all(replay_decision(t, kp.public()) for t in transcripts)
+
+    def test_threads_sharing_one_key(self):
+        # Two threads run loopback sessions, each with a prover thread of its
+        # own, on the same key elements: every session accepts on both ends,
+        # and each key element ends with one table of each kind, equal to
+        # one built alone.  A suite's role context is not reentrant, so each
+        # thread's key object names a suite of its own on the one backend.
+        suite = GroupSuite(TateBackend(enumerate_and_validate(523).params))
+        backend = suite.backend
+        keys = {s: keygen(s, suite, random.Random(f"threads {s.value}")) for s in SchemeId}
+        errors = []
+
+        def work(t):
+            try:
+                own = GroupSuite(backend)
+                for i in range(3):
+                    for s, kp in keys.items():
+                        kp = type(kp)(**{**vars(kp), "suite": own})
+                        prover, verifier = loopback_session(s, kp, seed=f"threads {t} {i}")
+                        if not (prover.decision and verifier.decision):
+                            errors.append((t, i, s))
+            except Exception as exc:  # surfaced below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(t,)) for t in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        for s, kp in keys.items():
+            for name, tables in _key_tables(kp).items():
+                x = getattr(kp, name).payload
+                for kind, table in tables.items():
+                    alone = kind(x, _holder()) if kind == backend._pair_comb else kind(x)
+                    assert table == alone, (s, name, kind)
+
+    def test_call_counts_do_not_depend_on_the_backend_history(self, monkeypatch):
+        # Sessions on freshly made keys make the same point_mul and
+        # tate_pairing calls on a new backend as on one that has run 50
+        # sessions on other objects of the same key values.
+        from pairid import tate
+
+        calls = Counter()
+        for name in ("point_mul", "tate_pairing"):
+            fn = getattr(tate, name)
+            monkeypatch.setattr(tate, name, lambda *args, fn=fn, name=name: calls.update([name]) or fn(*args))
+        params = enumerate_and_validate(523).params
+        schemes = list(SchemeId)
+
+        def sessions(backend, count, label):
+            suite = GroupSuite(backend)
+            keys = {s: keygen(s, suite, random.Random(f"history {s.value}")) for s in schemes}
+            calls.clear()
+            for i in range(count):
+                s = schemes[i % len(schemes)]
+                assert run_session(s, keys[s], suite, seed=f"{label} {i}").decision
+            return dict(calls)
+
+        fresh = sessions(TateBackend(params), 12, "pinned")
+        used = TateBackend(params)
+        sessions(used, 50, "other")
+        assert sessions(used, 12, "pinned") == fresh
 
 
 class TestSharedBackend:
@@ -1112,7 +1309,7 @@ class TestG2SubgroupCheck:
 def _outcome(fn):
     try:
         return fn()
-    except (DegeneratePairing, NotOnCurve) as exc:
+    except NotOnCurve as exc:
         return type(exc)
 
 
@@ -1137,10 +1334,11 @@ class TestPairingsEqual:
     def test_seeded_quadruples_and_every_vanishing_input(self, q):
         # Off-subgroup first arguments included, each of which raises
         # NotOnCurve both ways, as do those where the reference's lines
-        # vanish.
+        # vanish.  Each point has one holder, so that most calls run warm.
         params = enumerate_and_validate(q).params
         backend = TateBackend(params)
         pts = curve_points(q)
+        holders = {pt: _holder() for pt in pts}
         finite = [pt for pt in pts if pt is not None]
         vanishing = []
         for a in finite:
@@ -1157,7 +1355,7 @@ class TestPairingsEqual:
             quads += [(a, b, c, d), (c, d, a, b)]
         for a, b, c, d in quads:
             expect = _outcome(lambda: tate_pairing(a, b, params) == tate_pairing(c, d, params))
-            assert _outcome(lambda: backend.pair_equal(a, b, c, d)) == expect, (a, b, c, d)
+            assert _outcome(lambda: backend.pair_equal(a, b, c, d, holders[a], holders[c])) == expect, (a, b, c, d)
 
     def test_off_curve_still_rejected(self, c59):
         g = c59.g1
@@ -1219,16 +1417,16 @@ class TestCofactorFold:
     @pytest.mark.parametrize("q", [59, 83])
     def test_every_key_and_candidate(self, q):
         # Every key of order p, and O, against every first candidate d,
-        # (0, 0) included, with g after it.  Cold, no c has lines, and c's
-        # live walk gives t.  Keys off the subgroup raise
+        # (0, 0) included, with g after it.  Cold, with no holder, no c has
+        # lines, and c's live walk gives t.  Keys off the subgroup raise
         # (TestSubgroupContract).
         params = enumerate_and_validate(q).params
-        cold, warm = TateBackend(params), TateBackend(params)
-        cold.tables = _NoTables()
+        backend = TateBackend(params)
         g, h = params.gen, params.h
-        for backend, c in itertools.product((cold, warm), [None, *_by_order(q)[0]]):
+        for warm, c in itertools.product((False, True), [None, *_by_order(q)[0]]):
+            hg, hc = (_holder(), _holder()) if warm else (None, None)
             for _ in range(2):  # two uses build c's lines
-                backend.pair(c, g)
+                backend.pair(c, g, hc)
             for d in filter(None, curve_points(q)):
                 hd = point_mul(h, d, q)
                 for b in (g, point_mul(2, g, q)):
@@ -1239,37 +1437,29 @@ class TestCofactorFold:
                             drawn.append(pt)
                             yield pt
 
-                    got = _outcome(lambda: backend._pair_equal_folded(g, b, c, candidates()))
+                    got = _outcome(lambda: backend._pair_equal_folded(g, b, c, candidates(), hg, hc))
                     cleared = hd if hd is not None else point_mul(h, g, q)
-                    assert got == _outcome(lambda: backend.pair_equal(g, b, c, cleared)), (b, c, d)
+                    assert got == _outcome(lambda: backend.pair_equal(g, b, c, cleared, hg, hc)), (b, c, d)
                     # It draws no candidate for c = O, and otherwise moves on
                     # exactly past a d with h * d infinity.
                     assert drawn == ([] if c is None else [d] if hd is not None else [d, g]), (b, c, d)
 
     def test_real_size(self):
         backend = suite_from_curve_params(REAL_Q, REAL_P, REAL_H, REAL_GEN).backend
-        cold = TateBackend(backend.params)  # keeps no table, so the key stays cold
-        cold.tables = _NoTables()
         rng = random.Random("real-size fold")
         k = rng.randrange(1, REAL_P)
-        key = naive_double_and_add(k, REAL_GEN, REAL_Q)
+        key, warm, gen = naive_double_and_add(k, REAL_GEN, REAL_Q), _holder(), _holder()
         for _ in range(2):
-            backend.pair(key, REAL_GEN)
+            backend.pair(key, REAL_GEN, warm)
         for _ in range(2):
             d = _random_curve_point(REAL_Q, rng)
             hd = point_mul(REAL_H, d, REAL_Q)
             # e(gen, k * hd) = e(k * gen, hd) holds; one more hd breaks it.
+            # With no holder the key stays cold.
             for b, expect in ((point_mul(k, hd, REAL_Q), True), (point_mul(k + 1, hd, REAL_Q), False)):
-                assert backend.pair_equal(REAL_GEN, b, key, hd) is expect
+                assert backend.pair_equal(REAL_GEN, b, key, hd, gen, warm) is expect
+                assert backend._pair_equal_folded(REAL_GEN, b, key, [d], gen, warm) is expect
                 assert backend._pair_equal_folded(REAL_GEN, b, key, [d]) is expect
-                assert cold._pair_equal_folded(REAL_GEN, b, key, [d]) is expect
-
-
-class _NoTables:
-    """A TableCache that keeps no table, so every pairing walks live."""
-
-    def get(self, pt, build):
-        return None
 
 
 class TestSignedWalk:
@@ -1300,7 +1490,7 @@ class TestSignedWalk:
             assert len(lines) == len(_loop_digits(p))
             for b in filter(None, curve_points(q)):  # (0, 0) included
                 r, f = _double_and_add((*a, 1), binary, (None, a, point_neg(a, q)), q, b)
-                expect = _final_exp(_miller_value(f, q), p)
+                expect = _final_exp(Fq2(*f, q), p)
                 assert not r[2] and _final_exp(_miller_at(a, None, b, p, q), p) == expect, (a, b)
                 assert _final_exp(_miller_stored(lines, b, q), p) == expect, (a, b)
 
@@ -1313,26 +1503,27 @@ class TestSignedWalk:
         pts = curve_points(q)
         ref = {(a, b): reference_pairing(a, b, q, p, g) for a in subgroup for b in pts}
         backend = TateBackend(params)
+        # Cold, no point has a holder.
+        holders = {a: _holder() if warm else None for a in subgroup}
         if warm:
             for a in subgroup * 2:
-                backend.pair(a, g)
-            assert backend.tables.sizes()[1] == len(subgroup)
-        else:
-            backend.tables = _NoTables()
+                backend.pair(a, g, holders[a])
+            assert all(backend._lines in holders[a].tables for a in subgroup)
         for a in subgroup:
             for b in pts:
-                got = backend.pair(a, b)
+                got = backend.pair(a, b, holders[a])
                 assert (got.a, got.b) == ref[a, b], (a, b)
                 for c in subgroup:
                     # d = m * b with e(c, d) = e(a, b), and three more.
                     m = (subgroup.index(a) + 1) * pow(subgroup.index(c) + 1, -1, p) % p
                     for d in (point_mul(m, b, q), point_mul(m + 1, b, q), (0, 0), g):
-                        assert backend.pair_equal(a, b, c, d) == (ref[a, b] == ref[c, d]), (a, b, c, d)
+                        got = backend.pair_equal(a, b, c, d, holders[a], holders[c])
+                        assert got == (ref[a, b] == ref[c, d]), (a, b, c, d)
             for c in subgroup:
                 for pt in filter(None, pts):
                     # A pt that h sends to O moves the fold on to g.
                     hpt = point_mul(h, pt, q) or point_mul(h, g, q)
-                    got = backend._pair_equal_folded(a, g, c, [pt, g])
+                    got = backend._pair_equal_folded(a, g, c, [pt, g], holders[a], holders[c])
                     assert got == (ref[a, g] == ref[c, hpt]), (a, c, pt)
 
     def test_real_size_generator_lines(self):
@@ -1351,8 +1542,8 @@ def _raises_not_on_curve(fn, *args):
 class TestSubgroupContract:
     """A finite first pairing argument off the order-p subgroup raises
     NotOnCurve at each of the six pairing entry points, cold and warm,
-    whatever the other arguments are, and never yields a value; and it
-    takes no table slot."""
+    whatever the other arguments are, and never yields a value; and its
+    holder never keeps a table."""
 
     @pytest.mark.parametrize("warm", [False, True])
     def test_off_subgroup_first_argument_raises(self, warm):
@@ -1364,58 +1555,58 @@ class TestSubgroupContract:
             others = [None, g, (0, 0), off[-1]]
             for c in off:
                 backend = TateBackend(params)
+                # Cold, c has no holder; g's holder shares the generator's tables.
+                hc, hg = (_holder(), _holder()) if warm else (None, None)
                 if warm:
                     for _ in range(2):  # c's second use tries to make its lines
                         with pytest.raises(NotOnCurve):
-                            backend.pair(c, g)
-                    assert backend.tables.sizes() == (1, 0)  # the failed build left c seen once
-                else:
-                    backend.tables = _NoTables()
+                            backend.pair(c, g, hc)
+                    assert hc.tables == {}  # the failed build left c marked, with no table
                 for k in range(p):
-                    _raises_not_on_curve(backend.pair_from_int, c, point_mul(k, g, q), k)
+                    _raises_not_on_curve(backend.pair_from_int, c, point_mul(k, g, q), k, hc)
                 for x in others:
                     _raises_not_on_curve(tate_pairing, c, x, params)
-                    _raises_not_on_curve(backend.pair, c, x)
-                    for first, second in ((c, g), (g, c)):
+                    _raises_not_on_curve(backend.pair, c, x, hc)
+                    for first, second, holders in ((c, g, (hc, hg)), (g, c, (hg, hc))):
                         for data in (b"m3", b"m4"):
-                            _raises_not_on_curve(backend.pair_equal_hashed, first, x, second, data)
+                            _raises_not_on_curve(backend.pair_equal_hashed, first, x, second, data, *holders)
                         for y in others:
-                            _raises_not_on_curve(backend.pair_equal, first, x, second, y)
-                            _raises_not_on_curve(backend._pair_equal_folded, first, x, second, [y, g])
+                            _raises_not_on_curve(backend.pair_equal, first, x, second, y, *holders)
+                            _raises_not_on_curve(backend._pair_equal_folded, first, x, second, [y, g], *holders)
+                assert hc is None or hc.tables == {}
 
     def test_failed_builds_keep_a_warm_key(self):
-        # Each off-subgroup point fails twice, the second time in its table
-        # build; more of them than there are table slots leave the warm
-        # generator's lines in place.
+        # Each off-subgroup point fails twice through its holder, the second
+        # time in its table build; none of them keeps a table, and the warm
+        # generator's lines stay the same object.
         params = enumerate_and_validate(59).params
-        backend, g = TateBackend(params), params.gen
+        backend, g, hg = TateBackend(params), params.gen, _holder()
         for _ in range(2):
-            backend.pair(g, g)
-        lines = backend._stored(g)
-        off = _by_order(59)[1][: _TABLE_SLOTS + 2]
-        assert len(off) == _TABLE_SLOTS + 2
-        for pt in off:
+            backend.pair(g, g, hg)
+        lines = backend._stored(g, hg)
+        off = _by_order(59)[1]
+        holders = [_holder() for _ in off]
+        for pt, h in zip(off, holders):
             for _ in range(2):
-                _raises_not_on_curve(backend.pair, pt, g)
-        assert backend.tables.sizes() == (len(off), 1)
-        assert backend._stored(g) is lines
+                _raises_not_on_curve(backend.pair, pt, g, h)
+        assert all(h.tables == {} for h in holders)
+        assert backend._stored(g, hg) is lines is backend._stored(g, _holder())
 
 
 class TestPairFromInt:
     """pairing_from_int(a, b, k) for b = g^k, e(a, g)^k on a comb once a has
-    stored lines, against pairing(a, b)."""
+    stored lines, against pairing(a, b).  Cold, the backend gets no holder."""
 
     @staticmethod
-    def _suite(params, warm):
-        backend = TateBackend(params)
-        if not warm:
-            backend.tables = _NoTables()
-        return GroupSuite(backend)
+    def _warm_up(suite, a):
+        for _ in range(2):  # two uses build a's lines
+            suite.pairing(a, suite.g1)
 
     @staticmethod
-    def _warm_up(suite, pt):
-        for _ in range(2):  # two uses build pt's lines
-            suite.backend.pair(pt, suite.g1.payload)
+    def _pair_from_int(suite, a, b, k, warm):
+        if warm:
+            return suite.pairing_from_int(a, b, k).payload
+        return suite.backend.pair_from_int(a.payload, b.payload, k)
 
     @pytest.mark.parametrize("warm", [False, True])
     @pytest.mark.parametrize("q", [59, 83])
@@ -1423,16 +1614,16 @@ class TestPairFromInt:
         # Infinity and every point of order p; points off the subgroup raise
         # (TestSubgroupContract).
         params = enumerate_and_validate(q).params
-        suite = self._suite(params, warm)
+        suite = GroupSuite(TateBackend(params))
         combs = 0
         for pt in [None, *_by_order(q)[0]]:
             a = G1Element(suite, pt)
             if warm:
-                self._warm_up(suite, pt)
+                self._warm_up(suite, a)
             for k in range(params.p):
                 b = suite.g1_from_int(k)
-                assert suite.pairing_from_int(a, b, k) == suite.pairing(a, b), (pt, k)
-            combs += bool(suite.backend.tables.get(pt, suite.backend._pair_comb))
+                assert self._pair_from_int(suite, a, b, k, warm) == tate_pairing(pt, b.payload, params), (pt, k)
+            combs += bool((a.tables or {}).get(suite.backend._pair_comb))
         # Warm, exactly the points of order p take the comb.
         assert combs == (params.p - 1 if warm else 0)
 
@@ -1441,16 +1632,17 @@ class TestPairFromInt:
     def test_random_pairs(self, size, warm):
         params = enumerate_and_validate(523).params if size == "c523" else CurveParams(REAL_Q, REAL_P, REAL_H, REAL_GEN)
         q, rng = params.q, random.Random(f"pair_from_int {size}")
-        suite = self._suite(params, warm)
+        suite = GroupSuite(TateBackend(params))
         # A multiple of g, and a random curve point with its cofactor cleared.
         for pt in (point_mul(rng.randrange(1, params.p), params.gen, q), point_mul(params.h, _random_curve_point(q, rng), q)):
             a = G1Element(suite, pt)
             if warm:
-                self._warm_up(suite, pt)
+                self._warm_up(suite, a)
             for k in (0, 1, params.p - 1, rng.randrange(params.p), rng.randrange(params.p)):
                 b = point_mul(k, params.gen, q)
                 expect = tate_pairing(pt, b, params)
-                assert suite.pairing_from_int(a, G1Element(suite, b), k).payload == expect, (pt, k)
+                assert self._pair_from_int(suite, a, G1Element(suite, b), k, warm) == expect, (pt, k)
+            assert ((a.tables or {}).get(suite.backend._pair_comb) is not None) == warm
 
     def test_charges_one_pairing_to_the_role(self):
         suite = tate_suite(59, counted=True)
@@ -1462,11 +1654,12 @@ class TestPairFromInt:
 
     @pytest.mark.parametrize("size", ["c523", "real"])
     def test_cold_call_makes_no_g1_power(self, size, monkeypatch):
-        # A cold call pairs a with the caller's b and makes no g^k of its own.
+        # A cold call, a's first use, pairs a with the caller's b and makes
+        # no g^k of its own.
         from pairid import tate
 
         params = enumerate_and_validate(523).params if size == "c523" else CurveParams(REAL_Q, REAL_P, REAL_H, REAL_GEN)
-        suite = self._suite(params, warm=False)
+        suite = GroupSuite(TateBackend(params))
         a, k = suite.g1_from_int(5), 7
         b = suite.g1_from_int(k)
         calls = []
