@@ -24,7 +24,7 @@ its value there; the curve backend does, and the transparent one ignores
 its holders.
 
 Exponentiations and pairings are charged to whichever session role (prover
-or verifier) is currently active on the suite.  Library calls made outside a
+or verifier) is active in the running thread.  Library calls made outside a
 role context are never counted, and neither is random sampling or hashing,
 which keeps the measured per-protocol costs aligned with how such tables are
 conventionally drawn up (only explicit exponentiations and pairings count).
@@ -32,11 +32,14 @@ conventionally drawn up (only explicit exponentiations and pairings count).
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from dataclasses import dataclass, field, fields
 
 from .primes import is_prime
 
 ROLES = ("prover", "verifier")
+# The role that counted operations in the running thread are charged to.
+_ACTIVE_ROLE: ContextVar = ContextVar("role", default=None)
 
 # Payload kinds used for bandwidth accounting and wire encoding.
 KIND_G1 = "g1"
@@ -155,7 +158,8 @@ class CostCounter:
     Exponentiations and pairings are kept per role; bandwidth is a session
     total (both directions).  Redraws record how often a prover had to throw
     away a random draw (denominator collisions); they are reported separately
-    and excluded from determinism comparisons.
+    and excluded from determinism comparisons.  A counted suite counts one
+    session at a time: its counter is shared, and a prover's restart resets it.
     """
 
     g1_exp: dict = field(default_factory=lambda: {r: 0 for r in ROLES})
@@ -311,22 +315,20 @@ class TransparentBackend:
 
 
 class _RoleContext:
-    """GroupSuite.role's context: the suite's role is who while it is open."""
+    """GroupSuite.role's context: the running thread's role is who while it is open."""
 
-    __slots__ = ("suite", "who")
+    __slots__ = ("who",)
 
-    def __init__(self, suite: "GroupSuite", who: str):
-        self.suite = suite
+    def __init__(self, who: str):
         self.who = who
 
-    def __enter__(self) -> "GroupSuite":
-        if self.suite._role is not None:
+    def __enter__(self):
+        if _ACTIVE_ROLE.get() is not None:
             raise RuntimeError("role context is not reentrant")
-        self.suite._role = self.who
-        return self.suite
+        _ACTIVE_ROLE.set(self.who)
 
     def __exit__(self, *exc):
-        self.suite._role = None
+        _ACTIVE_ROLE.set(None)
 
 
 class GroupSuite:
@@ -342,7 +344,6 @@ class GroupSuite:
         # n-bit challenges cover Z_p when n is the bit length of p - 1.
         self.n = (p - 1).bit_length()
         self.counter = CostCounter() if counted else None
-        self._role = None
         # Everything that makes two backends interchangeable: compatible()
         # compares it when two suites do not share one backend object.
         self._identity = tuple(backend.describe().items())
@@ -354,18 +355,18 @@ class GroupSuite:
     # -- session role bookkeeping ------------------------------------------
 
     def role(self, who: str) -> "_RoleContext":
-        """A context that charges the group operations inside it to who."""
+        """A context that charges to who the counted operations its thread makes."""
         if who not in ROLES:
             raise ValueError(f"unknown role {who!r}")
-        return _RoleContext(self, who)
+        return _RoleContext(who)
 
     def _charge_exp(self, kind):
-        if self.counter is not None and self._role is not None:
-            self.counter.add_exp(kind, self._role)
+        if self.counter is not None and (role := _ACTIVE_ROLE.get()) is not None:
+            self.counter.add_exp(kind, role)
 
     def _charge_pairing(self):
-        if self.counter is not None and self._role is not None:
-            self.counter.add_pairing(self._role)
+        if self.counter is not None and (role := _ACTIVE_ROLE.get()) is not None:
+            self.counter.add_pairing(role)
 
     # -- arithmetic ---------------------------------------------------------
 

@@ -73,14 +73,15 @@ def bench_costs(scheme: SchemeId, suite: GroupSuite, sessions: int = 4, seed="be
     """Measure one scheme over several honest sessions on a counted clone."""
     scheme = SchemeId(scheme)
     counted = GroupSuite(suite.backend, counted=True)
-    kp = keygen(scheme, counted, Random(f"{seed}:keygen"))
+    kp = keygen(scheme, counted, Random(f"{seed}:keygen:{scheme.value}"))
 
     snapshots = []
     redraws = 0
     for i in range(sessions):
         counted.counter.reset()
         t = run_session(scheme, kp, counted, seed=f"{seed}:{i}")
-        assert t.decision, "honest session must be accepted"
+        if not t.decision:
+            raise RuntimeError("honest session must be accepted")
         snapshots.append(counted.counter.snapshot())
         redraws += counted.counter.redraws
     for snap in snapshots[1:]:

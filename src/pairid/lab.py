@@ -451,10 +451,12 @@ def owfid_extractor(t1: Transcript, t2: Transcript, simkey: OwfidKeyPair) -> Ext
     if owfid_keypair(suite, pk.P, pk.y, Q, s).v != pk.v:
         raise MalformedTranscripts("extracted witness fails the key equation")
     if s == simkey.s:
-        assert Q == simkey.Q, "equal exponents must force equal witnesses"
+        if Q != simkey.Q:
+            raise RuntimeError("equal exponents must force equal witnesses")
         raise SameWitness("extraction reproduced the simulator's key")
     Z = (Q / simkey.Q) ** (simkey.s - s).inv()
-    assert suite.pairing(pk.P, Z) == pk.y, "preimage identity must hold exactly"
+    if suite.pairing(pk.P, Z) != pk.y:
+        raise RuntimeError("preimage identity must hold exactly")
     return ExtractionResult(Q=Q, s=s, Z=Z)
 
 

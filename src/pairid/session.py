@@ -185,9 +185,11 @@ def loopback_session(scheme: SchemeId, kp, seed=0) -> tuple[SessionResult, Sessi
     """Run prover and verifier over a socketpair; returns both results.
 
     Both endpoints share the keypair's suite, so with a counted suite every
-    protocol message is charged twice (once per endpoint).  Each end closes
-    its socket when it ends, so the peer of an end that raises reads EOF,
-    and the call raises the error that ended the session.
+    protocol message is charged twice (once per endpoint).  Each end's role
+    lives in its own thread, and neither end keeps state on the suite or the
+    key, so loopbacks on one key may run at once.  Each end closes its
+    socket when it ends, so the peer of an end that raises reads EOF, and
+    the call raises the error that ended the session.
     """
     left, right = socket.socketpair()
     outcome: dict = {}

@@ -1,4 +1,5 @@
 import random
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -198,6 +199,36 @@ class TestCostAccounting:
             with pytest.raises(RuntimeError):
                 with s.role("verifier"):
                     pass
+
+    def test_threads_hold_roles_on_one_suite_at_once(self):
+        # Each thread's role charges its own operations, even while the other
+        # thread holds a different role on the same suite.
+        s = transparent_suite(11, counted=True)
+        both_open = threading.Barrier(2, timeout=10)
+        errors = []
+
+        def work(who, k):
+            try:
+                with s.role(who):
+                    both_open.wait()
+                    for _ in range(k):
+                        _ = s.g1 ** 3
+                    _ = s.pairing(s.g1, s.g1)
+                    both_open.wait()
+            except Exception as exc:  # surfaced below
+                errors.append(exc)
+                both_open.abort()
+
+        threads = [threading.Thread(target=work, args=args) for args in (("prover", 3), ("verifier", 5))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        snap = s.counter.snapshot()
+        assert snap["g1_exp"] == {"prover": 3, "verifier": 5}
+        assert snap["pairings"] == {"prover": 1, "verifier": 1}
 
     def test_unknown_role_rejected(self, t11):
         with pytest.raises(ValueError):

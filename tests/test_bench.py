@@ -2,7 +2,7 @@ import pytest
 
 from pairid.algebra import scalar_width, transparent_suite
 from pairid.bench import EXPECTED, CostTable, NonDeterministicCosts, bench_all, bench_costs
-from pairid.schemes import SchemeId
+from pairid.schemes import SchemeId, keygen
 
 
 class TestExpectedTable:
@@ -35,6 +35,19 @@ class TestMeasurement:
             assert result.matches
             seen.append(result.redraws)
         assert any(r > 0 for r in seen)
+
+    def test_schemes_draw_independent_keys(self, t1009, monkeypatch):
+        import pairid.bench as bench_mod
+
+        keys = {}
+
+        def recording(scheme, suite, rng):
+            keys[scheme] = kp = keygen(scheme, suite, rng)
+            return kp
+
+        monkeypatch.setattr(bench_mod, "keygen", recording)
+        bench_all(t1009, sessions=1)
+        assert keys[SchemeId.BLSID].x != keys[SchemeId.CDHID].x
 
     def test_scl_restarts_keep_costs_deterministic(self):
         suite = transparent_suite(5)

@@ -1,5 +1,6 @@
 """Every top-level import in the tests and in pairid is used, checked with ast alone,
-and no block of three lines and no raise line in pairid is written twice."""
+no block of three lines and no raise line in pairid is written twice, and no
+check in pairid is an assert, which python -O strips."""
 
 import ast
 from pathlib import Path
@@ -127,3 +128,26 @@ def test_the_check_finds_repeated_raises():
     }
     assert repeated_raises(sources, set()) == ["a.py:5 b.py:3"]
     assert repeated_raises(sources, {twice.strip()}) == []
+
+
+def asserts_in(sources: dict) -> list:
+    """'file:line' for each assert statement."""
+    return [
+        f"{name}:{node.lineno}"
+        for name, source in sources.items()
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Assert)
+    ]
+
+
+def test_no_assert_in_src():
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert asserts_in(sources) == []
+
+
+def test_the_check_finds_asserts():
+    sources = {
+        "a.py": "x = 1\nassert x, 'x is set'\n",
+        "b.py": "def f(x):\n    if x:\n        assert x > 0\n    return 'assert x'\n",
+    }
+    assert asserts_in(sources) == ["a.py:2", "b.py:3"]

@@ -90,15 +90,16 @@ class TestLoopback:
             prover, verifier = loopback_session(scheme, kp, seed=4)
             assert prover.decision and verifier.decision
 
-    def test_wire_reproduces_in_process_transcripts(self, t1009):
-        for scheme in ALL_SCHEMES:
-            kp = keygen(scheme, t1009, random.Random(21))
-            local = run_session(scheme, kp, t1009, seed="match")
-            _, wire = loopback_session(scheme, kp, seed="match")
-            assert transcripts_bytes(local, t1009) == transcripts_bytes(
-                wire.transcript, t1009
-            )
-            assert local.decision == wire.decision
+    def test_wire_reproduces_in_process_transcripts(self, t1009, c59, c523):
+        for suite in (t1009, c59, c523):
+            for scheme in ALL_SCHEMES:
+                kp = keygen(scheme, suite, random.Random(21))
+                local = run_session(scheme, kp, suite, seed="match")
+                _, wire = loopback_session(scheme, kp, seed="match")
+                assert transcripts_bytes(local, suite) == transcripts_bytes(
+                    wire.transcript, suite
+                ), (suite, scheme)
+                assert local.decision == wire.decision
 
     def test_restart_over_wire_matches_in_process(self):
         suite = transparent_suite(5)

@@ -1015,10 +1015,9 @@ class TestTableHolders:
 
     def test_threads_sharing_one_key(self):
         # Two threads run loopback sessions, each with a prover thread of its
-        # own, on the same key elements: every session accepts on both ends,
+        # own, on the same key objects: every session accepts on both ends,
         # and each key element ends with one table of each kind, equal to
-        # one built alone.  A suite's role context is not reentrant, so each
-        # thread's key object names a suite of its own on the one backend.
+        # one built alone.
         suite = GroupSuite(TateBackend(enumerate_and_validate(523).params))
         backend = suite.backend
         keys = {s: keygen(s, suite, random.Random(f"threads {s.value}")) for s in SchemeId}
@@ -1026,10 +1025,8 @@ class TestTableHolders:
 
         def work(t):
             try:
-                own = GroupSuite(backend)
                 for i in range(3):
                     for s, kp in keys.items():
-                        kp = type(kp)(**{**vars(kp), "suite": own})
                         prover, verifier = loopback_session(s, kp, seed=f"threads {t} {i}")
                         if not (prover.decision and verifier.decision):
                             errors.append((t, i, s))
