@@ -26,12 +26,14 @@ decide win/lose by a keyed hash over (their per-seed nonce, the challenge),
 which makes the seed-by-challenge outcome matrix a well-defined object that
 can be tabulated exhaustively.
 
-The repeated games share one trial loop, signatures.run_trials, and every
-oracle counts its queries against one signatures.Budget.  An unknown success
-rate eps is estimated once, by the pilot in probe_strategy; the single-shot
-inverter never estimates it.  DEMOS names one demo per game; run_demo sets it
-up and returns (passed, lines), which is all that `pairid lab` prints and
-`pairid selftest` checks.
+The repeated games share one trial loop, signatures.run_trials, every oracle
+counts its queries against one signatures.Budget, and every trial is judged
+by signatures.unless_forfeit: an attacker that breaks a rule forfeits its
+trial, and a reduction raises that Forfeit, never concedes.  An unknown
+success rate eps is estimated once, by the pilot in probe_strategy; the
+single-shot inverter never estimates it.  DEMOS names one demo per game;
+run_demo sets it up and returns (passed, lines), which is all that
+`pairid lab` prints and `pairid selftest` checks.
 """
 
 from __future__ import annotations
@@ -62,23 +64,23 @@ from .schemes import (
 )
 from .signatures import (
     Budget,
-    BudgetExceeded,
     ExpKeyPair,
     ForgeryGameConfig,
+    Forfeit,
     GameReport,
-    bls_verify,
     forgery_game,
     hash_to_group,
     run_trials,
+    unless_forfeit,
 )
 from .wire import frame_decode, frame_encode
 
 
-class AttackFailed(Exception):
+class AttackFailed(Forfeit):
     """The attacker's forged response was rejected."""
 
 
-class FreshnessCollision(Exception):
+class FreshnessCollision(Forfeit):
     """The verifier's random challenge landed on an already-signed message."""
 
 
@@ -98,7 +100,7 @@ class InversionFailed(Exception):
     """The pairing-inversion routine did not produce a preimage."""
 
 
-class OrderingViolation(Exception):
+class OrderingViolation(Forfeit):
     """An oracle was used outside its allowed phase."""
 
 
@@ -247,16 +249,9 @@ def run_attack(sim: ProtocolSim, attacker: AttackerPair, seed, forced_challenge:
     return _prover_half(sim, attacker, seed, rng_a, _verifier_half(sim, attacker, seed, rng_a), forced_challenge)
 
 
-# What ends an attack run as a reject rather than an error.
-_FORFEITS = (BudgetExceeded, AttackFailed)
-
-
 def _accepted(attack, *args) -> Transcript | None:
     """attack(*args)'s transcript if it was accepted, else None; a forfeited run is a reject."""
-    try:
-        decision, transcript = attack(*args)
-    except _FORFEITS:
-        return None
+    decision, transcript = unless_forfeit(attack, *args) or (False, None)
     return transcript if decision else None
 
 
@@ -317,9 +312,8 @@ def build_summary_matrix(attacker: AttackerPair, sim: ProtocolSim, seeds, challe
     bits = []
     for seed in seeds:
         rng_a = SeededRandom(f"{seed}:attacker")
-        try:
-            opening = _verifier_half(sim, attacker, seed, rng_a)
-        except _FORFEITS:
+        opening = unless_forfeit(_verifier_half, sim, attacker, seed, rng_a)
+        if opening is None:
             bits.append([0] * len(challenges))
             continue
         rewind = rng_a.getstate()
@@ -494,12 +488,12 @@ def owfid_inverter(
             ch2 = ops.sample_challenge(suite, rng)
             if ch1 == ch2:
                 raise ProbeFailed("both draws landed on the same challenge")
-            d1, t1 = run_attack(sim, attacker, seed, forced_challenge=ch1)
-            d2, t2 = run_attack(sim, attacker, seed, forced_challenge=ch2)
-            if not (d1 and d2):
+            t1 = _accepted(run_attack, sim, attacker, seed, ch1)
+            t2 = _accepted(run_attack, sim, attacker, seed, ch2)
+            if t1 is None or t2 is None:
                 raise ProbeFailed("one of the two runs was rejected")
         return owfid_extractor(t1, t2, simkey).Z
-    except (ProbeFailed, SameWitness, BudgetExceeded, AttackFailed) as exc:
+    except (ProbeFailed, SameWitness) as exc:
         raise InversionFailed(str(exc)) from exc
 
 
@@ -510,8 +504,8 @@ class OmCdhContext(Budget):
     """Challenger state for the one-more-style computational game.
 
     The helper oracle answers exponentiation queries only until the target is
-    drawn; the target is drawn exactly once.  Both misuses raise rather than
-    silently losing, and the game loop treats a raise as a lost trial.  The
+    drawn; the target is drawn exactly once.  Both misuses raise
+    OrderingViolation, a forfeit, which loses the trial.  The
     context is the helper oracle's Budget of q queries: calls counts them,
     the one that overspends included.
     """
@@ -549,10 +543,7 @@ def om_cdh_game(adversary, suite: GroupSuite, q: int = 8, trials: int = 100, see
         rng_game = Random(f"{seed}:{i}:game")
         x = suite.random_scalar(rng_game, nonzero=True)
         ctx = OmCdhContext(suite, x, q, rng_game)
-        try:
-            answer = adversary(ctx, Random(f"{seed}:{i}:adv"))
-        except (BudgetExceeded, OrderingViolation, AttackFailed):
-            answer = None
+        answer = unless_forfeit(adversary, ctx, Random(f"{seed}:{i}:adv"))
         won = ctx.target is not None and isinstance(answer, G1Element) and answer == ctx.target ** x
         return won, {"cdh": ctx.calls}
 
@@ -619,21 +610,11 @@ def blsid_forgery_reduction(attacker: AttackerPair, pk: ExpKeyPair, sign, params
 
 
 def blsid_forger(attacker: AttackerPair, params: SchemeParams | None = None):
-    """Adapt the reduction to the forgery game's adversary signature."""
+    """Adapt the reduction to the forgery game's adversary signature; an unusable run forfeits."""
 
     def adversary(ctx, rng):
         local = params if params is not None else default_scheme_params(ctx.suite)
-        try:
-            return blsid_forgery_reduction(attacker, ctx.pk, ctx.sign, local, rng)
-        except (FreshnessCollision, AttackFailed):
-            # Unusable run; concede the trial with a non-verifying forgery.
-            # The identity is usually wrong, but if b"\x00" happens to hash to
-            # the identity itself the generator is wrong instead (it cannot
-            # both be the identity and equal the hash's secret power).
-            sig = ctx.suite.g1_identity()
-            if bls_verify(ctx.pk, b"\x00", sig):
-                sig = ctx.suite.g1
-            return b"\x00", sig
+        return blsid_forgery_reduction(attacker, ctx.pk, ctx.sign, local, rng)
 
     return adversary
 

@@ -183,6 +183,8 @@ def load_transcript(path):
     """Returns (transcript, suite, params)."""
     fields, scheme, suite, params = _read(path, "transcript")
     ops = SCHEMES[scheme]
+    if _field(fields, "decision") not in ("accept", "reject"):
+        raise RecordError(f"field 'decision' must be accept or reject, not {fields['decision']!r}")
     t = Transcript(
         scheme=scheme,
         commitment=_field(fields, "commitment", _unhex(ops.commitment_fields, suite)),

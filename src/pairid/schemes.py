@@ -102,8 +102,9 @@ class ProtocolViolation(PeerError):
 
 
 def raise_peer_error(payload: bytes):
-    """End the session on the peer's error frame, quoting its text."""
-    raise ProtocolViolation(f"peer error: {payload.decode('ascii', 'replace')}")
+    """End the session on the peer's error frame, quoting its text on one line: each byte
+    outside printable ASCII is escaped, so a peer cannot forge a line of its own."""
+    raise ProtocolViolation("peer error: " + "".join(chr(b) if 32 <= b < 127 else f"\\x{b:02x}" for b in payload))
 
 
 class SchemeId(str, Enum):

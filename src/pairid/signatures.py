@@ -14,7 +14,9 @@ is what makes the forgery reductions in the lab mechanical.
 
 Every game here and in the lab limits its oracles with one Budget: the sign
 and hash oracles of the forgery game, the lab's honest-prover oracle and its
-one-more helper oracle.  The repeated games share one trial loop, run_trials.
+one-more helper oracle.  The repeated games share one trial loop, run_trials,
+and one judge, unless_forfeit: an adversary that breaks a rule of its game
+loses its trial instead of ending the game.
 """
 
 from __future__ import annotations
@@ -25,14 +27,18 @@ from enum import Enum
 from random import Random
 from typing import ClassVar
 
-from .algebra import KIND_G1, KIND_G2, KIND_ZP, DegenerateSuite, G1Element, G2Element, GroupSuite, Scalar
+from .algebra import KIND_G1, KIND_G2, KIND_ZP, DegenerateSuite, G1Element, G2Element, GroupSuite, PeerError, Scalar
 
 
 class ModeBackendMismatch(Exception):
     """Hash mode cannot be evaluated on this suite's backend."""
 
 
-class BudgetExceeded(Exception):
+class Forfeit(Exception):
+    """The adversary broke a rule of its game, and so loses the trial."""
+
+
+class BudgetExceeded(Forfeit):
     """An oracle was queried more times than the game allows."""
 
 
@@ -47,6 +53,15 @@ class Budget:
         self.calls += 1
         if self.calls > self.limit:
             raise BudgetExceeded(f"oracle budget {self.limit} exceeded")
+
+
+def unless_forfeit(play, *args):
+    """play(*args), or None when the adversary forfeits: it raised a Forfeit, or an honest
+    engine or oracle raised a PeerError at its message, even after the verifier decided."""
+    try:
+        return play(*args)
+    except (Forfeit, PeerError):
+        return None
 
 
 class HashMode(str, Enum):
@@ -264,7 +279,7 @@ def forgery_game(sig_scheme: str, adversary, config: ForgeryGameConfig, suite: G
 
     The adversary is a callable (ctx, rng) -> (message, forgery).  A win
     needs a fresh message (never sent to the sign oracle) and a verifying
-    signature.  Any budget violation forfeits that trial.
+    signature.  A forfeit (unless_forfeit) loses that trial.
     """
     if sig_scheme not in ("bls", "bb"):
         raise ValueError(f"unknown signature scheme {sig_scheme!r}")
@@ -273,15 +288,11 @@ def forgery_game(sig_scheme: str, adversary, config: ForgeryGameConfig, suite: G
         rng_game = Random(f"{config.seed}:{i}:game")
         kp = bls_keygen(suite, rng_game) if sig_scheme == "bls" else bb_keygen(suite, rng_game)
         ctx = ForgeryContext(sig_scheme, kp, suite, config, rng_game)
-        try:
-            message, forgery = adversary(ctx, Random(f"{config.seed}:{i}:adv"))
-        except BudgetExceeded:
-            won = False
-        else:
-            # A message sent to the sign oracle is not fresh: no credit.
-            won = message not in ctx.signed and (
-                bls_verify(kp.public(), message, forgery) if sig_scheme == "bls"
-                else bb_verify(kp.public(), message, *forgery))
+        message, forgery = unless_forfeit(adversary, ctx, Random(f"{config.seed}:{i}:adv")) or (None, None)
+        # A forfeit forges nothing, and a message sent to the sign oracle is not fresh: no credit.
+        won = forgery is not None and message not in ctx.signed and (
+            bls_verify(kp.public(), message, forgery) if sig_scheme == "bls"
+            else bb_verify(kp.public(), message, *forgery))
         return won, {"sign": ctx._sign.calls, "hash": ctx._hash.calls}
 
     params = {"q_s": config.q_s, "q_h": config.q_h, "p": suite.p}

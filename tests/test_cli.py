@@ -61,8 +61,10 @@ class TestBrokenSessions:
             (["verify", "--pk", "{pk}", "--stdio"], b""),
             (["prove", "--key", "{sk}", "--stdio"], b"\x00\x00\x00\x02\x06x"),
             (["prove", "--key", "{sk}", "--stdio"], b"\x00\x00\x00\x02\x09x"),
+            # The peer's reason holds a newline and a forged second pairid: line.
+            (["verify", "--pk", "{pk}", "--stdio"], b"\x00\x00\x00\x23\x06go away\npairid: forged second line"),
         ],
-        ids=["verify-empty-stdin", "prove-error-frame", "prove-unknown-tag"],
+        ids=["verify-empty-stdin", "prove-error-frame", "prove-unknown-tag", "verify-error-frame-newline"],
     )
     def test_one_line_exit_1(self, argv, inbound, keyfiles, monkeypatch, capsys):
         sk, pk = keyfiles

@@ -629,3 +629,83 @@ class TestRelayRestart:
                 (TAG_RESPONSE, encode_payload(ops.response_fields, local.response, suite)),
             ]
         assert len(restarted) == 15
+
+
+# -- attackers that break a rule of their game ---------------------------------------
+
+
+class FinishFirst(AttackerPair):
+    """Asks the prover oracle for a response before any session began."""
+
+    def verifier_phase(self, pk, prover, rng):
+        prover.finish((pk.suite.g1,))
+
+
+class IdentityQuery(AttackerPair):
+    """One honest query, then the identity as a cdhid challenge."""
+
+    def verifier_phase(self, pk, prover, rng):
+        prover.query((pk.suite.random_g1(rng, nonidentity=True),))
+        prover.query((pk.suite.g1_identity(),))
+
+
+class WrongFieldCount:
+    """Mixin: answers a two-message challenge with one field too many."""
+
+    def prover_phase(self, pk, state, channel, rng):
+        challenge = channel.start()
+        channel.on_response(challenge * 2)
+
+
+class AnswersTwice:
+    """Mixin: plays the scripted attacker's winning run, then answers again."""
+
+    def prover_phase(self, pk, state, channel, rng):
+        super().prover_phase(pk, state, channel, rng)
+        channel.on_response(channel.response)  # after the verifier decided
+
+
+def misbehaving(mixin, base, *args):
+    return type(mixin.__name__ + base.__name__, (mixin, base), {})(*args)
+
+
+class TestForfeitRule:
+    """An attacker that breaks a rule loses its trial; the game reports it and goes on."""
+
+    # (attacker, oracle queries it spends in each trial)
+    @pytest.mark.parametrize("attacker, queries", [
+        pytest.param(FinishFirst(), 0, id="finish-before-begin"),
+        pytest.param(IdentityQuery(), 1, id="identity-query"),
+        pytest.param(misbehaving(WrongFieldCount, ScriptedCdhidAttacker, 1.0, 2), 2, id="wrong-field-count"),
+        pytest.param(misbehaving(AnswersTwice, ScriptedCdhidAttacker, 1.0, 2), 2, id="second-response"),
+    ])
+    def test_impersonation_games(self, attacker, queries, t1009):
+        sim = ProtocolSim.new(SchemeId.CDHID, t1009, seed="forfeit", q=4)
+        report = attack_success_rate(attacker, sim, trials=10)
+        assert (report.wins, report.queries) == (0, {})
+        challenges = [(t1009.g1_from_int(k),) for k in range(1, 5)]
+        matrix = build_summary_matrix(attacker, sim, [f"f{i}" for i in range(5)], challenges)
+        assert matrix.shape == (5, 4) and matrix.ones() == 0
+        report = cdhid_reduction_game(attacker, t1009, q=4, trials=10)
+        assert (report.wins, report.queries) == (0, {"cdh": 10 * queries})
+        with pytest.raises(ProbeFailed):
+            probe_strategy(attacker, sim, eps=0.5, rng=Random("forfeit"))
+
+    @pytest.mark.parametrize("attacker, queries", [
+        pytest.param(FinishFirst(), 0, id="finish-before-begin"),
+        pytest.param(misbehaving(WrongFieldCount, ScriptedBlsidAttacker, 4, 2), 2, id="wrong-field-count"),
+        pytest.param(misbehaving(AnswersTwice, ScriptedBlsidAttacker, 4, 2), 2, id="second-response"),
+        # Its queries cover the challenge domain, so every challenge collides.
+        pytest.param(ScriptedBlsidAttacker(4, 16), 16, id="freshness-collision"),
+    ])
+    def test_forgery_game(self, attacker, queries, t11):
+        config = ForgeryGameConfig(q_s=16, q_h=64, trials=10, seed="forfeit")
+        report = forgery_game("bls", blsid_forger(attacker), config, t11)
+        assert (report.wins, report.queries) == (0, {"hash": 0, "sign": 10 * queries})
+
+    def test_single_shot_inverter(self, t101):
+        rng = Random("forfeit")
+        P = t101.random_g1(rng, nonidentity=True)
+        y = t101.random_g2(rng, nonidentity=True)
+        with pytest.raises(InversionFailed, match="rejected"):
+            owfid_inverter(FinishFirst(), P, y, t101, mode="single-shot", rng=rng)

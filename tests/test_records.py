@@ -180,7 +180,8 @@ class TestMalformedFields:
 
     @pytest.mark.parametrize(
         "name, value",
-        [("commitment", None),("response", "00"), ("challenge", "0g"), ("decision", None), ("p", "7a")],
+        [("commitment", None),("response", "00"), ("challenge", "0g"), ("decision", None), ("p", "7a"),
+         ("decision", "maybe"), ("decision", ""), ("decision", "ACCEPT")],
     )
     def test_transcript_record(self, name, value, t1009, tmp_path):
         kp = keygen(SchemeId.SCL, t1009, random.Random(6))
