@@ -68,6 +68,7 @@ from .signatures import (
     ForgeryGameConfig,
     Forfeit,
     GameReport,
+    MalformedQuery,
     forgery_game,
     hash_to_group,
     run_trials,
@@ -505,9 +506,10 @@ class OmCdhContext(Budget):
 
     The helper oracle answers exponentiation queries only until the target is
     drawn; the target is drawn exactly once.  Both misuses raise
-    OrderingViolation, a forfeit, which loses the trial.  The
-    context is the helper oracle's Budget of q queries: calls counts them,
-    the one that overspends included.
+    OrderingViolation, and a query that is not a G1 element raises
+    MalformedQuery before it is charged; each is a forfeit, which loses the
+    trial.  The context is the helper oracle's Budget of q queries: calls
+    counts them, the one that overspends included.
     """
 
     def __init__(self, suite: GroupSuite, x: Scalar, q: int, rng: Random):
@@ -523,7 +525,7 @@ class OmCdhContext(Budget):
         if self.target is not None:
             raise OrderingViolation("helper oracle closes once the target is drawn")
         if not isinstance(h, G1Element):
-            raise TypeError("helper oracle takes a G1 element")
+            raise MalformedQuery("helper oracle takes a G1 element")
         self.charge()
         return h ** self._x
 

@@ -4,7 +4,9 @@ One sans-I/O engine (schemes.SessionEngine) restarts, counts and records
 every session; three drivers carry its messages.  schemes.run_session joins
 both roles in memory with value tuples and counts each message once.
 serve_prover and run_verifier run one role over a transport as frames and
-count each message on both ends, so a loopback counts it twice.
+count each message on both ends.  Both run one driver, _steps, that pauses
+before each frame it reads; loopback_session steps its two ends by it on
+one thread, over a socketpair, so a loopback counts each message twice.
 lab.mitm_relay_demo joins both roles in memory through a frame-level relay.
 
 Over a transport both peers start with a hello exchange pinning (scheme,
@@ -25,7 +27,6 @@ from __future__ import annotations
 
 import socket
 import struct
-import threading
 from dataclasses import dataclass
 
 from .algebra import GroupSuite, PeerError
@@ -144,8 +145,12 @@ class SessionResult:
     restarts: int = 0
 
 
-def _run(engine: SessionEngine, transport) -> SessionResult:
-    """Hello exchange, then the engine's messages as frames until it decides."""
+def _steps(engine: SessionEngine, transport):
+    """Hello exchange, then the engine's messages as frames until it decides.
+
+    A generator: just before each frame it reads, it yields the number of
+    frames it has written since its last yield; it returns the SessionResult.
+    """
     ops, suite, params = engine.ops, engine.suite, engine.params
     hello = hello_payload(ops.scheme, suite, params)
     messages = (ops.commitment_fields, ops.challenge_fields, ops.response_fields)
@@ -154,6 +159,7 @@ def _run(engine: SessionEngine, transport) -> SessionResult:
     prover = engine.role == "prover"
     if not prover:
         send_frame(transport, TAG_HELLO, hello)
+    yield 0 if prover else 1
     tag, payload = recv_frame(transport, limit)
     if tag == TAG_ERROR and not prover:
         raise_peer_error(payload)
@@ -161,57 +167,67 @@ def _run(engine: SessionEngine, transport) -> SessionResult:
         if prover:
             send_frame(transport, TAG_ERROR, b"hello mismatch")
         raise ProtocolViolation("peer hello does not match these parameters")
-    if prover:
-        send_frame(transport, TAG_HELLO, hello)
-    outgoing = engine.open()
+    outgoing = [(TAG_HELLO, hello)] * prover + engine.open()
     while True:
         for tag, payload in outgoing:
             send_frame(transport, tag, payload)
         transcript = engine.transcript()
         if transcript is not None:
             return SessionResult(transcript.decision, transcript, engine.restarts)
+        yield len(outgoing)
         outgoing = engine.receive(*recv_frame(transport, limit))
 
 
+def _finish(steps):
+    """Run a session's steps to the end over a blocking transport."""
+    try:
+        while True:
+            next(steps)
+    except StopIteration as done:
+        return done.value
+
+
 def serve_prover(scheme: SchemeId, kp, transport, seed=0) -> SessionResult:
-    return _run(ProverMachine(scheme, kp, seed=seed, wire=True), transport)
+    return _finish(_steps(ProverMachine(scheme, kp, seed=seed, wire=True), transport))
 
 
 def run_verifier(scheme: SchemeId, pk, transport, seed=0) -> SessionResult:
-    return _run(VerifierMachine(scheme, pk, seed=seed, wire=True), transport)
+    return _finish(_steps(VerifierMachine(scheme, pk, seed=seed, wire=True), transport))
 
 
 def loopback_session(scheme: SchemeId, kp, seed=0) -> tuple[SessionResult, SessionResult]:
     """Run prover and verifier over a socketpair; returns both results.
 
     Both endpoints share the keypair's suite, so with a counted suite every
-    protocol message is charged twice (once per endpoint).  Each end's role
-    lives in its own thread, and neither end keeps state on the suite or the
-    key, so loopbacks on one key may run at once.  Each end closes its
-    socket when it ends, so the peer of an end that raises reads EOF, and
-    the call raises the error that ended the session.
+    protocol message is charged twice (once per endpoint).  Both ends run on
+    the caller's thread, and neither keeps state on the suite or the key, so
+    loopbacks on one key may run at once.  An end is resumed only when a
+    frame it has not read waits in its socket, or when its peer has ended
+    and closed its socket, so that it reads the rest and then EOF.  The call
+    raises the first error either end raises, and ProtocolViolation when
+    both ends wait for a frame.
     """
-    left, right = socket.socketpair()
-    outcome: dict = {}
-
-    def prover_side():
-        try:
-            outcome["prover"] = serve_prover(scheme, kp, SocketTransport(left), seed)
-        except Exception as exc:  # surfaced after join
-            outcome["error"] = exc
-        finally:
-            left.close()
-
-    worker = threading.Thread(target=prover_side)
-    worker.start()
+    socks = socket.socketpair()
+    steps = [_steps(ProverMachine(scheme, kp, seed=seed, wire=True), SocketTransport(socks[0])),
+             _steps(VerifierMachine(scheme, kp.public(), seed=seed, wire=True), SocketTransport(socks[1]))]
+    results = [None, None]
     try:
-        verifier = run_verifier(scheme, kp.public(), SocketTransport(right), seed)
-    except TransportClosed as exc:
-        # The prover closed its end after recording its error, if it had one.
-        outcome.setdefault("error", exc)
+        # An end writes at most a few frames between reads, which fit the
+        # socket buffer, so each is in its peer's socket before the end
+        # yields, and counting frames tells which end can read: unread[i]
+        # counts those written to end i (0 the prover) that it has not read.
+        unread = [next(steps[1]), next(steps[0])]
+        while None in results:
+            i = next((i for i in (0, 1) if results[i] is None and (unread[i] or results[1 - i] is not None)), None)
+            if i is None:
+                raise ProtocolViolation("both ends wait for a frame; the loopback cannot go on")
+            unread[i] -= 1
+            try:
+                unread[1 - i] += next(steps[i])
+            except StopIteration as done:
+                results[i] = done.value
+                socks[i].close()
     finally:
-        right.close()
-        worker.join()
-    if "error" in outcome:
-        raise outcome["error"]
-    return outcome["prover"], verifier
+        for sock in socks:
+            sock.close()
+    return results[0], results[1]

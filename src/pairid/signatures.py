@@ -42,6 +42,10 @@ class BudgetExceeded(Forfeit):
     """An oracle was queried more times than the game allows."""
 
 
+class MalformedQuery(Forfeit):
+    """An oracle was asked about a value of the wrong type."""
+
+
 class Budget:
     """An oracle's query budget: charge() counts a call and refuses the one past the limit."""
 
@@ -249,8 +253,19 @@ def run_trials(game: str, params: dict, trials: int, trial, oracles: tuple = ())
     return GameReport(game, params, trials, wins, advantage, queries, seconds=time.monotonic() - t0)
 
 
+# Each scheme's (message, forgery) shape: a type, or a tuple of shapes.
+_SHAPES = {"bls": (bytes, G1Element), "bb": (Scalar, (G1Element, Scalar))}
+
+
+def _shaped(value, shape) -> bool:
+    if isinstance(shape, type):
+        return isinstance(value, shape)
+    return isinstance(value, tuple) and len(value) == len(shape) and all(map(_shaped, value, shape))
+
+
 class ForgeryContext:
-    """What a forger sees: the public key plus budgeted sign/hash oracles."""
+    """What a forger sees: the public key plus budgeted sign/hash oracles.
+    A query of the wrong type raises MalformedQuery before it is charged."""
 
     def __init__(self, scheme: str, kp, suite: GroupSuite, cfg: ForgeryGameConfig, rng: Random):
         self.scheme = scheme
@@ -262,24 +277,32 @@ class ForgeryContext:
         self._hash = Budget(cfg.q_h)
         self.signed: list = []
 
+    @staticmethod
+    def _charge(budget: Budget, message, kind: type):
+        if not isinstance(message, kind):
+            raise MalformedQuery(f"this oracle takes a {kind.__name__} message")
+        budget.charge()
+
     def sign(self, message):
-        self._sign.charge()
+        self._charge(self._sign, message, _SHAPES[self.scheme][0])
         self.signed.append(message)
         if self.scheme == "bls":
             return bls_sign(self._kp, message)
         return bb_sign(self._kp, message, self._rng)
 
     def hash(self, message: bytes) -> G1Element:
-        self._hash.charge()
+        self._charge(self._hash, message, bytes)
         return self.suite.hash_to_g1(message)
 
 
 def forgery_game(sig_scheme: str, adversary, config: ForgeryGameConfig, suite: GroupSuite) -> GameReport:
     """Run the existential-forgery game `trials` times and report the win rate.
 
-    The adversary is a callable (ctx, rng) -> (message, forgery).  A win
-    needs a fresh message (never sent to the sign oracle) and a verifying
-    signature.  A forfeit (unless_forfeit) loses that trial.
+    The adversary is a callable (ctx, rng) -> (message, forgery): bytes and a
+    G1Element for bls, a Scalar and a (G1Element, Scalar) pair for bb.  A
+    win needs a fresh message (never sent to the sign oracle) and a
+    verifying signature.  A forfeit (unless_forfeit) or an answer of another
+    shape loses that trial.
     """
     if sig_scheme not in ("bls", "bb"):
         raise ValueError(f"unknown signature scheme {sig_scheme!r}")
@@ -288,11 +311,12 @@ def forgery_game(sig_scheme: str, adversary, config: ForgeryGameConfig, suite: G
         rng_game = Random(f"{config.seed}:{i}:game")
         kp = bls_keygen(suite, rng_game) if sig_scheme == "bls" else bb_keygen(suite, rng_game)
         ctx = ForgeryContext(sig_scheme, kp, suite, config, rng_game)
-        message, forgery = unless_forfeit(adversary, ctx, Random(f"{config.seed}:{i}:adv")) or (None, None)
-        # A forfeit forges nothing, and a message sent to the sign oracle is not fresh: no credit.
-        won = forgery is not None and message not in ctx.signed and (
-            bls_verify(kp.public(), message, forgery) if sig_scheme == "bls"
-            else bb_verify(kp.public(), message, *forgery))
+        answer = unless_forfeit(adversary, ctx, Random(f"{config.seed}:{i}:adv"))
+        # A forfeit or a misshapen answer forges nothing, and a message sent
+        # to the sign oracle is not fresh: no credit, and no verifier runs.
+        won = _shaped(answer, _SHAPES[sig_scheme]) and answer[0] not in ctx.signed and (
+            bls_verify(kp.public(), *answer) if sig_scheme == "bls"
+            else bb_verify(kp.public(), answer[0], *answer[1]))
         return won, {"sign": ctx._sign.calls, "hash": ctx._hash.calls}
 
     params = {"q_s": config.q_s, "q_h": config.q_h, "p": suite.p}

@@ -448,6 +448,10 @@ class TestOneMoreGame:
         report = om_cdh_game(adversary, t1009, q=4, trials=10)
         assert report.wins == 0
 
+    def test_malformed_query_forfeits_uncharged(self, t1009):
+        report = om_cdh_game(lambda ctx, rng: ctx.cdh(5), t1009, trials=2)
+        assert (report.wins, report.trials, report.queries) == (0, 2, {"cdh": 0})
+
     def test_reduction_answer_is_correct(self):
         suite = transparent_suite(101)
         ctx = OmCdhContext(suite, suite.scalar(17), q=4, rng=Random(5))

@@ -164,6 +164,34 @@ class TestLoopbackFailure:
         assert isinstance(error, Injected)
 
 
+class TestLoopbackDriver:
+    """loopback_session steps both ends on the caller's thread."""
+
+    def test_starts_no_thread(self, monkeypatch, t1009, c523):
+        def refuse(thread):
+            raise AssertionError("loopback_session started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        for suite in (t1009, c523):
+            for scheme in ALL_SCHEMES:
+                prover, verifier = loopback_session(scheme, keygen(scheme, suite, random.Random(11)), seed=4)
+                assert prover.decision and verifier.decision, (suite, scheme)
+        suite = transparent_suite(5)
+        kp = scl_keygen(suite, random.Random(1))
+        seed = next(s for s in range(40) if run_session(SchemeId.SCL, kp, suite, seed=s).restarts)
+        prover, verifier = loopback_session(SchemeId.SCL, kp, seed=seed)
+        assert verifier.decision and prover.restarts == verifier.restarts > 0
+
+    def test_both_ends_waiting_ends_the_loopback(self, monkeypatch, t1009):
+        # An owfid prover that opens with no commitment leaves the verifier,
+        # which waits for one, and itself, waiting for a challenge.
+        monkeypatch.setattr(ProverMachine, "start", lambda machine: None)
+        kp = keygen(SchemeId.OWFID, t1009, random.Random(3))
+        error = _error_within(lambda: loopback_session(SchemeId.OWFID, kp, seed=1),
+                              "loopback_session still running 10 s after both ends began to wait")
+        assert isinstance(error, ProtocolViolation) and "both ends wait" in str(error)
+
+
 class TestExchangeStall:
     """A restart carried in place of a prover message leaves both engines waiting."""
 

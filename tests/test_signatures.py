@@ -205,6 +205,18 @@ class TestForgeryGame:
         assert report.queries["sign"] == len(signed) == 10
         assert all(bb_verify(pk, m, sig, r) for pk, m, sig, r in signed)
 
+    @pytest.mark.parametrize("scheme, adv", [
+        ("bls", lambda ctx, rng: ctx.sign(5)),
+        ("bls", lambda ctx, rng: ctx.hash("text")),
+        ("bb", lambda ctx, rng: ctx.sign(b"\x05")),
+        ("bb", lambda ctx, rng: (ctx.suite.scalar(3), ctx.suite.g1)),
+        ("bls", lambda ctx, rng: (b"\x00\x01", (ctx.suite.g1,))),
+        ("bls", lambda ctx, rng: ctx.suite.g1),
+    ], ids=["bls-int-sign", "str-hash", "bb-bytes-sign", "bb-bare-forgery", "bls-tuple-forgery", "no-message"])
+    def test_malformed_adversary_loses_its_trials(self, t1009, scheme, adv):
+        report = forgery_game(scheme, adv, ForgeryGameConfig(trials=2), t1009)
+        assert (report.wins, report.trials, report.queries) == (0, 2, {"sign": 0, "hash": 0})
+
     def test_unknown_scheme_rejected(self, t1009):
         with pytest.raises(ValueError):
             forgery_game("rsa", lambda ctx, rng: None, ForgeryGameConfig(trials=1), t1009)
