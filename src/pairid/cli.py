@@ -2,6 +2,11 @@
 
 `lab` prints one of pairid.lab's named demos; `selftest` runs all of them.
 
+`prove` and `verify` take no seed, so their draws come from the OS: a prover
+that repeats a commitment for two challenges gives its key away, and a
+challenge that can be foreseen can be answered without the key.  A seed on
+`keygen` or `sign` is for reproducible tests only.
+
 Exit codes: 0 for accept/pass, 1 for reject or a failed bound (a session
 that a peer ends early with a PeerError is a reject), 2 for usage errors (from
 argparse or a command), bad hex input, group parameters or counts, unreadable
@@ -23,7 +28,7 @@ from random import Random, SystemRandom
 from .algebra import MalformedEncoding, PeerError, Scalar, ValidationFailed, transparent_suite
 from .bench import bench_all, bench_costs
 from .lab import DEMO_DEFAULTS, DEMOS, DemoInputError, run_demo
-from .records import RecordError, load_key, save_key, save_transcript, seed_field
+from .records import RecordError, load_key, save_key, save_transcript
 from .schemes import SchemeId, default_scheme_params, keygen, run_session
 from .session import SocketTransport, StdioTransport, hello_payload, loopback_session, run_verifier, serve_prover
 from .signatures import BbKeyPair, ExpKeyPair, bb_sign, bb_verify, bls_sign, bls_verify
@@ -54,7 +59,8 @@ def _parse_addr(text: str):
     return host, int(port)
 
 
-_SEED_HELP = "seed for a reproducible run; without it every draw is from the OS"
+_SEED_HELP = ("seed for reproducible tests only, for anyone who knows it can recompute the key or "
+              "signature; without it every draw is from the OS")
 
 
 def _rng(seed):
@@ -129,7 +135,7 @@ def cmd_prove(args) -> int:
     _require_hello(scheme, kp)
     if args.stdio:
         transport = StdioTransport(sys.stdin.buffer, sys.stdout.buffer)
-        result = serve_prover(scheme, kp, transport, seed=args.seed)
+        result = serve_prover(scheme, kp, transport)
         print(f"prover: {'accepted' if result.decision else 'rejected'} "
               f"(restarts {result.restarts})", file=sys.stderr)
         return 0 if result.decision else 1
@@ -138,7 +144,7 @@ def cmd_prove(args) -> int:
         print(f"listening on {host}:{port} for one session", file=sys.stderr)
         conn, peer = server.accept()
         with conn:
-            result = serve_prover(scheme, kp, SocketTransport(conn), seed=args.seed)
+            result = serve_prover(scheme, kp, SocketTransport(conn))
     print(f"prover: {'accepted' if result.decision else 'rejected'} by {peer[0]} "
           f"(restarts {result.restarts})")
     return 0 if result.decision else 1
@@ -149,20 +155,17 @@ def cmd_verify(args) -> int:
     pk = kp.public()
     _require_hello(scheme, pk)
     if args.transcript_out:
-        # A seed the transcript cannot hold, or a path that cannot be
-        # written, fails before the session.
-        if args.seed is not None:
-            seed_field(args.seed)
+        # A path that cannot be written fails before the session.
         open(args.transcript_out, "w").close()
     with _removed_on_error(args.transcript_out):
         if args.stdio:
             transport = StdioTransport(sys.stdin.buffer, sys.stdout.buffer)
-            result = run_verifier(scheme, pk, transport, seed=args.seed)
+            result = run_verifier(scheme, pk, transport)
             out = sys.stderr
         else:
             host, port = _parse_addr(args.connect)
             with socket.create_connection((host, port)) as conn:
-                result = run_verifier(scheme, pk, SocketTransport(conn), seed=args.seed)
+                result = run_verifier(scheme, pk, SocketTransport(conn))
             out = sys.stdout
         if args.transcript_out:
             save_transcript(args.transcript_out, result.transcript, pk.suite, params)
@@ -278,7 +281,6 @@ def main(argv=None) -> int:
     group = sp.add_mutually_exclusive_group(required=True)
     group.add_argument("--listen", help="host:port to accept one verifier connection on")
     group.add_argument("--stdio", action="store_true", help="speak frames on stdin/stdout")
-    sp.add_argument("--seed", default=None, help=_SEED_HELP)
     sp.set_defaults(func=cmd_prove)
 
     sp = sub.add_parser("verify", help="run one identification session as the verifier")
@@ -286,7 +288,6 @@ def main(argv=None) -> int:
     group = sp.add_mutually_exclusive_group(required=True)
     group.add_argument("--connect", help="host:port of a listening prover")
     group.add_argument("--stdio", action="store_true", help="speak frames on stdin/stdout")
-    sp.add_argument("--seed", default=None, help=_SEED_HELP)
     sp.add_argument("--transcript-out", default=None)
     sp.set_defaults(func=cmd_verify)
 

@@ -2,17 +2,18 @@
 
 The lab treats an attacker as a deterministic function of a seed.  Every
 random stream an attack run touches (attacker coins, honest prover coins,
-honest verifier coins) is derived from that seed and seeded at its first
-draw (schemes.SeededRandom), so a stream the run never draws from is never
-seeded.  Running the same seed twice replays the attack exactly, and
-running the same seed with a different forced challenge is a rewind: the
-commitment phase repeats verbatim and only the challenge (and whatever
-depends on it) changes.  That is all the machinery a forking-style
-extractor needs.  The seed-by-challenge matrix rewinds without the replay:
-build_summary_matrix runs a seed's verifier phase once and each challenge's
-prover phase on a copy of the attacker stream as the challenge found it,
-which gives the replay's bits because a prover phase leaves its verifier
-phase's state alone (the AttackerPair contract).
+honest verifier coins) is derived from that seed.  The honest parties are
+session engines given the seed, each of which builds its stream at its first
+draw, so a stream the run never draws from is never seeded.  Running the
+same seed twice replays the attack exactly, and running the same seed with
+a different forced challenge is a rewind: the commitment phase repeats
+verbatim and only the challenge (and whatever depends on it) changes.  That
+is all the machinery a forking-style extractor needs.  The seed-by-challenge
+matrix rewinds without the replay: build_summary_matrix runs a seed's
+verifier phase once and each challenge's prover phase on a copy of the
+attacker stream as the challenge found it, which gives the replay's bits
+because a prover phase leaves its verifier phase's state alone (the
+AttackerPair contract).
 
 Attackers implement two phases.  In the verifier phase they may interrogate
 honest provers through a budgeted oracle; in the prover phase they get one
@@ -50,7 +51,6 @@ from .schemes import (
     ProverMachine,
     SchemeId,
     SchemeParams,
-    SeededRandom,
     Transcript,
     VerifierMachine,
     check_nonidentity,
@@ -115,13 +115,15 @@ class HonestProverOracle(Budget):
     oracle's Budget once; calls counts them.  query(challenge) is the
     two-message convenience form.
     The constructor runs the scheme's honest prover, whose sessions never go
-    on the wire, so it takes no session settings; answering() builds the
-    oracle a reduction hands an attacker instead.
+    on the wire, so it takes no session settings; its sessions share one
+    stream, Random(f"{seed}:prover"), built at the first draw.  answering()
+    builds the oracle a reduction hands an attacker instead.
     """
 
-    def __init__(self, scheme: SchemeId, kp, limit: int, rng: Random):
+    def __init__(self, scheme: SchemeId, kp, limit: int, seed):
         super().__init__(limit)
-        self._prover = (scheme, kp, rng)
+        self._prover = (scheme, kp, seed)
+        self._machine: ProverMachine | None = None
         self._respond = None
         self.asked: list = []
         self._pending = None
@@ -132,7 +134,7 @@ class HonestProverOracle(Budget):
 
         The callable keeps its own budget, so the oracle sets none.
         """
-        oracle = cls(scheme=None, kp=None, limit=float("inf"), rng=None)
+        oracle = cls(scheme=None, kp=None, limit=float("inf"), seed=None)
         oracle._respond = respond
         return oracle
 
@@ -143,8 +145,10 @@ class HonestProverOracle(Budget):
         if self._respond is not None:
             self._pending = self._respond
             return ()
-        scheme, kp, rng = self._prover
-        machine = ProverMachine(scheme, kp, rng=rng)
+        scheme, kp, seed = self._prover
+        # A session hands its stream on once it has built one.
+        rng = self._machine._rng if self._machine is not None else None
+        self._machine = machine = ProverMachine(scheme, kp, rng=rng, seed=seed)
         commitment = machine.start()
         self._pending = machine.on_challenge
         return commitment if commitment is not None else ()
@@ -220,7 +224,7 @@ class ProtocolSim:
 def _verifier_half(sim: ProtocolSim, attacker: AttackerPair, seed, rng_a: Random) -> tuple:
     """An attack run up to the challenge: (public key, the verifier phase's state)."""
     pk = sim.kp.public()
-    oracle = HonestProverOracle(sim.scheme, sim.kp, sim.q, SeededRandom(f"{seed}:prover"))
+    oracle = HonestProverOracle(sim.scheme, sim.kp, sim.q, seed)
     return pk, attacker.verifier_phase(pk, oracle, rng_a)
 
 
@@ -229,7 +233,7 @@ def _prover_half(
 ):
     """An attack run from the challenge on, after the verifier half that returned opening."""
     pk, state = opening
-    channel = HonestVerifierChannel(sim.scheme, pk, sim.params, SeededRandom(f"{seed}:verifier"), forced_challenge)
+    channel = HonestVerifierChannel(sim.scheme, pk, sim.params, forced_challenge=forced_challenge, seed=seed)
     attacker.prover_phase(pk, state, channel, rng_a)
     transcript = channel.transcript()
     if transcript is None:
@@ -246,7 +250,7 @@ def run_attack(sim: ProtocolSim, attacker: AttackerPair, seed, forced_challenge:
     both on the one attacker stream; build_summary_matrix runs the first
     half once per seed and the second once per challenge.
     """
-    rng_a = SeededRandom(f"{seed}:attacker")
+    rng_a = Random(f"{seed}:attacker")
     return _prover_half(sim, attacker, seed, rng_a, _verifier_half(sim, attacker, seed, rng_a), forced_challenge)
 
 
@@ -312,7 +316,7 @@ def build_summary_matrix(attacker: AttackerPair, sim: ProtocolSim, seeds, challe
     seeds, challenges = list(seeds), list(challenges)
     bits = []
     for seed in seeds:
-        rng_a = SeededRandom(f"{seed}:attacker")
+        rng_a = Random(f"{seed}:attacker")
         opening = unless_forfeit(_verifier_half, sim, attacker, seed, rng_a)
         if opening is None:
             bits.append([0] * len(challenges))
@@ -572,7 +576,7 @@ def cdhid_reduction(attacker: AttackerPair, ctx: OmCdhContext, rng: Random) -> G
     state = attacker.verifier_phase(pk, oracle, rng)
     target = ctx.challenge()
     # The forced challenge leaves the verifier's stream undrawn.
-    channel = HonestVerifierChannel(SchemeId.CDHID, pk, rng=SeededRandom("reduction"), forced_challenge=(target,))
+    channel = HonestVerifierChannel(SchemeId.CDHID, pk, forced_challenge=(target,), seed="reduction")
     attacker.prover_phase(pk, state, channel, rng)
     return channel.accepted_response()[0]
 

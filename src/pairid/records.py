@@ -13,6 +13,10 @@ MAX_BITS is refused before any arithmetic runs on it.
 
 from __future__ import annotations
 
+import os
+import tempfile
+from contextlib import suppress
+
 from .algebra import GroupSuite, MalformedEncoding, transparent_suite
 from .schemes import SCHEMES, SchemeId, SchemeParams, Transcript, default_scheme_params
 from .tate import suite_from_curve_params
@@ -29,10 +33,23 @@ class RecordError(Exception):
     """Record file is missing, malformed, or of the wrong kind."""
 
 
-def _write(path, kind: str, fields: dict):
-    lines = [f"{MAGIC} {kind} {VERSION}"] + [f"{name} = {value}" for name, value in fields.items()]
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+def _write(path, kind: str, fields: dict, secret: bool = False):
+    """Write the record at path.  A secret record goes to a temporary file of mode 0600 beside
+    it, then into place, so no umask or mode of a file it replaces lets others read it."""
+    text = "\n".join([f"{MAGIC} {kind} {VERSION}"] + [f"{name} = {value}" for name, value in fields.items()]) + "\n"
+    if not secret:
+        with open(path, "w", encoding="ascii") as fh:
+            fh.write(text)
+        return
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".pairid-", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="ascii") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def _parse(text: str, expect_kind: str) -> dict:
@@ -137,7 +154,7 @@ def save_key(path, scheme: SchemeId, kp, params: SchemeParams, include_secret: b
     if include_secret:
         for name, kind in kp.SECRET:
             fields[f"sk.{name}"] = encode_payload((kind,), (getattr(kp, name),), kp.suite).hex()
-    _write(path, "key", fields)
+    _write(path, "key", fields, secret=include_secret)
 
 
 def load_key(path):
@@ -154,24 +171,18 @@ def load_key(path):
     return scheme, cls(suite, **values), params
 
 
-def seed_field(seed) -> str:
-    """A session seed as save_transcript writes it; RecordError when the
-    record could not hold it."""
-    seed = str(seed)
-    # Loading reads one stripped ASCII line per field; refuse a seed that
-    # would not come back as written.
-    if seed != seed.strip() or len(seed.splitlines()) > 1 or not seed.isascii():
-        raise RecordError(f"field 'seed' cannot hold {seed!r}: it must be one ASCII line "
-                          "without leading or trailing whitespace")
-    return seed
-
-
 def save_transcript(path, t: Transcript, suite: GroupSuite, params: SchemeParams):
     scheme = SchemeId(t.scheme)
     ops = SCHEMES[scheme]
     fields = _head(scheme, suite, params)
     if t.rng_seed is not None:
-        fields["seed"] = seed_field(t.rng_seed)
+        seed = str(t.rng_seed)
+        # Loading reads one stripped ASCII line per field; refuse a seed that
+        # would not come back as written.
+        if seed != seed.strip() or len(seed.splitlines()) > 1 or not seed.isascii():
+            raise RecordError(f"field 'seed' cannot hold {seed!r}: it must be one ASCII line "
+                              "without leading or trailing whitespace")
+        fields["seed"] = seed
     fields["commitment"] = encode_payload(ops.commitment_fields, t.commitment, suite).hex()
     fields["challenge"] = encode_payload(ops.challenge_fields, t.challenge, suite).hex()
     fields["response"] = encode_payload(ops.response_fields, t.response, suite).hex()

@@ -128,60 +128,6 @@ def default_scheme_params(suite: GroupSuite) -> SchemeParams:
     return SchemeParams(n=suite.n, hash_spec=default_hash_spec(suite))
 
 
-class SeededRandom(Random):
-    """Random(seed), seeded at its first draw.
-
-    Seeding from a string hashes it and fills the generator's whole state, and
-    many session and attack streams are never drawn from: a verifier given a
-    forced challenge, the prover of a two-message scheme.  The first random(),
-    getrandbits() or getstate() seeds the stream and turns the object into a
-    plain Random, so it yields Random(seed)'s stream and later draws run
-    Random's own methods.  An explicit seed() or setstate() replaces the
-    deferred seed's stream.  Defining both random() and getrandbits() keeps
-    Random's choice of _randbelow, and with it the stream of randrange,
-    choice and sample.  The first draw is a check-then-act on the object, so
-    a stream is shared between threads only once it is seeded.
-
-    The deferred seed waits in _deferred, keyed by id, and not in the
-    object: on CPython 3.11 an attribute set before the class changes leaves
-    the plain Random's draws slower (a random() took half as long again).
-    """
-
-    _deferred: dict = {}  # id(stream) -> seed, for each stream not yet seeded
-
-    def __init__(self, seed=None):
-        self._deferred[id(self)] = seed
-
-    def __del__(self):
-        # Only a stream never seeded is still a SeededRandom.
-        self._deferred.pop(id(self), None)
-
-    def _settle(self) -> Random:
-        # A method bound before the first draw (_randbelow binds getrandbits
-        # once per call) lands here again after it, on a plain Random; so the
-        # methods below call SeededRandom._settle, not self._settle.
-        if type(self) is SeededRandom:
-            seed = self._deferred.pop(id(self))
-            self.__class__ = Random
-            Random.__init__(self, seed)
-        return self
-
-    def random(self):
-        return Random.random(SeededRandom._settle(self))
-
-    def getrandbits(self, k):
-        return Random.getrandbits(SeededRandom._settle(self), k)
-
-    def getstate(self):
-        return Random.getstate(SeededRandom._settle(self))
-
-    def seed(self, *args, **kwargs):
-        Random.seed(SeededRandom._settle(self), *args, **kwargs)
-
-    def setstate(self, state):
-        Random.setstate(SeededRandom._settle(self), state)
-
-
 # -- key material --------------------------------------------------------------
 
 
@@ -382,7 +328,7 @@ class SchemeOps:
     response_fields: tuple
     keygen: callable
     commit: callable  # (kp, rng) -> (state, commitment tuple); None for 2-message
-    respond: callable  # (kp, state, challenge tuple, rng) -> response tuple
+    respond: callable  # (kp, state, challenge tuple, prover) -> response tuple; only sdhid's reads prover.rng
     verify: callable  # (pk, commitment tuple, challenge tuple, response tuple) -> bool
 
     @property
@@ -417,7 +363,7 @@ SCHEMES: dict[SchemeId, SchemeOps] = {
         response_fields=(KIND_G1,),
         keygen=bls_keygen,
         commit=None,
-        respond=lambda kp, st, ch, rng: (blsid_respond(kp, ch[0]),),
+        respond=lambda kp, st, ch, _: (blsid_respond(kp, ch[0]),),
         verify=lambda pk, co, ch, re: blsid_verify(pk, ch[0], re[0]),
     ),
     SchemeId.CDHID: SchemeOps(
@@ -428,7 +374,7 @@ SCHEMES: dict[SchemeId, SchemeOps] = {
         response_fields=(KIND_G1,),
         keygen=bls_keygen,
         commit=None,
-        respond=lambda kp, st, ch, rng: (cdhid_respond(kp, ch[0]),),
+        respond=lambda kp, st, ch, _: (cdhid_respond(kp, ch[0]),),
         verify=lambda pk, co, ch, re: cdhid_verify(pk, ch[0], re[0]),
     ),
     SchemeId.SDHID: SchemeOps(
@@ -439,7 +385,7 @@ SCHEMES: dict[SchemeId, SchemeOps] = {
         response_fields=(KIND_G1, KIND_ZP),
         keygen=bb_keygen,
         commit=None,
-        respond=lambda kp, st, ch, rng: sdhid_respond(kp, ch[0], rng),
+        respond=lambda kp, st, ch, prover: sdhid_respond(kp, ch[0], prover.rng),
         verify=lambda pk, co, ch, re: sdhid_verify(pk, ch[0], re[0], re[1]),
     ),
     SchemeId.OWFID: SchemeOps(
@@ -450,7 +396,7 @@ SCHEMES: dict[SchemeId, SchemeOps] = {
         response_fields=(KIND_G1, KIND_ZP),
         keygen=owfid_keygen,
         commit=_wrap_commit(owfid_commit),
-        respond=lambda kp, st, ch, rng: owfid_respond(kp, st, ch[0]),
+        respond=lambda kp, st, ch, _: owfid_respond(kp, st, ch[0]),
         verify=lambda pk, co, ch, re: owfid_verify(pk, co[0], ch[0], re[0], re[1]),
     ),
     SchemeId.SCL: SchemeOps(
@@ -461,7 +407,7 @@ SCHEMES: dict[SchemeId, SchemeOps] = {
         response_fields=(KIND_G1,),
         keygen=scl_keygen,
         commit=_wrap_commit(scl_commit),
-        respond=lambda kp, st, ch, rng: (scl_respond(kp, st, ch[0]),),
+        respond=lambda kp, st, ch, _: (scl_respond(kp, st, ch[0]),),
         verify=lambda pk, co, ch, re: scl_verify(pk, co[0], ch[0], re[0]),
     ),
     SchemeId.HLS: SchemeOps(
@@ -472,7 +418,7 @@ SCHEMES: dict[SchemeId, SchemeOps] = {
         response_fields=(KIND_G1,),
         keygen=hls_keygen,
         commit=_wrap_commit(hls_commit),
-        respond=lambda kp, st, ch, rng: (hls_respond(kp, st, ch[0]),),
+        respond=lambda kp, st, ch, _: (hls_respond(kp, st, ch[0]),),
         verify=lambda pk, co, ch, re: hls_verify(pk, co[0], ch[0], re[0]),
     ),
 }
@@ -520,8 +466,9 @@ class SessionEngine:
     they are encoded bytes and each end counts every message, before handing
     it out, so that the prover's counter reset on a restart follows every
     count of the abandoned round.  params, the settings a hello pins, is
-    built from the suite when read unless given; seed gives each role the
-    stream SeededRandom(f"{seed}:{role}"), seeded at its first draw.
+    built from the suite when read unless given.  rng, the role's stream, is
+    the one given, or else built at its first read, which only a draw makes:
+    Random(f"{seed}:{role}") with a seed, and the OS's without.
     """
 
     role = ""
@@ -539,13 +486,17 @@ class SessionEngine:
         self.key = key
         self.suite: GroupSuite = key.suite
         self._params = params
-        if rng is None:
-            # Without a seed, draw from the OS: a prover's commitment randomness
-            # must not repeat or be predictable across sessions of one key.
-            rng = SystemRandom() if seed is None else SeededRandom(f"{seed}:{self.role}")
-        self.rng = rng
+        self._rng = rng
         self.seed = seed
         self.wire = wire
+
+    @property
+    def rng(self) -> Random:
+        if self._rng is None:
+            # Without a seed, draw from the OS: a prover's commitment randomness
+            # must not repeat or be predictable across sessions of one key.
+            self._rng = SystemRandom() if self.seed is None else Random(f"{self.seed}:{self.role}")
+        return self._rng
 
     @property
     def params(self) -> SchemeParams:
@@ -660,7 +611,7 @@ class ProverMachine(SessionEngine):
         self._expect("committed")
         self.challenge = self._shaped(TAG_CHALLENGE, challenge)
         with self.suite.role("prover"):
-            self.response = self.ops.respond(self.key, self._secret_state, challenge, self.rng)
+            self.response = self.ops.respond(self.key, self._secret_state, challenge, self)
         self.state = "done"
         return self.response
 

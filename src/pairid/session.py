@@ -187,11 +187,13 @@ def _finish(steps):
         return done.value
 
 
-def serve_prover(scheme: SchemeId, kp, transport, seed=0) -> SessionResult:
+def serve_prover(scheme: SchemeId, kp, transport, seed=None) -> SessionResult:
+    """Serve one session; unseeded, as it must be for a real key, it draws from the OS."""
     return _finish(_steps(ProverMachine(scheme, kp, seed=seed, wire=True), transport))
 
 
-def run_verifier(scheme: SchemeId, pk, transport, seed=0) -> SessionResult:
+def run_verifier(scheme: SchemeId, pk, transport, seed=None) -> SessionResult:
+    """Verify one session; unseeded, as it must be for a real key, it draws from the OS."""
     return _finish(_steps(VerifierMachine(scheme, pk, seed=seed, wire=True), transport))
 
 

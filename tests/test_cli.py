@@ -1,7 +1,9 @@
 import hashlib
 import io
+import os
 import random
 import socket
+import stat
 import sys
 import threading
 import time
@@ -9,8 +11,22 @@ import time
 import pytest
 
 from pairid.cli import main
-from pairid.lab import DEMOS
+from pairid.lab import DEMOS, MalformedTranscripts, owfid_extractor
 from pairid.records import load_key, load_transcript
+from pairid.schemes import SCHEMES, Transcript
+from pairid.session import hello_payload
+from pairid.wire import (
+    TAG_CHALLENGE,
+    TAG_COMMITMENT,
+    TAG_DECISION,
+    TAG_HELLO,
+    TAG_RESPONSE,
+    decode_payload,
+    encode_payload,
+    frame_decode,
+    frame_encode,
+    frame_length,
+)
 from test_session import reset
 
 
@@ -36,6 +52,17 @@ class TestKeygen:
         _, pub, _ = load_key(str(pk))
         assert pub.s is None
 
+    @pytest.mark.skipif(os.name != "posix", reason="file modes are POSIX")
+    def test_secret_record_is_private(self, tmp_path):
+        # Mode 0600 whatever the umask, also over a readable file of that name,
+        # and no temporary file is left beside it.
+        sk, pk = tmp_path / "id.key", tmp_path / "id.pub"
+        sk.write_text("")
+        sk.chmod(0o644)
+        assert main(["keygen", "--scheme", "owfid", "--out", str(sk), "--pub-out", str(pk)]) == 0
+        assert stat.S_IMODE(sk.stat().st_mode) == 0o600
+        assert sorted(tmp_path.iterdir()) == [sk, pk]
+
     def test_curve_backend_keygen(self, tmp_path):
         out = tmp_path / "curve.key"
         assert main(["keygen", "--scheme", "cdhid", "--backend", "tate", "--q", "59", "--out", str(out)]) == 0
@@ -50,6 +77,35 @@ class TestProveVerify:
         assert _tcp_session(sk, pk, transcript) == 0
         t, _, _ = load_transcript(str(transcript))
         assert t.decision
+
+    def test_two_proofs_do_not_give_the_key_away(self, keyfiles, monkeypatch):
+        # Two prove --stdio runs of one owfid key, answered with different
+        # challenges.  A repeated commitment would let owfid_extractor's
+        # division recover the secret key.
+        sk, _ = keyfiles
+        scheme, kp, params = load_key(str(sk))
+        suite, ops = kp.suite, SCHEMES[scheme]
+        hello = frame_encode(TAG_HELLO, hello_payload(scheme, suite, params))
+        transcripts = []
+        for m in (suite.scalar(3), suite.scalar(5)):
+            challenge = frame_encode(TAG_CHALLENGE, encode_payload(ops.challenge_fields, (m,), suite))
+            inbound = hello + challenge + frame_encode(TAG_DECISION, b"\x01")
+            wire = io.BytesIO()
+            monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(inbound)))
+            monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(wire))
+            assert main(["prove", "--key", str(sk), "--stdio"]) == 0
+            sys.stdout.flush()
+            sent, out = {}, wire.getvalue()
+            while out:
+                size = 4 + frame_length(out[:4])
+                tag, payload = frame_decode(out[:size])
+                sent[tag], out = payload, out[size:]
+            assert sorted(sent) == sorted([TAG_HELLO, TAG_COMMITMENT, TAG_RESPONSE])
+            transcripts.append(Transcript(scheme, decode_payload(ops.commitment_fields, sent[TAG_COMMITMENT], suite),
+                                          (m,), decode_payload(ops.response_fields, sent[TAG_RESPONSE], suite), True))
+        assert transcripts[0].commitment != transcripts[1].commitment
+        with pytest.raises(MalformedTranscripts, match="do not share a commitment"):
+            owfid_extractor(*transcripts, kp)
 
 
 class TestBrokenSessions:
@@ -136,21 +192,6 @@ class TestBadRecords:
         assert main(["verify", "--pk", str(pk), "--connect", "127.0.0.1:1"]) == 2
         out = capsys.readouterr()
         assert out.out == "" and out.err.splitlines() == ["pairid: record has no 'pk.v' field"]
-
-    def test_unrecordable_seed_fails_before_the_hello(self, keyfiles, tmp_path, monkeypatch, capsys):
-        # Exit 2 naming the seed, with nothing on the wire and no transcript.
-        _, pk = keyfiles
-        transcript = tmp_path / "t.rec"
-        wire = io.BytesIO()
-        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO()))
-        monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(wire))
-        capsys.readouterr()
-        argv = ["verify", "--pk", str(pk), "--stdio", "--seed", "a\nb", "--transcript-out", str(transcript)]
-        assert main(argv) == 2
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("pairid: field 'seed' cannot hold")
-        sys.stdout.flush()
-        assert wire.getvalue() == b"" and not transcript.exists()
 
 
 @pytest.fixture(scope="module")

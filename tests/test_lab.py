@@ -66,7 +66,7 @@ def owfid_sim(p: int = 101, q: int = 0, seed="sim") -> ProtocolSim:
 class TestHonestCounterparties:
     def test_prover_oracle_budget(self, t1009):
         kp = keygen(SchemeId.CDHID, t1009, random.Random(1))
-        oracle = HonestProverOracle(SchemeId.CDHID, kp, 2, Random(0))
+        oracle = HonestProverOracle(SchemeId.CDHID, kp, 2, 0)
         h = (t1009.g1_from_int(5),)
         oracle.query(h)
         oracle.query(h)
@@ -76,7 +76,7 @@ class TestHonestCounterparties:
 
     def test_prover_oracle_ordering(self, t1009):
         kp = keygen(SchemeId.OWFID, t1009, random.Random(1))
-        oracle = HonestProverOracle(SchemeId.OWFID, kp, 5, Random(0))
+        oracle = HonestProverOracle(SchemeId.OWFID, kp, 5, 0)
         commitment = oracle.begin()
         assert len(commitment) == 1
         with pytest.raises(OrderingViolation):
@@ -88,7 +88,7 @@ class TestHonestCounterparties:
 
     def test_oracle_answers_verify(self, t1009):
         kp = keygen(SchemeId.CDHID, t1009, random.Random(1))
-        oracle = HonestProverOracle(SchemeId.CDHID, kp, 3, Random(0))
+        oracle = HonestProverOracle(SchemeId.CDHID, kp, 3, 0)
         h = t1009.g1_from_int(7)
         (sigma,) = oracle.query((h,))
         assert sigma == h ** kp.x

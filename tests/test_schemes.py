@@ -505,14 +505,3 @@ class TestCosts:
         r2, w2 = hls_commit(hkp, rng)
         assert hkp.z ** r2 == w2
 
-
-def test_seeded_random_keeps_no_seed_once_gone():
-    # The deferred seeds wait outside the streams, so a stream that is
-    # seeded or dropped unseeded must take its entry with it.
-    deferred = schemes.SeededRandom._deferred
-    before = len(deferred)
-    streams = [schemes.SeededRandom(f"stream {i}") for i in range(4)]
-    streams[0].random()
-    assert len(deferred) == before + 3
-    del streams
-    assert len(deferred) == before

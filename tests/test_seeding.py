@@ -1,34 +1,26 @@
-"""SeededRandom gives Random's stream, and seeds only the streams that are drawn."""
+"""Each stream's owner builds it at the first draw, and seeds only the streams that are drawn."""
 
-import copy
 import random
 from random import Random
 
 import pytest
 
-from pairid.lab import HonestProverOracle, ProtocolSim, ScriptedCdhidAttacker, build_summary_matrix
-from pairid.schemes import SchemeId, SeededRandom, default_scheme_params, keygen, run_session
-
-SEEDS = ["a", "x:op3:prover", 12345]
-
-
-def _shuffled(r):
-    items = list(range(12))
-    r.shuffle(items)
-    return items
-
-
-# Each draw reaches the generator by its own path: _randbelow (bound
-# getrandbits) at small and large bounds, getrandbits, random and getstate.
-_DRAWS = (
-    lambda r: r.randrange(1009),
-    lambda r: r.randrange(2**256),
-    lambda r: r.getrandbits(300),
-    lambda r: r.sample(range(2**40), 5),
-    lambda r: r.random(),
-    lambda r: r.choice("abcdefghij"),
-    _shuffled,
-    lambda r: r.getstate(),
+from pairid.lab import (
+    HonestProverOracle,
+    HonestVerifierChannel,
+    ProtocolSim,
+    ScriptedCdhidAttacker,
+    build_summary_matrix,
+)
+from pairid.schemes import (
+    ProverMachine,
+    SchemeId,
+    VerifierMachine,
+    default_scheme_params,
+    exchange,
+    keygen,
+    owfid_commit,
+    run_session,
 )
 
 
@@ -44,39 +36,6 @@ def seedings(monkeypatch):
 
     monkeypatch.setattr(random.Random, "seed", seed)
     return calls
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("first", range(len(_DRAWS)))
-def test_stream_is_randoms(seed, first):
-    # Every kind of draw in turn is the first, which seeds the stream.
-    order = (_DRAWS[first:] + _DRAWS[:first]) * 2
-    lazy, eager = SeededRandom(seed), Random(seed)
-    assert [draw(lazy) for draw in order] == [draw(eager) for draw in order]
-    assert type(lazy) is Random
-
-
-def test_undrawn_stream_is_never_seeded(seedings):
-    streams = [SeededRandom(seed) for seed in SEEDS]
-    assert seedings == []
-    streams[0].randrange(1009)
-    streams[0].random()
-    assert seedings == [("a",)]
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-def test_explicit_seed_and_setstate_take_effect(seed):
-    reseeded = SeededRandom(seed)
-    reseeded.seed("other")
-    restored = SeededRandom(seed)
-    restored.setstate(Random("state").getstate())
-    for stream, expected in ((reseeded, Random("other")), (restored, Random("state"))):
-        assert [draw(stream) for draw in _DRAWS] == [draw(expected) for draw in _DRAWS]
-
-
-@pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy])
-def test_copy_carries_the_stream(clone):
-    assert [draw(clone(SeededRandom("a"))) for draw in _DRAWS] == [draw(Random("a")) for draw in _DRAWS]
 
 
 def test_summary_row_seeds_only_the_attacker(seedings, monkeypatch, t1009):
@@ -106,3 +65,44 @@ def test_session_seeds_the_streams_it_draws(seedings, scheme, count, t1009):
     seedings.clear()
     run_session(scheme, kp, t1009, seed="session")
     assert len(seedings) == count
+
+
+def test_forced_challenge_channel_seeds_nothing(seedings, t1009):
+    kp = keygen(SchemeId.CDHID, t1009, Random("channel:keygen"))
+    h = t1009.g1_from_int(5)
+    seedings.clear()
+    channel = HonestVerifierChannel(SchemeId.CDHID, kp.public(), forced_challenge=(h,), seed="channel")
+    assert channel.start() == (h,)
+    assert channel.on_response((h**kp.x,))
+    assert seedings == []
+
+
+def test_prover_oracle_seeds_one_stream_for_its_sessions(seedings, t1009):
+    # Each query is a session of its own engine, and every one draws its
+    # commitment from the stream that the first built.
+    kp = keygen(SchemeId.OWFID, t1009, Random("oracle:keygen"))
+    seedings.clear()
+    oracle = HonestProverOracle(SchemeId.OWFID, kp, 3, "oracle")
+    commitments = []
+    for m in (1, 2, 3):
+        commitments.append(oracle.begin())
+        oracle.finish((t1009.scalar(m),))
+    assert seedings == [("oracle:prover",)]
+    stream = Random("oracle:prover")
+    assert commitments == [(owfid_commit(kp, stream)[1],) for _ in range(3)]
+
+
+@pytest.mark.parametrize("scheme", [SchemeId.SDHID, SchemeId.HLS])
+def test_engine_draws_from_the_stream_given(seedings, scheme, t1009):
+    # Streams given as Random(f"{seed}:{role}") replay the seeded session,
+    # and the engines seed none of their own.
+    kp = keygen(scheme, t1009, Random("given:keygen"))
+    streams = Random("given:prover"), Random("given:verifier")
+    seedings.clear()
+    prover = ProverMachine(scheme, kp, rng=streams[0], seed="unused")
+    verifier = VerifierMachine(scheme, kp.public(), rng=streams[1], seed="unused")
+    given = exchange(prover, verifier)
+    assert seedings == []
+    assert prover.rng is streams[0] and verifier.rng is streams[1]
+    seeded = run_session(scheme, kp, t1009, seed="given")
+    assert (given.commitment, given.challenge, given.response) == (seeded.commitment, seeded.challenge, seeded.response)
