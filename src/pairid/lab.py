@@ -20,12 +20,14 @@ honest provers through a budgeted oracle; in the prover phase they get one
 shot at convincing an honest verifier, whose engine (schemes.VerifierMachine)
 they drive through its own start, on_commitment and on_response.  The
 simulations reuse the scheme functions rather than restating them: the
-simulator's key comes from schemes.owfid_keypair, and the scripted owfid
-attacker runs owfid_commit and owfid_respond.  Scripted attackers with a chosen
-success rate are provided for calibrating the statistical claims: they
-decide win/lose by a keyed hash over (their per-seed nonce, the challenge),
-which makes the seed-by-challenge outcome matrix a well-defined object that
-can be tabulated exhaustively.
+simulator's key comes from schemes.owfid_keypair, the scripted owfid
+attacker runs owfid_commit and owfid_respond, and every prover oracle, the
+reductions' simulated provers among them, refuses a challenge by the
+scheme's own rule, SchemeOps.check_challenge, as the honest prover does.
+Scripted attackers with a chosen success rate are provided for calibrating
+the statistical claims: they decide win/lose by a keyed hash over (their
+per-seed nonce, the challenge), which makes the seed-by-challenge outcome
+matrix a well-defined object that can be tabulated exhaustively.
 
 The repeated games share one trial loop, signatures.run_trials, every oracle
 counts its queries against one signatures.Budget, and every trial is judged
@@ -44,7 +46,7 @@ from dataclasses import dataclass, replace
 from math import ceil
 from random import Random
 
-from .algebra import KIND_BITS, G1Element, G2Element, GroupSuite, PeerError, Scalar
+from .algebra import KIND_BITS, KIND_G1, KIND_ZP, G1Element, G2Element, GroupSuite, PeerError, Scalar
 from .schemes import (
     SCHEMES,
     OwfidKeyPair,
@@ -53,7 +55,6 @@ from .schemes import (
     SchemeParams,
     Transcript,
     VerifierMachine,
-    check_nonidentity,
     default_scheme_params,
     exchange,
     keygen,
@@ -107,6 +108,10 @@ class OrderingViolation(Forfeit):
 
 # -- honest counterparties -----------------------------------------------------
 
+# A prover oracle's query holds values of these types, by challenge kind; a
+# value of another type forfeits, as a signing query of the wrong type does.
+_QUERY_TYPES = {KIND_BITS: bytes, KIND_G1: G1Element, KIND_ZP: Scalar}
+
 
 class HonestProverOracle(Budget):
     """Budgeted access to prover runs, with the caller as verifier.
@@ -117,7 +122,10 @@ class HonestProverOracle(Budget):
     The constructor runs the scheme's honest prover, whose sessions never go
     on the wire, so it takes no session settings; its sessions share one
     stream, Random(f"{seed}:prover"), built at the first draw.  answering()
-    builds the oracle a reduction hands an attacker instead.
+    builds the oracle a reduction hands an attacker instead.  Either way
+    finish() refuses a query before it records or answers it: a value of the
+    wrong type with MalformedQuery, and a challenge that the honest prover
+    refuses (SchemeOps.check_challenge) with that prover's error.
     """
 
     def __init__(self, scheme: SchemeId, kp, limit: int, seed):
@@ -129,12 +137,12 @@ class HonestProverOracle(Budget):
         self._pending = None
 
     @classmethod
-    def answering(cls, respond) -> "HonestProverOracle":
-        """A two-message oracle whose responses are respond(challenge).
+    def answering(cls, scheme: SchemeId, pk, respond) -> "HonestProverOracle":
+        """A two-message oracle for pk whose responses are respond(challenge).
 
         The callable keeps its own budget, so the oracle sets none.
         """
-        oracle = cls(scheme=None, kp=None, limit=float("inf"), seed=None)
+        oracle = cls(scheme, pk, limit=float("inf"), seed=None)
         oracle._respond = respond
         return oracle
 
@@ -157,6 +165,12 @@ class HonestProverOracle(Budget):
         if self._pending is None:
             raise OrderingViolation("no session is waiting for a challenge")
         respond, self._pending = self._pending, None
+        scheme, kp, _ = self._prover
+        ops = SCHEMES[scheme]
+        for kind, value in zip(ops.challenge_fields, challenge):
+            if not isinstance(value, _QUERY_TYPES[kind]):
+                raise MalformedQuery(f"this oracle takes a {_QUERY_TYPES[kind].__name__} message")
+        ops.check_challenge(kp.suite, challenge)
         self.asked.append(challenge)
         return respond(challenge)
 
@@ -267,14 +281,6 @@ def attack_success_rate(attacker: AttackerPair, sim: ProtocolSim, trials: int = 
     return run_trials(f"impersonation:{sim.scheme.value}", {"p": sim.suite.p, "q": sim.q}, trials, trial)
 
 
-def estimate_success(attacker: AttackerPair, sim: ProtocolSim, rng: Random) -> float:
-    """Pilot estimate of the attacker's acceptance probability: 200 sessions on a seed drawn from rng.
-
-    probe_strategy is the one caller, and runs it only when no eps is given.
-    """
-    return attack_success_rate(attacker, sim, trials=200, seed=f"pilot:{rng.getrandbits(32)}").advantage
-
-
 # -- seed-by-challenge outcome matrix -------------------------------------------
 
 
@@ -377,12 +383,13 @@ def probe_strategy(
     drawn challenges.  A probe that draws the phase-one challenge again is
     spent, not redrawn.  Success probability is at least
     (1 - 1/e) * (1/2)(1 - 1/e) ~ 0.1998 for any attacker with true rate eps,
-    by the heavy-row argument.  Without eps, a pilot (estimate_success)
-    draws its seed from rng first; a pilot that never accepts is ProbeFailed.
+    by the heavy-row argument.  Without eps, a pilot of 200 sessions on a
+    seed drawn from rng first estimates the attacker's acceptance rate; a
+    pilot that never accepts is ProbeFailed.
     """
     rng = rng if rng is not None else Random("probe")
     if eps is None:
-        eps = estimate_success(attacker, sim, rng)
+        eps = attack_success_rate(attacker, sim, trials=200, seed=f"pilot:{rng.getrandbits(32)}").advantage
     if eps <= 0:
         raise ProbeFailed("attacker never succeeded in the pilot; nothing to probe")
     ops = SCHEMES[sim.scheme]
@@ -567,12 +574,7 @@ def cdhid_reduction(attacker: AttackerPair, ctx: OmCdhContext, rng: Random) -> G
 
     # The honest prover's response to challenge h is h^x, exactly what the
     # helper oracle computes, so the attacker's view is perfect.
-    def respond(challenge: tuple) -> tuple:
-        (h,) = challenge
-        check_nonidentity(h)
-        return (ctx.cdh(h),)
-
-    oracle = HonestProverOracle.answering(respond)
+    oracle = HonestProverOracle.answering(SchemeId.CDHID, pk, lambda challenge: (ctx.cdh(challenge[0]),))
     state = attacker.verifier_phase(pk, oracle, rng)
     target = ctx.challenge()
     # The forced challenge leaves the verifier's stream undrawn.
@@ -603,7 +605,7 @@ def blsid_forgery_reduction(attacker: AttackerPair, pk: ExpKeyPair, sign, params
     """
     # The hash-based prover's response to challenge M is a signature on M,
     # so forwarding to the signer is again a perfect simulation.
-    oracle = HonestProverOracle.answering(lambda challenge: (sign(challenge[0]),))
+    oracle = HonestProverOracle.answering(SchemeId.BLSID, pk, lambda challenge: (sign(challenge[0]),))
     state = attacker.verifier_phase(pk, oracle, rng)
     channel = HonestVerifierChannel(SchemeId.BLSID, pk, params, Random(rng.getrandbits(64)))
     attacker.prover_phase(pk, state, channel, rng)

@@ -5,7 +5,12 @@ the prover answers, the verifier decides) and three are canonical
 three-message commit/challenge/respond protocols.  Each scheme is described
 by a SchemeOps record holding its keypair class (which declares the key's
 fields), its keygen, message shapes, and the commit, respond and verify
-callables; its challenge kind picks how challenges are drawn.  Key
+callables.  Its challenge kind picks how challenges are drawn
+(sample_challenge) and which ones a role refuses (check_challenge): a zero
+scalar, the G1 identity, or a bit string of the wrong length or over n bits.
+The prover checks before it answers, every verification (checked_verify)
+before it decides, and the lab's simulated provers before they answer, so
+respond and verify never see a challenge outside the domain.  Key
 generation works in the exponent: each keygen draws the logs of the key's
 elements, nonzero where one must not be the identity, and builds every key
 value as a power of g or of e(g, g), with no pairing.  The owfid prover
@@ -201,58 +206,10 @@ def hls_keygen(suite: GroupSuite, rng: Random) -> HlsKeyPair:
 # -- per-scheme operations -----------------------------------------------------
 
 
-def _check_bits(message: bytes, suite: GroupSuite):
-    if len(message) != suite.width(KIND_BITS):
-        raise BadChallengeLength(f"expected {suite.width(KIND_BITS)} bytes for {suite.n} bits")
-    if int.from_bytes(message, "big") >> suite.n:
-        raise BadChallengeLength(f"value does not fit in {suite.n} bits")
-
-
-def _check_nonzero(m: Scalar):
-    if m.value == 0:
-        raise ZeroChallenge("scalar challenges are drawn from Z_p^*")
-
-
-def check_nonidentity(h: G1Element):
-    """The rule on a G1 challenge, for the cdhid prover and verifier and any simulation of them."""
-    if h.is_identity:
-        raise IdentityChallenge("challenge must be a non-identity element")
-
-
-def blsid_respond(kp: ExpKeyPair, message: bytes) -> G1Element:
-    _check_bits(message, kp.suite)
-    return bls_sign(kp, message)
-
-
-def blsid_verify(pk: ExpKeyPair, message: bytes, sig: G1Element) -> bool:
-    _check_bits(message, pk.suite)
-    return bls_verify(pk, message, sig)
-
-
 def blsid_verify_point(pk: ExpKeyPair, h: G1Element, sig: G1Element) -> bool:
-    # Same equation with the hashed challenge supplied directly.
+    # bls_verify's equation with the hashed challenge supplied directly.
     suite = pk.suite
     return suite.pairings_equal(suite.g1, sig, pk.v, h)
-
-
-def cdhid_respond(kp: ExpKeyPair, h: G1Element) -> G1Element:
-    check_nonidentity(h)
-    return h ** kp.x
-
-
-def cdhid_verify(pk: ExpKeyPair, h: G1Element, sig: G1Element) -> bool:
-    check_nonidentity(h)
-    return blsid_verify_point(pk, h, sig)
-
-
-def sdhid_respond(kp: BbKeyPair, m: Scalar, rng: Random) -> tuple[G1Element, Scalar]:
-    _check_nonzero(m)
-    return bb_sign(kp, m, rng)
-
-
-def sdhid_verify(pk: BbKeyPair, m: Scalar, sig: G1Element, r: Scalar) -> bool:
-    _check_nonzero(m)
-    return bb_verify(pk, m, sig, r)
 
 
 def owfid_commit(kp: OwfidKeyPair, rng: Random):
@@ -266,13 +223,11 @@ def owfid_commit(kp: OwfidKeyPair, rng: Random):
 
 
 def owfid_respond(kp: OwfidKeyPair, state, m: Scalar) -> tuple[G1Element, Scalar]:
-    _check_nonzero(m)
     R, r = state
     return R * kp.Q**m, r + m * kp.s
 
 
 def owfid_verify(pk: OwfidKeyPair, x: G2Element, m: Scalar, T: G1Element, a: Scalar) -> bool:
-    _check_nonzero(m)
     suite = pk.suite
     return suite.pairing(pk.P, T) * pk.y**a * pk.v**m == x
 
@@ -283,7 +238,6 @@ def scl_commit(kp: SclKeyPair, rng: Random):
 
 
 def scl_respond(kp: SclKeyPair, w: Scalar, r: Scalar) -> G1Element:
-    _check_nonzero(r)
     denom = kp.x * r + w
     if denom.value == 0:
         # No response exists for this (commitment, challenge) pair; the
@@ -293,7 +247,6 @@ def scl_respond(kp: SclKeyPair, w: Scalar, r: Scalar) -> G1Element:
 
 
 def scl_verify(pk: SclKeyPair, tau: G1Element, r: Scalar, sigma: G1Element) -> bool:
-    _check_nonzero(r)
     suite = pk.suite
     return suite.pairing(sigma, tau * pk.v**r) == pk.z
 
@@ -304,12 +257,10 @@ def hls_commit(kp: HlsKeyPair, rng: Random):
 
 
 def hls_respond(kp: HlsKeyPair, r: Scalar, c: Scalar) -> G1Element:
-    _check_nonzero(c)
     return kp.P**r * kp.Q**c
 
 
 def hls_verify(pk: HlsKeyPair, w: G2Element, c: Scalar, sigma: G1Element) -> bool:
-    _check_nonzero(c)
     suite = pk.suite
     return suite.pairing(pk.P, sigma) == w * pk.v**c
 
@@ -328,6 +279,7 @@ class SchemeOps:
     response_fields: tuple
     keygen: callable
     commit: callable  # (kp, rng) -> (state, commitment tuple); None for 2-message
+    # respond and verify take a challenge in the domain; callers check it with check_challenge first.
     respond: callable  # (kp, state, challenge tuple, prover) -> response tuple; only sdhid's reads prover.rng
     verify: callable  # (pk, commitment tuple, challenge tuple, response tuple) -> bool
 
@@ -343,6 +295,31 @@ class SchemeOps:
         if kind == KIND_G1:
             return (suite.random_g1(rng, nonidentity=True),)
         return (suite.random_scalar(rng, nonzero=True),)
+
+    def check_challenge(self, suite: GroupSuite, challenge: tuple):
+        """Refuse a challenge outside the domain that sample_challenge draws from.
+
+        A wrong field count is a ProtocolViolation; each kind has its own error
+        for a value outside its domain.
+        """
+        if len(challenge) != len(self.challenge_fields):
+            raise ProtocolViolation("challenge has the wrong number of fields")
+        (kind,), (value,) = self.challenge_fields, challenge
+        if kind == KIND_BITS:
+            if len(value) != suite.width(KIND_BITS):
+                raise BadChallengeLength(f"expected {suite.width(KIND_BITS)} bytes for {suite.n} bits")
+            if int.from_bytes(value, "big") >> suite.n:
+                raise BadChallengeLength(f"value does not fit in {suite.n} bits")
+        elif kind == KIND_G1:
+            if value.is_identity:
+                raise IdentityChallenge("challenge must be a non-identity element")
+        elif value.value == 0:
+            raise ZeroChallenge("scalar challenges are drawn from Z_p^*")
+
+    def checked_verify(self, pk, commitment: tuple, challenge: tuple, response: tuple) -> bool:
+        """The verifier's decision, for a challenge check_challenge lets through."""
+        self.check_challenge(pk.suite, challenge)
+        return bool(self.verify(pk, commitment, challenge, response))
 
 
 def _wrap_commit(fn):
@@ -363,8 +340,8 @@ SCHEMES: dict[SchemeId, SchemeOps] = {
         response_fields=(KIND_G1,),
         keygen=bls_keygen,
         commit=None,
-        respond=lambda kp, st, ch, _: (blsid_respond(kp, ch[0]),),
-        verify=lambda pk, co, ch, re: blsid_verify(pk, ch[0], re[0]),
+        respond=lambda kp, st, ch, _: (bls_sign(kp, ch[0]),),
+        verify=lambda pk, co, ch, re: bls_verify(pk, ch[0], re[0]),
     ),
     SchemeId.CDHID: SchemeOps(
         scheme=SchemeId.CDHID,
@@ -374,8 +351,8 @@ SCHEMES: dict[SchemeId, SchemeOps] = {
         response_fields=(KIND_G1,),
         keygen=bls_keygen,
         commit=None,
-        respond=lambda kp, st, ch, _: (cdhid_respond(kp, ch[0]),),
-        verify=lambda pk, co, ch, re: cdhid_verify(pk, ch[0], re[0]),
+        respond=lambda kp, st, ch, _: (ch[0] ** kp.x,),
+        verify=lambda pk, co, ch, re: blsid_verify_point(pk, ch[0], re[0]),
     ),
     SchemeId.SDHID: SchemeOps(
         scheme=SchemeId.SDHID,
@@ -385,8 +362,8 @@ SCHEMES: dict[SchemeId, SchemeOps] = {
         response_fields=(KIND_G1, KIND_ZP),
         keygen=bb_keygen,
         commit=None,
-        respond=lambda kp, st, ch, prover: sdhid_respond(kp, ch[0], prover.rng),
-        verify=lambda pk, co, ch, re: sdhid_verify(pk, ch[0], re[0], re[1]),
+        respond=lambda kp, st, ch, prover: bb_sign(kp, ch[0], prover.rng),
+        verify=lambda pk, co, ch, re: bb_verify(pk, ch[0], re[0], re[1]),
     ),
     SchemeId.OWFID: SchemeOps(
         scheme=SchemeId.OWFID,
@@ -609,7 +586,8 @@ class ProverMachine(SessionEngine):
 
     def on_challenge(self, challenge: tuple) -> tuple:
         self._expect("committed")
-        self.challenge = self._shaped(TAG_CHALLENGE, challenge)
+        self.ops.check_challenge(self.suite, challenge)
+        self.challenge = challenge
         with self.suite.role("prover"):
             self.response = self.ops.respond(self.key, self._secret_state, challenge, self)
         self.state = "done"
@@ -653,7 +631,7 @@ class VerifierMachine(SessionEngine):
         self._expect("challenged")
         self.response = self._shaped(TAG_RESPONSE, response)
         with self.suite.role("verifier"):
-            decision = bool(self.ops.verify(self.key, self.commitment, self.challenge, response))
+            decision = self.ops.checked_verify(self.key, self.commitment, self.challenge, response)
         self.state = "done"
         self._decide(decision)
         return decision
@@ -697,5 +675,4 @@ def run_session(scheme: SchemeId, kp, suite: GroupSuite, seed=0) -> Transcript:
 
 def replay_decision(t: Transcript, pk) -> bool:
     """Re-run the verification equation over a stored transcript."""
-    ops = SCHEMES[SchemeId(t.scheme)]
-    return bool(ops.verify(pk, t.commitment, t.challenge, t.response))
+    return SCHEMES[SchemeId(t.scheme)].checked_verify(pk, t.commitment, t.challenge, t.response)

@@ -128,13 +128,12 @@ _BACKEND_CODE = {"transparent": 0, "tate": 1}
 
 
 def hello_payload(scheme: SchemeId, suite: GroupSuite, params: SchemeParams) -> bytes:
-    q = getattr(suite.backend, "q", 0) if suite.backend.name == "tate" else 0
     return _HELLO.pack(
         _SCHEME_CODE[SchemeId(scheme)],
         _BACKEND_CODE[suite.backend.name],
         suite.p,
         params.n,
-        q,
+        getattr(suite.backend, "q", 0),
     )
 
 

@@ -3,7 +3,7 @@ from random import Random
 
 import pytest
 
-from pairid.algebra import KIND_G1, transparent_suite
+from pairid.algebra import KIND_BITS, KIND_G1, transparent_suite
 from pairid.lab import (
     AttackerPair,
     AttackFailed,
@@ -40,6 +40,8 @@ from pairid.lab import (
     unreliable_inverter,
 )
 from pairid.schemes import (
+    BadChallengeLength,
+    IdentityChallenge,
     OwfidKeyPair,
     ProtocolViolation,
     SchemeId,
@@ -50,7 +52,7 @@ from pairid.schemes import (
     owfid_respond,
     owfid_verify,
 )
-from pairid.signatures import BudgetExceeded, ForgeryGameConfig, bls_verify, forgery_game
+from pairid.signatures import BudgetExceeded, ForgeryGameConfig, bls_keygen, bls_verify, forgery_game
 from pairid.tate import TateBackend
 from pairid.wire import frame_decode
 from pairid.schemes import SCHEMES, run_session
@@ -525,6 +527,56 @@ class TestForgeryReduction:
         assert report.wins == 0
 
 
+class AsksOnce(AttackerPair):
+    """Asks the prover oracle one challenge tuple, challenge(suite), then quits."""
+
+    def __init__(self, challenge):
+        self.challenge = challenge
+
+    def verifier_phase(self, pk, prover, rng):
+        prover.query(self.challenge(pk.suite))
+
+    def prover_phase(self, pk, state, channel, rng):
+        return None
+
+
+class TestSimulatedProvers:
+    """A reduction's simulated prover refuses what the honest prover refuses, before its game oracle is charged."""
+
+    @pytest.mark.parametrize("fixture", ["t1009", "c59"])
+    @pytest.mark.parametrize("challenge, error", [
+        pytest.param(lambda suite: (bytes(suite.width(KIND_BITS) + 1),), BadChallengeLength, id="wrong-length"),
+        pytest.param(lambda suite: ((1 << suite.n).to_bytes(suite.width(KIND_BITS), "big"),), BadChallengeLength,
+                     id="over-n-bits"),
+        pytest.param(lambda suite: (bytes(suite.width(KIND_BITS)),) * 2, ProtocolViolation, id="two-fields"),
+    ])
+    def test_blsid_reduction(self, challenge, error, fixture, request):
+        suite = request.getfixturevalue(fixture)
+        kp = bls_keygen(suite, Random(1))
+        signed = []
+        with pytest.raises(error):
+            blsid_forgery_reduction(AsksOnce(challenge), kp.public(), signed.append, default_scheme_params(suite),
+                                    Random(2))
+        assert signed == []
+        config = ForgeryGameConfig(trials=5, seed="refuse")
+        report = forgery_game("bls", blsid_forger(AsksOnce(challenge)), config, suite)
+        assert (report.wins, report.queries) == (0, {"hash": 0, "sign": 0})
+
+    @pytest.mark.parametrize("fixture", ["t1009", "c59"])
+    @pytest.mark.parametrize("challenge, error", [
+        pytest.param(lambda suite: (suite.g1_identity(),), IdentityChallenge, id="identity"),
+        pytest.param(lambda suite: (suite.g1,) * 2, ProtocolViolation, id="two-fields"),
+    ])
+    def test_cdhid_reduction(self, challenge, error, fixture, request):
+        suite = request.getfixturevalue(fixture)
+        ctx = OmCdhContext(suite, suite.scalar(3), q=4, rng=Random(1))
+        with pytest.raises(error):
+            cdhid_reduction(AsksOnce(challenge), ctx, Random(2))
+        assert ctx.calls == 0
+        report = cdhid_reduction_game(AsksOnce(challenge), suite, q=4, trials=5)
+        assert (report.wins, report.queries) == (0, {"cdh": 0})
+
+
 class TestPairingInversionUses:
     def test_cdh_from_inverter_vector(self, t11):
         invert = transparent_pairing_inverter(t11)
@@ -682,6 +734,7 @@ class TestForfeitRule:
         pytest.param(IdentityQuery(), 1, id="identity-query"),
         pytest.param(misbehaving(WrongFieldCount, ScriptedCdhidAttacker, 1.0, 2), 2, id="wrong-field-count"),
         pytest.param(misbehaving(AnswersTwice, ScriptedCdhidAttacker, 1.0, 2), 2, id="second-response"),
+        pytest.param(AsksOnce(lambda suite: (5,)), 0, id="wrong-type-query"),
     ])
     def test_impersonation_games(self, attacker, queries, t1009):
         sim = ProtocolSim.new(SchemeId.CDHID, t1009, seed="forfeit", q=4)
@@ -701,6 +754,7 @@ class TestForfeitRule:
         pytest.param(misbehaving(AnswersTwice, ScriptedBlsidAttacker, 4, 2), 2, id="second-response"),
         # Its queries cover the challenge domain, so every challenge collides.
         pytest.param(ScriptedBlsidAttacker(4, 16), 16, id="freshness-collision"),
+        pytest.param(AsksOnce(lambda suite: (5,)), 0, id="wrong-type-query"),
     ])
     def test_forgery_game(self, attacker, queries, t11):
         config = ForgeryGameConfig(q_s=16, q_h=64, trials=10, seed="forfeit")

@@ -1,11 +1,12 @@
 import hashlib
 import random
-from dataclasses import fields
+import re
+from dataclasses import fields, replace
 
 import pytest
 
 from pairid import schemes, tate
-from pairid.algebra import KIND_ZP, DegenerateSuite, Scalar, transparent_suite
+from pairid.algebra import KIND_BITS, KIND_G1, KIND_ZP, DegenerateSuite, Scalar, transparent_suite
 from pairid.schemes import (
     MAX_RESTARTS,
     RESTART,
@@ -20,11 +21,7 @@ from pairid.schemes import (
     VerifierMachine,
     ZeroChallenge,
     ZeroExponent,
-    blsid_respond,
-    blsid_verify,
     blsid_verify_point,
-    cdhid_respond,
-    cdhid_verify,
     default_scheme_params,
     hls_commit,
     hls_keygen,
@@ -42,12 +39,10 @@ from pairid.schemes import (
     scl_keygen,
     scl_respond,
     scl_verify,
-    sdhid_respond,
-    sdhid_verify,
     HlsKeyPair,
 )
 from pairid.records import save_key, save_transcript
-from pairid.signatures import BbKeyPair, ExpKeyPair
+from pairid.signatures import BbKeyPair, ExpKeyPair, bb_sign, bb_verify, bls_sign, bls_verify
 from pairid.tate import TateBackend, suite_from_curve_params
 from pairid.wire import TAG_CHALLENGE, TAG_ERROR
 
@@ -77,32 +72,30 @@ class FakeRng:
 class TestWorkedVectors:
     def test_cdhid(self, t11):
         kp = ExpKeyPair(t11, t11.scalar(4), t11.g1_from_int(4))
+        ops = SCHEMES[SchemeId.CDHID]
         h = t11.g1_from_int(3)
-        sigma = cdhid_respond(kp, h)
+        (sigma,) = ops.respond(kp, None, (h,), None)
         assert sigma == t11.g1_from_int(1)  # 3 * 4 = 12 = 1 (mod 11)
-        assert cdhid_verify(kp.public(), h, sigma)
-        assert not cdhid_verify(kp.public(), h, sigma * t11.g1)
-        with pytest.raises(IdentityChallenge):
-            cdhid_respond(kp, t11.g1_identity())
-        with pytest.raises(IdentityChallenge):
-            cdhid_verify(kp.public(), t11.g1_identity(), sigma)
+        assert ops.verify(kp.public(), (), (h,), (sigma,))
+        assert not ops.verify(kp.public(), (), (h,), (sigma * t11.g1,))
 
     def test_blsid(self, t11):
         kp = ExpKeyPair(t11, t11.scalar(4), t11.g1_from_int(4))
         params = default_scheme_params(t11)
         assert params.n == 4
         message = (7).to_bytes(1, "big")
-        sigma = blsid_respond(kp, message)
+        sigma = bls_sign(kp, message)
         assert sigma == t11.g1_from_int(6)  # H(7) = g^7, 7 * 4 = 28 = 6
-        assert blsid_verify(kp.public(), message, sigma)
-        assert not blsid_verify(kp.public(), (8).to_bytes(1, "big"), sigma)
+        assert bls_verify(kp.public(), message, sigma)
+        assert not bls_verify(kp.public(), (8).to_bytes(1, "big"), sigma)
 
     def test_blsid_challenge_length(self, t11):
         kp = ExpKeyPair(t11, t11.scalar(4), t11.g1_from_int(4))
-        with pytest.raises(BadChallengeLength):
-            blsid_respond(kp, b"\x00\x07")  # two bytes for 4 bits
-        with pytest.raises(BadChallengeLength):
-            blsid_respond(kp, b"\x10")  # 16 does not fit in 4 bits
+        for message, why in [(b"\x00\x07", "expected 1 bytes for 4 bits"), (b"\x10", "does not fit in 4 bits")]:
+            prover = ProverMachine(SchemeId.BLSID, kp)
+            prover.start()
+            with pytest.raises(BadChallengeLength, match=why):
+                prover.on_challenge((message,))
 
     def test_blsid_point_form(self, t11):
         kp = ExpKeyPair(t11, t11.scalar(4), t11.g1_from_int(4))
@@ -117,16 +110,12 @@ class TestWorkedVectors:
         kp = BbKeyPair(t11, t11.scalar(2), t11.scalar(3), t11.g1_from_int(2), t11.g1_from_int(3), t11.g2)
         m = t11.scalar(4)
         # r = 9 collides: 2 + 4 + 3*9 = 33 = 0 (mod 11); the next draw lands
-        sigma, r = sdhid_respond(kp, m, FakeRng([9, 5]))
+        sigma, r = bb_sign(kp, m, FakeRng([9, 5]))
         assert r == 5
         assert t11.counter.redraws == 1
         assert sigma == t11.g1_from_int(10)  # 1/(2 + 4 + 15) = 1/10 = 10
-        assert sdhid_verify(kp.public(), m, sigma, r)
-        assert not sdhid_verify(kp.public(), m, sigma, r + 1)
-        with pytest.raises(ZeroChallenge):
-            sdhid_respond(kp, t11.scalar(0), FakeRng([1]))
-        with pytest.raises(ZeroChallenge):
-            sdhid_verify(kp.public(), t11.scalar(0), sigma, r)
+        assert bb_verify(kp.public(), m, sigma, r)
+        assert not bb_verify(kp.public(), m, sigma, r + 1)
 
     def test_owfid(self, t11):
         kp = OwfidKeyPair(
@@ -148,8 +137,6 @@ class TestWorkedVectors:
             assert a == expect_a
             assert owfid_verify(kp.public(), x, t11.scalar(m), T, a)
             assert not owfid_verify(kp.public(), x, t11.scalar(m), T, a + 1)
-        with pytest.raises(ZeroChallenge):
-            owfid_respond(kp, state, t11.scalar(0))
 
     def test_scl(self, t11):
         kp = SclKeyPair(t11, t11.g1, t11.scalar(4), t11.g1_from_int(4), t11.g2)
@@ -161,10 +148,6 @@ class TestWorkedVectors:
         # 4*1 + 7 = 11 = 0: this (commitment, challenge) pair has no answer
         with pytest.raises(ZeroExponent):
             scl_respond(kp, t11.scalar(7), t11.scalar(1))
-        with pytest.raises(ZeroChallenge):
-            scl_respond(kp, t11.scalar(2), t11.scalar(0))
-        with pytest.raises(ZeroChallenge):
-            scl_verify(kp.public(), tau, t11.scalar(0), sigma)
 
     def test_hls(self, t11):
         kp = HlsKeyPair(
@@ -180,8 +163,6 @@ class TestWorkedVectors:
         assert sigma == t11.g1_from_int(3)  # 2*5 + 2*2 = 14 = 3
         assert hls_verify(kp.public(), w, t11.scalar(2), sigma)
         assert not hls_verify(kp.public(), w, t11.scalar(2), sigma * t11.g1)
-        with pytest.raises(ZeroChallenge):
-            hls_respond(kp, t11.scalar(5), t11.scalar(0))
 
 
 def key_equation_holds(kp) -> bool:
@@ -282,6 +263,46 @@ class TestKeygen:
                 save_key(path, scheme, keygen(scheme, suite, random.Random(f"pin:{scheme.value}:{i}")), params)
                 digest.update(path.read_bytes())
         assert digest.hexdigest() == _KEY_RECORD_DIGESTS[fixture]
+
+
+def out_of_domain(kind, suite) -> list:
+    """(challenge value, error class, message) for each way a challenge of kind leaves its domain."""
+    if kind == KIND_BITS:
+        width, n = suite.width(KIND_BITS), suite.n
+        return [
+            (bytes(width + 1), BadChallengeLength, f"expected {width} bytes for {n} bits"),
+            ((1 << n).to_bytes(width, "big"), BadChallengeLength, f"value does not fit in {n} bits"),
+        ]
+    if kind == KIND_G1:
+        return [(suite.g1_identity(), IdentityChallenge, "challenge must be a non-identity element")]
+    return [(suite.scalar(0), ZeroChallenge, "scalar challenges are drawn from Z_p^*")]
+
+
+class TestChallengeDomain:
+    """Each role refuses a challenge outside its scheme's domain, with the kind's own error."""
+
+    @pytest.mark.parametrize("fixture", ["t1009", "c59"])
+    @pytest.mark.parametrize("scheme", ALL_SCHEMES)
+    def test_every_role_refuses(self, scheme, fixture, request):
+        suite = request.getfixturevalue(fixture)
+        ops = SCHEMES[scheme]
+        kp = keygen(scheme, suite, random.Random(f"domain:{scheme.value}"))
+        honest = run_session(scheme, kp, suite, seed="domain")
+        (kind,) = ops.challenge_fields
+        for value, error, message in out_of_domain(kind, suite):
+            prover = ProverMachine(scheme, kp, seed="domain")
+            prover.start()
+            with pytest.raises(error, match=re.escape(message)):
+                prover.on_challenge((value,))
+            verifier = VerifierMachine(scheme, kp.public(), forced_challenge=(value,), seed="domain")
+            if ops.three_message:
+                verifier.on_commitment(honest.commitment)
+            else:
+                verifier.start()
+            with pytest.raises(error, match=re.escape(message)):
+                verifier.on_response(honest.response)
+            with pytest.raises(error, match=re.escape(message)):
+                replay_decision(replace(honest, challenge=(value,)), kp.public())
 
 
 class TestSessions:
