@@ -16,6 +16,7 @@ hash_mode names) and pair_equal_hashed(a, b, c, data), which decides
 e(a, b) = e(c, hash_to_g1(data)), if it can without the hash; width, encode,
 decode and describe.  Backend widths cover group elements;
 GroupSuite.width adds scalars and n-bit strings, which depend on p alone.
+GroupSuite.holds is the one test that a value is of a kind and suite.
 power, pair, pair_from_int, pair_equal and pair_equal_hashed also take,
 after their payloads and in their order, the holder of each base: a of
 each, and c of the two equalities.  GroupSuite passes the element itself,
@@ -444,12 +445,6 @@ class GroupSuite:
         """data hashed into G1 by the backend's hash_mode."""
         return G1Element(self, self.backend.hash_to_g1(data))
 
-    def g1_identity(self) -> G1Element:
-        return self.g1_from_int(0)
-
-    def g2_identity(self) -> G2Element:
-        return self.g2_from_int(0)
-
     def random_g1(self, rng, nonidentity: bool = False) -> G1Element:
         return self.g1_from_int(rng.randrange(1 if nonidentity else 0, self.p))
 
@@ -468,6 +463,16 @@ class GroupSuite:
             return (self.n + 7) // 8
         return self.backend.width(kind)
 
+    def holds(self, kind: str, value) -> bool:
+        """Whether value is of kind in this suite: bytes of any length (an n-bit
+        challenge's is the challenge rule's), a scalar mod p, or an element of
+        that kind from a compatible suite."""
+        if kind == KIND_BITS:
+            return isinstance(value, bytes)
+        if kind == KIND_ZP:
+            return isinstance(value, Scalar) and value.p == self.p
+        return isinstance(value, _GroupElement) and value.kind == kind and value.suite.compatible(self)
+
     def encode_element(self, elem: _GroupElement) -> bytes:
         if not elem.suite.compatible(self):
             raise ValueError("element does not belong to this suite")
@@ -480,7 +485,7 @@ class GroupSuite:
         return G2Element(self, self.backend.decode(KIND_G2, data))
 
     def encode_scalar(self, s: Scalar) -> bytes:
-        if not isinstance(s, Scalar) or s.p != self.p:
+        if not self.holds(KIND_ZP, s):
             raise ValueError("scalar does not belong to this suite")
         return s.value.to_bytes(scalar_width(self.p), "big")
 

@@ -22,8 +22,8 @@ they drive through its own start, on_commitment and on_response.  The
 simulations reuse the scheme functions rather than restating them: the
 simulator's key comes from schemes.owfid_keypair, the scripted owfid
 attacker runs owfid_commit and owfid_respond, and every prover oracle, the
-reductions' simulated provers among them, refuses a challenge by the
-scheme's own rule, SchemeOps.check_challenge, as the honest prover does.
+reductions' simulated provers among them, refuses a query by the scheme's
+message rule, SchemeOps.check, with the honest prover's PeerError.
 Scripted attackers with a chosen success rate are provided for calibrating
 the statistical claims: they decide win/lose by a keyed hash over (their
 per-seed nonce, the challenge), which makes the seed-by-challenge outcome
@@ -46,7 +46,7 @@ from dataclasses import dataclass, replace
 from math import ceil
 from random import Random
 
-from .algebra import KIND_BITS, KIND_G1, KIND_ZP, G1Element, G2Element, GroupSuite, PeerError, Scalar
+from .algebra import KIND_BITS, KIND_G1, G1Element, G2Element, GroupSuite, PeerError, Scalar
 from .schemes import (
     SCHEMES,
     OwfidKeyPair,
@@ -75,7 +75,7 @@ from .signatures import (
     run_trials,
     unless_forfeit,
 )
-from .wire import frame_decode, frame_encode
+from .wire import TAG_CHALLENGE, frame_decode, frame_encode
 
 
 class AttackFailed(Forfeit):
@@ -108,10 +108,6 @@ class OrderingViolation(Forfeit):
 
 # -- honest counterparties -----------------------------------------------------
 
-# A prover oracle's query holds values of these types, by challenge kind; a
-# value of another type forfeits, as a signing query of the wrong type does.
-_QUERY_TYPES = {KIND_BITS: bytes, KIND_G1: G1Element, KIND_ZP: Scalar}
-
 
 class HonestProverOracle(Budget):
     """Budgeted access to prover runs, with the caller as verifier.
@@ -123,9 +119,9 @@ class HonestProverOracle(Budget):
     on the wire, so it takes no session settings; its sessions share one
     stream, Random(f"{seed}:prover"), built at the first draw.  answering()
     builds the oracle a reduction hands an attacker instead.  Either way
-    finish() refuses a query before it records or answers it: a value of the
-    wrong type with MalformedQuery, and a challenge that the honest prover
-    refuses (SchemeOps.check_challenge) with that prover's error.
+    finish() refuses a query before it records or answers it, by the
+    scheme's message rule (SchemeOps.check) and with the honest prover's
+    PeerError, which the games count as a forfeit.
     """
 
     def __init__(self, scheme: SchemeId, kp, limit: int, seed):
@@ -166,12 +162,7 @@ class HonestProverOracle(Budget):
             raise OrderingViolation("no session is waiting for a challenge")
         respond, self._pending = self._pending, None
         scheme, kp, _ = self._prover
-        ops = SCHEMES[scheme]
-        for kind, value in zip(ops.challenge_fields, challenge):
-            if not isinstance(value, _QUERY_TYPES[kind]):
-                raise MalformedQuery(f"this oracle takes a {_QUERY_TYPES[kind].__name__} message")
-        ops.check_challenge(kp.suite, challenge)
-        self.asked.append(challenge)
+        self.asked.append(SCHEMES[scheme].check(kp.suite, TAG_CHALLENGE, challenge))
         return respond(challenge)
 
     def query(self, challenge: tuple) -> tuple:
@@ -517,10 +508,10 @@ class OmCdhContext(Budget):
 
     The helper oracle answers exponentiation queries only until the target is
     drawn; the target is drawn exactly once.  Both misuses raise
-    OrderingViolation, and a query that is not a G1 element raises
-    MalformedQuery before it is charged; each is a forfeit, which loses the
-    trial.  The context is the helper oracle's Budget of q queries: calls
-    counts them, the one that overspends included.
+    OrderingViolation, and a query that the suite does not hold as a G1
+    element raises MalformedQuery before it is charged; each is a forfeit,
+    which loses the trial.  The context is the helper oracle's Budget of q
+    queries: calls counts them, the one that overspends included.
     """
 
     def __init__(self, suite: GroupSuite, x: Scalar, q: int, rng: Random):
@@ -535,8 +526,8 @@ class OmCdhContext(Budget):
     def cdh(self, h: G1Element) -> G1Element:
         if self.target is not None:
             raise OrderingViolation("helper oracle closes once the target is drawn")
-        if not isinstance(h, G1Element):
-            raise MalformedQuery("helper oracle takes a G1 element")
+        if not self.suite.holds(KIND_G1, h):
+            raise MalformedQuery("helper oracle takes a G1 element of its suite")
         self.charge()
         return h ** self._x
 
@@ -557,7 +548,7 @@ def om_cdh_game(adversary, suite: GroupSuite, q: int = 8, trials: int = 100, see
         x = suite.random_scalar(rng_game, nonzero=True)
         ctx = OmCdhContext(suite, x, q, rng_game)
         answer = unless_forfeit(adversary, ctx, Random(f"{seed}:{i}:adv"))
-        won = ctx.target is not None and isinstance(answer, G1Element) and answer == ctx.target ** x
+        won = ctx.target is not None and suite.holds(KIND_G1, answer) and answer == ctx.target ** x
         return won, {"cdh": ctx.calls}
 
     return run_trials("one-more-cdh", {"q": q, "p": suite.p}, trials, trial, ("cdh",))

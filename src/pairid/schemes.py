@@ -5,12 +5,12 @@ the prover answers, the verifier decides) and three are canonical
 three-message commit/challenge/respond protocols.  Each scheme is described
 by a SchemeOps record holding its keypair class (which declares the key's
 fields), its keygen, message shapes, and the commit, respond and verify
-callables.  Its challenge kind picks how challenges are drawn
-(sample_challenge) and which ones a role refuses (check_challenge): a zero
-scalar, the G1 identity, or a bit string of the wrong length or over n bits.
-The prover checks before it answers, every verification (checked_verify)
-before it decides, and the lab's simulated provers before they answer, so
-respond and verify never see a challenge outside the domain.  Key
+callables.  SchemeOps.check is the one message rule: the field count, each
+field's kind and suite (GroupSuite.holds), and a challenge's domain, from
+which sample_challenge draws.  The prover checks a challenge, the verifier a
+commitment, a forced challenge and the response, replay_decision all three
+messages, and the lab's prover oracles a query, each with a PeerError, so
+respond and verify never see a value outside the domain.  Key
 generation works in the exponent: each keygen draws the logs of the key's
 elements, nonzero where one must not be the identity, and builds every key
 value as a power of g or of e(g, g), with no pairing.  The owfid prover
@@ -267,6 +267,13 @@ def hls_verify(pk: HlsKeyPair, w: G2Element, c: Scalar, sigma: G1Element) -> boo
 
 # -- uniform interface ---------------------------------------------------------
 
+# Each protocol message's SchemeOps field, in the order the messages are sent.
+_FIELDS = {
+    TAG_COMMITMENT: "commitment_fields",
+    TAG_CHALLENGE: "challenge_fields",
+    TAG_RESPONSE: "response_fields",
+}
+
 
 @dataclass(frozen=True)
 class SchemeOps:
@@ -279,7 +286,7 @@ class SchemeOps:
     response_fields: tuple
     keygen: callable
     commit: callable  # (kp, rng) -> (state, commitment tuple); None for 2-message
-    # respond and verify take a challenge in the domain; callers check it with check_challenge first.
+    # respond and verify take messages that check lets through; their callers check first.
     respond: callable  # (kp, state, challenge tuple, prover) -> response tuple; only sdhid's reads prover.rng
     verify: callable  # (pk, commitment tuple, challenge tuple, response tuple) -> bool
 
@@ -296,30 +303,31 @@ class SchemeOps:
             return (suite.random_g1(rng, nonidentity=True),)
         return (suite.random_scalar(rng, nonzero=True),)
 
-    def check_challenge(self, suite: GroupSuite, challenge: tuple):
-        """Refuse a challenge outside the domain that sample_challenge draws from.
+    def check(self, suite: GroupSuite, tag: int, values: tuple) -> tuple:
+        """values, if they are this scheme's tag message in suite.
 
-        A wrong field count is a ProtocolViolation; each kind has its own error
-        for a value outside its domain.
+        A message that is not a tuple of the tag's field count, or a field that
+        is not a value of its kind in the suite, is a ProtocolViolation.  A
+        challenge must also lie in the domain that sample_challenge draws from,
+        and each kind has its own error for a value outside it.
         """
-        if len(challenge) != len(self.challenge_fields):
-            raise ProtocolViolation("challenge has the wrong number of fields")
-        (kind,), (value,) = self.challenge_fields, challenge
-        if kind == KIND_BITS:
-            if len(value) != suite.width(KIND_BITS):
-                raise BadChallengeLength(f"expected {suite.width(KIND_BITS)} bytes for {suite.n} bits")
-            if int.from_bytes(value, "big") >> suite.n:
-                raise BadChallengeLength(f"value does not fit in {suite.n} bits")
-        elif kind == KIND_G1:
-            if value.is_identity:
+        fields = getattr(self, _FIELDS[tag])
+        if not isinstance(values, tuple) or len(values) != len(fields):
+            raise ProtocolViolation(f"{TAG_NAMES[tag]} has the wrong number of fields")
+        if not all(map(suite.holds, fields, values)):
+            raise ProtocolViolation(f"{TAG_NAMES[tag]} holds a value that is not its kind in this suite")
+        if tag == TAG_CHALLENGE:
+            (kind,), (value,) = fields, values
+            if kind == KIND_BITS:
+                if len(value) != suite.width(KIND_BITS):
+                    raise BadChallengeLength(f"expected {suite.width(KIND_BITS)} bytes for {suite.n} bits")
+                if int.from_bytes(value, "big") >> suite.n:
+                    raise BadChallengeLength(f"value does not fit in {suite.n} bits")
+            elif kind == KIND_G1 and value.is_identity:
                 raise IdentityChallenge("challenge must be a non-identity element")
-        elif value.value == 0:
-            raise ZeroChallenge("scalar challenges are drawn from Z_p^*")
-
-    def checked_verify(self, pk, commitment: tuple, challenge: tuple, response: tuple) -> bool:
-        """The verifier's decision, for a challenge check_challenge lets through."""
-        self.check_challenge(pk.suite, challenge)
-        return bool(self.verify(pk, commitment, challenge, response))
+            elif kind == KIND_ZP and value.value == 0:
+                raise ZeroChallenge("scalar challenges are drawn from Z_p^*")
+        return values
 
 
 def _wrap_commit(fn):
@@ -423,11 +431,6 @@ class Transcript:
 
 RESTART = b"restart"
 MAX_RESTARTS = 100
-_FIELDS = {
-    TAG_COMMITMENT: "commitment_fields",
-    TAG_CHALLENGE: "challenge_fields",
-    TAG_RESPONSE: "response_fields",
-}
 
 
 class SessionEngine:
@@ -546,11 +549,6 @@ class SessionEngine:
             return [(tag, encode_payload(getattr(self.ops, _FIELDS[tag]), value, self.suite))]
         return [(tag, value)]
 
-    def _shaped(self, tag: int, values: tuple) -> tuple:
-        if len(values) != len(getattr(self.ops, _FIELDS[tag])):
-            raise ProtocolViolation(f"{TAG_NAMES[tag]} has the wrong number of fields")
-        return values
-
     def _count(self, tag: int):
         for kind in getattr(self.ops, _FIELDS[tag]):
             self.suite.counter.add_sent(kind, self.suite.width(kind))
@@ -586,8 +584,7 @@ class ProverMachine(SessionEngine):
 
     def on_challenge(self, challenge: tuple) -> tuple:
         self._expect("committed")
-        self.ops.check_challenge(self.suite, challenge)
-        self.challenge = challenge
+        self.challenge = self.ops.check(self.suite, TAG_CHALLENGE, challenge)
         with self.suite.role("prover"):
             self.response = self.ops.respond(self.key, self._secret_state, challenge, self)
         self.state = "done"
@@ -595,7 +592,7 @@ class ProverMachine(SessionEngine):
 
 
 class VerifierMachine(SessionEngine):
-    """Verifier side of one exchange; can be forced onto a fixed challenge."""
+    """Verifier side of one exchange; a forced challenge is checked with the response."""
 
     role = "verifier"
     takes = (TAG_COMMITMENT, TAG_RESPONSE)
@@ -606,12 +603,11 @@ class VerifierMachine(SessionEngine):
         self.forced_challenge = forced_challenge
 
     def _pick_challenge(self) -> tuple:
-        ch = self.forced_challenge
-        if ch is None:
-            ch = self.ops.sample_challenge(self.suite, self.rng)
-        self.challenge = self._shaped(TAG_CHALLENGE, ch)
+        self.challenge = self.forced_challenge
+        if self.challenge is None:
+            self.challenge = self.ops.sample_challenge(self.suite, self.rng)
         self.state = "challenged"
-        return ch
+        return self.challenge
 
     def start(self) -> tuple:
         """Open a two-message exchange by issuing the challenge."""
@@ -624,14 +620,16 @@ class VerifierMachine(SessionEngine):
         self._expect("init")
         if not self.ops.three_message:
             raise ProtocolViolation("two-message schemes have no commitment")
-        self.commitment = self._shaped(TAG_COMMITMENT, commitment)
+        self.commitment = self.ops.check(self.suite, TAG_COMMITMENT, commitment)
         return self._pick_challenge()
 
     def on_response(self, response: tuple) -> bool:
         self._expect("challenged")
-        self.response = self._shaped(TAG_RESPONSE, response)
+        if self.forced_challenge is not None:
+            self.ops.check(self.suite, TAG_CHALLENGE, self.challenge)
+        self.response = self.ops.check(self.suite, TAG_RESPONSE, response)
         with self.suite.role("verifier"):
-            decision = self.ops.checked_verify(self.key, self.commitment, self.challenge, response)
+            decision = bool(self.ops.verify(self.key, self.commitment, self.challenge, response))
         self.state = "done"
         self._decide(decision)
         return decision
@@ -674,5 +672,8 @@ def run_session(scheme: SchemeId, kp, suite: GroupSuite, seed=0) -> Transcript:
 
 
 def replay_decision(t: Transcript, pk) -> bool:
-    """Re-run the verification equation over a stored transcript."""
-    return SCHEMES[SchemeId(t.scheme)].checked_verify(pk, t.commitment, t.challenge, t.response)
+    """Re-run the verification equation over a stored transcript, once check lets all three messages through."""
+    ops = SCHEMES[SchemeId(t.scheme)]
+    for tag, values in zip(_FIELDS, (t.commitment, t.challenge, t.response)):
+        ops.check(pk.suite, tag, values)
+    return bool(ops.verify(pk, t.commitment, t.challenge, t.response))

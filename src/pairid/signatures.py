@@ -16,7 +16,8 @@ Every game here and in the lab limits its oracles with one Budget: the sign
 and hash oracles of the forgery game, the lab's honest-prover oracle and its
 one-more helper oracle.  The repeated games share one trial loop, run_trials,
 and one judge, unless_forfeit: an adversary that breaks a rule of its game
-loses its trial instead of ending the game.
+loses its trial instead of ending the game.  The forgery game tests its
+queries and answers with GroupSuite.holds, by each scheme's shape in kinds.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ from enum import Enum
 from random import Random
 from typing import ClassVar
 
-from .algebra import KIND_G1, KIND_G2, KIND_ZP, DegenerateSuite, G1Element, G2Element, GroupSuite, PeerError, Scalar
+from .algebra import (KIND_BITS, KIND_G1, KIND_G2, KIND_ZP, DegenerateSuite, G1Element, G2Element, GroupSuite,
+                      PeerError, Scalar)
 
 
 class ModeBackendMismatch(Exception):
@@ -43,7 +45,7 @@ class BudgetExceeded(Forfeit):
 
 
 class MalformedQuery(Forfeit):
-    """An oracle was asked about a value of the wrong type."""
+    """An oracle was asked about a value that is not its kind in the game's suite."""
 
 
 class Budget:
@@ -253,19 +255,20 @@ def run_trials(game: str, params: dict, trials: int, trial, oracles: tuple = ())
     return GameReport(game, params, trials, wins, advantage, queries, seconds=time.monotonic() - t0)
 
 
-# Each scheme's (message, forgery) shape: a type, or a tuple of shapes.
-_SHAPES = {"bls": (bytes, G1Element), "bb": (Scalar, (G1Element, Scalar))}
+# Each scheme's (message, forgery) shape: a kind, or a tuple of shapes.
+_SHAPES = {"bls": (KIND_BITS, KIND_G1), "bb": (KIND_ZP, (KIND_G1, KIND_ZP))}
 
 
-def _shaped(value, shape) -> bool:
-    if isinstance(shape, type):
-        return isinstance(value, shape)
-    return isinstance(value, tuple) and len(value) == len(shape) and all(map(_shaped, value, shape))
+def _shaped(suite: GroupSuite, value, shape) -> bool:
+    if isinstance(shape, str):
+        return suite.holds(shape, value)
+    return (isinstance(value, tuple) and len(value) == len(shape)
+            and all(_shaped(suite, v, s) for v, s in zip(value, shape)))
 
 
 class ForgeryContext:
     """What a forger sees: the public key plus budgeted sign/hash oracles.
-    A query of the wrong type raises MalformedQuery before it is charged."""
+    A query that is not its kind in the suite raises MalformedQuery, uncharged."""
 
     def __init__(self, scheme: str, kp, suite: GroupSuite, cfg: ForgeryGameConfig, rng: Random):
         self.scheme = scheme
@@ -277,10 +280,9 @@ class ForgeryContext:
         self._hash = Budget(cfg.q_h)
         self.signed: list = []
 
-    @staticmethod
-    def _charge(budget: Budget, message, kind: type):
-        if not isinstance(message, kind):
-            raise MalformedQuery(f"this oracle takes a {kind.__name__} message")
+    def _charge(self, budget: Budget, message, kind: str):
+        if not self.suite.holds(kind, message):
+            raise MalformedQuery(f"this oracle takes a {kind} message of its suite")
         budget.charge()
 
     def sign(self, message):
@@ -291,7 +293,7 @@ class ForgeryContext:
         return bb_sign(self._kp, message, self._rng)
 
     def hash(self, message: bytes) -> G1Element:
-        self._charge(self._hash, message, bytes)
+        self._charge(self._hash, message, KIND_BITS)
         return self.suite.hash_to_g1(message)
 
 
@@ -299,10 +301,10 @@ def forgery_game(sig_scheme: str, adversary, config: ForgeryGameConfig, suite: G
     """Run the existential-forgery game `trials` times and report the win rate.
 
     The adversary is a callable (ctx, rng) -> (message, forgery): bytes and a
-    G1Element for bls, a Scalar and a (G1Element, Scalar) pair for bb.  A
-    win needs a fresh message (never sent to the sign oracle) and a
-    verifying signature.  A forfeit (unless_forfeit) or an answer of another
-    shape loses that trial.
+    G1Element for bls, a Scalar and a (G1Element, Scalar) pair for bb, all of
+    the game's suite.  A win needs a fresh message (never sent to the sign
+    oracle) and a verifying signature.  A forfeit (unless_forfeit) or an
+    answer of another shape loses that trial.
     """
     if sig_scheme not in ("bls", "bb"):
         raise ValueError(f"unknown signature scheme {sig_scheme!r}")
@@ -314,7 +316,7 @@ def forgery_game(sig_scheme: str, adversary, config: ForgeryGameConfig, suite: G
         answer = unless_forfeit(adversary, ctx, Random(f"{config.seed}:{i}:adv"))
         # A forfeit or a misshapen answer forges nothing, and a message sent
         # to the sign oracle is not fresh: no credit, and no verifier runs.
-        won = _shaped(answer, _SHAPES[sig_scheme]) and answer[0] not in ctx.signed and (
+        won = _shaped(suite, answer, _SHAPES[sig_scheme]) and answer[0] not in ctx.signed and (
             bls_verify(kp.public(), *answer) if sig_scheme == "bls"
             else bb_verify(kp.public(), answer[0], *answer[1]))
         return won, {"sign": ctx._sign.calls, "hash": ctx._hash.calls}

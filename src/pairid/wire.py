@@ -18,7 +18,7 @@ frame either parses to valid suite objects or raises.
 
 from __future__ import annotations
 
-from .algebra import KIND_BITS, KIND_G1, KIND_G2, KIND_ZP, GroupSuite, MalformedEncoding, PeerError
+from .algebra import KIND_BITS, KIND_G1, KIND_ZP, GroupSuite, MalformedEncoding, PeerError
 
 TAG_HELLO = 0x01
 TAG_COMMITMENT = 0x02
@@ -85,22 +85,22 @@ def payload_width(fields: tuple, suite: GroupSuite) -> int:
 
 
 def encode_payload(fields: tuple, values: tuple, suite: GroupSuite) -> bytes:
+    """The payload of values, one per field kind; a value that is not its
+    kind in the suite (GroupSuite.holds) raises MalformedEncoding."""
     if len(fields) != len(values):
         raise ValueError("field/value count mismatch")
     out = bytearray()
     for kind, value in zip(fields, values):
+        if not suite.holds(kind, value):
+            raise MalformedEncoding(f"expected a {kind} value of this suite")
         if kind == KIND_BITS:
             if len(value) != suite.width(KIND_BITS):
                 raise MalformedEncoding("bit-string field has the wrong byte length")
             out += value
         elif kind == KIND_ZP:
             out += suite.encode_scalar(value)
-        elif kind in (KIND_G1, KIND_G2):
-            if value.kind != kind:
-                raise MalformedEncoding(f"expected a {kind} element")
-            out += suite.encode_element(value)
         else:
-            raise ValueError(f"unknown field kind {kind!r}")
+            out += suite.encode_element(value)
     return bytes(out)
 
 

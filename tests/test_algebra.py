@@ -92,8 +92,8 @@ class TestSuiteBasics:
         assert a ** 4 == t11.g1_from_int(1)
         assert a ** t11.scalar(4) == t11.g1_from_int(1)
         assert (a ** 0).is_identity
-        assert t11.g1_identity().is_identity
-        assert t11.g2_identity().is_identity
+        assert t11.g1_from_int(0).is_identity
+        assert t11.g2_from_int(0).is_identity
 
     def test_kind_and_suite_separation(self, t11):
         other = transparent_suite(13)

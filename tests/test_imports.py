@@ -1,6 +1,8 @@
 """Every top-level import in the tests and in pairid is used, checked with ast alone,
-no block of three lines and no raise line in pairid is written twice, and no
-check in pairid is an assert, which python -O strips."""
+no block of three lines and no raise line in pairid is written twice, no
+check in pairid is an assert, which python -O strips, and only algebra tests
+a value's type against a group element or scalar class: everything else asks
+GroupSuite.holds."""
 
 import ast
 from pathlib import Path
@@ -151,3 +153,34 @@ def test_the_check_finds_asserts():
         "b.py": "def f(x):\n    if x:\n        assert x > 0\n    return 'assert x'\n",
     }
     assert asserts_in(sources) == ["a.py:2", "b.py:3"]
+
+
+# The classes whose isinstance test is GroupSuite.holds's alone.
+VALUE_TYPES = {"G1Element", "G2Element", "Scalar"}
+
+
+def value_type_tests(sources: dict) -> list:
+    """'file:line' for each isinstance call whose class argument names a VALUE_TYPES class."""
+    found = []
+    for name, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "isinstance"):
+                continue
+            named = {n.id if isinstance(n, ast.Name) else n.attr
+                     for arg in node.args[1:] for n in ast.walk(arg) if isinstance(n, (ast.Name, ast.Attribute))}
+            if named & VALUE_TYPES:
+                found.append(f"{name}:{node.lineno}")
+    return found
+
+
+def test_only_algebra_tests_value_types():
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py")) if path.name != "algebra.py"}
+    assert value_type_tests(sources) == []
+
+
+def test_the_check_finds_value_type_tests():
+    sources = {
+        "a.py": "x = 1\nif isinstance(x, G1Element):\n    pass\n",
+        "b.py": "ok = isinstance(v, (bytes, algebra.Scalar))\nisinstance(v, tuple)\nisinstance(Scalar, type)\n",
+    }
+    assert value_type_tests(sources) == ["a.py:2", "b.py:1"]

@@ -3,7 +3,7 @@ from random import Random
 
 import pytest
 
-from pairid.algebra import KIND_BITS, KIND_G1, transparent_suite
+from pairid.algebra import KIND_BITS, KIND_G1, KIND_G2, KIND_ZP, transparent_suite
 from pairid.lab import (
     AttackerPair,
     AttackFailed,
@@ -59,6 +59,10 @@ from pairid.schemes import SCHEMES, run_session
 from pairid.wire import TAG_CHALLENGE, TAG_COMMITMENT, TAG_RESPONSE, encode_payload
 
 from oracles import binomial_band, heavy_mass_from_row_sums
+
+
+# A suite that no fixture builds: its values belong to no game's suite.
+FOREIGN = transparent_suite(1013)
 
 
 def owfid_sim(p: int = 101, q: int = 0, seed="sim") -> ProtocolSim:
@@ -451,8 +455,12 @@ class TestOneMoreGame:
         assert report.wins == 0
 
     def test_malformed_query_forfeits_uncharged(self, t1009):
-        report = om_cdh_game(lambda ctx, rng: ctx.cdh(5), t1009, trials=2)
-        assert (report.wins, report.trials, report.queries) == (0, 2, {"cdh": 0})
+        for query in (5, "x", FOREIGN.g1, t1009.g2):
+            report = om_cdh_game(lambda ctx, rng: ctx.cdh(query), t1009, trials=2)
+            assert (report.wins, report.trials, report.queries) == (0, 2, {"cdh": 0})
+        # An answer of another suite loses too, even if the helper made it.
+        report = om_cdh_game(lambda ctx, rng: FOREIGN.g1, t1009, trials=2)
+        assert (report.wins, report.queries) == (0, {"cdh": 0})
 
     def test_reduction_answer_is_correct(self):
         suite = transparent_suite(101)
@@ -549,6 +557,8 @@ class TestSimulatedProvers:
         pytest.param(lambda suite: ((1 << suite.n).to_bytes(suite.width(KIND_BITS), "big"),), BadChallengeLength,
                      id="over-n-bits"),
         pytest.param(lambda suite: (bytes(suite.width(KIND_BITS)),) * 2, ProtocolViolation, id="two-fields"),
+        pytest.param(lambda suite: ("x",), ProtocolViolation, id="str"),
+        pytest.param(lambda suite: (FOREIGN.g1,), ProtocolViolation, id="element"),
     ])
     def test_blsid_reduction(self, challenge, error, fixture, request):
         suite = request.getfixturevalue(fixture)
@@ -564,8 +574,11 @@ class TestSimulatedProvers:
 
     @pytest.mark.parametrize("fixture", ["t1009", "c59"])
     @pytest.mark.parametrize("challenge, error", [
-        pytest.param(lambda suite: (suite.g1_identity(),), IdentityChallenge, id="identity"),
+        pytest.param(lambda suite: (suite.g1_from_int(0),), IdentityChallenge, id="identity"),
         pytest.param(lambda suite: (suite.g1,) * 2, ProtocolViolation, id="two-fields"),
+        pytest.param(lambda suite: (5,), ProtocolViolation, id="int"),
+        pytest.param(lambda suite: (FOREIGN.g1,), ProtocolViolation, id="other-suite"),
+        pytest.param(lambda suite: (suite.g2,), ProtocolViolation, id="g2"),
     ])
     def test_cdhid_reduction(self, challenge, error, fixture, request):
         suite = request.getfixturevalue(fixture)
@@ -594,7 +607,7 @@ class TestPairingInversionUses:
     def test_inverter_identity_base_rejected(self, t11):
         invert = transparent_pairing_inverter(t11)
         with pytest.raises(InversionFailed):
-            invert(t11.g1_identity(), t11.g2)
+            invert(t11.g1_from_int(0), t11.g2)
 
     def test_ddh_from_perfect_inverter(self, t11):
         invert = transparent_pairing_inverter(t11)
@@ -702,7 +715,7 @@ class IdentityQuery(AttackerPair):
 
     def verifier_phase(self, pk, prover, rng):
         prover.query((pk.suite.random_g1(rng, nonidentity=True),))
-        prover.query((pk.suite.g1_identity(),))
+        prover.query((pk.suite.g1_from_int(0),))
 
 
 class WrongFieldCount:
@@ -719,6 +732,21 @@ class AnswersTwice:
     def prover_phase(self, pk, state, channel, rng):
         super().prover_phase(pk, state, channel, rng)
         channel.on_response(channel.response)  # after the verifier decided
+
+
+class FillsEveryField(AttackerPair):
+    """Sends a commitment and a response of the right field counts with value(kind) in every field."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def prover_phase(self, pk, state, channel, rng):
+        ops = channel.ops
+        if ops.three_message:
+            channel.on_commitment(tuple(map(self.value, ops.commitment_fields)))
+        else:
+            channel.start()
+        channel.on_response(tuple(map(self.value, ops.response_fields)))
 
 
 def misbehaving(mixin, base, *args):
@@ -760,6 +788,23 @@ class TestForfeitRule:
         config = ForgeryGameConfig(q_s=16, q_h=64, trials=10, seed="forfeit")
         report = forgery_game("bls", blsid_forger(attacker), config, t11)
         assert (report.wins, report.queries) == (0, {"hash": 0, "sign": 10 * queries})
+
+    @pytest.mark.parametrize("fixture", ["t1009", "c59"])
+    @pytest.mark.parametrize("scheme", list(SchemeId))
+    @pytest.mark.parametrize("value", [
+        pytest.param(lambda kind: "x", id="str"),
+        pytest.param(lambda kind: {KIND_G1: FOREIGN.g1, KIND_G2: FOREIGN.g2, KIND_ZP: FOREIGN.scalar(3)}[kind],
+                     id="other-suite"),
+    ])
+    def test_out_of_suite_impersonation(self, value, scheme, fixture, request):
+        suite = request.getfixturevalue(fixture)
+        attacker = FillsEveryField(value)
+        sim = ProtocolSim.new(scheme, suite, seed="foreign")
+        report = attack_success_rate(attacker, sim, trials=3)
+        assert (report.wins, report.queries) == (0, {})
+        challenges = [SCHEMES[scheme].sample_challenge(suite, Random(k)) for k in range(3)]
+        matrix = build_summary_matrix(attacker, sim, ["f0", "f1"], challenges)
+        assert matrix.shape == (2, 3) and matrix.ones() == 0
 
     def test_single_shot_inverter(self, t101):
         rng = Random("forfeit")

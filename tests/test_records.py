@@ -301,7 +301,7 @@ class TestReports:
     def test_saved_report_is_parseable(self, t1009, tmp_path):
         report = forgery_game(
             "bls",
-            lambda ctx, rng: (b"\x00\x01", ctx.suite.g1_identity()),
+            lambda ctx, rng: (b"\x00\x01", ctx.suite.g1_from_int(0)),
             ForgeryGameConfig(trials=3),
             t1009,
         )

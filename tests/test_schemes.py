@@ -274,7 +274,7 @@ def out_of_domain(kind, suite) -> list:
             ((1 << n).to_bytes(width, "big"), BadChallengeLength, f"value does not fit in {n} bits"),
         ]
     if kind == KIND_G1:
-        return [(suite.g1_identity(), IdentityChallenge, "challenge must be a non-identity element")]
+        return [(suite.g1_from_int(0), IdentityChallenge, "challenge must be a non-identity element")]
     return [(suite.scalar(0), ZeroChallenge, "scalar challenges are drawn from Z_p^*")]
 
 
@@ -449,6 +449,25 @@ class TestMachines:
         verifier = VerifierMachine(SchemeId.OWFID, kp.public(), rng=random.Random(0))
         with pytest.raises(ProtocolViolation):
             verifier.on_commitment((t11.g2, t11.g2))
+        # The right count, but an int, a str, or a value of another suite.
+        other = transparent_suite(13)
+        for scheme in ALL_SCHEMES:
+            ops = SCHEMES[scheme]
+            kp = keygen(scheme, t11, random.Random(2))
+            for value in (5, "x", other.g1, other.g2, other.scalar(1)):
+                prover = ProverMachine(scheme, kp, rng=random.Random(0))
+                prover.start()
+                with pytest.raises(ProtocolViolation):
+                    prover.on_challenge((value,))
+                verifier = VerifierMachine(scheme, kp.public(), rng=random.Random(0))
+                if ops.three_message:
+                    with pytest.raises(ProtocolViolation):
+                        verifier.on_commitment((value,) * len(ops.commitment_fields))
+                    verifier.on_commitment(prover.commitment)
+                else:
+                    verifier.start()
+                with pytest.raises(ProtocolViolation):
+                    verifier.on_response((value,) * len(ops.response_fields))
 
     def test_registry_shapes(self, t11, rng):
         for scheme, ops in SCHEMES.items():

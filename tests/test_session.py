@@ -3,6 +3,7 @@ import random
 import socket
 import struct
 import threading
+from dataclasses import replace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +18,7 @@ from pairid.schemes import (
     VerifierMachine,
     exchange,
     keygen,
+    replay_decision,
     run_session,
     scl_keygen,
 )
@@ -484,6 +486,50 @@ class TestFrameFuzz:
         except PeerError:
             return
         assert transcript.decision in (True, False)
+
+
+def _any_value(suites: list):
+    """An int, a str, None, bytes, or an element or scalar of one of suites."""
+    made = st.tuples(st.sampled_from(suites), st.sampled_from(["g1_from_int", "g2_from_int", "scalar"]),
+                     st.integers(0, 2**16))
+    return st.one_of(st.integers(-1, 2**16), st.text(max_size=2), st.none(), st.binary(max_size=4),
+                     made.map(lambda m: getattr(m[0], m[1])(m[2])))
+
+
+def _outcome(call):
+    try:
+        return call()
+    except PeerError:
+        return "peer error"
+
+
+class TestMessageFuzz:
+    """An in-memory message of any length holding any values, handed to an
+    engine or replayed: each call ends in a message, a decision or a PeerError."""
+
+    @given(data=st.data())
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def test_any_values_end_in_a_message_a_decision_or_a_peer_error(self, data):
+        suite, other = data.draw(st.sampled_from([(transparent_suite(1009), tate_suite(59)),
+                                                  (tate_suite(59), transparent_suite(1013))]))
+        scheme = data.draw(st.sampled_from(ALL_SCHEMES))
+        values = tuple(data.draw(st.lists(_any_value([suite, other]), max_size=3)))
+        kp = keygen(scheme, suite, random.Random(0))
+        honest = run_session(scheme, kp, suite, seed=0)
+        prover = ProverMachine(scheme, kp, seed=0)
+        prover.open()
+        messages = _outcome(lambda: prover.receive(TAG_CHALLENGE, values))
+        assert messages == "peer error" or messages[0][0] in (TAG_RESPONSE, TAG_ERROR)
+        verifier = VerifierMachine(scheme, kp.public(), seed=0)
+        messages = _outcome(lambda: verifier.receive(TAG_COMMITMENT, values))
+        assert messages == "peer error" or [tag for tag, _ in messages] == [TAG_CHALLENGE]
+        verifier = VerifierMachine(scheme, kp.public(), seed=0)
+        verifier.open() or verifier.receive(TAG_COMMITMENT, honest.commitment)
+        messages = _outcome(lambda: verifier.receive(TAG_RESPONSE, values))
+        assert messages == "peer error" or messages in ([(TAG_DECISION, b"\x00")], [(TAG_DECISION, b"\x01")])
+        for field in ("commitment", "challenge", "response"):
+            decision = _outcome(lambda: replay_decision(replace(honest, **{field: values}), kp.public()))
+            assert decision in ("peer error", True, False)
 
 
 class TestBitFlipRelay:

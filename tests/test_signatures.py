@@ -5,7 +5,7 @@ from itertools import count
 import pytest
 
 from pairid import tate
-from pairid.algebra import G1Element, GroupSuite
+from pairid.algebra import G1Element, GroupSuite, Scalar, transparent_suite
 from pairid.primes import _jacobi
 from pairid.signatures import (
     DegenerateSuite,
@@ -135,7 +135,7 @@ class TestInversionSigned:
 class TestForgeryGame:
     def test_hopeless_adversary(self, t1009):
         def adv(ctx, rng):
-            return b"\x00\x01", ctx.suite.g1_identity()
+            return b"\x00\x01", ctx.suite.g1_from_int(0)
 
         report = forgery_game("bls", adv, ForgeryGameConfig(trials=20), t1009)
         assert report.wins == 0
@@ -168,7 +168,7 @@ class TestForgeryGame:
         def adv(ctx, rng):
             for k in range(100):
                 ctx.sign(k.to_bytes(2, "big"))
-            return b"\x01\x00", ctx.suite.g1_identity()
+            return b"\x01\x00", ctx.suite.g1_from_int(0)
 
         report = forgery_game("bls", adv, ForgeryGameConfig(q_s=8, trials=5), t1009)
         assert report.wins == 0
@@ -212,7 +212,12 @@ class TestForgeryGame:
         ("bb", lambda ctx, rng: (ctx.suite.scalar(3), ctx.suite.g1)),
         ("bls", lambda ctx, rng: (b"\x00\x01", (ctx.suite.g1,))),
         ("bls", lambda ctx, rng: ctx.suite.g1),
-    ], ids=["bls-int-sign", "str-hash", "bb-bytes-sign", "bb-bare-forgery", "bls-tuple-forgery", "no-message"])
+        ("bb", lambda ctx, rng: ctx.sign(Scalar(3, 7))),
+        ("bls", lambda ctx, rng: (b"m", transparent_suite(1013).g1)),
+        ("bb", lambda ctx, rng: (Scalar(3, 7), (ctx.suite.g1, ctx.suite.scalar(1)))),
+        ("bls", lambda ctx, rng: ctx.hash(ctx.suite.g1)),
+    ], ids=["bls-int-sign", "str-hash", "bb-bytes-sign", "bb-bare-forgery", "bls-tuple-forgery", "no-message",
+            "bb-other-modulus-sign", "bls-other-suite-forgery", "bb-other-modulus-forgery", "element-hash"])
     def test_malformed_adversary_loses_its_trials(self, t1009, scheme, adv):
         report = forgery_game(scheme, adv, ForgeryGameConfig(trials=2), t1009)
         assert (report.wins, report.trials, report.queries) == (0, 2, {"sign": 0, "hash": 0})
@@ -223,7 +228,7 @@ class TestForgeryGame:
 
     def test_report_line_format(self, t1009):
         report = forgery_game(
-            "bls", lambda ctx, rng: (b"\x00\x01", ctx.suite.g1_identity()),
+            "bls", lambda ctx, rng: (b"\x00\x01", ctx.suite.g1_from_int(0)),
             ForgeryGameConfig(trials=4), t1009,
         )
         line = report.line()
@@ -332,7 +337,7 @@ class TestCofactorFold:
                     suite.pairing(v, g)
                 for m in msgs:
                     hm = hash_to_group(m, _TRY, suite)
-                    for sig in (suite.g1_identity(), g, g ** 2, off, hm ** logs[pt]):
+                    for sig in (suite.g1_from_int(0), g, g ** 2, off, hm ** logs[pt]):
                         if not warm:
                             v = G1Element(suite, pt)  # cold: the verify is the first use of v
                         got, moved_on = verify(ExpKeyPair(suite, None, v), m, sig)
