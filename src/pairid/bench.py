@@ -52,11 +52,9 @@ EXPECTED: dict[SchemeId, CostTable] = {
 class BenchResult:
     scheme: SchemeId
     measured: CostTable
-    expected: CostTable
     matches: bool
     sent_bytes: dict
     redraws: int
-    sessions: int
 
     def line(self) -> str:
         m = self.measured
@@ -101,15 +99,12 @@ def bench_costs(scheme: SchemeId, suite: GroupSuite, sessions: int = 4, seed="be
         verifier_g2_exp=snap["g2_exp"]["verifier"],
         verifier_pairings=snap["pairings"]["verifier"],
     )
-    expected = EXPECTED[scheme]
     return BenchResult(
         scheme=scheme,
         measured=measured,
-        expected=expected,
-        matches=measured == expected,
+        matches=measured == EXPECTED[scheme],
         sent_bytes=dict(snap["sent_bytes"]),
         redraws=redraws,
-        sessions=sessions,
     )
 
 

@@ -48,6 +48,7 @@ from random import Random
 
 from .algebra import KIND_BITS, KIND_G1, G1Element, G2Element, GroupSuite, PeerError, Scalar
 from .schemes import (
+    RESTART,
     SCHEMES,
     OwfidKeyPair,
     ProverMachine,
@@ -55,12 +56,14 @@ from .schemes import (
     SchemeParams,
     Transcript,
     VerifierMachine,
+    ZeroExponent,
     default_scheme_params,
     exchange,
     keygen,
     owfid_commit,
     owfid_keypair,
     owfid_respond,
+    raise_peer_error,
     replay_decision,
 )
 from .signatures import (
@@ -121,7 +124,9 @@ class HonestProverOracle(Budget):
     builds the oracle a reduction hands an attacker instead.  Either way
     finish() refuses a query before it records or answers it, by the
     scheme's message rule (SchemeOps.check) and with the honest prover's
-    PeerError, which the games count as a forfeit.
+    PeerError, which the games count as a forfeit.  A query the honest prover
+    cannot answer (scl's x*r + w = 0) ends its session with the prover's
+    restart, the PeerError "peer error: restart"; a new begin() is charged.
     """
 
     def __init__(self, scheme: SchemeId, kp, limit: int, seed):
@@ -163,7 +168,10 @@ class HonestProverOracle(Budget):
         respond, self._pending = self._pending, None
         scheme, kp, _ = self._prover
         self.asked.append(SCHEMES[scheme].check(kp.suite, TAG_CHALLENGE, challenge))
-        return respond(challenge)
+        try:
+            return respond(challenge)
+        except ZeroExponent:
+            raise_peer_error(RESTART)  # the honest prover's restart: this session cannot go on
 
     def query(self, challenge: tuple) -> tuple:
         self.begin()
@@ -329,8 +337,6 @@ class HeavyRowReport:
     eps: float
     heavy_rows: list
     heavy_mass: float
-    shape: tuple
-    ones: int
 
 
 def heavy_row_stats(matrix: SummaryMatrix, eps: float | None = None) -> HeavyRowReport:
@@ -348,7 +354,7 @@ def heavy_row_stats(matrix: SummaryMatrix, eps: float | None = None) -> HeavyRow
     heavy = [i for i in range(rows) if cols and matrix.row_ones(i) / cols >= eps / 2]
     heavy_ones = sum(matrix.row_ones(i) for i in heavy)
     mass = heavy_ones / total if total else 1.0
-    return HeavyRowReport(eps=eps, heavy_rows=heavy, heavy_mass=mass, shape=(rows, cols), ones=total)
+    return HeavyRowReport(eps=eps, heavy_rows=heavy, heavy_mass=mass)
 
 
 @dataclass
@@ -510,15 +516,14 @@ class OmCdhContext(Budget):
     drawn; the target is drawn exactly once.  Both misuses raise
     OrderingViolation, and a query that the suite does not hold as a G1
     element raises MalformedQuery before it is charged; each is a forfeit,
-    which loses the trial.  The context is the helper oracle's Budget of q
-    queries: calls counts them, the one that overspends included.
+    which loses the trial.  The context is the helper oracle's Budget: limit
+    is its q queries, and calls counts them, the one that overspends included.
     """
 
     def __init__(self, suite: GroupSuite, x: Scalar, q: int, rng: Random):
         super().__init__(q)
         self.suite = suite
         self._x = x
-        self.q = q
         self._rng = rng
         self.v = suite.g1 ** x
         self.target: G1Element | None = None
@@ -836,7 +841,7 @@ class ScriptedOwfidAttacker(AttackerPair):
         q_a = (-(dl_v + dl_y * s_a) * pow(dl_p, -1, p)) % p
         kp = OwfidKeyPair(suite, pk.P, pk.y, suite.g1**q_a, suite.scalar(s_a), pk.v)
         state, commitment = owfid_commit(kp, rng)
-        (m,) = channel.on_commitment((commitment,))
+        (m,) = channel.on_commitment(commitment)
         T, a = owfid_respond(kp, state, m)
         if not _keyed_bit(b"owfid", token, suite.encode_scalar(m), self.eps):
             a += 1  # off-by-one exponent: verification picks up a stray factor of y
@@ -891,8 +896,9 @@ def _heavyrow_demo(suite, seed, eps, trials, **_):
     sim = ProtocolSim.new(SchemeId.CDHID, suite, seed=seed, q=0)
     seeds = [f"{seed}:row{i}" for i in range(trials)]
     challenges = [(suite.g1_from_int(k),) for k in range(1, min(suite.p - 1, 8) + 1)]
-    stats = heavy_row_stats(build_summary_matrix(attacker, sim, seeds, challenges))
-    line = (f"matrix {stats.shape[0]}x{stats.shape[1]}: {stats.ones} ones, "
+    matrix = build_summary_matrix(attacker, sim, seeds, challenges)
+    stats = heavy_row_stats(matrix)
+    line = (f"matrix {len(seeds)}x{len(challenges)}: {matrix.ones()} ones, "
             f"{len(stats.heavy_rows)} heavy rows carrying {stats.heavy_mass:.3f} of the mass")
     return stats.heavy_mass > 0.5, [line]
 

@@ -219,7 +219,7 @@ def owfid_commit(kp: OwfidKeyPair, rng: Random):
     R = suite.g1_from_int(rho)
     r = suite.random_scalar(rng)
     x = suite.pairing_from_int(kp.P, R, rho) * kp.y**r
-    return (R, r), x
+    return (R, r), (x,)
 
 
 def owfid_respond(kp: OwfidKeyPair, state, m: Scalar) -> tuple[G1Element, Scalar]:
@@ -234,7 +234,7 @@ def owfid_verify(pk: OwfidKeyPair, x: G2Element, m: Scalar, T: G1Element, a: Sca
 
 def scl_commit(kp: SclKeyPair, rng: Random):
     w = kp.suite.random_scalar(rng)
-    return w, kp.g**w
+    return w, (kp.g**w,)
 
 
 def scl_respond(kp: SclKeyPair, w: Scalar, r: Scalar) -> G1Element:
@@ -253,7 +253,7 @@ def scl_verify(pk: SclKeyPair, tau: G1Element, r: Scalar, sigma: G1Element) -> b
 
 def hls_commit(kp: HlsKeyPair, rng: Random):
     r = kp.suite.random_scalar(rng)
-    return r, kp.z**r
+    return r, (kp.z**r,)
 
 
 def hls_respond(kp: HlsKeyPair, r: Scalar, c: Scalar) -> G1Element:
@@ -330,15 +330,6 @@ class SchemeOps:
         return values
 
 
-def _wrap_commit(fn):
-    # Flat commit helpers return (secret state, single message value).
-    def commit(kp, rng):
-        state, value = fn(kp, rng)
-        return state, (value,)
-
-    return commit
-
-
 SCHEMES: dict[SchemeId, SchemeOps] = {
     SchemeId.BLSID: SchemeOps(
         scheme=SchemeId.BLSID,
@@ -380,7 +371,7 @@ SCHEMES: dict[SchemeId, SchemeOps] = {
         challenge_fields=(KIND_ZP,),
         response_fields=(KIND_G1, KIND_ZP),
         keygen=owfid_keygen,
-        commit=_wrap_commit(owfid_commit),
+        commit=owfid_commit,
         respond=lambda kp, st, ch, _: owfid_respond(kp, st, ch[0]),
         verify=lambda pk, co, ch, re: owfid_verify(pk, co[0], ch[0], re[0], re[1]),
     ),
@@ -391,7 +382,7 @@ SCHEMES: dict[SchemeId, SchemeOps] = {
         challenge_fields=(KIND_ZP,),
         response_fields=(KIND_G1,),
         keygen=scl_keygen,
-        commit=_wrap_commit(scl_commit),
+        commit=scl_commit,
         respond=lambda kp, st, ch, _: (scl_respond(kp, st, ch[0]),),
         verify=lambda pk, co, ch, re: scl_verify(pk, co[0], ch[0], re[0]),
     ),
@@ -402,7 +393,7 @@ SCHEMES: dict[SchemeId, SchemeOps] = {
         challenge_fields=(KIND_ZP,),
         response_fields=(KIND_G1,),
         keygen=hls_keygen,
-        commit=_wrap_commit(hls_commit),
+        commit=hls_commit,
         respond=lambda kp, st, ch, _: (hls_respond(kp, st, ch[0]),),
         verify=lambda pk, co, ch, re: hls_verify(pk, co[0], ch[0], re[0]),
     ),

@@ -4,8 +4,10 @@ One sans-I/O engine (schemes.SessionEngine) restarts, counts and records
 every session; three drivers carry its messages.  schemes.run_session joins
 both roles in memory with value tuples and counts each message once.
 serve_prover and run_verifier run one role over a transport as frames and
-count each message on both ends.  Both run one driver, _steps, that pauses
-before each frame it reads; loopback_session steps its two ends by it on
+count each message on both ends; they take no seed and draw from the OS,
+so no key served over a wire answers from a stream that can be replayed.
+Both run one driver, _steps, that pauses before each frame it reads;
+loopback_session, seeded for in-process runs, steps its two ends by it on
 one thread, over a socketpair, so a loopback counts each message twice.
 lab.mitm_relay_demo joins both roles in memory through a frame-level relay.
 
@@ -90,7 +92,6 @@ class _StreamTransport:
 
 class SocketTransport(_StreamTransport):
     def __init__(self, sock: socket.socket):
-        self.sock = sock
         self._read, self._write = sock.recv, sock.sendall
 
 
@@ -186,14 +187,14 @@ def _finish(steps):
         return done.value
 
 
-def serve_prover(scheme: SchemeId, kp, transport, seed=None) -> SessionResult:
-    """Serve one session; unseeded, as it must be for a real key, it draws from the OS."""
-    return _finish(_steps(ProverMachine(scheme, kp, seed=seed, wire=True), transport))
+def serve_prover(scheme: SchemeId, kp, transport) -> SessionResult:
+    """Serve one session, drawing from the OS, as a prover with a real key must."""
+    return _finish(_steps(ProverMachine(scheme, kp, wire=True), transport))
 
 
-def run_verifier(scheme: SchemeId, pk, transport, seed=None) -> SessionResult:
-    """Verify one session; unseeded, as it must be for a real key, it draws from the OS."""
-    return _finish(_steps(VerifierMachine(scheme, pk, seed=seed, wire=True), transport))
+def run_verifier(scheme: SchemeId, pk, transport) -> SessionResult:
+    """Verify one session, drawing from the OS."""
+    return _finish(_steps(VerifierMachine(scheme, pk, wire=True), transport))
 
 
 def loopback_session(scheme: SchemeId, kp, seed=0) -> tuple[SessionResult, SessionResult]:

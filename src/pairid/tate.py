@@ -111,8 +111,9 @@ CurveParams.validate() holds every curve rule and counts no points, so it
 works at real size (q of 512 bits) like all the arithmetic here; every
 TateBackend runs it, and suites over equal parameters share a backend from
 a bounded lru_cache.  enumerate_and_validate takes the point count q + 1
-from the theorem above and searches a desk-size q for a generator, and
-TateBackend.log brute-forces discrete logs; only these two stay desk-only.
+from the theorem above and searches a desk-size q for a generator, which
+it returns in validated CurveParams, and TateBackend.log brute-forces
+discrete logs; only these two stay desk-only.
 """
 
 from __future__ import annotations
@@ -537,30 +538,21 @@ class CurveParams:
             raise ValidationFailed("generator does not have order p")
 
 
-@dataclass(frozen=True)
-class CurveValidation:
-    params: CurveParams
-    n_points: int
-    factors: dict
-
-
-def enumerate_and_validate(q: int, p: int | None = None) -> CurveValidation:
+def enumerate_and_validate(q: int, p: int | None = None) -> CurveParams:
     """Pick the subgroup order and a generator of a desk-size curve.
 
     For q prime and q = 3 (mod 4) the curve is supersingular, so it has
     exactly q + 1 points.  p defaults to the largest prime factor of q + 1,
     the generator is h * pt for the first point pt drawn with Random(q) that
-    h does not send to infinity, and the result is validated.
+    h does not send to infinity, and the parameters are validated.
     """
     q = int(q)
     if q > 10_000:
         raise ValidationFailed("the desk curve search is capped at q <= 10^4")
     CurveParams.validate_field(q)
 
-    n = q + 1
-    factors = factor(n)
-    p = max(factors) if p is None else int(p)
-    h = n // p if p > 0 else 0  # validate() rejects p <= 0
+    p = max(factor(q + 1)) if p is None else int(p)
+    h = (q + 1) // p if p > 0 else 0  # validate() rejects p <= 0
 
     rng = Random(q)
     gen = None
@@ -571,7 +563,7 @@ def enumerate_and_validate(q: int, p: int | None = None) -> CurveValidation:
             break
     params = CurveParams(q=q, p=p, h=h, gen=gen)
     params.validate()
-    return CurveValidation(params, n_points=n, factors=factors)
+    return params
 
 
 @lru_cache(maxsize=_SHARED_SLOTS)
@@ -996,7 +988,7 @@ class TateBackend:
 
 @lru_cache(maxsize=_SHARED_SLOTS)
 def _desk_params(q: int, p: int | None) -> CurveParams:
-    return enumerate_and_validate(q, p).params
+    return enumerate_and_validate(q, p)
 
 
 @lru_cache(maxsize=_SHARED_SLOTS)

@@ -4,12 +4,15 @@ import os
 import random
 import socket
 import stat
+import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
+import pairid
 from pairid.cli import main
 from pairid.lab import DEMOS, MalformedTranscripts, owfid_extractor
 from pairid.records import load_key, load_transcript
@@ -77,6 +80,41 @@ class TestProveVerify:
         assert _tcp_session(sk, pk, transcript) == 0
         t, _, _ = load_transcript(str(transcript))
         assert t.decision
+
+    def test_stdio_session_between_processes(self, keyfiles, tmp_path):
+        # Each end's stdout is the other's stdin.  The verifier's frames pass
+        # through this test, which checks that they are all its stdout holds:
+        # its verdict goes to stderr.
+        sk, pk = keyfiles
+        transcript = tmp_path / "stdio.transcript"
+        env = {**os.environ, "PYTHONPATH": str(Path(pairid.__file__).resolve().parents[1])}
+        cli = [sys.executable, "-m", "pairid"]
+        verify = [*cli, "verify", "--pk", str(pk), "--stdio", "--transcript-out", str(transcript)]
+        pipe = subprocess.PIPE
+        with (
+            subprocess.Popen(verify, stdin=pipe, stdout=pipe, stderr=pipe, env=env) as verifier,
+            subprocess.Popen([*cli, "prove", "--key", str(sk), "--stdio"],
+                             stdin=pipe, stdout=verifier.stdin, stderr=pipe, env=env) as prover,
+        ):
+            verifier.stdin.close()  # the prover holds the only write end
+            sent = b""
+            while chunk := os.read(verifier.stdout.fileno(), 4096):
+                sent += chunk
+                prover.stdin.write(chunk)
+                prover.stdin.flush()
+            prover.stdin.close()
+            assert (prover.wait(timeout=30), verifier.wait(timeout=30)) == (0, 0)
+            assert prover.stderr.read().decode() == "prover: accepted (restarts 0)\n"
+            assert verifier.stderr.read().decode().splitlines() == [f"wrote transcript to {transcript}",
+                                                                    "verifier: accept (restarts 0)"]
+        tags = []
+        while sent:
+            size = 4 + frame_length(sent[:4])
+            tag, payload = frame_decode(sent[:size])
+            tags.append(tag)
+            sent = sent[size:]
+        assert tags == [TAG_HELLO, TAG_CHALLENGE, TAG_DECISION] and payload == b"\x01"
+        assert "decision = accept" in transcript.read_text().splitlines()
 
     def test_two_proofs_do_not_give_the_key_away(self, keyfiles, monkeypatch):
         # Two prove --stdio runs of one owfid key, answered with different
@@ -348,6 +386,26 @@ class TestLabPinned:
         assert [line for line in lines if " lab " in line] == [f"[ok] lab {name}" for name in DEMOS]
 
 
+# SHA-256 over each `pairid bench --all FLAGS` run's exit code and stdout, for
+# each flag set in _BENCH_FLAGS in that order, and over `pairid selftest`'s.
+_BENCH_FLAGS = ([], ["--backend", "tate", "--q", "59"], ["--backend", "tate", "--q", "83"])
+_BENCH_DIGEST = "137793d43889475ba901058c14b0dfa0131b172498585a1d54646d02c59d47d2"
+_SELFTEST_DIGEST = "17071284bcc03cdcb28d9f56420f3549f1cc7a65de9e68181a0ba4608d6741cb"
+
+
+class TestBenchPinned:
+    def test_bench_digest(self, capsys):
+        digest = hashlib.sha256()
+        for flags in _BENCH_FLAGS:
+            rc = main(["bench", "--all", *flags])
+            digest.update(f"{rc}\n{capsys.readouterr().out}".encode())
+        assert digest.hexdigest() == _BENCH_DIGEST
+
+    def test_selftest_digest(self, capsys):
+        rc = main(["selftest"])
+        assert hashlib.sha256(f"{rc}\n{capsys.readouterr().out}".encode()).hexdigest() == _SELFTEST_DIGEST
+
+
 def _tcp_session(sk, pk, transcript) -> int:
     """One prove/verify session over TCP with default seeds on both ends."""
     port = free_port()
@@ -416,17 +474,19 @@ class TestUsageErrors:
             ["lab", "--game", "forgery", "--p", "0"],
             ["keygen", "--scheme", "cdhid", "--out", "{missing}"],
             ["verify", "--pk", "{blsid_pub}", "--connect", "127.0.0.1:{closed}"],
+            ["sign", "--key", "{owfid_key}", "--message", "m"],
+            ["sigverify", "--pk", "{owfid_pub}", "--message", "m", "--sig", "0001"],
         ],
         ids=["sig-not-hex", "sig-unreduced", "message-not-hex", "r-not-hex", "q-1-mod-4", "p-composite",
              "sign-no-message", "sign-public-key", "prove-public-key", "connect-no-port", "sigverify-no-r",
              "sessions-zero", "trials-negative", "queries-negative", "queries-over-challenges",
              "eps-nan", "eps-inf", "eps-tiny", "p-zero", "tate-q-zero", "lab-p-zero", "out-missing-dir",
-             "connect-refused"],
+             "connect-refused", "sign-no-signature-scheme", "sigverify-no-signature-scheme"],
     )
     def test_one_line_exit_2(self, argv, tmp_path, capsys):
         names = {"out": str(tmp_path / "new.key"), "missing": str(tmp_path / "missing" / "new.key"),
                  "closed": free_port()}
-        for scheme in ("blsid", "sdhid"):
+        for scheme in ("blsid", "sdhid", "owfid"):
             names[f"{scheme}_key"] = str(tmp_path / f"{scheme}.key")
             names[f"{scheme}_pub"] = str(tmp_path / f"{scheme}.pub")
             assert main(["keygen", "--scheme", scheme, "--seed", "cli", "--out", names[f"{scheme}_key"],
@@ -448,6 +508,15 @@ class TestOsErrors:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("pairid: ")
         assert not (tmp_path / "id.key").exists()  # a failed keygen leaves no file behind
+
+    def test_out_is_a_directory(self, tmp_path, capsys):
+        # The secret record is written to a temporary file beside --out first;
+        # the failed replace removes it.
+        (tmp_path / "keys").mkdir()
+        assert main(["keygen", "--scheme", "owfid", "--out", str(tmp_path / "keys")]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("pairid: ")
+        assert list(tmp_path.iterdir()) == [tmp_path / "keys"] and not any((tmp_path / "keys").iterdir())
 
     def test_listen_port_in_use(self, keyfiles, capsys):
         sk, _ = keyfiles

@@ -1,10 +1,11 @@
 """Every top-level import in the tests and in pairid is used, checked with ast alone,
 no block of three lines and no raise line in pairid is written twice, no
-check in pairid is an assert, which python -O strips, and only algebra tests
+check in pairid is an assert, which python -O strips, only algebra tests
 a value's type against a group element or scalar class: everything else asks
-GroupSuite.holds."""
+GroupSuite.holds, and every code name README.md shows in backticks exists."""
 
 import ast
+import re
 from pathlib import Path
 
 import pairid
@@ -184,3 +185,50 @@ def test_the_check_finds_value_type_tests():
         "b.py": "ok = isinstance(v, (bytes, algebra.Scalar))\nisinstance(v, tuple)\nisinstance(Scalar, type)\n",
     }
     assert value_type_tests(sources) == ["a.py:2", "b.py:1"]
+
+
+README = TESTS.parent / "README.md"
+# A backticked span that names code: a dotted name or a call, whose arguments
+# are not read, or a snake_case or CamelCase name.  A single word such as
+# `prove` or `q` names a command or a symbol as often as code, so it is left out.
+NAME_SPAN = re.compile(r"([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)(\(.*\))?")
+CODE_WORD = re.compile(r"[a-z][a-z0-9]*(?:_[a-z0-9]+)+|(?:[A-Z][a-z0-9]+){2,}")
+
+
+def code_names(source: str) -> set:
+    """Every name a module reads, binds, defines, imports, or passes as an argument or keyword."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        for field in ("id", "attr", "name", "arg", "asname"):
+            value = getattr(node, field, None)
+            if isinstance(value, str):
+                names.update(value.split("."))
+    return names
+
+
+def missing_readme_names(text: str, names: set) -> list:
+    """Each backticked code name in text, in order, whose last part is not in names."""
+    missing = []
+    for span in re.findall(r"`([^`\n]+)`", text):
+        match = NAME_SPAN.fullmatch(span)
+        if not match:
+            continue
+        dotted, call = match.groups()
+        last = dotted.rsplit(".", 1)[-1]
+        if ("." in dotted or call or CODE_WORD.fullmatch(dotted)) and last not in names:
+            missing.append(dotted)
+    return missing
+
+
+def test_readme_names_exist():
+    paths = sorted(SRC.glob("*.py"))
+    names = {path.stem for path in paths}.union(*(code_names(path.read_text()) for path in paths))
+    assert missing_readme_names(README.read_text(), names) == []
+
+
+def test_the_check_finds_missing_readme_names():
+    names = code_names("import os.path\ndef run(kept_name, *, flag=1):\n    return Thing.method\n")
+    text = ("Call `mod.run(x, y)` or `gone_helper()`, read `Old.method` and `Thing.gone`, pass `kept_name`, "
+            "not `lost_name` or `NewThing`; `prove`, `F_q`, `x*r + w = 0` and `os.path` are fine.\n"
+            "```sh\npairid prove\n```\n")
+    assert missing_readme_names(text, names) == ["gone_helper", "Thing.gone", "lost_name", "NewThing"]

@@ -354,9 +354,9 @@ class TestExtractor:
         t1, t2 = vector_transcripts(t11)
         with pytest.raises(MalformedTranscripts, match="share a commitment"):
             # a valid transcript, but from an independent commitment
-            state, x2 = owfid_commit(real, Random("fresh"))
+            state, commitment = owfid_commit(real, Random("fresh"))
             m = t11.scalar(5)
-            broken = Transcript(t2.scheme, (x2,), (m,), owfid_respond(real, state, m), True)
+            broken = Transcript(t2.scheme, commitment, (m,), owfid_respond(real, state, m), True)
             assert broken.commitment != t1.commitment
             owfid_extractor(t1, broken, sim)
         with pytest.raises(MalformedTranscripts, match="share the challenge"):
@@ -749,6 +749,18 @@ class FillsEveryField(AttackerPair):
         channel.on_response(tuple(map(self.value, ops.response_fields)))
 
 
+class AsksEveryScalar(AttackerPair):
+    """Opens one prover-oracle session per nonzero scalar and asks that scalar, then quits."""
+
+    def verifier_phase(self, pk, prover, rng):
+        for k in range(1, pk.suite.p):
+            prover.begin()
+            prover.finish((pk.suite.scalar(k),))
+
+    def prover_phase(self, pk, state, channel, rng):
+        return None
+
+
 def misbehaving(mixin, base, *args):
     return type(mixin.__name__ + base.__name__, (mixin, base), {})(*args)
 
@@ -805,6 +817,32 @@ class TestForfeitRule:
         challenges = [SCHEMES[scheme].sample_challenge(suite, Random(k)) for k in range(3)]
         matrix = build_summary_matrix(attacker, sim, ["f0", "f1"], challenges)
         assert matrix.shape == (2, 3) and matrix.ones() == 0
+
+    def test_unanswerable_scl_query(self):
+        # At p = 5 one of the scalars 1..4 meets x*r + w = 0 for most scl
+        # commitments; the honest prover's restart ends the oracle session.
+        suite = transparent_suite(5)
+        sim = ProtocolSim.new(SchemeId.SCL, suite, q=4)
+        report = attack_success_rate(AsksEveryScalar(), sim, trials=20)
+        assert (report.wins, report.trials, report.queries) == (0, 20, {})
+        challenges = [(suite.scalar(k),) for k in range(1, 5)]
+        matrix = build_summary_matrix(AsksEveryScalar(), sim, [f"z{i}" for i in range(5)], challenges)
+        assert matrix.shape == (5, 4) and matrix.ones() == 0
+
+    def test_scl_restart_ends_one_oracle_session(self):
+        suite = transparent_suite(5)
+        kp = keygen(SchemeId.SCL, suite, Random("restart"))
+        oracle = HonestProverOracle(SchemeId.SCL, kp, limit=40, seed="restart")
+        restarts = 0
+        for i in range(40):
+            oracle.begin()
+            try:
+                oracle.finish((suite.scalar(i % 4 + 1),))
+            except ProtocolViolation as exc:
+                assert str(exc) == "peer error: restart"
+                restarts += 1
+        # Each session after a restart was begun and charged.
+        assert restarts and oracle.calls == 40
 
     def test_single_shot_inverter(self, t101):
         rng = Random("forfeit")

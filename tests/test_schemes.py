@@ -501,7 +501,7 @@ class TestOwfidCommit:
         kp = owfid_keygen(suite, random.Random(f"commit {fixture}"))
         for i in range(3):  # the first commitment runs cold, the later ones on P's comb
             got, draws = random.Random(i), random.Random(i)
-            state, x = owfid_commit(kp, got)
+            state, (x,) = owfid_commit(kp, got)
             R, r = suite.random_g1(draws), suite.random_scalar(draws)
             assert state == (R, r) and x == suite.pairing(kp.P, R) * kp.y**r
             assert got.getstate() == draws.getstate()
@@ -536,12 +536,12 @@ class TestCosts:
 
     def test_commit_helpers_return_state_and_value(self, t11, rng):
         okp = owfid_keygen(t11, rng)
-        (R, r), x = owfid_commit(okp, rng)
+        (R, r), (x,) = owfid_commit(okp, rng)
         assert t11.pairing(okp.P, R) * okp.y ** r == x
         skp = scl_keygen(t11, rng)
-        w, tau = scl_commit(skp, rng)
+        w, (tau,) = scl_commit(skp, rng)
         assert skp.g ** w == tau
         hkp = keygen(SchemeId.HLS, t11, rng)
-        r2, w2 = hls_commit(hkp, rng)
+        r2, (w2,) = hls_commit(hkp, rng)
         assert hkp.z ** r2 == w2
 

@@ -89,7 +89,7 @@ def test_prover_oracle_seeds_one_stream_for_its_sessions(seedings, t1009):
         oracle.finish((t1009.scalar(m),))
     assert seedings == [("oracle:prover",)]
     stream = Random("oracle:prover")
-    assert commitments == [(owfid_commit(kp, stream)[1],) for _ in range(3)]
+    assert commitments == [owfid_commit(kp, stream)[1] for _ in range(3)]
 
 
 @pytest.mark.parametrize("scheme", [SchemeId.SDHID, SchemeId.HLS])

@@ -304,11 +304,11 @@ class TestStdioTransport:
         outcome = {}
 
         def prover_side():
-            outcome["prover"] = serve_prover(SchemeId.SDHID, kp, prover_t, seed=3)
+            outcome["prover"] = serve_prover(SchemeId.SDHID, kp, prover_t)
 
         worker = threading.Thread(target=prover_side)
         worker.start()
-        result = run_verifier(SchemeId.SDHID, kp.public(), verifier_t, seed=3)
+        result = run_verifier(SchemeId.SDHID, kp.public(), verifier_t)
         worker.join()
         for t in (prover_t, verifier_t):
             t.infile.close()

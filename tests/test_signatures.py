@@ -317,7 +317,7 @@ class TestCofactorFold:
 
     @pytest.mark.parametrize("q", [59, 83])
     def test_every_key_cold_and_warm(self, q, monkeypatch):
-        params = enumerate_and_validate(q).params
+        params = enumerate_and_validate(q)
         backend = TateBackend(params)
         suite = GroupSuite(backend)
         g, p = suite.g1, suite.p
@@ -349,7 +349,7 @@ class TestCofactorFold:
             assert all(moves)
 
     def test_charges_two_pairings_on_both_paths(self, monkeypatch):
-        params = enumerate_and_validate(523).params
+        params = enumerate_and_validate(523)
         falls_back = _falls_back_message(params)
         assert falls_back == b"fb1"
         verify = _moved_on(monkeypatch)
@@ -376,7 +376,7 @@ class TestCofactorFold:
         # or not the fold moves on: its first verify marks its holder with
         # no table, its second builds its lines; g has its lines from the
         # first.
-        params = enumerate_and_validate(523).params
+        params = enumerate_and_validate(523)
         other = GroupSuite(TateBackend(params))
         kp = bls_keygen(other, random.Random("table use"))
         falls_back = _falls_back_message(params)

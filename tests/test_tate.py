@@ -9,6 +9,7 @@ from types import SimpleNamespace
 import pytest
 
 from pairid.algebra import KIND_G1, KIND_G2, G1Element, G2Element, GroupSuite, MalformedEncoding
+from pairid.primes import factor
 from pairid.schemes import SchemeId, keygen, replay_decision, run_session
 from pairid.session import loopback_session
 from pairid.tate import (
@@ -124,13 +125,14 @@ class TestValidation:
     @pytest.mark.parametrize("q", sorted(CURVE_TABLE))
     def test_known_curves(self, q):
         expect = CURVE_TABLE[q]
-        report = enumerate_and_validate(q)
-        assert report.n_points == expect["n"]
-        assert report.factors == expect["factors"]
-        assert report.params.p == expect["p"]
-        assert report.params.h == expect["h"]
+        params = enumerate_and_validate(q)
+        # the curve has q + 1 points (test_point_count_matches_oracle)
+        assert q + 1 == expect["n"] == params.p * params.h
+        assert factor(q + 1) == expect["factors"]
+        assert params.p == expect["p"]
+        assert params.h == expect["h"]
         # the generator really has order p
-        gen = report.params.gen
+        gen = params.gen
         assert point_mul(expect["p"], gen, q) is None
         assert point_order_naive(gen, q) == expect["p"]
 
@@ -163,7 +165,7 @@ class TestValidation:
             enumerate_and_validate(59, p=7)  # 7 does not divide 60
         with pytest.raises(ValidationFailed):
             enumerate_and_validate(59, p=3)  # prime but below the floor
-        assert enumerate_and_validate(59, p=5).params.p == 5
+        assert enumerate_and_validate(59, p=5).p == 5
 
     def test_size_cap(self):
         with pytest.raises(ValidationFailed):
@@ -217,7 +219,7 @@ class TestPointArithmetic:
 
     def test_negative_multiplier(self):
         q = 59
-        gen = enumerate_and_validate(q).params.gen
+        gen = enumerate_and_validate(q).gen
         assert point_mul(-2, gen, q) == point_neg(point_mul(2, gen, q), q)
 
     def test_off_curve_rejected(self):
@@ -264,7 +266,7 @@ class TestPairing:
     def test_offset_rescue_identity(self):
         # oracles.reference_pairing's retry relies on
         # reduced(f(P,Q)) = reduced(f(P,Q+S)/f(P,S)).
-        params = enumerate_and_validate(59).params
+        params = enumerate_and_validate(59)
         q, p = params.q, params.p
         exp = (q * q - 1) // p
         pt = params.gen
@@ -279,7 +281,7 @@ class TestPairing:
             assert (f1 * f2.inv()) ** exp == direct
 
     def test_line_vanishing_raises(self):
-        params = enumerate_and_validate(59).params
+        params = enumerate_and_validate(59)
         q, p = params.q, params.p
         x1, y1 = params.gen
         lam = (3 * x1 * x1 + 1) * pow(2 * y1, -1, q) % q
@@ -299,11 +301,11 @@ class TestPairing:
     def test_two_torsion_argument_stays_in_target_group(self):
         # (0, 0) sits outside the working subgroup; as a second argument it
         # pairs to 1, since e(gen, (0, 0))^2 = e(gen, O) and p is odd.
-        params = enumerate_and_validate(59).params
+        params = enumerate_and_validate(59)
         assert tate_pairing(params.gen, (0, 0), params) == Fq2(1, 0, params.q)
 
     def test_off_curve_pairing_rejected(self):
-        params = enumerate_and_validate(59).params
+        params = enumerate_and_validate(59)
         with pytest.raises(NotOnCurve):
             tate_pairing((1, 1), params.gen, params)
 
@@ -335,7 +337,7 @@ class TestLineForm:
         # reference line's, so it vanishes exactly where the reference does.
         # Its lines are the tangents and chords the walk meets, the chord
         # through r = s (a tangent) and the skipped verticals included.
-        p = enumerate_and_validate(q).params.p
+        p = enumerate_and_validate(q).p
         pts = [pt for pt in curve_points(q) if pt is not None]
         walks = [digits for n in (p, q + 1) for digits in (_loop_digits(n), tuple(map(int, bin(n)[3:])))]
         vanished, kinds = 0, set()
@@ -370,7 +372,7 @@ class TestPairingAgainstReference:
         # A first argument of order p or O, against every curve point (O and
         # (0, 0) included), equals the reference, whose retry never runs
         # there; a first argument off the subgroup raises NotOnCurve.
-        params = enumerate_and_validate(q).params
+        params = enumerate_and_validate(q)
         off = _by_order(q)[1]
         pts = curve_points(q)
         for a in pts:
@@ -388,7 +390,7 @@ class TestPairingAgainstReference:
         # package's vanishes at any finite b, (0, 0) included.  Some a off
         # the subgroup make the reference's lines vanish; the package's walk
         # raises NotOnCurve for every such a instead.
-        p = enumerate_and_validate(q).params.p
+        p = enumerate_and_validate(q).p
         inside, off = _by_order(q)
         for a in inside:
             for b in inside + off:
@@ -411,7 +413,7 @@ class TestPairingAgainstReference:
         # the final exponentiation: the live loop, which multiplies in each
         # line as it makes it, the stored steps and the oracle's affine loop
         # agree.  A first argument off the subgroup gets no stored steps.
-        p = enumerate_and_validate(q).params.p
+        p = enumerate_and_validate(q).p
         inside, off = _by_order(q)
         for a in inside:
             lines = _stored_walk(a, p, q)
@@ -521,7 +523,7 @@ class TestSuiteOverCurve:
         assert c83.g1_from_int(3) != other.g1_from_int(3)
 
     def test_stored_params_revalidated(self):
-        good = enumerate_and_validate(59).params
+        good = enumerate_and_validate(59)
         with pytest.raises(ValidationFailed):
             suite_from_curve_params(59, 5, 12, (1, 1))
         full_order = next(
@@ -610,7 +612,7 @@ class TestPrecomputedTables:
     def test_comb_matches_point_mul_on_every_point(self, q):
         # Off-subgroup, 2-torsion and other small-order bases included:
         # 2^(5i) * pt is infinity for some of them.
-        backend = TateBackend(enumerate_and_validate(q).params)
+        backend = TateBackend(enumerate_and_validate(q))
         for pt in curve_points(q):
             h = _holder()
             backend.power(KIND_G1, pt, 1, h)
@@ -625,7 +627,7 @@ class TestPrecomputedTables:
         # order p that is (k * that sum mod p) g, read off g's multiples.
         # At 59 and 83 every curve point, small orders included, is read off
         # its own multiples.  At 1051 each row has two columns.
-        params = enumerate_and_validate(q).params
+        params = enumerate_and_validate(q)
         bits = params.p.bit_length()
         d = _comb_spacing(bits)
         sums = [sum(1 << (i * d) for i in range(8) if j >> i & 1) for j in range(256)]
@@ -641,7 +643,7 @@ class TestPrecomputedTables:
         # Every k in [0, 2p) on every point j*g of order p, through the comb
         # (k = 0 and, at 523, k >= 256 through the wNAF), against the
         # oracle's (j*k mod p) * g.
-        params = enumerate_and_validate(q).params
+        params = enumerate_and_validate(q)
         g, p = params.gen, params.p
         multiples = [naive_double_and_add(m, g, q) for m in range(p)]
         for j in range(1, p):
@@ -687,7 +689,7 @@ class TestPrecomputedTables:
             assert backend.from_int(KIND_G2, k) == g2 ** k
 
     def test_comb_out_of_range_exponents(self):
-        params = enumerate_and_validate(523).params
+        params = enumerate_and_validate(523)
         backend, h = TateBackend(params), _holder()
         for _ in range(2):
             backend.power(KIND_G1, params.gen, 1, h)
@@ -700,7 +702,7 @@ class TestPrecomputedTables:
         # Every element of mu_p, the order-p values of F_q^2, each used twice
         # first; exponents past the comb's 2^8 and negative ones take the
         # ladder.
-        params = enumerate_and_validate(q).params
+        params = enumerate_and_validate(q)
         backend = TateBackend(params)
         g2 = backend.from_int(KIND_G2, 1)
         mu_p = [g2 ** i for i in range(params.p)]
@@ -721,7 +723,7 @@ class TestPrecomputedTables:
 
         builds = []
         monkeypatch.setattr(tate, "_fq2_comb_table", lambda x, bits: builds.append(x) or _fq2_comb_table(x, bits))
-        params = enumerate_and_validate(83).params
+        params = enumerate_and_validate(83)
         backend = TateBackend(params)
         z = tate_pairing(point_mul(3, params.gen, 83), params.gen, params)
         hz, hs = _holder(), [_holder(), _holder()]
@@ -741,7 +743,7 @@ class TestPrecomputedTables:
         # Warm: a first argument of order p pairs on its stored lines and
         # equals the reference against every curve point; one off the
         # subgroup raises NotOnCurve on every use.
-        params = enumerate_and_validate(q).params
+        params = enumerate_and_validate(q)
         backend = TateBackend(params)
         off = _by_order(q)[1]
         pts = curve_points(q)
@@ -763,7 +765,7 @@ class TestPrecomputedTables:
         # phi distorts, curve points or not: stored steps and the live walk
         # vanish at the same points, none of them on the curve, and
         # elsewhere agree up to an F_q* factor.
-        params = enumerate_and_validate(q).params
+        params = enumerate_and_validate(q)
         vanished = 0
         for a in _by_order(q)[0]:
             lines = _stored_walk(a, params.p, q)
@@ -779,7 +781,7 @@ class TestPrecomputedTables:
         assert vanished > 0
 
     def test_off_curve_inputs_still_rejected(self):
-        params = enumerate_and_validate(59).params
+        params = enumerate_and_validate(59)
         backend = TateBackend(params)
         bad, gen = _holder(), _holder()
         for _ in range(3):
@@ -822,7 +824,7 @@ class TestPrecomputedTables:
     def test_table_built_on_second_use(self):
         # The first use marks the holder, and the second builds only the
         # kind of table that it needs.
-        params = enumerate_and_validate(83).params
+        params = enumerate_and_validate(83)
         backend, h = TateBackend(params), _holder()
         pt = point_mul(3, params.gen, 83)
         backend.pair(pt, params.gen, h)
@@ -845,7 +847,7 @@ class TestPrecomputedTables:
         # many holders there are, and the backend keeps none.  Mixed, each
         # point comes with one of the 129 values of order p in F_q^2 other
         # than 1 and e(g, g), whose holder keeps its G2 comb.
-        params = enumerate_and_validate(523).params
+        params = enumerate_and_validate(523)
         backend = TateBackend(params)
         names = set(vars(backend))
         pts = [point_mul(k, params.gen, 523) for k in range(2, params.p)]
@@ -867,7 +869,7 @@ class TestPrecomputedTables:
         assert vars(backend).keys() == names and backend._generator_tables == {params.gen: {}, g2: {}}
 
     def test_threads_sharing_one_backend(self):
-        params = enumerate_and_validate(523).params
+        params = enumerate_and_validate(523)
         backend = TateBackend(params)
         rng = random.Random("threads")
         bases = [point_mul(rng.randrange(1, 131), params.gen, 523) for _ in range(24)]
@@ -931,7 +933,7 @@ class TestTableHolders:
 
     def test_one_shot_elements_build_nothing(self, monkeypatch):
         builds = self._count_builds(monkeypatch)
-        suite = GroupSuite(TateBackend(enumerate_and_validate(523).params))
+        suite = GroupSuite(TateBackend(enumerate_and_validate(523)))
         rng = random.Random("one shot")
         for _ in range(2):  # the generators' tables, which every suite shares
             suite.random_g1(rng), suite.random_g2(rng, nonidentity=True)
@@ -951,7 +953,7 @@ class TestTableHolders:
 
     def test_second_use_builds_only_the_kind_it_needs(self, monkeypatch):
         builds = self._count_builds(monkeypatch)
-        suite = GroupSuite(TateBackend(enumerate_and_validate(523).params))
+        suite = GroupSuite(TateBackend(enumerate_and_validate(523)))
         backend, g, rng = suite.backend, suite.g1, random.Random("second use")
         P, Q, R = (suite.random_g1(rng, nonidentity=True) for _ in range(3))
         y = suite.random_g2(rng, nonidentity=True)
@@ -976,7 +978,7 @@ class TestTableHolders:
         # The backend's holders for g and e(g, g) are marked from the start,
         # so their first use builds, once for every suite on the backend.
         builds = self._count_builds(monkeypatch)
-        backend = TateBackend(enumerate_and_validate(523).params)
+        backend = TateBackend(enumerate_and_validate(523))
         plain, counted = GroupSuite(backend), GroupSuite(backend, counted=True)
         assert builds == ["_comb_table"]  # from_int(KIND_G1, 1), in the first suite
         for suite in (plain, counted, plain, counted):
@@ -997,7 +999,7 @@ class TestTableHolders:
     def test_replays_under_other_keys_keep_the_scheme_key_tables(self, scheme):
         # 20 unrelated keys each replay two transcripts, which builds tables
         # for many more values than the scheme key has.
-        suite = GroupSuite(TateBackend(enumerate_and_validate(523).params))
+        suite = GroupSuite(TateBackend(enumerate_and_validate(523)))
         kp = keygen(scheme, suite, random.Random(f"replay {scheme.value}"))
         transcripts = [run_session(scheme, kp, suite, seed=f"replay {i}") for i in range(3)]
         tables = _key_tables(kp)
@@ -1018,7 +1020,7 @@ class TestTableHolders:
         # own, on the same key objects: every session accepts on both ends,
         # and each key element ends with one table of each kind, equal to
         # one built alone.
-        suite = GroupSuite(TateBackend(enumerate_and_validate(523).params))
+        suite = GroupSuite(TateBackend(enumerate_and_validate(523)))
         backend = suite.backend
         keys = {s: keygen(s, suite, random.Random(f"threads {s.value}")) for s in SchemeId}
         errors = []
@@ -1062,7 +1064,7 @@ class TestTableHolders:
         for name in ("point_mul", "tate_pairing"):
             fn = getattr(tate, name)
             monkeypatch.setattr(tate, name, lambda *args, fn=fn, name=name: calls.update([name]) or fn(*args))
-        params = enumerate_and_validate(523).params
+        params = enumerate_and_validate(523)
         schemes = list(SchemeId)
 
         def sessions(backend, count, label):
@@ -1082,7 +1084,7 @@ class TestTableHolders:
 
 class TestSharedBackend:
     def test_stored_params_share_one_backend(self):
-        params = enumerate_and_validate(83).params
+        params = enumerate_and_validate(83)
         a = suite_from_curve_params(params.q, params.p, params.h, params.gen)
         b = suite_from_curve_params(params.q, params.p, params.h, params.gen, counted=True)
         assert a.backend is b.backend
@@ -1236,7 +1238,7 @@ class TestTraceLadder:
     def test_final_exp_is_the_full_power(self, q):
         # Every nonzero f at q = 59 and 83, and a seeded sample at 523, with
         # the real and the imaginary f (fa*fb = 0) included.
-        p = enumerate_and_validate(q).params.p
+        p = enumerate_and_validate(q).p
         if q < 100:
             values = [Fq2(a, b, q) for a in range(q) for b in range(q) if a or b]
         else:
@@ -1332,7 +1334,7 @@ class TestPairingsEqual:
         # Off-subgroup first arguments included, each of which raises
         # NotOnCurve both ways, as do those where the reference's lines
         # vanish.  Each point has one holder, so that most calls run warm.
-        params = enumerate_and_validate(q).params
+        params = enumerate_and_validate(q)
         backend = TateBackend(params)
         pts = curve_points(q)
         holders = {pt: _holder() for pt in pts}
@@ -1393,7 +1395,7 @@ class TestWnafPointMul:
 
     @pytest.mark.parametrize("q", [59, 83])
     def test_every_point_small_exponents_and_cofactor(self, q):
-        params = enumerate_and_validate(q).params
+        params = enumerate_and_validate(q)
         p, h = params.p, params.h
         for pt in curve_points(q):
             for k in [*range(-2 * p, 2 * p + 1), h]:
@@ -1417,7 +1419,7 @@ class TestCofactorFold:
         # (0, 0) included, with g after it.  Cold, with no holder, no c has
         # lines, and c's live walk gives t.  Keys off the subgroup raise
         # (TestSubgroupContract).
-        params = enumerate_and_validate(q).params
+        params = enumerate_and_validate(q)
         backend = TateBackend(params)
         g, h = params.gen, params.h
         for warm, c in itertools.product((False, True), [None, *_by_order(q)[0]]):
@@ -1478,7 +1480,7 @@ class TestSignedWalk:
     def test_signed_and_binary_walks_agree(self, q):
         # The package's walk over p's signed digits, live and stored, against
         # the same double-and-add loop over p's bits.
-        params = enumerate_and_validate(q).params
+        params = enumerate_and_validate(q)
         p = params.p
         binary = tuple(map(int, bin(p)[3:]))
         for k in range(1, p):
@@ -1494,7 +1496,7 @@ class TestSignedWalk:
     @pytest.mark.parametrize("warm", [False, True])
     @pytest.mark.parametrize("q", [59, 83])
     def test_backend_matches_reference(self, q, warm):
-        params = enumerate_and_validate(q).params
+        params = enumerate_and_validate(q)
         g, p, h = params.gen, params.p, params.h
         subgroup = [point_mul(k, g, q) for k in range(1, p)]
         pts = curve_points(q)
@@ -1545,7 +1547,7 @@ class TestSubgroupContract:
     @pytest.mark.parametrize("warm", [False, True])
     def test_off_subgroup_first_argument_raises(self, warm):
         for q in (59, 83):
-            params = enumerate_and_validate(q).params
+            params = enumerate_and_validate(q)
             g, p = params.gen, params.p
             off = _by_order(q)[1]
             # O, a point of order p, the 2-torsion point and one off the subgroup.
@@ -1576,7 +1578,7 @@ class TestSubgroupContract:
         # Each off-subgroup point fails twice through its holder, the second
         # time in its table build; none of them keeps a table, and the warm
         # generator's lines stay the same object.
-        params = enumerate_and_validate(59).params
+        params = enumerate_and_validate(59)
         backend, g, hg = TateBackend(params), params.gen, _holder()
         for _ in range(2):
             backend.pair(g, g, hg)
@@ -1610,7 +1612,7 @@ class TestPairFromInt:
     def test_every_point_and_exponent(self, q, warm):
         # Infinity and every point of order p; points off the subgroup raise
         # (TestSubgroupContract).
-        params = enumerate_and_validate(q).params
+        params = enumerate_and_validate(q)
         suite = GroupSuite(TateBackend(params))
         combs = 0
         for pt in [None, *_by_order(q)[0]]:
@@ -1627,7 +1629,7 @@ class TestPairFromInt:
     @pytest.mark.parametrize("size", ["c523", "real"])
     @pytest.mark.parametrize("warm", [False, True])
     def test_random_pairs(self, size, warm):
-        params = enumerate_and_validate(523).params if size == "c523" else CurveParams(REAL_Q, REAL_P, REAL_H, REAL_GEN)
+        params = enumerate_and_validate(523) if size == "c523" else CurveParams(REAL_Q, REAL_P, REAL_H, REAL_GEN)
         q, rng = params.q, random.Random(f"pair_from_int {size}")
         suite = GroupSuite(TateBackend(params))
         # A multiple of g, and a random curve point with its cofactor cleared.
@@ -1655,7 +1657,7 @@ class TestPairFromInt:
         # no g^k of its own.
         from pairid import tate
 
-        params = enumerate_and_validate(523).params if size == "c523" else CurveParams(REAL_Q, REAL_P, REAL_H, REAL_GEN)
+        params = enumerate_and_validate(523) if size == "c523" else CurveParams(REAL_Q, REAL_P, REAL_H, REAL_GEN)
         suite = GroupSuite(TateBackend(params))
         a, k = suite.g1_from_int(5), 7
         b = suite.g1_from_int(k)
